@@ -5,19 +5,12 @@ The tracked quantity is **runs per second** for the whole quick E1 experiment
 materialisation, dispatch, metric extraction, and aggregation) under:
 
 * ``sweep_e1_serial`` — in-process, the reference compute floor;
-* ``sweep_e1_cold_pool_jobs{2,4}`` — the per-call :class:`ParallelExecutor`
-  baseline: every ``Engine.sweep`` call spawns a fresh process pool, so each
-  round pays worker startup (interpreter + library import) again;
 * ``sweep_e1_warm_pool_jobs{2,4}`` — the persistent :class:`WorkerPool`: the
   pool is spawned and warmed once (outside the timed rounds, as in real use
   where one Engine serves a whole session) and every round reuses it.
 
-The warm/cold gap is the orchestration overhead this layer exists to delete;
-it is widest on spawn-start-method platforms (macOS, Windows, Linux from
-Python 3.14 — and this repository's pools, which use ``spawn`` everywhere
-for cross-platform determinism), where cold worker startup re-imports the
-library on every call.  All modes produce bit-identical determinism digests
-— ``benchmarks/digest_manifest.py --jobs N --pool warm|cold`` is the gate.
+Both modes produce bit-identical determinism digests —
+``benchmarks/digest_manifest.py --jobs N`` is the gate.
 
 Results land in ``BENCH_core.json`` (schema ``bench-core/2``) via the suite
 conftest; ``runs_per_round`` turns each median into ``runs_per_second``.
@@ -27,7 +20,7 @@ medians, which need enough samples to be stable inside the 25% CI budget.
 """
 
 from repro.experiments.e1_ohp_convergence import run as run_e1
-from repro.runtime import Engine, executor_for
+from repro.runtime import Engine
 
 #: The quick E1 experiment executes 12 sweep configs plus 1 ablation run.
 E1_QUICK_RUNS = 13
@@ -50,12 +43,6 @@ def test_sweep_e1_serial(benchmark):
     _tag(benchmark, "sweep_e1_serial")
 
 
-def _bench_cold(benchmark, jobs, key):
-    engine = Engine(executor_for(jobs, pool="cold"))
-    benchmark.pedantic(lambda: _run_quick_e1(engine), rounds=9, iterations=1, warmup_rounds=1)
-    _tag(benchmark, key)
-
-
 def _bench_warm(benchmark, jobs, key):
     with Engine(jobs=jobs) as engine:
         _run_quick_e1(engine)  # spawn + warm the pool outside the timed rounds
@@ -65,19 +52,9 @@ def _bench_warm(benchmark, jobs, key):
     _tag(benchmark, key)
 
 
-def test_sweep_e1_cold_pool_jobs2(benchmark):
-    """Per-call pool, 2 workers: worker startup on every sweep call."""
-    _bench_cold(benchmark, 2, "sweep_e1_cold_pool_jobs2")
-
-
 def test_sweep_e1_warm_pool_jobs2(benchmark):
     """Persistent pool, 2 workers: startup amortised to zero per call."""
     _bench_warm(benchmark, 2, "sweep_e1_warm_pool_jobs2")
-
-
-def test_sweep_e1_cold_pool_jobs4(benchmark):
-    """Per-call pool, 4 workers (the acceptance-gate baseline)."""
-    _bench_cold(benchmark, 4, "sweep_e1_cold_pool_jobs4")
 
 
 def test_sweep_e1_warm_pool_jobs4(benchmark):

@@ -10,26 +10,25 @@ matching), and ``FULL`` folds every registered deterministic experiment
 Two builds of the simulator that print the same manifest dispatched exactly
 the same events, in the same order, for every run of every quick experiment —
 which is the equivalence gate hot-path refactors must pass.  The same gate
-covers the execution stack: ``--jobs``/``--pool`` route the sweeps through
-the warm (persistent) or cold (per-call) process pool, and the manifest must
-be bit-identical to the serial one::
+covers the execution stack: ``--jobs`` routes the sweeps through the warm
+process pool, ``--fabric`` through the sweep fabric, and the manifest must be
+bit-identical to the serial one::
 
     PYTHONPATH=src python benchmarks/digest_manifest.py            # serial
     PYTHONPATH=src python benchmarks/digest_manifest.py -o m.json  # save JSON
-    PYTHONPATH=src python benchmarks/digest_manifest.py --jobs 4 --pool warm --check m.json
-    PYTHONPATH=src python benchmarks/digest_manifest.py --jobs 4 --pool cold --check m.json
+    PYTHONPATH=src python benchmarks/digest_manifest.py --jobs 4 --check m.json
     PYTHONPATH=src python benchmarks/digest_manifest.py --fabric 3 --check m.json
 
 ``--check`` exits non-zero on any mismatch against a previously saved
 manifest, so a refactor branch can assert equivalence mechanically.
 
-Capture mechanics: serially, ``Simulation.run`` is wrapped in-process (the
-historical mechanism, so manifests stay comparable across PRs).  Through a
-pool, a parent-side wrap never reaches the ``spawn``-started workers, so the
-dispatched function is wrapped with
-:func:`repro.runtime.run_with_digest_capture` instead — each worker returns
-its runs' digests alongside the result and they are folded in input order,
-which equals the serial execution order.
+Capture mechanics: :func:`repro.sim.scheduler.capture_digests` collects the
+digest of every simulation completed in this process.  A parent-side capture
+never reaches the ``spawn``-started pool workers, so through a pool the
+dispatched function is additionally wrapped with
+:func:`repro.runtime.run_with_digest_capture` — each worker returns its runs'
+digests alongside the result and they are folded in input order, which equals
+the serial execution order.
 """
 
 from __future__ import annotations
@@ -38,10 +37,10 @@ import argparse
 import json
 import sys
 
-import repro.sim.scheduler as scheduler_module
 from repro.fabric.digests import CORE_EXPERIMENTS, fold_digests as _fold, fold_named as _fold_named
 from repro.runtime import Engine, executor_for, run_with_digest_capture
 from repro.runtime.registry import EXPERIMENTS
+from repro.sim.scheduler import capture_digests
 # Only ALL_EXPERIMENTS (the deterministic E1-E10) is folded: wall-clock
 # experiments (E11's real backend) are registered too but have no stable
 # digest, so the manifests iterate this dict, not EXPERIMENTS.names().
@@ -58,12 +57,7 @@ class _DigestCapturingExecutor:
 
     def imap(self, fn, items):
         tasks = [(fn, item) for item in items]
-        inner_imap = getattr(self._inner, "imap", None)
-        if inner_imap is not None:
-            pairs = inner_imap(run_with_digest_capture, tasks)
-        else:
-            pairs = iter(self._inner.map(run_with_digest_capture, tasks))
-        for result, digests in pairs:
+        for result, digests in self._inner.imap(run_with_digest_capture, tasks):
             self._sink.extend(digests)
             yield result
 
@@ -71,51 +65,33 @@ class _DigestCapturingExecutor:
         return list(self.imap(fn, items))
 
     def close(self) -> None:
-        closer = getattr(self._inner, "close", None)
-        if closer is not None:
-            closer()
+        self._inner.close()
 
 
 def _collect_serial(seed: int) -> dict[str, str]:
-    """The historical in-process capture (comparable across PR manifests)."""
+    """In-process capture (the reference the other modes must match)."""
     manifest: dict[str, str] = {}
-    original_run = scheduler_module.Simulation.run
-    captured: list[int] = []
-
-    def capturing_run(self, **kwargs):
-        trace = original_run(self, **kwargs)
-        captured.append(self.queue.digest)
-        return trace
-
-    scheduler_module.Simulation.run = capturing_run
-    try:
-        for name in ALL_EXPERIMENTS:
-            captured.clear()
-            runner = EXPERIMENTS.resolve(name)
+    for name in ALL_EXPERIMENTS:
+        runner = EXPERIMENTS.resolve(name)
+        with capture_digests() as captured:
             runner(quick=True, seed=seed, engine=Engine())
-            manifest[name] = f"{_fold(captured):016x}"
-    finally:
-        scheduler_module.Simulation.run = original_run
+        manifest[name] = f"{_fold(captured):016x}"
     return manifest
 
 
-def _collect_pooled(seed: int, jobs: int, pool: str) -> dict[str, str]:
-    """Capture through a warm or cold process pool (digests travel with results)."""
+def _collect_pooled(seed: int, jobs: int) -> dict[str, str]:
+    """Capture through the warm process pool (digests travel with results)."""
     manifest: dict[str, str] = {}
     sink: list[int] = []
-    executor = _DigestCapturingExecutor(executor_for(jobs, pool=pool), sink)
+    executor = _DigestCapturingExecutor(executor_for(jobs), sink)
     try:
         for name in ALL_EXPERIMENTS:
             sink.clear()
             runner = EXPERIMENTS.resolve(name)
             # Any simulation an experiment might run in the parent process —
             # outside engine dispatch — lands in the same sink, in call order.
-            previous = scheduler_module.DIGEST_SINK
-            scheduler_module.DIGEST_SINK = sink
-            try:
+            with capture_digests(sink):
                 runner(quick=True, seed=seed, engine=Engine(executor))
-            finally:
-                scheduler_module.DIGEST_SINK = previous
             manifest[name] = f"{_fold(sink):016x}"
     finally:
         executor.close()
@@ -148,14 +124,13 @@ def collect_manifest(
     seed: int = 0,
     *,
     jobs: int | None = None,
-    pool: str = "warm",
     fabric: int | None = None,
 ) -> dict[str, str]:
     """Run every experiment quick and return ``{experiment: folded digest}``."""
     if fabric is not None:
         manifest = _collect_fabric(seed, fabric)
     elif jobs is not None and jobs > 1:
-        manifest = _collect_pooled(seed, jobs, pool)
+        manifest = _collect_pooled(seed, jobs)
     else:
         manifest = _collect_serial(seed)
     experiment_names = list(manifest)
@@ -177,12 +152,6 @@ def main(argv: list[str] | None = None) -> int:
         "(default: serial, in-process)",
     )
     parser.add_argument(
-        "--pool",
-        choices=("warm", "cold"),
-        default="warm",
-        help="pool mode for --jobs > 1 (default: warm)",
-    )
-    parser.add_argument(
         "--fabric",
         type=int,
         default=None,
@@ -197,9 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    manifest = collect_manifest(
-        seed=args.seed, jobs=args.jobs, pool=args.pool, fabric=args.fabric
-    )
+    manifest = collect_manifest(seed=args.seed, jobs=args.jobs, fabric=args.fabric)
     for name, digest in manifest.items():
         print(f"{name:>4}  {digest}")
 

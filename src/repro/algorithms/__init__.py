@@ -13,6 +13,9 @@ outputs purely from messages — they are the paper's implementability results:
 * :class:`~repro.algorithms.heartbeat.HeartbeatMonitorProgram` — the
   HB_PING/HB_ACK monitor of the sim-vs-real validation harness (ROADMAP
   item 3); runs unchanged on the simulator and the TCP backend.
+* :class:`~repro.algorithms.swim.ClusterMembershipProgram` — the SWIM-style
+  join / leave / crash-recover membership service of the churn workload
+  (not to be confused with :mod:`repro.membership`, the identity multisets).
 """
 
 from .heartbeat import HeartbeatMonitorProgram

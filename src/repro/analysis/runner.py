@@ -123,24 +123,6 @@ class ParameterSweep:
     def __len__(self) -> int:
         return self.total_runs
 
-    def run(self, run_one: Callable[[dict], dict], *, executor: Any | None = None) -> list[dict]:
-        """Run ``run_one`` for every configuration and collect result rows.
-
-        The configuration (minus the bookkeeping ``repetition`` field) is
-        merged into each result row so downstream aggregation can group on it.
-        ``executor`` (any object with ``map(fn, items) -> list``, e.g. a
-        :class:`repro.runtime.ParallelExecutor`) fans the configurations out;
-        rows always come back in sweep order.
-        """
-        configs = [dict(config) for config in self]
-        # run_one always receives a copy, so a mutating run_one cannot
-        # corrupt the merged rows (or differ between serial and parallel).
-        if executor is None:
-            outcomes = [run_one(dict(config)) for config in configs]
-        else:
-            outcomes = executor.map(run_one, [dict(config) for config in configs])
-        return [merge_row(config, outcome) for config, outcome in zip(configs, outcomes)]
-
 
 def aggregate_rows(
     rows: Iterable[Mapping[str, Any]],

@@ -7,7 +7,6 @@ Examples::
     python -m repro.experiments --full E4 E5        # full sweeps of E4 and E5
     python -m repro.experiments --jobs 4            # one warm worker pool,
                                                     # reused across experiments
-    python -m repro.experiments --jobs 4 --pool cold   # fresh pool per sweep
     python -m repro.experiments --cache .run-cache  # memoize completed runs
     python -m repro.experiments --stream --jsonl runs.jsonl   # rows as they land
     python -m repro.experiments --format json E1    # machine-readable output
@@ -26,7 +25,7 @@ import json
 import sys
 import time
 
-from ..runtime import Engine, executor_for
+from ..runtime import Engine
 from ..runtime.registry import EXPERIMENTS
 from . import ALL_EXPERIMENTS, WALLCLOCK_EXPERIMENTS  # noqa: F401  (importing registers E1–E11)
 
@@ -102,15 +101,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the sweeps (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("warm", "cold"),
-        default="warm",
-        help="pool mode for --jobs > 1: 'warm' keeps one persistent worker "
-        "pool across all selected experiments (default); 'cold' spawns and "
-        "tears down a pool per sweep call",
+        help="worker processes for the sweeps (default 1 = serial); one warm "
+        "pool is kept across all selected experiments",
     )
     parser.add_argument(
         "--cache",
@@ -151,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         "work plan and emit its rows as JSONL (to --jsonl or stdout); shards "
         "partition the plan contiguously, so concatenating all N shard files "
         "in order is byte-identical to the serial JSONL. Tables are skipped; "
-        "--jobs/--pool/--stream do not apply",
+        "--jobs/--stream do not apply",
     )
     args = parser.parse_args(argv)
 
@@ -174,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(payload, sort_keys=True, default=str), file=sys.stderr, flush=True)
 
     engine = Engine(
-        executor_for(args.jobs, pool=args.pool),
+        jobs=args.jobs,
         jsonl_path=args.jsonl,
         cache=args.cache,
         progress=stream_line if args.stream else None,

@@ -74,7 +74,7 @@ from .work import ItemResult
 __all__ = ["FabricError", "SimulatedCrash", "FabricResult", "Coordinator"]
 
 #: Chunks dispatched per worker (load-balance granularity), mirroring the
-#: executors' DEFAULT_CHUNK_MULTIPLIER.
+#: executors' CHUNKS_PER_WORKER.
 DEFAULT_CHUNK_MULTIPLIER = 4
 
 #: Default per-worker progress deadline (seconds without a journaled result,
@@ -200,10 +200,7 @@ class _Worker:
 
     def _drain(self, events: "queue.Queue") -> None:
         try:
-            while True:
-                message = protocol.read_message(self.process.stdout)
-                if message is None:
-                    break
+            for message in protocol.iter_messages(self.process.stdout):
                 events.put((self.number, message))
         except Exception as error:  # torn frame on kill — report as death
             events.put((self.number, {"type": protocol.ERROR, "error": str(error)}))

@@ -8,8 +8,8 @@ for run, in the same order" is one string comparison.  The fold is order
 sensitive on purpose: input order is part of what the fabric guarantees.
 
 These helpers are the single source of truth for the fold —
-``benchmarks/digest_manifest.py`` (the serial / warm-pool / cold-pool gate)
-and the fabric's sharded digest verification both import them, which is what
+``benchmarks/digest_manifest.py`` (the serial / warm-pool / fabric gate) and
+the fabric's sharded digest verification both import them, which is what
 makes "sharded == serial" checkable as manifest equality.
 """
 

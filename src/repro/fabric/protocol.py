@@ -1,7 +1,7 @@
 """The coordinator ↔ worker wire protocol: length-prefixed JSON messages.
 
-The frame format is exactly :mod:`repro.transport.framing` (4-byte big-endian
-length + UTF-8 JSON), reused here over *synchronous* binary streams — a
+The frame codec is :mod:`repro.transport.framing` itself (4-byte big-endian
+length + UTF-8 JSON), driven here over *synchronous* binary streams — a
 worker's stdin/stdout pipes today, an ssh channel or TCP socket tomorrow; the
 protocol never assumes it is talking to a local subprocess.
 
@@ -24,11 +24,9 @@ Message types (every message is ``{"type": …, …}``):
 
 from __future__ import annotations
 
-import json
-import struct
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Iterator
 
-from ..transport.framing import MAX_FRAME_BYTES, FramingError, encode_frame
+from ..transport.framing import FramingError, decode_frames, encode_frame
 
 __all__ = [
     "HELLO",
@@ -38,7 +36,7 @@ __all__ = [
     "ERROR",
     "SHUTDOWN",
     "write_message",
-    "read_message",
+    "iter_messages",
 ]
 
 HELLO = "hello"
@@ -48,7 +46,9 @@ CHUNK_DONE = "chunk_done"
 ERROR = "error"
 SHUTDOWN = "shutdown"
 
-_LENGTH = struct.Struct(">I")
+#: Most bytes taken from the stream per read; one read usually carries
+#: several result frames.
+_READ_BYTES = 1 << 16
 
 
 def write_message(stream: BinaryIO, type: str, **fields: Any) -> None:
@@ -57,33 +57,18 @@ def write_message(stream: BinaryIO, type: str, **fields: Any) -> None:
     stream.flush()
 
 
-def _read_exact(stream: BinaryIO, count: int) -> bytes | None:
-    """Read exactly ``count`` bytes; ``None`` on clean EOF before any byte."""
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining:
-        piece = stream.read(remaining)
-        if not piece:
-            if not chunks:
-                return None
-            raise FramingError("stream closed mid-frame")
-        chunks.append(piece)
-        remaining -= len(piece)
-    return b"".join(chunks)
+def iter_messages(stream: BinaryIO) -> Iterator[dict]:
+    """Yield the framed messages of a buffered binary stream until clean EOF.
 
-
-def read_message(stream: BinaryIO) -> dict | None:
-    """Read one framed message; ``None`` on clean EOF between frames."""
-    header = _read_exact(stream, _LENGTH.size)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(f"announced frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    body = _read_exact(stream, length)
-    if body is None:
+    A stream that ends inside a frame (a worker SIGKILLed mid-write) raises
+    :class:`~repro.transport.framing.FramingError`.
+    """
+    buffer = bytearray()
+    while piece := stream.read1(_READ_BYTES):
+        buffer += piece
+        for payload in decode_frames(buffer):
+            if not isinstance(payload, dict) or "type" not in payload:
+                raise FramingError(f"malformed fabric message: {payload!r}")
+            yield payload
+    if buffer:
         raise FramingError("stream closed mid-frame")
-    payload = json.loads(body.decode("utf-8"))
-    if not isinstance(payload, dict) or "type" not in payload:
-        raise FramingError(f"malformed fabric message: {payload!r}")
-    return payload

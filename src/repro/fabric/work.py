@@ -5,7 +5,7 @@ function (:func:`execute_item`) so the experiment CLI's ``--shard i/N`` mode
 and the tests can run items in-process without a coordinator.
 
 Every fresh execution captures the determinism digests of the simulations it
-ran (via :data:`repro.sim.scheduler.DIGEST_SINK`, the same mechanism the
+ran (via :func:`repro.sim.scheduler.capture_digests`, the same mechanism the
 digest manifest uses inside pool workers), so results carry the proof of
 bit-identical behaviour with them.  Caching is two-level against one shared
 :class:`~repro.runtime.cache.RunCache` directory:
@@ -37,7 +37,7 @@ from ..errors import ReproError
 from ..runtime.cache import RunCache
 from ..runtime.engine import execute_spec
 from ..runtime.spec import ScenarioSpec
-from ..sim import scheduler as _scheduler_module
+from ..sim.scheduler import capture_digests
 from .plan import WorkItem
 
 __all__ = ["ItemResult", "execute_item", "resolve_function"]
@@ -117,10 +117,7 @@ def _canonical_row(row: Mapping[str, Any]) -> dict:
 
 def _fresh(item: WorkItem) -> tuple[dict, list[int], Mapping[str, Any] | None]:
     """Execute the item, returning (row, digests, plain-cache payload)."""
-    sink: list[int] = []
-    previous = _scheduler_module.DIGEST_SINK
-    _scheduler_module.DIGEST_SINK = sink
-    try:
+    with capture_digests() as sink:
         if item.kind == "spec":
             record = execute_spec(ScenarioSpec.from_dict(item.payload["spec"]))
             return _canonical_row(record.to_dict()), sink, record.to_dict()
@@ -130,8 +127,6 @@ def _fresh(item: WorkItem) -> tuple[dict, list[int], Mapping[str, Any] | None]:
         if item.kind == "sweep":
             return _canonical_row(merge_row(config, outcome)), sink, outcome
         return _canonical_row(outcome), sink, None  # "map": the row IS the outcome
-    finally:
-        _scheduler_module.DIGEST_SINK = previous
 
 
 def execute_item(item: WorkItem, cache: RunCache | None = None) -> ItemResult:

@@ -34,9 +34,8 @@ def serve(
 ) -> int:
     """The worker loop: read chunks, execute items, stream results back."""
     protocol.write_message(outbound, protocol.HELLO, pid=os.getpid())
-    while True:
-        message = protocol.read_message(inbound)
-        if message is None or message["type"] == protocol.SHUTDOWN:
+    for message in protocol.iter_messages(inbound):
+        if message["type"] == protocol.SHUTDOWN:
             return 0
         if message["type"] != protocol.CHUNK:
             protocol.write_message(
@@ -62,6 +61,7 @@ def serve(
             )
             return 1
         protocol.write_message(outbound, protocol.CHUNK_DONE, chunk=chunk_id)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -31,8 +31,8 @@ The pieces:
   experiments;
 * :mod:`~repro.runtime.engine` — the :class:`Engine`, :class:`RunRecord`,
   and the module-level :func:`execute_spec` worker entry point;
-* :mod:`~repro.runtime.executors` — :class:`SerialExecutor`, the persistent
-  warm :class:`WorkerPool`, and the per-call (cold) :class:`ParallelExecutor`;
+* :mod:`~repro.runtime.executors` — :class:`SerialExecutor` and the
+  persistent warm :class:`WorkerPool`;
 * :mod:`~repro.runtime.cache` — the digest-keyed :class:`RunCache` that
   memoizes completed runs on ``(canonical-spec-hash, seed)``.
 """
@@ -51,7 +51,6 @@ from .engine import (
 )
 from .executors import (
     Executor,
-    ParallelExecutor,
     SerialExecutor,
     WorkerPool,
     executor_for,
@@ -117,7 +116,6 @@ __all__ = [
     "MembershipSpec",
     "NetworkSpec",
     "PROGRAMS",
-    "ParallelExecutor",
     "ParameterSweep",
     "Registry",
     "RunCache",

@@ -55,9 +55,9 @@ from ..analysis.runner import ParameterSweep, merge_row
 from ..consensus import validate_consensus
 from ..membership import Membership
 from ..sim import CompositeProgram, CrashSchedule, Simulation, TimingModel, build_system
-from ..sim import scheduler as _scheduler_module
 from ..sim.failures import FailurePattern
 from ..sim.links import LinkModel
+from ..sim.scheduler import capture_digests
 from ..sim.system import ProgramFactory
 from .cache import RunCache
 from .executors import Executor, executor_for
@@ -162,10 +162,9 @@ def run_once(
 ) -> RunRecord:
     """Execute one fully-materialised configuration and measure the outcome.
 
-    This is the shared execution path under :func:`execute_spec` and the
-    legacy ``run_consensus_once`` shim: build the system, run the simulation
-    (stopping early once every correct process has decided, when decisions
-    are expected), validate, and collect metrics.
+    This is the execution path under :func:`execute_spec`: build the system,
+    run the simulation (stopping early once every correct process has
+    decided, when decisions are expected), validate, and collect metrics.
     """
     schedule = crash_schedule or CrashSchedule.none()
     system = build_system(
@@ -329,16 +328,12 @@ def run_with_digest_capture(task: "tuple[Callable[[Any], Any], Any]") -> tuple[A
     ``task`` is a ``(fn, item)`` pair so the whole thing is picklable and can
     be dispatched through any executor; the digests come back *with the
     result*, in execution order, which is what lets a digest manifest compare
-    serial, warm-pool, and cold-pool sweeps bit for bit (a parent-side
-    monkeypatch never reaches a ``spawn``-started worker).
+    serial and pooled sweeps bit for bit (a parent-side capture never reaches
+    a ``spawn``-started worker).
     """
     fn, item = task
-    previous = _scheduler_module.DIGEST_SINK
-    _scheduler_module.DIGEST_SINK = sink = []
-    try:
+    with capture_digests() as sink:
         result = fn(item)
-    finally:
-        _scheduler_module.DIGEST_SINK = previous
     return result, sink
 
 
@@ -346,12 +341,9 @@ class Engine:
     """Executes scenarios and sweeps through a pluggable executor.
 
     ``Engine(jobs=N)`` owns a persistent warm
-    :class:`~repro.runtime.executors.WorkerPool` (``pool="cold"`` selects the
-    per-call :class:`~repro.runtime.executors.ParallelExecutor` instead) and
-    is reusable across any number of ``run``/``run_many``/``run_sweep``
-    calls; close it explicitly or use it as a context manager.
-    ``chunk_multiplier`` tunes dispatch granularity (chunks per worker per
-    call, ≥ 1).  ``cache`` (a directory path or
+    :class:`~repro.runtime.executors.WorkerPool` and is reusable across any
+    number of ``run``/``run_many``/``run_sweep`` calls; close it explicitly
+    or use it as a context manager.  ``cache`` (a directory path or
     :class:`~repro.runtime.cache.RunCache`) memoizes completed runs; see the
     module docstring.  ``progress`` is called with every emitted payload
     (record dict or row) as it completes, in order — the hook behind the
@@ -363,19 +355,13 @@ class Engine:
         executor: Executor | None = None,
         *,
         jobs: int | None = None,
-        chunk_multiplier: int | None = None,
-        pool: str = "warm",
         jsonl_path: str | None = None,
         cache: RunCache | str | None = None,
         progress: Callable[[Mapping[str, Any]], None] | None = None,
     ) -> None:
-        if executor is not None and (
-            jobs is not None or chunk_multiplier is not None or pool != "warm"
-        ):
-            raise ValueError("pass either an executor or jobs/chunk_multiplier/pool, not both")
-        self.executor: Executor = executor or executor_for(
-            jobs, chunk_multiplier=chunk_multiplier, pool=pool
-        )
+        if executor is not None and jobs is not None:
+            raise ValueError("pass either an executor or jobs, not both")
+        self.executor: Executor = executor or executor_for(jobs)
         self.jsonl_path = jsonl_path
         self.cache = RunCache.coerce(cache)
         self.progress = progress
@@ -384,12 +370,10 @@ class Engine:
     def close(self) -> None:
         """Release the executor's resources (idempotent).
 
-        For a warm :class:`WorkerPool` this shuts the worker processes down;
-        serial and cold executors hold nothing between calls.
+        For a :class:`WorkerPool` this shuts the worker processes down; the
+        serial executor holds nothing between calls.
         """
-        closer = getattr(self.executor, "close", None)
-        if closer is not None:
-            closer()
+        self.executor.close()
 
     def __enter__(self) -> "Engine":
         return self
@@ -547,7 +531,7 @@ class Engine:
                 self._emit(emit_of(value))
                 yield value
 
-        for offset, raw in enumerate(self._dispatch(worker, pending)):
+        for offset, raw in enumerate(self.executor.imap(worker, pending)):
             index = pending_indices[offset]
             values[index] = from_fresh(items[index], raw)
             done[index] = True
@@ -559,15 +543,6 @@ class Engine:
         return self.executor.map(fn, list(items))
 
     # -- bookkeeping ---------------------------------------------------
-    def _dispatch(self, fn: Callable[[Any], Any], items: list) -> Iterator[Any]:
-        """Input-order result iterator, lazy when the executor supports it."""
-        if not items:
-            return iter(())
-        imap = getattr(self.executor, "imap", None)
-        if imap is not None:
-            return imap(fn, items)
-        return iter(self.executor.map(fn, items))
-
     def _cache_get_record(self, spec: ScenarioSpec) -> RunRecord | None:
         # Real-backend runs are wall-clock measurements: two runs of the same
         # spec are *supposed* to differ, so memoizing one would silently turn

@@ -1,46 +1,39 @@
 """Pluggable executors: how the Engine maps work over configurations.
 
-Three implementations cover the execution spectrum:
+Two implementations cover the execution spectrum:
 
 * :class:`SerialExecutor` — everything in-process, one item after another;
-* :class:`ParallelExecutor` — the *cold* pool: a fresh
-  :class:`~concurrent.futures.ProcessPoolExecutor` is spawned and torn down
-  on every ``map`` call (the pre-warm-pool behaviour, kept as the
-  apples-to-apples baseline for ``benchmarks/bench_sweep_throughput.py``);
-* :class:`WorkerPool` — the *warm* pool: one persistent process pool that is
-  spawned lazily on first use, warms each worker exactly once (importing the
-  library so later tasks only unpickle their inputs), and is reused across
-  every subsequent ``map``/``imap`` call until :meth:`WorkerPool.close`.
+* :class:`WorkerPool` — one persistent process pool that is spawned lazily on
+  first use, warms each worker exactly once (importing the library so later
+  tasks only unpickle their inputs), and is reused across every subsequent
+  ``map``/``imap`` call until :meth:`WorkerPool.close`.
 
-Executors need one method — ``map(fn, items) -> list`` — returning results
-*in input order*, which is what keeps serial and parallel runs row-for-row
-identical (every item carries its own seed; nothing depends on completion
-order).  All built-in executors additionally provide ``imap`` (a lazy,
-input-order iterator that yields results as dispatch chunks complete — the
-primitive behind ``Engine.run_sweep(..., stream=True)``) and an idempotent
-``close()``.
+An executor provides ``map(fn, items) -> list`` returning results *in input
+order*, which is what keeps serial and parallel runs row-for-row identical
+(every item carries its own seed; nothing depends on completion order);
+``imap``, the lazy input-order iterator that yields results as dispatch
+chunks complete (the primitive behind ``Engine.run_sweep(..., stream=True)``);
+and an idempotent ``close()``.
 
-Work is dispatched to pools in *chunks*: one task carries a list of items and
-returns the list of their results, so a thousand-run sweep costs tens of task
-round-trips instead of a thousand.  ``chunk_multiplier`` controls the
-trade-off — ``jobs × chunk_multiplier`` chunks per call — between transport
-overhead (fewer, larger chunks) and load balance / streaming granularity
-(more, smaller chunks).
+Work is dispatched to the pool in *chunks*: one task carries a list of items
+and returns the list of their results, so a thousand-run sweep costs tens of
+task round-trips instead of a thousand.  Each call is cut into
+``jobs × CHUNKS_PER_WORKER`` chunks — few enough to amortise transport, enough
+for load balance and streaming granularity.
 
-Both pool executors default to the ``spawn`` start method (see
-:data:`POOL_START_METHOD`): workers always execute the clean import path
-instead of inheriting an arbitrary fork of the parent heap (monkeypatched
-classes, mutated module globals, warmed RNGs), which keeps the determinism
-digest guarantee — identical digests serial vs. parallel — independent of
-parent-process state.  It is also the only start method with identical
-behaviour on Linux, macOS, and Windows, and the fork-from-a-threaded-parent
-path it replaces is deprecated since Python 3.12.  The price of spawning —
-a fresh interpreter importing the library in every worker — is exactly what
-:class:`WorkerPool` amortises to a one-time cost.
+The pool uses the ``spawn`` start method: workers always execute the clean
+import path instead of inheriting an arbitrary fork of the parent heap
+(monkeypatched classes, mutated module globals, warmed RNGs), which keeps the
+determinism digest guarantee — identical digests serial vs. parallel —
+independent of parent-process state.  It is also the only start method with
+identical behaviour on Linux, macOS, and Windows, and the
+fork-from-a-threaded-parent path it replaces is deprecated since Python 3.12.
+The price of spawning — a fresh interpreter importing the library in every
+worker — is exactly what :class:`WorkerPool` amortises to a one-time cost.
 
-``fn`` and the items must be picklable for the pool executors (module-level
-functions and plain-data configs/specs are; closures are not — keep per-run
-lambdas inside the worker function).
+``fn`` and the items must be picklable for the pool (module-level functions
+and plain-data configs/specs are; closures are not — keep per-run lambdas
+inside the worker function).
 """
 
 from __future__ import annotations
@@ -56,21 +49,17 @@ from ..errors import ConfigurationError, WorkerCrashError
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "WorkerPool",
     "executor_for",
     "describe_item",
-    "POOL_START_METHOD",
 ]
 
-#: Start method used by both pool executors (see the module docstring for why
-#: ``spawn`` and not the platform default).  Override per executor with the
-#: ``start_method`` constructor argument when embedding in an application that
-#: has already made its own multiprocessing choices.
-POOL_START_METHOD = "spawn"
+#: Start method of the pool's workers (see the module docstring for why
+#: ``spawn`` and not the platform default).
+_START_METHOD = "spawn"
 
-#: Default number of dispatch chunks per worker per call.
-DEFAULT_CHUNK_MULTIPLIER = 4
+#: Dispatch chunks per worker per call.
+CHUNKS_PER_WORKER = 4
 
 #: How many in-flight items a :class:`WorkerCrashError` names before truncating.
 _MAX_NAMED_CANDIDATES = 8
@@ -173,18 +162,20 @@ def _dispatch_chunks(
 
 
 class Executor(Protocol):
-    """The executor interface the Engine dispatches through.
-
-    ``map`` is the only required method.  The built-in executors also provide
-    ``imap`` (lazy input-order iteration, used for streaming when present)
-    and ``close()``; the Engine degrades gracefully when a custom executor
-    offers neither.
-    """
+    """The executor interface the Engine dispatches through."""
 
     jobs: int
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
         """Apply ``fn`` to every item, returning results in input order."""
+        ...
+
+    def imap(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> Iterator[Any]:
+        """Like ``map``, but lazily: yield results in input order as they land."""
+        ...
+
+    def close(self) -> None:
+        """Release whatever the executor holds between calls (idempotent)."""
         ...
 
 
@@ -208,68 +199,6 @@ class SerialExecutor:
         return "SerialExecutor()"
 
 
-def _validated(jobs: int | None, chunk_multiplier: int) -> tuple[int, int]:
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
-    if chunk_multiplier < 1:
-        raise ConfigurationError(
-            f"chunk_multiplier must be at least 1, got {chunk_multiplier}"
-        )
-    return jobs or (os.cpu_count() or 1), chunk_multiplier
-
-
-class ParallelExecutor:
-    """The *cold* pool: a fresh process pool per ``map``/``imap`` call.
-
-    Every call spawns a :class:`~concurrent.futures.ProcessPoolExecutor`,
-    fans the items out in chunks, and tears the pool down again — paying
-    worker startup (interpreter + library import under ``spawn``) on every
-    call.  :class:`WorkerPool` amortises exactly that cost; this executor is
-    kept as the per-call baseline the throughput benchmarks compare against,
-    and for one-shot workloads where keeping processes alive is undesirable.
-
-    Results come back in input order, so a parallel sweep produces
-    byte-identical rows to a serial one for the same seeds.  Work smaller
-    than two items short-circuits to the serial path — no pool is spawned
-    just to run one simulation.
-    """
-
-    def __init__(
-        self,
-        jobs: int | None = None,
-        *,
-        chunk_multiplier: int = DEFAULT_CHUNK_MULTIPLIER,
-        start_method: str | None = None,
-    ) -> None:
-        self.jobs, self._chunk_multiplier = _validated(jobs, chunk_multiplier)
-        self._start_method = start_method or POOL_START_METHOD
-
-    def _chunksize(self, total: int) -> int:
-        return max(1, total // (self.jobs * self._chunk_multiplier))
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
-        return list(self.imap(fn, items))
-
-    def imap(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> Iterator[Any]:
-        """Yield results in input order from a pool that lives for this call."""
-        work: Sequence[Any] = list(items)
-        if len(work) < 2 or self.jobs == 1:
-            for item in work:
-                yield fn(item)
-            return
-        context = multiprocessing.get_context(self._start_method)
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(work)), mp_context=context
-        ) as pool:
-            yield from _dispatch_chunks(pool, fn, work, self._chunksize(len(work)))
-
-    def close(self) -> None:
-        """Nothing persistent to release (each call owns its own pool)."""
-
-    def __repr__(self) -> str:
-        return f"ParallelExecutor(jobs={self.jobs})"
-
-
 class WorkerPool:
     """The *warm* pool: one persistent process pool across every call.
 
@@ -287,21 +216,14 @@ class WorkerPool:
     scenarios and the broken pool is discarded, so the next call starts from
     a clean (re-spawned) pool instead of failing forever.
 
-    Dispatch is chunked exactly like :class:`ParallelExecutor` — one task
-    carries a list of items — and results always come back in input order.
+    Dispatch is chunked — one task carries a list of items — and results
+    always come back in input order.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        *,
-        chunk_multiplier: int = DEFAULT_CHUNK_MULTIPLIER,
-        start_method: str | None = None,
-        warmup: Callable[[], None] | None = _warm_worker,
-    ) -> None:
-        self.jobs, self._chunk_multiplier = _validated(jobs, chunk_multiplier)
-        self._start_method = start_method or POOL_START_METHOD
-        self._warmup = warmup
+    def __init__(self, jobs: int | None = None) -> None:
+        if jobs is not None and jobs < 1:
+            raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+        self.jobs = jobs or (os.cpu_count() or 1)
         self._pool: ProcessPoolExecutor | None = None
         #: One line per pool crash over this executor's lifetime ("attempt N:
         #: cause"); folded into every WorkerCrashError so repeated respawn-
@@ -316,11 +238,10 @@ class WorkerPool:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            context = multiprocessing.get_context(self._start_method)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                mp_context=context,
-                initializer=self._warmup,
+                mp_context=multiprocessing.get_context(_START_METHOD),
+                initializer=_warm_worker,
             )
         return self._pool
 
@@ -382,38 +303,15 @@ class WorkerPool:
             ) from exc
 
     def _chunksize(self, total: int) -> int:
-        return max(1, total // (self.jobs * self._chunk_multiplier))
+        return max(1, total // (self.jobs * CHUNKS_PER_WORKER))
 
     def __repr__(self) -> str:
         state = "warm" if self.alive else "idle"
         return f"WorkerPool(jobs={self.jobs}, {state})"
 
 
-def executor_for(
-    jobs: int | None,
-    *,
-    chunk_multiplier: int | None = None,
-    pool: str = "warm",
-) -> Executor:
-    """Pick an executor: ``jobs`` ≤ 1 (or ``None``) → serial; else a pool.
-
-    ``pool`` selects the pool flavour for ``jobs`` > 1: ``"warm"`` (default)
-    is the persistent :class:`WorkerPool`, ``"cold"`` the per-call
-    :class:`ParallelExecutor`.  ``chunk_multiplier`` (≥ 1) tunes how many
-    dispatch chunks each worker gets per call; it is validated here so a bad
-    value fails at construction, not mid-sweep.
-    """
-    if pool not in ("warm", "cold"):
-        raise ConfigurationError(f"unknown pool mode {pool!r}; expected 'warm' or 'cold'")
-    if chunk_multiplier is not None and chunk_multiplier < 1:
-        raise ConfigurationError(
-            f"chunk_multiplier must be at least 1, got {chunk_multiplier}"
-        )
+def executor_for(jobs: int | None) -> Executor:
+    """Pick an executor: ``jobs`` ≤ 1 (or ``None``) → serial; else a :class:`WorkerPool`."""
     if jobs is None or jobs <= 1:
         return SerialExecutor()
-    kwargs: dict[str, Any] = {}
-    if chunk_multiplier is not None:
-        kwargs["chunk_multiplier"] = chunk_multiplier
-    if pool == "cold":
-        return ParallelExecutor(jobs, **kwargs)
-    return WorkerPool(jobs, **kwargs)
+    return WorkerPool(jobs)

@@ -392,7 +392,7 @@ register_program(
 
 def _build_membership_program(params: Mapping[str, Any]):
     """Lazy import: the churn program is only needed for churn scenarios."""
-    from ..algorithms.membership import ClusterMembershipProgram
+    from ..algorithms.swim import ClusterMembershipProgram
 
     return ClusterMembershipProgram(**params)
 

@@ -6,7 +6,7 @@ stack, the workload (a consensus algorithm, a detector implementation, or both
 stacked), property checks, the horizon, and the seed.  Because every part is
 data — not callables — a spec can be serialized (``to_dict``/``from_dict``
 round-trip exactly), shipped to a worker process by the
-:class:`~repro.runtime.engine.ParallelExecutor`, stored in JSONL run logs, and
+:class:`~repro.runtime.executors.WorkerPool`, stored in JSONL run logs, and
 diffed between experiments.
 
 Specs are usually built with the fluent
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
 from ..errors import ConfigurationError
 from ..identity import ProcessId
@@ -101,6 +101,29 @@ def canonical_spec_hash(
         payload.pop("seed", None)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class _TaggedSection:
+    """The rule shared by every ``kind``/``name`` + ``params`` section.
+
+    A section is a frozen dataclass of a tag field (named by ``_TAG``) and a
+    ``params`` mapping; it copies ``params`` on construction and round-trips
+    as ``{tag: …, "params": {…}}``.  A payload without the tag falls back to
+    the section's own default, if it declares one.
+    """
+
+    _TAG: ClassVar[str] = "kind"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", dict(self.params))
+
+    def to_dict(self) -> dict:
+        return {self._TAG: getattr(self, self._TAG), "params": dict(self.params)}
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]):
+        tag = {cls._TAG: payload[cls._TAG]} if cls._TAG in payload else {}
+        return cls(**tag, params=payload.get("params", {}))
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +212,7 @@ _TIMING_CLASSES: dict[str, type[TimingModel]] = {
 
 
 @dataclass(frozen=True)
-class TimingSpec:
+class TimingSpec(_TaggedSection):
     """A timing model as data: a kind plus its constructor parameters."""
 
     kind: str
@@ -201,17 +224,10 @@ class TimingSpec:
                 f"unknown timing kind {self.kind!r}; "
                 f"expected one of {sorted(_TIMING_CLASSES)}"
             )
-        object.__setattr__(self, "params", dict(self.params))
+        super().__post_init__()
 
     def build(self) -> TimingModel:
         return _TIMING_CLASSES[self.kind](**self.params)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TimingSpec":
-        return cls(kind=payload["kind"], params=dict(payload.get("params", {})))
 
 
 def asynchronous(*, min_latency: float = 0.1, max_latency: float = 2.0, **extra) -> TimingSpec:
@@ -261,14 +277,19 @@ def synchronous(step: float = 1.0, *, delivery_fraction: float | None = None) ->
 # Crashes
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class CrashSpec:
+class CrashSpec(_TaggedSection):
     """A crash schedule as data, resolved against the membership at run time."""
 
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
+        super().__post_init__()
+        if self.kind == "at_times" and "times" in self.params:
+            # JSON turns the integer process indices into strings; undo that.
+            self.params["times"] = {
+                int(index): when for index, when in self.params["times"].items()
+            }
 
     def build(self, membership: Membership) -> CrashSchedule:
         params = dict(self.params)
@@ -312,17 +333,6 @@ class CrashSpec:
         if self.kind == "at_times":
             return len(params.get("times", {}))
         raise ConfigurationError(f"unknown crash kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CrashSpec":
-        params = dict(payload.get("params", {}))
-        if payload["kind"] == "at_times" and "times" in params:
-            # JSON turns the integer process indices into strings; undo that.
-            params["times"] = {int(index): when for index, when in params["times"].items()}
-        return cls(kind=payload["kind"], params=params)
 
 
 def no_crashes() -> CrashSpec:
@@ -368,14 +378,14 @@ def fraction(value: float, *, at: float = 10.0, stagger: float = 2.0, seed: int 
 
 def crashes_at(times: Mapping[int, float]) -> CrashSpec:
     """Crash explicit process indices at explicit times."""
-    return CrashSpec("at_times", {"times": {int(k): v for k, v in times.items()}})
+    return CrashSpec("at_times", {"times": times})
 
 
 # ----------------------------------------------------------------------
 # Network (link models)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(_TaggedSection):
     """A link model as data: a ``LINKS`` registry name plus its parameters.
 
     The default (``kind="reliable"``) reproduces the historical network: every
@@ -388,9 +398,6 @@ class NetworkSpec:
     kind: str = "reliable"
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
-
     @property
     def is_reliable(self) -> bool:
         """Whether this is the default (identity) link model."""
@@ -401,13 +408,6 @@ class NetworkSpec:
         from .registry import build_link_model  # deferred: registry is heavyweight
 
         return build_link_model(self.kind, self.params)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "NetworkSpec":
-        return cls(kind=payload.get("kind", "reliable"), params=dict(payload.get("params", {})))
 
 
 def reliable() -> NetworkSpec:
@@ -470,7 +470,7 @@ def composed(*stages: NetworkSpec) -> NetworkSpec:
 # Monitoring topology
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_TaggedSection):
     """The monitoring topology (who monitors whom), as data.
 
     The default (``kind="full_mesh"``) reproduces the historical implicit
@@ -485,7 +485,7 @@ class TopologySpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
+        super().__post_init__()
         # Fail at construction, not at run time, on an unknown kind or bad
         # parameters (build_topology validates both).
         self.build()
@@ -495,23 +495,9 @@ class TopologySpec:
         """Whether this is the default (historical all-to-all) topology."""
         return self.kind == "full_mesh"
 
-    @property
-    def is_default(self) -> bool:
-        """Whether the spec serializes to nothing (full mesh, no parameters)."""
-        return self.is_full_mesh and not self.params
-
     def build(self) -> MonitoringTopology:
         """Materialise the :class:`~repro.topology.MonitoringTopology`."""
         return build_topology(self.kind, self.params)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TopologySpec":
-        return cls(
-            kind=payload.get("kind", "full_mesh"), params=dict(payload.get("params", {}))
-        )
 
 
 def full_mesh() -> TopologySpec:
@@ -533,21 +519,13 @@ def gossip(fanout: int = 3) -> TopologySpec:
 # Detectors
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(_TaggedSection):
     """One detector attachment: a registry name plus oracle parameters."""
+
+    _TAG = "name"
 
     name: str
     params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DetectorSpec":
-        return cls(name=payload["name"], params=dict(payload.get("params", {})))
 
 
 # ----------------------------------------------------------------------
@@ -599,42 +577,18 @@ class KVSpec:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "clients": self.clients,
-            "ops_per_client": self.ops_per_client,
-            "consensus": self.consensus,
-            "consensus_params": dict(self.consensus_params),
-            "loop": self.loop,
-            "think_time": self.think_time,
-            "rate": self.rate,
-            "key_space": self.key_space,
-            "skew": self.skew,
-            "zipf_s": self.zipf_s,
-            "read_mode": self.read_mode,
-            "mix": dict(self.mix) if self.mix is not None else None,
-            "sync_period": self.sync_period,
-            "max_slots": self.max_slots,
-        }
+        payload = {name: getattr(self, name) for name in _KV_FIELDS}
+        payload["consensus_params"] = dict(self.consensus_params)
+        if self.mix is not None:
+            payload["mix"] = dict(self.mix)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "KVSpec":
-        defaults = cls()
-        return cls(
-            clients=payload.get("clients", defaults.clients),
-            ops_per_client=payload.get("ops_per_client", defaults.ops_per_client),
-            consensus=payload.get("consensus", defaults.consensus),
-            consensus_params=dict(payload.get("consensus_params", {})),
-            loop=payload.get("loop", defaults.loop),
-            think_time=payload.get("think_time", defaults.think_time),
-            rate=payload.get("rate", defaults.rate),
-            key_space=payload.get("key_space", defaults.key_space),
-            skew=payload.get("skew", defaults.skew),
-            zipf_s=payload.get("zipf_s", defaults.zipf_s),
-            read_mode=payload.get("read_mode", defaults.read_mode),
-            mix=payload.get("mix"),
-            sync_period=payload.get("sync_period", defaults.sync_period),
-            max_slots=payload.get("max_slots", defaults.max_slots),
-        )
+        return cls(**{name: payload[name] for name in _KV_FIELDS if name in payload})
+
+
+_KV_FIELDS = tuple(spec_field.name for spec_field in fields(KVSpec))
 
 
 # ----------------------------------------------------------------------
@@ -711,19 +665,10 @@ class ScenarioSpec:
             "seed": self.seed,
             "name": self.name,
         }
-        # Specs without a KV section serialize exactly as before this section
-        # existed, so canonical hashes (and hence cache keys) are preserved.
-        if self.kv is not None:
-            payload["kv"] = self.kv.to_dict()
-        # Same preservation rule for the backend: the sim default serializes
-        # exactly as before the real backend existed.
-        if self.backend != "sim" or self.backend_params:
-            payload["backend"] = self.backend
-            payload["backend_params"] = dict(self.backend_params)
-        # And for the monitoring topology: the full-mesh default serializes
-        # exactly as before the topology layer existed.
-        if not self.topology.is_default:
-            payload["topology"] = self.topology.to_dict()
+        for section in _OPTIONAL_SECTIONS:
+            if any(getattr(self, name) != getattr(_BLANK, name) for name in section):
+                for name, (dump, _) in section.items():
+                    payload[name] = dump(getattr(self, name))
         return payload
 
     @classmethod
@@ -742,13 +687,15 @@ class ScenarioSpec:
             program=payload.get("program"),
             program_params=dict(payload.get("program_params", {})),
             checks=tuple(payload.get("checks", ())),
-            kv=KVSpec.from_dict(payload["kv"]) if payload.get("kv") else None,
-            topology=TopologySpec.from_dict(payload.get("topology", {})),
-            backend=payload.get("backend", "sim"),
-            backend_params=dict(payload.get("backend_params", {})),
             horizon=payload.get("horizon", 500.0),
             seed=payload.get("seed", 0),
             name=payload.get("name", ""),
+            **{
+                name: load(payload[name])
+                for section in _OPTIONAL_SECTIONS
+                for name, (_, load) in section.items()
+                if payload.get(name) is not None
+            },
         )
 
     def to_json(self) -> str:
@@ -757,3 +704,20 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
+
+
+#: The hash-neutral optional sections: ``ScenarioSpec`` fields added after
+#: canonical hashes became run-cache keys.  Each row is a group of fields
+#: (``name -> (dump, load)``) that serialize together; ``to_dict`` omits a
+#: group whose fields all hold their dataclass defaults, so a spec that does
+#: not use the section hashes exactly as it did before the section existed,
+#: and ``from_dict`` leaves absent fields at those defaults.  A new optional
+#: section is one more row.
+_OPTIONAL_SECTIONS: tuple[dict[str, tuple[Callable, Callable]], ...] = (
+    {"kv": (KVSpec.to_dict, KVSpec.from_dict)},
+    {"backend": (str, str), "backend_params": (dict, dict)},
+    {"topology": (TopologySpec.to_dict, TopologySpec.from_dict)},
+)
+
+#: Every optional section at its default, for ``to_dict`` to compare against.
+_BLANK = ScenarioSpec(membership=MembershipSpec("unique", n=1))

@@ -9,9 +9,9 @@ This module is the simulator's hot path: every broadcast copy, task
 resumption, and detector wake-up passes through :meth:`EventQueue.schedule`
 and :meth:`EventQueue.pop_next`.  Three design choices keep it lean:
 
-* :class:`Event` is a plain ``__slots__`` class with a hand-written
-  :meth:`Event.__lt__` over ``(time, priority, sequence)``, so every heap
-  comparison is three attribute loads instead of dataclass tuple machinery;
+* :class:`Event` is a plain ``__slots__`` class and heap entries are
+  ``(time, priority, sequence, event)`` tuples with a unique sequence, so
+  every heap comparison happens at C speed and never reaches the event;
 * popped delivery events can be recycled through an internal free list
   (:meth:`EventQueue.recycle`), so steady-state dispatch allocates no new
   event objects;
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import warnings
 from typing import Callable, Sequence
 
 from ..errors import SchedulingError
@@ -117,15 +116,6 @@ class Event:
         self.kind = kind
         self.batch = batch
 
-    def __lt__(self, other: "Event") -> bool:
-        # Hand-rolled (time, priority, sequence) comparison: heapq calls this
-        # O(log n) times per push/pop, so it must not build tuples.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.sequence < other.sequence
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tag = f" {self.label!r}" if self.label else ""
         return (
@@ -136,22 +126,6 @@ class Event:
     def run(self) -> None:
         """Execute the event's action with its arguments."""
         self.action(*self.args)
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; the queue will skip it.
-
-        .. deprecated::
-            Calling this directly leaves the queue's live-event count stale
-            unless paired with :meth:`EventQueue.note_cancellation`.  Use
-            :meth:`EventQueue.cancel`, which does both in one call.
-        """
-        warnings.warn(
-            "Event.cancel() (paired with EventQueue.note_cancellation()) is "
-            "deprecated; use EventQueue.cancel(event) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.cancelled = True
 
 
 class EventQueue:
@@ -421,28 +395,6 @@ class EventQueue:
         if not heap:
             return None
         return heap[0][0]
-
-    def note_cancellation(self) -> None:
-        """Inform the queue that one previously scheduled event was cancelled.
-
-        .. deprecated::
-            The split ``Event.cancel()`` + ``note_cancellation()`` protocol is
-            error-prone (forgetting either half corrupts ``len(queue)``).  Use
-            :meth:`cancel`, which does both atomically.
-        """
-        warnings.warn(
-            "EventQueue.note_cancellation() (paired with Event.cancel()) is "
-            "deprecated; use EventQueue.cancel(event) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self._live == 0:
-            raise SchedulingError(
-                "note_cancellation() without a matching live event would drive "
-                "the queue's live-event count negative; was Event.cancel() "
-                "called for an event this queue never scheduled?"
-            )
-        self._live -= 1
 
 
 def _discarded(*args: object) -> None:  # pragma: no cover - never dispatched

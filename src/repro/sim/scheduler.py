@@ -10,7 +10,8 @@ quiescence is reached.
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from ..errors import SimulationError
 from ..identity import ProcessId
@@ -23,7 +24,7 @@ from .rng import RngStreams
 from .system import DetectorServices, System
 from .trace import RunTrace
 
-__all__ = ["Simulation"]
+__all__ = ["Simulation", "capture_digests"]
 
 #: Crash events run after all other activity at the same instant, so a process
 #: that broadcasts "at the moment of its crash" still issues the (possibly
@@ -36,10 +37,26 @@ _DEFAULT_MAX_EVENTS = 5_000_000
 #: When set to a list, every completed :meth:`Simulation.run` appends the
 #: queue's integer digest to it.  This is the capture point digest manifests
 #: use to harvest per-run digests *inside worker processes* (where a parent
-#: monkeypatch never arrives under the ``spawn`` start method); see
-#: ``repro.runtime.engine.run_with_digest_capture``.  ``None`` (the default)
-#: keeps the hot path free of any bookkeeping beyond one global read per run.
+#: monkeypatch never arrives under the ``spawn`` start method); set it with
+#: :func:`capture_digests`.  ``None`` (the default) keeps the hot path free
+#: of any bookkeeping beyond one global read per run.
 DIGEST_SINK: list[int] | None = None
+
+
+@contextmanager
+def capture_digests(sink: list[int] | None = None) -> Iterator[list[int]]:
+    """Collect the digest of every run completed inside the ``with`` block.
+
+    Yields the list the digests land in, in completion order — ``sink`` when
+    given (so one list can also gather digests shipped back from workers),
+    else a fresh one — and restores the previous sink on exit.
+    """
+    global DIGEST_SINK
+    previous, DIGEST_SINK = DIGEST_SINK, [] if sink is None else sink
+    try:
+        yield DIGEST_SINK
+    finally:
+        DIGEST_SINK = previous
 
 
 class Simulation:

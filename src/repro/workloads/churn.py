@@ -1,7 +1,7 @@
 """Membership-churn workloads: schedules, scenario specs, and the checker.
 
 The churn scenario family exercises the dynamic-membership program
-(:mod:`repro.algorithms.membership`) under a sparse monitoring topology:
+(:mod:`repro.algorithms.swim`) under a sparse monitoring topology:
 founders monitor each other over a ring or gossip overlay while late joiners
 arrive through an introducer, leavers announce and vanish, and flappers go
 silent and recover with a bumped incarnation.  Everything is derived from a

@@ -101,7 +101,7 @@ class TestHSigmaPropertyBased:
 # Consensus — correctness on random scenarios
 # ----------------------------------------------------------------------
 def _run_consensus(membership, schedule, factory, detectors_stabilization, seed, horizon):
-    from repro.experiments.common import default_consensus_detectors
+    from repro.runtime.engine import default_consensus_detectors
 
     proposals = {process: f"v{process.index}" for process in membership.processes}
     system = build_system(

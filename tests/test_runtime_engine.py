@@ -7,22 +7,17 @@ import json
 import pytest
 
 from repro.analysis.runner import ParameterSweep
-from repro.experiments.common import run_consensus_once
-from repro.membership import grouped_identities
 from repro.runtime import (
     Engine,
-    ParallelExecutor,
     RunRecord,
     ScenarioSpec,
     SerialExecutor,
     WorkerPool,
-    cascading,
     execute_spec,
     executor_for,
     minority,
     scenario,
 )
-from repro.workloads.crashes import minority_crashes
 
 
 def small_spec(seed: int = 0) -> ScenarioSpec:
@@ -48,16 +43,15 @@ class TestExecutors:
         assert isinstance(executor_for(None), SerialExecutor)
         assert isinstance(executor_for(1), SerialExecutor)
         assert isinstance(executor_for(2), WorkerPool)
-        assert isinstance(executor_for(2, pool="cold"), ParallelExecutor)
-        assert isinstance(executor_for(1, pool="cold"), SerialExecutor)
 
     def test_parallel_executor_rejects_nonpositive_jobs(self):
         with pytest.raises(Exception):
-            ParallelExecutor(0)
+            WorkerPool(0)
 
     def test_parallel_map_preserves_input_order(self):
         items = [{"x": value} for value in range(20)]
-        results = ParallelExecutor(2).map(_double, items)
+        with WorkerPool(2) as pool:
+            results = pool.map(_double, items)
         assert [row["doubled"] for row in results] == [2 * value for value in range(20)]
 
 
@@ -111,36 +105,6 @@ class TestRunRecord:
         assert record.row() == {"n": 5, "ok": True}
 
 
-class TestLegacyShim:
-    def test_run_consensus_once_matches_engine_record(self):
-        membership = grouped_identities([2, 1, 1])
-        crash_schedule = minority_crashes(membership, at=6.0, count=1)
-        from repro.consensus import HOmegaMajorityConsensus
-
-        with pytest.deprecated_call():
-            row = run_consensus_once(
-                membership,
-                lambda proposal: HOmegaMajorityConsensus(proposal, n=membership.size),
-                crash_schedule=crash_schedule,
-                detector_stabilization=10.0,
-                horizon=300.0,
-                seed=0,
-            )
-        # The declarative equivalent of the legacy call must measure the same run.
-        spec = (
-            scenario("legacy-equivalent")
-            .homonyms([2, 1, 1])
-            .crashes(minority(at=6.0, count=1))
-            .detectors("HOmega", "HSigma", stabilization=10.0)
-            .consensus("homega_majority")
-            .horizon(300.0)
-            .seed(0)
-            .build()
-        )
-        record = execute_spec(spec)
-        assert row == dict(record.metrics)
-
-
 class TestParameterSweepPolish:
     def test_len_and_total_runs(self):
         sweep = ParameterSweep({"a": [1, 2, 3], "b": [True, False]}, repetitions=4)
@@ -169,4 +133,5 @@ class TestParameterSweepPolish:
 
     def test_run_with_executor_matches_plain_run(self):
         sweep = ParameterSweep({"x": [1, 2, 3]}, repetitions=2)
-        assert sweep.run(_double) == sweep.run(_double, executor=ParallelExecutor(2))
+        with Engine(jobs=2) as pooled:
+            assert Engine().sweep(_double, sweep) == pooled.sweep(_double, sweep)

@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.runtime import (
     Engine,
-    ParallelExecutor,
     RunCache,
     ScenarioSpec,
     SerialExecutor,
@@ -89,44 +88,24 @@ class TestWorkerPoolLifecycle:
 
 
 class TestValidationBoundaries:
-    def test_chunk_multiplier_validated_everywhere(self):
-        with pytest.raises(ConfigurationError):
-            WorkerPool(2, chunk_multiplier=0)
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(2, chunk_multiplier=0)
-        with pytest.raises(ConfigurationError):
-            executor_for(2, chunk_multiplier=0)
-        with pytest.raises(ConfigurationError):
-            executor_for(4, pool="lukewarm")
+    def test_nonpositive_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
             WorkerPool(jobs=0)
 
-    def test_chunk_multiplier_flows_through_engine(self):
-        engine = Engine(jobs=2, chunk_multiplier=7)
-        assert engine.executor._chunk_multiplier == 7
-        engine.close()
-        with pytest.raises(ConfigurationError):
-            Engine(jobs=2, chunk_multiplier=0)
-
     def test_engine_rejects_executor_plus_tuning_params(self):
         with pytest.raises(ValueError):
-            Engine(SerialExecutor(), chunk_multiplier=2)
-        with pytest.raises(ValueError):
-            Engine(SerialExecutor(), jobs=2)
-        with pytest.raises(ValueError):
-            Engine(SerialExecutor(), pool="cold")  # would be silently ignored
+            Engine(SerialExecutor(), jobs=2)  # would be silently ignored
 
 
 class TestDigestEquivalence:
-    def test_serial_warm_and_cold_records_are_identical(self):
+    def test_serial_and_warm_pool_records_are_identical(self):
         specs = [small_spec(seed) for seed in range(5)]
         serial = Engine().run_many(specs)
-        with Engine(jobs=2) as warm_engine:
+        with Engine(executor_for(2)) as warm_engine:
             warm = warm_engine.run_many(specs)
-        cold = Engine(executor_for(2, pool="cold")).run_many(specs)
+            rerun = warm_engine.run_many(specs)  # same processes, second call
         assert [r.digest for r in serial] == [r.digest for r in warm]
-        assert [r.digest for r in serial] == [r.digest for r in cold]
-        assert serial == warm == cold
+        assert serial == warm == rerun
 
     def test_run_with_digest_capture_returns_run_digests(self):
         from repro.runtime.engine import execute_spec

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -9,6 +11,7 @@ from repro.membership import Membership
 from repro.runtime import (
     CrashSpec,
     DetectorSpec,
+    KVSpec,
     MembershipSpec,
     NetworkSpec,
     ScenarioSpec,
@@ -20,6 +23,7 @@ from repro.runtime import (
     composed,
     crashes_at,
     duplicating,
+    full_mesh,
     jittered,
     leaders,
     lossy,
@@ -28,6 +32,7 @@ from repro.runtime import (
     partial_sync,
     partitioned,
     reliable,
+    ring,
     scenario,
     synchronous,
 )
@@ -142,6 +147,62 @@ class TestSpecRoundTrip:
             .consensus("homega_majority")
             .build()
         )
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+
+_PINNED_BASE = ScenarioSpec(
+    membership=MembershipSpec("distinct_ids", n=4, distinct=2),
+    crashes=minority(at=6.0, count=1),
+    detectors=(
+        DetectorSpec("HOmega", {"stabilization_time": 10.0, "noise_period": 5.0}),
+        DetectorSpec("HSigma", {"stabilization_time": 10.0}),
+    ),
+    consensus="homega_majority",
+    horizon=300.0,
+    name="pinned",
+)
+
+#: Literal ``canonical_hash()`` values, computed at commit 65b085c (before the
+#: spec sections were table-driven).  They are run-cache and fabric-plan keys:
+#: a change here orphans every stored run, so it must be deliberate.
+_PINNED_HASHES = {
+    "bare": (
+        _PINNED_BASE,
+        "c5cf701b71f0ed51dd16ddba40a792401e67bd15da66e8bdf0b297f0d39ddd64",
+    ),
+    "lossy": (
+        replace(_PINNED_BASE, network=lossy(0.2, end=40.0)),
+        "0a3c8e9b1a3854662c7f8559e155877f16ae9ff632baf172ac76244050bf7e02",
+    ),
+    "kv": (
+        replace(_PINNED_BASE, kv=KVSpec()),
+        "f363459e75a196998c381c56da05aebae810bbada0f40439a4e42f7ad5e5d31a",
+    ),
+    "real_backend": (
+        replace(_PINNED_BASE, backend="real", backend_params={"time_scale": 0.02}),
+        "9f69aeac8dcbf3f16eb6a5b396cfc1294c9ab8162b88fc593d3f10ebe075ca06",
+    ),
+    "real_backend_no_params": (
+        replace(_PINNED_BASE, backend="real"),
+        "5832bbc3bfc9ae03eec543d17b45c8b7e9c2a2da350571ab498d3a71fdb48edc",
+    ),
+    "ring": (
+        replace(_PINNED_BASE, topology=ring(3)),
+        "77a90a21b892280686d86d54ca1908798aa2a8348bfa60cb7ebcb0f8596db211",
+    ),
+    "explicit_full_mesh": (  # must equal "bare"
+        replace(_PINNED_BASE, topology=full_mesh()),
+        "c5cf701b71f0ed51dd16ddba40a792401e67bd15da66e8bdf0b297f0d39ddd64",
+    ),
+}
+
+
+class TestPinnedCanonicalHashes:
+    @pytest.mark.parametrize("name", _PINNED_HASHES)
+    def test_hash_is_frozen_and_the_spec_round_trips(self, name):
+        spec, expected = _PINNED_HASHES[name]
+        assert spec.canonical_hash() == expected
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
 

@@ -66,15 +66,6 @@ class TestEventQueue:
         queue.cancel(event)
         assert len(queue) == 1
 
-    def test_deprecated_split_cancellation_still_works_but_warns(self):
-        queue = EventQueue()
-        event = queue.schedule(1.0, lambda: None)
-        with pytest.warns(DeprecationWarning):
-            event.cancel()
-        with pytest.warns(DeprecationWarning):
-            queue.note_cancellation()
-        assert queue.is_empty()
-
     def test_cancelling_a_popped_handle_does_not_corrupt_the_count(self):
         queue = EventQueue()
         stale = queue.schedule(1.0, lambda: None)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.membership import grouped_identities
-from repro.runtime import Engine, ParallelExecutor, RunRecord, minority, scenario
+from repro.runtime import Engine, RunRecord, minority, scenario
 from repro.sim import (
     EventQueue,
     Simulation,
@@ -76,12 +76,6 @@ class TestQueueEdgeCases:
             queue.cancel(event)
         assert queue.peek_time() == 4.0
         assert len(queue) == 1
-
-    def test_note_cancellation_without_live_event_raises(self):
-        queue = EventQueue()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SchedulingError):
-                queue.note_cancellation()
 
     def test_len_invariant_under_randomized_interleavings(self):
         rng = random.Random(1234)
@@ -246,7 +240,8 @@ class TestDeterminismDigest:
     def test_serial_and_parallel_runs_have_equal_digests(self):
         specs = [_spec(seed=s) for s in range(4)]
         serial = Engine().run_many(specs)
-        parallel = Engine(ParallelExecutor(2)).run_many(specs)
+        with Engine(jobs=2) as pooled:
+            parallel = pooled.run_many(specs)
         assert [r.digest for r in serial] == [r.digest for r in parallel]
         assert serial == parallel
 

@@ -125,7 +125,7 @@ class TestTopologySpecDefaults:
         assert "topology" not in payload
         # …so canonical hashes of pre-topology specs are preserved, and the
         # round-trip still defaults correctly:
-        assert ScenarioSpec.from_dict(payload).topology.is_default
+        assert ScenarioSpec.from_dict(payload).topology == TopologySpec()
 
     def test_explicit_full_mesh_hashes_like_the_default(self):
         implicit = _hb_spec()
@@ -209,7 +209,7 @@ class TestBuilderValidation:
             )
 
     def test_membership_program_requires_a_sparse_topology(self):
-        from repro.algorithms.membership import ClusterMembershipProgram
+        from repro.algorithms.swim import ClusterMembershipProgram
 
         with pytest.raises(ValueError, match="sparse"):
             ClusterMembershipProgram(hb_interval=1.0, hb_timeout=6.0)

@@ -10,8 +10,11 @@ run exercising the ``hb_detection`` check end to end.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
+from repro.fabric.protocol import iter_messages
 from repro.runtime import Engine, scenario
 from repro.runtime.builder import ScenarioValidationError
 from repro.runtime.spec import ScenarioSpec, asynchronous, crashes_at, synchronous
@@ -21,6 +24,7 @@ from repro.transport.framing import (
     FramingError,
     decode_frames,
     encode_frame,
+    read_frame,
 )
 from repro.transport.validate import (
     aggregate_cells,
@@ -182,6 +186,83 @@ def test_framing_rejects_oversized_frames():
     header = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
     with pytest.raises(FramingError):
         decode_frames(bytearray(header + b"x"))
+
+
+class _Pieces:
+    """A binary stream whose ``read1`` hands out the given pieces, then EOF."""
+
+    def __init__(self, pieces):
+        self.pieces = [piece for piece in pieces if piece]
+
+    def read1(self, size=-1):
+        return self.pieces.pop(0) if self.pieces else b""
+
+
+def _via_buffer(pieces):
+    buffer, frames = bytearray(), []
+    for piece in pieces:
+        buffer += piece
+        frames += decode_frames(buffer)
+    if buffer:  # the buffer form leaves a torn tail for its caller to judge
+        raise FramingError("stream closed mid-frame")
+    return frames
+
+
+def _via_async_reader(pieces):
+    async def drain():
+        reader = asyncio.StreamReader()
+        for piece in pieces:
+            reader.feed_data(piece)
+        reader.feed_eof()
+        frames = []
+        while (frame := await read_frame(reader)) is not None:
+            frames.append(frame)
+        return frames
+
+    return asyncio.run(drain())
+
+
+def _via_sync_generator(pieces):
+    return list(iter_messages(_Pieces(pieces)))
+
+
+@pytest.mark.parametrize("decode", [_via_buffer, _via_async_reader, _via_sync_generator])
+def test_every_frame_reader_agrees_at_every_cut(decode):
+    """One codec, three drivers: buffer, asyncio reader, sync stream generator."""
+    messages = [{"type": "result", "n": n, "pad": "x" * n} for n in range(4)]
+    frames = [encode_frame(message) for message in messages]
+    wire = b"".join(frames)
+    boundaries = {sum(len(frame) for frame in frames[:k]) for k in range(len(frames) + 1)}
+    for cut in range(len(wire) + 1):
+        # delivered in two arbitrary pieces, the stream decodes identically …
+        assert decode([wire[:cut], wire[cut:]]) == messages
+        if cut in boundaries:
+            # … clean EOF between frames just ends it …
+            assert decode([wire[:cut]]) == messages[: sorted(boundaries).index(cut)]
+        else:
+            # … and EOF inside a frame is an error, never a silent short read.
+            with pytest.raises(FramingError):
+                decode([wire[:cut]])
+
+
+@pytest.mark.parametrize("decode", [_via_buffer, _via_async_reader, _via_sync_generator])
+def test_every_frame_reader_rejects_an_oversized_header(decode):
+    header = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+    # "exceeds", not "mid-frame": the announced size alone is the offence.
+    with pytest.raises(FramingError, match="exceeds"):
+        decode([header, b"x"])
+
+
+def test_sync_generator_rejects_an_oversized_header_before_reading_the_body():
+    stream = _Pieces([(MAX_FRAME_BYTES + 1).to_bytes(4, "big"), b"x"])
+    with pytest.raises(FramingError, match="exceeds"):
+        list(iter_messages(stream))
+    assert stream.pieces == [b"x"]  # the body was never asked for
+
+
+def test_sync_generator_rejects_frames_that_are_not_messages():
+    with pytest.raises(FramingError, match="malformed"):
+        list(iter_messages(_Pieces([encode_frame(["no", "type"])])))
 
 
 # ----------------------------------------------------------------------

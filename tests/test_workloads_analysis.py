@@ -19,6 +19,7 @@ from repro.detectors.properties import CheckResult
 from repro.errors import ConfigurationError
 from repro.identity import ProcessId
 from repro.membership import unique_identities
+from repro.runtime import Engine
 from repro.workloads import (
     ConsensusScenario,
     cascading_crashes,
@@ -176,7 +177,7 @@ class TestAnalysisHelpers:
 
     def test_parameter_sweep_run_merges_config_and_outcome(self):
         sweep = ParameterSweep({"a": [1, 2]}, repetitions=2)
-        rows = sweep.run(lambda config: {"result": config["a"] * 10})
+        rows = Engine().sweep(lambda config: {"result": config["a"] * 10}, sweep)
         assert len(rows) == 4
         assert all(row["result"] == row["a"] * 10 for row in rows)
 
