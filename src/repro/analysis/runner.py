@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import statistics
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -14,6 +15,7 @@ __all__ = [
     "ExperimentResult",
     "aggregate_rows",
     "merge_row",
+    "jsonl_line",
     "shard_bounds",
     "shard_items",
 ]
@@ -51,6 +53,15 @@ def merge_row(config: Mapping[str, Any], outcome: Mapping[str, Any]) -> dict:
     row = {key: value for key, value in config.items() if key != "repetition"}
     row.update(outcome)
     return row
+
+
+def jsonl_line(row: Mapping[str, Any]) -> str:
+    """The one JSONL encoding of a result row (newline included).
+
+    Serial, pooled, fabric and ``--shard`` output are byte-identical because
+    every writer goes through this call.
+    """
+    return json.dumps(row, sort_keys=True, default=str) + "\n"
 
 
 @dataclass(frozen=True)

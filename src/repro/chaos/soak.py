@@ -18,7 +18,7 @@ from the seed) drives a real fabric sweep through every fault class at once:
    the plan and merge byte-identically to the serial reference (or
    explicitly partial, naming exact indices — never silently short).
 5. **Stall rehearsal** — a third run over a fresh state dir SIGSTOPs a busy
-   worker mid-run; the per-chunk progress deadline must detect it, kill it,
+   worker mid-run; the fleet's progress deadline must detect it, kill it,
    requeue its chunk, and still converge to the identical bytes: a stalled
    worker slows a run down, never hangs it.
 6. **Service invariants** — the replicated KV workload stays linearizable
@@ -40,10 +40,11 @@ import json
 import os
 import random
 import tempfile
+from multiprocessing import resource_tracker
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..analysis.runner import ParameterSweep
+from ..analysis.runner import ParameterSweep, jsonl_line
 from ..fabric.coordinator import Coordinator, FabricResult, SimulatedCrash
 from ..fabric.plan import FabricPlan, plan_sweep
 from ..fabric.work import ItemResult, execute_item
@@ -122,7 +123,7 @@ def _serial_reference(plan: FabricPlan) -> list[ItemResult]:
 
 
 def _merged_lines(results: list[ItemResult]) -> list[str]:
-    return [json.dumps(result.row, sort_keys=True, default=str) for result in results]
+    return [jsonl_line(result.row) for result in results]
 
 
 def _child_pids() -> set[int]:
@@ -155,7 +156,7 @@ def _check_merge(
 ) -> None:
     """Merged output == serial bytes, or explicitly partial with exact indices."""
     reference = _merged_lines(serial)
-    merged = Path(result.merged_path).read_text(encoding="utf-8").splitlines()
+    merged = Path(result.merged_path).read_text(encoding="utf-8").splitlines(keepends=True)
     if not result.partial:
         ok = merged == reference
         report.check(
@@ -282,6 +283,10 @@ def run_campaign(
 
     tmp_root = scratch / "tmp"
     tmp_root.mkdir(parents=True, exist_ok=True)
+    # The first spawn-context start launches multiprocessing's resource
+    # tracker, a helper that by design lives until this interpreter exits:
+    # start it now so it is part of the baseline, not a leaked worker.
+    resource_tracker.ensure_running()
     children_before = _child_pids()
     saved_tempdir, saved_env = tempfile.tempdir, os.environ.get("TMPDIR")
     tempfile.tempdir = str(tmp_root)

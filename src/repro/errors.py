@@ -27,12 +27,11 @@ class SimulationError(ReproError):
 class WorkerCrashError(ReproError):
     """A worker process died while executing part of a sweep.
 
-    Raised by the process-pool executors in place of the bare
-    :class:`concurrent.futures.process.BrokenProcessPool`, naming the
-    scenarios (name + seed) that were in flight when the worker died so the
-    offending configuration can be reproduced serially.  ``candidates`` holds
-    the descriptions of every item whose result was lost; the crashing item
-    is guaranteed to be among them.
+    Raised by :class:`~repro.runtime.executors.WorkerPool`, naming the
+    scenarios (name + seed) the dead worker still held so the offending
+    configuration can be reproduced serially.  ``candidates`` holds the
+    descriptions of every item whose result was lost; the crashing item is
+    guaranteed to be among them.
 
     ``history`` carries the retry/backoff story across the owning executor's
     lifetime — one entry per prior crash (attempt number, cause) — and is

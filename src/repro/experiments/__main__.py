@@ -25,9 +25,10 @@ import json
 import sys
 import time
 
+from ..analysis.runner import jsonl_line
 from ..runtime import Engine
 from ..runtime.registry import EXPERIMENTS
-from . import ALL_EXPERIMENTS, WALLCLOCK_EXPERIMENTS  # noqa: F401  (importing registers E1–E11)
+from . import ALL_EXPERIMENTS, WALLCLOCK_EXPERIMENTS  # noqa: F401  (importing registers them)
 
 __all__ = ["main"]
 
@@ -63,7 +64,7 @@ def _run_shard(parser, args, selected: list[str]) -> int:
     try:
         for item in items:
             result = execute_item(item, cache)
-            sink.write(json.dumps(result.row, sort_keys=True, default=str) + "\n")
+            sink.write(jsonl_line(result.row))
             sink.flush()
     finally:
         if args.jsonl:
@@ -163,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run_shard(parser, args, selected)
 
     def stream_line(payload) -> None:
-        print(json.dumps(payload, sort_keys=True, default=str), file=sys.stderr, flush=True)
+        print(jsonl_line(payload), end="", file=sys.stderr, flush=True)
 
     engine = Engine(
         jobs=args.jobs,

@@ -1,22 +1,22 @@
 """``repro.fabric`` — the distributed sweep fabric.
 
-The paper's tables are statistics over large seed sweeps; one warm pool made
-a single host fast, and this package makes *many* processes (and, later,
-many hosts) routine.  Four pieces, each usable on its own:
+The paper's tables are statistics over large seed sweeps; the warm pool makes
+one in-memory sweep fast, and this package puts the same worker fleet
+(:mod:`repro.runtime.fleet`) behind a plan and a journal so a sweep survives
+lost workers, a lost coordinator and restarts.  Four pieces, each usable on
+its own:
 
 * :mod:`~repro.fabric.plan` — the **deterministic shard planner**: enumerate
   every work item of a registered experiment (or a raw
   :class:`~repro.analysis.runner.ParameterSweep`) *without executing any of
   it*, assign global input-order indices, and partition the item list into
-  JSON chunk manifests.  Items are keyed exactly like the
+  contiguous chunks.  Items are keyed exactly like the
   :class:`~repro.runtime.cache.RunCache` (``(canonical-spec-hash, seed)`` for
   declarative specs, function-name + canonical config for sweep functions),
   so the plan, the cache, and the workers all speak the same key space;
 * :mod:`~repro.fabric.coordinator` — the **coordinator**: fan chunks out to
-  worker subprocesses over a transport-agnostic length-prefixed JSON protocol
-  (the same framing as :mod:`repro.transport` — an ssh pipe carries it as
-  readily as a local pipe), journal every result to per-chunk shard files the
-  moment it arrives, requeue chunks whose worker died (bounded retries), and
+  the fleet's worker processes, journal every result to per-chunk shard files
+  the moment it arrives, requeue chunks whose worker died (bounded retries), and
   **merge deterministically into input order** — the merged JSONL is
   byte-identical to a serial run's, regardless of worker count, completion
   order, crashes, or restarts;
@@ -34,7 +34,7 @@ many hosts) routine.  Four pieces, each usable on its own:
 
 Command line::
 
-    python -m repro.fabric plan E1 E9 -o plan.json --chunks 4   # plan + chunks
+    python -m repro.fabric plan E1 E9 -o plan.json              # plan only
     python -m repro.fabric run  E1 E9 --dir /tmp/fab --workers 4
     python -m repro.fabric run --dir /tmp/fab --workers 4       # resume
     python -m repro.fabric merge --dir /tmp/fab                 # re-merge shards

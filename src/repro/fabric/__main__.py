@@ -2,18 +2,17 @@
 
 Examples::
 
-    python -m repro.fabric plan E1 E2 -o plan.json --chunks 4 --chunks-dir chunks/
+    python -m repro.fabric plan E1 E2 -o plan.json
     python -m repro.fabric run E1 --workers 3 --dir state/ --cache .run-cache
     python -m repro.fabric run --dir state/            # resume a crashed run
     python -m repro.fabric merge --dir state/          # journals -> merged.jsonl
     python -m repro.fabric digests --dir state/        # manifest of a finished run
-    python -m repro.fabric worker                      # (spawned by coordinators)
 
 ``run`` is idempotent: re-running with the same ``--dir`` (and the same plan,
 which is frozen into it) executes only the items whose results are not yet
-journaled, then rewrites the merged output.  ``--chaos-kill-worker`` and
-``--crash-after`` exist so CI can rehearse worker death and coordinator death
-deterministically.
+journaled, then rewrites the merged output.  ``--chaos-kill-worker``,
+``--chaos-stall-worker`` and ``--crash-after`` exist so CI can rehearse worker
+death, worker stalls and coordinator death deterministically.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ import json
 import sys
 from pathlib import Path
 
+from ..analysis.runner import jsonl_line
 from .coordinator import DEFAULT_PROGRESS_TIMEOUT, Coordinator, FabricError, FabricResult
 from .plan import FabricPlan, plan_experiments
-from .work import ItemResult
-from .worker import main as worker_main
 
 __all__ = ["main"]
 
@@ -54,10 +52,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         json.dump(plan.to_dict(), sys.stdout, indent=1, sort_keys=True)
         print()
-    if args.chunks:
-        directory = args.chunks_dir or "chunks"
-        paths = plan.write_chunks(directory, args.chunks)
-        print(f"chunks: {len(paths)} manifests -> {directory}", file=sys.stderr)
     return 0
 
 
@@ -97,7 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _completed_result(state_dir: str) -> FabricResult:
     """Rebuild a :class:`FabricResult` from a state dir's journals alone."""
     coordinator = Coordinator(None, state_dir=state_dir)
-    have = coordinator._load_journaled()
+    have = coordinator.journaled()
     missing = [item for item in coordinator.plan.items if item.index not in have]
     if missing:
         raise FabricError(
@@ -105,7 +99,7 @@ def _completed_result(state_dir: str) -> FabricResult:
             f"result (first: {missing[0].label}); run "
             f"`python -m repro.fabric run --dir {state_dir}` to finish the plan"
         )
-    results: list[ItemResult] = [have[item.index] for item in coordinator.plan.items]
+    results = [have[item.index] for item in coordinator.plan.items]
     return FabricResult(plan=coordinator.plan, results=results)
 
 
@@ -113,8 +107,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     result = _completed_result(args.dir)
     merged = Path(args.merged) if args.merged else Path(args.dir) / "merged.jsonl"
     with open(merged, "w", encoding="utf-8") as handle:
-        for item_result in result.results:
-            handle.write(json.dumps(item_result.row, sort_keys=True, default=str) + "\n")
+        handle.writelines(jsonl_line(item.row) for item in result.results)
     print(merged)
     return 0
 
@@ -132,11 +125,6 @@ def _cmd_digests(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # The worker parses its own flags (it is spawned with exactly this form).
-    if argv[:1] == ["worker"]:
-        return worker_main(argv[1:])
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.fabric",
         description="Shard experiment sweeps across worker processes, "
@@ -149,12 +137,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_selection(plan_parser, required=True)
     plan_parser.add_argument("-o", "--output", metavar="FILE", help="write plan.json here")
-    plan_parser.add_argument(
-        "--chunks", type=int, metavar="N", help="also cut N chunk manifests"
-    )
-    plan_parser.add_argument(
-        "--chunks-dir", metavar="DIR", help="chunk manifest directory (default: chunks/)"
-    )
     plan_parser.set_defaults(handler=_cmd_plan)
 
     run_parser = commands.add_parser(

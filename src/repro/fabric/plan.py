@@ -20,7 +20,7 @@ Three item kinds cover every engine entry point the experiments use:
   :class:`~repro.runtime.engine.RunRecord`'s ``to_dict()`` (again matching
   the engine's JSONL emission), keyed on ``(canonical-spec-hash, seed)``.
 
-Because an item is plain JSON, a chunk manifest — a contiguous slice of the
+Because an item is plain JSON, a chunk — a contiguous slice of the
 item list, cut by the same :func:`~repro.analysis.runner.shard_bounds` math
 as ``ParameterSweep.slice`` and ``--shard i/N`` — is a self-contained work
 order: any process that can import the library can execute it, and
@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 PLAN_SCHEMA = "fabric-plan/1"
-CHUNK_SCHEMA = "fabric-chunk/1"
 
 
 class PlanningError(ReproError):
@@ -80,7 +79,7 @@ def _function_name(fn: Callable[..., Any]) -> str:
     if not module or not qualname or "<lambda>" in qualname or "<locals>" in qualname:
         raise PlanningError(
             f"cannot plan over {fn!r}: only module-level functions can be "
-            "named in a chunk manifest and re-imported by a worker"
+            "named in a plan and re-imported by a worker"
         )
     return f"{module}.{qualname}"
 
@@ -153,7 +152,7 @@ def _jsonable(value: Any, what: str) -> Any:
         raise PlanningError(f"{what} is not JSON-serializable: {error}") from error
     if rounded != value:
         raise PlanningError(
-            f"{what} does not survive a JSON round-trip; a chunk manifest "
+            f"{what} does not survive a JSON round-trip; plan.json "
             "would silently alter it (tuples? non-string keys?)"
         )
     return rounded
@@ -330,28 +329,6 @@ class FabricPlan:
         with open(path, encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
 
-    def write_chunks(self, directory: str | Path, chunks: int) -> list[Path]:
-        """Write ``chunk-NNNN.json`` manifests and return their paths."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for number, chunk_items in enumerate(self.chunk(chunks)):
-            path = directory / f"chunk-{number:04d}.json"
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {
-                        "schema": CHUNK_SCHEMA,
-                        "chunk": number,
-                        "items": [item.to_dict() for item in chunk_items],
-                    },
-                    handle,
-                    indent=1,
-                    sort_keys=True,
-                )
-                handle.write("\n")
-            paths.append(path)
-        return paths
-
 
 def plan_experiments(
     names: Iterable[str], *, quick: bool = True, seed: int = 0
@@ -409,7 +386,7 @@ def plan_sweep(
     """Plan a raw sweep of a module-level function (no experiment involved).
 
     ``run_one`` may be the function itself or its ``module.qualname`` string
-    (what a chunk manifest stores).
+    (what a plan stores).
     """
     fn_name = run_one if isinstance(run_one, str) else _function_name(run_one)
     items: list[WorkItem] = []

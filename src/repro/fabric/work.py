@@ -1,8 +1,10 @@
 """Executing one planned work item — with digests, against the shared cache.
 
-This is the worker side of the fabric, but it is deliberately a plain
-function (:func:`execute_item`) so the experiment CLI's ``--shard i/N`` mode
-and the tests can run items in-process without a coordinator.
+This is the worker side of the fabric — the coordinator dispatches
+``partial(execute_item, cache=…)`` over its plan items on the worker fleet —
+but it is deliberately a plain function (:func:`execute_item`) so the
+experiment CLI's ``--shard i/N`` mode and the tests can run items in-process
+without a coordinator.
 
 Every fresh execution captures the determinism digests of the simulations it
 ran (via :func:`repro.sim.scheduler.capture_digests`, the same mechanism the
@@ -32,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from ..analysis.runner import merge_row
+from ..analysis.runner import jsonl_line, merge_row
 from ..errors import ReproError
 from ..runtime.cache import RunCache
 from ..runtime.engine import execute_spec
@@ -107,12 +109,11 @@ class ItemResult:
 def _canonical_row(row: Mapping[str, Any]) -> dict:
     """The row as it will appear in JSONL: one canonicalisation, up front.
 
-    The engine emits ``json.dumps(row, sort_keys=True, default=str)``; doing
-    the same ``default=str`` round-trip here makes the row frame-safe for the
-    worker protocol *and* guarantees the coordinator's merged line is
-    byte-identical to the engine's.
+    A round-trip through the engine's own :func:`jsonl_line` makes the row
+    plain JSON for the journal *and* guarantees the coordinator's merged line
+    is byte-identical to the engine's.
     """
-    return json.loads(json.dumps(row, sort_keys=True, default=str))
+    return json.loads(jsonl_line(row))
 
 
 def _fresh(item: WorkItem) -> tuple[dict, list[int], Mapping[str, Any] | None]:

@@ -33,6 +33,8 @@ The pieces:
   and the module-level :func:`execute_spec` worker entry point;
 * :mod:`~repro.runtime.executors` — :class:`SerialExecutor` and the
   persistent warm :class:`WorkerPool`;
+* :mod:`~repro.runtime.fleet` — the one supervised fleet of worker processes
+  under both the pool and the fabric coordinator;
 * :mod:`~repro.runtime.cache` — the digest-keyed :class:`RunCache` that
   memoizes completed runs on ``(canonical-spec-hash, seed)``.
 """

@@ -97,11 +97,11 @@ class RunCache:
     def outcome_key_named(fn_name: str, config: Mapping[str, Any]) -> str:
         """`outcome_key` from the function's dotted name instead of the object.
 
-        The fabric plans work as plain JSON — a chunk manifest names the sweep
+        The fabric plans work as plain JSON — a plan item names the sweep
         function (``module.qualname``) rather than pickling it — so planner
         and worker must derive the *same* key from the name alone.  Keeping
         this as the single hashing path (``outcome_key`` delegates here)
-        guarantees a fabric worker's entry is a later engine run's hit and
+        guarantees an entry the fabric wrote is a later engine run's hit and
         vice versa.
         """
         text = json.dumps(

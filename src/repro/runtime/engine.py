@@ -46,12 +46,11 @@ twice.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..analysis.metrics import consensus_metrics
-from ..analysis.runner import ParameterSweep, merge_row
+from ..analysis.runner import ParameterSweep, jsonl_line, merge_row
 from ..consensus import validate_consensus
 from ..membership import Membership
 from ..sim import CompositeProgram, CrashSchedule, Simulation, TimingModel, build_system
@@ -572,7 +571,7 @@ class Engine:
     def _emit(self, payload: Mapping[str, Any]) -> None:
         if self.jsonl_path:
             with open(self.jsonl_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, sort_keys=True, default=str) + "\n")
+                handle.write(jsonl_line(payload))
         if self.progress is not None:
             self.progress(payload)
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+from pathlib import Path
 from typing import Mapping
 
 from repro.membership import Membership
@@ -72,8 +76,44 @@ def poison_run_one(config: dict) -> dict:
     bisection exists for — a config that segfaults or OOMs the interpreter,
     where no amount of in-process error handling can help.
     """
-    import os
-
     if config.get("poison"):
         os._exit(23)
     return {"value": config["x"] * 2, "x": config["x"]}
+
+
+def faulty_run_one(config: dict) -> dict:
+    """E1's per-config runner, except that a config carrying ``fault`` misbehaves.
+
+    It misbehaves *once*: the first execution creates the ``marker`` file and
+    fails in the requested way, every later one runs clean — so a policy that
+    retries converges to the same rows a fault-free run produces.
+    """
+    from repro.experiments.e1_ohp_convergence import _run_one
+
+    config = dict(config)
+    fault, marker = config.pop("fault", None), config.pop("marker", None)
+    if fault and not os.path.exists(marker):
+        Path(marker).touch()
+        if fault in ("sigkill", "sigstop"):
+            os.kill(os.getpid(), getattr(signal, fault.upper()))
+        if fault == "exit":
+            os._exit(23)
+        if fault == "raise":
+            raise ValueError("injected failure")
+        if fault == "unpicklable":
+            return {"converged": lambda: None}
+    return _run_one(config)
+
+
+def wait_until_dead(pid: int, timeout: float = 5.0) -> None:
+    """Block until process ``pid`` is gone or a zombie (signals land asynchronously)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:
+            return
+        if stat.rpartition(")")[2].split()[0] == "Z":
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} still alive after {timeout}s")

@@ -94,7 +94,7 @@ def test_mutilated_journal_loses_only_the_torn_line(tmp_path) -> None:
         shards, torn=True, foreign=True, rng=random.Random(41)
     )
     assert len(applied) == 3  # tear + foreign lines + trailing fragment
-    have = coordinator._load_journaled()
+    have = coordinator.journaled()
     # the torn final line is gone; every intact line survives; none of the
     # three foreign lines (non-JSON, wrong shape, unknown key) leaks in
     assert sorted(have) == [0, 1, 2]
@@ -106,7 +106,7 @@ def test_untouched_journal_loads_fully(tmp_path) -> None:
     assert mutilate_journal(
         shards, torn=False, foreign=False, rng=random.Random(0)
     ) == []
-    assert sorted(coordinator._load_journaled()) == [0, 1, 2, 3]
+    assert sorted(coordinator.journaled()) == [0, 1, 2, 3]
 
 
 def test_mutilate_journal_on_empty_dir_is_a_noop(tmp_path) -> None:

@@ -1,8 +1,8 @@
 """The fabric coordinator: determinism, cache interplay, crashes, resume.
 
-These tests spawn real worker subprocesses (``python -m repro.fabric
-worker``), so they use the smallest plan that still exercises every path: a
-raw 8-item sweep of E1's ``_run_one`` at n=3 (a few ms per run).
+These tests spawn real worker processes, so they use the smallest plan that
+still exercises every path: a raw 8-item sweep of E1's ``_run_one`` at n=3
+(a few ms per run).
 """
 
 from __future__ import annotations
@@ -183,10 +183,11 @@ def test_stalled_worker_is_detected_and_the_run_converges(tiny_plan, tmp_path) -
 
 
 def _poison_plan():
-    """4 sweep items; the config at index 1 os._exit()s the whole worker."""
+    """16 sweep items — one worker's chunk holds 4 — and the config at index 1
+    os._exit()s the whole worker."""
     return plan_sweep(
         "tests.helpers.poison_run_one",
-        [{"x": index, "poison": index == 1} for index in range(4)],
+        [{"x": index, "poison": index == 1} for index in range(16)],
         name="poison",
     )
 
@@ -201,14 +202,13 @@ def test_poison_item_is_bisected_quarantined_and_reported(tmp_path) -> None:
         state_dir=state,
         workers=1,
         max_retries=0,
-        chunk_multiplier=1,
     )
     with pytest.raises(FabricError, match=r"quarantined after exhausting .*\[1\]"):
         coordinator.run()
 
     partial = json.loads((state / "partial.json").read_text())
     assert partial["missing_indices"] == [1]
-    assert partial["plan_items"] == 4
+    assert partial["plan_items"] == 16
     record = partial["items"]["1"]
     # the record tells the whole retry story: the original chunk attempt
     # plus the solo attempt after bisection, each with its cause
@@ -224,8 +224,9 @@ def test_poison_item_is_bisected_quarantined_and_reported(tmp_path) -> None:
     assert sorted(resumed.quarantined) == [1]
     assert resumed.stats["quarantined"] == 1
     rows = [json.loads(line) for line in _merged_bytes(resumed).decode().splitlines()]
-    assert [row["x"] for row in rows] == [0, 2, 3]
-    assert [row["value"] for row in rows] == [0, 4, 6]
+    innocent = [index for index in range(16) if index != 1]
+    assert [row["x"] for row in rows] == innocent
+    assert [row["value"] for row in rows] == [2 * index for index in innocent]
 
 
 def test_bisection_rescues_innocent_chunk_mates(tmp_path) -> None:
@@ -237,13 +238,12 @@ def test_bisection_rescues_innocent_chunk_mates(tmp_path) -> None:
         state_dir=state,
         workers=1,
         max_retries=0,
-        chunk_multiplier=1,
         allow_partial=True,
     )
     result = coordinator.run()
     assert result.stats["bisected_chunks"] >= 1
     assert result.stats["worker_deaths"] >= 2  # original chunk + solo retry
-    assert sorted(r.index for r in result.results) == [0, 2, 3]
+    assert sorted(r.index for r in result.results) == [i for i in range(16) if i != 1]
 
 
 def test_resume_survives_torn_tail_and_interleaved_foreign_lines(tiny_plan, tmp_path) -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 
 import pytest
 from hypothesis import given
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from repro.analysis.runner import ParameterSweep, shard_bounds, shard_items
 from repro.experiments.e1_ohp_convergence import _run_one as run_one_e1
 from repro.fabric import FabricPlan, plan_experiments, plan_sweep
-from repro.fabric.plan import PlanningEngine, PlanningError, WorkItem
+from repro.fabric.plan import PlanningEngine, PlanningError
 from repro.runtime.cache import RunCache
 from repro.runtime.spec import ScenarioSpec
 
@@ -102,20 +101,12 @@ def test_plan_is_deterministic_and_json_round_trips(tmp_path) -> None:
     assert FabricPlan.read(path).to_dict() == plan.to_dict()
 
 
-def test_plan_chunks_concatenate_in_order(tmp_path) -> None:
+def test_plan_chunks_concatenate_in_order() -> None:
     plan = plan_experiments(["E1"], quick=True, seed=0)
     chunks = plan.chunk(4)
     assert [item.index for chunk in chunks for item in chunk] == list(range(len(plan)))
     # more chunks than items: empties are dropped, items all survive
     assert sum(len(c) for c in plan.chunk(50)) == len(plan)
-    paths = plan.write_chunks(tmp_path, 4)
-    assert [p.name for p in paths] == [f"chunk-{i:04d}.json" for i in range(4)]
-    loaded = [
-        WorkItem.from_dict(item)
-        for p in paths
-        for item in json.loads(p.read_text())["items"]
-    ]
-    assert [item.to_dict() for item in loaded] == [item.to_dict() for item in plan.items]
 
 
 def test_plan_unknown_experiment_and_lambda_are_rejected() -> None:

@@ -23,6 +23,8 @@ from repro.runtime import (
 )
 from repro.runtime.executors import describe_item
 
+from .helpers import wait_until_dead
+
 
 def small_spec(seed: int = 0, horizon: float = 300.0) -> ScenarioSpec:
     return (
@@ -54,9 +56,10 @@ class TestWorkerPoolLifecycle:
             assert not pool.alive  # nothing spawned until real work arrives
             first = pool.map(_double, [{"x": i} for i in range(6)])
             assert pool.alive
-            backing = pool._pool
+            backing = pool.worker_pids()
+            assert len(backing) == 2
             second = pool.map(_double, [{"x": i} for i in range(6)])
-            assert pool._pool is backing  # same processes served both calls
+            assert pool.worker_pids() == backing  # same processes served both calls
             assert first == second == [{"doubled": 2 * i} for i in range(6)]
         assert not pool.alive
 
@@ -74,10 +77,10 @@ class TestWorkerPoolLifecycle:
         specs = [small_spec(seed) for seed in range(4)]
         with Engine(jobs=2) as engine:
             engine.run_many(specs)
-            backing = engine.executor._pool
-            assert backing is not None
+            backing = engine.executor.worker_pids()
+            assert backing
             engine.run_many(specs)
-            assert engine.executor._pool is backing
+            assert engine.executor.worker_pids() == backing
         assert not engine.executor.alive
 
     def test_single_item_runs_in_process_until_pool_is_warm(self):
@@ -220,21 +223,20 @@ class TestWorkerCrashHandling:
             assert healed == [{"doubled": 2}, {"doubled": 4}]
 
     def test_idle_worker_death_is_wrapped_and_pool_heals(self):
-        # A worker dying *between* calls breaks the pool before any future
-        # exists, so the failure surfaces from submit() rather than a
-        # future's result(); it must still come out as WorkerCrashError and
-        # the next call must get a fresh pool.
+        # A worker found dead *between* calls held no work, so nothing was
+        # lost: the fleet replaces it and the call simply succeeds.
         import signal
 
         with WorkerPool(jobs=2) as pool:
             pool.map(_double, [{"x": 1}, {"x": 2}])  # spawn + warm
-            for pid in list(pool._pool._processes):
+            before = pool.worker_pids()
+            for pid in before:
                 os.kill(pid, signal.SIGKILL)
-            with pytest.raises(WorkerCrashError):
-                pool.map(_double, [{"name": "idle", "seed": s} for s in range(4)])
-            assert not pool.alive  # broken pool discarded...
-            healed = pool.map(_double, [{"x": 3}, {"x": 4}])  # ...and respawned
-            assert healed == [{"doubled": 6}, {"doubled": 8}]
+            for pid in before:
+                wait_until_dead(pid)  # SIGKILL is asynchronous
+            healed = pool.map(_double, [{"x": s} for s in range(4)])
+            assert healed == [{"doubled": 2 * s} for s in range(4)]
+            assert pool.alive and not set(pool.worker_pids()) & set(before)
 
     def test_describe_item_formats(self):
         assert describe_item({"name": "e1", "seed": 7}) == "e1[seed=7]"

@@ -14,7 +14,6 @@ import asyncio
 
 import pytest
 
-from repro.fabric.protocol import iter_messages
 from repro.runtime import Engine, scenario
 from repro.runtime.builder import ScenarioValidationError
 from repro.runtime.spec import ScenarioSpec, asynchronous, crashes_at, synchronous
@@ -188,16 +187,6 @@ def test_framing_rejects_oversized_frames():
         decode_frames(bytearray(header + b"x"))
 
 
-class _Pieces:
-    """A binary stream whose ``read1`` hands out the given pieces, then EOF."""
-
-    def __init__(self, pieces):
-        self.pieces = [piece for piece in pieces if piece]
-
-    def read1(self, size=-1):
-        return self.pieces.pop(0) if self.pieces else b""
-
-
 def _via_buffer(pieces):
     buffer, frames = bytearray(), []
     for piece in pieces:
@@ -222,13 +211,9 @@ def _via_async_reader(pieces):
     return asyncio.run(drain())
 
 
-def _via_sync_generator(pieces):
-    return list(iter_messages(_Pieces(pieces)))
-
-
-@pytest.mark.parametrize("decode", [_via_buffer, _via_async_reader, _via_sync_generator])
+@pytest.mark.parametrize("decode", [_via_buffer, _via_async_reader])
 def test_every_frame_reader_agrees_at_every_cut(decode):
-    """One codec, three drivers: buffer, asyncio reader, sync stream generator."""
+    """One codec, two drivers: buffer and asyncio reader."""
     messages = [{"type": "result", "n": n, "pad": "x" * n} for n in range(4)]
     frames = [encode_frame(message) for message in messages]
     wire = b"".join(frames)
@@ -245,24 +230,12 @@ def test_every_frame_reader_agrees_at_every_cut(decode):
                 decode([wire[:cut]])
 
 
-@pytest.mark.parametrize("decode", [_via_buffer, _via_async_reader, _via_sync_generator])
+@pytest.mark.parametrize("decode", [_via_buffer, _via_async_reader])
 def test_every_frame_reader_rejects_an_oversized_header(decode):
     header = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
     # "exceeds", not "mid-frame": the announced size alone is the offence.
     with pytest.raises(FramingError, match="exceeds"):
         decode([header, b"x"])
-
-
-def test_sync_generator_rejects_an_oversized_header_before_reading_the_body():
-    stream = _Pieces([(MAX_FRAME_BYTES + 1).to_bytes(4, "big"), b"x"])
-    with pytest.raises(FramingError, match="exceeds"):
-        list(iter_messages(stream))
-    assert stream.pieces == [b"x"]  # the body was never asked for
-
-
-def test_sync_generator_rejects_frames_that_are_not_messages():
-    with pytest.raises(FramingError, match="malformed"):
-        list(iter_messages(_Pieces([encode_frame(["no", "type"])])))
 
 
 # ----------------------------------------------------------------------
