@@ -10,9 +10,10 @@ outputs purely from messages — they are the paper's implementability results:
   Figure 7, implements HΣ in ``HSS[∅]``.
 * :class:`~repro.algorithms.script_alive.ScriptAliveProgram` — Figure 3,
   implements the auxiliary class ℰ in ``AS[∅]``.
-* :class:`~repro.algorithms.heartbeat.HeartbeatMonitorProgram` — the
-  HB_PING/HB_ACK monitor of the sim-vs-real validation harness (ROADMAP
-  item 3); runs unchanged on the simulator and the TCP backend.
+* :func:`~repro.algorithms.heartbeat.HeartbeatMonitorProgram` — the
+  HB_PING/HB_ACK monitor of the sim-vs-real validation harness (one class
+  per monitoring topology); runs unchanged on the simulator and the TCP
+  backend.
 * :class:`~repro.algorithms.swim.ClusterMembershipProgram` — the SWIM-style
   join / leave / crash-recover membership service of the churn workload
   (not to be confused with :mod:`repro.membership`, the identity multisets).

@@ -17,24 +17,17 @@ SNIPPETS.md Snippet 1):
 Membership is unknown (the paper's setting): peers are discovered from the
 ``HB_PING`` traffic itself, and a peer's liveness clock starts at discovery.
 
-Since the monitoring-topology layer (:mod:`repro.topology`), the same program
-also runs in two sparse modes, selected by passing a topology to the
-constructor (the engine injects it for non-full-mesh scenarios):
-
-* **ring** — each process pings only its ``k`` ring successors over its local
-  alive view and ACKs go back *unicast*; a declaration shrinks the view, so
-  survivors adopt new successors (*ring repair*) with a fresh timeout window.
-  Per-round load drops from n² pings + n³ ACK copies to ≈ 2·n·k copies.
-* **gossip** — no pings at all: each period the process bumps its own
-  heartbeat counter and diffuses its whole counter table to ``fanout``
-  seeded-random peers; counters that stop rising for ``hb_timeout`` are
-  declared dead.  Load is ≈ n·fanout table messages per period.
-
-The sparse modes address peers by *index* (the transport-level address a
-topology computes over) rather than by identity, so declarations are recorded
-as indices; the ``topo_detection`` check consumes those.  The historical
-full-mesh path is untouched — byte-identical broadcasts, records, and RNG
-usage — which is what keeps every pre-topology digest stable.
+Since the monitoring-topology layer (:mod:`repro.topology`) there is one
+monitor class per topology — :class:`FullMeshHeartbeat` (the protocol above,
+digest-frozen), :class:`RingHeartbeat` and :class:`GossipHeartbeat` — and
+:func:`HeartbeatMonitorProgram` picks the class once, from the topology passed
+when the program is built (the engine injects it for non-full-mesh
+scenarios); each class binds its own handlers.  The sparse monitors address
+peers by *index* (the transport-level address a topology computes over)
+rather than by identity, so declarations are recorded as indices; the
+``topo_detection`` check consumes those.  The full-mesh monitor shares
+nothing with them but the parameter validation — byte-identical broadcasts,
+records, and RNG usage — which is what keeps every pre-topology digest stable.
 
 The program speaks only the :class:`~repro.context.AbstractProcessContext`
 protocol, so the *same object* runs on the discrete-event simulator and on
@@ -50,24 +43,19 @@ from typing import Any
 from ..context import AbstractProcessContext, ProcessProgram
 from ..identity import Identity
 
-__all__ = ["HeartbeatMonitorProgram"]
+__all__ = ["HeartbeatMonitorProgram", "FullMeshHeartbeat", "RingHeartbeat", "GossipHeartbeat"]
 
 #: Trace-record / JSONL-event name for a (single) dead declaration.
 DECLARED_DEAD = "declared_dead"
 
 
-class HeartbeatMonitorProgram(ProcessProgram):
-    """Heartbeat monitoring: full mesh by default, ring/gossip via a topology."""
+class _Heartbeat(ProcessProgram):
+    """What the three monitors share: the interval/timeout knobs."""
+
+    mode = ""  # the non-default topology kind, as ``describe()`` prints it
 
     def __init__(
-        self,
-        *,
-        hb_interval: float = 1.0,
-        hb_timeout: float = 3.0,
-        record_pings: bool = False,
-        topology: Any = None,
-        index: int | None = None,
-        peers: tuple[int, ...] = (),
+        self, *, hb_interval: float = 1.0, hb_timeout: float = 3.0, record_pings: bool = False
     ) -> None:
         if hb_interval <= 0:
             raise ValueError("hb_interval must be positive")
@@ -76,60 +64,31 @@ class HeartbeatMonitorProgram(ProcessProgram):
         self._hb_interval = hb_interval
         self._hb_timeout = hb_timeout
         self._record_pings = record_pings
-        if topology is not None and topology.is_full_mesh:
-            topology = None  # explicit full mesh == the historical default
-        self._topology = topology
-        self._index = index
-        self._peers = tuple(peers)
-        if topology is not None:
-            if index is None or not self._peers:
-                raise ValueError(
-                    "a sparse topology needs the process index and the peer "
-                    "index list (the engine injects both)"
-                )
-            self._mode = topology.kind
-        else:
-            self._mode = "full_mesh"
 
+    def describe(self) -> str:
+        mode = f", {self.mode}" if self.mode else ""
+        return (
+            f"heartbeat monitor (interval={self._hb_interval}, "
+            f"timeout={self._hb_timeout}{mode})"
+        )
+
+
+class FullMeshHeartbeat(_Heartbeat):
+    """Everyone pings everyone (the historical, digest-frozen monitor)."""
+
+    def __init__(self, **knobs: Any) -> None:
+        super().__init__(**knobs)
         #: identity -> time of the last HB_ACK addressed to us from it
         #: (initialised to the discovery time, the grace period of §4).
         self.last_ack: dict[Identity, float] = {}
         #: identities already declared dead (the single-declare flags).
         self.dead: set[Identity] = set()
 
-        # -- sparse-mode state (indices, not identities) -------------------
-        #: indices this process still believes alive (including itself).
-        self.alive: list[int] = sorted(self._peers)
-        #: indices already declared dead.
-        self.dead_indices: set[int] = set()
-        #: index -> time of the last unicast HB_ACK from it (ring mode).
-        self.last_ack_at: dict[int, float] = {}
-        #: index -> time we started (re)watching it; a freshly adopted
-        #: successor gets a full timeout window before it can be declared.
-        self.watch_since: dict[int, float] = {}
-        #: index -> highest heartbeat counter seen (gossip mode).
-        self.counters: dict[int, int] = {}
-        #: index -> time its counter last rose (gossip mode).
-        self.last_bump: dict[int, float] = {}
-
-    # ------------------------------------------------------------------
     def setup(self, ctx: AbstractProcessContext) -> None:
-        if self._mode == "ring":
-            ctx.on("HB_PING", lambda msg: self._on_ring_ping(ctx, msg))
-            ctx.on("HB_ACK", lambda msg: self._on_ring_ack(ctx, msg))
-            ctx.spawn(lambda: self._ring_monitor_task(ctx), name="hb-ring-monitor")
-            return
-        if self._mode == "gossip":
-            ctx.on("GOSSIP", lambda msg: self._on_gossip(ctx, msg))
-            ctx.spawn(lambda: self._gossip_task(ctx), name="hb-gossip")
-            return
         ctx.on("HB_PING", lambda msg: self._on_ping(ctx, msg))
         ctx.on("HB_ACK", lambda msg: self._on_ack(ctx, msg))
         ctx.spawn(lambda: self._monitor_task(ctx), name="hb-monitor")
 
-    # ------------------------------------------------------------------
-    # Full mesh (the historical, digest-frozen path)
-    # ------------------------------------------------------------------
     def _monitor_task(self, ctx: AbstractProcessContext):
         while True:
             ctx.broadcast("HB_PING", identity=ctx.identity)
@@ -167,14 +126,63 @@ class HeartbeatMonitorProgram(ProcessProgram):
         if identity != ctx.identity and identity not in self.last_ack:
             self.last_ack[identity] = ctx.now
 
-    # ------------------------------------------------------------------
-    # Ring mode: ping the k successors, ACK unicast, repair on declare
-    # ------------------------------------------------------------------
+
+class _IndexedHeartbeat(_Heartbeat):
+    """A sparse monitor: watches peer *indices* a topology picks from its alive view."""
+
+    def __init__(
+        self, *, topology: Any, index: int | None = None, peers: tuple[int, ...] = (), **knobs: Any
+    ) -> None:
+        super().__init__(**knobs)
+        if index is None or not peers:
+            raise ValueError(
+                "a sparse topology needs the process index and the peer "
+                "index list (the engine injects both)"
+            )
+        self._topology = topology
+        self._index = index
+        #: indices this process still believes alive (including itself).
+        self.alive: list[int] = sorted(peers)
+        #: indices already declared dead.
+        self.dead_indices: set[int] = set()
+
+    def _declare_index_dead(self, ctx: AbstractProcessContext, target: int) -> None:
+        self.dead_indices.add(target)
+        ctx.record(DECLARED_DEAD, target)
+        if target in self.alive:
+            self.alive.remove(target)
+
+
+class RingHeartbeat(_IndexedHeartbeat):
+    """Ping only the ``k`` ring successors over the local alive view; ACKs go back unicast.
+
+    Snippet 2's knobs on one object: the successor count ``M`` is the
+    topology's ``k``, the ping timeout is ``hb_timeout``, and *ring repair*
+    is the shrinking :attr:`alive` view — after a declaration survivors adopt
+    new successors, with a fresh timeout window.  Per-round load drops from
+    n² pings + n³ ACK copies to ≈ 2·n·k copies.
+    """
+
+    mode = "ring"
+
+    def __init__(self, **params: Any) -> None:
+        super().__init__(**params)
+        #: index -> time of the last unicast HB_ACK from it.
+        self.last_ack_at: dict[int, float] = {}
+        #: index -> time we started (re)watching it; a freshly adopted
+        #: successor gets a full timeout window before it can be declared.
+        self.watch_since: dict[int, float] = {}
+
+    def setup(self, ctx: AbstractProcessContext) -> None:
+        ctx.on("HB_PING", lambda msg: self._on_ping(ctx, msg))
+        ctx.on("HB_ACK", lambda msg: self._on_ack(ctx, msg))
+        ctx.spawn(lambda: self._monitor_task(ctx), name="hb-ring-monitor")
+
     def monitor_targets(self) -> tuple[int, ...]:
         """The successors this process currently watches (its alive view)."""
         return self._topology.monitor_targets(self._index, self.alive)
 
-    def _ring_monitor_task(self, ctx: AbstractProcessContext):
+    def _monitor_task(self, ctx: AbstractProcessContext):
         while True:
             targets = self.monitor_targets()
             now = ctx.now
@@ -186,9 +194,9 @@ class HeartbeatMonitorProgram(ProcessProgram):
                 if self._record_pings:
                     ctx.record("hb_ping_sent", list(targets))
             yield ctx.sleep(self._hb_interval)
-            self._check_ring_timeouts(ctx, targets)
+            self._check_timeouts(ctx, targets)
 
-    def _check_ring_timeouts(self, ctx: AbstractProcessContext, targets) -> None:
+    def _check_timeouts(self, ctx: AbstractProcessContext, targets) -> None:
         now = ctx.now
         for target in targets:
             if target in self.dead_indices:
@@ -196,30 +204,43 @@ class HeartbeatMonitorProgram(ProcessProgram):
             seen = self.last_ack_at.get(target, self.watch_since.get(target, now))
             if now - seen >= self._hb_timeout:
                 self._declare_index_dead(ctx, target)
+                # The next monitor round recomputes successors over the
+                # shrunken view (ring repair); newly adopted targets start a
+                # fresh window through watch_since (set at adoption, not here).
+                self.watch_since.pop(target, None)
 
-    def _declare_index_dead(self, ctx: AbstractProcessContext, target: int) -> None:
-        self.dead_indices.add(target)
-        ctx.record(DECLARED_DEAD, target)
-        if target in self.alive:
-            self.alive.remove(target)
-        # The next monitor round recomputes successors over the shrunken
-        # view (ring repair); newly adopted targets start a fresh window
-        # through watch_since (set at adoption, not here).
-        self.watch_since.pop(target, None)
-
-    def _on_ring_ping(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_ping(self, ctx: AbstractProcessContext, message: Any) -> None:
         pinger = message["frm"]
         ctx.multicast("HB_ACK", (pinger,), frm=self._index)
 
-    def _on_ring_ack(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_ack(self, ctx: AbstractProcessContext, message: Any) -> None:
         responder = message["frm"]
         self.last_ack_at[responder] = ctx.now
         if self._record_pings:
             ctx.record("hb_ack_recv", responder)
 
-    # ------------------------------------------------------------------
-    # Gossip mode: diffuse the counter table, declare on staleness
-    # ------------------------------------------------------------------
+
+class GossipHeartbeat(_IndexedHeartbeat):
+    """No pings: diffuse the heartbeat-counter table, declare on staleness.
+
+    Each period the process bumps its own counter and sends its whole table
+    to ``fanout`` seeded-random peers (≈ n·fanout table messages per period);
+    a counter that stops rising for ``hb_timeout`` is declared dead.
+    """
+
+    mode = "gossip"
+
+    def __init__(self, **params: Any) -> None:
+        super().__init__(**params)
+        #: index -> highest heartbeat counter seen.
+        self.counters: dict[int, int] = {}
+        #: index -> time its counter last rose.
+        self.last_bump: dict[int, float] = {}
+
+    def setup(self, ctx: AbstractProcessContext) -> None:
+        ctx.on("GOSSIP", lambda msg: self._on_gossip(ctx, msg))
+        ctx.spawn(lambda: self._gossip_task(ctx), name="hb-gossip")
+
     def _gossip_task(self, ctx: AbstractProcessContext):
         now = ctx.now
         for peer in self.alive:
@@ -234,9 +255,9 @@ class HeartbeatMonitorProgram(ProcessProgram):
                     "GOSSIP", targets, frm=self._index, counters=dict(self.counters)
                 )
             yield ctx.sleep(self._hb_interval)
-            self._check_gossip_staleness(ctx)
+            self._check_staleness(ctx)
 
-    def _check_gossip_staleness(self, ctx: AbstractProcessContext) -> None:
+    def _check_staleness(self, ctx: AbstractProcessContext) -> None:
         now = ctx.now
         for peer in tuple(self.alive):
             if peer == self._index or peer in self.dead_indices:
@@ -253,10 +274,18 @@ class HeartbeatMonitorProgram(ProcessProgram):
                 self.counters[peer] = counter
                 self.last_bump[peer] = now
 
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        mode = "" if self._mode == "full_mesh" else f", {self._mode}"
-        return (
-            f"heartbeat monitor (interval={self._hb_interval}, "
-            f"timeout={self._hb_timeout}{mode})"
-        )
+
+_SPARSE = {"ring": RingHeartbeat, "gossip": GossipHeartbeat}
+
+
+def HeartbeatMonitorProgram(*, topology: Any = None, **params: Any) -> ProcessProgram:
+    """Build the heartbeat monitor for ``topology`` (none, or full mesh: the default).
+
+    The one place the topology is looked at; ``index`` and ``peers`` only
+    mean something to a sparse monitor and are dropped for the full mesh.
+    """
+    if topology is None or topology.is_full_mesh:
+        params.pop("index", None)
+        params.pop("peers", None)
+        return FullMeshHeartbeat(**params)
+    return _SPARSE[topology.kind](topology=topology, **params)

@@ -155,7 +155,6 @@ def mutilate_journal(
                         "row": {},
                         "digests": [],
                         "source": "fresh",
-                        "digests_complete": True,
                     }
                 )
                 + "\n"
@@ -183,5 +182,5 @@ def corrupt_cache_entries(
         return []
     victims = rng.sample(entries, min(count, len(entries)))
     for victim in victims:
-        victim.write_bytes(b'{"schema": "run-cache/1", "payload": garbage')
+        victim.write_bytes(b'{"schema": "run-cache/2", "payload": garbage')
     return [victim.name for victim in victims]

@@ -86,7 +86,11 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         }
         repetitions = 3
     sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
+    # The full grid is a raw product; a membership cannot have more distinct
+    # identifiers than processes, so those cells do not exist.
+    rows = engine.sweep(
+        _run_one, [config for config in sweep if config["distinct_ids"] <= config["n"]]
+    )
     aggregated = aggregate_rows(
         rows,
         group_by=["n", "distinct_ids", "gst"],

@@ -25,8 +25,9 @@ coordinator itself dying is handled by construction: a restarted coordinator
 re-reads the plan, loads every journaled result whose ``(index, key)`` still
 matches, and dispatches only what is missing — resume is just "run again with
 the same state dir".  Items already in the shared
-:class:`~repro.runtime.cache.RunCache` are likewise served without
-re-execution (workers consult it per item; the cache travels inside the
+:class:`~repro.runtime.cache.RunCache` — by an earlier fabric run or by an
+ordinary ``Engine(cache=…)`` run — are likewise served without re-execution,
+digests included (workers consult it per item; the cache travels inside the
 dispatched callable).
 
 **Graceful degradation.**  A chunk that exhausts its retries is *bisected*:
@@ -117,10 +118,8 @@ class FabricResult:
 
     @property
     def digests_complete(self) -> bool:
-        """Whether every item's digest record survived (see work.py)."""
-        return not self.quarantined and all(
-            result.digests_complete for result in self.results
-        )
+        """Whether the digest fold covers the whole plan (nothing quarantined)."""
+        return not self.quarantined
 
     def experiment_digests(self) -> dict[str, str]:
         """Per-experiment folded digests, in the serial capture order.
@@ -323,10 +322,8 @@ class Coordinator:
         results = [
             have[item.index] for item in self.plan.items if item.index in have
         ]
-        for source in ("fresh", "run-cache", "fabric-cache"):
-            stats[source.replace("-", "_")] = sum(
-                1 for result in results if result.source == source
-            )
+        for source in ("fresh", "cached"):
+            stats[source] = sum(1 for result in results if result.source == source)
         merged = Path(merged_path) if merged_path else self.state_dir / "merged.jsonl"
         with open(merged, "w", encoding="utf-8") as handle:
             handle.writelines(jsonl_line(result.row) for result in results)

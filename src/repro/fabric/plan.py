@@ -4,21 +4,13 @@ A *plan* is the full list of work items a sweep would execute, in exactly the
 order a serial engine would execute them, each tagged with its global index
 and its :class:`~repro.runtime.cache.RunCache` key.  Plans are produced
 without running any simulation: the experiment's ``run`` function executes
-against a :class:`PlanningEngine` that records what is dispatched instead of
-dispatching it.
+against a :class:`PlanningEngine` — an :class:`~repro.runtime.engine.Engine`
+whose one lowering hook records the items instead of dispatching them.
 
-Three item kinds cover every engine entry point the experiments use:
-
-* ``"sweep"`` — ``Engine.sweep(run_one, sweep)``: the payload names the
-  module-level function (``module.qualname``) and carries its config; the
-  result row is ``merge_row(config, outcome)``, exactly what the engine
-  emits to JSONL;
-* ``"map"`` — ``Engine.map(fn, items)``: like ``"sweep"`` but the function's
-  return value *is* the row (the engine does not merge or emit for ``map``);
-* ``"spec"`` — ``Engine.run`` / ``run_many`` / ``run_sweep``: the payload is
-  the spec's ``to_dict()`` and the row is the executed
-  :class:`~repro.runtime.engine.RunRecord`'s ``to_dict()`` (again matching
-  the engine's JSONL emission), keyed on ``(canonical-spec-hash, seed)``.
+The item kinds, keys and rows are the engine's own (:func:`item_key`,
+:func:`item_row` in :mod:`repro.runtime.engine`), made JSON: a ``"sweep"`` or
+``"map"`` payload names the module-level function (``module.qualname``) and
+carries its config, a ``"spec"`` payload is the spec's ``to_dict()``.
 
 Because an item is plain JSON, a chunk — a contiguous slice of the
 item list, cut by the same :func:`~repro.analysis.runner.shard_bounds` math
@@ -31,24 +23,22 @@ Planning is only valid for experiments whose dispatch structure does not
 depend on earlier results (an experiment that inspected sweep rows to decide
 its *next* sweep would record a truncated plan).  Every registered
 deterministic experiment (E1–E12) dispatches its full grid unconditionally;
-the planner records every engine call first and only then lets the
-experiment's aggregation see placeholder rows, so a late ``KeyError`` in a
-summary cannot truncate the plan — it is caught and ignored.
+the experiment's aggregation sees placeholder rows, and an error it raises
+*after* its last engine call is caught and ignored.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from ..analysis.runner import ParameterSweep, merge_row, shard_bounds
+from ..analysis.runner import ParameterSweep, shard_bounds
 from ..errors import ReproError
 from ..runtime.cache import RunCache
-from ..runtime.engine import RunRecord
+from ..runtime.engine import Engine, item_key, item_row
 from ..runtime.registry import EXPERIMENTS
-from ..runtime.spec import ScenarioSpec
 
 __all__ = [
     "PlanningError",
@@ -64,24 +54,6 @@ PLAN_SCHEMA = "fabric-plan/1"
 
 class PlanningError(ReproError):
     """An experiment's work could not be enumerated as a shardable plan."""
-
-
-def _function_name(fn: Callable[..., Any]) -> str:
-    """``module.qualname`` of a plannable function, or raise.
-
-    Mirrors the cache's cacheability rule: lambdas and nested functions have
-    ambiguous qualified names, cannot be re-imported by a worker, and are
-    rejected at planning time (the pool executors would reject them at
-    pickling time anyway).
-    """
-    module = getattr(fn, "__module__", "") or ""
-    qualname = getattr(fn, "__qualname__", "") or ""
-    if not module or not qualname or "<lambda>" in qualname or "<locals>" in qualname:
-        raise PlanningError(
-            f"cannot plan over {fn!r}: only module-level functions can be "
-            "named in a plan and re-imported by a worker"
-        )
-    return f"{module}.{qualname}"
 
 
 @dataclass(frozen=True)
@@ -158,101 +130,53 @@ def _jsonable(value: Any, what: str) -> Any:
     return rounded
 
 
-class PlanningEngine:
-    """An Engine stand-in that records dispatched work instead of running it.
+class PlanningEngine(Engine):
+    """An Engine that records the items of every call instead of running them.
 
-    Implements every entry point the experiments call (``sweep``,
-    ``run_sweep``, ``run_many``, ``run``, ``map``) by appending
-    :class:`WorkItem`\\ s — in dispatch order — to :attr:`items` and returning
-    placeholder results.  ``call`` numbers each engine invocation so a plan
-    records where one sweep ends and the next begins.
+    Only the lowering hook is overridden, so every entry point — today's and
+    any added later — plans exactly what it would execute: each call appends
+    its :class:`WorkItem`\\ s, in dispatch order, to :attr:`items` (``call``
+    numbers the engine invocations, so a plan records where one sweep ends and
+    the next begins) and gets placeholder rows back.
     """
 
     def __init__(self, experiment: str = "") -> None:
+        super().__init__()
         self.experiment = experiment
         self.items: list[WorkItem] = []
         self._calls = 0
 
-    # -- recording helpers ---------------------------------------------
-    def _add(self, kind: str, payload: Mapping[str, Any], key: str) -> None:
-        self.items.append(
-            WorkItem(
-                index=len(self.items),
-                kind=kind,
-                payload=payload,
-                key=key,
-                experiment=self.experiment,
-                call=self._calls,
-            )
-        )
-
-    def _next_call(self) -> int:
+    def _lower(self, kind: str, fn: Callable[[Any], Any] | str | None, args: list) -> Iterator[Any]:
         self._calls += 1
-        return self._calls - 1
-
-    # -- Engine interface ----------------------------------------------
-    def sweep(self, run_one, sweep, *, stream: bool = False):
-        fn_name = _function_name(run_one)
-        self._next_call()
+        name = RunCache.function_name(fn)
         rows = []
-        for config in sweep:
-            config = _jsonable(dict(config), f"sweep config for {fn_name}")
-            self._add(
-                "sweep",
-                {"fn": fn_name, "config": config},
-                RunCache.outcome_key_named(fn_name, config),
-            )
-            rows.append(_PlaceholderRow(merge_row(config, {})))
-        return iter(rows) if stream else rows
-
-    def map(self, fn, items):
-        fn_name = _function_name(fn)
-        self._next_call()
-        rows = []
-        for item in items:
-            if not isinstance(item, Mapping):
+        for arg in args:
+            key = item_key(kind, name, arg)
+            if key is None:
                 raise PlanningError(
-                    f"cannot plan Engine.map over non-mapping item {item!r}"
+                    f"cannot plan non-sim spec {arg.name!r}: real-backend runs "
+                    "are wall-clock measurements with no deterministic digest"
+                    if kind == "spec"
+                    else f"cannot plan {fn!r} over {arg!r}: only a module-level "
+                    "function (one a worker can re-import by name) applied to "
+                    "a mapping can be written into a plan"
                 )
-            config = _jsonable(dict(item), f"map item for {fn_name}")
-            self._add(
-                "map",
-                {"fn": fn_name, "config": config},
-                RunCache.outcome_key_named(fn_name, config),
+            if kind == "spec":
+                payload = {"spec": _jsonable(arg.to_dict(), f"spec {arg.name!r}")}
+            else:
+                payload = {"fn": name, "config": _jsonable(dict(arg), f"{kind} config for {name}")}
+            self.items.append(
+                WorkItem(
+                    index=len(self.items),
+                    kind=kind,
+                    payload=payload,
+                    key=key,
+                    experiment=self.experiment,
+                    call=self._calls,
+                )
             )
-            rows.append(_PlaceholderRow())
-        return rows
-
-    def _record_spec(self, spec: ScenarioSpec) -> RunRecord:
-        if spec.backend != "sim":
-            raise PlanningError(
-                f"cannot plan non-sim spec {spec.name!r}: real-backend runs "
-                "are wall-clock measurements with no deterministic digest"
-            )
-        payload = _jsonable(spec.to_dict(), f"spec {spec.name!r}")
-        self._add("spec", {"spec": payload}, RunCache.record_key(spec))
-        return RunRecord(scenario=spec.name, seed=spec.seed, config=payload)
-
-    def run(self, spec: ScenarioSpec) -> RunRecord:
-        self._next_call()
-        return self._record_spec(spec)
-
-    def run_many(self, specs, *, stream: bool = False):
-        self._next_call()
-        records = [self._record_spec(spec) for spec in specs]
-        return iter(records) if stream else records
-
-    def run_sweep(self, make_spec, sweep, *, stream: bool = False):
-        self._next_call()
-        rows = []
-        for config in sweep:
-            config = dict(config)
-            self._record_spec(make_spec(dict(config)))
-            rows.append(_PlaceholderRow(merge_row(config, {})))
-        return iter(rows) if stream else rows
-
-    def close(self) -> None:
-        """Nothing to release (present for Engine interface parity)."""
+            rows.append(_PlaceholderRow(item_row(kind, arg, {})))
+        return iter(rows)
 
 
 @dataclass
@@ -363,17 +287,8 @@ def plan_experiments(
             pass
         if not recorder.items:
             raise PlanningError(f"experiment {name} dispatched no work to plan")
-        for item in recorder.items:
-            items.append(
-                WorkItem(
-                    index=len(items),
-                    kind=item.kind,
-                    payload=item.payload,
-                    key=item.key,
-                    experiment=item.experiment,
-                    call=item.call,
-                )
-            )
+        base = len(items)
+        items.extend(replace(item, index=base + item.index) for item in recorder.items)
     return FabricPlan(items=items, experiments=tuple(names), quick=quick, seed=seed)
 
 
@@ -388,19 +303,8 @@ def plan_sweep(
     ``run_one`` may be the function itself or its ``module.qualname`` string
     (what a plan stores).
     """
-    fn_name = run_one if isinstance(run_one, str) else _function_name(run_one)
-    items: list[WorkItem] = []
-    for config in sweep:
-        config = _jsonable(dict(config), f"sweep config for {fn_name}")
-        items.append(
-            WorkItem(
-                index=len(items),
-                kind="sweep",
-                payload={"fn": fn_name, "config": config},
-                key=RunCache.outcome_key_named(fn_name, config),
-                experiment=name,
-            )
-        )
-    if not items:
+    recorder = PlanningEngine(experiment=name)
+    recorder.sweep(run_one, sweep)
+    if not recorder.items:
         raise PlanningError("the sweep yielded no configurations")
-    return FabricPlan(items=items, experiments=(name,))
+    return FabricPlan(items=recorder.items, experiments=(name,))

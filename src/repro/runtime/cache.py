@@ -11,10 +11,14 @@ all of that recompute collapses into file reads:
   :func:`~repro.runtime.spec.canonical_spec_hash`.  Editing *any* part of a
   scenario changes its hash, so stale entries can never be served; a new seed
   is simply a new key;
-* custom sweep functions (``Engine.sweep``) key on the function's qualified
-  name plus the canonical JSON of its config (which carries the seed).  The
-  function is assumed to be a pure function of its config — the same contract
-  parallel dispatch already requires.
+* custom functions (``Engine.sweep`` / ``Engine.map``) key on the function's
+  qualified name plus the canonical JSON of its config (which carries the
+  seed).  The function is assumed to be a pure function of its config — the
+  same contract parallel dispatch already requires.
+
+There is one entry per work item, ``{"value", "digests"}`` (see
+:func:`repro.runtime.engine.run_item`), whoever executed it: engine runs and
+fabric runs over one directory serve each other's hits, digests included.
 
 Entries are one JSON file each, written atomically (temp file +
 ``os.replace``), so concurrent engines — including worker processes of two
@@ -37,7 +41,7 @@ from ..retry import RetryExhaustedError, RetryPolicy, retry_call
 
 __all__ = ["RunCache"]
 
-_SCHEMA = "run-cache/1"
+_SCHEMA = "run-cache/2"
 
 #: Transient filesystem hiccups (NFS blips, EMFILE pressure from a worker
 #: fleet, a directory briefly unwritable) should not silently cost a cache
@@ -45,12 +49,6 @@ _SCHEMA = "run-cache/1"
 #: decorrelated jitter before giving up.  Kept short — a cache write is
 #: best-effort and must never stall a sweep.
 _PUT_RETRY = RetryPolicy(base=0.01, cap=0.1, max_attempts=3, deadline=1.0)
-
-
-def _function_key(fn: Callable[..., Any]) -> str:
-    module = getattr(fn, "__module__", "") or ""
-    qualname = getattr(fn, "__qualname__", repr(fn))
-    return f"{module}.{qualname}"
 
 
 class RunCache:
@@ -76,33 +74,34 @@ class RunCache:
         return f"rec-{spec.canonical_hash()}-{int(spec.seed):08x}"
 
     @staticmethod
-    def function_cacheable(fn: Callable[..., Any]) -> bool:
-        """Whether ``fn`` is identifiable by qualified name alone.
+    def function_name(fn: "Callable[..., Any] | str | None") -> str | None:
+        """``module.qualname`` of ``fn`` — or ``None`` when that does not identify it.
 
+        A string is taken to be that name already (what a plan stores).
         Lambdas and functions defined inside other functions share ambiguous
         qualnames (``<lambda>``, ``…<locals>…``): two different such
         functions would collide on the same key and silently serve each
-        other's cached outcomes, so they are never cached (module-level
+        other's cached outcomes, and no worker could re-import them from a
+        plan, so they are never cached and never planned (module-level
         functions — the only kind the pool executors accept anyway — are).
         """
-        qualname = getattr(fn, "__qualname__", "")
-        return bool(qualname) and "<lambda>" not in qualname and "<locals>" not in qualname
-
-    @staticmethod
-    def outcome_key(fn: Callable[..., Any], config: Mapping[str, Any]) -> str:
-        """Key for a custom sweep function applied to one config."""
-        return RunCache.outcome_key_named(_function_key(fn), config)
+        if isinstance(fn, str):
+            return fn
+        module = getattr(fn, "__module__", "") or ""
+        qualname = getattr(fn, "__qualname__", "") or ""
+        if not module or not qualname or "<lambda>" in qualname or "<locals>" in qualname:
+            return None
+        return f"{module}.{qualname}"
 
     @staticmethod
     def outcome_key_named(fn_name: str, config: Mapping[str, Any]) -> str:
-        """`outcome_key` from the function's dotted name instead of the object.
+        """Key for the function named ``fn_name`` applied to one config.
 
-        The fabric plans work as plain JSON — a plan item names the sweep
-        function (``module.qualname``) rather than pickling it — so planner
-        and worker must derive the *same* key from the name alone.  Keeping
-        this as the single hashing path (``outcome_key`` delegates here)
-        guarantees an entry the fabric wrote is a later engine run's hit and
-        vice versa.
+        Keyed on the dotted name, not the function object: the fabric plans
+        work as plain JSON — a plan item names its function
+        (``module.qualname``) rather than pickling it — so engine, planner and
+        worker derive the *same* key, and an entry the fabric wrote is a later
+        engine run's hit and vice versa.
         """
         text = json.dumps(
             {"fn": fn_name, "config": dict(config)},
@@ -111,18 +110,6 @@ class RunCache:
             default=str,
         )
         return f"row-{hashlib.sha256(text.encode('utf-8')).hexdigest()}"
-
-    @staticmethod
-    def derived_key(namespace: str, base_key: str) -> str:
-        """A key in a private ``namespace`` derived from another key.
-
-        Lets a subsystem store its own enriched payload alongside the plain
-        entry without colliding with it (the fabric stores
-        ``{"row", "digests"}`` envelopes under ``derived_key("fab", item_key)``
-        while still populating the plain entry for ordinary engine runs).
-        """
-        digest = hashlib.sha256(base_key.encode("utf-8")).hexdigest()
-        return f"{namespace}-{digest}"
 
     # -- storage -------------------------------------------------------
     def _path(self, key: str) -> Path:

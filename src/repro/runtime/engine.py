@@ -18,6 +18,16 @@ Three entry points cover every workload in the repository:
   function over a :class:`ParameterSweep` (what the experiment modules use
   when their metric extraction goes beyond the generic record).
 
+Every entry point is *lowered* once, by :meth:`Engine._lower`, to work items
+``(kind, fn, arg)``: ``"spec"`` (``arg`` is a scenario spec), ``"sweep"``
+(``fn(config)``; the row is the config merged with the outcome) or ``"map"``
+(``fn(item)``; the outcome *is* the row and nothing is emitted).  What an item
+means is decided here, once, for the engine's workers, the fabric's workers
+(:mod:`repro.fabric.work`) and the fabric's planner (:mod:`repro.fabric.plan`,
+an Engine subclass that overrides only ``_lower``): :func:`item_key` (its
+cache key), :func:`run_item` (execute it: value *and* determinism digests)
+and :func:`item_row` (the row it emits).
+
 Sweep-scale machinery, all opt-in:
 
 * **streaming** — ``run_many`` / ``run_sweep`` / ``sweep`` accept
@@ -27,10 +37,12 @@ Sweep-scale machinery, all opt-in:
   table is deterministic regardless).  JSONL emission always flushes
   incrementally as results become available, streaming or not;
 * **run caching** — pass ``cache=`` a directory (or
-  :class:`~repro.runtime.cache.RunCache`) and completed runs are memoized on
-  ``(canonical-spec-hash, seed)``; repeated or resumed sweeps skip the
-  recompute and rehydrate the stored records, including their determinism
-  digests.  Custom ``sweep`` functions are keyed on function name + config;
+  :class:`~repro.runtime.cache.RunCache`) and completed items are memoized,
+  one ``{"value", "digests"}`` entry each, on ``(canonical-spec-hash, seed)``
+  for specs and on function name + config for ``sweep`` / ``map`` functions;
+  repeated or resumed sweeps skip the recompute.  The fabric reads and writes
+  the same entries, so either side serves the other's hits — digests
+  included;
 * **lifecycle** — the Engine owns its executor: ``Engine(jobs=4)`` keeps one
   warm worker pool alive across calls until :meth:`Engine.close` (or the end
   of a ``with Engine(...) as engine:`` block).
@@ -38,15 +50,16 @@ Sweep-scale machinery, all opt-in:
 Everything a worker process receives is plain data or a module-level
 function, so the same call works serially and in parallel and produces
 identical rows for identical seeds.  Transport is *packed*: workers receive
-chunks of specs and return ``(metrics, digest)`` tuples; the parent — which
-already holds every spec — rehydrates full :class:`RunRecord` objects in
-input order, so the per-run config dict never crosses a process boundary
-twice.
+chunks of args and return ``(value, digests)`` pairs; the parent — which
+already holds every spec and config — builds the rows in input order, so the
+per-run config dict never crosses a process boundary twice.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..analysis.metrics import consensus_metrics
@@ -54,6 +67,7 @@ from ..analysis.runner import ParameterSweep, jsonl_line, merge_row
 from ..consensus import validate_consensus
 from ..membership import Membership
 from ..sim import CompositeProgram, CrashSchedule, Simulation, TimingModel, build_system
+from ..sim import scheduler
 from ..sim.failures import FailurePattern
 from ..sim.links import LinkModel
 from ..sim.scheduler import capture_digests
@@ -68,6 +82,12 @@ __all__ = [
     "Engine",
     "execute_spec",
     "run_once",
+    "fold_checks",
+    "item_key",
+    "run_item",
+    "item_row",
+    "cached_item",
+    "cache_item",
     "run_with_digest_capture",
     "distinct_proposals",
     "default_consensus_detectors",
@@ -201,17 +221,7 @@ def run_once(
                 "message_copies": measured.message_copies,
             }
         )
-    for check in checks:
-        result = CHECKS.resolve(check)(trace, pattern)
-        metrics[f"{check}_ok"] = result.ok
-        metrics[f"{check}_time"] = result.stabilization_time
-        # Checks may publish extra measurements (detection latency, message
-        # counts, false suspicions, …) under details["metrics"]; fold them in
-        # namespaced by the check, mirroring the _ok/_time keys.
-        extra = result.details.get("metrics") if result.details else None
-        if isinstance(extra, Mapping):
-            for key, value in extra.items():
-                metrics[f"{check}_{key}"] = value
+    metrics.update(fold_checks(trace, pattern, checks))
     return RunRecord(
         scenario=scenario,
         seed=seed,
@@ -219,6 +229,24 @@ def run_once(
         metrics=metrics,
         digest=simulation.digest,
     )
+
+
+def fold_checks(trace: Any, pattern: FailurePattern, checks: Iterable[str]) -> dict:
+    """Apply every named check to a finished run, as ``<check>_*`` metrics."""
+    metrics: dict[str, Any] = {}
+    for check in checks:
+        result = CHECKS.resolve(check)(trace, pattern)
+        metrics[f"{check}_ok"] = result.ok
+        metrics[f"{check}_time"] = result.stabilization_time
+        # Checks may publish extra measurements (detection latency, message
+        # counts, false suspicions, …) under details["metrics"]; fold them in
+        # namespaced by the check, mirroring the _ok/_time keys.  (The KV
+        # verdict duck-types the result protocol without a details field.)
+        extra = (getattr(result, "details", None) or {}).get("metrics")
+        if isinstance(extra, Mapping):
+            for key, value in extra.items():
+                metrics[f"{check}_{key}"] = value
+    return metrics
 
 
 def execute_spec(spec: ScenarioSpec) -> RunRecord:
@@ -297,27 +325,76 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
     )
 
 
-def _execute_spec_packed(spec: ScenarioSpec) -> tuple[dict, str]:
-    """Worker entry point with compact transport: ``(metrics, digest)``.
+def item_key(kind: str, fn: "Callable[..., Any] | str | None", arg: Any) -> str | None:
+    """The cache (and plan) key of one work item, or ``None``: never cache it.
 
-    The parent already holds the spec, so echoing ``scenario``/``seed``/the
-    full config dict back over the pipe per run is pure pickle overhead —
-    only the measured outcome crosses the process boundary.  The parent
-    rehydrates the full :class:`RunRecord` (in input order).
+    Spec items key on ``(canonical-spec-hash, seed)`` — sim backend only:
+    real-backend runs are wall-clock measurements, two runs of the same spec
+    are *supposed* to differ, and memoizing one would silently turn a latency
+    distribution into one frozen sample.  Function items key on
+    :meth:`RunCache.function_name` plus the canonical config; lambdas and
+    nested functions have ambiguous names and non-mapping ``map`` items no
+    canonical form, so they run but are never cached.
     """
-    record = execute_spec(spec)
-    return dict(record.metrics), record.digest
+    if kind == "spec":
+        return RunCache.record_key(arg) if arg.backend == "sim" else None
+    name = RunCache.function_name(fn)
+    if name is None or not isinstance(arg, Mapping):
+        return None
+    return RunCache.outcome_key_named(name, arg)
 
 
-def _rehydrate_record(spec: ScenarioSpec, packed: tuple[dict, str]) -> RunRecord:
-    metrics, digest = packed
-    return RunRecord(
-        scenario=spec.name,
-        seed=spec.seed,
-        config=spec.to_dict(),
-        metrics=metrics,
-        digest=digest,
-    )
+def run_item(kind: str, fn: "Callable[[Any], Any] | None", arg: Any) -> tuple[Any, list[int]]:
+    """Execute one work item: ``(value, digests)``.
+
+    ``value`` is what the cache stores and a pool worker sends back: the
+    outcome of a ``sweep`` / ``map`` function, or just ``{"metrics",
+    "digest"}`` for a spec (the parent already holds the spec; echoing its
+    config back over the pipe would be pure pickle overhead).  ``digests``
+    are those of the simulations the item completed, in order: the slice it
+    added to the active :func:`~repro.sim.scheduler.capture_digests` sink.
+    One is opened only when none is active, so an enclosing capture (a digest
+    manifest, an outer item whose function calls ``Engine().run``) still sees
+    every digest exactly once.
+    """
+    sink = scheduler.DIGEST_SINK
+    with nullcontext(sink) if sink is not None else capture_digests() as sink:
+        start = len(sink)
+        if kind == "spec":
+            record = execute_spec(arg)
+            value: Any = {"metrics": dict(record.metrics), "digest": record.digest}
+        elif kind == "sweep":
+            # A copy goes to fn so a mutating run_one cannot corrupt the row
+            # (which would also make serial and parallel runs diverge).
+            value = dict(fn(dict(arg)))
+        else:
+            value = fn(arg)
+        return value, sink[start:]
+
+
+def item_row(kind: str, arg: Any, value: Any) -> Any:
+    """The row one executed item emits to JSONL, from its arg and its value."""
+    if kind == "spec":
+        return RunRecord(
+            scenario=arg.name, seed=arg.seed, config=arg.to_dict(), **value
+        ).to_dict()
+    if kind == "sweep":
+        return merge_row(arg, value)
+    return value  # "map": the function's return value is the row
+
+
+def cached_item(cache: RunCache | None, key: str | None) -> tuple[Any, list[int]] | None:
+    """The ``(value, digests)`` stored for an item, or ``None``: run it."""
+    entry = cache.get(key) if cache is not None and key is not None else None
+    if not isinstance(entry, dict) or not entry.keys() >= {"value", "digests"}:
+        return None
+    return entry["value"], entry["digests"]
+
+
+def cache_item(cache: RunCache | None, key: str | None, value: Any, digests: list[int]) -> None:
+    """Store an executed item; the entry either side (engine, fabric) reads."""
+    if cache is not None and key is not None:
+        cache.put(key, {"value": value, "digests": list(digests)})
 
 
 def run_with_digest_capture(task: "tuple[Callable[[Any], Any], Any]") -> tuple[Any, list[int]]:
@@ -383,8 +460,8 @@ class Engine:
     # -- declarative specs ---------------------------------------------
     def run(self, spec: ScenarioSpec) -> RunRecord:
         """Execute one scenario (or rehydrate it from the cache)."""
-        (record,) = self._iter_records([spec])
-        return record
+        (row,) = self._lower("spec", None, [spec])
+        return RunRecord.from_dict(row)
 
     def run_many(
         self, specs: Iterable[ScenarioSpec], *, stream: bool = False
@@ -396,8 +473,8 @@ class Engine:
         the full list is returned once every run has finished.  JSONL
         emission happens incrementally in both modes.
         """
-        iterator = self._iter_records(list(specs))
-        return iterator if stream else list(iterator)
+        records = (RunRecord.from_dict(row) for row in self._lower("spec", None, list(specs)))
+        return records if stream else list(records)
 
     def run_sweep(
         self,
@@ -415,27 +492,11 @@ class Engine:
         """
         configs = [dict(config) for config in sweep]
         specs = [make_spec(dict(config)) for config in configs]
-        iterator = (
-            merge_row(config, record.metrics)
-            for config, record in zip(configs, self._iter_records(specs))
+        rows = (
+            merge_row(config, record["metrics"])
+            for config, record in zip(configs, self._lower("spec", None, specs))
         )
-        return iterator if stream else list(iterator)
-
-    def _iter_records(self, specs: list[ScenarioSpec]) -> Iterator[RunRecord]:
-        """Yield one record per spec, in input order, as results arrive."""
-
-        def from_fresh(spec: ScenarioSpec, packed: tuple[dict, str]) -> RunRecord:
-            record = _rehydrate_record(spec, packed)
-            self._cache_put_record(spec, record)
-            return record
-
-        return self._iter_ordered(
-            specs,
-            _execute_spec_packed,
-            get_cached=self._cache_get_record,
-            from_fresh=from_fresh,
-            emit_of=RunRecord.to_dict,
-        )
+        return rows if stream else list(rows)
 
     # -- custom per-config functions -----------------------------------
     def sweep(
@@ -457,117 +518,46 @@ class Engine:
         cached — their qualnames are ambiguous, so two different ones could
         serve each other's entries.
         """
-        configs = [dict(config) for config in sweep]
-        iterator = self._iter_rows(run_one, configs)
-        return iterator if stream else list(iterator)
-
-    def _iter_rows(
-        self, run_one: Callable[[dict], Mapping[str, Any]], configs: list[dict]
-    ) -> Iterator[dict]:
-        """Yield one merged row per config, in input order, as results arrive."""
-
-        def get_cached(config: dict) -> dict | None:
-            outcome = self._cache_get_outcome(run_one, config)
-            return None if outcome is None else merge_row(config, outcome)
-
-        def from_fresh(config: dict, outcome: Mapping[str, Any]) -> dict:
-            self._cache_put_outcome(run_one, config, outcome)
-            return merge_row(config, outcome)
-
-        # Copies go to run_one so a mutating run_one cannot corrupt the rows
-        # (which would also make serial and parallel runs diverge).
-        return self._iter_ordered(
-            configs,
-            run_one,
-            to_task=dict,
-            get_cached=get_cached,
-            from_fresh=from_fresh,
-            emit_of=lambda row: row,
-        )
-
-    def _iter_ordered(
-        self,
-        items: list,
-        worker: Callable[[Any], Any],
-        *,
-        get_cached: Callable[[Any], Any],
-        from_fresh: Callable[[Any, Any], Any],
-        emit_of: Callable[[Any], Mapping[str, Any]],
-        to_task: Callable[[Any], Any] | None = None,
-    ) -> Iterator[Any]:
-        """The ordered streaming-with-cache core under records and rows.
-
-        Cache hits are resolved up front (``get_cached`` returns the final
-        value, or ``None`` for a miss); only the misses are dispatched, and
-        each raw result is turned into its final value by ``from_fresh``
-        (which also stores it).  Because the executors' ``imap`` yields in
-        input order, a value is emitted — ``self._emit(emit_of(value))`` —
-        and yielded the moment it is contiguous with everything already
-        yielded: streaming without sacrificing determinism of the output
-        order.  ``to_task`` maps an item to what is actually shipped to the
-        worker (e.g. a defensive copy).
-        """
-        values: list[Any] = [None] * len(items)
-        done = [False] * len(items)
-        pending: list[Any] = []
-        pending_indices: list[int] = []
-        for index, item in enumerate(items):
-            value = get_cached(item)
-            if value is not None:
-                values[index] = value
-                done[index] = True
-            else:
-                pending.append(item if to_task is None else to_task(item))
-                pending_indices.append(index)
-
-        cursor = 0
-
-        def drain() -> Iterator[Any]:
-            nonlocal cursor
-            while cursor < len(items) and done[cursor]:
-                value = values[cursor]
-                cursor += 1
-                self._emit(emit_of(value))
-                yield value
-
-        for offset, raw in enumerate(self.executor.imap(worker, pending)):
-            index = pending_indices[offset]
-            values[index] = from_fresh(items[index], raw)
-            done[index] = True
-            yield from drain()
-        yield from drain()
+        rows = self._lower("sweep", run_one, [dict(config) for config in sweep])
+        return rows if stream else list(rows)
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
-        """Raw executor access: apply ``fn`` to every item, in order."""
-        return self.executor.map(fn, list(items))
+        """Apply ``fn`` to every item, in order; nothing is merged or emitted."""
+        return list(self._lower("map", fn, list(items)))
+
+    # -- the one item path ---------------------------------------------
+    def _lower(self, kind: str, fn: Callable[[Any], Any] | None, args: list) -> Iterator[Any]:
+        """Yield each item's row (:func:`item_row`), in input order, as results arrive.
+
+        Cache hits are resolved up front and only the misses are dispatched
+        (and stored, parent-side, under the item's own key).  The executors'
+        ``imap`` yields in input order, so walking the items in order and
+        pulling the next fresh result at each miss emits — JSONL, ``progress``
+        — and yields every row the moment it is contiguous with everything
+        already yielded: streaming with a deterministic output order.
+        """
+        keys = [item_key(kind, fn, arg) if self.cache is not None else None for arg in args]
+        hits = [cached_item(self.cache, key) for key in keys]
+        fresh = self.executor.imap(
+            partial(run_item, kind, fn), [arg for arg, hit in zip(args, hits) if hit is None]
+        )
+        misses = hits.count(None)
+        for arg, key, hit in zip(args, keys, hits):
+            if hit is None:
+                hit = next(fresh)
+                misses -= 1
+                if not misses:
+                    # Finish the executor's call before handing over the last
+                    # row: a pool reads an abandoned iterator as a cancelled
+                    # call and kills workers whose "chunk done" is still due.
+                    next(fresh, None)
+                cache_item(self.cache, key, *hit)
+            row = item_row(kind, arg, hit[0])
+            if kind != "map":
+                self._emit(row)
+            yield row
 
     # -- bookkeeping ---------------------------------------------------
-    def _cache_get_record(self, spec: ScenarioSpec) -> RunRecord | None:
-        # Real-backend runs are wall-clock measurements: two runs of the same
-        # spec are *supposed* to differ, so memoizing one would silently turn
-        # a latency distribution into one frozen sample.  Sim runs only.
-        if self.cache is None or spec.backend != "sim":
-            return None
-        payload = self.cache.get(RunCache.record_key(spec))
-        return None if payload is None else RunRecord.from_dict(payload)
-
-    def _cache_put_record(self, spec: ScenarioSpec, record: RunRecord) -> None:
-        if self.cache is not None and spec.backend == "sim":
-            self.cache.put(RunCache.record_key(spec), record.to_dict())
-
-    def _cache_get_outcome(
-        self, run_one: Callable, config: Mapping[str, Any]
-    ) -> Mapping[str, Any] | None:
-        if self.cache is None or not RunCache.function_cacheable(run_one):
-            return None
-        return self.cache.get(RunCache.outcome_key(run_one, config))
-
-    def _cache_put_outcome(
-        self, run_one: Callable, config: Mapping[str, Any], outcome: Mapping[str, Any]
-    ) -> None:
-        if self.cache is not None and RunCache.function_cacheable(run_one):
-            self.cache.put(RunCache.outcome_key(run_one, config), outcome)
-
     def _emit(self, payload: Mapping[str, Any]) -> None:
         if self.jsonl_path:
             with open(self.jsonl_path, "a", encoding="utf-8") as handle:

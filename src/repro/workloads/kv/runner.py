@@ -75,8 +75,8 @@ class _ReplicaScopedDetector:
 
 def execute_kv_spec(spec) -> "Any":
     """Run one KV scenario and return its :class:`~repro.runtime.engine.RunRecord`."""
-    from ...runtime.engine import RunRecord
-    from ...runtime.registry import CHECKS, DETECTORS
+    from ...runtime.engine import RunRecord, fold_checks
+    from ...runtime.registry import DETECTORS
 
     kv = spec.kv
     replica_membership = spec.membership.build()
@@ -150,10 +150,7 @@ def execute_kv_spec(spec) -> "Any":
 
     metrics = kv_metrics(trace)
     pattern = FailurePattern(full_membership, schedule)
-    for check in spec.checks:
-        result = CHECKS.resolve(check)(trace, pattern)
-        metrics[f"{check}_ok"] = result.ok
-        metrics[f"{check}_time"] = result.stabilization_time
+    metrics.update(fold_checks(trace, pattern, spec.checks))
     return RunRecord(
         scenario=spec.name,
         seed=spec.seed,

@@ -123,7 +123,8 @@ def test_shared_cache_serves_resumed_runs(tiny_plan, tmp_path) -> None:
     second = Coordinator(
         tiny_plan, state_dir=tmp_path / "b", workers=2, cache=cache
     ).run()
-    assert second.stats["fabric_cache"] == len(tiny_plan)
+    assert second.stats["cached"] == len(tiny_plan)
+    assert len(cache) == len(tiny_plan)  # one entry per item, whoever wrote it
     assert second.stats["fresh"] == 0
     assert _merged_bytes(second) == _merged_bytes(first)
     assert second.experiment_digests() == first.experiment_digests()
@@ -131,22 +132,21 @@ def test_shared_cache_serves_resumed_runs(tiny_plan, tmp_path) -> None:
 
 
 def test_execute_item_cache_levels(tiny_plan, tmp_path) -> None:
-    """In-process item execution: fresh → fabric-cache, and a plain engine
-    entry (no digest record) is honoured but marked digest-incomplete."""
+    """In-process item execution: fresh → cached, one entry per item; and an
+    entry an ordinary engine run wrote is served *with* its digests."""
     cache = RunCache(tmp_path / "cache")
     item = tiny_plan.items[0]
     fresh = execute_item(item, cache)
-    assert fresh.source == "fresh" and fresh.digests and fresh.digests_complete
+    assert fresh.source == "fresh" and fresh.digests
     again = execute_item(item, cache)
-    assert again.source == "fabric-cache"
+    assert again.source == "cached"
     assert again.row == fresh.row and again.digests == fresh.digests
-    # simulate an engine-populated cache: plain entry only, no fab envelope
-    other = RunCache(tmp_path / "plain")
-    other.put(item.key, dict(run_one_e1(dict(item.payload["config"]))))
-    plain = execute_item(item, other)
-    assert plain.source == "run-cache"
-    assert plain.row == fresh.row
-    assert not plain.digests_complete
+    assert len(cache) == 1
+    other = RunCache(tmp_path / "engine")
+    Engine(cache=other).sweep(run_one_e1, [dict(item.payload["config"])])
+    served = execute_item(item, other)
+    assert served.source == "cached"
+    assert served.row == fresh.row and served.digests == fresh.digests
 
 
 def test_experiments_cli_shard_concatenation(tmp_path) -> None:

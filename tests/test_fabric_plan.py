@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.runner import ParameterSweep, shard_bounds, shard_items
+from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.e1_ohp_convergence import _run_one as run_one_e1
 from repro.fabric import FabricPlan, plan_experiments, plan_sweep
 from repro.fabric.plan import PlanningEngine, PlanningError
-from repro.runtime.cache import RunCache
+from repro.runtime.engine import item_key
 from repro.runtime.spec import ScenarioSpec
 
 
@@ -75,7 +78,7 @@ def test_plan_e1_matches_serial_dispatch() -> None:
     assert [item.index for item in plan.items] == list(range(13))
     assert all(item.kind == "sweep" for item in plan.items)
     first = plan.items[0]
-    assert first.key == RunCache.outcome_key(run_one_e1, first.payload["config"])
+    assert first.key == item_key("sweep", run_one_e1, first.payload["config"])
 
 
 def test_full_deterministic_plan_shape() -> None:
@@ -91,6 +94,35 @@ def test_full_deterministic_plan_shape() -> None:
     assert kinds["E3"] == {"map"}
     assert kinds["E10"] == {"spec"}
     assert kinds["E1"] == {"sweep"}
+
+
+@pytest.mark.parametrize(
+    "quick, fingerprint, kinds",
+    [
+        # Computed at df2f1bd, before PlanningEngine became an Engine subclass:
+        # the rewrite moved no key, index, call number or payload.
+        (True, "2201f44460c3922b", {"sweep": 168, "map": 7, "spec": 12}),
+        # df2f1bd gave 99a14f97ba96354e (1901 items: 1840 / 7 / 54), and so did
+        # the rewritten planner; recomputed once after full E8 dropped its nine
+        # impossible items (distinct_ids=7 at n=5).
+        (False, "430e8b0aa44d9ada", {"sweep": 1831, "map": 7, "spec": 54}),
+    ],
+)
+def test_plan_fingerprints_are_pinned(quick, fingerprint, kinds) -> None:
+    """Plan-only (nothing is simulated): every registered deterministic
+    experiment plans to exactly these items — so a planner change that moves
+    a key or a payload, or an aggregation error that truncates a plan, fails."""
+    plan = plan_experiments(ALL_EXPERIMENTS, quick=quick, seed=0)
+    assert {kind: sum(item.kind == kind for item in plan.items) for kind in kinds} == kinds
+    text = json.dumps(plan.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == fingerprint
+    if not quick:
+        # no grid may ask for more distinct identifiers than processes
+        # (full E8 did: ConfigurationError at run time, 72 items planned)
+        configs = [item.payload["config"] for item in plan.items if item.kind == "sweep"]
+        assert all(c["distinct_ids"] <= c["n"] for c in configs if {"n", "distinct_ids"} <= set(c))
+        start, end = plan.experiment_spans()["E8"]
+        assert end - start == (3 + 4) * 3 * 3
 
 
 def test_plan_is_deterministic_and_json_round_trips(tmp_path) -> None:

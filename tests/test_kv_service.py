@@ -131,12 +131,18 @@ class TestEndToEnd:
             .detectors("HOmega", stabilization=10.0)
             .kv(clients=2, ops_per_client=3, think_time=1.0, key_space=4)
             .check("kv_linearizable")
+            .check("hb_detection")
             .horizon(600.0)
             .build()
         )
         metrics = Engine().run(spec).metrics
         assert metrics["kv_linearizable_ok"] is True
         assert "kv_linearizable" in CHECKS
+        # a check's published measurements ride along too (one folding loop
+        # for KV and plain specs): no heartbeat ran, so nothing was detected
+        assert metrics["hb_detection_ok"] is True
+        assert metrics["hb_detection_detected"] == 0
+        assert metrics["hb_detection_copies_sent"] > 0
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.runtime import (
     scenario,
 )
 from repro.runtime.executors import describe_item
+from repro.runtime.fleet import FLUSH_INTERVAL
 
 from .helpers import wait_until_dead
 
@@ -42,6 +44,11 @@ def small_spec(seed: int = 0, horizon: float = 300.0) -> ScenarioSpec:
 
 def _double(config: dict) -> dict:
     return {"doubled": config["x"] * 2}
+
+
+def _slow_double(config: dict) -> dict:
+    time.sleep(1.5 * FLUSH_INTERVAL)  # every result is flushed before its chunk ends
+    return _double(config)
 
 
 def _crash_on_seed_three(config: dict) -> dict:
@@ -82,6 +89,20 @@ class TestWorkerPoolLifecycle:
             engine.run_many(specs)
             assert engine.executor.worker_pids() == backing
         assert not engine.executor.alive
+
+    def test_a_consumer_that_stops_at_the_last_row_does_not_cost_a_worker(self):
+        # Slow items travel one by one, so a chunk's "done" mark trails its
+        # last result; zip() never asks the stream for more than it needs.
+        # The engine must finish the pool call itself, not abandon it there
+        # (which the fleet reads as a cancelled call: it kills the worker).
+        configs = [{"x": i, "seed": i} for i in range(4)]
+        with Engine(jobs=2) as engine:
+            engine.sweep(_double, configs)  # spawn + warm
+            backing = sorted(engine.executor.worker_pids())
+            for _ in range(3):
+                rows = [row for _, row in zip(configs, engine.sweep(_slow_double, configs, stream=True))]
+                assert rows == [{**config, "doubled": 2 * config["x"]} for config in configs]
+                assert sorted(engine.executor.worker_pids()) == backing
 
     def test_single_item_runs_in_process_until_pool_is_warm(self):
         pool = WorkerPool(jobs=2)
@@ -187,7 +208,7 @@ class TestRunCache:
         fresh = Engine(cache=str(tmp_path))
         record = fresh.run(spec)
         assert record.metrics["safe"]
-        assert json.loads(path.read_text())["payload"]["digest"] == record.digest
+        assert json.loads(path.read_text())["payload"]["value"]["digest"] == record.digest
 
     def test_ambiguous_function_names_are_never_cached(self, tmp_path):
         # Two different lambdas share the qualname "<lambda>" (and nested
@@ -200,8 +221,8 @@ class TestRunCache:
         assert first == [{"x": 2, "seed": 0, "y": 20}]
         assert second == [{"x": 2, "seed": 0, "y": 2000}]
         assert engine.cache.hits == 0 and len(engine.cache) == 0
-        assert not RunCache.function_cacheable(lambda c: c)
-        assert RunCache.function_cacheable(_double)
+        assert RunCache.function_name(lambda c: c) is None
+        assert RunCache.function_name(_double) == f"{__name__}._double"
 
     def test_unserializable_payloads_are_not_cached(self, tmp_path):
         cache = RunCache(tmp_path)
