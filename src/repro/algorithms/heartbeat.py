@@ -38,6 +38,10 @@ the asyncio/TCP transport backend.  Detection events are emitted through
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
+from math import inf
+from operator import gt
 from typing import Any
 
 from ..context import AbstractProcessContext, ProcessProgram
@@ -149,8 +153,9 @@ class _IndexedHeartbeat(_Heartbeat):
     def _declare_index_dead(self, ctx: AbstractProcessContext, target: int) -> None:
         self.dead_indices.add(target)
         ctx.record(DECLARED_DEAD, target)
-        if target in self.alive:
-            self.alive.remove(target)
+        at = bisect_left(self.alive, target)
+        if at < len(self.alive) and self.alive[at] == target:
+            del self.alive[at]
 
 
 class RingHeartbeat(_IndexedHeartbeat):
@@ -232,47 +237,53 @@ class GossipHeartbeat(_IndexedHeartbeat):
 
     def __init__(self, **params: Any) -> None:
         super().__init__(**params)
-        #: index -> highest heartbeat counter seen.
-        self.counters: dict[int, int] = {}
-        #: index -> time its counter last rose.
-        self.last_bump: dict[int, float] = {}
+        size = self.alive[-1] + 1
+        #: highest heartbeat counter seen, by peer index (dense: the table is
+        #: shipped whole, as a tuple, and merged with one C-level compare).
+        self.counters: list[int] = [0] * size
+        #: time each peer's counter last rose; ``inf`` once the peer is
+        #: declared dead (or for an index that names no peer), which is never
+        #: stale and never overwritten — declarations are final.
+        self.last_bump: list[float] = [inf] * size
 
     def setup(self, ctx: AbstractProcessContext) -> None:
+        now = ctx.now
+        for peer in self.alive:
+            self.last_bump[peer] = now
         ctx.on("GOSSIP", lambda msg: self._on_gossip(ctx, msg))
         ctx.spawn(lambda: self._gossip_task(ctx), name="hb-gossip")
 
     def _gossip_task(self, ctx: AbstractProcessContext):
-        now = ctx.now
-        for peer in self.alive:
-            self.counters.setdefault(peer, 0)
-            self.last_bump.setdefault(peer, now)
         while True:
             self.counters[self._index] += 1
             self.last_bump[self._index] = ctx.now
             targets = self._topology.gossip_targets(self._index, self.alive, ctx.random)
             if targets:
                 ctx.multicast(
-                    "GOSSIP", targets, frm=self._index, counters=dict(self.counters)
+                    "GOSSIP", targets, frm=self._index, counters=tuple(self.counters)
                 )
             yield ctx.sleep(self._hb_interval)
             self._check_staleness(ctx)
 
     def _check_staleness(self, ctx: AbstractProcessContext) -> None:
         now = ctx.now
+        last_bump = self.last_bump
+        if now - min(last_bump) < self._hb_timeout:
+            return  # nobody is stale: the common tick
         for peer in tuple(self.alive):
-            if peer == self._index or peer in self.dead_indices:
-                continue
-            if now - self.last_bump[peer] >= self._hb_timeout:
+            if peer != self._index and now - last_bump[peer] >= self._hb_timeout:
                 self._declare_index_dead(ctx, peer)
+                last_bump[peer] = inf
 
     def _on_gossip(self, ctx: AbstractProcessContext, message: Any) -> None:
         now = ctx.now
-        for peer, counter in message["counters"].items():
-            if peer in self.dead_indices:
-                continue  # declarations are final; stale rumours cannot revive
-            if counter > self.counters.get(peer, -1):
-                self.counters[peer] = counter
-                self.last_bump[peer] = now
+        theirs = message["counters"]
+        mine = self.counters
+        last_bump = self.last_bump
+        for peer in compress(range(len(mine)), map(gt, theirs, mine)):
+            if last_bump[peer] != inf:  # stale rumours cannot revive the declared
+                mine[peer] = theirs[peer]
+                last_bump[peer] = now
 
 
 _SPARSE = {"ring": RingHeartbeat, "gossip": GossipHeartbeat}

@@ -44,6 +44,12 @@ _DELIVERY_PRIORITY = 1
 _CRASH_BROADCAST_TOLERANCE = 1e-9
 
 
+def _early_delivery(model: str, when: float, sent_at: float) -> SimulationError:
+    return SimulationError(
+        f"{model} model produced a delivery before the send time ({when} < {sent_at})"
+    )
+
+
 class Network:
     """Schedules message deliveries for broadcasts."""
 
@@ -110,17 +116,36 @@ class Network:
         self._deliver_by_index = by_index
 
     # ------------------------------------------------------------------
-    # The broadcast primitive
+    # The send primitives
     # ------------------------------------------------------------------
     def broadcast(self, sender: ProcessId, message: Message) -> None:
-        """Send one copy of ``message`` along the link to every process.
+        """Send one copy of ``message`` along the link to every process."""
+        recipients = self._recipients_for(sender, self._clock.now)
+        self._trace.record_broadcast(message.kind, copies=len(recipients))
+        self._send(sender, message, recipients)
+
+    def multicast(self, sender: ProcessId, message: Message, targets) -> None:
+        """Send one copy of ``message`` to the processes at ``targets`` only.
+
+        ``targets`` is an iterable of process *indices* (a monitoring
+        topology's target set); the sender only hears its own message when
+        its own index is targeted.
+        """
+        recipients = self._multicast_recipients(sender, self._clock.now, targets)
+        self._trace.record_broadcast(message.kind, copies=len(recipients))
+        self._send(sender, message, recipients)
+
+    def _send(
+        self, sender: ProcessId, message: Message, recipients: tuple[ProcessId, ...]
+    ) -> None:
+        """The copy fate pipeline: schedule one delivery per surviving copy.
 
         Three paths, fastest first, all draw-for-draw and dispatch-order
         identical (checked by the determinism digest):
 
         * reliable links + uniform delivery (HSS): every copy arrives at the
-          same deterministic instant, so the whole broadcast becomes one
-          batched heap entry — ``n`` recipients cost one heap operation;
+          same deterministic instant, so the whole send becomes one batched
+          heap entry — ``n`` recipients cost one heap operation;
         * reliable links, per-receiver draws (HAS/HPS): one amortised
           :meth:`~repro.sim.timing.TimingModel.delivery_times` call, one
           (possibly recycled) event per surviving copy;
@@ -131,95 +156,9 @@ class Network:
         deliver = self._deliver_by_index
         if not deliver:
             raise SimulationError("the network has not been connected to any processes")
-        sent_at = self._clock.now
-        recipients = self._recipients_for(sender, sent_at)
-        self._trace.record_broadcast(message.kind, copies=len(recipients))
-        timing = self._timing
-        rng = self._rng
-        queue = self._queue
-        debug = queue.debug_labels
-        if self._links_are_reliable:
-            if timing.uniform_delivery and len(recipients) > 1 and not debug:
-                drawn = timing.delivery_time(sender, recipients[0], sent_at, rng)
-                if drawn is None:
-                    return
-                if drawn < sent_at:
-                    raise SimulationError(
-                        f"timing model produced a delivery before the send time "
-                        f"({drawn} < {sent_at})"
-                    )
-                queue.schedule_batch(
-                    drawn,
-                    [deliver[receiver.index] for receiver in recipients],
-                    args=(message,),
-                    priority=_DELIVERY_PRIORITY,
-                    kind=KIND_DELIVERY,
-                )
-                return
-            schedule = queue.schedule
-            times = timing.delivery_times(sender, recipients, sent_at, rng)
-            for receiver, when in zip(recipients, times):
-                if when is None:
-                    continue  # lost before GST (partially synchronous model only)
-                if when < sent_at:
-                    raise SimulationError(
-                        f"timing model produced a delivery before the send time "
-                        f"({when} < {sent_at})"
-                    )
-                schedule(
-                    when,
-                    deliver[receiver.index],
-                    args=(message,),
-                    priority=_DELIVERY_PRIORITY,
-                    label=f"deliver {message.kind} to {receiver!r}" if debug else "",
-                    kind=KIND_DELIVERY,
-                )
-            return
-        links = self._links
-        for receiver in recipients:
-            drawn = timing.delivery_time(sender, receiver, sent_at, rng)
-            if drawn is None:
-                continue  # lost before GST (partially synchronous model only)
-            if drawn < sent_at:
-                raise SimulationError(
-                    f"timing model produced a delivery before the send time "
-                    f"({drawn} < {sent_at})"
-                )
-            for when in links.deliveries(sender, receiver, sent_at, (drawn,), rng):
-                if when < sent_at:
-                    raise SimulationError(
-                        f"link model produced a delivery before the send time "
-                        f"({when} < {sent_at})"
-                    )
-                queue.schedule(
-                    when,
-                    deliver[receiver.index],
-                    args=(message,),
-                    priority=_DELIVERY_PRIORITY,
-                    label=f"deliver {message.kind} to {receiver!r}" if debug else "",
-                    kind=KIND_DELIVERY,
-                )
-
-    # ------------------------------------------------------------------
-    # The multicast primitive (sparse monitoring topologies)
-    # ------------------------------------------------------------------
-    def multicast(self, sender: ProcessId, message: Message, targets) -> None:
-        """Send one copy of ``message`` to the processes at ``targets`` only.
-
-        ``targets`` is an iterable of process *indices* (a monitoring
-        topology's target set).  The copy fate pipeline — timing draw, link
-        model, crash-instant truncation — is the same as :meth:`broadcast`,
-        applied to the target subset; the sender only hears its own message
-        when its own index is targeted.
-        """
-        deliver = self._deliver_by_index
-        if not deliver:
-            raise SimulationError("the network has not been connected to any processes")
-        sent_at = self._clock.now
-        recipients = self._multicast_recipients(sender, sent_at, targets)
-        self._trace.record_broadcast(message.kind, copies=len(recipients))
         if not recipients:
             return
+        sent_at = self._clock.now
         timing = self._timing
         rng = self._rng
         queue = self._queue
@@ -230,10 +169,7 @@ class Network:
                 if drawn is None:
                     return
                 if drawn < sent_at:
-                    raise SimulationError(
-                        f"timing model produced a delivery before the send time "
-                        f"({drawn} < {sent_at})"
-                    )
+                    raise _early_delivery("timing", drawn, sent_at)
                 queue.schedule_batch(
                     drawn,
                     [deliver[receiver.index] for receiver in recipients],
@@ -248,10 +184,7 @@ class Network:
                 if when is None:
                     continue  # lost before GST (partially synchronous model only)
                 if when < sent_at:
-                    raise SimulationError(
-                        f"timing model produced a delivery before the send time "
-                        f"({when} < {sent_at})"
-                    )
+                    raise _early_delivery("timing", when, sent_at)
                 schedule(
                     when,
                     deliver[receiver.index],
@@ -267,16 +200,10 @@ class Network:
             if drawn is None:
                 continue  # lost before GST (partially synchronous model only)
             if drawn < sent_at:
-                raise SimulationError(
-                    f"timing model produced a delivery before the send time "
-                    f"({drawn} < {sent_at})"
-                )
+                raise _early_delivery("timing", drawn, sent_at)
             for when in links.deliveries(sender, receiver, sent_at, (drawn,), rng):
                 if when < sent_at:
-                    raise SimulationError(
-                        f"link model produced a delivery before the send time "
-                        f"({when} < {sent_at})"
-                    )
+                    raise _early_delivery("link", when, sent_at)
                 queue.schedule(
                     when,
                     deliver[receiver.index],

@@ -36,7 +36,7 @@ execution.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from typing import Any, Mapping, Sequence
 
 import random
@@ -54,6 +54,17 @@ __all__ = [
 ]
 
 
+def _without(index: int, members: Sequence[int]) -> Sequence[int]:
+    """``members`` (sorted, duplicate-free) with ``index`` cut out, in order.
+
+    One bisect and two slices, never a scan of the view.
+    """
+    at = bisect_left(members, index)
+    if at < len(members) and members[at] == index:
+        return [*members[:at], *members[at + 1 :]]
+    return members
+
+
 def ring_successors(index: int, members: Sequence[int], k: int) -> tuple[int, ...]:
     """The next ``k`` distinct members after ``index`` in ring order.
 
@@ -63,14 +74,19 @@ def ring_successors(index: int, members: Sequence[int], k: int) -> tuple[int, ..
     a joiner computes its prospective monitors before anyone has merged it —
     in which case its position is where it *would* sit.  When ``k`` covers
     everyone (``k >= len(others)``), the result degenerates to the full mesh.
+
+    Costs O(k + log n) reads of the view: the monitors call this every tick.
     """
-    others = [member for member in members if member != index]
-    if not others or k <= 0:
+    at = bisect_left(members, index)
+    start = at + (at < len(members) and members[at] == index)  # the slot after index
+    others = len(members) - (start - at)
+    if others <= 0 or k <= 0:
         return ()
-    if k >= len(others):
-        return tuple(others)
-    start = bisect_right(others, index)
-    return tuple(others[(start + offset) % len(others)] for offset in range(k))
+    if k >= others:
+        return (*members[:at], *members[start:])
+    window = members[start : start + k]
+    # A short window wrapped; k < others, so the wrap stops short of index.
+    return (*window, *members[: k - len(window)])
 
 
 class MonitoringTopology:
@@ -136,7 +152,7 @@ class FullMesh(MonitoringTopology):
         return True
 
     def monitor_targets(self, index: int, members: Sequence[int]) -> tuple[int, ...]:
-        return tuple(member for member in members if member != index)
+        return tuple(_without(index, members))
 
     def expected_copies_per_round(self, n: int) -> int:
         return n * (n - 1)
@@ -181,12 +197,12 @@ class Gossip(MonitoringTopology):
     def monitor_targets(self, index: int, members: Sequence[int]) -> tuple[int, ...]:
         # Gossip monitors everyone *passively* (per-peer counter staleness);
         # the active per-period send set comes from gossip_targets.
-        return tuple(member for member in members if member != index)
+        return tuple(_without(index, members))
 
     def gossip_targets(
         self, index: int, members: Sequence[int], rng: random.Random
     ) -> tuple[int, ...]:
-        others = [member for member in members if member != index]
+        others = _without(index, members)
         if len(others) <= self.fanout:
             return tuple(others)
         return tuple(sorted(rng.sample(others, self.fanout)))
