@@ -14,7 +14,6 @@ defends.  ``events_per_round`` turns a round's wall-clock into ns/event.
 from repro.consensus import HOmegaMajorityConsensus
 from repro.detectors import HSigmaOracle, check_hsigma
 from repro.detectors.probe import DetectorProbeProgram, hsigma_probes
-from repro.experiments.e1_ohp_convergence import run as run_e1
 from repro.identity import IdentityMultiset
 from repro.membership import grouped_identities
 from repro.sim import (
@@ -75,13 +74,6 @@ def test_event_queue_schedule_cancel(benchmark):
     assert benchmark(cycle) == 0
     benchmark.extra_info["events_per_round"] = 2 * N_QUEUE_EVENTS
     benchmark.extra_info["bench_core_key"] = "queue_schedule_cancel"
-
-
-def test_e1_quick_wallclock(benchmark):
-    """Wall-clock of the whole quick E1 sweep (engine + sim + checks)."""
-    result = benchmark.pedantic(lambda: run_e1(quick=True, seed=0), rounds=3, iterations=1)
-    assert result.summary["adaptive_all_converged"]
-    benchmark.extra_info["bench_core_key"] = "e1_quick_wallclock"
 
 
 def test_single_consensus_run(benchmark):

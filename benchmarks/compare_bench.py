@@ -4,11 +4,12 @@ Usage::
 
     python benchmarks/compare_bench.py BASELINE.json CURRENT.json [--max-regression PCT]
 
-Prints one line per benchmark key (median seconds, ns/event or runs/sec when
-available, and the relative change; negative = faster).  With
-``--max-regression`` the comparison is a *gate*: the exit status is non-zero
-when any shared benchmark's median slowed down by more than the given
-percentage, or when a tracked benchmark vanished from the current results.
+Prints one line per benchmark key (median seconds, ns/event when available,
+and the relative change; negative = faster).  With ``--max-regression`` the
+comparison is a *gate*: the exit status is non-zero when any shared
+benchmark's median slowed down by more than the given percentage, when a
+tracked benchmark vanished from the current results, or when a pair of
+current rows breaks one of the :data:`RATIO_RULES`.
 CI runs the gate at 25% — generous because shared runners are noisy, but a
 real regression in any tracked median now fails the build instead of
 scrolling past as information.  A baseline row may carry its own
@@ -23,6 +24,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+#: ``(numerator row, denominator row, limit)`` on ``median_ns_per_event`` of
+#: the *current* results.  A ratio of two rows measured in the same session
+#: survives a machine change, which an absolute median does not: the ring
+#: monitor's per-event host cost must not grow with n (an O(n) scan on its
+#: per-tick path shows up as ~10x here).
+RATIO_RULES = [("membership_ring_n1000", "membership_ring_n100", 2.0)]
 
 
 def _load(path: str) -> dict:
@@ -77,15 +85,21 @@ def main(argv: list[str] | None = None) -> int:
                 f"   ({old['median_ns_per_event']:,.0f} → "
                 f"{new['median_ns_per_event']:,.0f} ns/event)"
             )
-        elif "runs_per_second" in new and "runs_per_second" in old:
-            per_event = (
-                f"   ({old['runs_per_second']:,.1f} → "
-                f"{new['runs_per_second']:,.1f} runs/s)"
-            )
         print(
             f"{key:<{width}}  {old_median:>12.6f}  {new_median:>12.6f}  "
             f"{change:>+7.1f}%{per_event}"
         )
+    broken_ratios: list[str] = []
+    for numerator, denominator, limit in RATIO_RULES:
+        if numerator in current and denominator in current:
+            ratio = (
+                current[numerator]["median_ns_per_event"]
+                / current[denominator]["median_ns_per_event"]
+            )
+            line = f"{numerator} / {denominator} per event: {ratio:.2f} (limit {limit:g})"
+            print(line)
+            if ratio > limit:
+                broken_ratios.append(line)
     if args.max_regression is not None:
         # A benchmark that vanished from the current results is a failure in
         # gated mode: either it crashed (the worst regression of all) or its
@@ -97,13 +111,11 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
-        if over_budget:
-            for key, change, limit in over_budget:
-                print(
-                    f"FAIL: {key} regressed {change:+.1f}% "
-                    f"(budget {limit:.1f}%)",
-                    file=sys.stderr,
-                )
+        for key, change, limit in over_budget:
+            print(f"FAIL: {key} regressed {change:+.1f}% (budget {limit:.1f}%)", file=sys.stderr)
+        for line in broken_ratios:
+            print(f"FAIL: {line}", file=sys.stderr)
+        if over_budget or broken_ratios:
             return 1
     return 0
 

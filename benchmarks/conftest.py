@@ -1,15 +1,16 @@
-"""Shared configuration for the benchmark suite.
+"""Shared configuration for the micro-benchmark suite.
 
-Each ``bench_eN_*`` module regenerates one experiment of EXPERIMENTS.md via
-``pytest-benchmark`` (run with ``pytest benchmarks/ --benchmark-only``).  The
-experiment tables are printed so a benchmark run doubles as a regeneration of
-the reported numbers; pass ``-s`` to see them inline.
+These ``pytest-benchmark`` files (run with ``pytest benchmarks/
+--benchmark-only``) hold what the repo benchmark (``python3 -m bench run``)
+declares out of scope: event-queue and broadcast micro rows, the real-TCP
+detection rows, and the ring n=1,000 vs n=100 pair behind the scale-free
+ratio gate.  End-to-end sweep, pool, fabric and KV throughput are measured by
+``bench/`` and nowhere else.
 
-After every benchmark run, core-substrate benchmarks (those that set
-``benchmark.extra_info["bench_core_key"]``) are folded into
+After every benchmark run, benchmarks that set
+``benchmark.extra_info["bench_core_key"]`` are folded into
 ``BENCH_core.json`` — median seconds per round and, when the benchmark
-declares ``events_per_round``, median ns/event; ``runs_per_round`` (the
-sweep-throughput benchmarks) likewise derives ``runs_per_second``.  The file
+declares ``events_per_round``, median ns/event.  The file
 (schema ``bench-core/2``) is written to the repository root (override with
 the ``BENCH_CORE_JSON`` environment variable) and the committed copy is the
 perf baseline CI *enforces* — ``benchmarks/compare_bench.py
@@ -26,21 +27,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-
-import pytest
-
-
-@pytest.fixture
-def print_result():
-    """Print an ExperimentResult table and summary (visible with ``-s``)."""
-
-    def _print(result):
-        print()
-        print(result.table())
-        print(f"summary: {result.summary}")
-        return result
-
-    return _print
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -64,17 +50,11 @@ def pytest_sessionfinish(session, exitstatus):
         if events:
             entry["events_per_round"] = events
             entry["median_ns_per_event"] = median_seconds * 1e9 / events
-        runs = extra.get("runs_per_round")
-        if runs:
-            entry["runs_per_round"] = runs
-            entry["runs_per_second"] = runs / median_seconds
-        # Wall-clock rows (the real transport backend, the fabric
-        # coordinator) carry their own regression budget and the measured
-        # detection latency; topology scaling rows carry their scale and
-        # per-process load; the adaptive-allocation row records how many runs
-        # early stopping saved.  Pass those through so compare_bench.py can
-        # gate each row on its own terms and the baseline doubles as a
-        # recorded data point.
+        # Wall-clock rows (the real transport backend) carry their own
+        # regression budget and the measured detection latency; the ring
+        # scaling rows carry their scale and per-process load.  Pass those
+        # through so compare_bench.py can gate each row on its own terms and
+        # the baseline doubles as a recorded data point.
         for passthrough in (
             "kind",
             "max_regression_pct",
@@ -82,10 +62,6 @@ def pytest_sessionfinish(session, exitstatus):
             "mode",
             "n",
             "msgs_per_proc_round",
-            "workers",
-            "total_runs",
-            "fixed_grid_runs",
-            "runs_saved",
         ):
             if passthrough in extra:
                 entry[passthrough] = extra[passthrough]

@@ -63,9 +63,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             "invariants)",
             file=sys.stderr,
         )
-        for invariant in report.invariants:
-            marker = "✓" if invariant.ok else "✗"
-            print(f"  {marker} {invariant.name}: {invariant.detail}", file=sys.stderr)
+        print(report, file=sys.stderr)
         if not report.ok:
             failures += 1
     if failures:

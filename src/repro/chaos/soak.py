@@ -31,7 +31,9 @@ from the seed) drives a real fabric sweep through every fault class at once:
 
 Every invariant lands in the :class:`CampaignReport` with a pass/fail and a
 human detail line; ``python -m repro.chaos soak`` exits non-zero if any
-failed, which is what the CI ``chaos-smoke`` job gates on.
+failed, which is what the CI ``chaos-smoke`` job gates on.  The reference and
+the comparison against it are :mod:`repro.verify`'s: a chaotic run is held to
+exactly what a clean pool or fabric run is held to.
 """
 
 from __future__ import annotations
@@ -41,15 +43,15 @@ import os
 import random
 import tempfile
 from multiprocessing import resource_tracker
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..analysis.runner import ParameterSweep, jsonl_line
-from ..fabric.coordinator import Coordinator, FabricResult, SimulatedCrash
+from ..analysis.runner import ParameterSweep
+from ..fabric.coordinator import Coordinator, SimulatedCrash
 from ..fabric.plan import FabricPlan, plan_sweep
-from ..fabric.work import ItemResult, execute_item
 from ..runtime import Engine, lossy, minority, scenario
 from ..runtime.cache import RunCache
+from ..verify import Invariant, Report, Run
 from .campaign import FaultPlan, corrupt_cache_entries, mutilate_journal
 
 __all__ = ["CampaignReport", "Invariant", "run_campaign", "soak_plan"]
@@ -77,34 +79,14 @@ def soak_plan(seed: int) -> FabricPlan:
     return plan_sweep(SOAK_FN, sweep, name="soak")
 
 
-@dataclass
-class Invariant:
-    """One checked guarantee: its verdict and the evidence line."""
-
-    name: str
-    ok: bool
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
-
-@dataclass
-class CampaignReport:
+@dataclass(kw_only=True)
+class CampaignReport(Report):
     """Everything one campaign did and proved, JSON-serializable."""
 
     seed: int
     plan: dict
     applied: list[str] = field(default_factory=list)
-    invariants: list[Invariant] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(invariant.ok for invariant in self.invariants)
-
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.invariants.append(Invariant(name=name, ok=bool(ok), detail=detail))
 
     def to_dict(self) -> dict:
         return {
@@ -112,18 +94,15 @@ class CampaignReport:
             "ok": self.ok,
             "fault_plan": self.plan,
             "applied": list(self.applied),
-            "invariants": [invariant.to_dict() for invariant in self.invariants],
+            "invariants": [asdict(invariant) for invariant in self.invariants],
             "stats": dict(self.stats),
         }
 
 
-def _serial_reference(plan: FabricPlan) -> list[ItemResult]:
-    """Execute every item in-process, in order — the ground truth."""
-    return [execute_item(item) for item in plan.items]
-
-
-def _merged_lines(results: list[ItemResult]) -> list[str]:
-    return [jsonl_line(result.row) for result in results]
+def _declared_missing(state: Path) -> list[int]:
+    """The indices ``partial.json`` says a degraded run lost (none: a full run)."""
+    partial = state / "partial.json"
+    return json.loads(partial.read_text())["missing_indices"] if partial.exists() else []
 
 
 def _child_pids() -> set[int]:
@@ -144,61 +123,6 @@ def _child_pids() -> set[int]:
         if len(fields) > 1 and int(fields[1]) == me:
             children.add(int(entry.name))
     return children
-
-
-def _check_merge(
-    report: CampaignReport,
-    result: FabricResult,
-    serial: list[ItemResult],
-    *,
-    name: str,
-    partial_path: Path,
-) -> None:
-    """Merged output == serial bytes, or explicitly partial with exact indices."""
-    reference = _merged_lines(serial)
-    merged = Path(result.merged_path).read_text(encoding="utf-8").splitlines(keepends=True)
-    if not result.partial:
-        ok = merged == reference
-        report.check(
-            name,
-            ok,
-            "merged JSONL byte-identical to serial"
-            if ok
-            else f"merged differs from serial ({len(merged)} vs {len(reference)} rows)",
-        )
-        return
-    missing = sorted(result.quarantined)
-    expected = [line for index, line in enumerate(reference) if index not in missing]
-    rows_ok = merged == expected
-    reported: list[int] = []
-    if partial_path.exists():
-        reported = json.loads(partial_path.read_text())["missing_indices"]
-    report.check(
-        name,
-        rows_ok and reported == missing,
-        f"explicit partial merge: quarantined indices {missing} "
-        f"(partial.json reports {reported}; surviving rows "
-        f"{'match' if rows_ok else 'DIFFER FROM'} serial)",
-    )
-
-
-def _check_digests(
-    report: CampaignReport, result: FabricResult, serial: list[ItemResult]
-) -> None:
-    """Every digest record the chaotic run carried must equal the serial one."""
-    reference = {item.index: item.digests for item in serial}
-    mismatched = [
-        result_item.index
-        for result_item in result.results
-        if result_item.digests and result_item.digests != reference[result_item.index]
-    ]
-    carried = sum(1 for result_item in result.results if result_item.digests)
-    report.check(
-        "digests",
-        not mismatched,
-        f"{carried}/{len(result.results)} items carried digests, "
-        + ("all equal to serial" if not mismatched else f"MISMATCHED at {mismatched}"),
-    )
 
 
 def _kv_invariant(report: CampaignReport, seed: int) -> None:
@@ -292,7 +216,7 @@ def run_campaign(
     tempfile.tempdir = str(tmp_root)
     os.environ["TMPDIR"] = str(tmp_root)
     try:
-        serial = _serial_reference(plan)
+        serial = Run(plan, scratch).reference
         cache = RunCache(scratch / "cache")
         state = scratch / "state"
 
@@ -349,10 +273,7 @@ def run_campaign(
             allow_partial=True,
         ).run()
         report.stats["resume"] = dict(resumed.stats)
-        _check_merge(
-            report, resumed, serial, name="merge", partial_path=state / "partial.json"
-        )
-        _check_digests(report, resumed, serial)
+        report.compare("merge", plan, serial, resumed.results, _declared_missing(state))
 
         # Phase 4: stall rehearsal — SIGSTOP a busy worker on a fresh state
         # dir; the progress deadline must recover it and converge anyway.
@@ -376,12 +297,8 @@ def run_campaign(
             f"{stalled.stats['stalled_workers']} stalled worker(s) "
             f"after {stalled.stats['worker_deaths']} death(s) total",
         )
-        _check_merge(
-            report,
-            stalled,
-            serial,
-            name="stall_merge",
-            partial_path=scratch / "stall-state" / "partial.json",
+        report.compare(
+            "stall_merge", plan, serial, stalled.results, _declared_missing(scratch / "stall-state")
         )
 
         # Phase 5: the service-level guarantees hold under the same seed.

@@ -43,10 +43,12 @@ def _run_shard(parser, args, selected: list[str]) -> int:
     *do* appear here, so for those the concatenation is a superset.
     """
     from ..fabric.plan import PlanningError, plan_experiments
-    from ..fabric.work import execute_item
-    from ..analysis.runner import shard_items
+    from ..fabric.work import execute_shard
     from ..runtime.cache import RunCache
 
+    for flag in ("jobs", "stream", "format", "output"):
+        if getattr(args, flag) != parser.get_default(flag):
+            parser.error(f"--{flag} does not apply to --shard (it emits JSONL rows, in process)")
     try:
         index_text, _, count_text = args.shard.partition("/")
         index, count = int(index_text), int(count_text)
@@ -58,19 +60,18 @@ def _run_shard(parser, args, selected: list[str]) -> int:
         plan = plan_experiments(selected, quick=not args.full, seed=args.seed)
     except PlanningError as error:
         parser.error(str(error))
-    cache = RunCache.coerce(args.cache)
-    items = shard_items(plan.items, index - 1, count)
     sink = open(args.jsonl, "w", encoding="utf-8") if args.jsonl else sys.stdout
+    done = 0
     try:
-        for item in items:
-            result = execute_item(item, cache)
+        for result in execute_shard(plan.items, index - 1, count, RunCache.coerce(args.cache)):
             sink.write(jsonl_line(result.row))
             sink.flush()
+            done += 1
     finally:
         if args.jsonl:
             sink.close()
     print(
-        f"shard {index}/{count}: {len(items)} of {len(plan)} items "
+        f"shard {index}/{count}: {done} of {len(plan)} items "
         f"({', '.join(plan.experiments)})",
         file=sys.stderr,
     )
@@ -144,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         "work plan and emit its rows as JSONL (to --jsonl or stdout); shards "
         "partition the plan contiguously, so concatenating all N shard files "
         "in order is byte-identical to the serial JSONL. Tables are skipped; "
-        "--jobs/--stream do not apply",
+        "--jobs, --stream, --format json and -o are rejected",
     )
     args = parser.parse_args(argv)
 

@@ -13,9 +13,8 @@ which is frozen into it) executes only the items whose results are not yet
 journaled, then rewrites the merged output.  ``--cache`` may be a directory an
 ordinary ``repro.experiments --cache`` run warmed (or will read): both write
 one entry per item, digests included, so ``digests`` works either way.
-``--chaos-kill-worker``, ``--chaos-stall-worker`` and ``--crash-after`` exist
-so CI can rehearse worker death, worker stalls and coordinator death
-deterministically.
+Worker death, worker stalls and coordinator death are rehearsed — and their
+output compared with a serial run's — by ``python -m repro.verify``.
 """
 
 from __future__ import annotations
@@ -75,9 +74,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache=args.cache,
         progress_timeout=args.progress_timeout,
         allow_partial=args.allow_partial,
-        chaos_kill_worker_after=args.chaos_kill_worker,
-        chaos_stall_worker_after=args.chaos_stall_worker,
-        crash_after_chunks=args.crash_after,
     )
     result = coordinator.run(merged_path=args.merged)
     print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
@@ -165,24 +161,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="merge without quarantined poison items instead of failing; "
         "the exact missing indices land in DIR/partial.json",
-    )
-    run_parser.add_argument(
-        "--chaos-kill-worker",
-        type=int,
-        metavar="N",
-        help="SIGKILL one worker after N results (crash-recovery rehearsal)",
-    )
-    run_parser.add_argument(
-        "--chaos-stall-worker",
-        type=int,
-        metavar="N",
-        help="SIGSTOP one busy worker after N results (stall-detection rehearsal)",
-    )
-    run_parser.add_argument(
-        "--crash-after",
-        type=int,
-        metavar="N",
-        help="abort the coordinator after N finished chunks (resume rehearsal)",
     )
     run_parser.set_defaults(handler=_cmd_run)
 

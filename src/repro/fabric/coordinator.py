@@ -44,8 +44,9 @@ hard error: silence is never an outcome.
 
 **Determinism.**  Results are merged by global item index, never by
 completion order, so the merged JSONL — and the digest fold — is identical
-for 1 worker or 40, first run or third resume, which is what the manifest
-gate (``digest_manifest.py --fabric``) checks mechanically.
+for 1 worker or 40, first run or third resume, which is what
+``python -m repro.verify`` (its ``fabric``, ``kill``, ``stall`` and ``resume``
+legs) checks mechanically.
 """
 
 from __future__ import annotations
@@ -141,11 +142,11 @@ class FabricResult:
         return digests
 
     def manifest(self) -> dict[str, str]:
-        """A digest manifest shaped like ``benchmarks/digest_manifest.py``'s.
+        """The digest manifest: one folded digest per experiment, ``ALL``, ``FULL``.
 
         ``ALL`` folds whichever of the frozen E1–E9 core was planned; ``FULL``
-        folds every planned experiment — so a full-plan fabric manifest is
-        directly comparable to a saved serial manifest.
+        folds every planned experiment — so the manifest of the full quick
+        plan is directly comparable to the values ``repro.verify`` pins.
         """
         manifest = self.experiment_digests()
         names = list(manifest)

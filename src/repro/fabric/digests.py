@@ -7,10 +7,11 @@ multiply-xor, so "these two sweeps dispatched exactly the same events, run
 for run, in the same order" is one string comparison.  The fold is order
 sensitive on purpose: input order is part of what the fabric guarantees.
 
-These helpers are the single source of truth for the fold —
-``benchmarks/digest_manifest.py`` (the serial / warm-pool / fabric gate) and
-the fabric's sharded digest verification both import them, which is what
-makes "sharded == serial" checkable as manifest equality.
+These helpers are the single source of truth for the fold:
+:meth:`~repro.fabric.coordinator.FabricResult.manifest` is built on them, and
+``python -m repro.verify`` compares that manifest across every way of
+executing a plan, which is what makes "sharded == serial" checkable as
+manifest equality.
 """
 
 from __future__ import annotations

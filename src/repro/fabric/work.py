@@ -20,16 +20,16 @@ from __future__ import annotations
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from ..analysis.runner import jsonl_line
+from ..analysis.runner import jsonl_line, shard_items
 from ..errors import ReproError
 from ..runtime.cache import RunCache
 from ..runtime.engine import cache_item, cached_item, item_row, run_item
 from ..runtime.spec import ScenarioSpec
 from .plan import WorkItem
 
-__all__ = ["ItemResult", "execute_item", "resolve_function"]
+__all__ = ["ItemResult", "execute_item", "execute_shard", "resolve_function"]
 
 
 class WorkError(ReproError):
@@ -117,3 +117,10 @@ def execute_item(item: WorkItem, cache: RunCache | None = None) -> ItemResult:
         digests=tuple(digests),
         source="fresh" if hit is None else "cached",
     )
+
+
+def execute_shard(
+    items: Sequence[WorkItem], shard: int, shards: int, cache: RunCache | None = None
+) -> Iterator[ItemResult]:
+    """Execute contiguous shard ``shard`` (0-based) of ``shards``, in process, lazily."""
+    return (execute_item(item, cache) for item in shard_items(items, shard, shards))

@@ -13,6 +13,7 @@ from repro.membership import (
     grouped_identities,
     unique_identities,
 )
+from repro.runtime.fleet import Fleet
 
 
 @pytest.fixture
@@ -37,6 +38,44 @@ def anonymous_five() -> Membership:
 def homonymous_six() -> Membership:
     """Six processes in three homonymy groups of sizes 3, 2, 1."""
     return grouped_identities([3, 2, 1])
+
+
+@pytest.fixture
+def meddle(monkeypatch):
+    """``meddle(hook)``: call ``hook(fleet, event)`` on every fleet event."""
+
+    def install(hook) -> None:
+        original = Fleet.run
+
+        def run(self, fn, todo):
+            for event in original(self, fn, todo):
+                hook(self, event)
+                yield event
+
+        monkeypatch.setattr(Fleet, "run", run)
+
+    return install
+
+
+@pytest.fixture
+def short_stall_deadline(meddle):
+    """Detect a busy worker's stall in 0.3 s instead of a spawn-bounded second.
+
+    A deadline that short cannot be set up front — a worker takes longer than
+    that to import the library and say hello — so it is armed through the
+    fleet's own ``progress_timeout`` at the first event after every live
+    worker has greeted, and disarmed by the death it provokes (a replacement
+    would need its import time again).  If no such event comes, the test's
+    own one-second deadline still fires.
+    """
+
+    def arm_once_greeted(fleet, event) -> None:
+        if event.death is not None:
+            fleet.progress_timeout = 1.0
+        elif all(worker.greeted for worker in fleet._workers.values()):
+            fleet.progress_timeout = 0.3
+
+    meddle(arm_once_greeted)
 
 
 def pid(index: int) -> ProcessId:

@@ -1,0 +1,56 @@
+"""Architecture rules as assertions: what must not grow back, checked on every tier-1 run.
+
+Each rule names the one module that owns a mechanism; a match anywhere else
+under ``runtime/`` or ``fabric/`` means a second copy is being started.
+"""
+
+from __future__ import annotations
+
+import re
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_no_bytecode_is_tracked() -> None:
+    """Guards the PR-3 ``__pycache__`` cleanup (skipped outside a git checkout)."""
+    try:
+        listing = subprocess.run(
+            ["git", "ls-files"], cwd=ROOT, capture_output=True, text=True, check=True
+        )
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout")
+    tracked = [
+        name
+        for name in listing.stdout.splitlines()
+        if re.search(r"(^|/)__pycache__/|\.py[co]$", name)
+    ]
+    assert not tracked, f"tracked bytecode — git rm --cached: {tracked}"
+
+
+@pytest.mark.parametrize(
+    "owner, pattern",
+    [
+        # One worker fleet: a second pool must not grow back beside it.
+        ("runtime/fleet.py", r"ProcessPoolExecutor|subprocess\.Popen|import threading"),
+        # One item path: a second cache convention must not grow back beside it.
+        ("runtime/engine.py", r"derived_key|digests_complete=|fabric-cache|_rehydrate_record"),
+    ],
+)
+def test_runtime_and_fabric_keep_one_of_each_mechanism(owner: str, pattern: str) -> None:
+    sources = [
+        path
+        for package in ("runtime", "fabric")
+        for path in sorted((ROOT / "src" / "repro" / package).rglob("*.py"))
+    ]
+    assert len(sources) > 10 and ROOT / "src" / "repro" / owner in sources
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sources
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+    assert not offenders, f"{owner} owns this; a second copy is starting:\n" + "\n".join(offenders)

@@ -149,7 +149,7 @@ def test_execute_item_cache_levels(tiny_plan, tmp_path) -> None:
     assert served.row == fresh.row and served.digests == fresh.digests
 
 
-def test_experiments_cli_shard_concatenation(tmp_path) -> None:
+def test_experiments_cli_shard_concatenation(tmp_path, capsys) -> None:
     """`--shard i/N` shards compose: cat shard1..N == the serial --jsonl."""
     from repro.experiments.__main__ import main
 
@@ -161,9 +161,22 @@ def test_experiments_cli_shard_concatenation(tmp_path) -> None:
         assert main(["E1", "--shard", f"{index}/3", "--jsonl", str(shard)]) == 0
         pieces.append(shard.read_bytes())
     assert b"".join(pieces) == serial.read_bytes()
+    # a flag --shard cannot honour is an error naming it, not silently dropped
+    for flags, named in (
+        (["--jobs", "4"], "--jobs"),
+        (["--stream"], "--stream"),
+        (["--format", "json"], "--format"),
+        (["-o", str(tmp_path / "never.txt")], "--output"),
+    ):
+        with pytest.raises(SystemExit) as usage:
+            main(["E1", "--shard", "1/3", *flags])
+        assert usage.value.code == 2 and f"{named} does not apply" in capsys.readouterr().err
+    assert not (tmp_path / "never.txt").exists()
 
 
-def test_stalled_worker_is_detected_and_the_run_converges(tiny_plan, tmp_path) -> None:
+def test_stalled_worker_is_detected_and_the_run_converges(
+    tiny_plan, tmp_path, short_stall_deadline
+) -> None:
     """A SIGSTOPped worker must never hang the run: the per-chunk progress
     deadline detects the silence, kills the worker, requeues its chunk, and
     the merged output still matches a clean run bit for bit."""

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from repro.analysis.metrics import consensus_metrics
 from repro.analysis.runner import ParameterSweep
+from repro.consensus import HOmegaMajorityConsensus, validate_consensus
 from repro.runtime import (
     Engine,
     RunRecord,
@@ -18,6 +20,11 @@ from repro.runtime import (
     minority,
     scenario,
 )
+from repro.runtime.engine import default_consensus_detectors, distinct_proposals
+from repro.sim import AsynchronousTiming, Simulation, build_system
+from repro.sim.failures import FailurePattern
+from repro.workloads.crashes import minority_crashes
+from repro.workloads.homonymy import membership_with_distinct_ids
 
 
 def small_spec(seed: int = 0) -> ScenarioSpec:
@@ -89,6 +96,50 @@ class TestEngine:
     def test_engine_rejects_executor_and_jobs_together(self):
         with pytest.raises(ValueError):
             Engine(SerialExecutor(), jobs=2)
+
+    def test_a_spec_measures_the_run_a_hand_wired_system_does(self):
+        """Declarative dispatch must not change what is measured: the same
+        scenario assembled inline from ``build_system`` + ``Simulation`` (same
+        seed, so same RNG streams) yields the metrics ``execute_spec`` reports."""
+        n, horizon, seed, stabilization = 5, 300.0, 7, 10.0
+        spec = (
+            scenario("hand-wired-twin")
+            .processes(n)
+            .distinct_ids(3)
+            .crashes(minority(at=6.0, count=1))
+            .detectors("HOmega", "HSigma", stabilization=stabilization)
+            .consensus("homega_majority")
+            .horizon(horizon)
+            .seed(seed)
+            .build()
+        )
+        membership = membership_with_distinct_ids(n, 3)
+        proposals = distinct_proposals(membership)
+        crash_schedule = minority_crashes(membership, at=6.0, count=1)
+        system = build_system(
+            membership=membership,
+            timing=AsynchronousTiming(min_latency=0.1, max_latency=2.0),
+            program_factory=lambda pid, identity: HOmegaMajorityConsensus(
+                proposals[pid], n=membership.size
+            ),
+            crash_schedule=crash_schedule,
+            detectors=default_consensus_detectors(stabilization),
+            seed=seed,
+        )
+        trace = Simulation(system).run(
+            until=horizon, stop_when=lambda sim: sim.all_correct_decided()
+        )
+        pattern = FailurePattern(membership, crash_schedule)
+        verdict = validate_consensus(trace, pattern, proposals, require_termination=False)
+        metrics = consensus_metrics(trace, pattern, verdict)
+        assert dict(execute_spec(spec).metrics) == {
+            "decided": metrics.decided,
+            "safe": metrics.safe,
+            "decision_time": metrics.last_decision_time,
+            "rounds": metrics.max_decision_round,
+            "broadcasts": metrics.broadcasts,
+            "message_copies": metrics.message_copies,
+        }
 
 
 class TestRunRecord:

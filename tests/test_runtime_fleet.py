@@ -64,23 +64,6 @@ def rearm(configs: list[dict]) -> None:
     Path(configs[FAULTY]["marker"]).unlink()
 
 
-@pytest.fixture
-def meddle(monkeypatch):
-    """``meddle(hook)``: call ``hook(fleet, event)`` on every fleet event."""
-
-    def install(hook) -> None:
-        original = Fleet.run
-
-        def run(self, fn, todo):
-            for event in original(self, fn, todo):
-                hook(self, event)
-                yield event
-
-        monkeypatch.setattr(Fleet, "run", run)
-
-    return install
-
-
 # ----------------------------------------------------------------------
 # a worker lost while it holds work
 # ----------------------------------------------------------------------
@@ -105,7 +88,7 @@ def test_busy_worker_death(tmp_path, fault) -> None:
     assert Path(result.merged_path).read_bytes() == reference_bytes(configs)
 
 
-def test_busy_worker_stall_is_killed_by_the_progress_deadline(tmp_path) -> None:
+def test_busy_worker_stall_is_killed_by_the_progress_deadline(tmp_path, short_stall_deadline) -> None:
     configs = tiny_configs(tmp_path, "sigstop")
     with WorkerPool(2) as pool:
         pool.fleet.progress_timeout = 1.0
