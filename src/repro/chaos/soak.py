@@ -172,14 +172,19 @@ def _transport_invariant(report: CampaignReport, fault_plan: FaultPlan) -> None:
         fault_action="suspend" if suspend else "kill",
         resume_after=hb_timeout + 2.0 if suspend else None,
     )
-    record = Engine().run(spec)
+    metrics = Engine().run(spec).metrics
+    # Not hb_detection_ok: under the seeded link loss a false suspicion of a
+    # live peer is legitimate heartbeat behaviour, which the check reports as
+    # a violation on either backend.  The invariant is that the victim is caught.
+    latency = metrics.get("hb_detection_median_latency")
     report.check(
         "transport_detection",
-        record.metrics.get("hb_detection_ok") is True,
+        metrics.get("hb_detection_missed") == 0 and latency is not None,
         f"real backend, loss={fault_plan.link['loss']}, "
-        f"fault={fault_plan.transport_fault}: "
-        f"detection_ok={record.metrics.get('hb_detection_ok')}, "
-        f"latency={record.metrics.get('hb_detection_time')}",
+        f"fault={fault_plan.transport_fault}: victim detected "
+        f"(missed={metrics.get('hb_detection_missed')}, latency={latency}); "
+        f"false suspicions of live peers are legitimate under link loss "
+        f"(hb_detection_ok={metrics.get('hb_detection_ok')})",
     )
 
 

@@ -19,12 +19,17 @@ For every class this package provides:
   :mod:`repro.detectors.script`);
 * a *property checker* that validates a recorded output trace against the
   run's failure pattern (:mod:`repro.detectors.properties`).
+
+:mod:`repro.detectors.detection` holds the one judge of ``declared_dead``
+records (detection latency, missed detections, false suspicions) behind the
+``hb_detection`` / ``topo_detection`` checks and the churn checker.
 """
 
 from .anonymous import AOmegaOracle, APOracle, ASigmaOracle
 from .base import OracleDetector, OutputKeys
 from .classes import DetectorClass, detector_catalog
 from .classical import DiamondPOracle, OmegaOracle, PerfectOracle, SigmaOracle
+from .detection import check_hb_detection, check_topo_detection, judge_detections, median_iqr
 from .homonymous import DiamondHPOracle, HOmegaOracle, HSigmaOracle
 from .properties import (
     CheckResult,
@@ -98,12 +103,16 @@ __all__ = [
     "check_asigma",
     "check_diamond_hp",
     "check_diamond_p",
+    "check_hb_detection",
     "check_homega_election",
     "check_hsigma",
     "check_omega_election",
     "check_script_e",
     "check_sigma",
+    "check_topo_detection",
     "detector_catalog",
+    "judge_detections",
+    "median_iqr",
     "aomega_probes",
     "ap_probes",
     "asigma_probes",

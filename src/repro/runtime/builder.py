@@ -492,12 +492,14 @@ def _validate_real_backend(spec: ScenarioSpec) -> None:
     """What the asyncio/TCP backend can and cannot execute.
 
     The real backend runs *message-passing programs* — code that lives
-    entirely behind the context protocol.  Oracle detectors read the global
-    failure pattern (omniscience no real process has), the KV runner and the
-    consensus metrics pipeline are wired to the simulator's trace, and
-    synchronous rounds don't exist on a real network; all of those stay
-    sim-only and are rejected here with an explanation rather than failing
-    at run time inside a subprocess.
+    entirely behind the context protocol — and judges them with the spec's
+    registered checks, like a simulated run (the node logs load into a
+    ``RunTrace``).  Oracle detectors read the global failure pattern
+    (omniscience no real process has), the consensus and KV workloads
+    materialise their system inside the simulator, and synchronous rounds
+    don't exist on a real network; all of those stay sim-only and are
+    rejected here with an explanation rather than failing at run time inside
+    a subprocess.
     """
     if spec.program is None:
         raise ScenarioValidationError(

@@ -49,11 +49,13 @@ from ..detectors import (
     check_asigma,
     check_diamond_hp,
     check_diamond_p,
+    check_hb_detection,
     check_homega_election,
     check_hsigma,
     check_omega_election,
     check_script_e,
     check_sigma,
+    check_topo_detection,
 )
 from ..errors import ConfigurationError
 from ..membership import Membership
@@ -418,26 +420,6 @@ def _check_kv_linearizable(trace, pattern):
 register_check("kv_linearizable", _check_kv_linearizable)
 
 
-def _check_hb_detection(trace, pattern):
-    """Judge a heartbeat run's detections (lazy import: transport → runtime → here)."""
-    from ..transport.validate import check_hb_detection
-
-    return check_hb_detection(trace, pattern)
-
-
-register_check("hb_detection", _check_hb_detection)
-
-
-def _check_topo_detection(trace, pattern):
-    """Judge per-index detections under a sparse topology (lazy import)."""
-    from ..transport.validate import check_topo_detection
-
-    return check_topo_detection(trace, pattern)
-
-
-register_check("topo_detection", _check_topo_detection)
-
-
 def _check_membership_churn(trace, pattern):
     """Judge a churn run's view convergence (lazy import)."""
     from ..workloads.churn import check_membership_churn
@@ -458,5 +440,7 @@ for _name, _checker in (
     ("homega", check_homega_election),
     ("hsigma", check_hsigma),
     ("script_e", check_script_e),
+    ("hb_detection", check_hb_detection),
+    ("topo_detection", check_topo_detection),
 ):
     register_check(_name, _checker)

@@ -9,7 +9,8 @@ suspends victims at scheduled times.
 Layout:
 
 * :mod:`~repro.transport.framing` — length-prefixed JSON message framing;
-* :mod:`~repro.transport.events` — JSONL event logs (write + read);
+* :mod:`~repro.transport.events` — JSONL event logs (write + read) and
+  ``load_trace``, which folds a run's logs into the simulator's ``RunTrace``;
 * :mod:`~repro.transport.context` — the asyncio trampoline implementing
   :class:`~repro.context.AbstractProcessContext` over sockets;
 * :mod:`~repro.transport.node` — one node process
@@ -17,10 +18,10 @@ Layout:
 * :mod:`~repro.transport.faults` — fault plans resolved from a spec's
   crash schedule;
 * :mod:`~repro.transport.orchestrator` — spawns N nodes, injects faults,
-  collects logs, synthesizes a :class:`~repro.runtime.engine.RunRecord`;
-* :mod:`~repro.transport.validate` — the pure aggregation functions behind
-  the sim-vs-real harness (median + IQR, heatmap/scatter CSVs) and the
-  ``hb_detection`` trace check;
+  loads the logs and judges them with ``spec.checks`` like any simulated
+  run, returning a :class:`~repro.runtime.engine.RunRecord`;
+* :mod:`~repro.transport.validate` — E11's presentation functions
+  (per-cell median + IQR, heatmap/scatter CSVs);
 * ``python -m repro.transport`` — a small CLI front door for one-off runs.
 
 Select the backend per run with ``ScenarioSpec(backend="real")`` (or
@@ -28,18 +29,6 @@ Select the backend per run with ``ScenarioSpec(backend="real")`` (or
 ``execute_spec`` dispatch here without any program or detector changes.
 """
 
-from .validate import (
-    aggregate_cells,
-    detection_outcome,
-    heatmap_csv,
-    median_iqr,
-    scatter_csv,
-)
+from .validate import aggregate_cells, heatmap_csv, scatter_csv
 
-__all__ = [
-    "aggregate_cells",
-    "detection_outcome",
-    "heatmap_csv",
-    "median_iqr",
-    "scatter_csv",
-]
+__all__ = ["aggregate_cells", "heatmap_csv", "scatter_csv"]

@@ -10,7 +10,9 @@ Examples::
 
 The scenario is the validation harness's unit cell: n nodes running the
 ``heartbeat`` program, one victim killed at ``--fail-at``, detection judged
-identically on both backends (``hb_detection_*`` metrics).  For full
+identically on both backends — the registered ``hb_detection`` check over a
+``RunTrace``, which a real run's node logs are loaded into — so both print the
+same ``hb_detection_*`` keys.  The exit code is ``hb_detection_ok``.  For full
 (hb_interval × hb_timeout) sweeps with heatmap/scatter CSVs, run experiment
 E11: ``python -m repro.experiments E11``.
 """

@@ -16,8 +16,9 @@ of the event queue —
 ``ctx.now`` reads the shared monotonic clock (epoch- and t0-aligned, divided
 by ``time_scale``), so programs observe scenario time units everywhere.
 Everything observable — sends, deliveries, ``ctx.record``, ``ctx.decide`` —
-goes to the node's JSONL :class:`~repro.transport.events.EventLog`, which is
-the transport's replacement for the simulator's :class:`RunTrace`.
+goes to the node's JSONL :class:`~repro.transport.events.EventLog`, which
+:func:`~repro.transport.events.load_trace` folds back into the simulator's
+:class:`RunTrace` when the run is judged.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ class RealNodeRuntime:
     def broadcast(self, message: Message) -> None:
         if self._stopped:
             return
-        self.log.log("msg_send", kind=message.kind)
+        # copies: one per link, crashed receivers included — the sim's count
+        self.log.log("msg_send", kind=message.kind, copies=len(self._peer_writers) + 1)
         frame = encode_frame(
             {"kind": message.kind, "payload": dict(message.payload), "sender": self.index}
         )
@@ -185,7 +187,8 @@ class RealNodeRuntime:
         if self._stopped:
             return
         wanted = set(targets)
-        self.log.log("msg_send", kind=message.kind)
+        copies = len(wanted & (self._peer_writers.keys() | {self.index}))
+        self.log.log("msg_send", kind=message.kind, copies=copies)
         frame = encode_frame(
             {"kind": message.kind, "payload": dict(message.payload), "sender": self.index}
         )

@@ -13,11 +13,17 @@ Each line carries two clocks:
 
 * ``t_wall`` — epoch-relative wall seconds (the shared base);
 * ``t`` — scenario time units (``(t_wall − t0) / time_scale``), aligned with
-  the simulator's clock so latencies compare 1:1 across backends.
+  the simulator's clock so latencies compare 1:1 across backends; ``null``
+  on lines written before the run's ``t0`` is known (mesh-up, ``node_ready``).
 
 Lines are flushed eagerly (write + flush per event): a node that is
 SIGKILLed mid-run must not take its buffered history with it (§10's
 log-flush edge case — and precisely the event we are here to measure).
+
+:func:`load_trace` is the one reader that judges a run: it folds every node
+log and the injector log of a log directory into the simulator's
+:class:`~repro.sim.trace.RunTrace`, so a real run goes through the same
+registered checks (``fold_checks``) as a simulated one.
 """
 
 from __future__ import annotations
@@ -27,7 +33,26 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
-__all__ = ["EventLog", "read_events"]
+from ..identity import IdentityMultiset
+from ..membership import Membership
+from ..sim.trace import RunTrace
+
+__all__ = ["EventLog", "read_events", "load_trace"]
+
+_MULTISET_TAG = "__multiset__"
+
+
+def _encode(value: Any) -> Any:
+    """JSON fallback: identity multisets travel tagged, anything else as text."""
+    if isinstance(value, IdentityMultiset):
+        return {_MULTISET_TAG: list(value)}
+    return str(value)
+
+
+def _decode(obj: dict) -> Any:
+    if obj.keys() == {_MULTISET_TAG}:
+        return IdentityMultiset(obj[_MULTISET_TAG])
+    return obj
 
 
 class EventLog:
@@ -38,7 +63,7 @@ class EventLog:
         path: str | Path,
         *,
         epoch: float,
-        t0: float = 0.0,
+        t0: float | None = None,
         time_scale: float = 1.0,
         node: Any = None,
     ) -> None:
@@ -56,9 +81,15 @@ class EventLog:
         """Epoch-relative wall seconds (the shared monotonic base)."""
         return time.monotonic() - self.epoch
 
-    def to_units(self, t_wall: float) -> float:
-        """Convert an epoch-relative wall timestamp into scenario time units."""
-        return (t_wall - self.t0) / self.time_scale
+    def to_units(self, t_wall: float) -> float | None:
+        """Scenario time units of an epoch-relative wall timestamp.
+
+        ``None`` until ``t0`` is set: before the common origin is known a
+        wall reading has no scenario time.
+        """
+        if self.t0 is None:
+            return None
+        return round((t_wall - self.t0) / self.time_scale, 6)
 
     def log(self, event: str, *, t_wall: float | None = None, **fields: Any) -> dict:
         """Append one event line (flushed immediately) and return it."""
@@ -66,12 +97,12 @@ class EventLog:
         entry: dict[str, Any] = {
             "event": event,
             "t_wall": round(t_wall, 6),
-            "t": round(self.to_units(t_wall), 6),
+            "t": self.to_units(t_wall),
         }
         if self.node is not None:
             entry["node"] = self.node
         entry.update(fields)
-        self._handle.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
+        self._handle.write(json.dumps(entry, sort_keys=True, default=_encode) + "\n")
         self._handle.flush()
         return entry
 
@@ -102,6 +133,38 @@ def read_events(path: str | Path) -> Iterator[dict]:
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                yield json.loads(line, object_hook=_decode)
             except json.JSONDecodeError:
                 return
+
+
+def load_trace(log_dir: str | Path, membership: Membership) -> RunTrace:
+    """Fold a real run's log directory into the simulator's trace type.
+
+    ``node<i>.jsonl`` is process ``i``'s history: ``<key> value=…`` lines are
+    its ``ctx.record`` snapshots, ``decide`` its decision, ``msg_send`` /
+    ``msg_recv`` the message accounting.  ``injector.jsonl`` holds the crash
+    ledger — ``fault_injected`` at the *measured* ``t_fail`` — and the run's
+    end.  Lines without a scenario time (written before ``t0``) are skipped.
+    """
+    log_dir = Path(log_dir)
+    trace = RunTrace()
+    for process in membership.processes:
+        for entry in read_events(log_dir / f"node{process.index}.jsonl"):
+            event, t = entry["event"], entry.get("t")
+            if t is None:
+                continue
+            if event == "msg_send":
+                trace.record_broadcast(entry["kind"], entry["copies"])
+            elif event == "msg_recv":
+                trace.record_delivery(entry["kind"])
+            elif event == "decide":
+                trace.record_decision(process, entry["value"], t)
+            elif "value" in entry:
+                trace.record(process, event, entry["value"], t)
+    for entry in read_events(log_dir / "injector.jsonl"):
+        if entry["event"] == "fault_injected":
+            trace.record_crash(membership.processes[entry["victim"]], entry["t"])
+        elif entry["event"] == "run_end":
+            trace.mark_end(entry["t"])
+    return trace

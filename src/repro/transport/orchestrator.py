@@ -7,10 +7,14 @@ membership, spawns one ``python -m repro.transport.node`` subprocess per
 process, coordinates a common start time over a control socket, injects the
 spec's crash schedule as OS signals (recording ``t_fail`` on the shared
 monotonic base — SIGSTOP faults with a ``resume_after`` get their SIGCONT
-too), collects every node's JSONL log, and synthesizes a
-:class:`~repro.runtime.engine.RunRecord` whose metrics mirror what the
-``hb_detection`` check reports for simulated runs — so a sweep can interleave
-both backends and aggregate their rows with the same code.
+too), collects every node's JSONL log, and judges the run as a simulated one
+is judged: :func:`~repro.transport.events.load_trace` folds the logs into a
+:class:`~repro.sim.trace.RunTrace` and
+:func:`~repro.runtime.engine.fold_checks` applies ``spec.checks`` to it, so a
+registered check means the same thing on both backends and a sweep can
+interleave them.  The record adds only what a simulated run has no use for
+(``backend``, measured ``t_fail``, ``time_scale``, ``nodes``, ``link``,
+``log_dir``).
 
 Tunables come from ``spec.backend_params`` (all optional):
 
@@ -49,13 +53,13 @@ import time
 from pathlib import Path
 
 from ..errors import ConfigurationError
-from ..runtime.engine import RunRecord
+from ..runtime.engine import RunRecord, fold_checks
 from ..runtime.spec import ScenarioSpec
-from .events import EventLog, read_events
+from ..sim.failures import FailurePattern
+from .events import EventLog, load_trace
 from .faults import FaultPlan, fault_plan
 from .framing import encode_frame, read_frame
 from .node import MESH_DEADLINE_SECONDS, validate_link_params
-from .validate import detection_outcome, median_iqr
 
 __all__ = ["execute_real_spec", "resolve_timeouts"]
 
@@ -162,7 +166,6 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
     stdio: list = []
     control = None
     injector: EventLog | None = None
-    t_fail: dict[int, float] = {}
     completed = False
     # Everything from here on — including the spawn loop itself — runs under
     # one ``finally``: a Popen that fails for node k, a SIGINT while waiting
@@ -243,13 +246,12 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
             sig = signal.SIGKILL if action.action == "kill" else signal.SIGSTOP
             if proc.poll() is None:
                 proc.send_signal(sig)
-            entry = injector.log(
+            injector.log(
                 "fault_injected",
                 victim=action.index,
                 identity=action.identity,
                 action=action.action,
             )
-            t_fail[action.index] = entry["t"]
 
         # -- wait for the horizon and self-exits --------------------------
         deadline = epoch + t0 + spec.horizon * time_scale + _EXIT_GRACE
@@ -282,8 +284,15 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
             # logs, so the temp dir must not outlive the exception.
             shutil.rmtree(log_dir, ignore_errors=True)
 
-    metrics = _metrics_from_logs(
-        log_dir, membership=membership, plan=plan, t_fail=t_fail, time_scale=time_scale
+    trace = load_trace(log_dir, membership)
+    pattern = FailurePattern(membership, spec.crashes.build(membership))
+    metrics = fold_checks(trace, pattern, spec.checks)
+    metrics.update(
+        backend="real",
+        t_fail={str(process.index): when for process, when in sorted(trace.crashes.items())},
+        decided=any(trace.decided(process) for process in pattern.correct),
+        time_scale=time_scale,
+        nodes=n,
     )
     if link is not None:
         metrics["link"] = link
@@ -299,54 +308,3 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
     if not keep_logs:
         shutil.rmtree(log_dir, ignore_errors=True)
     return record
-
-
-def _metrics_from_logs(
-    log_dir: Path,
-    *,
-    membership,
-    plan: FaultPlan,
-    t_fail: dict[int, float],
-    time_scale: float,
-) -> dict:
-    """Fold the node logs into sim-compatible ``hb_detection`` metrics."""
-    victims = set(plan.victims)
-    observer_events: list[dict] = []
-    for process in membership.processes:
-        if process.index in victims:
-            continue
-        observer_events.extend(read_events(log_dir / f"node{process.index}.jsonl"))
-
-    # An identity failed only when every bearer was a victim (homonyms cover
-    # for each other) — the same rule check_hb_detection applies to traces.
-    by_identity: dict = {}
-    for process in membership.processes:
-        by_identity.setdefault(membership.identity_of(process), []).append(process.index)
-    failed_identities = {
-        identity: max(t_fail[index] for index in bearers)
-        for identity, bearers in by_identity.items()
-        if all(index in victims and index in t_fail for index in bearers)
-    }
-
-    latencies: dict[str, float] = {}
-    missed = 0
-    for identity, failed_at in failed_identities.items():
-        outcome = detection_outcome(observer_events, identity, failed_at)
-        if outcome["missed"]:
-            missed += 1
-        else:
-            latencies[repr(identity)] = outcome["latency"]
-    stats = median_iqr(list(latencies.values()))
-    decisions = [e for e in observer_events if e.get("event") == "decide"]
-    return {
-        "backend": "real",
-        "hb_detection_ok": missed == 0,
-        "hb_detection_time": None if stats is None else stats["median"],
-        "hb_detected": len(latencies),
-        "hb_missed": missed,
-        "hb_latencies": latencies,
-        "t_fail": {str(index): when for index, when in sorted(t_fail.items())},
-        "decided": bool(decisions),
-        "time_scale": time_scale,
-        "nodes": membership.size,
-    }

@@ -1,120 +1,34 @@
-"""The sim-vs-real validation aggregator (pure functions) and trace check.
+"""E11's presentation layer: per-cell statistics and the two CSV shapes.
 
-This module is the shared maths of the harness, deliberately free of sockets
-and subprocesses so every edge case is tier-1 testable:
+Pure functions, free of sockets and subprocesses, so every edge case is
+tier-1 testable.  Nothing here judges a run — both backends are judged by the
+registered checks over a :class:`~repro.sim.trace.RunTrace`
+(:mod:`repro.detectors.detection`); this module only folds the per-trial
+latencies those checks report:
 
-* :func:`detection_outcome` — first ``declared_dead`` per victim wins;
-  duplicate declarations (several observers, or retransmitted lines) count
-  once; no declaration at all is a *missed* detection;
-* :func:`median_iqr` — median and Tukey quartiles for odd and even trial
-  counts (a single trial's IQR is zero, an empty cell has no statistics);
 * :func:`aggregate_cells` — folds per-trial outcomes into per-
-  ``(backend, hb_interval, hb_timeout)`` cells;
+  ``(backend, hb_interval, hb_timeout)`` cells (median + Tukey IQR; a cell
+  whose every trial missed still appears);
 * :func:`heatmap_csv` / :func:`scatter_csv` — the Snippet 1 §9 CSV shapes
   (heatmap: rows = ``hb_timeout_ms``, columns = ``hb_interval_ms``, value =
   median detection latency in ms; scatter: one row per cell with the missed
   count).  Latencies are measured in scenario time units on both backends and
   converted to milliseconds with the same ``time_scale`` factor, so the two
   backends land in directly comparable columns.
-
-It also hosts :func:`check_hb_detection`, the registered ``hb_detection``
-trace check that gives *simulated* heartbeat runs the same
-ok/latency/missed metrics the orchestrator computes from JSONL logs.
 """
 
 from __future__ import annotations
 
-import statistics
 from typing import Any, Iterable, Mapping, Sequence
 
-__all__ = [
-    "detection_outcome",
-    "median_iqr",
-    "aggregate_cells",
-    "heatmap_csv",
-    "scatter_csv",
-    "units_to_ms",
-    "check_hb_detection",
-    "check_topo_detection",
-]
+from ..detectors.detection import median_iqr
 
-DECLARED_DEAD = "declared_dead"
+__all__ = ["aggregate_cells", "heatmap_csv", "scatter_csv", "units_to_ms"]
 
 
 def units_to_ms(units: float, time_scale: float) -> float:
     """Scenario time units → wall milliseconds at the run's time scale."""
     return units * time_scale * 1000.0
-
-
-# ----------------------------------------------------------------------
-# Per-trial outcome
-# ----------------------------------------------------------------------
-def detection_outcome(
-    events: Iterable[Mapping[str, Any]],
-    victim_identity: Any,
-    t_fail: float,
-    *,
-    time_key: str = "t",
-) -> dict:
-    """Judge one victim's detection from a stream of event-log entries.
-
-    ``events`` is any iterable of JSONL-style entries (merged across observer
-    nodes); only ``declared_dead`` entries whose ``value`` names the victim's
-    identity count.  The *first* such entry fixes ``t_detect`` — later
-    duplicates (a second observer, or a buggy double declaration) never
-    change the outcome, satisfying the count-once rule.
-
-    Returns ``{"missed", "latency", "t_detect", "declarations"}`` where
-    ``latency = t_detect − t_fail`` (same time base, Snippet 1 §5) and
-    ``declarations`` counts every matching entry (so a test can assert that
-    duplicates were *seen* yet counted once).
-    """
-    t_detect: float | None = None
-    declarations = 0
-    for entry in events:
-        if entry.get("event") != DECLARED_DEAD or entry.get("value") != victim_identity:
-            continue
-        declarations += 1
-        t = float(entry[time_key])
-        if t_detect is None or t < t_detect:
-            t_detect = t
-    if t_detect is None:
-        return {"missed": True, "latency": None, "t_detect": None, "declarations": 0}
-    return {
-        "missed": False,
-        "latency": t_detect - t_fail,
-        "t_detect": t_detect,
-        "declarations": declarations,
-    }
-
-
-# ----------------------------------------------------------------------
-# Cell statistics
-# ----------------------------------------------------------------------
-def median_iqr(values: Sequence[float]) -> dict | None:
-    """Median and Tukey quartiles (median of each half) of a sample.
-
-    Returns ``None`` for an empty sample.  With one value the quartiles
-    collapse onto it (IQR 0); odd sample sizes exclude the middle element
-    from both halves, even sizes split exactly — the textbook convention,
-    chosen so the tier-1 tests can pin exact expected numbers.
-    """
-    if not values:
-        return None
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 1:
-        q1 = q3 = ordered[0]
-    else:
-        half = n // 2
-        q1 = statistics.median(ordered[:half])
-        q3 = statistics.median(ordered[n - half :])
-    return {
-        "median": statistics.median(ordered),
-        "q1": q1,
-        "q3": q3,
-        "iqr": q3 - q1,
-    }
 
 
 def aggregate_cells(
@@ -200,151 +114,3 @@ def scatter_csv(cells: Sequence[Mapping[str, Any]], *, time_scale: float) -> str
             )
         )
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# The sim-side trace check (registered as "hb_detection")
-# ----------------------------------------------------------------------
-def check_hb_detection(trace, pattern):
-    """Judge a simulated heartbeat run exactly like the real-run aggregator.
-
-    An *identity* counts as failed only when every process bearing it crashed
-    (homonyms cover for each other: a surviving namesake keeps ACKing).  For
-    each failed identity the earliest ``declared_dead`` record of any correct
-    process fixes ``t_detect``; a declaration must come *after* the last
-    crash of that identity (a premature declaration is a violation), and a
-    correct process's identity must never be declared at all.
-    """
-    from ..detectors.properties import CheckResult
-
-    crashes = dict(trace.crashes)
-    by_identity: dict[Any, list] = {}
-    for process in pattern.membership.processes:
-        by_identity.setdefault(pattern.membership.identity_of(process), []).append(process)
-    failed_identities = {
-        identity: max(crashes[p] for p in bearers)
-        for identity, bearers in by_identity.items()
-        if all(p in crashes for p in bearers)
-    }
-
-    violations: list[str] = []
-    latencies: dict[Any, float] = {}
-    missed: list[Any] = []
-    for identity, t_fail in failed_identities.items():
-        t_detect: float | None = None
-        for observer in pattern.correct:
-            for record in trace.records_of(observer, DECLARED_DEAD):
-                if record.value != identity:
-                    continue
-                if record.time < t_fail:
-                    violations.append(
-                        f"{observer!r} declared {identity!r} dead at t={record.time} "
-                        f"before its last bearer crashed at t={t_fail}"
-                    )
-                if t_detect is None or record.time < t_detect:
-                    t_detect = record.time
-        if t_detect is None:
-            missed.append(identity)
-        else:
-            latencies[identity] = t_detect - t_fail
-    for observer in pattern.correct:
-        for record in trace.records_of(observer, DECLARED_DEAD):
-            if record.value not in failed_identities:
-                violations.append(
-                    f"{observer!r} declared live identity {record.value!r} dead"
-                )
-    if missed:
-        violations.append(f"missed detections: {sorted(missed, key=repr)!r}")
-
-    stats = median_iqr(list(latencies.values()))
-    return CheckResult(
-        ok=not violations,
-        violations=tuple(violations),
-        stabilization_time=None if stats is None else stats["median"],
-        details={
-            "latencies": {repr(k): v for k, v in latencies.items()},
-            "missed": len(missed),
-            "detected": len(latencies),
-            # Folded into the RunRecord metrics (namespaced by the check name)
-            # by run_once, so sweeps can aggregate without re-parsing traces.
-            "metrics": {
-                "detected": len(latencies),
-                "missed": len(missed),
-                "median_latency": None if stats is None else stats["median"],
-                "copies_sent": trace.message_copies_sent,
-                "end_time": trace.end_time,
-            },
-        },
-    )
-
-
-# ----------------------------------------------------------------------
-# The sparse-topology trace check (registered as "topo_detection")
-# ----------------------------------------------------------------------
-def check_topo_detection(trace, pattern):
-    """Judge an index-addressed (ring/gossip) monitoring run.
-
-    Sparse topologies monitor by process *index*, so there is no homonym
-    cover: every crashed index must eventually be declared (by index) by at
-    least one correct process — even when the victim's direct monitors
-    crashed with it, which the ring repairs by recomputing successor windows.
-    A declaration before the victim's crash, or of an index that never
-    crashes, is a *false suspicion* and a violation.
-    """
-    from ..detectors.properties import CheckResult
-
-    crashes = {process.index: when for process, when in trace.crashes.items()}
-
-    violations: list[str] = []
-    latencies: dict[int, float] = {}
-    missed: list[int] = []
-    false_suspicions = 0
-    for observer in pattern.correct:
-        for record in trace.records_of(observer, DECLARED_DEAD):
-            target = record.value
-            if target not in crashes:
-                false_suspicions += 1
-                violations.append(
-                    f"{observer!r} declared live index {target!r} dead "
-                    f"at t={record.time}"
-                )
-            elif record.time < crashes[target]:
-                false_suspicions += 1
-                violations.append(
-                    f"{observer!r} declared index {target!r} dead at "
-                    f"t={record.time} before its crash at t={crashes[target]}"
-                )
-    for victim_index, t_fail in sorted(crashes.items()):
-        t_detect: float | None = None
-        for observer in pattern.correct:
-            for record in trace.records_of(observer, DECLARED_DEAD):
-                if record.value != victim_index or record.time < t_fail:
-                    continue
-                if t_detect is None or record.time < t_detect:
-                    t_detect = record.time
-        if t_detect is None:
-            missed.append(victim_index)
-        else:
-            latencies[victim_index] = t_detect - t_fail
-    if missed:
-        violations.append(f"missed detections (by index): {missed!r}")
-
-    stats = median_iqr(list(latencies.values()))
-    return CheckResult(
-        ok=not violations,
-        violations=tuple(violations),
-        stabilization_time=None if stats is None else stats["median"],
-        details={
-            "latencies": {str(k): v for k, v in latencies.items()},
-            "missed": len(missed),
-            "detected": len(latencies),
-            "metrics": {
-                "detected": len(latencies),
-                "missed": len(missed),
-                "false_suspicions": false_suspicions,
-                "median_latency": None if stats is None else stats["median"],
-                "copies_sent": trace.message_copies_sent,
-                "end_time": trace.end_time,
-            },
-        },
-    )

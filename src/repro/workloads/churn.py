@@ -43,7 +43,6 @@ JOINED = "churn_join"
 LEFT = "churn_leave"
 WENT_DOWN = "churn_down"
 CAME_UP = "churn_up"
-DECLARED_DEAD = "declared_dead"
 CONFIG = "churn_config"
 
 
@@ -157,8 +156,8 @@ def churn_spec(
 # ----------------------------------------------------------------------
 def check_membership_churn(trace, pattern):
     """Judge a churn run from the trace alone (records + crash ledger)."""
+    from ..detectors.detection import judge_detections, median_iqr
     from ..detectors.properties import CheckResult
-    from ..transport.validate import median_iqr
 
     processes = pattern.membership.processes
     crashes = {process.index: when for process, when in trace.crashes.items()}
@@ -196,48 +195,38 @@ def check_membership_churn(trace, pattern):
     def ever_down_by(index: int, at: float) -> bool:
         return any(down <= at for down in life[index]["downs"])
 
+    verdict = judge_detections(trace, pattern.correct, crashes)
     violations: list[str] = []
-    false_suspicions = 0
-    removal_latencies: dict[int, float] = {}
-    missed_removals: list[int] = []
 
-    # -- suspicion accounting ------------------------------------------------
-    for observer in sorted(pattern.correct):
-        if life[observer.index]["left"] is not None:
+    # -- suspicion accounting: the judge's false suspicions, minus churn's own
+    # exemptions (it already cleared declarations at or after a real crash) --
+    false_suspicions = 0
+    for record in verdict.false_suspicions:
+        if life[record.process.index]["left"] is not None:
             continue  # a leaver's trailing state is not a monitoring opinion
-        for record in trace.records_of(observer, DECLARED_DEAD):
-            target, at = record.value, record.time
-            crashed_by = crashes.get(target)
-            if crashed_by is not None and at >= crashed_by:
-                continue  # correct detection of a real crash
-            if ever_down_by(target, at):
-                continue  # correct suspicion of a silent (down) member
-            left_at = life.get(target, {}).get("left")
-            if left_at is not None and at >= left_at:
-                continue  # the LEAVE announcement lost the race; benign
-            false_suspicions += 1
-            violations.append(
-                f"{observer!r} falsely suspected active index {target} at t={at}"
-            )
+        target, at = record.value, record.time
+        if ever_down_by(target, at):
+            continue  # correct suspicion of a silent (down) member
+        left_at = life.get(target, {}).get("left")
+        if left_at is not None and at >= left_at:
+            continue  # the LEAVE announcement lost the race; benign
+        false_suspicions += 1
+        violations.append(
+            f"{record.process!r} falsely suspected active index {target} at t={at}"
+        )
 
     # -- removal accounting (simulator-enforced crashes) ---------------------
-    for victim, t_fail in sorted(crashes.items()):
-        if end - t_fail < settle:
-            continue  # crashed too close to the horizon to demand detection
-        t_detect = None
-        for observer in pattern.correct:
-            for record in trace.records_of(observer, DECLARED_DEAD):
-                if record.value != victim or record.time < t_fail:
-                    continue
-                if t_detect is None or record.time < t_detect:
-                    t_detect = record.time
-        if t_detect is None:
-            missed_removals.append(victim)
-            violations.append(
-                f"crash of index {victim} at t={t_fail} was never declared"
-            )
-        else:
-            removal_latencies[victim] = t_detect - t_fail
+    # A victim that crashed less than a settle window before the horizon is
+    # neither demanded nor credited.
+    settled = [victim for victim, t_fail in sorted(crashes.items()) if end - t_fail >= settle]
+    removal_latencies = {
+        victim: verdict.latencies[victim] for victim in settled if victim in verdict.latencies
+    }
+    missed_removals = [victim for victim in settled if victim in verdict.missed]
+    violations.extend(
+        f"crash of index {victim} at t={crashes[victim]} was never declared"
+        for victim in missed_removals
+    )
 
     # -- join accounting -----------------------------------------------------
     join_latencies: list[float] = []

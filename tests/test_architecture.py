@@ -1,7 +1,8 @@
 """Architecture rules as assertions: what must not grow back, checked on every tier-1 run.
 
 Each rule names the one module that owns a mechanism; a match anywhere else
-under ``runtime/`` or ``fabric/`` means a second copy is being started.
+under ``runtime/`` or ``fabric/`` (for the judge: anywhere under ``src/repro``)
+means a second copy is being started.
 """
 
 from __future__ import annotations
@@ -54,3 +55,30 @@ def test_runtime_and_fabric_keep_one_of_each_mechanism(owner: str, pattern: str)
         if re.search(pattern, line)
     ]
     assert not offenders, f"{owner} owns this; a second copy is starting:\n" + "\n".join(offenders)
+
+
+def test_only_the_real_backend_dispatch_imports_the_transport() -> None:
+    """One judge: simulated runs are judged without ``repro.transport``.
+
+    The engine's ``backend == "real"`` dispatch, the builder's link-param
+    validation, the chaos campaign and E11 drive the real backend; a check in
+    ``runtime/registry.py`` or ``workloads/`` importing it is the second judge
+    growing back.
+    """
+    package = ROOT / "src" / "repro"
+    allowed = {"runtime/engine.py", "runtime/builder.py", "experiments/e11_sim_vs_real.py"}
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix()
+        if name in allowed or name.startswith(("transport/", "chaos/")):
+            continue
+        depth = name.count("/")  # how many dots reach ``repro`` from this module
+        importing = rf"^\s*(from|import)\s+(repro\.|\.{{{depth + 1}}})transport\b"
+        offenders += [
+            f"src/repro/{name}:{number}: {line.strip()}"
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(importing, line)
+        ]
+    assert not offenders, "only the real-backend dispatch may import repro.transport:\n" + "\n".join(
+        offenders
+    )

@@ -7,6 +7,10 @@ caught.
 
 from __future__ import annotations
 
+import statistics
+
+import pytest
+
 from repro.detectors import (
     CheckResult,
     check_aomega_election,
@@ -14,11 +18,13 @@ from repro.detectors import (
     check_asigma,
     check_diamond_hp,
     check_diamond_p,
+    check_hb_detection,
     check_homega_election,
     check_hsigma,
     check_omega_election,
     check_script_e,
     check_sigma,
+    check_topo_detection,
 )
 from repro.detectors.base import OutputKeys
 from repro.identity import IdentityMultiset, ProcessId
@@ -391,3 +397,107 @@ class TestHSigmaChecker:
         result = check_hsigma(trace, self.pattern)
         assert not result.ok
         assert any("disjoint" in violation for violation in result.violations)
+
+
+# ----------------------------------------------------------------------
+# The detection judge: one rule, two kinds of target
+# ----------------------------------------------------------------------
+_UNIQUE = ["a", "b", "c", "d"]
+_HOMONYMS = ["a", "a", "b", "b"]  # p2 and p3 share identity "b"
+
+
+def _expect(latencies=None, missed=0, false=0):
+    return {"latencies": latencies or {}, "missed": missed, "false": false}
+
+
+def _both(by_index, **rest):
+    """The same expectation for both callers (unique ids: identity i ↔ index i)."""
+    by_identity = {_UNIQUE[index]: latency for index, latency in by_index.items()}
+    return _expect(by_identity, **rest), _expect(by_index, **rest)
+
+
+# (identities, {crashed index: t_fail}, [(observer, target index, t)], hb, topo):
+# each declaration names its target by identity for ``hb_detection`` and by
+# index for ``topo_detection``.
+_JUDGE_CASES = {
+    "missed": (_UNIQUE, {3: 6.0}, [], *_both({}, missed=1)),
+    "first_wins_duplicates_count_once": (
+        _UNIQUE,
+        {3: 6.0},
+        [(0, 3, 9.0), (0, 3, 11.0), (1, 3, 8.5), (2, 3, 8.5)],
+        *_both({3: 2.5}),
+    ),
+    "at_t_fail_is_a_detection": (_UNIQUE, {3: 6.0}, [(0, 3, 6.0)], *_both({3: 0.0})),
+    "other_target_ignored": (
+        _UNIQUE,
+        {2: 5.0, 3: 6.0},
+        [(0, 2, 7.0)],
+        *_both({2: 2.0}, missed=1),
+    ),
+    "premature_is_a_false_suspicion_not_a_detection": (
+        _UNIQUE,
+        {3: 6.0},
+        [(0, 3, 5.0), (1, 3, 9.0)],
+        *_both({3: 3.0}, false=1),
+    ),
+    "premature_alone_leaves_the_target_missed": (
+        _UNIQUE,
+        {3: 6.0},
+        [(0, 3, 5.0)],
+        *_both({}, missed=1, false=1),
+    ),
+    "live_target_declared": (
+        _UNIQUE,
+        {3: 6.0},
+        [(0, 1, 7.0), (0, 3, 9.0)],
+        *_both({3: 3.0}, false=1),
+    ),
+    "faulty_observer_has_no_say": (
+        _UNIQUE,
+        {3: 6.0},
+        [(3, 0, 2.0), (0, 3, 9.0)],
+        *_both({3: 3.0}),
+    ),
+    # an identity fails only at its last bearer's crash; an index at its own
+    "homonym_cover": (
+        _HOMONYMS,
+        {2: 4.0, 3: 10.0},
+        [(0, 2, 7.0), (1, 3, 12.0)],
+        _expect({"b": 2.0}, false=1),
+        _expect({2: 3.0, 3: 2.0}),
+    ),
+    "surviving_namesake_keeps_the_identity_alive": (
+        _HOMONYMS,
+        {2: 4.0},
+        [(0, 2, 7.0)],
+        _expect(false=1),
+        _expect({2: 3.0}),
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", ["hb_detection", "topo_detection"])
+@pytest.mark.parametrize("case", _JUDGE_CASES)
+def test_detection_judge(case, caller):
+    identities, crashes, declarations, by_identity, by_index = _JUDGE_CASES[case]
+    by_target = caller == "hb_detection"
+    check = check_hb_detection if by_target else check_topo_detection
+    expected = by_identity if by_target else by_index
+    membership = Membership.of(identities)
+    trace = RunTrace()
+    for index, t_fail in crashes.items():
+        trace.record_crash(p(index), t_fail)
+    for observer, target, at in declarations:
+        trace.record(p(observer), "declared_dead", identities[target] if by_target else target, at)
+
+    result = check(trace, make_pattern(membership, {p(i): t for i, t in crashes.items()}))
+
+    assert result.details["latencies"] == expected["latencies"]
+    metrics = result.details["metrics"]
+    assert metrics["detected"] == len(expected["latencies"])
+    assert metrics["missed"] == expected["missed"]
+    assert sum("declared" in violation for violation in result.violations) == expected["false"]
+    assert metrics.get("false_suspicions", expected["false"]) == expected["false"]
+    assert result.ok == (expected["missed"] == 0 and expected["false"] == 0)
+    latencies = expected["latencies"].values()
+    assert result.stabilization_time == (statistics.median(latencies) if latencies else None)

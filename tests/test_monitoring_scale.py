@@ -157,24 +157,49 @@ def _pinned_run(topology, n, hb_timeout):
         build = build.topology(topology).check("topo_detection")
         check = "topo_detection"
     record = Engine().run(build.build())
-    assert record.metrics[f"{check}_ok"], record.metrics
     return (
         record.digest,
-        record.metrics[f"{check}_copies_sent"],
+        [
+            (key.removeprefix(f"{check}_"), value)
+            for key, value in record.metrics.items()
+            if key.startswith(check)
+        ],
         record.metrics["test_all_declarations_rows"],
     )
 
 
-# (digest, copies_sent, [[observer index, declared, time], ...])
-PINNED_RING = ("2c8932d93faae0fe", 4311, [[26, "29", 16.0], [27, "29", 16.0], [28, "29", 16.0]])
+def _verdict(latency, copies_sent, end_time, **extra):
+    """The check's whole metric set (keys, order and values), as 9ab9472 reports it."""
+    return [
+        ("ok", True),
+        ("time", latency),
+        ("detected", 1),
+        ("missed", 0),
+        *extra.items(),
+        ("median_latency", latency),
+        ("copies_sent", copies_sent),
+        ("end_time", end_time),
+    ]
+
+
+# (digest, the check's metrics, [[observer index, declared, time], ...])
+PINNED_RING = (
+    "2c8932d93faae0fe",
+    _verdict(6.0, 4311, 24.0, false_suspicions=0),
+    [[26, "29", 16.0], [27, "29", 16.0], [28, "29", 16.0]],
+)
 _GOSSIP_TIMES = [21, 21, 20, 21, 21, 20, 22, 22, 21, 20, 21, 20, 20, 20, 20]
 _GOSSIP_TIMES += [21, 19, 21, 22, 20, 21, 19, 22, 21, 19, 21, 21, 21, 22]
 PINNED_GOSSIP = (
     "995d488ac0b70d6a",
-    2382,
+    _verdict(9.0, 2382, 26.0, false_suspicions=0),
     [[observer, "29", float(when)] for observer, when in enumerate(_GOSSIP_TIMES)],
 )
-PINNED_MESH = ("68df8cd1e04f4fe3", 5106, [[observer, "id5", 16.0] for observer in range(5)])
+PINNED_MESH = (
+    "68df8cd1e04f4fe3",
+    _verdict(6.0, 5106, 24.0),
+    [[observer, "id5", 16.0] for observer in range(5)],
+)
 
 
 class TestSimulatedBehaviourIsPinned:

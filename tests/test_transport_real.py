@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from repro.runtime import Engine
+from repro.runtime import Engine, scenario
+from repro.runtime.spec import crashes_at, partial_sync
 from repro.transport.__main__ import build_heartbeat_spec
 from repro.transport.events import read_events
 
@@ -37,7 +38,10 @@ def test_real_three_node_run_detects_the_victim(tmp_path):
 
     assert metrics["backend"] == "real"
     assert metrics["hb_detection_ok"] is True
-    assert metrics["hb_missed"] == 0
+    assert metrics["hb_detection_missed"] == 0
+    # one judge: the simulated twin of this spec reports the same measurements
+    sim = Engine().run(build_heartbeat_spec(nodes=3, backend="sim")).metrics
+    assert {k for k in metrics if k.startswith("hb_")} == {k for k in sim if k.startswith("hb_")}
 
     # detection latency is positive and on the order of hb_timeout:
     # the Snippet 1 §5 envelope, [timeout − interval, timeout + interval]
@@ -54,6 +58,7 @@ def test_real_three_node_run_detects_the_victim(tmp_path):
         assert path.exists(), path
         events = list(read_events(path))
         assert events and all("t_wall" in e and "t" in e for e in events)
+        assert events[0]["event"] == "node_ready" and events[0]["t"] is None  # before t0
     assert (log_dir / "injector.jsonl").exists()
 
     # the two observers each declared the victim dead exactly once
@@ -68,6 +73,25 @@ def test_real_three_node_run_detects_the_victim(tmp_path):
     assert len(declarations) == 2
     assert all(entry["value"] == victim for entry in declarations)
     assert all(entry["t"] > t_fail for entry in declarations)
+
+
+def test_real_run_honours_spec_checks_diamond_hp_on_tcp():
+    """Figure 6 (◇HP / HΩ by polling) on real sockets, judged by the sim's axioms."""
+    spec = (
+        scenario("ohp-on-tcp")
+        .homonyms([2, 1])
+        .timing(partial_sync(5.0, 1.0))
+        .crashes(crashes_at({2: 4.0}))
+        .program("ohp_polling")
+        .check("diamond_hp")
+        .check("homega")
+        .horizon(40.0)
+        .backend("real", time_scale=0.02)
+        .build()
+    )
+    metrics = Engine().run(spec).metrics
+    assert metrics["diamond_hp_ok"] is True and metrics["homega_ok"] is True
+    assert not [key for key in metrics if key.startswith("hb_")]  # only what was asked for
 
 
 def test_real_run_records_are_not_cached(tmp_path):

@@ -1,23 +1,29 @@
 """Tier-1 coverage of the transport subsystem's pure parts.
 
-Everything here runs without sockets or subprocesses: the validation
-aggregator's edge cases (missed detections, duplicate declarations, odd and
-even medians, empty cells), the wire framing, the ScenarioSpec backend
-round-trip (including canonical-hash preservation for pre-backend specs),
-the builder's real-backend requirement table, and a *simulated* heartbeat
-run exercising the ``hb_detection`` check end to end.
+Everything here runs without sockets or subprocesses: the event log and the
+``load_trace`` reader on a fabricated log directory, the E11 aggregator's edge
+cases (odd and even medians, empty cells), the wire framing, the ScenarioSpec
+backend round-trip (including canonical-hash preservation for pre-backend
+specs), the builder's real-backend requirement table, and a *simulated*
+heartbeat run exercising the ``hb_detection`` check end to end.  (The
+detection rule itself is judged in ``tests/test_detector_properties.py``.)
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
+from repro.detectors.detection import median_iqr
+from repro.identity import IdentityMultiset, ProcessId
+from repro.membership import Membership
 from repro.runtime import Engine, scenario
 from repro.runtime.builder import ScenarioValidationError
 from repro.runtime.spec import ScenarioSpec, asynchronous, crashes_at, synchronous
 from repro.transport.__main__ import build_heartbeat_spec
+from repro.transport.events import EventLog, load_trace
 from repro.transport.framing import (
     MAX_FRAME_BYTES,
     FramingError,
@@ -25,41 +31,60 @@ from repro.transport.framing import (
     encode_frame,
     read_frame,
 )
-from repro.transport.validate import (
-    aggregate_cells,
-    detection_outcome,
-    heatmap_csv,
-    median_iqr,
-    scatter_csv,
-)
+from repro.transport.validate import aggregate_cells, heatmap_csv, scatter_csv
 
 
 # ----------------------------------------------------------------------
-# detection_outcome
+# EventLog / load_trace
 # ----------------------------------------------------------------------
-def _dead(identity, t):
-    return {"event": "declared_dead", "value": identity, "t": t}
+def test_event_log_has_no_scenario_time_before_t0(tmp_path):
+    path = tmp_path / "node0.jsonl"
+    with EventLog(path, epoch=0.0, time_scale=0.05) as log:
+        assert log.log("node_ready", t_wall=0.469522)["t"] is None
+        log.t0 = 0.5
+        assert log.log("node_start", t_wall=0.6)["t"] == 2.0
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    assert first["t"] is None and first["t_wall"] == 0.469522
+    assert second["t"] == 2.0
 
 
-def test_detection_outcome_missed_when_no_declaration():
-    events = [{"event": "hb_ping_sent", "t": 1.0}, _dead("B", 8.0)]
-    outcome = detection_outcome(events, "A", 6.0)
-    assert outcome == {"missed": True, "latency": None, "t_detect": None, "declarations": 0}
+def test_load_trace_folds_a_log_directory_into_a_run_trace(tmp_path):
+    membership = Membership.of(["a", "a", "b"])
+    trusted = IdentityMultiset(["a", "a"])
+    with EventLog(tmp_path / "node0.jsonl", epoch=0.0, time_scale=0.5) as log:
+        log.log("h_trusted", t_wall=0.2, value="written before t0: no scenario time")
+        log.t0 = 1.0
+        log.log("node_start", t_wall=1.0, program="x")
+        log.log("msg_send", t_wall=1.5, kind="PING", copies=3)
+        log.log("msg_recv", t_wall=1.6, kind="PING")
+        log.log("declared_dead", t_wall=4.0, value="b")
+        log.log("h_trusted", t_wall=4.5, value=trusted)
+        log.log("decide", t_wall=5.0, value=7)
+        log.log("decide", t_wall=5.5, value=8)
+    with EventLog(tmp_path / "node2.jsonl", epoch=0.0, t0=1.0, time_scale=0.5) as log:
+        log.log("hb_ping_sent", t_wall=1.5, value=1)
+    with open(tmp_path / "node2.jsonl", "a", encoding="utf-8") as victim:
+        victim.write('{"event": "hb_ping_sent", "t": 2.0, "val')  # SIGKILLed mid-line
+    with EventLog(tmp_path / "injector.jsonl", epoch=0.0, t0=1.0, time_scale=0.5) as log:
+        log.log("run_start", t_wall=1.0, nodes=3)
+        log.log("fault_injected", t_wall=2.51, victim=2, identity="b", action="kill")
+        log.log("run_end", t_wall=8.0)
 
+    trace = load_trace(tmp_path, membership)  # node1.jsonl is absent: an empty history
 
-def test_detection_outcome_first_declaration_wins_duplicates_counted_once():
-    events = [_dead("A", 9.0), _dead("A", 8.4), _dead("A", 11.0)]
-    outcome = detection_outcome(events, "A", 6.0)
-    assert outcome["missed"] is False
-    assert outcome["t_detect"] == 8.4  # earliest, regardless of log order
-    assert outcome["latency"] == pytest.approx(2.4)
-    # duplicates are *seen* (three declarations) yet fix one outcome
-    assert outcome["declarations"] == 3
-
-
-def test_detection_outcome_ignores_other_identities():
-    outcome = detection_outcome([_dead("B", 7.0)], "A", 6.0)
-    assert outcome["missed"] is True
+    p0, p1, p2 = membership.processes
+    assert trace.crashes == {p2: 3.02}  # the injector's measured t_fail, not the schedule
+    assert trace.end_time == 14.0
+    assert trace.values_of(p0, "declared_dead") == ((6.0, "b"),)
+    (record,) = trace.records_of(p0, "h_trusted")  # the pre-t0 line was skipped
+    assert record.value == trusted and isinstance(record.value, IdentityMultiset)
+    decision = trace.decision_of(p0)
+    assert (decision.value, decision.time) == (7, 8.0)  # the first decide line
+    assert trace.values_of(p2, "hb_ping_sent") == ((1.0, 1),)  # torn tail dropped
+    assert trace.records_of(p1) == () and p1 == ProcessId(1)
+    assert trace.broadcasts_by_kind() == {"PING": 1}
+    assert trace.message_copies_sent == 3
+    assert trace.deliveries_by_kind() == {"PING": 1}
 
 
 # ----------------------------------------------------------------------
