@@ -25,9 +25,9 @@ Typical entry points:
               .consensus("homega_hsigma").build())
       record = Engine().run(spec)          # record.metrics["decided"] …
 
-* :mod:`repro.experiments` — the E1–E8 harness behind ``EXPERIMENTS.md``
-  (``python -m repro.experiments --jobs 4``), resolved through the runtime
-  registry;
+* :mod:`repro.experiments` — the E1–E12 harness, one declared experiment per
+  paper result (``python -m repro.experiments --jobs 4``), resolved through
+  the runtime registry;
 * lower layers, for custom programs and direct control:
   :func:`repro.membership.grouped_identities` & friends build memberships;
   :mod:`repro.sim` builds and runs systems (``build_system`` +

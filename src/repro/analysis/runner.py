@@ -135,6 +135,17 @@ class ParameterSweep:
         return self.total_runs
 
 
+def _cell_order(value: Any) -> tuple:
+    """A total order on group values: ``None``, bools, numbers by value, the rest by ``repr``."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, bool):
+        return (1, value)
+    if isinstance(value, (int, float)):
+        return (2, value)
+    return (3, repr(value))
+
+
 def aggregate_rows(
     rows: Iterable[Mapping[str, Any]],
     *,
@@ -147,6 +158,7 @@ def aggregate_rows(
     Non-numeric or missing metric values are skipped; a group whose metric has
     no usable values reports ``None`` for it.  Boolean metrics are averaged as
     rates (True → 1.0), which is how the experiments report success fractions.
+    Cells come back sorted by their group values, numbers numerically.
     """
     grouped: dict[tuple, list[Mapping[str, Any]]] = {}
     for row in rows:
@@ -165,5 +177,5 @@ def aggregate_rows(
             ]
             entry[metric] = aggregator(values) if values else None
         aggregated.append(entry)
-    aggregated.sort(key=lambda entry: tuple(repr(entry[column]) for column in group_by))
+    aggregated.sort(key=lambda entry: tuple(_cell_order(entry[column]) for column in group_by))
     return aggregated

@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment tables and series.
 
-The benchmarks and ``EXPERIMENTS.md`` present their results as fixed-width
-ASCII tables — the closest a terminal gets to the paper's tables and figure
-series.
+The experiment CLI (``python -m repro.experiments``) presents its results as
+fixed-width ASCII tables — the closest a terminal gets to the paper's tables
+and figure series.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""The experiment harness behind EXPERIMENTS.md and the benchmarks.
+"""The experiment harness: E1–E12, each regenerating one result of the paper.
 
-Every module ``eN_*`` regenerates one experiment of the reproduction plan
-(see DESIGN.md §3).  Each exposes ``run(quick=True, seed=0)`` returning an
+Every module ``eN_*`` declares one experiment (the README's Experiments table
+says which figure or theorem it regenerates): its ``run`` is an
+:class:`~repro.experiments.base.Experiment`, called as ``run(quick=True,
+seed=0, engine=None)`` and returning an
 :class:`~repro.analysis.runner.ExperimentResult`; ``quick`` trades sweep width
-for runtime and is what the benchmark suite uses.
+for runtime and is what the test suite and the verifier use.
 """
 
 from . import (
@@ -17,63 +19,38 @@ from . import (
     e8_stacked_consensus,
     e9_fault_envelope,
     e10_kv_service,
+    e11_sim_vs_real,
     e12_membership_scaling,
 )
-from .e1_ohp_convergence import run as run_e1
-from .e2_hsigma_sync import run as run_e2
-from .e3_reductions import run as run_e3
-from .e4_consensus_majority import run as run_e4
-from .e5_consensus_hsigma import run as run_e5
-from .e6_homonymy_spectrum import run as run_e6
-from .e7_coordination_ablation import run as run_e7
-from .e8_stacked_consensus import run as run_e8
-from .e9_fault_envelope import run as run_e9
-from .e10_kv_service import run as run_e10
-from .e11_sim_vs_real import run as run_e11
-from .e12_membership_scaling import run as run_e12
-
 from ..runtime.registry import EXPERIMENTS, register_experiment
+from .base import Experiment
 
-ALL_EXPERIMENTS = {
-    "E1": run_e1,
-    "E2": run_e2,
-    "E3": run_e3,
-    "E4": run_e4,
-    "E5": run_e5,
-    "E6": run_e6,
-    "E7": run_e7,
-    "E8": run_e8,
-    "E9": run_e9,
-    "E10": run_e10,
-    "E12": run_e12,
-}
+DECLARATIONS: tuple[Experiment, ...] = (
+    e1_ohp_convergence.run,
+    e2_hsigma_sync.run,
+    e3_reductions.run,
+    e4_consensus_majority.run,
+    e5_consensus_hsigma.run,
+    e6_homonymy_spectrum.run,
+    e7_coordination_ablation.run,
+    e8_stacked_consensus.run,
+    e9_fault_envelope.run,
+    e10_kv_service.run,
+    e11_sim_vs_real.run,
+    e12_membership_scaling.run,
+)
+
+#: The deterministic experiments: the CLI's default selection and the
+#: determinism-digest manifest.
+ALL_EXPERIMENTS = {run.name: run for run in DECLARATIONS if run.deterministic}
 
 #: Experiments that measure wall-clock behaviour (the real transport
-#: backend).  They are registered and runnable by name, but excluded from
-#: ``ALL_EXPERIMENTS`` — and therefore from the determinism-digest manifest
-#: and the CLI's default selection — because their results are not
-#: bit-reproducible.
-WALLCLOCK_EXPERIMENTS = {
-    "E11": run_e11,
-}
+#: backend).  They are registered and runnable by name, but their results are
+#: not bit-reproducible, so nothing selects them by default.
+WALLCLOCK_EXPERIMENTS = {run.name: run for run in DECLARATIONS if not run.deterministic}
 
-for _name, _runner in {**ALL_EXPERIMENTS, **WALLCLOCK_EXPERIMENTS}.items():
-    if _name not in EXPERIMENTS:
-        register_experiment(_name, _runner)
+for _run in DECLARATIONS:
+    if _run.name not in EXPERIMENTS:
+        register_experiment(_run.name, _run)
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "WALLCLOCK_EXPERIMENTS",
-    "run_e1",
-    "run_e2",
-    "run_e3",
-    "run_e4",
-    "run_e5",
-    "run_e6",
-    "run_e7",
-    "run_e8",
-    "run_e9",
-    "run_e10",
-    "run_e11",
-    "run_e12",
-]
+__all__ = ["ALL_EXPERIMENTS", "DECLARATIONS", "WALLCLOCK_EXPERIMENTS"]

@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run the selected experiments and print (or write) their tables."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
-        description="Regenerate the experiments of EXPERIMENTS.md.",
+        description="Regenerate the paper's results, one experiment each (README, Experiments).",
     )
     parser.add_argument(
         "experiments",

@@ -20,8 +20,9 @@ just termination:
 
 from __future__ import annotations
 
-from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, ScenarioSpec, lossy, minority, scenario
+from ..analysis.runner import ParameterSweep
+from ..runtime import ScenarioSpec, lossy, minority, scenario
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -56,9 +57,7 @@ def _make_spec(config: dict) -> ScenarioSpec:
     return build.build()
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E10 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def _work(quick: bool, seed: int) -> list[Call]:
     if quick:
         parameters = {
             "clients": [2, 4],
@@ -76,18 +75,16 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         }
         repetitions = 3
     sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.run_sweep(_make_spec, sweep)
-    aggregated = aggregate_rows(
-        rows,
-        group_by=["clients", "skew", "fault"],
-        metrics=[
-            "completion_rate",
-            "throughput",
-            "latency_p50",
-            "latency_p99",
-            "linearizable",
-        ],
-    )
+    return [("run_sweep", _make_spec, sweep)]
+
+
+_COLUMNS, _table = grouped(
+    ["clients", "skew", "fault"],
+    ["completion_rate", "throughput", "latency_p50", "latency_p99", "linearizable"],
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     baseline = [row for row in rows if row["fault"] == "none"]
     summary = {
         "runs": len(rows),
@@ -101,26 +98,13 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             for fault in ("none", "crash", "lossy")
         },
     }
-    return ExperimentResult(
-        experiment="E10",
-        description=DESCRIPTION,
-        rows=tuple(aggregated),
-        summary=summary,
-        columns=(
-            "clients",
-            "skew",
-            "fault",
-            "runs",
-            "completion_rate",
-            "throughput",
-            "latency_p50",
-            "latency_p99",
-            "linearizable",
-        ),
-    )
+    return _table(rows), summary
 
 
 def _mean(values: list[float]) -> float | None:
     if not values:
         return None
     return sum(values) / len(values)
+
+
+run = Experiment("E10", DESCRIPTION, _COLUMNS, _work, _report)

@@ -28,11 +28,11 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from ..analysis.runner import ExperimentResult
-from ..runtime import Engine
+from ..runtime import ScenarioSpec
 from ..transport.__main__ import build_heartbeat_spec
 from ..transport.orchestrator import DEFAULT_TIME_SCALE
 from ..transport.validate import aggregate_cells, heatmap_csv, scatter_csv, units_to_ms
+from .base import Call, Experiment
 
 __all__ = ["run"]
 
@@ -48,9 +48,24 @@ _BACKENDS = ("sim", "real")
 _LOSS = 0.15
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the sim-vs-real sweep, write the CSVs, return the aggregated result."""
-    engine = engine or Engine()
+def _make_spec(config: dict) -> ScenarioSpec:
+    return build_heartbeat_spec(
+        nodes=_NODES,
+        hb_interval=config["hb_interval"],
+        hb_timeout=config["hb_timeout"],
+        fail_at=_FAIL_AT,
+        seed=config["seed"],
+        backend=config["backend"],
+        time_scale=DEFAULT_TIME_SCALE,
+        loss=config["loss"],
+        name=(
+            f"E11-{config['backend']}-i{config['hb_interval']}-t{config['hb_timeout']}"
+            f"-l{config['loss']}-r{config['repetition']}"
+        ),
+    )
+
+
+def _work(quick: bool, seed: int) -> list[Call]:
     if quick:
         intervals = [1.0, 2.0]
         timeouts = [3.0, 6.0]
@@ -60,56 +75,46 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         timeouts = [3.0, 4.5, 6.0]
         trials = 5
 
-    # One spec per (backend, cell, trial); trial seeds follow the
-    # ParameterSweep convention (base + combo_index * reps + repetition) so
-    # re-runs are reproducible and sim trials differ within a cell.
     # The full (interval × timeout) grid runs loss-free; one extra lossy cell
     # per backend (the smallest grid corner under _LOSS) checks that both
     # backends degrade the same way when links drop messages.
     grid = [
-        (hb_interval, hb_timeout, 0.0)
+        {"hb_interval": hb_interval, "hb_timeout": hb_timeout, "loss": 0.0}
         for hb_interval in intervals
         for hb_timeout in timeouts
     ]
-    grid.append((intervals[0], timeouts[0], _LOSS))
+    grid.append({"hb_interval": intervals[0], "hb_timeout": timeouts[0], "loss": _LOSS})
 
-    specs, meta = [], []
-    combo = 0
-    for backend in _BACKENDS:
-        for hb_interval, hb_timeout, loss in grid:
-            for repetition in range(trials):
-                specs.append(
-                    build_heartbeat_spec(
-                        nodes=_NODES,
-                        hb_interval=hb_interval,
-                        hb_timeout=hb_timeout,
-                        fail_at=_FAIL_AT,
-                        seed=seed + combo * trials + repetition,
-                        backend=backend,
-                        time_scale=DEFAULT_TIME_SCALE,
-                        loss=loss,
-                        name=(
-                            f"E11-{backend}-i{hb_interval}-t{hb_timeout}"
-                            f"-l{loss}-r{repetition}"
-                        ),
-                    )
-                )
-                meta.append(
-                    {
-                        "backend": backend,
-                        "hb_interval": hb_interval,
-                        "hb_timeout": hb_timeout,
-                        "loss": loss,
-                    }
-                )
-            combo += 1
+    # One config per (backend, cell, trial); trial seeds follow the
+    # ParameterSweep convention (base + combo_index * reps + repetition) so
+    # re-runs are reproducible and sim trials differ within a cell.
+    cells = [{"backend": backend, **cell} for backend in _BACKENDS for cell in grid]
+    configs = [
+        {**cell, "seed": seed + combo * trials + repetition, "repetition": repetition}
+        for combo, cell in enumerate(cells)
+        for repetition in range(trials)
+    ]
+    return [("run_sweep", _make_spec, configs)]
 
-    trials_rows = []
-    for info, record in zip(meta, engine.run_many(specs)):
-        trials_rows.append({**info, "latency": record.metrics.get("hb_detection_time")})
 
+_COLUMNS = (
+    "backend",
+    "hb_interval",
+    "hb_timeout",
+    "loss",
+    "trials",
+    "missed",
+    "median_ms",
+    "iqr_ms",
+    "in_envelope",
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
+    """Fold the trials into cells, write the CSVs, and judge the envelope."""
     cells = aggregate_cells(
-        trials_rows, group_by=("backend", "hb_interval", "hb_timeout", "loss")
+        [{**row, "latency": row.get("hb_detection_time")} for row in rows],
+        group_by=("backend", "hb_interval", "hb_timeout", "loss"),
     )
     reliable = [cell for cell in cells if cell["loss"] == 0.0]
     out_dir = Path(os.environ.get("REPRO_E11_OUT", "e11_out"))
@@ -122,7 +127,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         scatter_csv(reliable, time_scale=DEFAULT_TIME_SCALE)
     )
 
-    rows = [
+    table = [
         {
             "backend": cell["backend"],
             "hb_interval": cell["hb_interval"],
@@ -140,14 +145,14 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
     divergences = _divergence_ms(reliable)
     summary = {
         "cells": len(cells),
-        "trials_per_cell": trials,
+        "trials_per_cell": max(cell["trials"] for cell in cells),
         "missed_total": sum(cell["missed"] for cell in cells),
         # Only loss-free cells assert the timeout-discipline envelope:
         # under link loss a heartbeat round can be dropped outright, so the
         # lossy cells are reported (rows carry in_envelope) but not gated.
         "all_in_envelope": all(
             row["in_envelope"]
-            for row in rows
+            for row in table
             if row["median_ms"] is not None and row["loss"] == 0.0
         ),
         "max_abs_divergence_ms": (
@@ -155,23 +160,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         ),
         "csv_dir": str(out_dir),
     }
-    return ExperimentResult(
-        experiment="E11",
-        description=DESCRIPTION,
-        rows=tuple(rows),
-        summary=summary,
-        columns=(
-            "backend",
-            "hb_interval",
-            "hb_timeout",
-            "loss",
-            "trials",
-            "missed",
-            "median_ms",
-            "iqr_ms",
-            "in_envelope",
-        ),
-    )
+    return table, summary
 
 
 def _round_ms(units: float | None) -> float | None:
@@ -202,3 +191,6 @@ def _divergence_ms(cells: list[dict]) -> dict[tuple, float]:
         for key, pair in medians.items()
         if "real" in pair and "sim" in pair
     }
+
+
+run = Experiment("E11", DESCRIPTION, _COLUMNS, _work, _report, deterministic=False)

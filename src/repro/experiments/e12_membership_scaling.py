@@ -27,8 +27,8 @@ be ≈ 10⁹ copies per round, which is precisely the point of the experiment.
 
 from __future__ import annotations
 
-from ..analysis.runner import ExperimentResult
 from ..runtime import Engine, asynchronous, crashes_at, scenario
+from .base import Call, Experiment
 
 __all__ = ["run"]
 
@@ -143,14 +143,32 @@ def _cells(quick: bool) -> list[dict]:
     return cells
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E12 scaling grid and return the aggregated result."""
-    engine = engine or Engine()
-    configs = []
-    for combo_index, cell in enumerate(_cells(quick)):
-        configs.append({**cell, "seed": seed + combo_index, "repetition": 0})
-    rows = engine.sweep(_run_one, configs)
+def _work(quick: bool, seed: int) -> list[Call]:
+    configs = [
+        {**cell, "seed": seed + combo_index, "repetition": 0}
+        for combo_index, cell in enumerate(_cells(quick))
+    ]
+    return [("sweep", _run_one, configs)]
 
+
+_COLUMNS = (
+    "mode",
+    "n",
+    "churn",
+    "degree",
+    "ok",
+    "detection_latency",
+    "missed",
+    "false_suspicions",
+    "copies_sent",
+    "msgs_per_proc_round",
+    "joins_completed",
+    "recoveries",
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
+    """One table row per cell, in grid order, plus the load-model summary."""
     by_cell = {(row["mode"], row["n"], row["churn"]): row for row in rows}
     mesh_small = by_cell[("full_mesh", 7, "none")]
     ring_small = by_cell[("ring", 7, "none")]
@@ -184,40 +202,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         ),
         "sparse_within_10pct_of_mesh": sparse_vs_mesh_pct <= 10.0,
     }
-    ordered = [
-        {
-            "mode": row["mode"],
-            "n": row["n"],
-            "churn": row["churn"],
-            "degree": row["degree"],
-            "ok": row["ok"],
-            "detection_latency": row["detection_latency"],
-            "missed": row["missed"],
-            "false_suspicions": row["false_suspicions"],
-            "copies_sent": row["copies_sent"],
-            "msgs_per_proc_round": row["msgs_per_proc_round"],
-            "joins_completed": row["joins_completed"],
-            "recoveries": row["recoveries"],
-        }
-        for row in rows
-    ]
-    return ExperimentResult(
-        experiment="E12",
-        description=DESCRIPTION,
-        rows=tuple(ordered),
-        summary=summary,
-        columns=(
-            "mode",
-            "n",
-            "churn",
-            "degree",
-            "ok",
-            "detection_latency",
-            "missed",
-            "false_suspicions",
-            "copies_sent",
-            "msgs_per_proc_round",
-            "joins_completed",
-            "recoveries",
-        ),
-    )
+    return [{column: row[column] for column in _COLUMNS} for row in rows], summary
+
+
+run = Experiment("E12", DESCRIPTION, _COLUMNS, _work, _report)

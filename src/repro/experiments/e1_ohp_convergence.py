@@ -12,13 +12,13 @@ how far the adaptive timeout grows, and contrasts the fixed-timeout ablation
 from __future__ import annotations
 
 from ..algorithms import OhpPollingProgram
-from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
+from ..analysis.runner import ParameterSweep
 from ..detectors import check_diamond_hp, check_homega_election
-from ..runtime import Engine
 from ..sim import PartiallySynchronousTiming, Simulation, build_system
 from ..sim.failures import FailurePattern
 from ..workloads.crashes import minority_crashes
 from ..workloads.homonymy import membership_with_distinct_ids
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -63,9 +63,7 @@ def _run_one(config: dict) -> dict:
     }
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E1 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def _work(quick: bool, seed: int) -> list[Call]:
     if quick:
         parameters = {
             "n": [5],
@@ -84,29 +82,28 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             "fixed_timeout": [False],
         }
         repetitions = 3
-    sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
-
     # The fixed-timeout ablation: one configuration where the static timeout is
     # below the actual latency bound, expected NOT to converge.
-    ablation_sweep = ParameterSweep(
-        {
-            "n": [4],
-            "distinct_ids": [2],
-            "gst": [0.0],
-            "delta": [4.0],
-            "fixed_timeout": [True],
-        },
-        repetitions=1,
-        base_seed=seed + 1_000,
-    )
-    rows.extend(engine.sweep(_run_one, ablation_sweep))
+    ablation = {
+        "n": [4],
+        "distinct_ids": [2],
+        "gst": [0.0],
+        "delta": [4.0],
+        "fixed_timeout": [True],
+    }
+    return [
+        ("sweep", _run_one, ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)),
+        ("sweep", _run_one, ParameterSweep(ablation, repetitions=1, base_seed=seed + 1_000)),
+    ]
 
-    aggregated = aggregate_rows(
-        rows,
-        group_by=["n", "distinct_ids", "gst", "delta", "fixed_timeout"],
-        metrics=["converged", "homega_ok", "convergence_time", "final_timeout"],
-    )
+
+_COLUMNS, _table = grouped(
+    ["n", "distinct_ids", "gst", "delta", "fixed_timeout"],
+    ["converged", "homega_ok", "convergence_time", "final_timeout"],
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     adaptive_rows = [row for row in rows if not row["fixed_timeout"]]
     summary = {
         "adaptive_runs": len(adaptive_rows),
@@ -116,21 +113,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             row["converged"] for row in rows if row["fixed_timeout"]
         ),
     }
-    return ExperimentResult(
-        experiment="E1",
-        description=DESCRIPTION,
-        rows=tuple(aggregated),
-        summary=summary,
-        columns=(
-            "n",
-            "distinct_ids",
-            "gst",
-            "delta",
-            "fixed_timeout",
-            "runs",
-            "converged",
-            "homega_ok",
-            "convergence_time",
-            "final_timeout",
-        ),
-    )
+    return _table(rows), summary
+
+
+run = Experiment("E1", DESCRIPTION, _COLUMNS, _work, _report)

@@ -10,13 +10,13 @@ which is what makes HΣ necessary for the Figure 9 consensus algorithm).
 from __future__ import annotations
 
 from ..algorithms import HSigmaSynchronousProgram
-from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
+from ..analysis.runner import ParameterSweep
 from ..detectors import check_hsigma
-from ..runtime import Engine
 from ..sim import Simulation, SynchronousTiming, build_system
 from ..sim.failures import FailurePattern
 from ..workloads.crashes import cascading_crashes
 from ..workloads.homonymy import membership_with_distinct_ids
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -52,9 +52,7 @@ def _run_one(config: dict) -> dict:
     }
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E2 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def _work(quick: bool, seed: int) -> list[Call]:
     if quick:
         parameters = {
             "n": [5],
@@ -74,28 +72,20 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         }
         repetitions = 2
     sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
-    aggregated = aggregate_rows(
-        rows,
-        group_by=["n", "distinct_ids", "crashes", "crash_mid_broadcast"],
-        metrics=["properties_ok", "violations"],
-    )
+    return [("sweep", _run_one, sweep)]
+
+
+_COLUMNS, _table = grouped(
+    ["n", "distinct_ids", "crashes", "crash_mid_broadcast"], ["properties_ok", "violations"]
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     summary = {
         "runs": len(rows),
         "all_properties_hold": all(row["properties_ok"] for row in rows),
     }
-    return ExperimentResult(
-        experiment="E2",
-        description=DESCRIPTION,
-        rows=tuple(aggregated),
-        summary=summary,
-        columns=(
-            "n",
-            "distinct_ids",
-            "crashes",
-            "crash_mid_broadcast",
-            "runs",
-            "properties_ok",
-            "violations",
-        ),
-    )
+    return _table(rows), summary
+
+
+run = Experiment("E2", DESCRIPTION, _COLUMNS, _work, _report)

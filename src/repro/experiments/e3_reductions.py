@@ -11,7 +11,6 @@ systems that underpins the paper's comparison with prior work.
 
 from __future__ import annotations
 
-from ..analysis.runner import ExperimentResult
 from ..detectors import (
     APOracle,
     ASigmaOracle,
@@ -37,9 +36,9 @@ from ..reductions import (
     is_stronger,
 )
 from ..membership import anonymous_identities, grouped_identities, unique_identities
-from ..runtime import Engine
 from ..sim import AsynchronousTiming, CrashSchedule, Simulation, build_system
 from ..sim.failures import FailurePattern
+from .base import Call, Experiment
 
 __all__ = ["run"]
 
@@ -191,14 +190,13 @@ def _run_case(config: dict) -> dict:
     raise ValueError(f"unknown reduction case {config['case']!r}")
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run every reduction case and the relation-graph checks."""
-    engine = engine or Engine()
+def _work(quick: bool, seed: int) -> list[Call]:
     case_count = sum(1 for _ in _reduction_cases(seed))
-    rows = engine.map(
-        _run_case, [{"case": index, "seed": seed} for index in range(case_count)]
-    )
+    return [("map", _run_case, [{"case": index, "seed": seed} for index in range(case_count)])]
 
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
+    """The reduction rows as they are, plus the relation-graph checks."""
     sigma_group = next(
         (group for group in equivalent_classes(model="AS") if DetectorClass.SIGMA in group),
         frozenset(),
@@ -218,17 +216,13 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
             DetectorClass.A_SIGMA, DetectorClass.H_OMEGA, model="AAS"
         ),
     }
-    return ExperimentResult(
-        experiment="E3",
-        description=DESCRIPTION,
-        rows=tuple(rows),
-        summary=summary,
-        columns=(
-            "paper_item",
-            "reduction",
-            "model",
-            "emulation_ok",
-            "stabilization_time",
-            "violations",
-        ),
-    )
+    return rows, summary
+
+
+run = Experiment(
+    "E3",
+    DESCRIPTION,
+    ("paper_item", "reduction", "model", "emulation_ok", "stabilization_time", "violations"),
+    _work,
+    _report,
+)

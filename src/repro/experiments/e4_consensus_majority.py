@@ -9,16 +9,16 @@ is how the cost of homonymy shows up.
 
 from __future__ import annotations
 
-from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
+from ..analysis.runner import ParameterSweep
 from ..runtime import (
     CrashSpec,
-    Engine,
     execute_spec,
     leaders,
     minority,
     no_crashes,
     scenario,
 )
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -52,9 +52,7 @@ def _run_one(config: dict) -> dict:
     return dict(execute_spec(spec).metrics)
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E4 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def _work(quick: bool, seed: int) -> list[Call]:
     if quick:
         parameters = {
             "n": [5],
@@ -72,32 +70,22 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         }
         repetitions = 5
     sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
-    aggregated = aggregate_rows(
-        rows,
-        group_by=["n", "distinct_ids", "crash_mode", "stabilization"],
-        metrics=["decided", "safe", "decision_time", "rounds", "broadcasts"],
-    )
+    return [("sweep", _run_one, sweep)]
+
+
+_COLUMNS, _table = grouped(
+    ["n", "distinct_ids", "crash_mode", "stabilization"],
+    ["decided", "safe", "decision_time", "rounds", "broadcasts"],
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     summary = {
         "runs": len(rows),
         "all_terminated": all(row["decided"] for row in rows),
         "all_safe": all(row["safe"] for row in rows),
     }
-    return ExperimentResult(
-        experiment="E4",
-        description=DESCRIPTION,
-        rows=tuple(aggregated),
-        summary=summary,
-        columns=(
-            "n",
-            "distinct_ids",
-            "crash_mode",
-            "stabilization",
-            "runs",
-            "decided",
-            "safe",
-            "decision_time",
-            "rounds",
-            "broadcasts",
-        ),
-    )
+    return _table(rows), summary
+
+
+run = Experiment("E4", DESCRIPTION, _COLUMNS, _work, _report)

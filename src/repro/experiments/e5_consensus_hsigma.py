@@ -9,8 +9,9 @@ as E4, so the two algorithms can be compared where both apply.
 
 from __future__ import annotations
 
-from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, cascading, execute_spec, scenario
+from ..analysis.runner import ParameterSweep
+from ..runtime import cascading, execute_spec, scenario
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -36,9 +37,7 @@ def _run_one(config: dict) -> dict:
     return row
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E5 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def _work(quick: bool, seed: int) -> list[Call]:
     if quick:
         parameters = {
             "n": [5],
@@ -56,12 +55,16 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         }
         repetitions = 4
     sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
-    aggregated = aggregate_rows(
-        rows,
-        group_by=["n", "distinct_ids", "crashes", "stabilization"],
-        metrics=["decided", "safe", "decision_time", "rounds", "broadcasts"],
-    )
+    return [("sweep", _run_one, sweep)]
+
+
+_COLUMNS, _table = grouped(
+    ["n", "distinct_ids", "crashes", "stabilization"],
+    ["decided", "safe", "decision_time", "rounds", "broadcasts"],
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     majority_crash_rows = [row for row in rows if row["majority_crashed"]]
     summary = {
         "runs": len(rows),
@@ -74,21 +77,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         if majority_crash_rows
         else None,
     }
-    return ExperimentResult(
-        experiment="E5",
-        description=DESCRIPTION,
-        rows=tuple(aggregated),
-        summary=summary,
-        columns=(
-            "n",
-            "distinct_ids",
-            "crashes",
-            "stabilization",
-            "runs",
-            "decided",
-            "safe",
-            "decision_time",
-            "rounds",
-            "broadcasts",
-        ),
-    )
+    return _table(rows), summary
+
+
+run = Experiment("E5", DESCRIPTION, _COLUMNS, _work, _report)

@@ -17,8 +17,9 @@ number of rounds everywhere.
 
 from __future__ import annotations
 
-from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, execute_spec, minority, scenario
+from ..analysis.runner import ParameterSweep
+from ..runtime import execute_spec, minority, scenario
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -50,68 +51,42 @@ def _run_one(config: dict) -> dict:
     return dict(execute_spec(spec).metrics)
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E6 spectrum sweep and return the aggregated result."""
-    engine = engine or Engine()
+def _work(quick: bool, seed: int) -> list[Call]:
     n = 6
     repetitions = 2 if quick else 6
     spectrum_points = [1, 2, 3, 6] if quick else list(range(1, n + 1))
+    # The spectrum, then the specialised baseline at each extreme.
+    sweeps = [
+        ("figure8-homega", spectrum_points, seed),
+        ("classical-omega", [n], seed + 500),
+        ("anonymous-aomega", [1], seed + 900),
+    ]
+    return [
+        (
+            "sweep",
+            _run_one,
+            ParameterSweep(
+                {"algorithm": [algorithm], "n": [n], "distinct_ids": distinct_ids},
+                repetitions=repetitions,
+                base_seed=base_seed,
+            ),
+        )
+        for algorithm, distinct_ids, base_seed in sweeps
+    ]
 
-    sweep = ParameterSweep(
-        {
-            "algorithm": ["figure8-homega"],
-            "n": [n],
-            "distinct_ids": spectrum_points,
-        },
-        repetitions=repetitions,
-        base_seed=seed,
-    )
-    rows = engine.sweep(_run_one, sweep)
 
-    baseline_sweep = ParameterSweep(
-        {
-            "algorithm": ["classical-omega"],
-            "n": [n],
-            "distinct_ids": [n],
-        },
-        repetitions=repetitions,
-        base_seed=seed + 500,
-    )
-    rows.extend(engine.sweep(_run_one, baseline_sweep))
-    anonymous_sweep = ParameterSweep(
-        {
-            "algorithm": ["anonymous-aomega"],
-            "n": [n],
-            "distinct_ids": [1],
-        },
-        repetitions=repetitions,
-        base_seed=seed + 900,
-    )
-    rows.extend(engine.sweep(_run_one, anonymous_sweep))
+_COLUMNS, _table = grouped(
+    ["algorithm", "distinct_ids"], ["decided", "safe", "decision_time", "rounds", "broadcasts"]
+)
 
-    aggregated = aggregate_rows(
-        rows,
-        group_by=["algorithm", "distinct_ids"],
-        metrics=["decided", "safe", "decision_time", "rounds", "broadcasts"],
-    )
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     summary = {
         "runs": len(rows),
         "all_terminated": all(row["decided"] for row in rows),
         "all_safe": all(row["safe"] for row in rows),
     }
-    return ExperimentResult(
-        experiment="E6",
-        description=DESCRIPTION,
-        rows=tuple(aggregated),
-        summary=summary,
-        columns=(
-            "algorithm",
-            "distinct_ids",
-            "runs",
-            "decided",
-            "safe",
-            "decision_time",
-            "rounds",
-            "broadcasts",
-        ),
-    )
+    return _table(rows), summary
+
+
+run = Experiment("E6", DESCRIPTION, _COLUMNS, _work, _report)

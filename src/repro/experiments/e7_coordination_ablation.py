@@ -15,8 +15,9 @@ more rounds and misses the decision deadline in a fraction of the runs.
 
 from __future__ import annotations
 
-from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, execute_spec, scenario
+from ..analysis.runner import ParameterSweep
+from ..runtime import execute_spec, scenario
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -47,25 +48,25 @@ def _run_one(config: dict) -> dict:
     return dict(execute_spec(spec).metrics)
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the ablation and return the aggregated comparison."""
-    engine = engine or Engine()
-    repetitions = 12 if quick else 40
+def _work(quick: bool, seed: int) -> list[Call]:
     sweep = ParameterSweep(
         {
             "variant": ["with-coordination", "without-coordination"],
             "n": [6],
             "distinct_ids": [2, 3],
         },
-        repetitions=repetitions,
+        repetitions=12 if quick else 40,
         base_seed=seed,
     )
-    rows = engine.sweep(_run_one, sweep)
-    aggregated = aggregate_rows(
-        rows,
-        group_by=["variant", "distinct_ids"],
-        metrics=["decided", "safe", "decision_time", "rounds"],
-    )
+    return [("sweep", _run_one, sweep)]
+
+
+_COLUMNS, _table = grouped(
+    ["variant", "distinct_ids"], ["decided", "safe", "decision_time", "rounds"]
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     with_coordination = [row for row in rows if row["variant"] == "with-coordination"]
     without_coordination = [row for row in rows if row["variant"] == "without-coordination"]
     summary = {
@@ -76,21 +77,7 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         "mean_rounds_with_coordination": _mean_rounds(with_coordination),
         "mean_rounds_without_coordination": _mean_rounds(without_coordination),
     }
-    return ExperimentResult(
-        experiment="E7",
-        description=DESCRIPTION,
-        rows=tuple(aggregated),
-        summary=summary,
-        columns=(
-            "variant",
-            "distinct_ids",
-            "runs",
-            "decided",
-            "safe",
-            "decision_time",
-            "rounds",
-        ),
-    )
+    return _table(rows), summary
 
 
 def _rate(rows, key):
@@ -100,3 +87,6 @@ def _rate(rows, key):
 def _mean_rounds(rows):
     values = [row["rounds"] for row in rows if row["rounds"] is not None]
     return sum(values) / len(values) if values else None
+
+
+run = Experiment("E7", DESCRIPTION, _COLUMNS, _work, _report)

@@ -18,8 +18,9 @@ consensus algorithm queries, so no oracle is needed.
 
 from __future__ import annotations
 
-from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
-from ..runtime import Engine, execute_spec, minority, partial_sync, scenario
+from ..analysis.runner import ParameterSweep
+from ..runtime import execute_spec, minority, partial_sync, scenario
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -68,9 +69,7 @@ def _run_one(config: dict) -> dict:
     }
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E8 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def _work(quick: bool, seed: int) -> list[Call]:
     if quick:
         parameters = {
             "n": [5],
@@ -88,33 +87,24 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
     sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
     # The full grid is a raw product; a membership cannot have more distinct
     # identifiers than processes, so those cells do not exist.
-    rows = engine.sweep(
-        _run_one, [config for config in sweep if config["distinct_ids"] <= config["n"]]
-    )
-    aggregated = aggregate_rows(
-        rows,
-        group_by=["n", "distinct_ids", "gst"],
-        metrics=["decided", "safe", "decision_time", "decision_after_gst", "rounds"],
-    )
+    return [
+        ("sweep", _run_one, [config for config in sweep if config["distinct_ids"] <= config["n"]])
+    ]
+
+
+_COLUMNS, _table = grouped(
+    ["n", "distinct_ids", "gst"],
+    ["decided", "safe", "decision_time", "decision_after_gst", "rounds"],
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     summary = {
         "runs": len(rows),
         "all_terminated": all(row["decided"] for row in rows),
         "all_safe": all(row["safe"] for row in rows),
     }
-    return ExperimentResult(
-        experiment="E8",
-        description=DESCRIPTION,
-        rows=tuple(aggregated),
-        summary=summary,
-        columns=(
-            "n",
-            "distinct_ids",
-            "gst",
-            "runs",
-            "decided",
-            "safe",
-            "decision_time",
-            "decision_after_gst",
-            "rounds",
-        ),
-    )
+    return _table(rows), summary
+
+
+run = Experiment("E8", DESCRIPTION, _COLUMNS, _work, _report)

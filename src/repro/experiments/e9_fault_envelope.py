@@ -24,8 +24,9 @@ Three claims are visible in the table:
 
 from __future__ import annotations
 
-from ..analysis.runner import ExperimentResult, ParameterSweep, aggregate_rows
+from ..analysis.runner import ParameterSweep
 from ..runtime import Engine, composed, lossy, partitioned, scenario
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -69,9 +70,7 @@ def _run_one(config: dict) -> dict:
     return row
 
 
-def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> ExperimentResult:
-    """Run the E9 sweep and return the aggregated result."""
-    engine = engine or Engine()
+def _work(quick: bool, seed: int) -> list[Call]:
     if quick:
         parameters = {
             "loss": [0.0, 0.1, 0.3],
@@ -87,12 +86,15 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         }
         repetitions = 4
     sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    rows = engine.sweep(_run_one, sweep)
-    aggregated = aggregate_rows(
-        rows,
-        group_by=["loss", "partition", "stabilization"],
-        metrics=["decided", "safe", "decision_time", "broadcasts"],
-    )
+    return [("sweep", _run_one, sweep)]
+
+
+_COLUMNS, _table = grouped(
+    ["loss", "partition", "stabilization"], ["decided", "safe", "decision_time", "broadcasts"]
+)
+
+
+def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     baseline = [row for row in rows if not row["degraded"]]
     degraded = [row for row in rows if row["degraded"]]
     healed_late_stab = [
@@ -115,25 +117,13 @@ def run(quick: bool = True, seed: int = 0, engine: Engine | None = None) -> Expe
         "success_by_partition": success_by_partition,
         "healing_recovered_with_late_stabilization": _success_rate(healed_late_stab),
     }
-    return ExperimentResult(
-        experiment="E9",
-        description=DESCRIPTION,
-        rows=tuple(aggregated),
-        summary=summary,
-        columns=(
-            "loss",
-            "partition",
-            "stabilization",
-            "runs",
-            "decided",
-            "safe",
-            "decision_time",
-            "broadcasts",
-        ),
-    )
+    return _table(rows), summary
 
 
 def _success_rate(rows: list[dict]) -> float | None:
     if not rows:
         return None
     return sum(1 for row in rows if row["decided"]) / len(rows)
+
+
+run = Experiment("E9", DESCRIPTION, _COLUMNS, _work, _report)

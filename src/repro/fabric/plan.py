@@ -3,9 +3,12 @@
 A *plan* is the full list of work items a sweep would execute, in exactly the
 order a serial engine would execute them, each tagged with its global index
 and its :class:`~repro.runtime.cache.RunCache` key.  Plans are produced
-without running any simulation: the experiment's ``run`` function executes
-against a :class:`PlanningEngine` — an :class:`~repro.runtime.engine.Engine`
-whose one lowering hook records the items instead of dispatching them.
+without running any simulation: a plan is the experiment's declared ``work``
+(:class:`~repro.experiments.base.Experiment`), dispatched by the experiment's
+own loop to a :class:`PlanningEngine` — an
+:class:`~repro.runtime.engine.Engine` whose one lowering hook records the
+items instead of executing them.  ``report`` is never run on a plan, and an
+error raised by ``work`` propagates.
 
 The item kinds, keys and rows are the engine's own (:func:`item_key`,
 :func:`item_row` in :mod:`repro.runtime.engine`), made JSON: a ``"sweep"`` or
@@ -18,13 +21,6 @@ as ``ParameterSweep.slice`` and ``--shard i/N`` — is a self-contained work
 order: any process that can import the library can execute it, and
 concatenating the chunks' results in chunk order reproduces serial output
 exactly.
-
-Planning is only valid for experiments whose dispatch structure does not
-depend on earlier results (an experiment that inspected sweep rows to decide
-its *next* sweep would record a truncated plan).  Every registered
-deterministic experiment (E1–E12) dispatches its full grid unconditionally;
-the experiment's aggregation sees placeholder rows, and an error it raises
-*after* its last engine call is caught and ignored.
 """
 
 from __future__ import annotations
@@ -103,19 +99,6 @@ class WorkItem:
         )
 
 
-class _PlaceholderRow(dict):
-    """A result row whose every missing key reads as ``None``.
-
-    Returned by the planning engine so experiment aggregation code that runs
-    *after* the sweeps (``all(row["converged"] …)``, ``aggregate_rows``) can
-    usually complete without real metrics; code that genuinely needs values
-    (``sum``, arithmetic) raises and is caught by the planner.
-    """
-
-    def __missing__(self, key: str) -> None:
-        return None
-
-
 def _jsonable(value: Any, what: str) -> Any:
     """Round-trip ``value`` through JSON, or raise a planning error."""
     try:
@@ -137,7 +120,7 @@ class PlanningEngine(Engine):
     any added later — plans exactly what it would execute: each call appends
     its :class:`WorkItem`\\ s, in dispatch order, to :attr:`items` (``call``
     numbers the engine invocations, so a plan records where one sweep ends and
-    the next begins) and gets placeholder rows back.
+    the next begins) and gets back the rows of items with empty results.
     """
 
     def __init__(self, experiment: str = "") -> None:
@@ -149,7 +132,6 @@ class PlanningEngine(Engine):
     def _lower(self, kind: str, fn: Callable[[Any], Any] | str | None, args: list) -> Iterator[Any]:
         self._calls += 1
         name = RunCache.function_name(fn)
-        rows = []
         for arg in args:
             key = item_key(kind, name, arg)
             if key is None:
@@ -175,8 +157,7 @@ class PlanningEngine(Engine):
                     call=self._calls,
                 )
             )
-            rows.append(_PlaceholderRow(item_row(kind, arg, {})))
-        return iter(rows)
+        return iter([item_row(kind, arg, {}) for arg in args])
 
 
 @dataclass
@@ -274,17 +255,8 @@ def plan_experiments(
         )
     items: list[WorkItem] = []
     for name in names:
-        runner = EXPERIMENTS.resolve(name)
         recorder = PlanningEngine(experiment=name)
-        try:
-            runner(quick=quick, seed=seed, engine=recorder)
-        except PlanningError:
-            raise
-        except Exception:
-            # Placeholder rows carry no metrics, so aggregation/summary code
-            # may legitimately raise *after* every engine call was recorded;
-            # dispatch itself never depends on results (module docstring).
-            pass
+        EXPERIMENTS.resolve(name).dispatch(recorder, quick, seed)
         if not recorder.items:
             raise PlanningError(f"experiment {name} dispatched no work to plan")
         base = len(items)

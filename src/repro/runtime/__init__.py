@@ -1,7 +1,7 @@
 """The library's front door: declarative scenarios, one engine, many cores.
 
 ``repro.runtime`` is the single entry point every workload flows through —
-simulations, parameter sweeps, and the experiments of EXPERIMENTS.md::
+simulations, parameter sweeps, and the experiments of :mod:`repro.experiments`::
 
     from repro.runtime import Engine, scenario, partial_sync, cascading
 

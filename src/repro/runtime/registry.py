@@ -139,7 +139,7 @@ PROGRAMS = Registry("program")
 #: Trace property checkers: name → ``(trace, pattern) -> CheckResult``.
 CHECKS = Registry("property check")
 
-#: Whole experiments: id → ``run(quick=..., seed=..., engine=...)``.
+#: Whole experiments: id → :class:`~repro.experiments.base.Experiment`.
 EXPERIMENTS = Registry("experiment")
 
 #: Link models: name → ``(**params) -> LinkModel``.
@@ -239,6 +239,12 @@ def register_check(name: str, checker: Callable[..., Any], *, overwrite: bool = 
 
 
 def register_experiment(name: str, runner: Callable[..., Any], *, overwrite: bool = False):
+    """Register an :class:`~repro.experiments.base.Experiment` under ``name``.
+
+    The CLI and the verifier call it (``runner(quick=..., seed=..., engine=...)``);
+    the fabric planner calls only ``runner.dispatch(recorder, quick, seed)``, so
+    what it plans is the declared ``work`` and ``report`` never sees a planned row.
+    """
     return EXPERIMENTS.register(name, runner, overwrite=overwrite)
 
 

@@ -57,6 +57,32 @@ def test_runtime_and_fabric_keep_one_of_each_mechanism(owner: str, pattern: str)
     assert not offenders, f"{owner} owns this; a second copy is starting:\n" + "\n".join(offenders)
 
 
+def test_experiments_declare_and_the_planner_never_reduces() -> None:
+    """One runner: ``experiments/base.py`` owns the engine loop and the result block.
+
+    An ``eN_*`` module calling an engine or building an ``ExperimentResult`` is
+    the hand-written driver growing back; a fake row or a blanket ``except`` in
+    the planner is it executing aggregation code again.
+    """
+    package = ROOT / "src" / "repro"
+    rules = [
+        (
+            sorted((package / "experiments").glob("e*.py")),
+            r"engine\.(sweep|run_sweep|run_many|map)\(|ExperimentResult\(|engine or Engine\(\)",
+        ),
+        ([package / "fabric" / "plan.py"], r"_PlaceholderRow|except Exception"),
+    ]
+    assert len(rules[0][0]) == 12
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for sources, pattern in rules
+        for path in sources
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+    assert not offenders, "experiments/base.py owns this:\n" + "\n".join(offenders)
+
+
 def test_only_the_real_backend_dispatch_imports_the_transport() -> None:
     """One judge: simulated runs are judged without ``repro.transport``.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from repro.analysis.runner import ParameterSweep, shard_bounds, shard_items
 from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.base import Experiment
 from repro.experiments.e1_ohp_convergence import _run_one as run_one_e1
 from repro.fabric import FabricPlan, plan_experiments, plan_sweep
 from repro.fabric.plan import PlanningEngine, PlanningError
 from repro.runtime.engine import item_key
+from repro.runtime.registry import Registry
 from repro.runtime.spec import ScenarioSpec
 
 
@@ -123,6 +126,39 @@ def test_plan_fingerprints_are_pinned(quick, fingerprint, kinds) -> None:
         assert all(c["distinct_ids"] <= c["n"] for c in configs if {"n", "distinct_ids"} <= set(c))
         start, end = plan.experiment_spans()["E8"]
         assert end - start == (3 + 4) * 3 * 3
+
+
+def _plan_from(monkeypatch, declarations: dict[str, Experiment]) -> FabricPlan:
+    registry = Registry("experiment")
+    for name, declaration in declarations.items():
+        registry.register(name, declaration)
+    monkeypatch.setattr("repro.fabric.plan.EXPERIMENTS", registry)
+    return plan_experiments(declarations, quick=True, seed=0)
+
+
+def test_planning_never_reduces(monkeypatch) -> None:
+    """A plan is the declared ``work`` alone: no ``report`` sees a planned row."""
+
+    def report(rows):
+        raise AssertionError("report ran on planned rows")
+
+    plan = _plan_from(
+        monkeypatch, {name: replace(run, report=report) for name, run in ALL_EXPERIMENTS.items()}
+    )
+    text = json.dumps(plan.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "2201f44460c3922b"
+
+
+def test_planning_never_swallows(monkeypatch) -> None:
+    """An error inside ``work`` propagates; it does not come back as a shorter plan."""
+
+    def work(quick, seed):
+        yield ("sweep", run_one_e1, [{"n": 3, "seed": seed}])
+        raise ValueError("the second call could not be listed")
+
+    toy = Experiment("TOY", "one call, then an error", ("n",), work, lambda rows: (rows, {}))
+    with pytest.raises(ValueError, match="second call"):
+        _plan_from(monkeypatch, {"TOY": toy})
 
 
 def test_plan_is_deterministic_and_json_round_trips(tmp_path) -> None:

@@ -288,9 +288,9 @@ class TestExperimentRegistration:
         assert "E10" in ALL_EXPERIMENTS
 
     def test_quick_e10_is_fully_linearizable(self):
-        from repro.experiments import run_e10
+        from repro.experiments import ALL_EXPERIMENTS
 
-        result = run_e10(quick=True, seed=0)
+        result = ALL_EXPERIMENTS["E10"](quick=True, seed=0)
         assert result.experiment == "E10"
         assert result.summary["all_linearizable"] is True
         assert result.summary["violations"] == 0

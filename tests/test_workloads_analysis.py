@@ -203,6 +203,23 @@ class TestAnalysisHelpers:
         aggregated = aggregate_rows(rows, group_by=["group"], metrics=["value"])
         assert aggregated[0]["value"] is None
 
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([16, 4, 8], [4, 8, 16]),  # by repr: 16, 4, 8
+            ([20.0, 5.0, 50.0], [5.0, 20.0, 50.0]),  # by repr: 20.0, 5.0, 50.0
+            ([True, False], [False, True]),
+            (["ring", "gossip", "full_mesh"], ["full_mesh", "gossip", "ring"]),
+            ([10, None, 9.5, True], [None, True, 9.5, 10]),  # by repr: 10, 9.5, None, True
+        ],
+    )
+    def test_aggregate_rows_orders_cells_by_value(self, values, expected):
+        rows = [{"key": value, "inner": inner} for value in values for inner in (30.0, 4.0)]
+        aggregated = aggregate_rows(rows, group_by=["key", "inner"], metrics=[])
+        assert [(entry["key"], entry["inner"]) for entry in aggregated] == [
+            (value, inner) for value in expected for inner in (4.0, 30.0)
+        ]
+
     def test_detector_convergence_time(self):
         ok = CheckResult(ok=True, stabilization_time=12.0)
         failed = CheckResult(ok=False, violations=("x",))
