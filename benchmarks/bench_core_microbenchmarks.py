@@ -11,11 +11,11 @@ the committed copy at the repository root is the perf trajectory each PR
 defends.  ``events_per_round`` turns a round's wall-clock into ns/event.
 """
 
-from repro.consensus import HOmegaMajorityConsensus
 from repro.detectors import HSigmaOracle, check_hsigma
 from repro.detectors.probe import DetectorProbeProgram, hsigma_probes
 from repro.identity import IdentityMultiset
 from repro.membership import grouped_identities
+from repro.runtime import CONSENSUS
 from repro.sim import (
     AsynchronousTiming,
     ComposedLinks,
@@ -83,9 +83,7 @@ def test_single_consensus_run(benchmark):
     def run_once():
         scenario = ConsensusScenario(
             membership=membership,
-            consensus_factory=lambda proposal: HOmegaMajorityConsensus(
-                proposal, n=membership.size
-            ),
+            consensus_factory=CONSENSUS.resolve("homega_majority").factory(membership),
             crash_schedule=minority_crashes(membership, at=8.0),
             detector_stabilization=15.0,
             horizon=400.0,

@@ -17,8 +17,8 @@ Run with:  python examples/replicated_log.py
 
 from __future__ import annotations
 
-from repro.consensus import homega_majority_factory
 from repro.membership import grouped_identities
+from repro.runtime import CONSENSUS
 from repro.workloads import minority_crashes, no_crashes
 from repro.workloads.scenarios import ConsensusScenario
 
@@ -31,8 +31,8 @@ def agree_on_slot(membership, slot, client_commands, crash_schedule, seed):
     }
     scenario = ConsensusScenario(
         membership=membership,
-        # A named factory (not a lambda): picklable, and RunCache-eligible.
-        consensus_factory=homega_majority_factory(n=membership.size),
+        # The registry entry's factory (not a lambda): picklable, RunCache-eligible.
+        consensus_factory=CONSENSUS.resolve("homega_majority").factory(membership),
         proposals=proposals,
         crash_schedule=crash_schedule,
         detector_stabilization=10.0,

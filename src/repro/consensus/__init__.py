@@ -1,48 +1,49 @@
 """Consensus algorithms for homonymous systems, plus baselines and validators.
 
-The two algorithms of the paper's Section 5:
+One round skeleton (:mod:`repro.consensus.base`), two small rules
+(:mod:`repro.consensus.rules`), and one table of rows
+(:data:`repro.consensus.family.FAMILY`).  The two algorithms of the paper's
+Section 5:
 
-* :class:`~repro.consensus.homega_majority.HOmegaMajorityConsensus` —
+* :class:`~repro.consensus.family.HOmegaMajorityConsensus` —
   Figure 8: consensus in ``HAS[t < n/2, HΩ]`` (majority of correct processes,
   ``n`` known, membership unknown).
-* :class:`~repro.consensus.homega_hsigma.HOmegaHSigmaConsensus` —
+* :class:`~repro.consensus.family.HOmegaHSigmaConsensus` —
   Figure 9: consensus in ``HAS[HΩ, HΣ]`` (any number of crashes, ``n``
   unknown).
 
 Baselines and ablations:
 
-* :class:`~repro.consensus.classical_omega.ClassicalOmegaConsensus` — the
+* :class:`~repro.consensus.family.ClassicalOmegaConsensus` — the
   unique-identifier Ω + majority algorithm Figure 8 degenerates to when every
   identifier is distinct.
-* :class:`~repro.consensus.anonymous_aomega.AnonymousAOmegaConsensus` — the
+* :class:`~repro.consensus.family.AnonymousAOmegaConsensus` — the
   Bonnet–Raynal-style AΩ + majority algorithm Figure 8 was derived from.
-* :class:`~repro.consensus.no_coordination.NoCoordinationConsensus` —
+* :class:`~repro.consensus.family.NoCoordinationConsensus` —
   Figure 8 *without* the Leaders' Coordination Phase (the paper's main
   algorithmic addition), used by the E7 ablation.
+* :class:`~repro.consensus.family.AnonymousAOmegaASigmaConsensus` — the
+  ``AAS[AΩ, AΣ]`` instance of Figure 9 that Section 5.3 closes with.
 
 :mod:`repro.consensus.validator` checks Validity, Agreement, and Termination
 of a run trace.
 """
 
-from .anonymous_aomega import AnonymousAOmegaConsensus
-from .anonymous_aomega_asigma import AnonymousAOmegaASigmaConsensus
 from .base import ConsensusKeys, ConsensusProgram
-from .classical_omega import ClassicalOmegaConsensus
-from .factories import (
-    ConsensusFactory,
-    anonymous_aomega_factory,
-    aomega_asigma_factory,
-    classical_omega_factory,
-    homega_hsigma_factory,
-    homega_majority_factory,
-    no_coordination_factory,
+from .factories import ConsensusFactory
+from .family import (
+    FAMILY,
+    AnonymousAOmegaASigmaConsensus,
+    AnonymousAOmegaConsensus,
+    ClassicalOmegaConsensus,
+    HOmegaHSigmaConsensus,
+    HOmegaMajorityConsensus,
+    NoCoordinationConsensus,
 )
-from .homega_hsigma import HOmegaHSigmaConsensus
-from .homega_majority import HOmegaMajorityConsensus
-from .no_coordination import NoCoordinationConsensus
 from .validator import ConsensusVerdict, validate_consensus
 
 __all__ = [
+    "FAMILY",
     "AnonymousAOmegaASigmaConsensus",
     "AnonymousAOmegaConsensus",
     "ClassicalOmegaConsensus",
@@ -53,11 +54,5 @@ __all__ = [
     "HOmegaHSigmaConsensus",
     "HOmegaMajorityConsensus",
     "NoCoordinationConsensus",
-    "anonymous_aomega_factory",
-    "aomega_asigma_factory",
-    "classical_omega_factory",
-    "homega_hsigma_factory",
-    "homega_majority_factory",
-    "no_coordination_factory",
     "validate_consensus",
 ]

@@ -1,39 +1,20 @@
-"""Named, picklable consensus factories (``proposal -> ConsensusProgram``).
+"""The one way a proposal becomes a consensus program.
 
-Scenario-level code frequently needs a *factory* that turns one process's
-proposal into a consensus program instance — :class:`ConsensusScenario` takes
-one, and the replicated-KV workload builds one instance per log slot.  An
-inline ``lambda`` works but has two costs: it cannot cross a process boundary
-(the pool executors pickle by reference), and the run cache refuses to key on
-it (``<lambda>`` qualnames are ambiguous, so two different lambdas could serve
-each other's cache entries).
-
-A :class:`ConsensusFactory` is the named alternative: a plain picklable object
-wrapping the program class and its fixed keyword arguments.  The helpers below
-cover the registry's algorithm catalogue.
+Scenario-level code needs a *factory* that turns one process's proposal into a
+program instance — the engine builds one per run, the replicated-KV workload
+one instance per log slot.  An inline ``lambda`` cannot cross a process
+boundary (the pool executors pickle by reference), and the run cache refuses to
+key on it (``<lambda>`` qualnames are ambiguous).  A :class:`ConsensusFactory`
+is a plain picklable object wrapping the program class and its fixed keyword
+arguments; obtain one from a registry entry,
+``CONSENSUS.resolve(name).factory(membership, **params)``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
-from .anonymous_aomega import AnonymousAOmegaConsensus
-from .anonymous_aomega_asigma import AnonymousAOmegaASigmaConsensus
-from .base import ConsensusProgram
-from .classical_omega import ClassicalOmegaConsensus
-from .homega_hsigma import HOmegaHSigmaConsensus
-from .homega_majority import HOmegaMajorityConsensus
-from .no_coordination import NoCoordinationConsensus
-
-__all__ = [
-    "ConsensusFactory",
-    "homega_majority_factory",
-    "homega_hsigma_factory",
-    "no_coordination_factory",
-    "classical_omega_factory",
-    "anonymous_aomega_factory",
-    "aomega_asigma_factory",
-]
+__all__ = ["ConsensusFactory"]
 
 
 class ConsensusFactory:
@@ -44,19 +25,12 @@ class ConsensusFactory:
     for run caching and pool dispatch — unlike inline lambdas.
     """
 
-    def __init__(self, program_class: type[ConsensusProgram], **kwargs: Any) -> None:
+    def __init__(self, program_class: Callable[..., Any], **kwargs: Any) -> None:
         self.program_class = program_class
-        self.kwargs = dict(kwargs)
+        self.kwargs = kwargs
 
-    def __call__(self, proposal: Any) -> ConsensusProgram:
+    def __call__(self, proposal: Any) -> Any:
         return self.program_class(proposal, **self.kwargs)
-
-    def __getstate__(self) -> dict:
-        return {"program_class": self.program_class, "kwargs": self.kwargs}
-
-    def __setstate__(self, state: dict) -> None:
-        self.program_class = state["program_class"]
-        self.kwargs = state["kwargs"]
 
     def describe(self) -> str:
         """Short human-readable name used in traces and experiment tables."""
@@ -65,33 +39,3 @@ class ConsensusFactory:
     def __repr__(self) -> str:
         args = ", ".join(f"{key}={value!r}" for key, value in sorted(self.kwargs.items()))
         return f"ConsensusFactory({self.program_class.__name__}, {args})"
-
-
-def homega_majority_factory(*, n: int, **params: Any) -> ConsensusFactory:
-    """Figure 8: consensus in ``HAS[t < n/2, HΩ]`` (``n`` known)."""
-    return ConsensusFactory(HOmegaMajorityConsensus, n=n, **params)
-
-
-def homega_hsigma_factory(**params: Any) -> ConsensusFactory:
-    """Figure 9: consensus in ``HAS[HΩ, HΣ]`` (any crashes, ``n`` unknown)."""
-    return ConsensusFactory(HOmegaHSigmaConsensus, **params)
-
-
-def no_coordination_factory(*, n: int, **params: Any) -> ConsensusFactory:
-    """Figure 8 without the Leaders' Coordination Phase (the E7 ablation)."""
-    return ConsensusFactory(NoCoordinationConsensus, n=n, **params)
-
-
-def classical_omega_factory(*, n: int, **params: Any) -> ConsensusFactory:
-    """The unique-identifier Ω + majority baseline."""
-    return ConsensusFactory(ClassicalOmegaConsensus, n=n, **params)
-
-
-def anonymous_aomega_factory(*, n: int, **params: Any) -> ConsensusFactory:
-    """The Bonnet–Raynal-style AΩ + majority baseline."""
-    return ConsensusFactory(AnonymousAOmegaConsensus, n=n, **params)
-
-
-def aomega_asigma_factory(**params: Any) -> ConsensusFactory:
-    """The Figure 9 anonymous instance (AΩ + AΣ)."""
-    return ConsensusFactory(AnonymousAOmegaASigmaConsensus, **params)

@@ -18,7 +18,7 @@ number of rounds everywhere.
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import execute_spec, minority, scenario
+from ..runtime import CONSENSUS, execute_spec, minority, scenario
 from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
@@ -27,22 +27,24 @@ DESCRIPTION = "Consensus cost from anonymous to unique identifiers, vs specialis
 
 _STABILIZATION = 15.0
 
-#: algorithm label → (consensus registry name, detector it queries)
+#: algorithm label → consensus registry name
 _ALGORITHMS = {
-    "figure8-homega": ("homega_majority", "HOmega"),
-    "classical-omega": ("classical_omega", "Omega"),
-    "anonymous-aomega": ("anonymous_aomega", "AOmega"),
+    "figure8-homega": "homega_majority",
+    "classical-omega": "classical_omega",
+    "anonymous-aomega": "anonymous_aomega",
 }
 
 
 def _run_one(config: dict) -> dict:
-    consensus_name, detector_name = _ALGORITHMS[config["algorithm"]]
+    consensus_name = _ALGORITHMS[config["algorithm"]]
     spec = (
         scenario("E6")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
         .crashes(minority(at=8.0, count=1))
-        .detectors(detector_name, stabilization=_STABILIZATION)
+        .detectors(
+            *CONSENSUS.resolve(consensus_name).requires_detectors, stabilization=_STABILIZATION
+        )
         .consensus(consensus_name)
         .horizon(600.0)
         .seed(config["seed"])

@@ -3,7 +3,7 @@
 The paper's main algorithmic contribution over the anonymous AΩ algorithm it
 started from is the Leaders' Coordination Phase, which makes all homonymous
 leaders eventually propose the same value (Lemma 7).  This experiment removes
-it (:class:`~repro.consensus.no_coordination.NoCoordinationConsensus`) and
+it (:class:`~repro.consensus.family.NoCoordinationConsensus`) and
 compares against the full Figure 8 algorithm on memberships where the leader
 identifier is shared by several processes holding *different* proposals — the
 exact situation the phase exists for.

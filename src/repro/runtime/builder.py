@@ -416,41 +416,53 @@ def validate_spec(spec: ScenarioSpec) -> None:
                 ".program() and name the replication algorithm in the kv "
                 "section (kv(consensus=...)) instead"
             )
-        _validate_kv(spec, membership, n, worst_faulty, provided)
+        _validate_kv(spec, membership, worst_faulty, provided)
         return
 
     if spec.consensus is None:
         return
 
-    entry = CONSENSUS.resolve(spec.consensus)
     if spec.timing.kind == "synchronous":
         raise ScenarioValidationError(
             "the consensus algorithms are asynchronous-family programs; "
             "a synchronous (HSS) timing model cannot drive them"
         )
-    missing = [name for name in entry.requires_detectors if name not in provided]
+    _check_requirements(
+        f"consensus {spec.consensus!r}", spec.consensus, membership, worst_faulty, provided
+    )
+
+
+def _check_requirements(subject: str, name: str, membership, worst_faulty: int, provided) -> None:
+    """Algorithm ``name``'s line of the paper's assumption table, against ``membership``.
+
+    ``subject`` is the phrase the message opens with (``consensus 'x'`` /
+    ``KV replication via 'x'``).
+    """
+    entry = CONSENSUS.resolve(name)
+    n = membership.size
+    missing = [detector for detector in entry.requires_detectors if detector not in provided]
     if missing:
         raise ScenarioValidationError(
-            f"consensus {spec.consensus!r} ({entry.paper_item}) queries "
+            f"{subject} ({entry.paper_item}) queries "
             f"{', '.join(entry.requires_detectors)} but "
             f"{', '.join(missing)} is not attached (and no stacked program "
             "publishes it)"
         )
     if entry.needs_majority and 2 * worst_faulty >= n:
         raise ScenarioValidationError(
-            f"consensus {spec.consensus!r} ({entry.paper_item}) assumes a "
+            f"{subject} ({entry.paper_item}) assumes a "
             f"majority of correct processes (t < n/2), but the crash schedule "
             f"can kill {worst_faulty} of {n}; use an HΣ-based algorithm "
             "(e.g. 'homega_hsigma') for any-failures runs"
         )
     if entry.membership_constraint == "unique" and not membership.is_uniquely_identified:
         raise ScenarioValidationError(
-            f"consensus {spec.consensus!r} is only defined for unique "
+            f"{subject} is only defined for unique "
             "identifiers; the membership has homonyms"
         )
     if entry.membership_constraint == "anonymous" and not membership.is_anonymous:
         raise ScenarioValidationError(
-            f"consensus {spec.consensus!r} is only defined for anonymous "
+            f"{subject} is only defined for anonymous "
             "systems; the membership has distinct identifiers"
         )
 
@@ -544,7 +556,7 @@ def _validate_real_backend(spec: ScenarioSpec) -> None:
         )
 
 
-def _validate_kv(spec: ScenarioSpec, membership, n: int, worst_faulty: int, provided) -> None:
+def _validate_kv(spec: ScenarioSpec, membership, worst_faulty: int, provided) -> None:
     """The KV section's slice of the requirement table.
 
     The scenario's membership and crash schedule describe the *replica
@@ -557,28 +569,7 @@ def _validate_kv(spec: ScenarioSpec, membership, n: int, worst_faulty: int, prov
             "the KV service replicates through asynchronous-family consensus "
             "algorithms; a synchronous (HSS) timing model cannot drive it"
         )
-    entry = CONSENSUS.resolve(spec.kv.consensus)
-    missing = [name for name in entry.requires_detectors if name not in provided]
-    if missing:
-        raise ScenarioValidationError(
-            f"KV replication via {spec.kv.consensus!r} ({entry.paper_item}) "
-            f"queries {', '.join(entry.requires_detectors)} but "
-            f"{', '.join(missing)} is not attached"
-        )
-    if entry.needs_majority and 2 * worst_faulty >= n:
-        raise ScenarioValidationError(
-            f"KV replication via {spec.kv.consensus!r} ({entry.paper_item}) "
-            f"assumes a majority of correct replicas (t < n/2), but the crash "
-            f"schedule can kill {worst_faulty} of {n} replicas; use an "
-            "HΣ-based algorithm (e.g. 'homega_hsigma') for any-failures runs"
-        )
-    if entry.membership_constraint == "unique" and not membership.is_uniquely_identified:
-        raise ScenarioValidationError(
-            f"KV replication via {spec.kv.consensus!r} is only defined for "
-            "unique identifiers; the replica membership has homonyms"
-        )
-    if entry.membership_constraint == "anonymous" and not membership.is_anonymous:
-        raise ScenarioValidationError(
-            f"KV replication via {spec.kv.consensus!r} is only defined for "
-            "anonymous systems; the replica membership has distinct identifiers"
-        )
+    _check_requirements(
+        f"KV replication via {spec.kv.consensus!r}", spec.kv.consensus, membership,
+        worst_faulty, provided,
+    )

@@ -273,7 +273,11 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
     membership = spec.membership.build()
     proposals = distinct_proposals(membership) if spec.consensus else None
 
-    consensus_entry = CONSENSUS.resolve(spec.consensus) if spec.consensus else None
+    consensus_factory = (
+        CONSENSUS.resolve(spec.consensus).factory(membership, **spec.consensus_params)
+        if spec.consensus
+        else None
+    )
     program_entry = PROGRAMS.resolve(spec.program) if spec.program else None
 
     # Topology-aware programs get the materialised topology and their own
@@ -298,10 +302,8 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
                 )
             else:
                 programs.append(program_entry.build(spec.program_params))
-        if consensus_entry is not None:
-            programs.append(
-                consensus_entry.build(proposals[pid], membership, spec.consensus_params)
-            )
+        if consensus_factory is not None:
+            programs.append(consensus_factory(proposals[pid]))
         return programs[0] if len(programs) == 1 else CompositeProgram(*programs)
 
     detectors = {

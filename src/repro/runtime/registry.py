@@ -24,14 +24,7 @@ from ..algorithms import (
     OhpPollingProgram,
     ScriptAliveProgram,
 )
-from ..consensus import (
-    AnonymousAOmegaASigmaConsensus,
-    AnonymousAOmegaConsensus,
-    ClassicalOmegaConsensus,
-    HOmegaHSigmaConsensus,
-    HOmegaMajorityConsensus,
-    NoCoordinationConsensus,
-)
+from ..consensus import FAMILY, ConsensusFactory
 from ..detectors import (
     AOmegaOracle,
     APOracle,
@@ -163,37 +156,36 @@ def register_detector(name: str, maker: Callable[..., Any], *, overwrite: bool =
 class ConsensusEntry:
     """A consensus algorithm plus its paper assumptions.
 
-    ``build(proposal, membership, params)`` instantiates the program for one
-    process.  ``requires_detectors`` lists the detector attachments the
-    algorithm queries; ``needs_majority`` encodes the ``t < n/2`` assumption;
-    ``membership_constraint`` is ``None``, ``"unique"``, or ``"anonymous"``.
+    ``program(proposal, **params)`` instantiates the algorithm for one process.
+    ``requires_detectors`` lists the detector attachments the algorithm
+    queries; ``needs_majority`` encodes the ``t < n/2`` assumption (such an
+    algorithm counts ``n − t`` messages, so it is also constructed with
+    ``n=membership.size``); ``membership_constraint`` is ``None``,
+    ``"unique"``, or ``"anonymous"``.
     """
 
-    build: Callable[[Any, Membership, Mapping[str, Any]], Any]
+    program: Callable[..., Any]
     requires_detectors: tuple[str, ...] = ()
     needs_majority: bool = False
     membership_constraint: str | None = None
     paper_item: str = ""
 
+    def factory(self, membership: Membership, **params: Any) -> ConsensusFactory:
+        """The picklable ``proposal -> program`` callable for one membership."""
+        if self.needs_majority:
+            return ConsensusFactory(self.program, n=membership.size, **params)
+        return ConsensusFactory(self.program, **params)
+
 
 def register_consensus(
-    name: str,
-    build: Callable[[Any, Membership, Mapping[str, Any]], Any],
-    *,
-    requires_detectors: tuple[str, ...] = (),
-    needs_majority: bool = False,
-    membership_constraint: str | None = None,
-    paper_item: str = "",
-    overwrite: bool = False,
+    name: str, program: Callable[..., Any], *, overwrite: bool = False, **requirements: Any
 ) -> ConsensusEntry:
-    entry = ConsensusEntry(
-        build=build,
-        requires_detectors=requires_detectors,
-        needs_majority=needs_majority,
-        membership_constraint=membership_constraint,
-        paper_item=paper_item,
-    )
-    return CONSENSUS.register(name, entry, overwrite=overwrite)
+    """Register ``program`` (called as ``program(proposal, **params)``) under ``name``.
+
+    ``requirements`` are :class:`ConsensusEntry`'s assumption fields; the
+    builder enforces them for plugins exactly as for the built-in rows.
+    """
+    return CONSENSUS.register(name, ConsensusEntry(program, **requirements), overwrite=overwrite)
 
 
 @dataclass(frozen=True)
@@ -313,61 +305,10 @@ for _name, _maker in (
 # ----------------------------------------------------------------------
 # Built-in consensus algorithms (Section 5 plus baselines/ablations)
 # ----------------------------------------------------------------------
-register_consensus(
-    "homega_majority",
-    lambda proposal, membership, params: HOmegaMajorityConsensus(
-        proposal, n=membership.size, **params
-    ),
-    requires_detectors=("HOmega",),
-    needs_majority=True,
-    paper_item="Figure 8 (Theorem 7)",
-)
-register_consensus(
-    "homega_hsigma",
-    lambda proposal, membership, params: HOmegaHSigmaConsensus(proposal, **params),
-    requires_detectors=("HOmega", "HSigma"),
-    needs_majority=False,
-    paper_item="Figure 9 (Theorem 8)",
-)
-register_consensus(
-    "no_coordination",
-    lambda proposal, membership, params: NoCoordinationConsensus(
-        proposal, n=membership.size, **params
-    ),
-    requires_detectors=("HOmega",),
-    needs_majority=True,
-    paper_item="Figure 8 ablation (E7)",
-)
-register_consensus(
-    "classical_omega",
-    lambda proposal, membership, params: ClassicalOmegaConsensus(
-        proposal, n=membership.size, **params
-    ),
-    requires_detectors=("Omega",),
-    needs_majority=True,
-    membership_constraint="unique",
-    paper_item="classical Ω baseline",
-)
-register_consensus(
-    "anonymous_aomega",
-    lambda proposal, membership, params: AnonymousAOmegaConsensus(
-        proposal, n=membership.size, **params
-    ),
-    requires_detectors=("AOmega",),
-    needs_majority=True,
-    membership_constraint="anonymous",
-    paper_item="Bonnet–Raynal AΩ baseline",
-)
-register_consensus(
-    "aomega_asigma",
-    lambda proposal, membership, params: AnonymousAOmegaASigmaConsensus(
-        proposal, **params
-    ),
-    requires_detectors=("AOmega", "ASigma"),
-    needs_majority=False,
-    membership_constraint="anonymous",
-    paper_item="Figure 9 anonymous instance",
-)
+# The rows of ``repro.consensus.family``; each row's requirements are derived
+# from its leader and quorum rules, not restated here.
+for _name, _row in FAMILY.items():
+    register_consensus(_name, _row, **_row.requirements())
 
 
 # ----------------------------------------------------------------------

@@ -107,7 +107,12 @@ class _SlotContext:
 
 
 class ReplicatedKVProgram(ProcessProgram):
-    """One replica of the consensus-replicated KV service."""
+    """One replica of the consensus-replicated KV service.
+
+    ``consensus_factory`` builds one instance per log slot; build it with
+    ``record_outputs=False`` so hundreds of slots do not each write per-round
+    trace records.
+    """
 
     def __init__(
         self,
@@ -167,7 +172,6 @@ class ReplicatedKVProgram(ProcessProgram):
             if slot not in self.log:
                 proposal = next(iter(self._pending.values()))
                 instance = self._factory(proposal)
-                instance.record_outputs = False
                 instance.setup(_SlotContext(ctx, slot, self._commit))
                 yield ctx.wait_until(lambda slot=slot: slot in self.log)
             self._apply(ctx, slot)

@@ -22,7 +22,7 @@ the pool executors exactly like consensus specs.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any
 
 from ...membership import Membership
 from ...sim import Simulation, build_system
@@ -33,24 +33,6 @@ from .metrics import kv_metrics
 from .replica import ReplicatedKVProgram
 
 __all__ = ["execute_kv_spec"]
-
-
-class _RegistryConsensusFactory:
-    """Builds one consensus instance per log slot from a registry entry."""
-
-    def __init__(self, consensus: str, membership: Membership, params: Mapping[str, Any]):
-        from ...runtime.registry import CONSENSUS
-
-        self._entry = CONSENSUS.resolve(consensus)
-        self._membership = membership
-        self._params = dict(params)
-
-    def __call__(self, proposal: Any):
-        program = self._entry.build(proposal, self._membership, self._params)
-        # Per-slot instances must not spam the trace with per-round records
-        # (hundreds of slots per run) nor claim the process-level decision.
-        program.record_outputs = False
-        return program
 
 
 class _ReplicaScopedDetector:
@@ -76,7 +58,7 @@ class _ReplicaScopedDetector:
 def execute_kv_spec(spec) -> "Any":
     """Run one KV scenario and return its :class:`~repro.runtime.engine.RunRecord`."""
     from ...runtime.engine import RunRecord, fold_checks
-    from ...runtime.registry import DETECTORS
+    from ...runtime.registry import CONSENSUS, DETECTORS
 
     kv = spec.kv
     replica_membership = spec.membership.build()
@@ -93,8 +75,10 @@ def execute_kv_spec(spec) -> "Any":
     schedule = spec.crashes.build(replica_membership)
     replica_pattern = FailurePattern(replica_membership, schedule)
 
-    consensus_factory = _RegistryConsensusFactory(
-        kv.consensus, replica_membership, kv.consensus_params
+    # Per-slot instances must not spam the trace with per-round records
+    # (hundreds of slots per run).
+    consensus_factory = CONSENSUS.resolve(kv.consensus).factory(
+        replica_membership, **kv.consensus_params, record_outputs=False
     )
     load_options: dict[str, Any] = dict(
         ops=kv.ops_per_client,

@@ -7,6 +7,7 @@ means a second copy is being started.
 
 from __future__ import annotations
 
+import ast
 import re
 import subprocess
 from pathlib import Path
@@ -108,3 +109,42 @@ def test_only_the_real_backend_dispatch_imports_the_transport() -> None:
     assert not offenders, "only the real-backend dispatch may import repro.transport:\n" + "\n".join(
         offenders
     )
+
+
+def test_the_registry_registers_the_consensus_table_and_restates_nothing() -> None:
+    """One assumption table: a built-in entry's requirements are its rules' declarations."""
+    from repro.consensus import FAMILY
+    from repro.runtime import CONSENSUS
+
+    assert set(CONSENSUS.names()) == set(FAMILY)
+    for name, row in FAMILY.items():
+        entry = CONSENSUS.resolve(name)
+        leader, quorum = row.leader_rule, row.quorum_rule
+        assert entry.program is row
+        assert entry.requires_detectors == tuple(filter(None, (leader.detector, quorum.detector)))
+        assert entry.needs_majority is quorum.needs_majority
+        assert entry.membership_constraint == leader.membership_constraint
+        assert entry.paper_item == row.paper_item != ""
+
+
+def test_coord_and_ph0_are_each_broadcast_from_one_function() -> None:
+    """One round skeleton: a second ``broadcast("COORD"/"PH0", …)`` is a phase being re-pasted."""
+    sites: dict[str, list[str]] = {"COORD": [], "PH0": []}
+    sources = sorted((ROOT / "src" / "repro" / "consensus").glob("*.py"))
+    assert len(sources) >= 5
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for call in ast.walk(function):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "broadcast"
+                    and call.args
+                    and isinstance(call.args[0], ast.Constant)
+                    and call.args[0].value in sites
+                ):
+                    sites[call.args[0].value].append(f"{path.name}:{function.lineno}")
+    assert {kind: len(found) for kind, found in sites.items()} == {"COORD": 1, "PH0": 1}, sites

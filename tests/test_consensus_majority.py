@@ -193,8 +193,8 @@ class TestFigureEightValidation:
             HOmegaMajorityConsensus("v", n=0)
 
     def test_default_t_is_largest_minority(self):
-        assert HOmegaMajorityConsensus("v", n=5).t == 2
-        assert HOmegaMajorityConsensus("v", n=4).t == 1
+        assert HOmegaMajorityConsensus("v", n=5).quorum.t == 2
+        assert HOmegaMajorityConsensus("v", n=4).quorum.t == 1
 
 
 class TestBaselines:

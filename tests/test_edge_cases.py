@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.algorithms import HSigmaSynchronousProgram, OhpPollingProgram
@@ -10,6 +12,7 @@ from repro.consensus import (
     HOmegaMajorityConsensus,
     validate_consensus,
 )
+from repro.consensus.rules import H_OMEGA
 from repro.detectors import (
     HOmegaOracle,
     HSigmaOracle,
@@ -130,13 +133,17 @@ class TestProposalTypes:
 
 class TestNonDefaultWiring:
     def test_figure8_with_renamed_detector(self):
+        # Which attachment a row queries is part of its leader rule, so a
+        # differently-wired system declares a row rather than passing a keyword.
+        class RewiredFigure8(HOmegaMajorityConsensus):
+            leader_rule = dataclasses.replace(H_OMEGA, detector="leader-oracle")
+
+        assert RewiredFigure8.requirements()["requires_detectors"] == ("leader-oracle",)
         membership = Membership.of(["A", "B", "B"])
         proposals = {process: process.index for process in membership.processes}
         trace, pattern = run_consensus(
             membership,
-            lambda pid, identity: HOmegaMajorityConsensus(
-                proposals[pid], n=3, detector_name="leader-oracle"
-            ),
+            lambda pid, identity: RewiredFigure8(proposals[pid], n=3),
             {"leader-oracle": lambda s: HOmegaOracle(s, stabilization_time=5.0)},
         )
         verdict = validate_consensus(trace, pattern, proposals)

@@ -6,15 +6,11 @@ import pickle
 
 import pytest
 
-from repro.consensus import (
-    ConsensusFactory,
-    HOmegaHSigmaConsensus,
-    HOmegaMajorityConsensus,
-    homega_hsigma_factory,
-    homega_majority_factory,
-)
+from repro.consensus import ConsensusFactory, HOmegaHSigmaConsensus, HOmegaMajorityConsensus
+from repro.membership import grouped_identities
 from repro.runtime import (
     CHECKS,
+    CONSENSUS,
     Engine,
     KVSpec,
     ScenarioSpec,
@@ -254,28 +250,35 @@ class TestBuilderValidation:
             scenario("empty").processes(3).distinct_ids(2).build()
 
 
+def _factory(name="homega_majority", **params):
+    """The one factory: a registry entry bound to a membership (n = 5)."""
+    return CONSENSUS.resolve(name).factory(grouped_identities([2, 2, 1]), **params)
+
+
 class TestConsensusFactories:
     def test_named_factory_builds_the_right_program(self):
-        factory = homega_majority_factory(n=5)
-        program = factory("proposal")
+        program = _factory()("proposal")
         assert isinstance(program, HOmegaMajorityConsensus)
         assert program.proposal == "proposal"
+        assert program.quorum.n == 5
 
     def test_hsigma_factory(self):
-        assert isinstance(homega_hsigma_factory()("p"), HOmegaHSigmaConsensus)
+        assert isinstance(_factory("homega_hsigma")("p"), HOmegaHSigmaConsensus)
 
     def test_factory_is_picklable_unlike_a_lambda(self):
-        factory = homega_majority_factory(n=5)
-        clone = pickle.loads(pickle.dumps(factory))
-        assert isinstance(clone("p"), HOmegaMajorityConsensus)
+        clone = pickle.loads(pickle.dumps(_factory(record_outputs=False)))
+        program = clone("p")
+        assert isinstance(program, HOmegaMajorityConsensus)
+        assert program.record_outputs is False
 
     def test_factory_has_an_unambiguous_qualname(self):
         # The RunCache refuses "<lambda>" qualnames; the named factory's
         # class qualname is stable and cache-eligible.
-        assert "<lambda>" not in type(homega_majority_factory(n=5)).__qualname__
+        assert type(_factory()).__qualname__ == "ConsensusFactory"
+        assert "<lambda>" not in type(_factory()).__qualname__
 
     def test_factory_repr_names_the_algorithm(self):
-        assert "HOmegaMajorityConsensus" in repr(homega_majority_factory(n=5))
+        assert "HOmegaMajorityConsensus" in repr(_factory())
         assert ConsensusFactory(HOmegaMajorityConsensus, n=5).describe() == (
             "HOmegaMajorityConsensus"
         )
