@@ -62,12 +62,14 @@ class AOmegaOracle(OracleDetector):
         return min(self.pattern.correct)
 
     def view_for(self, process: ProcessId) -> AOmegaView:
-        def read_flag() -> bool:
-            if self.stabilized:
-                return process == self._eventual_leader_process()
-            return bool(stable_draw(process.index, self.noise_window(), "aΩ") % 2)
+        def noisy_flag(window: int) -> bool:
+            return bool(stable_draw(process.index, window, "aΩ") % 2)
 
-        return AOmegaView(read_flag)
+        return AOmegaView(
+            self.reader(
+                lambda: process == self._eventual_leader_process(), self.per_window(noisy_flag)
+            )
+        )
 
 
 class ASigmaOracle(OracleDetector):
@@ -85,13 +87,10 @@ class ASigmaOracle(OracleDetector):
     """
 
     def view_for(self, process: ProcessId) -> ASigmaView:
-        def read_pairs() -> frozenset:
-            pairs = {(_LABEL_ALL, self.membership.size)}
-            if self.stabilized and self.pattern.is_correct(process):
-                pairs.add((_LABEL_CORRECT, len(self.pattern.correct)))
-            return frozenset(pairs)
-
-        return ASigmaView(read_pairs)
+        pairs = settled_pairs = frozenset({(_LABEL_ALL, self.membership.size)})
+        if self.pattern.is_correct(process):
+            settled_pairs = pairs | {(_LABEL_CORRECT, len(self.pattern.correct))}
+        return ASigmaView(self.reader(lambda: settled_pairs, lambda: pairs))
 
     def label_holders(self, label: str) -> frozenset[ProcessId]:
         """``S_A(label)``: the processes that may ever output a pair with ``label``.

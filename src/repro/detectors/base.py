@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..errors import DetectorError
 from ..identity import ProcessId
@@ -69,8 +70,14 @@ class OracleDetector:
     """Common machinery for ground-truth detectors.
 
     Concrete oracles implement :meth:`view_for` (returning the class-specific
-    view) in terms of :meth:`stabilized` and the failure pattern held in
-    ``self.pattern``.
+    view) by handing :meth:`reader` the two kinds of output an oracle has.
+    *Eventual* output is a per-process constant of the run (the failure pattern
+    in ``self.pattern`` is fixed), resolved at the first stabilised read.
+    *Transient* output is what is said before; when it is a pure function of
+    ``(process, noise_window())`` it goes through :meth:`per_window` and is
+    recomputed only when the window index changes.  Per-run facts are resolved
+    once; a view is still queried after every event (like ``stop_when``), so
+    keep what a reader does per call O(1).
     """
 
     def __init__(
@@ -128,6 +135,41 @@ class OracleDetector:
     def correct_identities(self):
         """``I(Correct)`` for this run."""
         return self.pattern.correct_identity_multiset()
+
+    def reader(
+        self, eventual: Callable[[], Any], transient: Callable[[], Any]
+    ) -> Callable[[], Any]:
+        """The query function of one process: ``transient()`` on every read
+        before stabilization, then ``eventual()`` — called once, at the first
+        stabilised read — as the same object forever."""
+        clock, stabilization_time = self.clock, self.stabilization_time
+        settled = False
+        value = None
+
+        def read():
+            nonlocal settled, value
+            if settled:
+                return value
+            if clock.now < stabilization_time:
+                return transient()
+            settled, value = True, eventual()
+            return value
+
+        return read
+
+    def per_window(self, draw: Callable[[int], Any]) -> Callable[[], Any]:
+        """A transient output that only depends on the noise window:
+        ``draw(noise_window())``, recomputed when the window index changes."""
+        window = value = None
+
+        def read():
+            nonlocal window, value
+            current = self.noise_window()
+            if current != window:
+                window, value = current, draw(current)
+            return value
+
+        return read
 
     def view_for(self, process: ProcessId):
         """Return the per-process query view (implemented by subclasses)."""

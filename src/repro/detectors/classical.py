@@ -29,6 +29,9 @@ class _UniqueIdOracle(OracleDetector):
             )
         super().__init__(services, **kwargs)
 
+    def _identities(self, members) -> frozenset:
+        return frozenset(self.membership.identity_of(other) for other in members)
+
 
 class PerfectOracle(_UniqueIdOracle):
     """A perfect failure detector ``P``: suspects exactly the crashed processes.
@@ -59,14 +62,12 @@ class DiamondPOracle(_UniqueIdOracle):
     """
 
     def view_for(self, process: ProcessId) -> DiamondPView:
-        def read_trusted() -> frozenset:
-            if self.stabilized:
-                members = self.pattern.correct
-            else:
-                members = self.pattern.alive_at(self.clock.now)
-            return frozenset(self.membership.identity_of(other) for other in members)
-
-        return DiamondPView(read_trusted)
+        return DiamondPView(
+            self.reader(
+                lambda: self._identities(self.pattern.correct),
+                lambda: self._identities(self.pattern.alive_at(self.clock.now)),
+            )
+        )
 
 
 class OmegaOracle(_UniqueIdOracle):
@@ -94,13 +95,10 @@ class OmegaOracle(_UniqueIdOracle):
             key=repr,
         )
 
-        def read_leader():
-            if self.stabilized:
-                return self._eventual_leader()
-            draw = stable_draw(process.index, self.noise_window(), "Ω") % len(all_ids)
-            return all_ids[draw]
+        def noisy_leader(window: int):
+            return all_ids[stable_draw(process.index, window, "Ω") % len(all_ids)]
 
-        return OmegaView(read_leader)
+        return OmegaView(self.reader(self._eventual_leader, self.per_window(noisy_leader)))
 
 
 class SigmaOracle(_UniqueIdOracle):
@@ -114,11 +112,7 @@ class SigmaOracle(_UniqueIdOracle):
     """
 
     def view_for(self, process: ProcessId) -> SigmaView:
-        def read_trusted() -> frozenset:
-            if self.stabilized:
-                members = self.pattern.correct
-            else:
-                members = self.membership.processes
-            return frozenset(self.membership.identity_of(other) for other in members)
-
-        return SigmaView(read_trusted)
+        everyone = self.membership.distinct_identities
+        return SigmaView(
+            self.reader(lambda: self._identities(self.pattern.correct), lambda: everyone)
+        )

@@ -29,14 +29,12 @@ class DiamondHPOracle(OracleDetector):
     """
 
     def view_for(self, process: ProcessId) -> DiamondHPView:
-        def read_trusted() -> IdentityMultiset:
-            if self.stabilized:
-                members = sorted(self.pattern.correct)
-            else:
-                members = sorted(self.pattern.alive_at(self.clock.now))
-            return self.membership.identity_multiset(members)
+        def trust_alive() -> IdentityMultiset:
+            return self.membership.identity_multiset(
+                sorted(self.pattern.alive_at(self.clock.now))
+            )
 
-        return DiamondHPView(read_trusted)
+        return DiamondHPView(self.reader(self.correct_identities, trust_alive))
 
 
 class HOmegaOracle(OracleDetector):
@@ -68,17 +66,15 @@ class HOmegaOracle(OracleDetector):
         )
 
     def view_for(self, process: ProcessId) -> HOmegaView:
-        all_ids = sorted(self.membership.identity_multiset().support(), key=repr)
+        all_ids = sorted(self.membership.distinct_identities, key=repr)
 
-        def read_pair() -> tuple[Identity, int]:
-            if self.stabilized:
-                return self.eventual_leader()
-            draw = stable_draw(process.index, self.noise_window(), "hΩ")
+        def noisy_pair(window: int) -> tuple[Identity, int]:
+            draw = stable_draw(process.index, window, "hΩ")
             identity = all_ids[draw % len(all_ids)]
             multiplicity = 1 + (draw // 7) % self.membership.size
             return identity, multiplicity
 
-        return HOmegaView(read_pair)
+        return HOmegaView(self.reader(self.eventual_leader, self.per_window(noisy_pair)))
 
 
 class HSigmaOracle(OracleDetector):
@@ -104,21 +100,15 @@ class HSigmaOracle(OracleDetector):
     """
 
     def view_for(self, process: ProcessId) -> HSigmaView:
-        everyone = self.membership.identity_multiset()
-
-        def read_quora() -> frozenset:
-            pairs = {(_LABEL_ALL, everyone)}
-            if self.stabilized:
-                pairs.add((_LABEL_CORRECT, self.correct_identities()))
-            return frozenset(pairs)
-
-        def read_labels() -> frozenset:
-            labels = {_LABEL_ALL}
-            if self.stabilized and self.pattern.is_correct(process):
-                labels.add(_LABEL_CORRECT)
-            return frozenset(labels)
-
-        return HSigmaView(read_quora, read_labels)
+        everyone = (_LABEL_ALL, self.membership.identity_multiset())
+        quora = frozenset({everyone})
+        settled_quora = quora | {(_LABEL_CORRECT, self.correct_identities())}
+        labels = frozenset({_LABEL_ALL})
+        settled_labels = labels | {_LABEL_CORRECT} if self.pattern.is_correct(process) else labels
+        return HSigmaView(
+            self.reader(lambda: settled_quora, lambda: quora),
+            self.reader(lambda: settled_labels, lambda: labels),
+        )
 
     def label_holders(self, label: str) -> frozenset[ProcessId]:
         """``S(label)``: processes that ever carry ``label`` in ``h_labels``."""

@@ -33,19 +33,17 @@ class ScriptEOracle(OracleDetector):
         super().__init__(services, **kwargs)
 
     def view_for(self, process: ProcessId) -> ScriptEView:
-        def read_alive() -> tuple:
-            members = list(self.membership.processes)
-            if self.stabilized:
-                # Correct processes first (each group ordered deterministically).
-                members.sort(
-                    key=lambda other: (not self.pattern.is_correct(other), other.index)
-                )
-            else:
-                # An arbitrary—but deterministic—pre-stabilization order that
-                # differs across processes and noise windows.
-                members.sort(
-                    key=lambda other: stable_draw(process.index, self.noise_window(), other.index)
-                )
+        def ranked(key) -> tuple:
+            members = sorted(self.membership.processes, key=key)
             return tuple(self.membership.identity_of(other) for other in members)
 
-        return ScriptEView(read_alive)
+        def correct_first() -> tuple:
+            # Correct processes first (each group ordered deterministically).
+            return ranked(lambda other: (not self.pattern.is_correct(other), other.index))
+
+        def shuffled(window: int) -> tuple:
+            # An arbitrary—but deterministic—pre-stabilization order that
+            # differs across processes and noise windows.
+            return ranked(lambda other: stable_draw(process.index, window, other.index))
+
+        return ScriptEView(self.reader(correct_first, self.per_window(shuffled)))

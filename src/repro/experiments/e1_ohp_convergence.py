@@ -15,7 +15,6 @@ from ..algorithms import OhpPollingProgram
 from ..analysis.runner import ParameterSweep
 from ..detectors import check_diamond_hp, check_homega_election
 from ..sim import PartiallySynchronousTiming, Simulation, build_system
-from ..sim.failures import FailurePattern
 from ..workloads.crashes import minority_crashes
 from ..workloads.homonymy import membership_with_distinct_ids
 from .base import Call, Experiment, grouped
@@ -47,7 +46,7 @@ def _run_one(config: dict) -> dict:
     simulation = Simulation(system)
     horizon = config["gst"] * 4 + 120.0
     trace = simulation.run(until=horizon)
-    pattern = FailurePattern(membership, crash_schedule)
+    pattern = simulation.failure_pattern
     hp_result = check_diamond_hp(trace, pattern)
     homega_result = check_homega_election(trace, pattern)
     timeouts = [

@@ -13,7 +13,6 @@ from ..algorithms import HSigmaSynchronousProgram
 from ..analysis.runner import ParameterSweep
 from ..detectors import check_hsigma
 from ..sim import Simulation, SynchronousTiming, build_system
-from ..sim.failures import FailurePattern
 from ..workloads.crashes import cascading_crashes
 from ..workloads.homonymy import membership_with_distinct_ids
 from .base import Call, Experiment, grouped
@@ -43,8 +42,7 @@ def _run_one(config: dict) -> dict:
     )
     simulation = Simulation(system)
     trace = simulation.run(until=steps + 2.0)
-    pattern = FailurePattern(membership, crash_schedule)
-    result = check_hsigma(trace, pattern)
+    result = check_hsigma(trace, simulation.failure_pattern)
     return {
         "properties_ok": result.ok,
         "violations": len(result.violations),

@@ -37,7 +37,6 @@ from ..reductions import (
 )
 from ..membership import anonymous_identities, grouped_identities, unique_identities
 from ..sim import AsynchronousTiming, CrashSchedule, Simulation, build_system
-from ..sim.failures import FailurePattern
 from .base import Call, Experiment
 
 __all__ = ["run"]
@@ -61,9 +60,7 @@ def _run_reduction(membership, program_factory, detectors, checker, *, seed, hor
     )
     simulation = Simulation(system)
     trace = simulation.run(until=horizon)
-    pattern = FailurePattern(membership, crash_schedule)
-    result = checker(trace, pattern)
-    return result
+    return checker(trace, simulation.failure_pattern)
 
 
 def _reduction_cases(seed: int):

@@ -106,7 +106,7 @@ class IdentityMultiset:
     uses ``mset_p`` as both the label and the value of a quorum pair.
     """
 
-    __slots__ = ("_counts", "_size", "_hash")
+    __slots__ = ("_counts", "_size", "_hash", "_repr")
 
     def __init__(self, items: Iterable[Identity] = ()) -> None:
         counts = Counter(items)
@@ -116,6 +116,7 @@ class IdentityMultiset:
         }
         self._size: int = sum(self._counts.values())
         self._hash: int | None = None
+        self._repr: str | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -184,9 +185,23 @@ class IdentityMultiset:
             return NotImplemented
         return self._ordering_key() <= other._ordering_key()
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(repr(item) for item in self)
-        return f"IdentityMultiset({{{inner}}})"
+    def __repr__(self) -> str:
+        """``IdentityMultiset({'a', 'a', 'b'})`` — elements in sorted order.
+
+        The exact text is load-bearing, not cosmetic: quorum pairs and leader
+        candidates are ordered with ``key=repr`` and ``stable_draw`` hashes
+        ``repr(parts)``, so the determinism digests depend on it.  Computed
+        once per (immutable) instance, like the hash.
+        """
+        if self._repr is None:
+            inner = ", ".join(repr(item) for item in self)
+            self._repr = f"IdentityMultiset({{{inner}}})"
+        return self._repr
+
+    def __reduce__(self):
+        # Rebuild from the elements: a cached hash is only valid in the
+        # interpreter that computed it, and the cached text is derivable.
+        return (IdentityMultiset, (tuple(self),))
 
     def _ordering_key(self) -> tuple:
         return tuple((_sort_key(identity), count) for identity, count in self._counts.items())

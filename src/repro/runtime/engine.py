@@ -198,12 +198,10 @@ def run_once(
     )
     simulation = Simulation(system)
     if expect_decisions:
-        trace = simulation.run(
-            until=horizon, stop_when=lambda sim: sim.all_correct_decided()
-        )
+        trace = simulation.run(until=horizon, stop_when=Simulation.all_correct_decided)
     else:
         trace = simulation.run(until=horizon)
-    pattern = FailurePattern(membership, schedule)
+    pattern = simulation.failure_pattern
 
     metrics: dict[str, Any] = {}
     if expect_decisions:

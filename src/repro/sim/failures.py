@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..errors import ConfigurationError
-from ..identity import ProcessId
+from ..identity import IdentityMultiset, ProcessId
 from ..membership import Membership
 from .clock import Time
 
@@ -55,14 +55,19 @@ class CrashSchedule:
     """A set of crash events, at most one per process."""
 
     events: tuple[CrashEvent, ...] = ()
+    #: Processes that crash at some point in the run.
+    faulty: frozenset[ProcessId] = field(init=False, repr=False, compare=False, default=frozenset())
+    _crash_times: Mapping[ProcessId, Time] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        seen: set[ProcessId] = set()
+        crash_times: dict[ProcessId, Time] = {}
         for event in self.events:
-            if event.process in seen:
+            if event.process in crash_times:
                 raise ConfigurationError(f"{event.process!r} crashes more than once")
-            seen.add(event.process)
+            crash_times[event.process] = event.time
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: (e.time, e.process))))
+        object.__setattr__(self, "faulty", frozenset(crash_times))
+        object.__setattr__(self, "_crash_times", crash_times)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -101,24 +106,9 @@ class CrashSchedule:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def faulty(self) -> frozenset[ProcessId]:
-        """Processes that crash at some point in the run."""
-        return frozenset(event.process for event in self.events)
-
     def crash_time(self, process: ProcessId) -> Time | None:
         """Return the crash time of ``process`` or ``None`` when it is correct."""
-        for event in self.events:
-            if event.process == process:
-                return event.time
-        return None
-
-    def event_for(self, process: ProcessId) -> CrashEvent | None:
-        """Return the crash event of ``process`` or ``None``."""
-        for event in self.events:
-            if event.process == process:
-                return event
-        return None
+        return self._crash_times.get(process)
 
     def validate_against(self, membership: Membership) -> None:
         """Check that the schedule only names processes of ``membership``."""
@@ -271,30 +261,30 @@ class FailurePattern:
 
     membership: Membership
     schedule: CrashSchedule
+    #: ``Correct`` — processes that never crash in this run.
+    correct: frozenset[ProcessId] = field(init=False, repr=False, compare=False, default=frozenset())
+    #: Processes that crash at some point in this run.
+    faulty: frozenset[ProcessId] = field(init=False, repr=False, compare=False, default=frozenset())
+    _correct_identities: IdentityMultiset = field(init=False, repr=False, compare=False, default=None)
     _crash_times: Mapping[ProcessId, Time] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.schedule.validate_against(self.membership)
+        # ``F`` is fixed for the run, so everything derived from it is built
+        # here, once, and handed out as-is on the per-event path.
+        schedule, membership = self.schedule, self.membership
+        schedule.validate_against(membership)
+        correct = frozenset(membership.processes) - schedule.faulty
+        object.__setattr__(self, "correct", correct)
+        object.__setattr__(self, "faulty", schedule.faulty)
         object.__setattr__(
-            self,
-            "_crash_times",
-            {event.process: event.time for event in self.schedule.events},
+            self, "_correct_identities", membership.identity_multiset(sorted(correct))
         )
-
-    @property
-    def correct(self) -> frozenset[ProcessId]:
-        """``Correct`` — processes that never crash in this run."""
-        return frozenset(self.membership.processes) - self.schedule.faulty
-
-    @property
-    def faulty(self) -> frozenset[ProcessId]:
-        """Processes that crash at some point in this run."""
-        return self.schedule.faulty
+        object.__setattr__(self, "_crash_times", schedule._crash_times)
 
     @property
     def max_faulty(self) -> int:
         """The number of processes that crash (the run's effective ``t``)."""
-        return len(self.schedule.faulty)
+        return len(self.faulty)
 
     def is_correct(self, process: ProcessId) -> bool:
         """Return ``True`` when ``process`` never crashes."""
@@ -325,4 +315,4 @@ class FailurePattern:
 
     def correct_identity_multiset(self):
         """``I(Correct)`` as an :class:`~repro.identity.IdentityMultiset`."""
-        return self.membership.identity_multiset(sorted(self.correct))
+        return self._correct_identities

@@ -27,7 +27,7 @@ and schedules the continuation accordingly.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from ..context import (
     AbstractProcessContext,
@@ -136,14 +136,13 @@ class ProcessContext(AbstractProcessContext):
 class _Task:
     """Book-keeping for one running task of a process."""
 
-    __slots__ = ("name", "generator", "waiting_on", "pending_event", "finished")
+    __slots__ = ("name", "generator", "waiting_on", "pending_event")
 
     def __init__(self, name: str, generator: Generator) -> None:
         self.name = name
         self.generator = generator
         self.waiting_on: WaitUntil | None = None
         self.pending_event: Event | None = None
-        self.finished = False
 
 
 class ProcessRuntime:
@@ -174,6 +173,9 @@ class ProcessRuntime:
         self._broadcast_fn = broadcast_fn
         self._multicast_fn = multicast_fn
         self._handlers: dict[str, list[Callable[[Message], None]]] = {}
+        #: Live tasks only, in spawn order: a task leaves when its generator
+        #: finishes or the process crashes, so ``poke`` scans blocked work,
+        #: not everything the process ever spawned.
         self._tasks: list[_Task] = []
         self._detector_views: dict[str, Any] = {}
         self._crashed = False
@@ -222,11 +224,9 @@ class ProcessRuntime:
         self._crashed = True
         self._trace.record_crash(self.process_id, self.clock.now)
         for task in self._tasks:
-            task.finished = True
-            task.waiting_on = None
             if task.pending_event is not None:
                 self._queue.cancel(task.pending_event)
-                task.pending_event = None
+        self._tasks.clear()
 
     # ------------------------------------------------------------------
     # Communication plumbing
@@ -297,22 +297,12 @@ class ProcessRuntime:
 
     def poke(self) -> None:
         """Re-evaluate the wait conditions of all blocked tasks."""
-        if self._crashed:
-            return
         for task in self._tasks:
-            if task.finished or task.waiting_on is None or task.pending_event is not None:
+            if task.waiting_on is None or task.pending_event is not None:
                 continue
             if task.waiting_on.predicate():
                 task.waiting_on = None
                 self._schedule_resumption(task, at=self.clock.now)
-
-    def tasks_pending(self) -> bool:
-        """Return ``True`` when at least one task has not finished."""
-        return any(not task.finished for task in self._tasks)
-
-    def task_names(self) -> Iterable[str]:
-        """Names of all tasks ever spawned (finished or not)."""
-        return tuple(task.name for task in self._tasks)
 
     # -- internals --------------------------------------------------------
     def _schedule_resumption(self, task: _Task, *, at: Time) -> None:
@@ -331,13 +321,13 @@ class ProcessRuntime:
 
     def _resume(self, task: _Task) -> None:
         task.pending_event = None
-        if self._crashed or task.finished:
+        if self._crashed:
             return
         while True:
             try:
                 request = task.generator.send(None)
             except StopIteration:
-                task.finished = True
+                self._tasks.remove(task)
                 return
             if isinstance(request, Sleep):
                 self._schedule_resumption_after(task, delay=request.duration)

@@ -174,8 +174,11 @@ class Simulation:
 
         ``stop_when`` is evaluated after each processed event; returning
         ``True`` ends the run early (the usual condition is "every correct
-        process has decided").  ``max_events`` is a safety valve against
-        accidentally unbounded algorithms.
+        process has decided").  Per-run facts are resolved once; ``stop_when``
+        is still evaluated after every event, so keep it O(1) — compare a
+        count that the rare event bumps (:meth:`all_correct_decided` does).
+        ``max_events`` is a safety valve against accidentally unbounded
+        algorithms.
         """
         if until < self.clock.now:
             raise SimulationError(
@@ -239,13 +242,9 @@ class Simulation:
         """
         return f"{self.queue.digest:016x}"
 
-    def correct_processes(self) -> frozenset[ProcessId]:
-        """The correct processes of this run's failure pattern."""
-        return self.failure_pattern.correct
-
     def all_correct_decided(self) -> bool:
         """Return ``True`` when every correct process has decided."""
-        return self.trace.all_decided(self.correct_processes())
+        return self.trace.all_decided(self.failure_pattern.correct)
 
     def detector(self, name: str) -> object:
         """Return an attached detector instance by name."""

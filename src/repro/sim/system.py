@@ -140,7 +140,8 @@ class System:
     debug: bool = False
 
     def __post_init__(self) -> None:
-        self.crash_schedule.validate_against(self.membership)
+        # Building the pattern is also what validates the schedule.
+        self._failure_pattern = FailurePattern(self.membership, self.crash_schedule)
         _validate_model(self.model, self.membership, self.timing)
 
     @property
@@ -149,8 +150,8 @@ class System:
         return self.membership.size
 
     def failure_pattern(self) -> FailurePattern:
-        """The failure pattern induced by the crash schedule."""
-        return FailurePattern(self.membership, self.crash_schedule)
+        """The failure pattern induced by the crash schedule (one per run)."""
+        return self._failure_pattern
 
     def describe(self) -> str:
         """One-line description used in logs and experiment tables."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Collection, Iterator
 
 from ..errors import TraceError
 from ..identity import ProcessId
@@ -177,9 +177,16 @@ class RunTrace:
         """Return ``True`` when ``process`` decided."""
         return process in self._decisions
 
-    def all_decided(self, processes: Iterable[ProcessId]) -> bool:
-        """Return ``True`` when every given process decided."""
-        return all(process in self._decisions for process in processes)
+    def all_decided(self, processes: Collection[ProcessId]) -> bool:
+        """Return ``True`` when every given (distinct) process decided.
+
+        Too few decisions for that settles it without looking at any process,
+        which is the answer after almost every event of a run.
+        """
+        decisions = self._decisions
+        return len(decisions) >= len(processes) and all(
+            process in decisions for process in processes
+        )
 
     def last_decision_time(self) -> Time | None:
         """The time of the latest decision, or ``None`` when nobody decided."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any
+from typing import Any, Callable
 
 from ...sim.process import ProcessContext
 from .commands import encode_command
@@ -115,11 +115,19 @@ def sample_operation(rng: Random, mix: dict[str, float]) -> str:
 
 
 class KVClientProgram:
-    """One client process issuing :class:`ClientLoad`-shaped traffic."""
+    """One client process issuing :class:`ClientLoad`-shaped traffic.
 
-    def __init__(self, *, client_name: str, load: ClientLoad) -> None:
+    ``on_finished`` is called once, when the reply arrives that makes
+    :attr:`finished` true — the only place it can flip — so a runner can count
+    unfinished clients instead of polling every client after every event.
+    """
+
+    def __init__(
+        self, *, client_name: str, load: ClientLoad, on_finished: Callable[[], None]
+    ) -> None:
         self.client_name = client_name
         self.load = load
+        self._on_finished = on_finished
         self.issued = 0
         self.completed = 0
         self._outstanding: dict[str, tuple[str, str, tuple[Any, ...]]] = {}
@@ -186,3 +194,5 @@ class KVClientProgram:
             self._observed[key] = args[1] if status == "ok" else value
         elif op == "DEL" and status == "ok":
             self._observed[key] = None
+        if self.finished:
+            self._on_finished()

@@ -93,7 +93,13 @@ def execute_kv_spec(spec) -> "Any":
         load_options["mix"] = dict(kv.mix)
     load = ClientLoad(**load_options)
 
-    clients: list[KVClientProgram] = []
+    # The stop condition is evaluated after every event: count the clients
+    # still at work (a zero-op client never is) instead of polling them all.
+    clients_at_work = kv.clients if load.ops else 0
+
+    def client_finished() -> None:
+        nonlocal clients_at_work
+        clients_at_work -= 1
 
     def factory(pid, identity):
         if pid.index < replica_count:
@@ -103,9 +109,9 @@ def execute_kv_spec(spec) -> "Any":
                 sync_period=kv.sync_period,
                 max_slots=kv.max_slots,
             )
-        program = KVClientProgram(client_name=str(identity), load=load)
-        clients.append(program)
-        return program
+        return KVClientProgram(
+            client_name=str(identity), load=load, on_finished=client_finished
+        )
 
     detectors = {
         detector.name: _ReplicaScopedDetector(
@@ -127,14 +133,10 @@ def execute_kv_spec(spec) -> "Any":
         name=spec.name,
     )
     simulation = Simulation(system)
-    trace = simulation.run(
-        until=spec.horizon,
-        stop_when=lambda sim: all(client.finished for client in clients),
-    )
+    trace = simulation.run(until=spec.horizon, stop_when=lambda sim: not clients_at_work)
 
     metrics = kv_metrics(trace)
-    pattern = FailurePattern(full_membership, schedule)
-    metrics.update(fold_checks(trace, pattern, spec.checks))
+    metrics.update(fold_checks(trace, simulation.failure_pattern, spec.checks))
     return RunRecord(
         scenario=spec.name,
         seed=spec.seed,

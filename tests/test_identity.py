@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +51,25 @@ class TestIdentityMultisetBasics:
     def test_hashable_and_usable_as_label(self):
         labels = {bag("A", "A"): 1, bag("A", "B"): 2}
         assert labels[bag("A", "A")] == 1
+
+    def test_repr_is_pinned_because_orderings_and_digests_depend_on_it(self):
+        # ``find_quorum`` sorts pairs and the Ω / HΩ oracles pick leaders with
+        # ``key=repr``, and ``stable_draw`` hashes ``repr(parts)``: this text is
+        # part of the ALL/FULL determinism digests, not decoration.
+        multiset = IdentityMultiset(["b", "a", "a"])
+        assert repr(multiset) == "IdentityMultiset({'a', 'a', 'b'})"
+        assert repr(multiset) is repr(multiset)  # built once per instance
+        assert repr(IdentityMultiset()) == "IdentityMultiset({})"
+        assert repr(IdentityMultiset([2, 10, "x"])) == "IdentityMultiset({10, 2, 'x'})"
+
+    def test_pickle_rebuilds_without_the_cached_hash_and_text(self):
+        multiset = IdentityMultiset(["b", "a", "a"])
+        text, digest = repr(multiset), hash(multiset)
+        rebuild, arguments = multiset.__reduce__()
+        assert rebuild is IdentityMultiset and arguments == (("a", "a", "b"),)
+        clone = pickle.loads(pickle.dumps(multiset))
+        assert clone._repr is None and clone._hash is None
+        assert clone == multiset and (repr(clone), hash(clone)) == (text, digest)
 
     def test_iteration_yields_each_copy(self):
         assert sorted(bag("B", "A", "A")) == ["A", "A", "B"]
