@@ -11,8 +11,7 @@ the committed copy at the repository root is the perf trajectory each PR
 defends.  ``events_per_round`` turns a round's wall-clock into ns/event.
 """
 
-from repro.detectors import HSigmaOracle, check_hsigma
-from repro.detectors.probe import DetectorProbeProgram, hsigma_probes
+from repro.detectors import CLASSES, DetectorProbeProgram
 from repro.identity import IdentityMultiset
 from repro.membership import grouped_identities
 from repro.runtime import CONSENSUS
@@ -106,17 +105,17 @@ def test_hsigma_oracle_probe_run(benchmark):
             membership=membership,
             timing=AsynchronousTiming(min_latency=0.1, max_latency=1.0),
             program_factory=lambda pid, identity: DetectorProbeProgram(
-                hsigma_probes(), period=1.0
+                CLASSES["HSigma"].probes(), period=1.0
             ),
             crash_schedule=schedule,
-            detectors={"HSigma": lambda s: HSigmaOracle(s, stabilization_time=15.0)},
+            detectors={"HSigma": lambda s: CLASSES["HSigma"].oracle(s, stabilization_time=15.0)},
             seed=2,
         )
         simulation = Simulation(system)
         return simulation.run(until=40.0)
 
     trace = benchmark(run_once)
-    result = check_hsigma(trace, FailurePattern(membership, schedule))
+    result = CLASSES["HSigma"].judge(trace, FailurePattern(membership, schedule))
     assert result.ok, result.violations
 
 

@@ -17,8 +17,7 @@ Run with:  python examples/detector_reductions_tour.py
 
 from __future__ import annotations
 
-from repro.detectors import APOracle, SigmaOracle, check_hsigma
-from repro.detectors.classes import DetectorClass
+from repro.detectors import CLASSES, DetectorClass
 from repro.membership import anonymous_identities, unique_identities
 from repro.reductions import (
     APToHSigma,
@@ -43,7 +42,7 @@ def run_emulation(membership, program_factory, detectors, *, seed):
     )
     simulation = Simulation(system)
     trace = simulation.run(until=90.0)
-    return check_hsigma(trace, FailurePattern(membership, crash_schedule))
+    return CLASSES["HSigma"].judge(trace, FailurePattern(membership, crash_schedule))
 
 
 def main() -> None:
@@ -66,7 +65,7 @@ def main() -> None:
     result = run_emulation(
         unique_identities(4),
         lambda pid, identity: SigmaToHSigmaUnknownMembership(period=1.0),
-        {"Sigma": lambda s: SigmaOracle(s, stabilization_time=15.0)},
+        {"Sigma": lambda s: CLASSES["Sigma"].oracle(s, stabilization_time=15.0)},
         seed=5,
     )
     print("  emulated HΣ satisfies validity/monotonicity/liveness/safety:",
@@ -76,7 +75,7 @@ def main() -> None:
     result = run_emulation(
         anonymous_identities(4),
         lambda pid, identity: APToHSigma(period=1.0),
-        {"AP": lambda s: APOracle(s, stabilization_time=15.0)},
+        {"AP": lambda s: CLASSES["AP"].oracle(s, stabilization_time=15.0)},
         seed=6,
     )
     print("  emulated HΣ satisfies validity/monotonicity/liveness/safety:",

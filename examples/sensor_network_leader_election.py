@@ -22,13 +22,12 @@ Run with:  python examples/sensor_network_leader_election.py
 from __future__ import annotations
 
 from repro.algorithms import OhpPollingProgram
-from repro.detectors import check_diamond_hp, check_homega_election
-from repro.detectors.base import OutputKeys
+from repro.detectors import CLASSES
 from repro.membership import random_identities
 from repro.sim import CrashSchedule, PartiallySynchronousTiming, Simulation, build_system
 from repro.sim.failures import FailurePattern
 
-KEYS = OutputKeys()
+H_LEADER, H_MULTIPLICITY = CLASSES["HOmega"].keys
 
 
 def main() -> None:
@@ -63,12 +62,12 @@ def main() -> None:
 
     print("\nfinal leader view of every surviving mote:")
     for process in sorted(pattern.correct):
-        leader = trace.final_value(process, KEYS.H_LEADER)
-        multiplicity = trace.final_value(process, KEYS.H_MULTIPLICITY)
+        leader = trace.final_value(process, H_LEADER)
+        multiplicity = trace.final_value(process, H_MULTIPLICITY)
         print(f"  mote {process.index}: leader batch {leader!r} with {multiplicity} surviving mote(s)")
 
-    hp_result = check_diamond_hp(trace, pattern)
-    homega_result = check_homega_election(trace, pattern)
+    hp_result = CLASSES["DiamondHP"].judge(trace, pattern)
+    homega_result = CLASSES["HOmega"].judge(trace, pattern)
     print("\n◇HP convergence:", "ok" if hp_result.ok else f"FAILED {hp_result.violations}")
     print("HΩ election    :", "ok" if homega_result.ok else f"FAILED {homega_result.violations}")
     if hp_result.stabilization_time is not None:

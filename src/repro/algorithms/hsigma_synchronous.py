@@ -16,7 +16,7 @@ processes the labelling process heard from in that step (Theorem 6).
 
 from __future__ import annotations
 
-from ..detectors.base import OutputKeys
+from ..detectors.table import CLASSES
 from ..detectors.views import HSigmaView
 from ..identity import IdentityMultiset
 from ..sim.message import Message
@@ -24,7 +24,8 @@ from ..sim.process import ProcessContext, ProcessProgram
 
 __all__ = ["HSigmaSynchronousProgram"]
 
-KEYS = OutputKeys()
+#: The trace keys of the emulated class.
+_H_QUORA, _H_LABELS = CLASSES["HSigma"].keys
 
 
 class HSigmaSynchronousProgram(ProcessProgram):
@@ -49,7 +50,7 @@ class HSigmaSynchronousProgram(ProcessProgram):
 
     def hsigma_view(self) -> HSigmaView:
         """An HΣ view reading this program's current ``h_quora`` and ``h_labels``."""
-        return HSigmaView(lambda: self.h_quora, lambda: self.h_labels)
+        return HSigmaView(lambda: (self.h_quora, self.h_labels))
 
     def setup(self, ctx: ProcessContext) -> None:
         if self._detector_name is not None:
@@ -71,8 +72,8 @@ class HSigmaSynchronousProgram(ProcessProgram):
                 self.h_quora = self.h_quora | {(mset, mset)}
                 self.h_labels = self.h_labels | {mset}
             if self._record_outputs:
-                ctx.record(KEYS.H_QUORA, self.h_quora)
-                ctx.record(KEYS.H_LABELS, self.h_labels)
+                ctx.record(_H_QUORA, self.h_quora)
+                ctx.record(_H_LABELS, self.h_labels)
             executed += 1
 
     def describe(self) -> str:

@@ -24,7 +24,7 @@ and recorded; :meth:`OhpPollingProgram.homega_view` and
 
 from __future__ import annotations
 
-from ..detectors.base import OutputKeys
+from ..detectors.table import CLASSES
 from ..detectors.views import DiamondHPView, HOmegaView
 from ..identity import Identity, IdentityMultiset
 from ..sim.message import Message
@@ -32,7 +32,9 @@ from ..sim.process import ProcessContext, ProcessProgram
 
 __all__ = ["OhpPollingProgram"]
 
-KEYS = OutputKeys()
+#: The trace keys of the emulated classes.
+(_H_TRUSTED,) = CLASSES["DiamondHP"].keys
+_H_LEADER, _H_MULTIPLICITY = CLASSES["HOmega"].keys
 
 
 class OhpPollingProgram(ProcessProgram):
@@ -113,9 +115,9 @@ class OhpPollingProgram(ProcessProgram):
             self.h_trusted = collected
             self._refresh_homega(ctx)
             if self._record_outputs:
-                ctx.record(KEYS.H_TRUSTED, self.h_trusted)
-                ctx.record(KEYS.H_LEADER, self.h_leader)
-                ctx.record(KEYS.H_MULTIPLICITY, self.h_multiplicity)
+                ctx.record(_H_TRUSTED, self.h_trusted)
+                ctx.record(_H_LEADER, self.h_leader)
+                ctx.record(_H_MULTIPLICITY, self.h_multiplicity)
                 ctx.record("ohp.timeout", self.timeout)
                 ctx.record("ohp.round", self.round)
             self.round += 1

@@ -17,14 +17,15 @@ the uniqueness assumption.
 
 from __future__ import annotations
 
-from ..detectors.base import OutputKeys
+from ..detectors.table import CLASSES
 from ..detectors.views import ScriptEView
 from ..sim.message import Message
 from ..sim.process import ProcessContext, ProcessProgram
 
 __all__ = ["ScriptAliveProgram"]
 
-KEYS = OutputKeys()
+#: The trace keys of the emulated class.
+(_ALIVE,) = CLASSES["ScriptE"].keys
 
 
 class ScriptAliveProgram(ProcessProgram):
@@ -65,7 +66,7 @@ class ScriptAliveProgram(ProcessProgram):
             self.alive.remove(identity)
         self.alive.insert(0, identity)
         if self._record_outputs:
-            ctx.record(KEYS.SCRIPT_E_ALIVE, tuple(self.alive))
+            ctx.record(_ALIVE, tuple(self.alive))
 
     def describe(self) -> str:
         return "Figure-3 ℰ heartbeat"

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from ..detectors.table import CLASSES
 from ..errors import ConfigurationError
 from ..identity import Identity, IdentityMultiset
 from ..sim.message import Message
@@ -69,12 +70,20 @@ def _one() -> int:
 
 
 H_OMEGA = LeaderRule(
-    "HOmega",
+    CLASSES["HOmega"].name,
     None,
     lambda view, identity: (lambda: view.h_leader == identity, lambda: view.h_multiplicity),
 )
-OMEGA = LeaderRule("Omega", "unique", lambda view, identity: (lambda: view.leader == identity, _one))
-A_OMEGA = LeaderRule("AOmega", "anonymous", lambda view, identity: (lambda: bool(view.a_leader), _one))
+OMEGA = LeaderRule(
+    CLASSES["Omega"].name,
+    "unique",
+    lambda view, identity: (lambda: view.leader == identity, _one),
+)
+A_OMEGA = LeaderRule(
+    CLASSES["AOmega"].name,
+    "anonymous",
+    lambda view, identity: (lambda: bool(view.a_leader), _one),
+)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +245,7 @@ class _DetectorQuorum:
 class HSigmaQuorum(_DetectorQuorum):
     """HΣ: ``h_quora`` pairs ``(label, identifier multiset)`` (Figure 9)."""
 
-    detector = "HSigma"
+    detector = CLASSES["HSigma"].name
     pairs_of = staticmethod(lambda view: view.h_quora)
     labels_of = staticmethod(lambda view: frozenset(view.h_labels))
     match = staticmethod(match_multiset)
@@ -245,7 +254,7 @@ class HSigmaQuorum(_DetectorQuorum):
 class ASigmaQuorum(_DetectorQuorum):
     """AΣ: ``a_sigma`` pairs ``(label, size)``; a process's labels are its pairs'."""
 
-    detector = "ASigma"
+    detector = CLASSES["ASigma"].name
     pairs_of = staticmethod(lambda view: view.a_sigma)
     labels_of = staticmethod(lambda view: frozenset(label for label, _ in view.a_sigma))
     match = staticmethod(match_count)

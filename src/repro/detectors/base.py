@@ -1,4 +1,4 @@
-"""Oracle base class and standard trace keys for detector outputs.
+"""The oracle: a ground-truth detector built from one row of the class table.
 
 An *oracle* is a ground-truth failure detector: it computes its output from
 the run's failure pattern instead of from messages.  Oracles are how the paper
@@ -17,15 +17,18 @@ detector.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import DetectorError
 from ..identity import ProcessId
 from ..sim.clock import Time
 from ..sim.system import DetectorServices
 
-__all__ = ["OutputKeys", "OracleDetector", "stable_draw"]
+if TYPE_CHECKING:
+    from .table import DetectorRow
+
+__all__ = ["OracleDetector", "stable_draw"]
 
 
 def stable_draw(*parts: object) -> int:
@@ -39,54 +42,38 @@ def stable_draw(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
-class OutputKeys:
-    """Standard trace keys under which detector outputs are recorded.
-
-    Emulated detectors (reductions and message-passing implementations) record
-    their output variables under these keys so the property checkers can find
-    them regardless of which algorithm produced them.
-    """
-
-    H_LEADER: str = "HOmega.h_leader"
-    H_MULTIPLICITY: str = "HOmega.h_multiplicity"
-    H_TRUSTED: str = "DiamondHP.h_trusted"
-    H_QUORA: str = "HSigma.h_quora"
-    H_LABELS: str = "HSigma.h_labels"
-    SIGMA_TRUSTED: str = "Sigma.trusted"
-    DIAMOND_P_TRUSTED: str = "DiamondP.trusted"
-    OMEGA_LEADER: str = "Omega.leader"
-    SCRIPT_E_ALIVE: str = "ScriptE.alive"
-    AP_ANAP: str = "AP.anap"
-    A_OMEGA_LEADER: str = "AOmega.a_leader"
-    A_SIGMA_PAIRS: str = "ASigma.a_sigma"
-
-
-#: Singleton instance used throughout the code base.
-KEYS = OutputKeys()
-
-
 class OracleDetector:
-    """Common machinery for ground-truth detectors.
+    """The ground-truth detector of one class: a row of the table, run.
 
-    Concrete oracles implement :meth:`view_for` (returning the class-specific
-    view) by handing :meth:`reader` the two kinds of output an oracle has.
-    *Eventual* output is a per-process constant of the run (the failure pattern
-    in ``self.pattern`` is fixed), resolved at the first stabilised read.
-    *Transient* output is what is said before; when it is a pure function of
-    ``(process, noise_window())`` it goes through :meth:`per_window` and is
-    recomputed only when the window index changes.  Per-run facts are resolved
-    once; a view is still queried after every event (like ``stop_when``), so
-    keep what a reader does per call O(1).
+    :meth:`view_for` hands :meth:`reader` the two kinds of output the row
+    declares.  *Eventual* output, ``row.eventual(run, process)``, is a
+    per-process constant of the run (the failure pattern in ``self.pattern`` is
+    fixed), resolved at the first stabilised read.  *Transient* output is what
+    is said before: ``row.transient(run, process)`` is evaluated on every read;
+    declared with a third parameter, ``row.transient(run, process, window)``,
+    it is a pure function of the noise window, goes through :meth:`per_window`
+    and is recomputed only when the window index changes.  A row without a
+    transient (P, AP) is accurate at all times: its ``eventual(run, process,
+    now)`` depends on who is alive *now* and is evaluated on every read.
+    ``run`` is this object.  Per-run facts are resolved once; a view is still
+    queried after every event (like ``stop_when``), so keep what a reader does
+    per call O(1).
     """
 
     def __init__(
         self,
+        row: "DetectorRow",
         services: DetectorServices,
         *,
         stabilization_time: Time | None = None,
         noise_period: Time | None = None,
     ) -> None:
+        if row.unique_ids_only and not services.membership.is_uniquely_identified:
+            raise DetectorError(
+                f"class {row.cls} is only defined for systems with unique identifiers; "
+                "the membership has homonyms"
+            )
+        self.row = row
         self.services = services
         self.membership = services.membership
         self.pattern = services.failure_pattern
@@ -99,7 +86,6 @@ class OracleDetector:
             raise DetectorError("the stabilization time cannot be negative")
         self.stabilization_time = float(stabilization_time)
         self.noise_period = noise_period
-        self._rng = services.rng_streams.stream(f"oracle:{type(self).__name__}")
         self._schedule_wakeups()
 
     # ------------------------------------------------------------------
@@ -114,13 +100,8 @@ class OracleDetector:
                 boundary += self.noise_period
 
     # ------------------------------------------------------------------
-    # Helpers for concrete oracles
+    # Readers
     # ------------------------------------------------------------------
-    @property
-    def stabilized(self) -> bool:
-        """Whether the oracle has reached its stabilization time."""
-        return self.clock.now >= self.stabilization_time
-
     def noise_window(self) -> int:
         """The index of the current pre-stabilization noise window.
 
@@ -131,10 +112,6 @@ class OracleDetector:
         if not self.noise_period or self.noise_period <= 0:
             return 0
         return int(self.clock.now / self.noise_period)
-
-    def correct_identities(self):
-        """``I(Correct)`` for this run."""
-        return self.pattern.correct_identity_multiset()
 
     def reader(
         self, eventual: Callable[[], Any], transient: Callable[[], Any]
@@ -172,5 +149,12 @@ class OracleDetector:
         return read
 
     def view_for(self, process: ProcessId):
-        """Return the per-process query view (implemented by subclasses)."""
-        raise NotImplementedError
+        """The per-process query view: the row's view over one reader."""
+        row = self.row
+        if row.transient is None:
+            eventual, clock = row.eventual, self.clock
+            return row.view(lambda: eventual(self, process, clock.now))
+        transient = partial(row.transient, self, process)
+        if row.transient.__code__.co_argcount == 3:
+            transient = self.per_window(transient)
+        return row.view(self.reader(partial(row.eventual, self, process), transient))

@@ -4,8 +4,8 @@ Experiments that study a detector in isolation (convergence of the Figure 6
 implementation, behaviour of an oracle, output of a reduction) attach the
 detector to a system whose processes run a :class:`DetectorProbeProgram`: the
 probe queries the detector every ``period`` time units and records the answers
-under the standard trace keys, so the property checkers and the convergence
-analysis can be applied afterwards.
+under the trace keys of its class (``CLASSES[name].probes()``), so the class
+axioms and the convergence analysis can be applied afterwards.
 """
 
 from __future__ import annotations
@@ -13,23 +13,8 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 from ..sim.process import ProcessContext, ProcessProgram
-from .base import OutputKeys
 
-__all__ = [
-    "DetectorProbeProgram",
-    "homega_probes",
-    "diamond_hp_probes",
-    "hsigma_probes",
-    "sigma_probes",
-    "diamond_p_probes",
-    "omega_probes",
-    "script_e_probes",
-    "ap_probes",
-    "aomega_probes",
-    "asigma_probes",
-]
-
-KEYS = OutputKeys()
+__all__ = ["DetectorProbeProgram"]
 
 Probe = Callable[[ProcessContext], Any]
 
@@ -60,62 +45,3 @@ class DetectorProbeProgram(ProcessProgram):
                 ctx.record(key, probe(ctx))
             taken += 1
             yield ctx.sleep(self._period)
-
-
-# ----------------------------------------------------------------------
-# Ready-made probe sets, one per detector class
-# ----------------------------------------------------------------------
-def homega_probes(detector_name: str = "HOmega") -> dict[str, Probe]:
-    """Probes recording ``h_leader`` and ``h_multiplicity`` of an HΩ detector."""
-    return {
-        KEYS.H_LEADER: lambda ctx: ctx.detector(detector_name).h_leader,
-        KEYS.H_MULTIPLICITY: lambda ctx: ctx.detector(detector_name).h_multiplicity,
-    }
-
-
-def diamond_hp_probes(detector_name: str = "DiamondHP") -> dict[str, Probe]:
-    """Probes recording ``h_trusted`` of a ◇HP detector."""
-    return {KEYS.H_TRUSTED: lambda ctx: ctx.detector(detector_name).h_trusted}
-
-
-def hsigma_probes(detector_name: str = "HSigma") -> dict[str, Probe]:
-    """Probes recording ``h_quora`` and ``h_labels`` of an HΣ detector."""
-    return {
-        KEYS.H_QUORA: lambda ctx: ctx.detector(detector_name).h_quora,
-        KEYS.H_LABELS: lambda ctx: ctx.detector(detector_name).h_labels,
-    }
-
-
-def sigma_probes(detector_name: str = "Sigma") -> dict[str, Probe]:
-    """Probes recording ``trusted`` of a Σ detector."""
-    return {KEYS.SIGMA_TRUSTED: lambda ctx: ctx.detector(detector_name).trusted}
-
-
-def diamond_p_probes(detector_name: str = "DiamondP") -> dict[str, Probe]:
-    """Probes recording ``trusted`` of a ◇P̄ detector."""
-    return {KEYS.DIAMOND_P_TRUSTED: lambda ctx: ctx.detector(detector_name).trusted}
-
-
-def omega_probes(detector_name: str = "Omega") -> dict[str, Probe]:
-    """Probes recording ``leader`` of an Ω detector."""
-    return {KEYS.OMEGA_LEADER: lambda ctx: ctx.detector(detector_name).leader}
-
-
-def script_e_probes(detector_name: str = "ScriptE") -> dict[str, Probe]:
-    """Probes recording ``alive`` of an ℰ detector."""
-    return {KEYS.SCRIPT_E_ALIVE: lambda ctx: ctx.detector(detector_name).alive}
-
-
-def ap_probes(detector_name: str = "AP") -> dict[str, Probe]:
-    """Probes recording ``anap`` of an AP detector."""
-    return {KEYS.AP_ANAP: lambda ctx: ctx.detector(detector_name).anap}
-
-
-def aomega_probes(detector_name: str = "AOmega") -> dict[str, Probe]:
-    """Probes recording ``a_leader`` of an AΩ detector."""
-    return {KEYS.A_OMEGA_LEADER: lambda ctx: ctx.detector(detector_name).a_leader}
-
-
-def asigma_probes(detector_name: str = "ASigma") -> dict[str, Probe]:
-    """Probes recording ``a_sigma`` of an AΣ detector."""
-    return {KEYS.A_SIGMA_PAIRS: lambda ctx: ctx.detector(detector_name).a_sigma}

@@ -5,9 +5,11 @@ with a failure detector: it exposes exactly the variables the class definition
 gives that process (``h_leader`` and ``h_multiplicity`` for HΩ, ``h_quora``
 and ``h_labels`` for HΣ, and so on) and nothing else.
 
-Views are deliberately thin: they are constructed from reader callables so the
-same view types serve both the ground-truth oracles and the message-passing
-implementations/reductions (whose views read the emulating program's state).
+Views are deliberately thin: each is constructed from one reader callable, so
+the same view types serve both the ground-truth oracles and the
+message-passing implementations/reductions (whose views read the emulating
+program's state).  The two-variable classes (HΩ, HΣ) read one pair, so both
+variables of one query belong to the same instant.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Callable, Hashable
 from ..identity import Identity, IdentityMultiset
 
 __all__ = [
+    "PerfectView",
     "OmegaView",
     "DiamondPView",
     "SigmaView",
@@ -32,6 +35,18 @@ __all__ = [
 #: A quorum label.  Labels are opaque hashable values; the HΣ implementation of
 #: Figure 7 uses identifier multisets themselves as labels.
 Label = Hashable
+
+
+class PerfectView:
+    """P: the set of identifiers suspected to have crashed."""
+
+    def __init__(self, read_suspected: Callable[[], frozenset]) -> None:
+        self._read_suspected = read_suspected
+
+    @property
+    def suspected(self) -> frozenset:
+        """The identifiers this process currently suspects."""
+        return self._read_suspected()
 
 
 class OmegaView:
@@ -162,20 +177,15 @@ class HOmegaView:
 class HSigmaView:
     """HΣ: quorum descriptions (``h_quora``) and quorum participation (``h_labels``)."""
 
-    def __init__(
-        self,
-        read_quora: Callable[[], frozenset],
-        read_labels: Callable[[], frozenset],
-    ) -> None:
-        self._read_quora = read_quora
-        self._read_labels = read_labels
+    def __init__(self, read_pair: Callable[[], tuple[frozenset, frozenset]]) -> None:
+        self._read_pair = read_pair
 
     @property
     def h_quora(self) -> frozenset:
         """The current set of ``(label, IdentityMultiset)`` pairs."""
-        return self._read_quora()
+        return self._read_pair()[0]
 
     @property
     def h_labels(self) -> frozenset:
         """The labels whose quorums this process participates in."""
-        return self._read_labels()
+        return self._read_pair()[1]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..algorithms import OhpPollingProgram
 from ..analysis.runner import ParameterSweep
-from ..detectors import check_diamond_hp, check_homega_election
+from ..runtime.registry import CHECKS
 from ..sim import PartiallySynchronousTiming, Simulation, build_system
 from ..workloads.crashes import minority_crashes
 from ..workloads.homonymy import membership_with_distinct_ids
@@ -47,8 +47,8 @@ def _run_one(config: dict) -> dict:
     horizon = config["gst"] * 4 + 120.0
     trace = simulation.run(until=horizon)
     pattern = simulation.failure_pattern
-    hp_result = check_diamond_hp(trace, pattern)
-    homega_result = check_homega_election(trace, pattern)
+    hp_result = CHECKS.resolve("diamond_hp")(trace, pattern)
+    homega_result = CHECKS.resolve("homega")(trace, pattern)
     timeouts = [
         trace.final_value(process, "ohp.timeout")
         for process in pattern.correct

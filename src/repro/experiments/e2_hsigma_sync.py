@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..algorithms import HSigmaSynchronousProgram
 from ..analysis.runner import ParameterSweep
-from ..detectors import check_hsigma
+from ..runtime.registry import CHECKS
 from ..sim import Simulation, SynchronousTiming, build_system
 from ..workloads.crashes import cascading_crashes
 from ..workloads.homonymy import membership_with_distinct_ids
@@ -42,7 +42,7 @@ def _run_one(config: dict) -> dict:
     )
     simulation = Simulation(system)
     trace = simulation.run(until=steps + 2.0)
-    result = check_hsigma(trace, simulation.failure_pattern)
+    result = CHECKS.resolve("hsigma")(trace, simulation.failure_pattern)
     return {
         "properties_ok": result.ok,
         "violations": len(result.violations),

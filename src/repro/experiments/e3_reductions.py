@@ -3,7 +3,7 @@
 For each reduction implemented from the paper (Figures 1, 2, 4; Theorem 3;
 Lemmas 2–3; Observation 1), the experiment runs the reduction over an oracle
 of the source class in the appropriate system model and validates the emulated
-output trace with the target class's property checker.  It also confirms the
+output trace with the target class's axioms.  It also confirms the
 structural facts of the relation graph: Corollary 1 (Σ, HΣ, AΣ equivalent with
 unique identifiers) and the AP → {◇HP, HΣ, HΩ} reachability in anonymous
 systems that underpins the paper's comparison with prior work.
@@ -11,19 +11,9 @@ systems that underpins the paper's comparison with prior work.
 
 from __future__ import annotations
 
-from ..detectors import (
-    APOracle,
-    ASigmaOracle,
-    DiamondHPOracle,
-    HSigmaOracle,
-    ScriptEOracle,
-    SigmaOracle,
-    check_diamond_hp,
-    check_homega_election,
-    check_hsigma,
-    check_sigma,
-)
-from ..detectors.classes import DetectorClass
+from functools import partial
+
+from ..detectors import CLASSES, DetectorClass
 from ..reductions import (
     APToDiamondHP,
     APToHSigma,
@@ -36,6 +26,7 @@ from ..reductions import (
     is_stronger,
 )
 from ..membership import anonymous_identities, grouped_identities, unique_identities
+from ..runtime.registry import CHECKS
 from ..sim import AsynchronousTiming, CrashSchedule, Simulation, build_system
 from .base import Call, Experiment
 
@@ -44,152 +35,63 @@ __all__ = ["run"]
 DESCRIPTION = "Reductions between detector classes (Figures 1-4, Theorems 1-4, Observation 1)"
 
 _STABILIZATION = 15.0
+_HORIZON = 90.0
 
+_UNIQUE = unique_identities(4)
+_HOMONYMOUS = grouped_identities([2, 2, 1])
+_ANONYMOUS = anonymous_identities(4)
 
-def _run_reduction(membership, program_factory, detectors, checker, *, seed, horizon=90.0):
-    crash_schedule = CrashSchedule.at_times(
-        {membership.processes[1]: 10.0} if membership.size > 2 else {}
-    )
-    system = build_system(
-        membership=membership,
-        timing=AsynchronousTiming(min_latency=0.1, max_latency=1.5),
-        program_factory=program_factory,
-        crash_schedule=crash_schedule,
-        detectors=detectors,
-        seed=seed,
-    )
-    simulation = Simulation(system)
-    trace = simulation.run(until=horizon)
-    return checker(trace, simulation.failure_pattern)
-
-
-def _reduction_cases(seed: int):
-    """Yield (row description, callable returning a CheckResult)."""
-    unique = unique_identities(4)
-    homonymous = grouped_identities([2, 2, 1])
-    anonymous = anonymous_identities(4)
-
-    yield (
-        {
-            "paper_item": "Figure 1 (Theorem 1.1)",
-            "reduction": "Σ → HΣ (known membership)",
-            "model": "AS",
-        },
-        lambda: _run_reduction(
-            unique,
-            lambda pid, identity: SigmaToHSigmaWithMembership(
-                unique.identity_multiset(), period=1.0
-            ),
-            {"Sigma": lambda s: SigmaOracle(s, stabilization_time=_STABILIZATION)},
-            check_hsigma,
-            seed=seed,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Figure 2 (Theorem 1.2)",
-            "reduction": "Σ → HΣ (unknown membership)",
-            "model": "AS",
-        },
-        lambda: _run_reduction(
-            unique,
-            lambda pid, identity: SigmaToHSigmaUnknownMembership(period=1.0),
-            {"Sigma": lambda s: SigmaOracle(s, stabilization_time=_STABILIZATION)},
-            check_hsigma,
-            seed=seed + 1,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Figure 4 (Theorem 2)",
-            "reduction": "HΣ → Σ (uses ℰ)",
-            "model": "AS",
-        },
-        lambda: _run_reduction(
-            unique,
-            lambda pid, identity: HSigmaToSigma(period=1.0),
-            {
-                "HSigma": lambda s: HSigmaOracle(s, stabilization_time=_STABILIZATION),
-                "ScriptE": lambda s: ScriptEOracle(s, stabilization_time=_STABILIZATION),
-            },
-            check_sigma,
-            seed=seed + 2,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Theorem 3",
-            "reduction": "AΣ → HΣ",
-            "model": "AAS",
-        },
-        lambda: _run_reduction(
-            anonymous,
-            lambda pid, identity: ASigmaToHSigma(period=1.0),
-            {"ASigma": lambda s: ASigmaOracle(s, stabilization_time=_STABILIZATION)},
-            check_hsigma,
-            seed=seed + 3,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Lemma 2 (Theorem 4)",
-            "reduction": "AP → ◇HP",
-            "model": "AAS",
-        },
-        lambda: _run_reduction(
-            anonymous,
-            lambda pid, identity: APToDiamondHP(period=1.0),
-            {"AP": lambda s: APOracle(s, stabilization_time=_STABILIZATION)},
-            check_diamond_hp,
-            seed=seed + 4,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Lemma 3 (Theorem 4)",
-            "reduction": "AP → HΣ",
-            "model": "AAS",
-        },
-        lambda: _run_reduction(
-            anonymous,
-            lambda pid, identity: APToHSigma(period=1.0),
-            {"AP": lambda s: APOracle(s, stabilization_time=_STABILIZATION)},
-            check_hsigma,
-            seed=seed + 5,
-        ),
-    )
-    yield (
-        {
-            "paper_item": "Observation 1",
-            "reduction": "◇HP → HΩ",
-            "model": "HAS",
-        },
-        lambda: _run_reduction(
-            homonymous,
-            lambda pid, identity: DiamondHPToHOmega(period=1.0),
-            {"DiamondHP": lambda s: DiamondHPOracle(s, stabilization_time=_STABILIZATION)},
-            check_homega_election,
-            seed=seed + 6,
-        ),
-    )
+#: (paper item, reduction, model, membership, program of one process, source
+#: rows, target row).  Case ``i`` runs with seed ``seed + i``: the program over
+#: the source rows' oracles, judged by the target row's axioms.
+_CASES = (
+    ("Figure 1 (Theorem 1.1)", "Σ → HΣ (known membership)", "AS", _UNIQUE,
+     lambda: SigmaToHSigmaWithMembership(_UNIQUE.identity_multiset(), period=1.0),
+     ("Sigma",), "HSigma"),
+    ("Figure 2 (Theorem 1.2)", "Σ → HΣ (unknown membership)", "AS", _UNIQUE,
+     lambda: SigmaToHSigmaUnknownMembership(period=1.0), ("Sigma",), "HSigma"),
+    ("Figure 4 (Theorem 2)", "HΣ → Σ (uses ℰ)", "AS", _UNIQUE,
+     lambda: HSigmaToSigma(period=1.0), ("HSigma", "ScriptE"), "Sigma"),
+    ("Theorem 3", "AΣ → HΣ", "AAS", _ANONYMOUS,
+     lambda: ASigmaToHSigma(period=1.0), ("ASigma",), "HSigma"),
+    ("Lemma 2 (Theorem 4)", "AP → ◇HP", "AAS", _ANONYMOUS,
+     lambda: APToDiamondHP(period=1.0), ("AP",), "DiamondHP"),
+    ("Lemma 3 (Theorem 4)", "AP → HΣ", "AAS", _ANONYMOUS,
+     lambda: APToHSigma(period=1.0), ("AP",), "HSigma"),
+    ("Observation 1", "◇HP → HΩ", "HAS", _HOMONYMOUS,
+     lambda: DiamondHPToHOmega(period=1.0), ("DiamondHP",), "HOmega"),
+)  # fmt: skip
 
 
 def _run_case(config: dict) -> dict:
     """Run one reduction case by index (module-level so executors can fan out)."""
-    for case_index, (description, runner) in enumerate(_reduction_cases(config["seed"])):
-        if case_index == config["case"]:
-            result = runner()
-            row = dict(description)
-            row["emulation_ok"] = result.ok
-            row["stabilization_time"] = result.stabilization_time
-            row["violations"] = len(result.violations)
-            return row
-    raise ValueError(f"unknown reduction case {config['case']!r}")
+    paper_item, reduction, model, membership, program, sources, target = _CASES[config["case"]]
+    system = build_system(
+        membership=membership,
+        timing=AsynchronousTiming(min_latency=0.1, max_latency=1.5),
+        program_factory=lambda pid, identity: program(),
+        crash_schedule=CrashSchedule.at_times({membership.processes[1]: 10.0}),
+        detectors={
+            name: partial(CLASSES[name].oracle, stabilization_time=_STABILIZATION)
+            for name in sources
+        },
+        seed=config["seed"] + config["case"],
+    )
+    simulation = Simulation(system)
+    trace = simulation.run(until=_HORIZON)
+    result = CHECKS.resolve(CLASSES[target].check)(trace, simulation.failure_pattern)
+    return {
+        "paper_item": paper_item,
+        "reduction": reduction,
+        "model": model,
+        "emulation_ok": result.ok,
+        "stabilization_time": result.stabilization_time,
+        "violations": len(result.violations),
+    }
 
 
 def _work(quick: bool, seed: int) -> list[Call]:
-    case_count = sum(1 for _ in _reduction_cases(seed))
-    return [("map", _run_case, [{"case": index, "seed": seed} for index in range(case_count)])]
+    return [("map", _run_case, [{"case": index, "seed": seed} for index in range(len(_CASES))])]
 
 
 def _report(rows: list[dict]) -> tuple[list[dict], dict]:

@@ -13,7 +13,7 @@ multiset of ``anap`` copies of the default identifier ``⊥``:
 
 from __future__ import annotations
 
-from ..detectors.base import OutputKeys
+from ..detectors.table import CLASSES
 from ..detectors.views import DiamondHPView, HSigmaView
 from ..identity import ANONYMOUS_IDENTITY, IdentityMultiset
 from ..sim.process import ProcessContext
@@ -21,7 +21,9 @@ from .base import PeriodicReductionProgram
 
 __all__ = ["APToDiamondHP", "APToHSigma"]
 
-KEYS = OutputKeys()
+#: The trace keys of the emulated classes.
+(_H_TRUSTED,) = CLASSES["DiamondHP"].keys
+_H_QUORA, _H_LABELS = CLASSES["HSigma"].keys
 
 
 class APToDiamondHP(PeriodicReductionProgram):
@@ -45,7 +47,7 @@ class APToDiamondHP(PeriodicReductionProgram):
         bound = ctx.detector(self.source_detector).anap
         self.h_trusted = IdentityMultiset.uniform(self._default_identity, bound)
         if self.record_outputs:
-            ctx.record(KEYS.H_TRUSTED, self.h_trusted)
+            ctx.record(_H_TRUSTED, self.h_trusted)
 
     def describe(self) -> str:
         return "Lemma-2 AP→◇HP"
@@ -67,7 +69,7 @@ class APToHSigma(PeriodicReductionProgram):
         self.h_quora: frozenset = frozenset()
 
     def emulated_view(self) -> HSigmaView:
-        return HSigmaView(lambda: self.h_quora, lambda: self.h_labels)
+        return HSigmaView(lambda: (self.h_quora, self.h_labels))
 
     def refresh(self, ctx: ProcessContext) -> None:
         bound = ctx.detector(self.source_detector).anap
@@ -76,8 +78,8 @@ class APToHSigma(PeriodicReductionProgram):
         self.h_labels = self.h_labels | {label}
         self.h_quora = self.h_quora | {(label, quorum)}
         if self.record_outputs:
-            ctx.record(KEYS.H_QUORA, self.h_quora)
-            ctx.record(KEYS.H_LABELS, self.h_labels)
+            ctx.record(_H_QUORA, self.h_quora)
+            ctx.record(_H_LABELS, self.h_labels)
 
     def describe(self) -> str:
         return "Lemma-3 AP→HΣ"

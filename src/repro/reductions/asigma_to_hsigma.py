@@ -9,7 +9,7 @@ is no larger, so the HΣ monotonicity requirement ``m' ⊆ m`` is preserved).
 
 from __future__ import annotations
 
-from ..detectors.base import OutputKeys
+from ..detectors.table import CLASSES
 from ..detectors.views import HSigmaView
 from ..identity import ANONYMOUS_IDENTITY, IdentityMultiset
 from ..sim.process import ProcessContext
@@ -17,7 +17,8 @@ from .base import PeriodicReductionProgram
 
 __all__ = ["ASigmaToHSigma"]
 
-KEYS = OutputKeys()
+#: The trace keys of the emulated class.
+_H_QUORA, _H_LABELS = CLASSES["HSigma"].keys
 
 
 class ASigmaToHSigma(PeriodicReductionProgram):
@@ -41,7 +42,7 @@ class ASigmaToHSigma(PeriodicReductionProgram):
         return frozenset(self._quora_by_label.items())
 
     def emulated_view(self) -> HSigmaView:
-        return HSigmaView(lambda: self.h_quora, lambda: self.h_labels)
+        return HSigmaView(lambda: (self.h_quora, self.h_labels))
 
     def refresh(self, ctx: ProcessContext) -> None:
         pairs = ctx.detector(self.source_detector).a_sigma
@@ -51,8 +52,8 @@ class ASigmaToHSigma(PeriodicReductionProgram):
                 self._default_identity, size
             )
         if self.record_outputs:
-            ctx.record(KEYS.H_QUORA, self.h_quora)
-            ctx.record(KEYS.H_LABELS, self.h_labels)
+            ctx.record(_H_QUORA, self.h_quora)
+            ctx.record(_H_LABELS, self.h_labels)
 
     def describe(self) -> str:
         return "Theorem-3 AΣ→HΣ"

@@ -19,7 +19,7 @@ carrying it.
 
 from __future__ import annotations
 
-from ..detectors.base import OutputKeys
+from ..detectors.table import CLASSES
 from ..detectors.views import SigmaView
 from ..errors import ReductionError
 from ..identity import IdentityMultiset
@@ -29,7 +29,8 @@ from .base import PeriodicReductionProgram
 
 __all__ = ["HSigmaToSigma"]
 
-KEYS = OutputKeys()
+#: The trace keys of the emulated class.
+(_TRUSTED,) = CLASSES["Sigma"].keys
 
 
 class HSigmaToSigma(PeriodicReductionProgram):
@@ -83,7 +84,7 @@ class HSigmaToSigma(PeriodicReductionProgram):
             )
             self.trusted = frozenset(chosen.support())
         if self.record_outputs and self.trusted:
-            ctx.record(KEYS.SIGMA_TRUSTED, self.trusted)
+            ctx.record(_TRUSTED, self.trusted)
 
     # ------------------------------------------------------------------
     # Task T2

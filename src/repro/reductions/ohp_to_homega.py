@@ -9,7 +9,7 @@ its correct multiplicity — the HΩ election property.
 
 from __future__ import annotations
 
-from ..detectors.base import OutputKeys
+from ..detectors.table import CLASSES
 from ..detectors.views import HOmegaView
 from ..identity import Identity
 from ..sim.process import ProcessContext
@@ -17,7 +17,8 @@ from .base import PeriodicReductionProgram
 
 __all__ = ["DiamondHPToHOmega"]
 
-KEYS = OutputKeys()
+#: The trace keys of the emulated class.
+_H_LEADER, _H_MULTIPLICITY = CLASSES["HOmega"].keys
 
 
 class DiamondHPToHOmega(PeriodicReductionProgram):
@@ -41,8 +42,8 @@ class DiamondHPToHOmega(PeriodicReductionProgram):
             self.h_leader = trusted.min_identity()
             self.h_multiplicity = trusted.multiplicity(self.h_leader)
         if self.record_outputs:
-            ctx.record(KEYS.H_LEADER, self.h_leader)
-            ctx.record(KEYS.H_MULTIPLICITY, self.h_multiplicity)
+            ctx.record(_H_LEADER, self.h_leader)
+            ctx.record(_H_MULTIPLICITY, self.h_multiplicity)
 
     def describe(self) -> str:
         return "Observation-1 ◇HP→HΩ"

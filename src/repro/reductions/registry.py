@@ -1,25 +1,30 @@
-"""The Figure 5 relation graph between failure-detector classes.
+"""The Figure 5 relations between failure-detector classes.
 
-Nodes are :class:`~repro.detectors.classes.DetectorClass` members; a directed
-edge ``X → X′`` means "class X is stronger than class X′ in the given system
-model" — i.e. a detector of class X′ can be emulated from any detector of
-class X.  Edges carry the system model in which the relation holds and the
-paper item (theorem, lemma, observation, or prior work) establishing it.
+Nodes are the classes of :data:`repro.detectors.CLASSES` (by their
+:class:`~repro.detectors.DetectorClass` symbol); a directed edge ``X → X′``
+means "class X is stronger than class X′ in the given system model" — i.e. a
+detector of class X′ can be emulated from any detector of class X.  Edges carry
+the system model in which the relation holds, the paper item (theorem, lemma,
+observation, or prior work) establishing it, and, for the relations this
+paper proves, the program that implements the emulation.
 
-The graph lets experiments ask reachability questions ("can HΩ be obtained
-from AP in an anonymous asynchronous system?") and lets E3 verify that every
-edge the paper proves is backed by a working reduction in this code base.
+The edges let experiments ask reachability questions ("can HΩ be obtained
+from AP in an anonymous asynchronous system?"); E3 runs every implemented
+reduction over the source row's oracle and judges it by the target row's axioms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
+from ..detectors.table import DetectorClass
+from .ap_to_homonymous import APToDiamondHP, APToHSigma
+from .asigma_to_hsigma import ASigmaToHSigma
+from .hsigma_to_sigma import HSigmaToSigma
+from .ohp_to_homega import DiamondHPToHOmega
+from .sigma_to_hsigma import SigmaToHSigmaUnknownMembership
 
-from ..detectors.classes import DetectorClass
-
-__all__ = ["Relation", "paper_relations", "relation_graph", "is_stronger", "equivalent_classes"]
+__all__ = ["Relation", "paper_relations", "is_stronger", "equivalent_classes"]
 
 #: Marker for relations that hold in any of the models considered.
 ANY_MODEL = "any"
@@ -33,7 +38,7 @@ class Relation:
     target: DetectorClass
     model: str
     established_by: str
-    implemented_by: str | None = None
+    implemented_by: type | None = None
 
 
 def paper_relations() -> tuple[Relation, ...]:
@@ -42,64 +47,51 @@ def paper_relations() -> tuple[Relation, ...]:
     return (
         # --- Relations proven in this paper -------------------------------
         Relation(C.SIGMA, C.H_SIGMA, "AS", "Theorem 1 (Figures 1 and 2)",
-                 "repro.reductions.SigmaToHSigmaUnknownMembership"),
-        Relation(C.H_SIGMA, C.SIGMA, "AS", "Theorem 2 (Figure 4)",
-                 "repro.reductions.HSigmaToSigma"),
-        Relation(C.A_SIGMA, C.H_SIGMA, "AAS", "Theorem 3",
-                 "repro.reductions.ASigmaToHSigma"),
-        Relation(C.AP, C.DIAMOND_HP, "AAS", "Lemma 2 / Theorem 4",
-                 "repro.reductions.APToDiamondHP"),
-        Relation(C.AP, C.H_SIGMA, "AAS", "Lemma 3 / Theorem 4",
-                 "repro.reductions.APToHSigma"),
-        Relation(C.DIAMOND_HP, C.H_OMEGA, ANY_MODEL, "Observation 1",
-                 "repro.reductions.DiamondHPToHOmega"),
+                 SigmaToHSigmaUnknownMembership),
+        Relation(C.H_SIGMA, C.SIGMA, "AS", "Theorem 2 (Figure 4)", HSigmaToSigma),
+        Relation(C.A_SIGMA, C.H_SIGMA, "AAS", "Theorem 3", ASigmaToHSigma),
+        Relation(C.AP, C.DIAMOND_HP, "AAS", "Lemma 2 / Theorem 4", APToDiamondHP),
+        Relation(C.AP, C.H_SIGMA, "AAS", "Lemma 3 / Theorem 4", APToHSigma),
+        Relation(C.DIAMOND_HP, C.H_OMEGA, ANY_MODEL, "Observation 1", DiamondHPToHOmega),
         # --- Relations from Bonnet & Raynal recalled by the paper ---------
-        Relation(C.SIGMA, C.A_SIGMA, "AS", "Bonnet & Raynal [6]", None),
-        Relation(C.A_SIGMA, C.SIGMA, "AS", "Bonnet & Raynal [6]", None),
-        Relation(C.AP, C.A_SIGMA, "AAS", "Bonnet & Raynal [6]", None),
+        Relation(C.SIGMA, C.A_SIGMA, "AS", "Bonnet & Raynal [6]"),
+        Relation(C.A_SIGMA, C.SIGMA, "AS", "Bonnet & Raynal [6]"),
+        Relation(C.AP, C.A_SIGMA, "AAS", "Bonnet & Raynal [6]"),
         # --- Trivial relations (dotted arrows) -----------------------------
-        Relation(C.P, C.DIAMOND_P, ANY_MODEL, "trivial (P is stronger than ◇P̄)", None),
-        Relation(C.DIAMOND_P, C.OMEGA, "AS", "trivial (leader = min trusted id)", None),
+        Relation(C.P, C.DIAMOND_P, ANY_MODEL, "trivial (P is stronger than ◇P̄)"),
+        Relation(C.DIAMOND_P, C.OMEGA, "AS", "trivial (leader = min trusted id)"),
         Relation(C.DIAMOND_P, C.DIAMOND_HP, "AS",
-                 "trivial (with unique ids a set is a multiset)", None),
+                 "trivial (with unique ids a set is a multiset)"),
         Relation(C.DIAMOND_HP, C.DIAMOND_P, "AS",
-                 "trivial (with unique ids a multiset is a set)", None),
-        Relation(C.H_OMEGA, C.OMEGA, "AS",
-                 "trivial (with unique ids HΩ and Ω coincide)", None),
-        Relation(C.OMEGA, C.H_OMEGA, "AS",
-                 "trivial (with unique ids HΩ and Ω coincide)", None),
+                 "trivial (with unique ids a multiset is a set)"),
+        Relation(C.H_OMEGA, C.OMEGA, "AS", "trivial (with unique ids HΩ and Ω coincide)"),
+        Relation(C.OMEGA, C.H_OMEGA, "AS", "trivial (with unique ids HΩ and Ω coincide)"),
     )
 
 
-def relation_graph(*, model: str | None = None) -> nx.DiGraph:
-    """Build the relation graph, optionally restricted to one system model.
-
-    Relations tagged ``ANY_MODEL`` are included in every restriction.
-    """
-    graph = nx.DiGraph()
-    for detector_class in DetectorClass:
-        graph.add_node(detector_class)
-    for relation in paper_relations():
-        if model is not None and relation.model not in (model, ANY_MODEL):
-            continue
-        graph.add_edge(
-            relation.source,
-            relation.target,
-            model=relation.model,
-            established_by=relation.established_by,
-            implemented_by=relation.implemented_by,
-        )
-    return graph
+def _obtainable_from(source: DetectorClass, model: str | None) -> set[DetectorClass]:
+    """Every class reachable from ``source`` over the relations holding in
+    ``model`` (those tagged ``ANY_MODEL`` hold in every model)."""
+    edges = [
+        (relation.source, relation.target)
+        for relation in paper_relations()
+        if model is None or relation.model in (model, ANY_MODEL)
+    ]
+    reached, frontier = {source}, [source]
+    while frontier:
+        here = frontier.pop()
+        for origin, target in edges:
+            if origin == here and target not in reached:
+                reached.add(target)
+                frontier.append(target)
+    return reached
 
 
 def is_stronger(
     source: DetectorClass, target: DetectorClass, *, model: str | None = None
 ) -> bool:
     """Return ``True`` when ``target`` can be obtained from ``source`` (transitively)."""
-    graph = relation_graph(model=model)
-    if source == target:
-        return True
-    return nx.has_path(graph, source, target)
+    return target in _obtainable_from(source, model)
 
 
 def equivalent_classes(*, model: str | None = None) -> list[frozenset]:
@@ -108,6 +100,12 @@ def equivalent_classes(*, model: str | None = None) -> list[frozenset]:
     In ``AS`` (unique identifiers) this recovers Corollary 1: Σ, HΣ, and AΣ
     form one equivalence class.
     """
-    graph = relation_graph(model=model)
-    components = nx.strongly_connected_components(graph)
-    return [frozenset(component) for component in components if len(component) > 1]
+    obtainable = {symbol: _obtainable_from(symbol, model) for symbol in DetectorClass}
+    groups: list[frozenset] = []
+    for symbol in DetectorClass:
+        group = frozenset(
+            other for other in obtainable[symbol] if symbol in obtainable[other]
+        )
+        if len(group) > 1 and group not in groups:
+            groups.append(group)
+    return groups

@@ -16,7 +16,7 @@ value of the underlying Σ detector's ``trusted`` set.
 
 from __future__ import annotations
 
-from ..detectors.base import OutputKeys
+from ..detectors.table import CLASSES
 from ..detectors.views import HSigmaView
 from ..errors import ReductionError
 from ..identity import IdentityMultiset
@@ -26,7 +26,8 @@ from .base import PeriodicReductionProgram
 
 __all__ = ["SigmaToHSigmaWithMembership", "SigmaToHSigmaUnknownMembership"]
 
-KEYS = OutputKeys()
+#: The trace keys of the emulated class.
+_H_QUORA, _H_LABELS = CLASSES["HSigma"].keys
 
 
 class _SigmaToHSigmaBase(PeriodicReductionProgram):
@@ -38,7 +39,7 @@ class _SigmaToHSigmaBase(PeriodicReductionProgram):
         self.h_quora: frozenset = frozenset()
 
     def emulated_view(self) -> HSigmaView:
-        return HSigmaView(lambda: self.h_quora, lambda: self.h_labels)
+        return HSigmaView(lambda: (self.h_quora, self.h_labels))
 
     def _append_quorum_from_sigma(self, ctx: ProcessContext) -> None:
         trusted = ctx.detector(self.source_detector).trusted
@@ -53,8 +54,8 @@ class _SigmaToHSigmaBase(PeriodicReductionProgram):
 
     def _record(self, ctx: ProcessContext) -> None:
         if self.record_outputs:
-            ctx.record(KEYS.H_QUORA, self.h_quora)
-            ctx.record(KEYS.H_LABELS, self.h_labels)
+            ctx.record(_H_QUORA, self.h_quora)
+            ctx.record(_H_LABELS, self.h_labels)
 
 
 class SigmaToHSigmaWithMembership(_SigmaToHSigmaBase):

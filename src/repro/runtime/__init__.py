@@ -69,6 +69,7 @@ from .registry import (
     register_check,
     register_consensus,
     register_detector,
+    register_detector_class,
     register_experiment,
     register_link,
     register_program,
@@ -154,6 +155,7 @@ __all__ = [
     "register_check",
     "register_consensus",
     "register_detector",
+    "register_detector_class",
     "register_experiment",
     "register_link",
     "register_program",

@@ -42,7 +42,8 @@ import math
 from typing import Any, Sequence
 
 from ..errors import ConfigurationError
-from .registry import CHECKS, CONSENSUS, LEADER_DETECTORS, PROGRAMS
+from ..detectors import CLASSES
+from .registry import CHECKS, CONSENSUS, PROGRAMS
 from .spec import (
     CrashSpec,
     DetectorSpec,
@@ -182,7 +183,7 @@ class ScenarioBuilder:
             params: dict[str, Any] = {}
             if stabilization is not None:
                 params["stabilization_time"] = stabilization
-            if detector in LEADER_DETECTORS and noise_period is not None:
+            if noise_period is not None and detector in CLASSES and CLASSES[detector].elects:
                 params["noise_period"] = noise_period
             self._detectors.append(DetectorSpec(detector, params))
         return self

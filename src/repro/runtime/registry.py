@@ -25,31 +25,7 @@ from ..algorithms import (
     ScriptAliveProgram,
 )
 from ..consensus import FAMILY, ConsensusFactory
-from ..detectors import (
-    AOmegaOracle,
-    APOracle,
-    ASigmaOracle,
-    DiamondHPOracle,
-    DiamondPOracle,
-    HOmegaOracle,
-    HSigmaOracle,
-    OmegaOracle,
-    PerfectOracle,
-    ScriptEOracle,
-    SigmaOracle,
-    check_aomega_election,
-    check_ap,
-    check_asigma,
-    check_diamond_hp,
-    check_diamond_p,
-    check_hb_detection,
-    check_homega_election,
-    check_hsigma,
-    check_omega_election,
-    check_script_e,
-    check_sigma,
-    check_topo_detection,
-)
+from ..detectors import CLASSES, DetectorRow, check_hb_detection, check_topo_detection
 from ..errors import ConfigurationError
 from ..membership import Membership
 from ..sim.links import (
@@ -73,6 +49,7 @@ __all__ = [
     "EXPERIMENTS",
     "LINKS",
     "register_detector",
+    "register_detector_class",
     "register_consensus",
     "register_program",
     "register_check",
@@ -245,32 +222,17 @@ def register_link(name: str, maker: Callable[..., LinkModel], *, overwrite: bool
     return LINKS.register(name, maker, overwrite=overwrite)
 
 
+def register_detector_class(row: DetectorRow, *, overwrite: bool = False) -> DetectorRow:
+    """Register one row of the class table: its oracle as detector ``row.name``
+    and its axioms as check ``row.check``."""
+    register_detector(row.name, row.oracle, overwrite=overwrite)
+    register_check(row.check, row.judge, overwrite=overwrite)
+    return row
+
+
 def build_link_model(kind: str, params: Mapping[str, Any]) -> LinkModel:
     """Materialise a link model from its spec data (``kind`` + parameters)."""
     return LINKS.resolve(kind)(**dict(params))
-
-
-# ----------------------------------------------------------------------
-# Built-in detectors (the paper's oracle catalogue)
-# ----------------------------------------------------------------------
-for _name, _oracle in (
-    ("Perfect", PerfectOracle),
-    ("DiamondP", DiamondPOracle),
-    ("Omega", OmegaOracle),
-    ("Sigma", SigmaOracle),
-    ("AP", APOracle),
-    ("AOmega", AOmegaOracle),
-    ("ASigma", ASigmaOracle),
-    ("DiamondHP", DiamondHPOracle),
-    ("HOmega", HOmegaOracle),
-    ("HSigma", HSigmaOracle),
-    ("ScriptE", ScriptEOracle),
-):
-    register_detector(_name, _oracle)
-
-#: Oracles that elect leaders and therefore accept a pre-stabilization
-#: ``noise_period``; the builder only forwards that parameter to these.
-LEADER_DETECTORS = frozenset({"Omega", "AOmega", "HOmega"})
 
 
 # ----------------------------------------------------------------------
@@ -376,18 +338,14 @@ def _check_membership_churn(trace, pattern):
 
 register_check("membership_churn", _check_membership_churn)
 
-for _name, _checker in (
-    ("diamond_p", check_diamond_p),
-    ("omega", check_omega_election),
-    ("sigma", check_sigma),
-    ("ap", check_ap),
-    ("aomega", check_aomega_election),
-    ("asigma", check_asigma),
-    ("diamond_hp", check_diamond_hp),
-    ("homega", check_homega_election),
-    ("hsigma", check_hsigma),
-    ("script_e", check_script_e),
-    ("hb_detection", check_hb_detection),
-    ("topo_detection", check_topo_detection),
-):
-    register_check(_name, _checker)
+register_check("hb_detection", check_hb_detection)
+register_check("topo_detection", check_topo_detection)
+
+
+# ----------------------------------------------------------------------
+# Built-in detector classes (the paper's Figure 5 node set)
+# ----------------------------------------------------------------------
+# The rows of ``repro.detectors.table``: each row's oracle and axioms, under
+# the two names the row declares.
+for _row in CLASSES.values():
+    register_detector_class(_row)

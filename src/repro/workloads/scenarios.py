@@ -13,7 +13,7 @@ from typing import Any, Callable, Mapping
 
 from ..consensus import ConsensusVerdict, validate_consensus
 from ..consensus.base import ConsensusProgram
-from ..detectors import HOmegaOracle, HSigmaOracle
+from ..detectors import CLASSES
 from ..identity import ProcessId
 from ..membership import Membership
 from ..sim import (
@@ -89,10 +89,10 @@ class ConsensusScenario:
             return dict(self.detectors)
         stabilization = self.detector_stabilization
         return {
-            "HOmega": lambda services: HOmegaOracle(
+            "HOmega": lambda services: CLASSES["HOmega"].oracle(
                 services, stabilization_time=stabilization, noise_period=5.0
             ),
-            "HSigma": lambda services: HSigmaOracle(
+            "HSigma": lambda services: CLASSES["HSigma"].oracle(
                 services, stabilization_time=stabilization
             ),
         }

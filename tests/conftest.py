@@ -5,6 +5,7 @@ from __future__ import annotations
 import signal
 
 import pytest
+from hypothesis import settings
 
 from repro.identity import ProcessId
 from repro.membership import (
@@ -14,6 +15,14 @@ from repro.membership import (
     unique_identities,
 )
 from repro.runtime.fleet import Fleet
+
+# Property tests without an ``@settings`` of their own run at the loaded
+# profile's budget: ``tier1`` is what every plain ``pytest`` run uses (the
+# example count they always had, and no per-example deadline — tier-1 shares
+# its machine); ``pytest --hypothesis-profile search`` is the large one.
+settings.register_profile("tier1", max_examples=100, deadline=None)
+settings.register_profile("search", max_examples=5000, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from repro.consensus import (
     validate_consensus,
 )
 from repro.consensus.base import ConsensusProgram
-from repro.detectors import HOmegaOracle, HSigmaOracle, check_hsigma
+from repro.detectors import CLASSES
 from repro.detectors.views import HOmegaView, HSigmaView
 from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import grouped_identities
@@ -65,7 +65,7 @@ class EmptyHSigma:
         self._services = services
 
     def view_for(self, process):
-        return HSigmaView(lambda: frozenset(), lambda: frozenset())
+        return HSigmaView(lambda: (frozenset(), frozenset()))
 
 
 def run_with_detectors(membership, factory, detectors, *, crashes=None, seed=3, until=200.0):
@@ -120,7 +120,7 @@ class TestConsensusSafetyUnderBrokenDetectors:
             membership,
             lambda proposal: HOmegaHSigmaConsensus(proposal),
             {
-                "HOmega": lambda services: HOmegaOracle(services, stabilization_time=5.0),
+                "HOmega": lambda services: CLASSES["HOmega"].oracle(services, stabilization_time=5.0),
                 "HSigma": EmptyHSigma,
             },
             seed=9,
@@ -151,7 +151,7 @@ class TestValidatorsCatchBrokenAlgorithms:
         verdict = run_with_detectors(
             membership,
             lambda proposal: SelfishConsensus(proposal),
-            {"HOmega": lambda services: HOmegaOracle(services, stabilization_time=5.0)},
+            {"HOmega": lambda services: CLASSES["HOmega"].oracle(services, stabilization_time=5.0)},
             seed=2,
         )
         assert not verdict.agreement_ok
@@ -171,24 +171,22 @@ class TestValidatorsCatchBrokenAlgorithms:
                 identity = self._membership.identity_of(process)
                 label = f"self-{process.index}"
                 quorum = IdentityMultiset([identity])
-                return HSigmaView(
-                    lambda: frozenset({(label, quorum)}), lambda: frozenset({label})
-                )
+                return HSigmaView(lambda: (frozenset({(label, quorum)}), frozenset({label})))
 
-        from repro.detectors.probe import DetectorProbeProgram, hsigma_probes
+        from repro.detectors.probe import DetectorProbeProgram
 
         schedule = CrashSchedule.none()
         system = build_system(
             membership=membership,
             timing=AsynchronousTiming(min_latency=0.1, max_latency=1.0),
             program_factory=lambda pid, identity: DetectorProbeProgram(
-                hsigma_probes(), period=1.0
+                CLASSES["HSigma"].probes(), period=1.0
             ),
             detectors={"HSigma": SingletonHSigma},
             crash_schedule=schedule,
             seed=1,
         )
         trace = Simulation(system).run(until=20.0)
-        result = check_hsigma(trace, FailurePattern(membership, schedule))
+        result = CLASSES["HSigma"].judge(trace, FailurePattern(membership, schedule))
         assert not result.ok
         assert any("disjoint" in violation for violation in result.violations)

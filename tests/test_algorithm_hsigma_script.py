@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import HSigmaSynchronousProgram, ScriptAliveProgram
-from repro.detectors import check_hsigma, check_script_e
-from repro.detectors.base import OutputKeys
+from repro.detectors import CLASSES
 from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import anonymous_identities, grouped_identities, unique_identities
 from repro.sim import (
@@ -18,7 +17,8 @@ from repro.sim import (
 )
 from repro.sim.failures import FailurePattern
 
-KEYS = OutputKeys()
+H_QUORA, H_LABELS = CLASSES["HSigma"].keys
+(SCRIPT_E_ALIVE,) = CLASSES["ScriptE"].keys
 
 
 def p(index: int) -> ProcessId:
@@ -42,13 +42,13 @@ def run_hsigma(membership, *, crashes=None, steps=12, seed=5):
 class TestHSigmaSynchronous:
     def test_no_crash_all_properties(self, paper_example_membership):
         trace, pattern = run_hsigma(paper_example_membership)
-        result = check_hsigma(trace, pattern)
+        result = CLASSES["HSigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_with_crashes(self):
         membership = grouped_identities([2, 2, 2])
         trace, pattern = run_hsigma(membership, crashes={p(1): 3.4, p(4): 6.2})
-        result = check_hsigma(trace, pattern)
+        result = CLASSES["HSigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_majority_of_failures(self):
@@ -56,13 +56,13 @@ class TestHSigmaSynchronous:
         trace, pattern = run_hsigma(
             membership, crashes={p(0): 2.2, p(1): 3.7, p(3): 5.1}, steps=15
         )
-        result = check_hsigma(trace, pattern)
+        result = CLASSES["HSigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_anonymous_membership(self):
         membership = anonymous_identities(4)
         trace, pattern = run_hsigma(membership, crashes={p(2): 4.5})
-        result = check_hsigma(trace, pattern)
+        result = CLASSES["HSigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_quora_eventually_contain_correct_multiset(self):
@@ -70,14 +70,14 @@ class TestHSigmaSynchronous:
         trace, pattern = run_hsigma(membership, crashes={p(0): 3.5})
         correct_multiset = pattern.correct_identity_multiset()
         for process in sorted(pattern.correct):
-            final_quora = trace.final_value(process, KEYS.H_QUORA)
+            final_quora = trace.final_value(process, H_QUORA)
             labels = {label for label, _ in final_quora}
             assert correct_multiset in labels
 
     def test_labels_are_monotonic_per_process(self, paper_example_membership):
         trace, pattern = run_hsigma(paper_example_membership, crashes={p(1): 4.5})
         for process in paper_example_membership.processes:
-            series = [value for _, value in trace.values_of(process, KEYS.H_LABELS)]
+            series = [value for _, value in trace.values_of(process, H_LABELS)]
             for earlier, later in zip(series, series[1:]):
                 assert earlier <= later
 
@@ -109,20 +109,20 @@ class TestScriptAlive:
     def test_correct_identifiers_reach_the_prefix(self):
         membership = unique_identities(5)
         trace, pattern = self.run_script(membership, crashes={p(1): 15.0, p(4): 20.0})
-        result = check_script_e(trace, pattern)
+        result = CLASSES["ScriptE"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_no_crash_everyone_in_prefix(self):
         membership = unique_identities(4)
         trace, pattern = self.run_script(membership)
-        result = check_script_e(trace, pattern)
+        result = CLASSES["ScriptE"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_faulty_identifier_sinks_to_the_back(self):
         membership = unique_identities(3)
         trace, pattern = self.run_script(membership, crashes={p(0): 10.0})
         for process in sorted(pattern.correct):
-            final = trace.final_value(process, KEYS.SCRIPT_E_ALIVE)
+            final = trace.final_value(process, SCRIPT_E_ALIVE)
             assert final[-1] == "id0"
 
     def test_rejects_non_positive_period(self):

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import OhpPollingProgram
-from repro.detectors import check_diamond_hp, check_homega_election
-from repro.detectors.base import OutputKeys
+from repro.detectors import CLASSES
 from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import (
     anonymous_identities,
@@ -21,7 +20,8 @@ from repro.sim import (
 )
 from repro.sim.failures import FailurePattern
 
-KEYS = OutputKeys()
+(H_TRUSTED,) = CLASSES["DiamondHP"].keys
+H_LEADER, H_MULTIPLICITY = CLASSES["HOmega"].keys
 
 
 def p(index: int) -> ProcessId:
@@ -58,7 +58,7 @@ class TestDiamondHPConvergence:
     def test_homonymous_membership_with_crash(self):
         membership = grouped_identities([2, 2, 1])
         _, trace, pattern = run_polling(membership, crashes={p(1): 20.0})
-        result = check_diamond_hp(trace, pattern)
+        result = CLASSES["DiamondHP"].judge(trace, pattern)
         assert result.ok, result.violations
         assert result.stabilization_time is not None
         # Convergence can only be claimed after the crash actually happened.
@@ -67,17 +67,17 @@ class TestDiamondHPConvergence:
     def test_unique_membership_no_crash(self):
         membership = unique_identities(4)
         _, trace, pattern = run_polling(membership)
-        result = check_diamond_hp(trace, pattern)
+        result = CLASSES["DiamondHP"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_anonymous_membership(self):
         membership = anonymous_identities(4)
         _, trace, pattern = run_polling(membership, crashes={p(3): 25.0})
-        result = check_diamond_hp(trace, pattern)
+        result = CLASSES["DiamondHP"].judge(trace, pattern)
         assert result.ok, result.violations
         # The converged multiset is ⊥^3.
         correct_process = p(0)
-        final = trace.final_value(correct_process, KEYS.H_TRUSTED)
+        final = trace.final_value(correct_process, H_TRUSTED)
         assert final == IdentityMultiset.uniform("⊥", 3)
 
     def test_multiple_crashes(self):
@@ -85,7 +85,7 @@ class TestDiamondHPConvergence:
         _, trace, pattern = run_polling(
             membership, crashes={p(0): 18.0, p(3): 22.0, p(4): 26.0}, until=150.0
         )
-        result = check_diamond_hp(trace, pattern)
+        result = CLASSES["DiamondHP"].judge(trace, pattern)
         assert result.ok, result.violations
 
 
@@ -93,7 +93,7 @@ class TestHOmegaOutput:
     def test_election_property(self):
         membership = grouped_identities([2, 2, 1])
         _, trace, pattern = run_polling(membership, crashes={p(0): 20.0})
-        result = check_homega_election(trace, pattern)
+        result = CLASSES["HOmega"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_leader_is_smallest_correct_identity_with_multiplicity(self):
@@ -101,8 +101,8 @@ class TestHOmegaOutput:
         _, trace, pattern = run_polling(membership, crashes={p(0): 20.0})
         # Correct: one grp0 process and three grp1 processes → leader grp0, mult 1.
         for process in sorted(pattern.correct):
-            assert trace.final_value(process, KEYS.H_LEADER) == "grp0"
-            assert trace.final_value(process, KEYS.H_MULTIPLICITY) == 1
+            assert trace.final_value(process, H_LEADER) == "grp0"
+            assert trace.final_value(process, H_MULTIPLICITY) == 1
 
     def test_all_leaders_crash_reelects(self):
         membership = grouped_identities([2, 2])
@@ -110,11 +110,11 @@ class TestHOmegaOutput:
         _, trace, pattern = run_polling(
             membership, crashes={p(0): 20.0, p(1): 24.0}, until=150.0
         )
-        result = check_homega_election(trace, pattern)
+        result = CLASSES["HOmega"].judge(trace, pattern)
         assert result.ok, result.violations
         for process in sorted(pattern.correct):
-            assert trace.final_value(process, KEYS.H_LEADER) == "grp1"
-            assert trace.final_value(process, KEYS.H_MULTIPLICITY) == 2
+            assert trace.final_value(process, H_LEADER) == "grp1"
+            assert trace.final_value(process, H_MULTIPLICITY) == 2
 
 
 class TestAdaptiveTimeout:
@@ -132,7 +132,7 @@ class TestAdaptiveTimeout:
             trace.final_value(process, "ohp.timeout") for process in membership.processes
         ]
         assert all(timeout is not None and timeout > 1.0 for timeout in final_timeouts)
-        result = check_diamond_hp(trace, pattern)
+        result = CLASSES["DiamondHP"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_fixed_timeout_smaller_than_delta_never_converges(self):
@@ -144,7 +144,7 @@ class TestAdaptiveTimeout:
             until=120.0,
             program_kwargs={"initial_timeout": 1.0, "fixed_timeout": True},
         )
-        result = check_diamond_hp(trace, pattern)
+        result = CLASSES["DiamondHP"].judge(trace, pattern)
         assert not result.ok
 
     def test_validation_of_parameters(self):

@@ -10,9 +10,12 @@ from __future__ import annotations
 import ast
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from repro.membership import Membership
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,6 +128,62 @@ def test_the_registry_registers_the_consensus_table_and_restates_nothing() -> No
         assert entry.needs_majority is quorum.needs_majority
         assert entry.membership_constraint == leader.membership_constraint
         assert entry.paper_item == row.paper_item != ""
+
+
+def test_the_registry_registers_the_detector_table_and_restates_nothing() -> None:
+    """One class table: ``DETECTORS`` and the class half of ``CHECKS`` are its rows."""
+    from repro.detectors import CLASSES, DetectorRow
+    from repro.runtime import CHECKS, DETECTORS
+
+    from .helpers import make_services
+
+    assert set(DETECTORS.names()) == set(CLASSES)
+    # The class half of CHECKS: every entry that is some row's ``judge``.
+    judged_by_a_row = {
+        name
+        for name in CHECKS.names()
+        if isinstance(getattr(CHECKS.resolve(name), "__self__", None), DetectorRow)
+    }
+    assert judged_by_a_row == {row.check for row in CLASSES.values()}
+    for name, row in CLASSES.items():
+        assert name == row.name
+        assert CHECKS.resolve(row.check) == row.judge
+        membership = Membership.of("ABC" if row.unique_ids_only else "AAB")
+        oracle = DETECTORS.resolve(name)({"stabilization_time": 3.0})(make_services(membership))
+        assert oracle.row is row and oracle.stabilization_time == 3.0
+        # Every output is a hand-written property of the view the row names.
+        for output in row.outputs:
+            assert isinstance(getattr(row.view, output), property), (name, output)
+        assert len(set(row.keys)) == len(row.outputs) > 0
+
+    # The registry loops over the table: it names no class, oracle or axiom itself.
+    registry = ast.parse((ROOT / "src/repro/runtime/registry.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(registry)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("detectors")
+        for alias in node.names
+    }
+    assert imported == {"CLASSES", "DetectorRow", "check_hb_detection", "check_topo_detection"}
+
+
+def test_the_library_imports_only_the_standard_library() -> None:
+    """CI's ``tests`` job installs pytest and hypothesis only; ``src/repro`` needs neither."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {module}"
+                for module in modules
+                if module.split(".")[0] not in sys.stdlib_module_names | {"repro"}
+            ]
+    assert not offenders, "third-party import under src/repro:\n" + "\n".join(offenders)
 
 
 def test_coord_and_ph0_are_each_broadcast_from_one_function() -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus import AnonymousAOmegaASigmaConsensus, validate_consensus
-from repro.detectors import AOmegaOracle, ASigmaOracle
+from repro.detectors import CLASSES
 from repro.identity import ProcessId
 from repro.membership import anonymous_identities
 from repro.sim import AsynchronousTiming, CrashSchedule, Simulation, build_system
@@ -21,10 +21,10 @@ def run_anonymous_consensus(n=5, *, crashes=None, seed=41, stabilization=20.0, u
     proposals = {process: f"value-{process.index}" for process in membership.processes}
     schedule = CrashSchedule.at_times(crashes or {})
     detectors = {
-        "AOmega": lambda services: AOmegaOracle(
+        "AOmega": lambda services: CLASSES["AOmega"].oracle(
             services, stabilization_time=stabilization, noise_period=5.0
         ),
-        "ASigma": lambda services: ASigmaOracle(
+        "ASigma": lambda services: CLASSES["ASigma"].oracle(
             services, stabilization_time=stabilization
         ),
     }

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus import HOmegaHSigmaConsensus, validate_consensus
-from repro.detectors import HOmegaOracle, HSigmaOracle
+from repro.detectors import CLASSES
 from repro.identity import ProcessId
 from repro.membership import (
     anonymous_identities,
@@ -35,10 +35,10 @@ def run_consensus(
     }
     schedule = CrashSchedule.at_times(crashes or {})
     detectors = {
-        "HOmega": lambda services: HOmegaOracle(
+        "HOmega": lambda services: CLASSES["HOmega"].oracle(
             services, stabilization_time=stabilization, noise_period=noise_period
         ),
-        "HSigma": lambda services: HSigmaOracle(
+        "HSigma": lambda services: CLASSES["HSigma"].oracle(
             services, stabilization_time=stabilization
         ),
     }

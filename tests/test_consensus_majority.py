@@ -11,7 +11,7 @@ from repro.consensus import (
     NoCoordinationConsensus,
     validate_consensus,
 )
-from repro.detectors import AOmegaOracle, HOmegaOracle, OmegaOracle
+from repro.detectors import CLASSES
 from repro.errors import ConfigurationError
 from repro.identity import ProcessId
 from repro.membership import (
@@ -63,7 +63,7 @@ def distinct_proposals(membership):
 
 def homega_oracle(stabilization=20.0, noise_period=5.0):
     return {
-        "HOmega": lambda services: HOmegaOracle(
+        "HOmega": lambda services: CLASSES["HOmega"].oracle(
             services, stabilization_time=stabilization, noise_period=noise_period
         )
     }
@@ -204,7 +204,7 @@ class TestBaselines:
         trace, pattern = run_consensus(
             membership,
             lambda pid, identity: ClassicalOmegaConsensus(proposals[pid], n=5),
-            {"Omega": lambda s: OmegaOracle(s, stabilization_time=15.0)},
+            {"Omega": lambda s: CLASSES["Omega"].oracle(s, stabilization_time=15.0)},
             crashes={p(1): 10.0, p(3): 14.0},
         )
         verdict = validate_consensus(trace, pattern, proposals)
@@ -216,7 +216,7 @@ class TestBaselines:
         trace, pattern = run_consensus(
             membership,
             lambda pid, identity: AnonymousAOmegaConsensus(proposals[pid], n=5),
-            {"AOmega": lambda s: AOmegaOracle(s, stabilization_time=15.0)},
+            {"AOmega": lambda s: CLASSES["AOmega"].oracle(s, stabilization_time=15.0)},
             crashes={p(2): 10.0},
         )
         verdict = validate_consensus(trace, pattern, proposals)

@@ -11,28 +11,22 @@ import statistics
 
 import pytest
 
-from repro.detectors import (
-    CheckResult,
-    check_aomega_election,
-    check_ap,
-    check_asigma,
-    check_diamond_hp,
-    check_diamond_p,
-    check_hb_detection,
-    check_homega_election,
-    check_hsigma,
-    check_omega_election,
-    check_script_e,
-    check_sigma,
-    check_topo_detection,
-)
-from repro.detectors.base import OutputKeys
+from repro.detectors import CLASSES, CheckResult, check_hb_detection, check_topo_detection
 from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import Membership, unique_identities
 from repro.sim import CrashSchedule, RunTrace
 from repro.sim.failures import FailurePattern
 
-KEYS = OutputKeys()
+H_LEADER, H_MULTIPLICITY = CLASSES["HOmega"].keys
+H_QUORA, H_LABELS = CLASSES["HSigma"].keys
+(H_TRUSTED,) = CLASSES["DiamondHP"].keys
+(SIGMA_TRUSTED,) = CLASSES["Sigma"].keys
+(DIAMOND_P_TRUSTED,) = CLASSES["DiamondP"].keys
+(OMEGA_LEADER,) = CLASSES["Omega"].keys
+(SCRIPT_E_ALIVE,) = CLASSES["ScriptE"].keys
+(AP_ANAP,) = CLASSES["AP"].keys
+(A_OMEGA_LEADER,) = CLASSES["AOmega"].keys
+(A_SIGMA_PAIRS,) = CLASSES["ASigma"].keys
 
 
 def p(index: int) -> ProcessId:
@@ -67,18 +61,18 @@ class TestHOmegaChecker:
     def _trace(self, leaders, multiplicities):
         trace = RunTrace()
         for process, leader in leaders.items():
-            trace.record(process, KEYS.H_LEADER, leader, 10.0)
+            trace.record(process, H_LEADER, leader, 10.0)
         for process, multiplicity in multiplicities.items():
-            trace.record(process, KEYS.H_MULTIPLICITY, multiplicity, 10.0)
+            trace.record(process, H_MULTIPLICITY, multiplicity, 10.0)
         return trace
 
     def test_accepts_correct_election(self):
         trace = self._trace({p(1): "A", p(2): "A"}, {p(1): 1, p(2): 1})
-        assert check_homega_election(trace, self.pattern).ok
+        assert CLASSES["HOmega"].judge(trace, self.pattern).ok
 
     def test_rejects_disagreement(self):
         trace = self._trace({p(1): "A", p(2): "B"}, {p(1): 1, p(2): 1})
-        result = check_homega_election(trace, self.pattern)
+        result = CLASSES["HOmega"].judge(trace, self.pattern)
         assert not result.ok
         assert any("disagree" in violation for violation in result.violations)
 
@@ -88,29 +82,29 @@ class TestHOmegaChecker:
         pattern = make_pattern(membership, {p(0): 5.0})
         trace = RunTrace()
         for process in (p(1), p(2)):
-            trace.record(process, KEYS.H_LEADER, "A", 10.0)
-            trace.record(process, KEYS.H_MULTIPLICITY, 1, 10.0)
-        result = check_homega_election(trace, pattern)
+            trace.record(process, H_LEADER, "A", 10.0)
+            trace.record(process, H_MULTIPLICITY, 1, 10.0)
+        result = CLASSES["HOmega"].judge(trace, pattern)
         assert not result.ok
 
     def test_rejects_wrong_multiplicity(self):
         trace = self._trace({p(1): "A", p(2): "A"}, {p(1): 2, p(2): 1})
-        result = check_homega_election(trace, self.pattern)
+        result = CLASSES["HOmega"].judge(trace, self.pattern)
         assert not result.ok
         assert any("multiplicity" in violation for violation in result.violations)
 
     def test_rejects_missing_records(self):
         trace = self._trace({p(1): "A"}, {p(1): 1})
-        result = check_homega_election(trace, self.pattern)
+        result = CLASSES["HOmega"].judge(trace, self.pattern)
         assert not result.ok
 
     def test_stabilization_time_reported(self):
         trace = RunTrace()
         for process in (p(1), p(2)):
-            trace.record(process, KEYS.H_LEADER, "B", 2.0)
-            trace.record(process, KEYS.H_LEADER, "A", 7.0)
-            trace.record(process, KEYS.H_MULTIPLICITY, 1, 2.0)
-        result = check_homega_election(trace, self.pattern)
+            trace.record(process, H_LEADER, "B", 2.0)
+            trace.record(process, H_LEADER, "A", 7.0)
+            trace.record(process, H_MULTIPLICITY, 1, 2.0)
+        result = CLASSES["HOmega"].judge(trace, self.pattern)
         assert result.ok
         assert result.stabilization_time == 7.0
 
@@ -121,17 +115,17 @@ class TestDiamondCheckers:
         good = RunTrace()
         bad = RunTrace()
         for process in (p(1), p(2)):
-            good.record(process, KEYS.H_TRUSTED, bag("A", "B"), 5.0)
-            bad.record(process, KEYS.H_TRUSTED, bag("A", "A", "B"), 5.0)
-        assert check_diamond_hp(good, pattern).ok
-        assert not check_diamond_hp(bad, pattern).ok
+            good.record(process, H_TRUSTED, bag("A", "B"), 5.0)
+            bad.record(process, H_TRUSTED, bag("A", "A", "B"), 5.0)
+        assert CLASSES["DiamondHP"].judge(good, pattern).ok
+        assert not CLASSES["DiamondHP"].judge(bad, pattern).ok
 
     def test_diamond_hp_rejects_non_multiset(self, paper_example_membership):
         pattern = make_pattern(paper_example_membership, {p(0): 1.0})
         trace = RunTrace()
         for process in (p(1), p(2)):
-            trace.record(process, KEYS.H_TRUSTED, ("A", "B"), 5.0)
-        assert not check_diamond_hp(trace, pattern).ok
+            trace.record(process, H_TRUSTED, ("A", "B"), 5.0)
+        assert not CLASSES["DiamondHP"].judge(trace, pattern).ok
 
     def test_diamond_p(self):
         membership = unique_identities(3)
@@ -139,10 +133,10 @@ class TestDiamondCheckers:
         good = RunTrace()
         bad = RunTrace()
         for process in (p(0), p(1)):
-            good.record(process, KEYS.DIAMOND_P_TRUSTED, frozenset({"id0", "id1"}), 5.0)
-            bad.record(process, KEYS.DIAMOND_P_TRUSTED, frozenset({"id0"}), 5.0)
-        assert check_diamond_p(good, pattern).ok
-        assert not check_diamond_p(bad, pattern).ok
+            good.record(process, DIAMOND_P_TRUSTED, frozenset({"id0", "id1"}), 5.0)
+            bad.record(process, DIAMOND_P_TRUSTED, frozenset({"id0"}), 5.0)
+        assert CLASSES["DiamondP"].judge(good, pattern).ok
+        assert not CLASSES["DiamondP"].judge(bad, pattern).ok
 
 
 class TestOmegaCheckers:
@@ -151,27 +145,27 @@ class TestOmegaCheckers:
         pattern = make_pattern(membership, {p(0): 1.0})
         trace = RunTrace()
         for process in (p(1), p(2)):
-            trace.record(process, KEYS.OMEGA_LEADER, "id1", 5.0)
-        assert check_omega_election(trace, pattern).ok
+            trace.record(process, OMEGA_LEADER, "id1", 5.0)
+        assert CLASSES["Omega"].judge(trace, pattern).ok
 
     def test_omega_rejects_crashed_leader(self):
         membership = unique_identities(3)
         pattern = make_pattern(membership, {p(0): 1.0})
         trace = RunTrace()
         for process in (p(1), p(2)):
-            trace.record(process, KEYS.OMEGA_LEADER, "id0", 5.0)
-        assert not check_omega_election(trace, pattern).ok
+            trace.record(process, OMEGA_LEADER, "id0", 5.0)
+        assert not CLASSES["Omega"].judge(trace, pattern).ok
 
     def test_aomega_requires_exactly_one_leader(self):
         membership = unique_identities(3)
         pattern = make_pattern(membership)
         trace = RunTrace()
-        trace.record(p(0), KEYS.A_OMEGA_LEADER, True, 5.0)
-        trace.record(p(1), KEYS.A_OMEGA_LEADER, False, 5.0)
-        trace.record(p(2), KEYS.A_OMEGA_LEADER, False, 5.0)
-        assert check_aomega_election(trace, pattern).ok
-        trace.record(p(1), KEYS.A_OMEGA_LEADER, True, 6.0)
-        assert not check_aomega_election(trace, pattern).ok
+        trace.record(p(0), A_OMEGA_LEADER, True, 5.0)
+        trace.record(p(1), A_OMEGA_LEADER, False, 5.0)
+        trace.record(p(2), A_OMEGA_LEADER, False, 5.0)
+        assert CLASSES["AOmega"].judge(trace, pattern).ok
+        trace.record(p(1), A_OMEGA_LEADER, True, 6.0)
+        assert not CLASSES["AOmega"].judge(trace, pattern).ok
 
 
 class TestSigmaChecker:
@@ -179,20 +173,20 @@ class TestSigmaChecker:
         membership = unique_identities(3)
         pattern = make_pattern(membership, {p(2): 1.0})
         trace = RunTrace()
-        trace.record(p(0), KEYS.SIGMA_TRUSTED, frozenset({"id0", "id1"}), 1.0)
-        trace.record(p(1), KEYS.SIGMA_TRUSTED, frozenset({"id1", "id0"}), 1.0)
-        trace.record(p(0), KEYS.SIGMA_TRUSTED, frozenset({"id0", "id1"}), 9.0)
-        trace.record(p(1), KEYS.SIGMA_TRUSTED, frozenset({"id0", "id1"}), 9.0)
-        assert check_sigma(trace, pattern).ok
+        trace.record(p(0), SIGMA_TRUSTED, frozenset({"id0", "id1"}), 1.0)
+        trace.record(p(1), SIGMA_TRUSTED, frozenset({"id1", "id0"}), 1.0)
+        trace.record(p(0), SIGMA_TRUSTED, frozenset({"id0", "id1"}), 9.0)
+        trace.record(p(1), SIGMA_TRUSTED, frozenset({"id0", "id1"}), 9.0)
+        assert CLASSES["Sigma"].judge(trace, pattern).ok
 
     def test_rejects_disjoint_quorums_even_across_times(self):
         membership = unique_identities(4)
         pattern = make_pattern(membership)
         trace = RunTrace()
-        trace.record(p(0), KEYS.SIGMA_TRUSTED, frozenset({"id0", "id1"}), 1.0)
+        trace.record(p(0), SIGMA_TRUSTED, frozenset({"id0", "id1"}), 1.0)
         for process in membership.processes:
-            trace.record(process, KEYS.SIGMA_TRUSTED, frozenset({"id2", "id3"}), 9.0)
-        result = check_sigma(trace, pattern)
+            trace.record(process, SIGMA_TRUSTED, frozenset({"id2", "id3"}), 9.0)
+        result = CLASSES["Sigma"].judge(trace, pattern)
         assert not result.ok
         assert any("do not intersect" in violation for violation in result.violations)
 
@@ -201,8 +195,8 @@ class TestSigmaChecker:
         pattern = make_pattern(membership, {p(2): 1.0})
         trace = RunTrace()
         for process in (p(0), p(1)):
-            trace.record(process, KEYS.SIGMA_TRUSTED, frozenset({"id0", "id2"}), 5.0)
-        assert not check_sigma(trace, pattern).ok
+            trace.record(process, SIGMA_TRUSTED, frozenset({"id0", "id2"}), 5.0)
+        assert not CLASSES["Sigma"].judge(trace, pattern).ok
 
 
 class TestScriptEChecker:
@@ -211,16 +205,16 @@ class TestScriptEChecker:
         pattern = make_pattern(membership, {p(3): 1.0})
         trace = RunTrace()
         for process in (p(0), p(1), p(2)):
-            trace.record(process, KEYS.SCRIPT_E_ALIVE, ("id2", "id0", "id1", "id3"), 5.0)
-        assert check_script_e(trace, pattern).ok
+            trace.record(process, SCRIPT_E_ALIVE, ("id2", "id0", "id1", "id3"), 5.0)
+        assert CLASSES["ScriptE"].judge(trace, pattern).ok
 
     def test_rejects_correct_process_outside_prefix(self):
         membership = unique_identities(4)
         pattern = make_pattern(membership, {p(3): 1.0})
         trace = RunTrace()
         for process in (p(0), p(1), p(2)):
-            trace.record(process, KEYS.SCRIPT_E_ALIVE, ("id0", "id3", "id1", "id2"), 5.0)
-        assert not check_script_e(trace, pattern).ok
+            trace.record(process, SCRIPT_E_ALIVE, ("id0", "id3", "id1", "id2"), 5.0)
+        assert not CLASSES["ScriptE"].judge(trace, pattern).ok
 
 
 class TestAPChecker:
@@ -228,10 +222,10 @@ class TestAPChecker:
         membership = unique_identities(3)
         pattern = make_pattern(membership, {p(0): 100.0})
         trace = RunTrace()
-        trace.record(p(1), KEYS.AP_ANAP, 2, 5.0)  # 3 processes alive at t=5
-        trace.record(p(1), KEYS.AP_ANAP, 2, 200.0)
-        trace.record(p(2), KEYS.AP_ANAP, 2, 200.0)
-        result = check_ap(trace, pattern)
+        trace.record(p(1), AP_ANAP, 2, 5.0)  # 3 processes alive at t=5
+        trace.record(p(1), AP_ANAP, 2, 200.0)
+        trace.record(p(2), AP_ANAP, 2, 200.0)
+        result = CLASSES["AP"].judge(trace, pattern)
         assert not result.ok
         assert any("safety" in violation for violation in result.violations)
 
@@ -240,8 +234,8 @@ class TestAPChecker:
         pattern = make_pattern(membership, {p(0): 1.0})
         trace = RunTrace()
         for process in (p(1), p(2)):
-            trace.record(process, KEYS.AP_ANAP, 3, 50.0)
-        result = check_ap(trace, pattern)
+            trace.record(process, AP_ANAP, 3, 50.0)
+        result = CLASSES["AP"].judge(trace, pattern)
         assert not result.ok
 
     def test_good_trace_accepted(self):
@@ -249,9 +243,9 @@ class TestAPChecker:
         pattern = make_pattern(membership, {p(0): 10.0})
         trace = RunTrace()
         for process in (p(1), p(2)):
-            trace.record(process, KEYS.AP_ANAP, 3, 5.0)
-            trace.record(process, KEYS.AP_ANAP, 2, 20.0)
-        assert check_ap(trace, pattern).ok
+            trace.record(process, AP_ANAP, 3, 5.0)
+            trace.record(process, AP_ANAP, 2, 20.0)
+        assert CLASSES["AP"].judge(trace, pattern).ok
 
 
 class TestASigmaChecker:
@@ -260,12 +254,12 @@ class TestASigmaChecker:
         pattern = make_pattern(membership, {p(3): 1.0})
         trace = RunTrace()
         for process in membership.processes:
-            trace.record(process, KEYS.A_SIGMA_PAIRS, frozenset({("all", 4)}), 1.0)
+            trace.record(process, A_SIGMA_PAIRS, frozenset({("all", 4)}), 1.0)
         for process in (p(0), p(1), p(2)):
             trace.record(
-                process, KEYS.A_SIGMA_PAIRS, frozenset({("all", 4), ("corr", 3)}), 10.0
+                process, A_SIGMA_PAIRS, frozenset({("all", 4), ("corr", 3)}), 10.0
             )
-        assert check_asigma(trace, pattern).ok
+        assert CLASSES["ASigma"].judge(trace, pattern).ok
 
     def test_duplicate_label_rejected(self):
         membership = unique_identities(2)
@@ -273,9 +267,9 @@ class TestASigmaChecker:
         trace = RunTrace()
         for process in membership.processes:
             trace.record(
-                process, KEYS.A_SIGMA_PAIRS, frozenset({("x", 1), ("x", 2)}), 1.0
+                process, A_SIGMA_PAIRS, frozenset({("x", 1), ("x", 2)}), 1.0
             )
-        result = check_asigma(trace, pattern)
+        result = CLASSES["ASigma"].judge(trace, pattern)
         assert not result.ok
         assert any("same label" in violation for violation in result.violations)
 
@@ -285,11 +279,11 @@ class TestASigmaChecker:
         trace = RunTrace()
         # Label "a" held by p0, p1; label "b" held by p2, p3; sizes 2 and 2:
         # the quorums {p0, p1} and {p2, p3} are disjoint.
-        trace.record(p(0), KEYS.A_SIGMA_PAIRS, frozenset({("a", 2)}), 1.0)
-        trace.record(p(1), KEYS.A_SIGMA_PAIRS, frozenset({("a", 2)}), 1.0)
-        trace.record(p(2), KEYS.A_SIGMA_PAIRS, frozenset({("b", 2)}), 1.0)
-        trace.record(p(3), KEYS.A_SIGMA_PAIRS, frozenset({("b", 2)}), 1.0)
-        result = check_asigma(trace, pattern)
+        trace.record(p(0), A_SIGMA_PAIRS, frozenset({("a", 2)}), 1.0)
+        trace.record(p(1), A_SIGMA_PAIRS, frozenset({("a", 2)}), 1.0)
+        trace.record(p(2), A_SIGMA_PAIRS, frozenset({("b", 2)}), 1.0)
+        trace.record(p(3), A_SIGMA_PAIRS, frozenset({("b", 2)}), 1.0)
+        result = CLASSES["ASigma"].judge(trace, pattern)
         assert not result.ok
         assert any("disjoint" in violation for violation in result.violations)
 
@@ -297,11 +291,11 @@ class TestASigmaChecker:
         membership = unique_identities(2)
         pattern = make_pattern(membership)
         trace = RunTrace()
-        trace.record(p(0), KEYS.A_SIGMA_PAIRS, frozenset({("x", 2)}), 1.0)
-        trace.record(p(0), KEYS.A_SIGMA_PAIRS, frozenset({("x", 3)}), 2.0)
-        trace.record(p(0), KEYS.A_SIGMA_PAIRS, frozenset({("x", 2)}), 3.0)
-        trace.record(p(1), KEYS.A_SIGMA_PAIRS, frozenset({("x", 2)}), 3.0)
-        result = check_asigma(trace, pattern)
+        trace.record(p(0), A_SIGMA_PAIRS, frozenset({("x", 2)}), 1.0)
+        trace.record(p(0), A_SIGMA_PAIRS, frozenset({("x", 3)}), 2.0)
+        trace.record(p(0), A_SIGMA_PAIRS, frozenset({("x", 2)}), 3.0)
+        trace.record(p(1), A_SIGMA_PAIRS, frozenset({("x", 2)}), 3.0)
+        result = CLASSES["ASigma"].judge(trace, pattern)
         assert not result.ok
         assert any("monotonicity" in violation for violation in result.violations)
 
@@ -313,10 +307,10 @@ class TestHSigmaChecker:
         self.pattern = make_pattern(self.membership, {p(1): 5.0})
 
     def _record_labels(self, trace, process, labels, time):
-        trace.record(process, KEYS.H_LABELS, frozenset(labels), time)
+        trace.record(process, H_LABELS, frozenset(labels), time)
 
     def _record_quora(self, trace, process, pairs, time):
-        trace.record(process, KEYS.H_QUORA, frozenset(pairs), time)
+        trace.record(process, H_QUORA, frozenset(pairs), time)
 
     def test_paper_example_satisfies_properties(self):
         trace = RunTrace()
@@ -328,7 +322,7 @@ class TestHSigmaChecker:
         # h_quora of process 1 (p0) and process 3 (p2) from the example.
         self._record_quora(trace, p(0), {("lb", bag("B"))}, 2.0)
         self._record_quora(trace, p(2), {("la", bag("A", "B")), ("lc", bag("A", "B"))}, 2.0)
-        result = check_hsigma(trace, self.pattern)
+        result = CLASSES["HSigma"].judge(trace, self.pattern)
         assert result.ok, result.violations
 
     def test_duplicate_label_in_quora_rejected(self):
@@ -337,7 +331,7 @@ class TestHSigmaChecker:
         self._record_labels(trace, p(2), {"x"}, 1.0)
         self._record_quora(trace, p(0), {("x", bag("A")), ("x", bag("B"))}, 2.0)
         self._record_quora(trace, p(2), {("x", bag("B"))}, 2.0)
-        result = check_hsigma(trace, self.pattern)
+        result = CLASSES["HSigma"].judge(trace, self.pattern)
         assert not result.ok
         assert any("same label" in violation for violation in result.violations)
 
@@ -348,7 +342,7 @@ class TestHSigmaChecker:
         self._record_labels(trace, p(2), {"x"}, 2.0)
         self._record_quora(trace, p(0), {("x", bag("A", "B"))}, 2.0)
         self._record_quora(trace, p(2), {("x", bag("A", "B"))}, 2.0)
-        result = check_hsigma(trace, self.pattern)
+        result = CLASSES["HSigma"].judge(trace, self.pattern)
         assert not result.ok
         assert any("removed labels" in violation for violation in result.violations)
 
@@ -359,7 +353,7 @@ class TestHSigmaChecker:
         self._record_quora(trace, p(0), {("x", bag("B"))}, 2.0)
         self._record_quora(trace, p(0), {("x", bag("A", "B"))}, 3.0)
         self._record_quora(trace, p(2), {("x", bag("B"))}, 3.0)
-        result = check_hsigma(trace, self.pattern)
+        result = CLASSES["HSigma"].judge(trace, self.pattern)
         assert not result.ok
         assert any("grew the quorum" in violation for violation in result.violations)
 
@@ -370,7 +364,7 @@ class TestHSigmaChecker:
         self._record_labels(trace, p(1), {"x"}, 1.0)
         self._record_quora(trace, p(0), {("x", bag("A"))}, 2.0)
         self._record_quora(trace, p(2), {("x", bag("A"))}, 2.0)
-        result = check_hsigma(trace, self.pattern)
+        result = CLASSES["HSigma"].judge(trace, self.pattern)
         assert not result.ok
         assert any("liveness" in violation for violation in result.violations)
 
@@ -381,7 +375,7 @@ class TestHSigmaChecker:
         self._record_labels(trace, p(2), {"y"}, 1.0)
         self._record_quora(trace, p(0), {("x", bag("A"))}, 2.0)
         self._record_quora(trace, p(2), {("y", bag("B"))}, 2.0)
-        result = check_hsigma(trace, self.pattern)
+        result = CLASSES["HSigma"].judge(trace, self.pattern)
         assert not result.ok
         assert any("disjoint" in violation for violation in result.violations)
 
@@ -394,7 +388,7 @@ class TestHSigmaChecker:
         self._record_labels(trace, p(2), {"x"}, 1.0)
         self._record_quora(trace, p(0), {("x", bag("A"))}, 2.0)
         self._record_quora(trace, p(2), {("x", bag("A"))}, 2.0)
-        result = check_hsigma(trace, self.pattern)
+        result = CLASSES["HSigma"].judge(trace, self.pattern)
         assert not result.ok
         assert any("disjoint" in violation for violation in result.violations)
 

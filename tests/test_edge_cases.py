@@ -13,13 +13,7 @@ from repro.consensus import (
     validate_consensus,
 )
 from repro.consensus.rules import H_OMEGA
-from repro.detectors import (
-    HOmegaOracle,
-    HSigmaOracle,
-    check_diamond_hp,
-    check_hsigma,
-)
-from repro.detectors.base import OutputKeys
+from repro.detectors import CLASSES
 from repro.identity import ProcessId
 from repro.membership import Membership, anonymous_identities, unique_identities
 from repro.sim import (
@@ -33,7 +27,7 @@ from repro.sim import (
 from repro.sim.failures import FailurePattern
 from repro.workloads import minority_crashes
 
-KEYS = OutputKeys()
+H_QUORA, _ = CLASSES["HSigma"].keys
 
 
 def p(index: int) -> ProcessId:
@@ -62,7 +56,7 @@ class TestMinimalSystems:
         trace, pattern = run_consensus(
             membership,
             lambda pid, identity: HOmegaMajorityConsensus(proposals[pid], n=3, t=1),
-            {"HOmega": lambda s: HOmegaOracle(s, stabilization_time=10.0)},
+            {"HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=10.0)},
             crashes={p(2): 8.0},
         )
         verdict = validate_consensus(trace, pattern, proposals)
@@ -74,7 +68,7 @@ class TestMinimalSystems:
         trace, pattern = run_consensus(
             membership,
             lambda pid, identity: HOmegaMajorityConsensus("only", n=1, t=0),
-            {"HOmega": lambda s: HOmegaOracle(s, stabilization_time=1.0)},
+            {"HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=1.0)},
         )
         verdict = validate_consensus(trace, pattern, proposals)
         assert verdict.ok, verdict.violations
@@ -87,8 +81,8 @@ class TestMinimalSystems:
             membership,
             lambda pid, identity: HOmegaHSigmaConsensus(proposals[pid]),
             {
-                "HOmega": lambda s: HOmegaOracle(s, stabilization_time=10.0),
-                "HSigma": lambda s: HSigmaOracle(s, stabilization_time=10.0),
+                "HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=10.0),
+                "HSigma": lambda s: CLASSES["HSigma"].oracle(s, stabilization_time=10.0),
             },
             crashes={p(1): 6.0},
             until=300.0,
@@ -106,7 +100,7 @@ class TestMinimalSystems:
         )
         trace = Simulation(system).run(until=60.0)
         pattern = FailurePattern(membership, CrashSchedule.none())
-        assert check_diamond_hp(trace, pattern).ok
+        assert CLASSES["DiamondHP"].judge(trace, pattern).ok
 
 
 class TestProposalTypes:
@@ -124,7 +118,7 @@ class TestProposalTypes:
         trace, pattern = run_consensus(
             membership,
             lambda pid, identity: HOmegaMajorityConsensus(proposals[pid], n=4),
-            {"HOmega": lambda s: HOmegaOracle(s, stabilization_time=10.0)},
+            {"HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=10.0)},
             crashes={p(3): 7.0},
         )
         verdict = validate_consensus(trace, pattern, proposals)
@@ -144,7 +138,7 @@ class TestNonDefaultWiring:
         trace, pattern = run_consensus(
             membership,
             lambda pid, identity: RewiredFigure8(proposals[pid], n=3),
-            {"leader-oracle": lambda s: HOmegaOracle(s, stabilization_time=5.0)},
+            {"leader-oracle": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=5.0)},
         )
         verdict = validate_consensus(trace, pattern, proposals)
         assert verdict.ok, verdict.violations
@@ -157,7 +151,7 @@ class TestNonDefaultWiring:
             lambda pid, identity: HOmegaMajorityConsensus(
                 "v", n=3, record_outputs=False
             ),
-            {"HOmega": lambda s: HOmegaOracle(s, stabilization_time=5.0)},
+            {"HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=5.0)},
         )
         verdict = validate_consensus(trace, pattern, proposals)
         # Decisions are still traced (ctx.decide), only auxiliary keys are not.
@@ -174,9 +168,9 @@ class TestNonDefaultWiring:
         )
         trace = Simulation(system).run(until=12.0)
         pattern = FailurePattern(membership, CrashSchedule.none())
-        assert check_hsigma(trace, pattern).ok
+        assert CLASSES["HSigma"].judge(trace, pattern).ok
         # One record per completed step, for each of the two processes.
-        assert len(trace.records_of(p(0), KEYS.H_QUORA)) >= 10
+        assert len(trace.records_of(p(0), H_QUORA)) >= 10
 
 
 class TestWorkloadEdges:

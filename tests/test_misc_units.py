@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import __version__
-from repro.detectors import DetectorProbeProgram, HOmegaOracle, HSigmaOracle
-from repro.detectors.classes import DetectorClass, detector_catalog, info_for
+from repro.detectors import CLASSES, DetectorProbeProgram
 from repro.errors import (
     ConfigurationError,
     ConsensusViolationError,
@@ -131,20 +130,6 @@ class TestRunTraceQueries:
         assert trace.message_copies_delivered == 0
 
 
-class TestDetectorCatalog:
-    def test_catalog_covers_every_class(self):
-        catalog = detector_catalog()
-        assert set(catalog) == set(DetectorClass)
-
-    def test_info_for_known_class(self):
-        info = info_for(DetectorClass.H_OMEGA)
-        assert info.family == "homonymous"
-        assert "h_leader" in info.output
-
-    def test_str_of_class_is_its_symbol(self):
-        assert str(DetectorClass.H_SIGMA) == "HΣ"
-
-
 class TestCompositeProgram:
     class _Recorder(ProcessProgram):
         def __init__(self, tag):
@@ -226,7 +211,7 @@ class TestScenarios:
             ),
             proposals=proposals,
             detectors={
-                "HOmega": lambda services: HOmegaOracle(services, stabilization_time=2.0)
+                "HOmega": lambda services: CLASSES["HOmega"].oracle(services, stabilization_time=2.0)
             },
             horizon=200.0,
             seed=6,

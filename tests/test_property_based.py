@@ -20,7 +20,7 @@ from repro.consensus import (
     HOmegaMajorityConsensus,
     validate_consensus,
 )
-from repro.detectors import check_hsigma
+from repro.detectors import CLASSES
 from repro.detectors.properties import _disjoint_quora_exist
 from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import Membership
@@ -93,7 +93,7 @@ class TestHSigmaPropertyBased:
             seed=seed,
         )
         trace = Simulation(system).run(until=steps + 2.0)
-        result = check_hsigma(trace, FailurePattern(membership, schedule))
+        result = CLASSES["HSigma"].judge(trace, FailurePattern(membership, schedule))
         assert result.ok, result.violations
 
 
@@ -199,6 +199,6 @@ class TestDisjointQuorumDecision:
             membership, holders_a, multiset_a, holders_b, multiset_b
         )
         actual = _disjoint_quora_exist(
-            membership, holders_a, multiset_a, holders_b, multiset_b
+            membership.identity_of, holders_a, multiset_a.counts, holders_b, multiset_b.counts
         )
         assert actual == expected

@@ -4,19 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.detectors import (
-    APOracle,
-    ASigmaOracle,
-    DiamondHPOracle,
-    HSigmaOracle,
-    ScriptEOracle,
-    SigmaOracle,
-    check_diamond_hp,
-    check_homega_election,
-    check_hsigma,
-    check_sigma,
-)
-from repro.detectors.classes import DetectorClass
+from repro.detectors import CLASSES, DetectorClass
 from repro.errors import ReductionError
 from repro.identity import ProcessId
 from repro.membership import anonymous_identities, grouped_identities, unique_identities
@@ -31,7 +19,6 @@ from repro.reductions import (
     equivalent_classes,
     is_stronger,
     paper_relations,
-    relation_graph,
 )
 from repro.sim import AsynchronousTiming, CrashSchedule, Simulation, build_system
 from repro.sim.failures import FailurePattern
@@ -75,10 +62,10 @@ class TestSigmaToHSigma:
         trace, pattern = run_reduction(
             membership,
             lambda pid, identity: SigmaToHSigmaWithMembership(identities, period=1.0),
-            {"Sigma": lambda s: SigmaOracle(s, stabilization_time=15.0)},
+            {"Sigma": lambda s: CLASSES["Sigma"].oracle(s, stabilization_time=15.0)},
             crashes=CRASH,
         )
-        result = check_hsigma(trace, pattern)
+        result = CLASSES["HSigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_figure2_without_membership_knowledge(self):
@@ -86,10 +73,10 @@ class TestSigmaToHSigma:
         trace, pattern = run_reduction(
             membership,
             lambda pid, identity: SigmaToHSigmaUnknownMembership(period=1.0),
-            {"Sigma": lambda s: SigmaOracle(s, stabilization_time=15.0)},
+            {"Sigma": lambda s: CLASSES["Sigma"].oracle(s, stabilization_time=15.0)},
             crashes=CRASH,
         )
-        result = check_hsigma(trace, pattern)
+        result = CLASSES["HSigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_figure1_rejects_homonymous_membership(self, paper_example_membership):
@@ -104,13 +91,13 @@ class TestHSigmaToSigma:
             membership,
             lambda pid, identity: HSigmaToSigma(period=1.0),
             {
-                "HSigma": lambda s: HSigmaOracle(s, stabilization_time=15.0),
-                "ScriptE": lambda s: ScriptEOracle(s, stabilization_time=15.0),
+                "HSigma": lambda s: CLASSES["HSigma"].oracle(s, stabilization_time=15.0),
+                "ScriptE": lambda s: CLASSES["ScriptE"].oracle(s, stabilization_time=15.0),
             },
             crashes=CRASH,
             until=100.0,
         )
-        result = check_sigma(trace, pattern)
+        result = CLASSES["Sigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_more_failures_than_majority(self):
@@ -120,13 +107,13 @@ class TestHSigmaToSigma:
             membership,
             lambda pid, identity: HSigmaToSigma(period=1.0),
             {
-                "HSigma": lambda s: HSigmaOracle(s, stabilization_time=20.0),
-                "ScriptE": lambda s: ScriptEOracle(s, stabilization_time=20.0),
+                "HSigma": lambda s: CLASSES["HSigma"].oracle(s, stabilization_time=20.0),
+                "ScriptE": lambda s: CLASSES["ScriptE"].oracle(s, stabilization_time=20.0),
             },
             crashes={p(1): 8.0, p(2): 10.0, p(3): 12.0},
             until=120.0,
         )
-        result = check_sigma(trace, pattern)
+        result = CLASSES["Sigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
 
@@ -136,10 +123,10 @@ class TestAnonymousReductions:
         trace, pattern = run_reduction(
             membership,
             lambda pid, identity: ASigmaToHSigma(period=1.0),
-            {"ASigma": lambda s: ASigmaOracle(s, stabilization_time=15.0)},
+            {"ASigma": lambda s: CLASSES["ASigma"].oracle(s, stabilization_time=15.0)},
             crashes=CRASH,
         )
-        result = check_hsigma(trace, pattern)
+        result = CLASSES["HSigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_ap_to_diamond_hp(self):
@@ -147,10 +134,10 @@ class TestAnonymousReductions:
         trace, pattern = run_reduction(
             membership,
             lambda pid, identity: APToDiamondHP(period=1.0),
-            {"AP": lambda s: APOracle(s, stabilization_time=15.0)},
+            {"AP": lambda s: CLASSES["AP"].oracle(s, stabilization_time=15.0)},
             crashes={p(1): 10.0, p(3): 12.0},
         )
-        result = check_diamond_hp(trace, pattern)
+        result = CLASSES["DiamondHP"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_ap_to_hsigma(self):
@@ -158,10 +145,10 @@ class TestAnonymousReductions:
         trace, pattern = run_reduction(
             membership,
             lambda pid, identity: APToHSigma(period=1.0),
-            {"AP": lambda s: APOracle(s, stabilization_time=15.0)},
+            {"AP": lambda s: CLASSES["AP"].oracle(s, stabilization_time=15.0)},
             crashes=CRASH,
         )
-        result = check_hsigma(trace, pattern)
+        result = CLASSES["HSigma"].judge(trace, pattern)
         assert result.ok, result.violations
 
 
@@ -171,10 +158,10 @@ class TestObservationOne:
         trace, pattern = run_reduction(
             membership,
             lambda pid, identity: DiamondHPToHOmega(period=1.0),
-            {"DiamondHP": lambda s: DiamondHPOracle(s, stabilization_time=15.0)},
+            {"DiamondHP": lambda s: CLASSES["DiamondHP"].oracle(s, stabilization_time=15.0)},
             crashes=CRASH,
         )
-        result = check_homega_election(trace, pattern)
+        result = CLASSES["HOmega"].judge(trace, pattern)
         assert result.ok, result.violations
 
     def test_homega_from_ap_chain_in_anonymous_system(self):
@@ -194,10 +181,10 @@ class TestObservationOne:
         trace, pattern = run_reduction(
             membership,
             factory,
-            {"AP": lambda s: APOracle(s, stabilization_time=15.0)},
+            {"AP": lambda s: CLASSES["AP"].oracle(s, stabilization_time=15.0)},
             crashes=CRASH,
         )
-        result = check_homega_election(trace, pattern)
+        result = CLASSES["HOmega"].judge(trace, pattern)
         assert result.ok, result.violations
 
 
@@ -225,20 +212,26 @@ class TestRegistry:
     def test_reflexivity(self):
         assert is_stronger(DetectorClass.H_OMEGA, DetectorClass.H_OMEGA)
 
-    def test_graph_contains_all_classes(self):
-        graph = relation_graph()
-        assert set(graph.nodes) == set(DetectorClass)
+    def test_relations_join_classes_of_the_table(self):
+        symbols = {row.cls for row in CLASSES.values()}
+        assert symbols == set(DetectorClass)
+        for relation in paper_relations():
+            assert {relation.source, relation.target} <= symbols
 
     def test_model_restriction_drops_edges(self):
-        full = relation_graph()
-        anonymous_only = relation_graph(model="AAS")
-        assert anonymous_only.number_of_edges() < full.number_of_edges()
+        # Σ → AΣ is an AS relation: it holds unrestricted and in AS, not in AAS,
+        # while Observation 1 (tagged "any") survives every restriction.
+        assert is_stronger(DetectorClass.SIGMA, DetectorClass.A_SIGMA)
+        assert is_stronger(DetectorClass.SIGMA, DetectorClass.A_SIGMA, model="AS")
+        assert not is_stronger(DetectorClass.SIGMA, DetectorClass.A_SIGMA, model="AAS")
+        assert is_stronger(DetectorClass.DIAMOND_HP, DetectorClass.H_OMEGA, model="AAS")
 
-    def test_implemented_relations_point_to_real_classes(self):
+    def test_implemented_relations_hold_their_program(self):
         import repro.reductions as reductions_module
+        from repro.reductions.base import PeriodicReductionProgram
 
-        for relation in paper_relations():
-            if relation.implemented_by is None:
-                continue
-            class_name = relation.implemented_by.rsplit(".", 1)[1]
-            assert hasattr(reductions_module, class_name)
+        implemented = [r.implemented_by for r in paper_relations() if r.implemented_by]
+        assert len(implemented) == 6
+        for program in implemented:
+            assert issubclass(program, PeriodicReductionProgram)
+            assert getattr(reductions_module, program.__name__) is program

@@ -24,20 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.context import ProcessProgram
-from repro.detectors import (
-    AOmegaOracle,
-    APOracle,
-    ASigmaOracle,
-    DiamondHPOracle,
-    DiamondPOracle,
-    HOmegaOracle,
-    HSigmaOracle,
-    OmegaOracle,
-    PerfectOracle,
-    ScriptEOracle,
-    SigmaOracle,
-)
-from repro.detectors import anonymous, classical, homonymous, script
+from repro.detectors import CLASSES, table
 from repro.detectors.base import stable_draw
 from repro.errors import ConfigurationError
 from repro.identity import ProcessId
@@ -256,7 +243,7 @@ class _Parent:
         alive = len(self.pattern.alive_at(self.now))
         if self.stabilized:
             return max(len(self.pattern.correct), alive)
-        return min(self.membership.size, alive + 1)
+        return min(self.membership.size, alive)
 
     def aomega(self, process):
         if self.stabilized:
@@ -270,57 +257,61 @@ class _Parent:
         return frozenset(pairs)
 
 
-#: oracle class → (membership, constructor extras, {parent formula: view query},
-#: stable_draw calls per (process, window); ``None`` = never calls it).
+#: registry name → (membership, {parent formula: view query}, stable_draw calls
+#: per (process, window); ``None`` = never calls it).
 _ORACLES = {
-    DiamondHPOracle: (_HOMONYMOUS, {}, {"diamond_hp": lambda v: v.h_trusted}, None),
-    HOmegaOracle: (_HOMONYMOUS, {}, {"homega": lambda v: v.read()}, 1),
-    HSigmaOracle: (
+    "DiamondHP": (_HOMONYMOUS, {"diamond_hp": lambda v: v.h_trusted}, None),
+    "HOmega": (_HOMONYMOUS, {"homega": lambda v: v.read()}, 1),
+    "HSigma": (
         _HOMONYMOUS,
-        {},
         {"hsigma_quora": lambda v: v.h_quora, "hsigma_labels": lambda v: v.h_labels},
         None,
     ),
-    PerfectOracle: (_UNIQUE, {}, {"perfect": lambda v: v.trusted}, None),
-    DiamondPOracle: (_UNIQUE, {}, {"diamond_p": lambda v: v.trusted}, None),
-    OmegaOracle: (_UNIQUE, {}, {"omega": lambda v: v.leader}, 1),
-    SigmaOracle: (_UNIQUE, {}, {"sigma": lambda v: v.trusted}, None),
-    ScriptEOracle: (_UNIQUE, {}, {"script_e": lambda v: v.alive}, _UNIQUE.size),
-    APOracle: (_HOMONYMOUS, {"pessimism": 1}, {"ap": lambda v: v.anap}, None),
-    AOmegaOracle: (_HOMONYMOUS, {}, {"aomega": lambda v: v.a_leader}, 1),
-    ASigmaOracle: (_HOMONYMOUS, {}, {"asigma": lambda v: v.a_sigma}, None),
+    "Perfect": (_UNIQUE, {"perfect": lambda v: v.suspected}, None),
+    "DiamondP": (_UNIQUE, {"diamond_p": lambda v: v.trusted}, None),
+    "Omega": (_UNIQUE, {"omega": lambda v: v.leader}, 1),
+    "Sigma": (_UNIQUE, {"sigma": lambda v: v.trusted}, None),
+    "ScriptE": (_UNIQUE, {"script_e": lambda v: v.alive}, _UNIQUE.size),
+    "AP": (_HOMONYMOUS, {"ap": lambda v: v.anap}, None),
+    "AOmega": (_HOMONYMOUS, {"aomega": lambda v: v.a_leader}, 1),
+    "ASigma": (_HOMONYMOUS, {"asigma": lambda v: v.a_sigma}, None),
 }
 #: Outputs that depend on who is alive *now* are recomputed on every read.
-_TIME_DEPENDENT = {PerfectOracle, APOracle}
+_TIME_DEPENDENT = {"Perfect", "AP"}
 
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Every ``stable_draw`` call the oracle modules make, by argument tuple."""
+    """Every ``stable_draw`` call the table's oracle values make, by argument tuple."""
     calls = []
 
     def counted(*parts):
         calls.append(parts)
         return stable_draw(*parts)
 
-    for module in (homonymous, classical, anonymous, script):
-        monkeypatch.setattr(module, "stable_draw", counted)
+    monkeypatch.setattr(table, "stable_draw", counted)
     return calls
 
 
 class TestOracleOutputsAreEventualOrPerWindow:
     def test_the_label_constants_are_the_oracles_own(self):
-        assert (homonymous._LABEL_ALL, homonymous._LABEL_CORRECT) == _LABELS["h"]
-        assert (anonymous._LABEL_ALL, anonymous._LABEL_CORRECT) == _LABELS["a"]
+        assert table._labels("hΣ") == _LABELS["h"]
+        assert table._labels("aΣ") == _LABELS["a"]
 
-    @pytest.mark.parametrize("oracle_class", _ORACLES, ids=lambda cls: cls.__name__)
-    def test_every_query_equals_the_parent_formula(self, oracle_class, draws):
-        membership, extras, queries, draws_per_window = _ORACLES[oracle_class]
+    def test_every_row_is_covered_and_the_time_dependent_ones_say_so(self):
+        assert set(_ORACLES) == set(CLASSES)
+        assert _TIME_DEPENDENT == {
+            name for name, row in CLASSES.items() if row.transient is None
+        }
+
+    @pytest.mark.parametrize("name", _ORACLES)
+    def test_every_query_equals_the_parent_formula(self, name, draws):
+        membership, queries, draws_per_window = _ORACLES[name]
         schedule = CrashSchedule.at_times(_CRASHES)
         clock = Clock()
         services = make_services(membership, crash_schedule=schedule, clock=clock)
-        oracle = oracle_class(
-            services, stabilization_time=_STABILIZATION, noise_period=_NOISE_PERIOD, **extras
+        oracle = CLASSES[name].oracle(
+            services, stabilization_time=_STABILIZATION, noise_period=_NOISE_PERIOD
         )
         views = {process: oracle.view_for(process) for process in membership.processes}
         for now in _TIMES:
@@ -331,7 +322,7 @@ class TestOracleOutputsAreEventualOrPerWindow:
                     expected = getattr(parent, formula)(process)
                     first, second = query(view), query(view)
                     assert first == second == expected, (now, process, formula)
-                    if now >= _STABILIZATION and oracle_class not in _TIME_DEPENDENT:
+                    if now >= _STABILIZATION and name not in _TIME_DEPENDENT:
                         assert first is second, (now, process, formula)
         # Windows 0, 1 and the truncated 2 were each read several times by
         # every process: the sha256 ran once per (process, window) all the same.
@@ -340,7 +331,7 @@ class TestOracleOutputsAreEventualOrPerWindow:
 
     def test_an_eventual_output_is_resolved_at_the_first_stabilised_read_only(self):
         clock = Clock()
-        oracle = HOmegaOracle(
+        oracle = CLASSES["HOmega"].oracle(
             make_services(_HOMONYMOUS, clock=clock), stabilization_time=_STABILIZATION
         )
         resolved, transient = [], []

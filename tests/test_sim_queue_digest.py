@@ -252,8 +252,7 @@ class TestDeterminismDigest:
 
     def test_synchronous_batched_broadcast_is_digest_stable(self):
         """The HSS batched-broadcast fast path must be deterministic too."""
-        from repro.detectors.probe import DetectorProbeProgram, hsigma_probes
-        from repro.detectors import HSigmaOracle
+        from repro.detectors import CLASSES, DetectorProbeProgram
 
         def run_once():
             membership = grouped_identities([2, 2])
@@ -261,9 +260,9 @@ class TestDeterminismDigest:
                 membership=membership,
                 timing=SynchronousTiming(step=1.0),
                 program_factory=lambda pid, identity: DetectorProbeProgram(
-                    hsigma_probes(), period=1.0
+                    CLASSES["HSigma"].probes(), period=1.0
                 ),
-                detectors={"HSigma": lambda s: HSigmaOracle(s, stabilization_time=5.0)},
+                detectors={"HSigma": lambda s: CLASSES["HSigma"].oracle(s, stabilization_time=5.0)},
                 seed=11,
             )
             simulation = Simulation(system)
