@@ -15,12 +15,20 @@ from repro.errors import SchedulingError
 from repro.membership import grouped_identities
 from repro.runtime import Engine, RunRecord, minority, scenario
 from repro.sim import (
+    AsynchronousTiming,
+    ComposedLinks,
+    CrashEvent,
+    CrashSchedule,
     EventQueue,
+    JitterLinks,
+    LossyLinks,
+    PartiallySynchronousTiming,
+    ProcessProgram,
     Simulation,
     SynchronousTiming,
     build_system,
 )
-from repro.sim.events import KIND_DELIVERY
+from repro.sim.events import KIND_CRASH, KIND_DELIVERY, KIND_RESUME
 
 
 def _drain_order(queue: EventQueue) -> list:
@@ -270,3 +278,181 @@ class TestDeterminismDigest:
             return simulation.digest
 
         assert run_once() == run_once()
+
+
+# ----------------------------------------------------------------------
+# Pinned runs: one small system per timing/link discipline, recorded at
+# ec33f68 (before the heap-tuple rewrite of sim/events.py) and never
+# re-recorded.  What a run dispatched, counted and left queued must not move.
+# ----------------------------------------------------------------------
+class _Chatter(ProcessProgram):
+    """Eight PINGs a time unit apart; every third PING heard is answered with
+    an ECHO from the handler; a second task blocks until five ECHOs arrived
+    (so deliveries re-evaluate a ``wait_until``) and then says DONE."""
+
+    def __init__(self, lock_step: bool) -> None:
+        self._lock_step = lock_step
+
+    def setup(self, ctx):
+        heard = {"PING": 0, "ECHO": 0}
+
+        def on_ping(message):
+            heard["PING"] += 1
+            if heard["PING"] % 3 == 0:
+                ctx.broadcast("ECHO")
+
+        def on_echo(message):
+            heard["ECHO"] += 1
+
+        def chatter():
+            for _ in range(8):
+                ctx.broadcast("PING")
+                if self._lock_step:
+                    yield ctx.next_synchronous_step()
+                else:
+                    yield ctx.sleep(1.0)
+
+        def waiter():
+            yield ctx.wait_until(lambda: heard["ECHO"] >= 5)
+            ctx.broadcast("DONE")
+
+        ctx.on("PING", on_ping)
+        ctx.on("ECHO", on_echo)
+        ctx.spawn(chatter, name="chatter")
+        ctx.spawn(waiter, name="waiter")
+
+
+_PIN_CASES = {
+    "async": (AsynchronousTiming(min_latency=0.1, max_latency=6.0, max_step=0.0), None),
+    "partial-sync": (
+        PartiallySynchronousTiming(
+            gst=6.0, delta=1.0, pre_gst_max_latency=8.0, pre_gst_loss=0.3
+        ),
+        None,
+    ),
+    "hss": (SynchronousTiming(step=1.0), None),
+    "lossy-jitter": (
+        AsynchronousTiming(min_latency=0.1, max_latency=2.0),
+        ComposedLinks((LossyLinks(loss=0.2), JitterLinks(max_jitter=0.5))),
+    ),
+}
+
+
+def _pinned_run(case: str, *, crash: bool, debug: bool = False) -> tuple:
+    timing, links = _PIN_CASES[case]
+    membership = grouped_identities([2, 2, 1])
+    schedule = None
+    if crash:
+        # p1 crashes at the instant of its fourth PING: half the copies go out.
+        schedule = CrashSchedule(
+            (CrashEvent(membership.processes[1], 3.0, partial_broadcast_fraction=0.5),)
+        )
+    system = build_system(
+        membership=membership,
+        timing=timing,
+        program_factory=lambda pid, identity: _Chatter(
+            lock_step=isinstance(timing, SynchronousTiming)
+        ),
+        crash_schedule=schedule,
+        links=links,
+        seed=5,
+        debug=debug,
+    )
+    simulation = Simulation(system)
+    trace = simulation.run(until=9.5)
+    return (
+        simulation.digest,
+        simulation.events_processed,
+        trace.deliveries_by_kind(),
+        trace.message_copies_sent,
+        trace.message_copies_delivered,
+        len(simulation.queue),
+    )
+
+
+_PINS = {
+    ("async", False): ("718a054965ba389f", 388, {"PING": 163, "ECHO": 152, "DONE": 18}, 490, 333, 157),
+    ("async", True): ("f11d70f6577e1fc2", 329, {"PING": 128, "ECHO": 93, "DONE": 14}, 397, 235, 118),
+    ("partial-sync", False): ("5bc6e85eebd43034", 406, {"PING": 138, "ECHO": 188, "DONE": 25}, 440, 351, 34),
+    ("partial-sync", True): ("10346a79e4acfaf5", 311, {"PING": 96, "ECHO": 95, "DONE": 16}, 347, 207, 28),
+    ("hss", False): ("dd52627954a68619", 605, {"PING": 200, "ECHO": 325, "DONE": 25}, 550, 550, 0),
+    ("hss", True): ("ea5a094af4687799", 508, {"PING": 157, "ECHO": 229, "DONE": 25}, 457, 411, 0),
+    ("lossy-jitter", False): ("cd1257d433514c81", 433, {"PING": 160, "ECHO": 200, "DONE": 18}, 485, 378, 14),
+    ("lossy-jitter", True): ("f784a16cc6ebc009", 364, {"PING": 127, "ECHO": 129, "DONE": 12}, 402, 268, 10),
+}
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize("debug", [False, True], ids=["default", "debug-labels"])
+    @pytest.mark.parametrize("case, crash", sorted(_PINS))
+    def test_run_matches_the_values_recorded_at_ec33f68(self, case, crash, debug):
+        """``debug=True`` takes the labelled spelling of the send loop; it
+        must dispatch, count and leave queued exactly what the default does."""
+        assert _pinned_run(case, crash=crash, debug=debug) == _PINS[(case, crash)]
+
+    def test_pins_exercise_what_they_claim(self):
+        for (case, crash), (_, _, by_kind, sent, delivered, queued) in _PINS.items():
+            assert set(by_kind) >= {"PING", "ECHO"}, case
+            if case in ("partial-sync", "lossy-jitter"):
+                assert delivered + queued < sent, case  # copies really were lost
+        # Still-queued copies at the horizon: the final ``len(queue)`` is not vacuous.
+        assert _PINS[("async", False)][5] > 0
+        # The partial broadcast sent fewer copies than the clean one.
+        assert _PINS[("hss", True)][3] < _PINS[("hss", False)][3]
+
+    def test_copy_to_a_crashed_process_is_dispatched_but_not_counted(self):
+        """p0 broadcasts at t=0 (latency exactly 1); p1 crashes at t=0.5.  Both
+        copies are dispatched — they are in ``events_processed`` and in the
+        digest — but only p0's is counted as delivered."""
+        membership = grouped_identities([1, 1])
+
+        class _OneShot(ProcessProgram):
+            def __init__(self, speaks: bool) -> None:
+                self._speaks = speaks
+
+            def setup(self, ctx):
+                def speak():
+                    ctx.broadcast("HELLO")
+                    return
+                    yield
+
+                if self._speaks:
+                    ctx.spawn(speak, name="speak")
+
+        system = build_system(
+            membership=membership,
+            timing=AsynchronousTiming(min_latency=1.0, max_latency=1.0),
+            program_factory=lambda pid, identity: _OneShot(speaks=pid.index == 0),
+            crash_schedule=CrashSchedule.at_times({membership.processes[1]: 0.5}),
+            seed=0,
+        )
+        simulation = Simulation(system)
+        trace = simulation.run(until=5.0)
+        assert trace.message_copies_sent == 2
+        assert trace.message_copies_delivered == 1
+        assert trace.deliveries_by_kind() == {"HELLO": 1}
+        assert simulation.events_processed == 4
+        assert len(simulation.queue) == 0
+        # The crash is scheduled first (sequence 0), p0's task next, then the copies.
+        dispatched = [
+            (0.0, 2, 1, KIND_RESUME),
+            (0.5, 5, 0, KIND_CRASH),
+            (1.0, 1, 2, KIND_DELIVERY),
+            (1.0, 1, 3, KIND_DELIVERY),
+        ]
+        assert simulation.digest == f"{_reference_digest(dispatched):016x}"
+
+
+def _reference_digest(dispatched) -> int:
+    """The digest fold, restated: FNV-style over ``(time, priority, sequence,
+    kind)`` of every dispatched event, in dispatch order."""
+    digest = 0
+    for time, priority, sequence, kind in dispatched:
+        digest = (
+            (digest * 1099511628211)
+            ^ hash(time)
+            ^ (priority * 0x9E3779B1)
+            ^ (sequence * 0x85EBCA6B)
+            ^ (kind * 0xC2B2AE35)
+        ) & 0xFFFFFFFFFFFFFFFF
+    return digest
