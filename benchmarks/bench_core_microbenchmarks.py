@@ -152,8 +152,8 @@ def test_broadcast_heavy_run_default_links(benchmark):
     """6 processes gossiping for 60 time units over the default reliable links.
 
     This pins the broadcast hot path itself (2160 scheduled deliveries per
-    run): event recycling, the tuple-keyed heap, batched timing draws, and
-    index-addressed delivery callbacks all show up here.
+    run): one heap tuple per copy, batched timing draws, and delivery
+    callbacks resolved once per recipient set all show up here.
     """
     trace = benchmark(lambda: Simulation(_gossip_system(None)).run(until=70.0))
     assert trace.message_copies_delivered == trace.message_copies_sent
@@ -162,8 +162,8 @@ def test_broadcast_heavy_run_default_links(benchmark):
 
 
 def test_broadcast_heavy_run_synchronous_batched(benchmark):
-    """The gossip load under HSS timing, where every broadcast's deliveries
-    collapse into one batched heap entry (n recipients, one heap operation)."""
+    """The gossip load under HSS timing, where every copy of a broadcast is
+    due at the same instant (one time computed, n same-time heap entries)."""
     timing = SynchronousTiming(step=1.0)
     trace = benchmark(lambda: Simulation(_gossip_system(None, timing)).run(until=70.0))
     assert trace.message_copies_delivered == trace.message_copies_sent

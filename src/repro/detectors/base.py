@@ -155,6 +155,6 @@ class OracleDetector:
             eventual, clock = row.eventual, self.clock
             return row.view(lambda: eventual(self, process, clock.now))
         transient = partial(row.transient, self, process)
-        if row.transient.__code__.co_argcount == 3:
+        if row.windowed:
             transient = self.per_window(transient)
         return row.view(self.reader(partial(row.eventual, self, process), transient))

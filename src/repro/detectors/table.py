@@ -20,8 +20,9 @@ and whether it takes a ``noise_period`` all follow from the row;
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Mapping
 
 from ..identity import IdentityMultiset, ProcessId
@@ -99,6 +100,16 @@ class DetectorRow:
     elects: bool = False
     unique_ids_only: bool = False
     paper_item: str = ""
+
+    @cached_property
+    def windowed(self) -> bool:
+        """Whether ``transient`` takes the noise window as a third parameter
+        (any callable ``inspect.signature`` can read: a function, a
+        ``functools.partial``, a callable object); decided once per row."""
+        return (
+            self.transient is not None
+            and len(inspect.signature(self.transient).parameters) == 3
+        )
 
     @property
     def keys(self) -> tuple[str, ...]:

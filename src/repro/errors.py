@@ -68,10 +68,6 @@ class DetectorError(ReproError):
     """A failure detector was queried or constructed incorrectly."""
 
 
-class UnknownDetectorClassError(DetectorError):
-    """A detector class name was requested that the registry does not know."""
-
-
 class ReductionError(ReproError):
     """A failure-detector reduction was applied in an unsupported model.
 

@@ -388,6 +388,7 @@ def validate_spec(spec: ScenarioSpec) -> None:
     if spec.backend == "real":
         _validate_real_backend(spec)
 
+    spec.timing.build()  # a timing model validates its own parameters
     membership = spec.membership.build()
     n = membership.size
     worst_faulty = spec.crashes.worst_case_faulty(n)

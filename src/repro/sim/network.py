@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Mapping
 
-from ..errors import SimulationError
+from ..errors import SchedulingError, SimulationError
 from ..identity import ProcessId
 from ..membership import Membership
 from .clock import Clock
@@ -90,9 +90,11 @@ class Network:
             if event.partial_broadcast_fraction is not None:
                 self._partial_crash_by_index[event.process.index] = event
         self._deliver_to: Mapping[ProcessId, Callable[[Message], None]] = {}
-        # Delivery callbacks addressed by process index: list indexing beats
-        # dict hashing for the one lookup every message copy must make.
+        # Delivery callbacks addressed by process index (list indexing beats
+        # dict hashing), and resolved once for the one recipient set nearly
+        # every send has: everyone.
         self._deliver_by_index: list[Callable[[Message], None] | None] = []
+        self._deliver_to_everyone: tuple[Callable[[Message], None], ...] = ()
         # Index → ProcessId, for resolving multicast target sets.
         self._process_by_index: list[ProcessId | None] = [None] * index_bound
         for process in self._everyone:
@@ -114,6 +116,7 @@ class Network:
         for process, callback in deliver_to.items():
             by_index[process.index] = callback
         self._deliver_by_index = by_index
+        self._deliver_to_everyone = tuple(by_index[p.index] for p in self._everyone)
 
     # ------------------------------------------------------------------
     # The send primitives
@@ -138,20 +141,16 @@ class Network:
     def _send(
         self, sender: ProcessId, message: Message, recipients: tuple[ProcessId, ...]
     ) -> None:
-        """The copy fate pipeline: schedule one delivery per surviving copy.
+        """The copy fate pipeline: one queue call schedules every surviving copy.
 
-        Three paths, fastest first, all draw-for-draw and dispatch-order
-        identical (checked by the determinism digest):
-
-        * reliable links + uniform delivery (HSS): every copy arrives at the
-          same deterministic instant, so the whole send becomes one batched
-          heap entry — ``n`` recipients cost one heap operation;
-        * reliable links, per-receiver draws (HAS/HPS): one amortised
-          :meth:`~repro.sim.timing.TimingModel.delivery_times` call, one
-          (possibly recycled) event per surviving copy;
-        * adversarial links: the full per-copy pipeline through
-          :meth:`~repro.sim.links.LinkModel.deliveries`, preserving the
-          per-receiver RNG draw interleaving.
+        The link models differ only in how the copies' times are drawn:
+        reliable links take one amortised
+        :meth:`~repro.sim.timing.TimingModel.delivery_times` call (a single
+        computation under HSS, where every copy arrives at the same instant);
+        adversarial links go copy by copy through
+        :meth:`~repro.sim.links.LinkModel.deliveries`, preserving the
+        per-receiver RNG draw interleaving.  A ``None`` time is a copy lost
+        before GST (partially synchronous model only).
         """
         deliver = self._deliver_by_index
         if not deliver:
@@ -159,59 +158,66 @@ class Network:
         if not recipients:
             return
         sent_at = self._clock.now
-        timing = self._timing
-        rng = self._rng
-        queue = self._queue
-        debug = queue.debug_labels
         if self._links_are_reliable:
-            if timing.uniform_delivery and len(recipients) > 1 and not debug:
-                drawn = timing.delivery_time(sender, recipients[0], sent_at, rng)
-                if drawn is None:
-                    return
-                if drawn < sent_at:
-                    raise _early_delivery("timing", drawn, sent_at)
-                queue.schedule_batch(
-                    drawn,
-                    [deliver[receiver.index] for receiver in recipients],
-                    args=(message,),
+            drawn_by = "timing"
+            times = self._timing.delivery_times(sender, recipients, sent_at, self._rng)
+        else:
+            drawn_by = "link"
+            recipients, times = self._through_links(sender, recipients, sent_at)
+        if recipients is self._everyone:
+            callbacks = self._deliver_to_everyone
+        else:
+            callbacks = [deliver[receiver.index] for receiver in recipients]
+        queue = self._queue
+        try:
+            if queue.debug_labels:
+                # The labelled spelling of ``schedule_all``, one handle per copy.
+                for receiver, when, callback in zip(recipients, times, callbacks):
+                    if when is not None:
+                        queue.schedule(
+                            when,
+                            callback,
+                            args=(message,),
+                            priority=_DELIVERY_PRIORITY,
+                            label=f"deliver {message.kind} to {receiver!r}",
+                            kind=KIND_DELIVERY,
+                            not_before=sent_at,
+                        )
+            else:
+                queue.schedule_all(
+                    times,
+                    callbacks,
+                    (message,),
                     priority=_DELIVERY_PRIORITY,
                     kind=KIND_DELIVERY,
+                    not_before=sent_at,
                 )
-                return
-            schedule = queue.schedule
-            times = timing.delivery_times(sender, recipients, sent_at, rng)
-            for receiver, when in zip(recipients, times):
-                if when is None:
-                    continue  # lost before GST (partially synchronous model only)
-                if when < sent_at:
-                    raise _early_delivery("timing", when, sent_at)
-                schedule(
-                    when,
-                    deliver[receiver.index],
-                    args=(message,),
-                    priority=_DELIVERY_PRIORITY,
-                    label=f"deliver {message.kind} to {receiver!r}" if debug else "",
-                    kind=KIND_DELIVERY,
-                )
-            return
+        except SchedulingError as error:
+            for when in times:
+                if when is not None and not when >= sent_at:
+                    raise _early_delivery(drawn_by, when, sent_at) from error
+            raise
+
+    def _through_links(
+        self, sender: ProcessId, recipients: tuple[ProcessId, ...], sent_at: float
+    ) -> tuple[list[ProcessId], list[float]]:
+        """Draw each copy's time, then let the link model drop, repeat or
+        re-time it: the receiver and time of every copy that will arrive."""
+        timing = self._timing
         links = self._links
+        rng = self._rng
+        receivers: list[ProcessId] = []
+        times: list[float] = []
         for receiver in recipients:
             drawn = timing.delivery_time(sender, receiver, sent_at, rng)
             if drawn is None:
-                continue  # lost before GST (partially synchronous model only)
+                continue
             if drawn < sent_at:
                 raise _early_delivery("timing", drawn, sent_at)
             for when in links.deliveries(sender, receiver, sent_at, (drawn,), rng):
-                if when < sent_at:
-                    raise _early_delivery("link", when, sent_at)
-                queue.schedule(
-                    when,
-                    deliver[receiver.index],
-                    args=(message,),
-                    priority=_DELIVERY_PRIORITY,
-                    label=f"deliver {message.kind} to {receiver!r}" if debug else "",
-                    kind=KIND_DELIVERY,
-                )
+                receivers.append(receiver)
+                times.append(when)
+        return receivers, times
 
     # ------------------------------------------------------------------
     # Internals

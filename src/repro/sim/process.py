@@ -170,6 +170,7 @@ class ProcessRuntime:
         self._queue = queue
         self._timing = timing
         self._trace = trace
+        self._delivered = trace.delivered_by_kind
         self._broadcast_fn = broadcast_fn
         self._multicast_fn = multicast_fn
         self._handlers: dict[str, list[Callable[[Message], None]]] = {}
@@ -257,13 +258,28 @@ class ProcessRuntime:
         self._handlers.setdefault(kind, []).append(handler)
 
     def deliver(self, message: Message) -> None:
-        """Deliver one message copy: run handlers, then re-check waiting tasks."""
+        """Deliver one message copy: count it, run handlers, re-check waiting tasks.
+
+        One frame for the whole delivery — the count is
+        :meth:`RunTrace.record_delivery` and the scan is :meth:`poke`, both
+        spelled out here because almost every event of a run is a delivery.
+        """
         if self._crashed:
             return
-        self._trace.record_delivery(message.kind)
-        for handler in self._handlers.get(message.kind, ()):  # registration order
+        kind = message.kind
+        delivered = self._delivered
+        delivered[kind] = delivered.get(kind, 0) + 1
+        for handler in self._handlers.get(kind, ()):  # registration order
             handler(message)
-        self.poke()
+        for task in self._tasks:
+            waiting_on = task.waiting_on
+            if (
+                waiting_on is not None
+                and task.pending_event is None
+                and waiting_on.predicate()
+            ):
+                task.waiting_on = None
+                self._schedule_resumption(task, at=self.clock.now)
 
     # ------------------------------------------------------------------
     # Trace output

@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 from ..errors import SimulationError
 from ..identity import ProcessId
 from .clock import Clock, Time
-from .events import KIND_CRASH, KIND_DELIVERY, KIND_DETECTOR, EventQueue
+from .events import KIND_CRASH, KIND_DETECTOR, EventQueue
 from .failures import FailurePattern
 from .network import Network
 from .process import ProcessRuntime
@@ -127,24 +127,19 @@ class Simulation:
                 runtime.attach_detector_view(name, detector.view_for(process))
 
     def _schedule_crashes(self) -> None:
-        for event in self.system.crash_schedule.events:
-            runtime = self.runtimes[event.process]
-            self.queue.schedule(
-                event.time,
-                runtime.crash,
-                priority=_CRASH_PRIORITY,
-                label=f"crash {event.process!r}",
-                kind=KIND_CRASH,
-            )
+        events = self.system.crash_schedule.events
+        self.queue.schedule_all(
+            [float(event.time) for event in events],
+            [self.runtimes[event.process].crash for event in events],
+            (),
+            priority=_CRASH_PRIORITY,
+            kind=KIND_CRASH,
+            not_before=0.0,
+        )
 
     def _schedule_callback(self, when: Time, action: Callable[[], None]):
         return self.queue.schedule(
-            when,
-            action,
-            priority=3,
-            label="detector-wakeup",
-            kind=KIND_DETECTOR,
-            not_before=None,
+            when, action, priority=3, label="detector-wakeup", kind=KIND_DETECTOR
         )
 
     # ------------------------------------------------------------------
@@ -191,27 +186,27 @@ class Simulation:
                 DIGEST_SINK.append(self.queue.digest)
             return self.trace
         stopped_early = False
-        queue = self.queue
+        pop_next = self.queue.pop_next
         clock = self.clock
+        processed = self._events_processed
         while True:
             # One fused call: returns None both when the queue is empty and
             # when the next event lies beyond the horizon.
-            event = queue.pop_next(until)
-            if event is None:
+            entry = pop_next(until)
+            if entry is None:
                 break
-            clock.advance_to(event.time)
-            event.action(*event.args)
-            self._events_processed += 1
-            if self._events_processed > max_events:
+            # ``clock.advance_to(time)`` without the call, once per event.
+            time = entry[0]
+            if time < clock._now:
+                clock.advance_to(time)  # raises: the clock never moves backwards
+            clock._now = time
+            entry[4](*entry[5])
+            self._events_processed = processed = processed + 1
+            if processed > max_events:
                 raise SimulationError(
                     f"the run exceeded {max_events} events; "
                     "the algorithm is probably not quiescing"
                 )
-            # Delivery events are never cancelled and their handles are never
-            # retained, so the dispatched object can be reused by the next
-            # schedule() instead of allocating a fresh one.
-            if event.kind == KIND_DELIVERY and event.batch is None:
-                queue.recycle(event)
             if stop_when is not None and stop_when(self):
                 stopped_early = True
                 break

@@ -42,12 +42,6 @@ class TimingModel:
     #: Whether the model drives processes in lock-step rounds (HSS only).
     synchronous_steps: bool = False
 
-    #: Whether one broadcast's copies all arrive at the same drawn time for
-    #: every receiver, with no per-receiver randomness (HSS only).  The
-    #: network uses this to collapse a reliable broadcast's ``n`` deliveries
-    #: into one batched heap entry.
-    uniform_delivery: bool = False
-
     def delivery_time(
         self,
         sender: ProcessId,
@@ -87,6 +81,18 @@ class TimingModel:
         raise NotImplementedError
 
 
+def _require_finite(model: TimingModel, *fields: str) -> None:
+    """Reject NaN and infinite parameters: the range checks below only test
+    ``<``, which NaN passes, and a non-finite delivery time never arrives (or,
+    as NaN, sorts ahead of every real one)."""
+    for name in fields:
+        value = getattr(model, name)
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"{type(model).__name__}.{name} must be a finite number, not {value!r}"
+            )
+
+
 @dataclass
 class AsynchronousTiming(TimingModel):
     """Reliable asynchronous links: arbitrary but finite delivery delays.
@@ -103,6 +109,7 @@ class AsynchronousTiming(TimingModel):
     max_step: Time = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "min_latency", "max_latency", "min_step", "max_step")
         if self.min_latency < 0 or self.max_latency < self.min_latency:
             raise ConfigurationError(
                 "latencies must satisfy 0 <= min_latency <= max_latency"
@@ -169,6 +176,9 @@ class PartiallySynchronousTiming(TimingModel):
     max_step: Time = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self, "gst", "delta", "min_latency", "pre_gst_max_latency", "pre_gst_loss", "max_step"
+        )
         if self.gst < 0:
             raise ConfigurationError("GST cannot be negative")
         if self.delta <= 0:
@@ -223,11 +233,9 @@ class SynchronousTiming(TimingModel):
     delivery_fraction: float = 0.5
 
     synchronous_steps = True
-    # Every receiver of one broadcast gets the same deterministic delivery
-    # time, so the network can schedule the whole broadcast as one batch.
-    uniform_delivery = True
 
     def __post_init__(self) -> None:
+        _require_finite(self, "step", "delivery_fraction")
         if self.step <= 0:
             raise ConfigurationError("step duration must be positive")
         if not 0 < self.delivery_fraction < 1:
@@ -257,6 +265,17 @@ class SynchronousTiming(TimingModel):
         # A message sent late within the step is still delivered before the
         # boundary, but never before it was sent.
         return max(sent_at, in_step_delivery)
+
+    def delivery_times(
+        self,
+        sender: ProcessId,
+        receivers: Sequence[ProcessId],
+        sent_at: Time,
+        rng: random.Random,
+    ) -> list[Time | None]:
+        # Every receiver of one broadcast gets the same deterministic time
+        # (the receiver plays no part in it): computed once.
+        return [self.delivery_time(sender, sender, sent_at, rng)] * len(receivers)
 
     def describe(self) -> str:
         return f"synchronous step={self.step}"

@@ -50,7 +50,10 @@ class RunTrace:
         # broadcast and once per delivered copy, where Counter's Python-level
         # ``__missing__`` shows up in profiles.
         self._sends_by_kind: dict[str, int] = {}
-        self._deliveries_by_kind: dict[str, int] = {}
+        #: Delivered copies per message kind.  Public because the process
+        #: runtime bumps it in place, once per delivered copy, instead of
+        #: calling :meth:`record_delivery`.
+        self.delivered_by_kind: dict[str, int] = {}
         self._send_copies = 0
         self._broadcast_invocations = 0
         self._end_time: Time = 0.0
@@ -86,7 +89,7 @@ class RunTrace:
 
     def record_delivery(self, kind: str) -> None:
         """Record one message copy delivered to a process."""
-        deliveries = self._deliveries_by_kind
+        deliveries = self.delivered_by_kind
         deliveries[kind] = deliveries.get(kind, 0) + 1
 
     def mark_end(self, time: Time) -> None:
@@ -217,8 +220,9 @@ class RunTrace:
 
     @property
     def message_copies_delivered(self) -> int:
-        """Total link-level message copies delivered to (possibly crashed) processes."""
-        return sum(self._deliveries_by_kind.values())
+        """Total link-level message copies delivered to live processes (a copy
+        reaching a crashed process is dispatched but not counted)."""
+        return sum(self.delivered_by_kind.values())
 
     def broadcasts_by_kind(self) -> dict[str, int]:
         """Broadcast invocations grouped by message kind."""
@@ -226,4 +230,4 @@ class RunTrace:
 
     def deliveries_by_kind(self) -> dict[str, int]:
         """Delivered message copies grouped by message kind."""
-        return dict(self._deliveries_by_kind)
+        return dict(self.delivered_by_kind)

@@ -186,6 +186,35 @@ def test_the_library_imports_only_the_standard_library() -> None:
     assert not offenders, "third-party import under src/repro:\n" + "\n".join(offenders)
 
 
+def test_the_event_queue_keeps_its_heap_to_itself() -> None:
+    """One heap-entry shape, one dispatch loop: ``heapq`` is imported by
+    ``sim/events.py`` alone, and nothing else reads the queue's private state
+    (the engine's loop goes through ``pop_next`` like any other caller)."""
+    from repro.sim.events import EventQueue
+
+    private = {name for name in vars(EventQueue()) if name.startswith("_")}
+    assert {"_heap", "_digest"} <= private
+    owner = ROOT / "src" / "repro" / "sim" / "events.py"
+    offenders = []
+    sources = [
+        path
+        for folder in ("src/repro", "bench", "benchmarks", "examples")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert owner in sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports_heapq = any(alias.name == "heapq" for alias in node.names)
+            else:
+                imports_heapq = isinstance(node, ast.ImportFrom) and node.module == "heapq"
+            if imports_heapq and path != owner and path.is_relative_to(ROOT / "src"):
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}: imports heapq")
+            if isinstance(node, ast.Attribute) and node.attr in private and path != owner:
+                offenders.append(f"{path.relative_to(ROOT)}:{node.lineno}: reads .{node.attr}")
+    assert not offenders, "\n".join(offenders)
+
+
 def test_coord_and_ph0_are_each_broadcast_from_one_function() -> None:
     """One round skeleton: a second ``broadcast("COORD"/"PH0", …)`` is a phase being re-pasted."""
     sites: dict[str, list[str]] = {"COORD": [], "PH0": []}

@@ -538,6 +538,38 @@ class TestTheAxiomsRejectAndAdmit:
         assert trace.all_decided(pattern.correct)
         assert min(decision.time for decision in trace.decisions.values()) > 30.0
 
+    def test_a_transient_may_be_a_partial_or_a_callable_object(self):
+        """Whether a transient is per-read or per-window is read from its
+        signature — ``__code__.co_argcount`` raised ``AttributeError`` on both."""
+
+        def says(leader, run, process, window):
+            return leader, window + 1
+
+        class SaysNobody:
+            def __call__(self, run, process):
+                return "nobody", 0
+
+        per_window = dataclasses.replace(CLASSES["HOmega"], transient=partial(says, "grp1"))
+        per_read = dataclasses.replace(CLASSES["HOmega"], transient=SaysNobody())
+        assert per_window.windowed and not per_read.windowed
+        assert CLASSES["HOmega"].windowed and not CLASSES["DiamondHP"].windowed
+        assert not CLASSES["Perfect"].windowed  # no transient at all
+
+        watcher = ProcessId(0)
+        trace = _probe_run(per_window).trace
+        before = [
+            (leader, multiplicity)
+            for (time, leader), (_, multiplicity) in zip(
+                trace.values_of(watcher, "HOmega.h_leader"),
+                trace.values_of(watcher, "HOmega.h_multiplicity"),
+            )
+            if time < 15.0
+        ]
+        # Noise windows of 4 time units: the bound ``window`` argument shows.
+        assert set(before) == {("grp1", 1), ("grp1", 2), ("grp1", 3), ("grp1", 4)}
+        trace = _probe_run(per_read).trace
+        assert trace.values_of(watcher, "HOmega.h_leader")[0][1] == "nobody"
+
 
 # ----------------------------------------------------------------------
 # (d) A class is declared once

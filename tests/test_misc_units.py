@@ -16,7 +16,6 @@ from repro.errors import (
     SchedulingError,
     SimulationError,
     TraceError,
-    UnknownDetectorClassError,
 )
 from repro.identity import ProcessId
 from repro.membership import grouped_identities, unique_identities
@@ -48,7 +47,6 @@ class TestErrorsHierarchy:
             SchedulingError,
             SimulationError,
             TraceError,
-            UnknownDetectorClassError,
         ):
             assert issubclass(error_class, ReproError)
 

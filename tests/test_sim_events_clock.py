@@ -35,8 +35,8 @@ class TestEventQueue:
         order: list[str] = []
         queue.schedule(2.0, lambda: order.append("late"))
         queue.schedule(1.0, lambda: order.append("early"))
-        while (event := queue.pop_next()) is not None:
-            event.action()
+        while (entry := queue.pop_next()) is not None:
+            entry[4]()
         assert order == ["early", "late"]
 
     def test_same_time_orders_by_priority_then_fifo(self):
@@ -45,8 +45,8 @@ class TestEventQueue:
         queue.schedule(1.0, lambda: order.append("a"), priority=1)
         queue.schedule(1.0, lambda: order.append("b"), priority=0)
         queue.schedule(1.0, lambda: order.append("c"), priority=1)
-        while (event := queue.pop_next()) is not None:
-            event.action()
+        while (entry := queue.pop_next()) is not None:
+            entry[4]()
         assert order == ["b", "a", "c"]
 
     def test_cancellation_skips_event(self):
@@ -70,7 +70,7 @@ class TestEventQueue:
         queue = EventQueue()
         stale = queue.schedule(1.0, lambda: None)
         queue.schedule(2.0, lambda: None)
-        assert queue.pop_next() is stale
+        assert queue.pop_next()[6] is stale
         queue.cancel(stale)
         assert len(queue) == 1
         assert queue.peek_time() == 2.0
@@ -79,7 +79,8 @@ class TestEventQueue:
         queue = EventQueue()
         received: list[tuple] = []
         queue.schedule(1.0, lambda *args: received.append(args), args=("m", 2))
-        queue.pop_next().run()
+        _, _, _, _, action, args, _ = queue.pop_next()
+        action(*args)
         assert received == [("m", 2)]
 
     def test_peek_time(self):
@@ -101,10 +102,35 @@ class TestEventQueue:
         with pytest.raises(SchedulingError):
             queue.schedule(-1.0, lambda: None)
 
+    def test_rejects_nan_time(self):
+        """``nan < 0`` is false, so a ``<`` guard let NaN in — and the heap then
+        served it *before* 0.5 and 1.0."""
+        queue = EventQueue()
+        queue.schedule(1.0, lambda: None)
+        queue.schedule(0.5, lambda: None)
+        with pytest.raises(SchedulingError):
+            queue.schedule(float("nan"), lambda: None)
+        with pytest.raises(SchedulingError):
+            queue.schedule_all(
+                [2.0, float("nan")], [print, print], (), priority=1, kind=1, not_before=0.0
+            )
+        # The copy scheduled before the bad one stands; nothing else got in.
+        assert [queue.pop_next()[0] for _ in range(len(queue))] == [0.5, 1.0, 2.0]
+
+    def test_infinite_time_is_legal_and_beyond_every_horizon(self):
+        queue = EventQueue()
+        queue.schedule(float("inf"), lambda: None)
+        queue.schedule(3.0, lambda: None)
+        assert queue.pop_next(until=1e300)[0] == 3.0
+        assert queue.pop_next(until=1e300) is None
+        assert len(queue) == 1
+
     def test_rejects_scheduling_in_the_past(self):
         queue = EventQueue()
         with pytest.raises(SchedulingError):
             queue.schedule(1.0, lambda: None, not_before=2.0)
+        with pytest.raises(SchedulingError):
+            queue.schedule_all([3.0, 1.0], [print, print], (), priority=1, kind=1, not_before=2.0)
 
     def test_len_tracks_live_events(self):
         queue = EventQueue()

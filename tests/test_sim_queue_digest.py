@@ -1,17 +1,23 @@
 """Property/edge tests for the EventQueue hot path and the determinism digest.
 
-Covers the PR-3 hot-path overhaul: batched same-tick scheduling, event
-recycling, live-count invariants under adversarial interleavings, and the
-always-on determinism digest (including serial vs parallel equality).
+Live-count invariants under adversarial interleavings, a model-based search
+over queue histories, the always-on determinism digest (serial vs parallel
+equality, and that it *can* differ), and eight small runs pinned before the
+heap-tuple rewrite.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import random
+from functools import partial
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.errors import SchedulingError
 from repro.membership import grouped_identities
 from repro.runtime import Engine, RunRecord, minority, scenario
 from repro.sim import (
@@ -28,14 +34,15 @@ from repro.sim import (
     SynchronousTiming,
     build_system,
 )
-from repro.sim.events import KIND_CRASH, KIND_DELIVERY, KIND_RESUME
+from repro.sim.events import KIND_CRASH, KIND_DELIVERY, KIND_DETECTOR, KIND_RESUME
 
 
 def _drain_order(queue: EventQueue) -> list:
     fired = []
-    while (event := queue.pop_next()) is not None:
-        event.run()
-        fired.append(event.sequence)
+    while (entry := queue.pop_next()) is not None:
+        _, _, sequence, _, action, args, _ = entry
+        action(*args)
+        fired.append(sequence)
     return fired
 
 
@@ -61,8 +68,7 @@ class TestQueueEdgeCases:
         queue.schedule(2.0, lambda: fired.append("b"))
         queue.cancel(first)
         assert len(queue) == 1
-        while (event := queue.pop_next()) is not None:
-            event.run()
+        _drain_order(queue)
         assert fired == ["b"]
         assert queue.is_empty()
 
@@ -70,7 +76,7 @@ class TestQueueEdgeCases:
         queue = EventQueue()
         stale = queue.schedule(1.0, lambda: None)
         queue.schedule(2.0, lambda: None)
-        assert queue.pop_next() is stale
+        assert queue.pop_next()[6] is stale
         queue.cancel(stale)
         queue.cancel(stale)
         assert len(queue) == 1
@@ -103,12 +109,13 @@ class TestQueueEdgeCases:
                     queue.cancel(victim)  # idempotent
                     expected_live -= 1
                 else:
-                    event = queue.pop_next()
-                    if event is not None:
+                    entry = queue.pop_next()
+                    if entry is not None:
+                        handle = entry[6]
                         expected_live -= 1
-                        if event in live_handles:
-                            live_handles.remove(event)
-                        queue.cancel(event)  # stale-handle cancel is a no-op
+                        if handle in live_handles:
+                            live_handles.remove(handle)
+                        queue.cancel(handle)  # stale-handle cancel is a no-op
                 assert len(queue) == expected_live
             # Draining the rest must fire exactly the remaining live events.
             assert len(_drain_order(queue)) == expected_live
@@ -124,116 +131,170 @@ class TestQueueEdgeCases:
         assert queue.peek_time() == 5.0
 
 
-class TestBatchScheduling:
-    def test_batch_matches_individual_scheduling_exactly(self):
-        """One batch must be indistinguishable from n schedule() calls —
-        same dispatch order, same sequences, same digest."""
-        fired_a: list[str] = []
-        individual = EventQueue()
-        for name in ("x", "y", "z"):
-            individual.schedule(2.0, fired_a.append, args=(name,), priority=1, kind=KIND_DELIVERY)
-        order_a = _drain_order(individual)
+# ----------------------------------------------------------------------
+# Search, not replay: random queue histories against a reference model
+# ----------------------------------------------------------------------
+_TIMES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 2.5, 7.0]),  # ties on purpose
+    st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+)
+_PRIORITIES = st.integers(0, 3)
+_KINDS = st.integers(0, 4)
 
-        fired_b: list[str] = []
-        batched = EventQueue()
-        batched.schedule_batch(
-            2.0,
-            [lambda n="x": fired_b.append(n), lambda n="y": fired_b.append(n),
-             lambda n="z": fired_b.append(n)],
-            priority=1,
-            kind=KIND_DELIVERY,
+
+class QueueAgainstModel(RuleBasedStateMachine):
+    """Interleaves ``schedule`` / ``schedule_all`` / ``cancel`` / ``pop_next`` /
+    ``peek_time``.  The model is a sorted list of the live ``(time, priority,
+    sequence)`` keys; dispatch order, the ``until`` horizon, ``peek_time``,
+    ``len`` and the digest must agree with it after every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.queue = EventQueue()
+        self.live: list[tuple] = []  # sorted (time, priority, sequence)
+        self.kind_of: dict[int, int] = {}
+        self.handle_of: dict[int, object] = {}  # every handle ever issued
+        self.sequences = 0
+        self.fired: list[int] = []
+        self.digest = 0
+
+    def _enter(self, time, priority, kind):
+        sequence, self.sequences = self.sequences, self.sequences + 1
+        bisect.insort(self.live, (float(time), priority, sequence))
+        self.kind_of[sequence] = kind
+        return sequence
+
+    @rule(time=_TIMES, priority=_PRIORITIES, kind=_KINDS)
+    def schedule(self, time, priority, kind):
+        sequence = self._enter(time, priority, kind)
+        self.handle_of[sequence] = self.queue.schedule(
+            time, self.fired.append, args=(sequence,), priority=priority, kind=kind
         )
-        order_b = _drain_order(batched)
 
-        assert fired_a == fired_b == ["x", "y", "z"]
-        assert order_a == order_b
-        assert individual.digest == batched.digest
+    @rule(
+        times=st.lists(st.one_of(st.none(), _TIMES), max_size=6),
+        priority=_PRIORITIES,
+        kind=_KINDS,
+    )
+    def send(self, times, priority, kind):
+        """One ``schedule_all``: a lost copy (``None``) takes no sequence number."""
+        actions = [
+            None if time is None else partial(self.fired.append, self._enter(time, priority, kind))
+            for time in times
+        ]
+        self.queue.schedule_all(times, actions, (), priority=priority, kind=kind, not_before=0.0)
 
-    def test_batch_counts_as_n_live_events(self):
-        queue = EventQueue()
-        queue.schedule_batch(1.0, [lambda: None] * 4)
-        assert len(queue) == 4
-        queue.pop_next()
-        assert len(queue) == 3
-        assert queue.peek_time() == 1.0
-        _drain_order(queue)
-        assert queue.is_empty()
+    @precondition(lambda self: self.handle_of)
+    @rule(choice=st.integers(0, 10**6))
+    def cancel(self, choice):
+        """Any handle ever issued: live, already popped, already cancelled."""
+        sequence = sorted(self.handle_of)[choice % len(self.handle_of)]
+        self.queue.cancel(self.handle_of[sequence])
+        self.live = [key for key in self.live if key[2] != sequence]
 
-    def test_heap_event_interleaves_into_a_draining_batch(self):
-        """An event scheduled mid-drain with a smaller sequence-free key
-        (lower priority number at the same time) must run before the
-        remaining batch entries."""
-        queue = EventQueue()
-        fired: list[str] = []
-        queue.schedule_batch(
-            1.0, [lambda: fired.append("b1"), lambda: fired.append("b2")], priority=1
+    @rule(until=st.one_of(st.none(), _TIMES))
+    def pop(self, until):
+        entry = self.queue.pop_next(until)
+        if not self.live or (until is not None and self.live[0][0] > until):
+            assert entry is None
+            return
+        time, priority, sequence = self.live.pop(0)
+        kind = self.kind_of[sequence]
+        assert entry[:4] == (time, priority, sequence, kind)
+        assert entry[6] is self.handle_of.get(sequence)  # None for a copy
+        entry[4](*entry[5])
+        assert self.fired[-1] == sequence
+        self.digest = _reference_digest([(time, priority, sequence, kind)], self.digest)
+
+    @rule()
+    def peek(self):
+        assert self.queue.peek_time() == (self.live[0][0] if self.live else None)
+
+    @invariant()
+    def counts_and_digest_agree(self):
+        assert len(self.queue) == len(self.live)
+        assert self.queue.is_empty() == (not self.live)
+        assert self.queue.digest == self.digest
+
+
+TestQueueAgainstModel = QueueAgainstModel.TestCase
+# Half the loaded profile's examples (``tier1``: 50, ``search``: 2,500) of 20
+# steps each: hypothesis's own per-step cost is what keeps tier-1 near a second.
+TestQueueAgainstModel.settings = settings(
+    max_examples=max(1, settings.default.max_examples // 2), stateful_step_count=20
+)
+
+
+class _Idle(ProcessProgram):
+    def setup(self, ctx):
+        pass
+
+
+def _digest_of(events, action=lambda *args: None, args=()) -> str:
+    """``Simulation.digest`` after dispatching ``events`` — ``(time, priority,
+    kind)`` triples, scheduled in list order — on an otherwise idle system."""
+    simulation = Simulation(
+        build_system(
+            membership=grouped_identities([1]),
+            timing=AsynchronousTiming(),
+            program_factory=lambda pid, identity: _Idle(),
         )
-        first = queue.pop_next()
-        first.run()
-        # Scheduled after the batch, but priority 0 beats priority 1 at t=1.
-        queue.schedule(1.0, lambda: fired.append("urgent"), priority=0)
-        while (event := queue.pop_next()) is not None:
-            event.run()
-        assert fired == ["b1", "urgent", "b2"]
-
-    def test_two_batches_drain_in_global_order(self):
-        queue = EventQueue()
-        fired: list[str] = []
-        queue.schedule_batch(
-            5.0, [lambda: fired.append("late1"), lambda: fired.append("late2")]
-        )
-        served = queue.pop_next()
-        served.run()  # late1; the late batch is now draining
-        queue.schedule_batch(
-            5.0, [lambda: fired.append("tail1"), lambda: fired.append("tail2")]
-        )
-        while (event := queue.pop_next()) is not None:
-            event.run()
-        assert fired == ["late1", "late2", "tail1", "tail2"]
-
-    def test_batch_handles_cannot_be_cancelled(self):
-        queue = EventQueue()
-        handle = queue.schedule_batch(1.0, [lambda: None, lambda: None])
-        with pytest.raises(SchedulingError):
-            queue.cancel(handle)
-
-    def test_empty_batch_is_rejected(self):
-        queue = EventQueue()
-        with pytest.raises(SchedulingError):
-            queue.schedule_batch(1.0, [])
-
-    def test_single_action_batch_degenerates_to_schedule(self):
-        queue = EventQueue()
-        handle = queue.schedule_batch(1.0, [lambda: None])
-        assert handle.batch is None
-        queue.cancel(handle)  # plain events stay cancellable
-        assert queue.is_empty()
+    )
+    for time, priority, kind in events:
+        simulation.queue.schedule(time, action, args=args, priority=priority, kind=kind)
+    simulation.run(until=10.0)
+    assert simulation.events_processed == len(events)
+    return simulation.digest
 
 
-class TestRecycling:
-    def test_recycled_event_is_reused_without_changing_behaviour(self):
-        queue = EventQueue()
-        fired: list[int] = []
-        event = queue.schedule(1.0, fired.append, args=(1,), kind=KIND_DELIVERY)
-        popped = queue.pop_next()
-        assert popped is event
-        popped.run()
-        queue.recycle(popped)
-        reused = queue.schedule(2.0, fired.append, args=(2,), kind=KIND_DELIVERY)
-        assert reused is event  # same object, fresh identity
-        assert reused.cancelled is False and reused.popped is False
-        queue.pop_next().run()
-        assert fired == [1, 2]
+class TestTheDigestCanFail:
+    """"Digests unmoved" is only evidence if a moved run moves the digest."""
 
-    def test_live_or_cancelled_events_are_not_pooled(self):
-        queue = EventQueue()
-        live = queue.schedule(1.0, lambda: None)
-        queue.recycle(live)  # not popped: refused
-        cancelled = queue.schedule(2.0, lambda: None)
-        queue.cancel(cancelled)
-        queue.recycle(cancelled)  # cancelled: refused
-        fresh = queue.schedule(3.0, lambda: None)
-        assert fresh is not live and fresh is not cancelled
+    BASELINE = [
+        (1.0, 1, KIND_DELIVERY),
+        (2.0, 1, KIND_DELIVERY),
+        (2.0, 1, KIND_DETECTOR),
+        (2.0, 2, KIND_RESUME),
+        (3.0, 1, KIND_DELIVERY),
+    ]
+
+    def _changed(self, index, event):
+        return self.BASELINE[:index] + [event] + self.BASELINE[index + 1 :]
+
+    def test_it_is_a_function_of_the_dispatched_events(self):
+        assert _digest_of(self.BASELINE) == _digest_of(list(self.BASELINE))
+
+    def test_swapping_two_same_time_same_priority_events_of_different_kinds(self):
+        swapped = list(self.BASELINE)
+        swapped[1], swapped[2] = swapped[2], swapped[1]
+        assert _digest_of(swapped) != _digest_of(self.BASELINE)
+
+    def test_changing_one_events_kind(self):
+        assert _digest_of(self._changed(4, (3.0, 1, KIND_RESUME))) != _digest_of(self.BASELINE)
+
+    def test_moving_one_delivery_by_one_ulp(self):
+        for index in (0, 4):
+            time, priority, kind = self.BASELINE[index]
+            for moved in (math.nextafter(time, math.inf), math.nextafter(time, 0.0)):
+                assert _digest_of(self._changed(index, (moved, priority, kind))) != _digest_of(
+                    self.BASELINE
+                )
+
+    def test_dropping_one_delivery(self):
+        for index in (0, 1, 4):
+            assert _digest_of(self.BASELINE[:index] + self.BASELINE[index + 1 :]) != _digest_of(
+                self.BASELINE
+            )
+
+    def test_what_it_does_not_see(self):
+        # The fold covers (time, priority, sequence, kind) only: *which*
+        # callable ran and with *what* arguments is invisible to it, so a
+        # delivery handed to the wrong process, or a different message at the
+        # same instant, leaves the digest alone.  Tables, JSONL rows and the
+        # pinned counters are what catch those.
+        heard: list = []
+        assert _digest_of(self.BASELINE, heard.append, ("other",)) == _digest_of(self.BASELINE)
+        assert heard == ["other"] * len(self.BASELINE)
 
 
 class TestDeterminismDigest:
@@ -259,7 +320,8 @@ class TestDeterminismDigest:
         assert record.to_dict()["digest"] == record.digest
 
     def test_synchronous_batched_broadcast_is_digest_stable(self):
-        """The HSS batched-broadcast fast path must be deterministic too."""
+        """HSS, where every copy of a broadcast lands on one instant (once a
+        batched heap entry, hence the name), must be deterministic too."""
         from repro.detectors import CLASSES, DetectorProbeProgram
 
         def run_once():
@@ -443,10 +505,9 @@ class TestPinnedRuns:
         assert simulation.digest == f"{_reference_digest(dispatched):016x}"
 
 
-def _reference_digest(dispatched) -> int:
+def _reference_digest(dispatched, digest: int = 0) -> int:
     """The digest fold, restated: FNV-style over ``(time, priority, sequence,
     kind)`` of every dispatched event, in dispatch order."""
-    digest = 0
     for time, priority, sequence, kind in dispatched:
         digest = (
             (digest * 1099511628211)

@@ -11,6 +11,7 @@ from repro.sim import (
     AsynchronousTiming,
     CrashEvent,
     CrashSchedule,
+    LinkModel,
     PartiallySynchronousTiming,
     ProcessProgram,
     Simulation,
@@ -367,3 +368,78 @@ class TestPartialSynchrony:
             until=10.0,
         )
         assert trace.message_copies_delivered == 0
+
+
+class TestPerEventChecks:
+    """What the engine verifies for every copy and every event, whatever path
+    the copy took into the queue."""
+
+    class _Early(AsynchronousTiming):
+        def delivery_time(self, sender, receiver, sent_at, rng):
+            return sent_at - 0.5
+
+        def delivery_times(self, sender, receivers, sent_at, rng):
+            return [sent_at - 0.5 for _ in receivers]
+
+    class _EarlyLinks(LinkModel):
+        def deliveries(self, sender, receiver, sent_at, times, rng):
+            return (sent_at - 0.25,)
+
+        def describe(self) -> str:
+            return "early"
+
+    @pytest.mark.parametrize("debug", [False, True], ids=["default", "debug-labels"])
+    def test_a_delivery_before_its_send_time_names_the_model_at_fault(self, debug):
+        def run(timing, links):
+            system = build_system(
+                membership=unique_identities(2),
+                timing=timing,
+                links=links,
+                program_factory=lambda pid, identity: PeriodicSenderProgram(period=1.0),
+                debug=debug,
+            )
+            Simulation(system).run(until=5.0)
+
+        with pytest.raises(SimulationError, match="timing model produced a delivery before"):
+            run(self._Early(), None)
+        with pytest.raises(SimulationError, match="link model produced a delivery before"):
+            run(AsynchronousTiming(), self._EarlyLinks())
+        with pytest.raises(SimulationError, match="timing model"):  # the first draw to go wrong
+            run(self._Early(), self._EarlyLinks())
+
+    def test_max_events_is_a_hard_valve(self):
+        system = build_system(
+            membership=unique_identities(3),
+            timing=AsynchronousTiming(min_latency=0.1, max_latency=0.5),
+            program_factory=lambda pid, identity: PeriodicSenderProgram(period=1.0),
+        )
+        with pytest.raises(SimulationError, match="exceeded 40 events"):
+            Simulation(system).run(until=100.0, max_events=40)
+
+    def test_stop_when_is_asked_after_every_event(self):
+        system = build_system(
+            membership=unique_identities(3),
+            timing=AsynchronousTiming(min_latency=0.1, max_latency=0.5),
+            program_factory=lambda pid, identity: PeriodicSenderProgram(period=1.0),
+        )
+        simulation = Simulation(system)
+        seen: list[int] = []
+
+        def stop_when(sim):
+            seen.append(sim.events_processed)
+            return False
+
+        simulation.run(until=20.0, stop_when=stop_when)
+        # Once before the first event, then once per event, in step.
+        assert seen == list(range(simulation.events_processed + 1))
+
+    def test_a_wakeup_scheduled_in_the_past_cannot_turn_the_clock_back(self):
+        system = build_system(
+            membership=unique_identities(1),
+            timing=AsynchronousTiming(),
+            program_factory=lambda pid, identity: PingProgram(),
+        )
+        simulation = Simulation(system)
+        simulation.queue.schedule(5.0, lambda: simulation.queue.schedule(1.0, lambda: None))
+        with pytest.raises(ValueError, match="backwards"):
+            simulation.run(until=10.0)

@@ -133,6 +133,49 @@ class TestSynchronousTiming:
             SynchronousTiming(delivery_fraction=1.0)
 
 
+class TestNonFiniteParameters:
+    """The range checks only test ``<``, which NaN passes; ``inf`` passed the
+    latency checks outright.  Either makes delivery times the queue cannot order."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_asynchronous_rejects_it(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            AsynchronousTiming(min_latency=0.1, max_latency=bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            AsynchronousTiming(max_step=bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            AsynchronousTiming(min_latency=float("nan"), max_latency=float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field", ["gst", "delta", "min_latency", "pre_gst_max_latency", "pre_gst_loss", "max_step"]
+    )
+    def test_partially_synchronous_rejects_it(self, field, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PartiallySynchronousTiming(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_synchronous_rejects_it(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SynchronousTiming(step=bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            SynchronousTiming(delivery_fraction=float("nan"))
+
+    def test_a_spec_carrying_it_fails_at_build_not_mid_run(self):
+        from repro.runtime import asynchronous, partial_sync, scenario, synchronous
+
+        def build(timing, program="heartbeat"):
+            return scenario("bad-timing").processes(3).timing(timing).program(program).build()
+
+        build(asynchronous(min_latency=0.1, max_latency=1.0))  # the shape itself is fine
+        with pytest.raises(ConfigurationError, match="finite"):
+            build(asynchronous(min_latency=float("nan"), max_latency=float("nan")))
+        with pytest.raises(ConfigurationError, match="finite"):
+            build(partial_sync(gst=float("inf"), delta=1.0), program="ohp_polling")
+        with pytest.raises(ConfigurationError, match="finite"):
+            build(synchronous(step=float("nan")), program="hsigma_sync")
+
+
 class TestCrashSchedule:
     def test_none_has_no_faulty(self):
         assert crash_free().faulty == frozenset()
