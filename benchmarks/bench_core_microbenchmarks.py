@@ -14,7 +14,7 @@ defends.  ``events_per_round`` turns a round's wall-clock into ns/event.
 from repro.detectors import CLASSES, DetectorProbeProgram
 from repro.identity import IdentityMultiset
 from repro.membership import grouped_identities
-from repro.runtime import CONSENSUS
+from repro.runtime import execute_spec, minority, scenario
 from repro.sim import (
     AsynchronousTiming,
     ComposedLinks,
@@ -28,8 +28,6 @@ from repro.sim import (
 )
 from repro.sim.failures import FailurePattern
 from repro.sim.process import ProcessProgram
-from repro.workloads import minority_crashes
-from repro.workloads.scenarios import ConsensusScenario
 
 #: Events per round of the raw event-queue benchmarks.
 N_QUEUE_EVENTS = 2000
@@ -77,22 +75,18 @@ def test_event_queue_schedule_cancel(benchmark):
 
 def test_single_consensus_run(benchmark):
     """One Figure 8 consensus run on a 7-process homonymous system."""
-    membership = grouped_identities([3, 2, 2])
-
-    def run_once():
-        scenario = ConsensusScenario(
-            membership=membership,
-            consensus_factory=CONSENSUS.resolve("homega_majority").factory(membership),
-            crash_schedule=minority_crashes(membership, at=8.0),
-            detector_stabilization=15.0,
-            horizon=400.0,
-            seed=3,
-        )
-        _, _, verdict = scenario.run()
-        return verdict
-
-    verdict = benchmark(run_once)
-    assert verdict.validity_ok and verdict.agreement_ok
+    spec = (
+        scenario()
+        .homonyms([3, 2, 2])
+        .crashes(minority(at=8.0))
+        .detectors("HOmega", "HSigma", stabilization=15.0)
+        .consensus("homega_majority")
+        .horizon(400.0)
+        .seed(3)
+        .build()
+    )
+    record = benchmark(execute_spec, spec)
+    assert record.metrics["safe"] and record.digest == "6827c78a3796a86f"  # as the row ran before it was a spec
 
 
 def test_hsigma_oracle_probe_run(benchmark):

@@ -6,9 +6,10 @@ anonymous ones through explicit transformations.  This example:
 
 1. prints the relation graph (who can be obtained from whom, and by which
    theorem),
-2. runs two of the transformations end-to-end over a simulated system —
-   Σ → HΣ without membership knowledge (Figure 2) and AP → HΣ (Lemma 3) —
-   and checks the emulated detector against the HΣ class properties,
+2. lists the table of reductions and runs two of its rows end-to-end, each
+   named by a scenario spec — Σ → HΣ without membership knowledge (Figure 2)
+   and AP → HΣ (Lemma 3) — checking the emulated detector against the HΣ
+   class properties,
 3. confirms Corollary 1: Σ, HΣ, and AΣ are equivalent when identifiers are
    unique.
 
@@ -18,31 +19,26 @@ Run with:  python examples/detector_reductions_tour.py
 from __future__ import annotations
 
 from repro.detectors import CLASSES, DetectorClass
-from repro.membership import anonymous_identities, unique_identities
-from repro.reductions import (
-    APToHSigma,
-    SigmaToHSigmaUnknownMembership,
-    equivalent_classes,
-    is_stronger,
-    paper_relations,
-)
-from repro.sim import AsynchronousTiming, CrashSchedule, Simulation, build_system
-from repro.sim.failures import FailurePattern
+from repro.reductions import REDUCTIONS, equivalent_classes, is_stronger, paper_relations
+from repro.runtime import Engine, asynchronous, crashes_at, scenario
 
 
-def run_emulation(membership, program_factory, detectors, *, seed):
-    crash_schedule = CrashSchedule.at_times({membership.processes[1]: 10.0})
-    system = build_system(
-        membership=membership,
-        timing=AsynchronousTiming(min_latency=0.1, max_latency=1.5),
-        program_factory=program_factory,
-        crash_schedule=crash_schedule,
-        detectors=detectors,
-        seed=seed,
+def run_emulation(name, builder, *, seed):
+    """Run reduction ``name`` of the table over oracles of its source classes;
+    the emulated detector is judged by its target class's axioms."""
+    row = REDUCTIONS[name]
+    check = CLASSES[row.target].check
+    spec = (
+        builder.timing(asynchronous(max_latency=1.5))
+        .crashes(crashes_at({1: 10.0}))
+        .detectors(*row.sources, stabilization=15.0)
+        .program(name)
+        .check(check)
+        .horizon(90.0)
+        .seed(seed)
+        .build()
     )
-    simulation = Simulation(system)
-    trace = simulation.run(until=90.0)
-    return CLASSES["HSigma"].judge(trace, FailurePattern(membership, crash_schedule))
+    return Engine().run(spec).metrics[f"{check}_ok"]
 
 
 def main() -> None:
@@ -61,25 +57,19 @@ def main() -> None:
     for group in equivalent_classes(model="AS"):
         print("  {" + ", ".join(sorted(c.value for c in group)) + "}")
 
+    print("\nThe reductions the paper proves, by program name:")
+    for row in REDUCTIONS.values():
+        print(f"  {row.name:<22} {row.label:<28} {row.paper_item}")
+
     print("\nRunning Figure 2 (Σ → HΣ, membership unknown) on a 4-process system …")
-    result = run_emulation(
-        unique_identities(4),
-        lambda pid, identity: SigmaToHSigmaUnknownMembership(period=1.0),
-        {"Sigma": lambda s: CLASSES["Sigma"].oracle(s, stabilization_time=15.0)},
-        seed=5,
-    )
+    ok = run_emulation("sigma_to_hsigma", scenario().processes(4).unique_ids(), seed=5)
     print("  emulated HΣ satisfies validity/monotonicity/liveness/safety:",
-          "ok" if result.ok else f"FAILED {result.violations}")
+          "ok" if ok else "FAILED")
 
     print("Running Lemma 3 (AP → HΣ) on a 4-process anonymous system …")
-    result = run_emulation(
-        anonymous_identities(4),
-        lambda pid, identity: APToHSigma(period=1.0),
-        {"AP": lambda s: CLASSES["AP"].oracle(s, stabilization_time=15.0)},
-        seed=6,
-    )
+    ok = run_emulation("ap_to_hsigma", scenario().processes(4).anonymous(), seed=6)
     print("  emulated HΣ satisfies validity/monotonicity/liveness/safety:",
-          "ok" if result.ok else f"FAILED {result.violations}")
+          "ok" if ok else "FAILED")
 
 
 if __name__ == "__main__":

@@ -7,47 +7,54 @@ a three-slot replicated log on top of the paper's Figure 8 algorithm in a
 homonymous system — each slot is one consensus instance whose proposals are
 the commands the replicas happen to have received from clients.
 
-It demonstrates how a downstream user composes the library: memberships and
-crash schedules from :mod:`repro.workloads`, one
-:class:`~repro.workloads.scenarios.ConsensusScenario` per slot, and the
-validator to certify every slot.
+It demonstrates how a downstream user composes the library: one scenario spec
+per slot (replica group, crash schedule, detectors, algorithm), the finished
+simulation to read which replica's proposal won, and the run record to certify
+the slot.
 
 Run with:  python examples/replicated_log.py
 """
 
 from __future__ import annotations
 
-from repro.membership import grouped_identities
-from repro.runtime import CONSENSUS
-from repro.workloads import minority_crashes, no_crashes
-from repro.workloads.scenarios import ConsensusScenario
+from repro.runtime import (
+    MembershipSpec,
+    measure_run,
+    minority,
+    no_crashes,
+    scenario,
+    simulate_spec,
+)
+
+#: Five replicas; two pairs share an identifier (e.g. cloned VM images).
+REPLICAS = MembershipSpec("groups", groups=(2, 2, 1), prefix="replica-")
 
 
-def agree_on_slot(membership, slot, client_commands, crash_schedule, seed):
-    """Run one consensus instance for log slot ``slot`` and return its outcome."""
-    proposals = {
-        process: client_commands[process.index % len(client_commands)]
-        for process in membership.processes
-    }
-    scenario = ConsensusScenario(
-        membership=membership,
-        # The registry entry's factory (not a lambda): picklable, RunCache-eligible.
-        consensus_factory=CONSENSUS.resolve("homega_majority").factory(membership),
-        proposals=proposals,
-        crash_schedule=crash_schedule,
-        detector_stabilization=10.0,
-        horizon=400.0,
-        seed=seed,
-        name=f"log-slot-{slot}",
+def agree_on_slot(slot, client_commands, crashes, seed):
+    """Run one consensus instance for log slot ``slot``: what each replica
+    proposed, the command decided, and the slot's run record."""
+    spec = (
+        scenario(f"log-slot-{slot}")
+        .membership(REPLICAS)
+        .crashes(crashes)
+        .detectors("HOmega", "HSigma", stabilization=10.0)
+        .consensus("homega_majority")
+        .horizon(400.0)
+        .seed(seed)
+        .build()
     )
-    trace, pattern, verdict = scenario.run()
-    return proposals, verdict
+    simulation = simulate_spec(spec)
+    # Replica i proposes "value-i", which stands for the command it holds.
+    commands = {
+        f"value-{index}": client_commands[index % len(client_commands)]
+        for index in range(REPLICAS.size)
+    }
+    decided = {commands[decision.value] for decision in simulation.trace.decisions.values()}
+    return sorted(set(commands.values())), decided, measure_run(spec, simulation)
 
 
 def main() -> None:
-    # Five replicas; two pairs share an identifier (e.g. cloned VM images).
-    membership = grouped_identities([2, 2, 1], prefix="replica-")
-    print("replica group:", membership.describe())
+    print("replica group:", REPLICAS.build().describe())
 
     # Commands submitted by clients; different replicas see different fronts
     # of the client stream, hence the differing proposals per slot.
@@ -60,17 +67,14 @@ def main() -> None:
     log: list[str] = []
     for slot, commands in enumerate(client_stream):
         # From slot 1 on, one replica is down (a minority — Figure 8's limit).
-        crash_schedule = no_crashes() if slot == 0 else minority_crashes(
-            membership, at=5.0, count=1
-        )
-        proposals, verdict = agree_on_slot(
-            membership, slot, commands, crash_schedule, seed=100 + slot
-        )
-        chosen = next(iter(set(verdict.decided_values.values())))
+        crashes = no_crashes() if slot == 0 else minority(at=5.0, count=1)
+        proposals, decided, record = agree_on_slot(slot, commands, crashes, seed=100 + slot)
+        (chosen,) = decided  # agreement: one command per slot
         log.append(chosen)
-        status = "ok" if verdict.ok else f"PROBLEM: {verdict.violations}"
-        print(f"\nslot {slot}: proposals {sorted(set(proposals.values()))}")
-        print(f"  decided {chosen!r} in {verdict.max_decision_round} round(s) "
+        ok = record.metrics["decided"] and record.metrics["safe"]
+        status = "ok" if ok else "PROBLEM: VIOLATED"
+        print(f"\nslot {slot}: proposals {proposals}")
+        print(f"  decided {chosen!r} in {record.metrics['rounds']} round(s) "
               f"[validity+agreement+termination: {status}]")
 
     print("\nfinal replicated log (identical on every live replica):")

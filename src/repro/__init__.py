@@ -33,11 +33,12 @@ Typical entry points:
   :mod:`repro.sim` builds and runs systems (``build_system`` +
   ``Simulation``); :mod:`repro.detectors` has the oracles, views, and
   property checkers; :mod:`repro.algorithms` the paper's detector
-  implementations (Figures 3, 6, 7); :mod:`repro.reductions` the reductions
-  and the Figure 5 relation graph; :mod:`repro.consensus` the Figure 8 and
-  Figure 9 algorithms, baselines, and the consensus validator;
-  :mod:`repro.workloads` and :mod:`repro.analysis` scenario generators,
-  metrics, and sweep aggregation.
+  implementations (Figures 3, 6, 7); :mod:`repro.reductions` the table of
+  reductions (each row a program the builder names) and the Figure 5
+  relation graph; :mod:`repro.consensus` the Figure 8 and Figure 9
+  algorithms, baselines, and the consensus validator; :mod:`repro.workloads`
+  and :mod:`repro.analysis` homonymy / crash / churn generators, metrics, and
+  sweep aggregation.
 """
 
 from .identity import ANONYMOUS_IDENTITY, Identity, IdentityMultiset, ProcessId

@@ -15,9 +15,9 @@ from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..analysis.runner import ExperimentResult, aggregate_rows
-from ..runtime import Engine
+from ..runtime import CHECKS, Engine, ScenarioSpec, simulate_spec
 
-__all__ = ["Call", "Experiment", "grouped"]
+__all__ = ["Call", "Experiment", "grouped", "simulate_and_check"]
 
 #: One engine call ``(method, fn, configs)``: ``method`` names the
 #: :class:`~repro.runtime.engine.Engine` entry point — ``"sweep"``,
@@ -50,6 +50,15 @@ class Experiment:
     ) -> ExperimentResult:
         table, summary = self.report(self.dispatch(engine or Engine(), quick, seed))
         return ExperimentResult(self.name, self.description, tuple(table), summary, self.columns)
+
+
+def simulate_and_check(spec: ScenarioSpec) -> tuple[Any, list]:
+    """Run ``spec``: the finished simulation and the result of each of its
+    checks — for a ``run_one`` that reports what a ``RunRecord`` does not carry
+    (a check's violations, a final trace value)."""
+    simulation = simulate_spec(spec)
+    trace, pattern = simulation.trace, simulation.failure_pattern
+    return simulation, [CHECKS.resolve(check)(trace, pattern) for check in spec.checks]
 
 
 def grouped(group_by: Sequence[str], metrics: Sequence[str]) -> tuple[tuple[str, ...], Callable]:

@@ -11,54 +11,47 @@ how far the adaptive timeout grows, and contrasts the fixed-timeout ablation
 
 from __future__ import annotations
 
-from ..algorithms import OhpPollingProgram
 from ..analysis.runner import ParameterSweep
-from ..runtime.registry import CHECKS
-from ..sim import PartiallySynchronousTiming, Simulation, build_system
-from ..workloads.crashes import minority_crashes
-from ..workloads.homonymy import membership_with_distinct_ids
-from .base import Call, Experiment, grouped
+from ..runtime import ScenarioSpec, minority, partial_sync, scenario
+from .base import Call, Experiment, grouped, simulate_and_check
 
 __all__ = ["run"]
 
 DESCRIPTION = "◇HP / HΩ convergence under partial synchrony (Figure 6, Theorem 5, Corollary 2)"
 
 
+def _spec(config: dict) -> ScenarioSpec:
+    gst = config["gst"]
+    return (
+        scenario("E1")
+        .processes(config["n"])
+        .distinct_ids(config["distinct_ids"])
+        .timing(
+            partial_sync(
+                gst,
+                config["delta"],
+                pre_gst_loss=0.4,
+                pre_gst_max_latency=4 * gst + 10.0,
+            )
+        )
+        .crashes(minority(at=gst / 2 + 1.0))
+        .program("ohp_polling", fixed_timeout=config["fixed_timeout"])
+        .check("diamond_hp", "homega")
+        .horizon(gst * 4 + 120.0)
+        .seed(config["seed"])
+        .build()
+    )
+
+
 def _run_one(config: dict) -> dict:
-    membership = membership_with_distinct_ids(config["n"], config["distinct_ids"])
-    crash_schedule = minority_crashes(membership, at=config["gst"] / 2 + 1.0)
-    timing = PartiallySynchronousTiming(
-        gst=config["gst"],
-        delta=config["delta"],
-        min_latency=0.1,
-        pre_gst_loss=0.4,
-        pre_gst_max_latency=4 * config["gst"] + 10.0,
-    )
-    system = build_system(
-        membership=membership,
-        timing=timing,
-        program_factory=lambda pid, identity: OhpPollingProgram(
-            fixed_timeout=config["fixed_timeout"]
-        ),
-        crash_schedule=crash_schedule,
-        seed=config["seed"],
-    )
-    simulation = Simulation(system)
-    horizon = config["gst"] * 4 + 120.0
-    trace = simulation.run(until=horizon)
-    pattern = simulation.failure_pattern
-    hp_result = CHECKS.resolve("diamond_hp")(trace, pattern)
-    homega_result = CHECKS.resolve("homega")(trace, pattern)
-    timeouts = [
-        trace.final_value(process, "ohp.timeout")
-        for process in pattern.correct
-        if trace.final_value(process, "ohp.timeout") is not None
-    ]
+    simulation, (hp_result, homega_result) = simulate_and_check(_spec(config))
+    trace, pattern = simulation.trace, simulation.failure_pattern
+    timeouts = [trace.final_value(process, "ohp.timeout") for process in pattern.correct]
     return {
         "converged": hp_result.ok,
         "homega_ok": homega_result.ok,
         "convergence_time": hp_result.stabilization_time if hp_result.ok else None,
-        "final_timeout": max(timeouts) if timeouts else None,
+        "final_timeout": max((t for t in timeouts if t is not None), default=None),
     }
 
 

@@ -9,44 +9,43 @@ which is what makes HΣ necessary for the Figure 9 consensus algorithm).
 
 from __future__ import annotations
 
-from ..algorithms import HSigmaSynchronousProgram
 from ..analysis.runner import ParameterSweep
-from ..runtime.registry import CHECKS
-from ..sim import Simulation, SynchronousTiming, build_system
-from ..workloads.crashes import cascading_crashes
-from ..workloads.homonymy import membership_with_distinct_ids
-from .base import Call, Experiment, grouped
+from ..runtime import ScenarioSpec, cascading, scenario, synchronous
+from .base import Call, Experiment, grouped, simulate_and_check
 
 __all__ = ["run"]
 
 DESCRIPTION = "HΣ in synchronous homonymous systems (Figure 7, Theorem 6)"
 
 
+def _spec(config: dict) -> ScenarioSpec:
+    return (
+        scenario("E2")
+        .processes(config["n"])
+        .distinct_ids(config["distinct_ids"])
+        .timing(synchronous(1.0))
+        .crashes(
+            cascading(
+                config["crashes"],  # capped at n − 1
+                first_at=2.4,
+                interval=2.0,
+                partial_broadcast_fraction=0.5 if config["crash_mid_broadcast"] else None,
+            )
+        )
+        .program("hsigma_sync", steps=config["steps"])
+        .check("hsigma")
+        .horizon(config["steps"] + 2.0)
+        .seed(config["seed"])
+        .build()
+    )
+
+
 def _run_one(config: dict) -> dict:
-    membership = membership_with_distinct_ids(config["n"], config["distinct_ids"])
-    crash_count = min(config["crashes"], membership.size - 1)
-    crash_schedule = cascading_crashes(
-        membership,
-        crash_count,
-        first_at=2.4,
-        interval=2.0,
-        partial_broadcast_fraction=0.5 if config["crash_mid_broadcast"] else None,
-    )
-    steps = config["steps"]
-    system = build_system(
-        membership=membership,
-        timing=SynchronousTiming(step=1.0),
-        program_factory=lambda pid, identity: HSigmaSynchronousProgram(steps=steps),
-        crash_schedule=crash_schedule,
-        seed=config["seed"],
-    )
-    simulation = Simulation(system)
-    trace = simulation.run(until=steps + 2.0)
-    result = CHECKS.resolve("hsigma")(trace, simulation.failure_pattern)
+    simulation, (result,) = simulate_and_check(_spec(config))
     return {
         "properties_ok": result.ok,
         "violations": len(result.violations),
-        "faulty": crash_count,
+        "faulty": len(simulation.failure_pattern.faulty),
     }
 
 

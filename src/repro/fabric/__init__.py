@@ -3,7 +3,7 @@
 The paper's tables are statistics over large seed sweeps; the warm pool makes
 one in-memory sweep fast, and this package puts the same worker fleet
 (:mod:`repro.runtime.fleet`) behind a plan and a journal so a sweep survives
-lost workers, a lost coordinator and restarts.  Four pieces, each usable on
+lost workers, a lost coordinator and restarts.  Three pieces, each usable on
 its own:
 
 * :mod:`~repro.fabric.plan` — the **deterministic shard planner**: enumerate
@@ -25,12 +25,7 @@ its own:
   finishes the sweep idempotently.  Determinism digests travel with every
   result (captured in the worker, stored in the journal and the cache), so
   even a run resumed three crashes deep still proves itself bit-identical to
-  serial execution;
-* :mod:`~repro.fabric.adaptive` — **adaptive seed allocation**: run seeds in
-  waves, compute a per-cell confidence interval on the target metric
-  (normal approximation, bootstrap fallback at small n), retire a cell once
-  its CI half-width is below threshold, and spend the remaining seed budget
-  on the cells that are still noisy.
+  serial execution.
 
 Command line::
 
@@ -44,17 +39,12 @@ Command line::
 plan in-process (no coordinator), for job arrays and ssh loops.
 """
 
-from .adaptive import AdaptiveReport, CellStats, adaptive_sweep, confidence_interval
 from .coordinator import Coordinator, FabricResult
 from .digests import CORE_EXPERIMENTS, fold_digests, fold_named
 from .plan import FabricPlan, PlanningEngine, WorkItem, plan_experiments, plan_sweep
 from .work import execute_item
 
 __all__ = [
-    "AdaptiveReport",
-    "CellStats",
-    "adaptive_sweep",
-    "confidence_interval",
     "Coordinator",
     "FabricResult",
     "CORE_EXPERIMENTS",

@@ -1,44 +1,38 @@
 """Reductions (transformations) between failure-detector classes.
 
-Each reduction is a process program that, given access to a detector of the
-source class, emulates the output of a detector of the target class — the
+Each reduction is a process program that, given access to detectors of its
+source classes, emulates the output of a detector of its target class — the
 standard notion of "class X is stronger than class X′" from Chandra & Toueg
 that the paper uses in Section 3.3.  The emulated outputs are recorded under
 the trace keys of the target class's row, so that row's axioms
 (``CLASSES[target].judge``) can confirm the emulation is correct, and exposed
-as views so other programs can consume them.
+as a view so other programs can consume them.
 
-Implemented reductions (paper item → class):
+A reduction is a row of :data:`REDUCTIONS` (:mod:`repro.reductions.table`) run
+by the one :class:`ReductionProgram`; by ``PROGRAMS`` name it is what
+``scenario().program(name)`` selects.  Paper item — name: arrow.
 
-==============================  ==============================================
-Figure 1 / Theorem 1 (case 1)   :class:`SigmaToHSigmaWithMembership`
-Figure 2 / Theorem 1 (case 2)   :class:`SigmaToHSigmaUnknownMembership`
-Figure 4 / Theorem 2            :class:`HSigmaToSigma`
-Theorem 3                       :class:`ASigmaToHSigma`
-Lemma 2 / Theorem 4             :class:`APToDiamondHP`
-Lemma 3 / Theorem 4             :class:`APToHSigma`
-Observation 1                   :class:`DiamondHPToHOmega`
-==============================  ==============================================
+{rows}
 
 The Figure 5 relations themselves live in :mod:`repro.reductions.registry`.
 """
 
-from .ap_to_homonymous import APToDiamondHP, APToHSigma
-from .asigma_to_hsigma import ASigmaToHSigma
-from .hsigma_to_sigma import HSigmaToSigma
-from .ohp_to_homega import DiamondHPToHOmega
+from .base import Reduction, ReductionProgram
 from .registry import Relation, equivalent_classes, is_stronger, paper_relations
-from .sigma_to_hsigma import SigmaToHSigmaUnknownMembership, SigmaToHSigmaWithMembership
+from .table import ANY_MODEL, REDUCTIONS
+
+__doc__ = __doc__.format(
+    rows="\n".join(
+        f"* {row.paper_item} — ``{row.name}``: {row.label}" for row in REDUCTIONS.values()
+    )
+)
 
 __all__ = [
-    "APToDiamondHP",
-    "APToHSigma",
-    "ASigmaToHSigma",
-    "DiamondHPToHOmega",
-    "HSigmaToSigma",
+    "ANY_MODEL",
+    "REDUCTIONS",
+    "Reduction",
+    "ReductionProgram",
     "Relation",
-    "SigmaToHSigmaUnknownMembership",
-    "SigmaToHSigmaWithMembership",
     "equivalent_classes",
     "is_stronger",
     "paper_relations",

@@ -6,28 +6,22 @@ means "class X is stronger than class X′ in the given system model" — i.e. a
 detector of class X′ can be emulated from any detector of class X.  Edges carry
 the system model in which the relation holds, the paper item (theorem, lemma,
 observation, or prior work) establishing it, and, for the relations this
-paper proves, the program that implements the emulation.
+paper proves, the rows of :data:`~repro.reductions.REDUCTIONS` that implement
+the emulation — those edges are derived from the table, not restated.
 
 The edges let experiments ask reachability questions ("can HΩ be obtained
-from AP in an anonymous asynchronous system?"); E3 runs every implemented
-reduction over the source row's oracle and judges it by the target row's axioms.
+from AP in an anonymous asynchronous system?"); E3 runs every row of the table
+over its source rows' oracles and judges it by its target row's axioms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..detectors.table import DetectorClass
-from .ap_to_homonymous import APToDiamondHP, APToHSigma
-from .asigma_to_hsigma import ASigmaToHSigma
-from .hsigma_to_sigma import HSigmaToSigma
-from .ohp_to_homega import DiamondHPToHOmega
-from .sigma_to_hsigma import SigmaToHSigmaUnknownMembership
+from ..detectors.table import CLASSES, DetectorClass
+from .table import ANY_MODEL, REDUCTIONS
 
 __all__ = ["Relation", "paper_relations", "is_stronger", "equivalent_classes"]
-
-#: Marker for relations that hold in any of the models considered.
-ANY_MODEL = "any"
 
 
 @dataclass(frozen=True)
@@ -38,21 +32,24 @@ class Relation:
     target: DetectorClass
     model: str
     established_by: str
-    implemented_by: type | None = None
+    implemented_by: tuple[str, ...] = ()
 
 
 def paper_relations() -> tuple[Relation, ...]:
     """All the relations shown in (or trivially implied by) Figure 5."""
     C = DetectorClass
+    # --- Relations proven in this paper: one edge per arrow of the table ----
+    proven: dict[tuple, list] = {}
+    for row in REDUCTIONS.values():
+        arrow = CLASSES[row.sources[0]].cls, CLASSES[row.target].cls, row.model
+        proven.setdefault(arrow, []).append(row)
     return (
-        # --- Relations proven in this paper -------------------------------
-        Relation(C.SIGMA, C.H_SIGMA, "AS", "Theorem 1 (Figures 1 and 2)",
-                 SigmaToHSigmaUnknownMembership),
-        Relation(C.H_SIGMA, C.SIGMA, "AS", "Theorem 2 (Figure 4)", HSigmaToSigma),
-        Relation(C.A_SIGMA, C.H_SIGMA, "AAS", "Theorem 3", ASigmaToHSigma),
-        Relation(C.AP, C.DIAMOND_HP, "AAS", "Lemma 2 / Theorem 4", APToDiamondHP),
-        Relation(C.AP, C.H_SIGMA, "AAS", "Lemma 3 / Theorem 4", APToHSigma),
-        Relation(C.DIAMOND_HP, C.H_OMEGA, ANY_MODEL, "Observation 1", DiamondHPToHOmega),
+        *(
+            Relation(
+                *arrow, " / ".join(row.paper_item for row in rows), tuple(row.name for row in rows)
+            )
+            for arrow, rows in proven.items()
+        ),
         # --- Relations from Bonnet & Raynal recalled by the paper ---------
         Relation(C.SIGMA, C.A_SIGMA, "AS", "Bonnet & Raynal [6]"),
         Relation(C.A_SIGMA, C.SIGMA, "AS", "Bonnet & Raynal [6]"),

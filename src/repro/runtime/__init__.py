@@ -30,7 +30,9 @@ The pieces:
   detectors, consensus algorithms, programs, property checks, and
   experiments;
 * :mod:`~repro.runtime.engine` — the :class:`Engine`, :class:`RunRecord`,
-  and the module-level :func:`execute_spec` worker entry point;
+  and the module-level :func:`execute_spec` worker entry point, whose two
+  halves are :func:`simulate_spec` (spec → finished ``Simulation``, for
+  callers that read the trace) and :func:`measure_run` (→ ``RunRecord``);
 * :mod:`~repro.runtime.executors` — :class:`SerialExecutor` and the
   persistent warm :class:`WorkerPool`;
 * :mod:`~repro.runtime.fleet` — the one supervised fleet of worker processes
@@ -48,8 +50,9 @@ from .engine import (
     default_consensus_detectors,
     distinct_proposals,
     execute_spec,
-    run_once,
+    measure_run,
     run_with_digest_capture,
+    simulate_spec,
 )
 from .executors import (
     Executor,
@@ -73,6 +76,7 @@ from .registry import (
     register_experiment,
     register_link,
     register_program,
+    register_reduction,
 )
 from .spec import (
     CrashSpec,
@@ -148,6 +152,7 @@ __all__ = [
     "jittered",
     "leaders",
     "lossy",
+    "measure_run",
     "minority",
     "no_crashes",
     "partial_sync",
@@ -159,11 +164,12 @@ __all__ = [
     "register_experiment",
     "register_link",
     "register_program",
+    "register_reduction",
     "reliable",
     "ring",
-    "run_once",
     "run_with_digest_capture",
     "scenario",
+    "simulate_spec",
     "synchronous",
     "validate_spec",
 ]

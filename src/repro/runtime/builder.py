@@ -390,8 +390,8 @@ def validate_spec(spec: ScenarioSpec) -> None:
 
     spec.timing.build()  # a timing model validates its own parameters
     membership = spec.membership.build()
-    n = membership.size
-    worst_faulty = spec.crashes.worst_case_faulty(n)
+    # Building the schedule is what validates it — and counts its victims.
+    worst_faulty = len(spec.crashes.build(membership).faulty)
 
     provided = {detector.name for detector in spec.detectors}
     if spec.program is not None:

@@ -65,13 +65,12 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from ..analysis.metrics import consensus_metrics
 from ..analysis.runner import ParameterSweep, jsonl_line, merge_row
 from ..consensus import validate_consensus
+from ..errors import ConfigurationError
 from ..membership import Membership
-from ..sim import CompositeProgram, CrashSchedule, Simulation, TimingModel, build_system
+from ..sim import CompositeProgram, Simulation, build_system
 from ..sim import scheduler
 from ..sim.failures import FailurePattern
-from ..sim.links import LinkModel
 from ..sim.scheduler import capture_digests
-from ..sim.system import ProgramFactory
 from .cache import RunCache
 from .executors import Executor, executor_for
 from .registry import CHECKS, CONSENSUS, DETECTORS, PROGRAMS
@@ -81,7 +80,8 @@ __all__ = [
     "RunRecord",
     "Engine",
     "execute_spec",
-    "run_once",
+    "simulate_spec",
+    "measure_run",
     "fold_checks",
     "item_key",
     "run_item",
@@ -163,72 +163,6 @@ class RunRecord:
         )
 
 
-def run_once(
-    *,
-    membership: Membership,
-    timing: TimingModel,
-    program_factory: ProgramFactory,
-    crash_schedule: CrashSchedule | None = None,
-    detectors: Mapping[str, Any] | None = None,
-    links: LinkModel | None = None,
-    proposals: Mapping[Any, Any] | None = None,
-    horizon: float = 500.0,
-    seed: int = 0,
-    expect_decisions: bool = True,
-    checks: Iterable[str] = (),
-    scenario: str = "",
-    config: Mapping[str, Any] | None = None,
-) -> RunRecord:
-    """Execute one fully-materialised configuration and measure the outcome.
-
-    This is the execution path under :func:`execute_spec`: build the system,
-    run the simulation (stopping early once every correct process has
-    decided, when decisions are expected), validate, and collect metrics.
-    """
-    schedule = crash_schedule or CrashSchedule.none()
-    system = build_system(
-        membership=membership,
-        timing=timing,
-        program_factory=program_factory,
-        crash_schedule=schedule,
-        detectors=dict(detectors or {}),
-        links=links,
-        seed=seed,
-        name=scenario,
-    )
-    simulation = Simulation(system)
-    if expect_decisions:
-        trace = simulation.run(until=horizon, stop_when=Simulation.all_correct_decided)
-    else:
-        trace = simulation.run(until=horizon)
-    pattern = simulation.failure_pattern
-
-    metrics: dict[str, Any] = {}
-    if expect_decisions:
-        verdict = validate_consensus(
-            trace, pattern, dict(proposals or {}), require_termination=False
-        )
-        measured = consensus_metrics(trace, pattern, verdict)
-        metrics.update(
-            {
-                "decided": measured.decided,
-                "safe": measured.safe,
-                "decision_time": measured.last_decision_time,
-                "rounds": measured.max_decision_round,
-                "broadcasts": measured.broadcasts,
-                "message_copies": measured.message_copies,
-            }
-        )
-    metrics.update(fold_checks(trace, pattern, checks))
-    return RunRecord(
-        scenario=scenario,
-        seed=seed,
-        config=config or {},
-        metrics=metrics,
-        digest=simulation.digest,
-    )
-
-
 def fold_checks(trace: Any, pattern: FailurePattern, checks: Iterable[str]) -> dict:
     """Apply every named check to a finished run, as ``<check>_*`` metrics."""
     metrics: dict[str, Any] = {}
@@ -268,6 +202,22 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
         from ..workloads.kv.runner import execute_kv_spec
 
         return execute_kv_spec(spec)
+    return measure_run(spec, simulate_spec(spec))
+
+
+def simulate_spec(spec: ScenarioSpec) -> Simulation:
+    """Materialise one simulator scenario and run it: the finished simulation.
+
+    The first half of :func:`execute_spec`, for callers that read the trace
+    themselves (E1–E3 report what a record does not carry): build the system,
+    run to the horizon — or, with a consensus algorithm, until every correct
+    process has decided.  ``simulation.trace`` / ``.failure_pattern`` /
+    ``.digest`` are the outcome.
+    """
+    if spec.kv is not None or spec.backend != "sim":
+        raise ConfigurationError(
+            "KV and real-backend scenarios materialise their own system: use execute_spec"
+        )
     membership = spec.membership.build()
     proposals = distinct_proposals(membership) if spec.consensus else None
 
@@ -287,41 +237,59 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
     def factory(pid, identity):
         programs = []
         if program_entry is not None:
+            params = spec.program_params
             if topology is not None:
-                programs.append(
-                    program_entry.build(
-                        {
-                            **spec.program_params,
-                            "topology": topology,
-                            "index": pid.index,
-                            "peers": tuple(range(membership.size)),
-                        }
-                    )
-                )
-            else:
-                programs.append(program_entry.build(spec.program_params))
+                peers = tuple(range(membership.size))
+                params = {**params, "topology": topology, "index": pid.index, "peers": peers}
+            programs.append(program_entry.build(params))
         if consensus_factory is not None:
             programs.append(consensus_factory(proposals[pid]))
         return programs[0] if len(programs) == 1 else CompositeProgram(*programs)
 
-    detectors = {
-        detector.name: DETECTORS.resolve(detector.name)(detector.params)
-        for detector in spec.detectors
-    }
-    return run_once(
+    system = build_system(
         membership=membership,
         timing=spec.timing.build(),
         program_factory=factory,
         crash_schedule=spec.crashes.build(membership),
-        detectors=detectors,
+        detectors={
+            detector.name: DETECTORS.resolve(detector.name)(detector.params)
+            for detector in spec.detectors
+        },
         links=None if spec.network.is_reliable else spec.network.build(),
-        proposals=proposals,
-        horizon=spec.horizon,
         seed=spec.seed,
-        expect_decisions=spec.consensus is not None,
-        checks=spec.checks,
+        name=spec.name,
+    )
+    simulation = Simulation(system)
+    simulation.run(
+        until=spec.horizon,
+        stop_when=Simulation.all_correct_decided if spec.consensus else None,
+    )
+    return simulation
+
+
+def measure_run(spec: ScenarioSpec, simulation: Simulation) -> RunRecord:
+    """The record of a finished :func:`simulate_spec` run: validate, collect metrics."""
+    trace, pattern = simulation.trace, simulation.failure_pattern
+    metrics: dict[str, Any] = {}
+    if spec.consensus:
+        proposals = distinct_proposals(simulation.system.membership)
+        verdict = validate_consensus(trace, pattern, proposals, require_termination=False)
+        measured = consensus_metrics(trace, pattern, verdict)
+        metrics = {
+            "decided": measured.decided,
+            "safe": measured.safe,
+            "decision_time": measured.last_decision_time,
+            "rounds": measured.max_decision_round,
+            "broadcasts": measured.broadcasts,
+            "message_copies": measured.message_copies,
+        }
+    metrics.update(fold_checks(trace, pattern, spec.checks))
+    return RunRecord(
         scenario=spec.name,
+        seed=spec.seed,
         config=spec.to_dict(),
+        metrics=metrics,
+        digest=simulation.digest,
     )
 
 

@@ -28,6 +28,7 @@ from ..consensus import FAMILY, ConsensusFactory
 from ..detectors import CLASSES, DetectorRow, check_hb_detection, check_topo_detection
 from ..errors import ConfigurationError
 from ..membership import Membership
+from ..reductions import REDUCTIONS, Reduction, ReductionProgram
 from ..sim.links import (
     AsymmetricLinks,
     ComposedLinks,
@@ -52,6 +53,7 @@ __all__ = [
     "register_detector_class",
     "register_consensus",
     "register_program",
+    "register_reduction",
     "register_check",
     "register_experiment",
     "register_link",
@@ -230,6 +232,19 @@ def register_detector_class(row: DetectorRow, *, overwrite: bool = False) -> Det
     return row
 
 
+def register_reduction(row: Reduction, *, overwrite: bool = False) -> Reduction:
+    """Register one row of the reduction table: the one program running it as
+    program ``row.name``, and the row itself among the ``REDUCTIONS`` E3 runs."""
+    register_program(
+        row.name,
+        lambda params: ReductionProgram(row, **params),
+        paper_item=row.paper_item,
+        overwrite=overwrite,
+    )
+    REDUCTIONS[row.name] = row
+    return row
+
+
 def build_link_model(kind: str, params: Mapping[str, Any]) -> LinkModel:
     """Materialise a link model from its spec data (``kind`` + parameters)."""
     return LINKS.resolve(kind)(**dict(params))
@@ -314,6 +329,14 @@ register_program(
     paper_item="dynamic membership / churn workload (SNIPPETS.md Snippet 2 join)",
     topology_aware=True,
 )
+
+
+# ----------------------------------------------------------------------
+# Built-in reductions (Figures 1, 2, 4; Theorem 3; Lemmas 2–3; Observation 1)
+# ----------------------------------------------------------------------
+# The rows of ``repro.reductions.table``, each under the name the row declares.
+for _row in tuple(REDUCTIONS.values()):
+    register_reduction(_row)
 
 
 # ----------------------------------------------------------------------

@@ -315,25 +315,6 @@ class CrashSpec(_TaggedSection):
             return CrashSchedule.at_times(times)
         raise ConfigurationError(f"unknown crash kind {self.kind!r}")
 
-    def worst_case_faulty(self, n: int) -> int:
-        """An upper bound on the number of crashes, for validation."""
-        params = self.params
-        if self.kind == "none":
-            return 0
-        if self.kind == "minority":
-            count = params.get("count")
-            return (n - 1) // 2 if count is None else min(count, n - 1)
-        if self.kind == "cascading":
-            return min(params["count"], n - 1)
-        if self.kind == "leaders":
-            count = params.get("count")
-            return max(1, (n - 1) // 2) if count is None else min(count, n - 1)
-        if self.kind == "fraction":
-            return min(int(round(params["fraction"] * n)), n - 1)
-        if self.kind == "at_times":
-            return len(params.get("times", {}))
-        raise ConfigurationError(f"unknown crash kind {self.kind!r}")
-
 
 def no_crashes() -> CrashSpec:
     """No process ever crashes."""

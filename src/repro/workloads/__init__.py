@@ -1,10 +1,12 @@
-"""Workload generation: homonymy patterns, crash schedules, scenarios.
+"""Workload generation: homonymy patterns, crash schedules, churn, the KV service.
 
 These helpers build the parameter space the experiments sweep over: how
 identifiers are shared (:mod:`repro.workloads.homonymy`), who crashes and when
-(:mod:`repro.workloads.crashes`), and complete consensus scenarios combining
-both with a timing model and detector stabilization times
-(:mod:`repro.workloads.scenarios`).
+(:mod:`repro.workloads.crashes`), who joins and leaves
+(:mod:`repro.workloads.churn`).  A complete run — system, detectors, algorithm,
+horizon — is a :class:`~repro.runtime.spec.ScenarioSpec`, built with
+:func:`repro.runtime.scenario`, whose crash and membership sections name these
+generators.
 """
 
 from .churn import check_membership_churn, churn_schedule, churn_spec
@@ -16,11 +18,8 @@ from .crashes import (
     no_crashes,
 )
 from .homonymy import homonymy_spectrum, membership_with_distinct_ids
-from .scenarios import ConsensusScenario, DetectorScenario
 
 __all__ = [
-    "ConsensusScenario",
-    "DetectorScenario",
     "cascading_crashes",
     "check_membership_churn",
     "churn_schedule",

@@ -18,6 +18,20 @@ __all__ = [
 ]
 
 
+def _last(membership: Membership, count: int) -> list:
+    """The ``count`` processes at the end of the process list."""
+    return list(membership.processes)[membership.size - _checked(membership, count) :]
+
+
+def _checked(membership: Membership, count: int) -> int:
+    if not 0 <= count < membership.size:
+        raise ConfigurationError(
+            f"cannot crash {count} of {membership.size} processes: the count must be "
+            "non-negative and at least one process must stay correct"
+        )
+    return count
+
+
 def no_crashes() -> CrashSchedule:
     """No process ever crashes."""
     return CrashSchedule.none()
@@ -35,10 +49,7 @@ def minority_crashes(
     maximum_minority = (membership.size - 1) // 2
     if count is None:
         count = maximum_minority
-    if count > membership.size - 1:
-        raise ConfigurationError("at least one process must stay correct")
-    victims = list(membership.processes)[-count:] if count else []
-    return CrashSchedule.crash_processes(victims, time=at, stagger=stagger)
+    return CrashSchedule.crash_processes(_last(membership, count), time=at, stagger=stagger)
 
 
 def crash_fraction(
@@ -73,16 +84,13 @@ def cascading_crashes(
     With ``partial_broadcast_fraction`` set, each victim's final broadcast is
     only partially delivered — the paper's "crash while broadcasting" case.
     """
-    if count > membership.size - 1:
-        raise ConfigurationError("at least one process must stay correct")
-    victims = list(membership.processes)[-count:] if count else []
     events = tuple(
         CrashEvent(
             process=victim,
             time=first_at + index * interval,
             partial_broadcast_fraction=partial_broadcast_fraction,
         )
-        for index, victim in enumerate(sorted(victims))
+        for index, victim in enumerate(sorted(_last(membership, count)))
     )
     return CrashSchedule(events)
 
@@ -96,10 +104,8 @@ def leader_targeted_crashes(
     so killing exactly those processes forces leader re-election — the most
     adversarial crash placement for leader-based consensus.
     """
-    if count > membership.size - 1:
-        raise ConfigurationError("at least one process must stay correct")
     by_identity = sorted(
         membership.processes, key=lambda process: (repr(membership.identity_of(process)), process)
     )
-    victims = by_identity[:count]
+    victims = by_identity[: _checked(membership, count)]
     return CrashSchedule.crash_processes(victims, time=at, stagger=stagger)

@@ -167,6 +167,73 @@ def test_the_registry_registers_the_detector_table_and_restates_nothing() -> Non
     assert imported == {"CLASSES", "DetectorRow", "check_hb_detection", "check_topo_detection"}
 
 
+def test_the_registry_registers_the_reduction_table_and_restates_nothing() -> None:
+    """One reduction table: the seven programs of ``PROGRAMS`` are its rows."""
+    from repro.reductions import REDUCTIONS, ReductionProgram
+    from repro.runtime import PROGRAMS
+
+    for name, row in REDUCTIONS.items():
+        entry = PROGRAMS.resolve(name)
+        program = entry.build({})
+        assert type(program) is ReductionProgram and program.row is row
+        assert (name, entry.paper_item) == (row.name, row.paper_item)
+    others = set(PROGRAMS.names()) - set(REDUCTIONS)
+    assert others == {"heartbeat", "hsigma_sync", "membership", "ohp_polling", "script_alive"}
+
+    # The registry loops over the table: it names no row, step or handler itself …
+    source = (ROOT / "src/repro/runtime/registry.py").read_text(encoding="utf-8")
+    registry = ast.parse(source)
+    imported = {
+        alias.name
+        for node in ast.walk(registry)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("reductions")
+        for alias in node.names
+    }
+    assert imported == {"REDUCTIONS", "Reduction", "ReductionProgram"}
+    assert not [name for name in REDUCTIONS if name in source]
+    # … and ``REDUCTIONS`` is the only place that builds a row.
+    builders = [
+        path.relative_to(ROOT).as_posix()
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        if re.search(r"\bReduction\(", path.read_text(encoding="utf-8"))
+    ]
+    assert builders == ["src/repro/reductions/table.py"]
+
+
+def test_a_run_is_a_spec_two_modules_materialise_a_system() -> None:
+    """One way to dispatch work: outside ``sim/`` only the engine (every spec) and
+    the KV runner (replicas + clients) call ``build_system``; an experiment that
+    imports ``repro.sim`` is hand-wiring a run no ``ScenarioSpec`` names, and the
+    pre-PR-1 ``Scenario`` classes stay gone."""
+    package = ROOT / "src" / "repro"
+    callers = [
+        path.relative_to(package).as_posix()
+        for path in sorted(package.rglob("*.py"))
+        if "sim" not in path.relative_to(package).parts
+        and re.search(r"\bbuild_system\(", path.read_text(encoding="utf-8"))
+    ]
+    assert callers == ["runtime/engine.py", "workloads/kv/runner.py"]
+
+    experiments = sorted((package / "experiments").glob("e*.py"))
+    assert len(experiments) == 12
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in experiments
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"^\s*(from|import)\s+(repro|\.\.)\.?sim\b", line)
+    ]
+    assert not offenders, "an experiment's run is a spec:\n" + "\n".join(offenders)
+
+    gone = re.compile(r"\b(Consensus|Detector)Scenario\b|workloads\.scenarios")
+    mentions = [
+        path.relative_to(ROOT).as_posix()
+        for folder in ("src", "bench", "benchmarks", "examples", "tests")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path != Path(__file__).resolve() and gone.search(path.read_text(encoding="utf-8"))
+    ]
+    assert not mentions and not (package / "workloads" / "scenarios.py").exists()
+
+
 def test_the_library_imports_only_the_standard_library() -> None:
     """CI's ``tests`` job installs pytest and hypothesis only; ``src/repro`` needs neither."""
     offenders = []

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.consensus import HOmegaMajorityConsensus
+from repro.consensus import HOmegaMajorityConsensus, validate_consensus
 from repro.detectors import CLASSES, DetectorProbeProgram, DetectorRow
 from repro.detectors.properties import finally_each
 from repro.experiments.e3_reductions import _run_case
@@ -43,7 +43,6 @@ from repro.runtime import CHECKS, DETECTORS, register_detector_class
 from repro.runtime.engine import fold_checks
 from repro.sim import AsynchronousTiming, CrashSchedule, RunTrace, Simulation, build_system
 from repro.sim.failures import FailurePattern
-from repro.workloads.scenarios import ConsensusScenario
 
 # ----------------------------------------------------------------------
 # (a) Pinned on dbeee8c, before the eleven oracle classes became rows
@@ -527,13 +526,21 @@ class TestTheAxiomsRejectAndAdmit:
 
         # Figure 8 under that history: nobody correct is a leader before t=30,
         # so nothing is decided by then — and everything after.
-        trace, pattern, verdict = ConsensusScenario(
-            membership=membership,
-            consensus_factory=lambda proposal: HOmegaMajorityConsensus(proposal, n=membership.size),
-            crash_schedule=schedule,
-            detectors={"HOmega": oracle},
-            horizon=600.0,
-        ).run()
+        proposals = {process: f"value-{process.index}" for process in membership.processes}
+        simulation = Simulation(
+            build_system(
+                membership=membership,
+                timing=AsynchronousTiming(min_latency=0.1, max_latency=2.0),
+                program_factory=lambda pid, identity: HOmegaMajorityConsensus(
+                    proposals[pid], n=membership.size
+                ),
+                crash_schedule=schedule,
+                detectors={"HOmega": oracle},
+            )
+        )
+        trace = simulation.run(until=600.0, stop_when=Simulation.all_correct_decided)
+        pattern = simulation.failure_pattern
+        verdict = validate_consensus(trace, pattern, proposals, require_termination=False)
         assert verdict.ok, verdict
         assert trace.all_decided(pattern.correct)
         assert min(decision.time for decision in trace.decisions.values()) > 30.0

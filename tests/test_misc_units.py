@@ -1,4 +1,4 @@
-"""Unit tests for smaller pieces: errors, messages, traces, composition, scenarios."""
+"""Unit tests for smaller pieces: errors, messages, traces, composition."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from repro.sim import (
     Simulation,
     build_system,
 )
-from repro.workloads.scenarios import ConsensusScenario, DetectorScenario
 
 
 def p(index: int) -> ProcessId:
@@ -181,51 +180,28 @@ class TestProbeValidation:
         assert len(trace.records_of(p(0), "probe.key")) == 3
 
 
-class TestScenarios:
-    def test_detector_scenario_runs(self):
-        membership = grouped_identities([2, 1])
-        scenario = DetectorScenario(
-            membership=membership,
-            program_factory=lambda pid, identity: DetectorProbeProgram(
-                {"probe.key": lambda ctx: 1}, period=1.0, samples=2
-            ),
-            timing=AsynchronousTiming(),
-            horizon=10.0,
-            seed=4,
-        )
-        trace, pattern = scenario.run()
-        assert pattern.correct == set(membership.processes)
-        assert trace.records_of(p(0), "probe.key")
-
-    def test_consensus_scenario_custom_detectors_and_proposals(self):
-        from repro.consensus import HOmegaMajorityConsensus
+class TestConsensusOverThePlainSimApi:
+    def test_custom_detectors_and_identical_proposals(self):
+        from repro.consensus import HOmegaMajorityConsensus, validate_consensus
 
         membership = grouped_identities([2, 1])
         proposals = {process: "same" for process in membership.processes}
-        scenario = ConsensusScenario(
+        system = build_system(
             membership=membership,
-            consensus_factory=lambda proposal: HOmegaMajorityConsensus(
-                proposal, n=membership.size
+            timing=AsynchronousTiming(min_latency=0.1, max_latency=2.0),
+            program_factory=lambda pid, identity: HOmegaMajorityConsensus(
+                proposals[pid], n=membership.size
             ),
-            proposals=proposals,
             detectors={
                 "HOmega": lambda services: CLASSES["HOmega"].oracle(services, stabilization_time=2.0)
             },
-            horizon=200.0,
             seed=6,
         )
-        _, _, verdict = scenario.run()
+        simulation = Simulation(system)
+        trace = simulation.run(until=200.0, stop_when=Simulation.all_correct_decided)
+        verdict = validate_consensus(trace, simulation.failure_pattern, proposals)
         assert verdict.ok
         assert set(verdict.decided_values.values()) == {"same"}
-
-    def test_consensus_scenario_default_detectors_include_hsigma(self):
-        membership = grouped_identities([2, 1])
-        scenario = ConsensusScenario(
-            membership=membership,
-            consensus_factory=lambda proposal: None,  # not used here
-        )
-        detectors = scenario.resolved_detectors()
-        assert set(detectors) == {"HOmega", "HSigma"}
 
 
 class TestSchedulerEdgeCases:

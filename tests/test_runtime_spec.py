@@ -242,11 +242,6 @@ class TestSpecMaterialisation:
         assert len(leaders(1).build(membership).faulty) == 1
         assert len(crashes_at({0: 3.0, 2: 5.0}).build(membership).faulty) == 2
 
-    def test_worst_case_faulty_matches_build(self):
-        membership = MembershipSpec("unique", n=7).build()
-        for spec in (no_crashes(), minority(), cascading(4), leaders(), crashes_at({1: 2.0})):
-            assert spec.worst_case_faulty(7) == len(spec.build(membership).faulty)
-
     def test_network_specs_build_the_right_link_models(self):
         assert isinstance(reliable().build(), ReliableLinks)
         lossy_model = lossy(0.3, end=25.0).build()
@@ -295,7 +290,7 @@ class TestBuilderValidation:
             .consensus("homega_hsigma")
             .build()
         )
-        assert spec.crashes.worst_case_faulty(6) == 5
+        assert len(spec.crashes.build(spec.membership.build()).faulty) == 5
 
     def test_missing_required_detector_is_rejected(self):
         with pytest.raises(ScenarioValidationError, match="HSigma"):

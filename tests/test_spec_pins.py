@@ -10,15 +10,20 @@ parent and never re-recorded:
   stabilisation time and violation count of the run E3 dispatches;
 * every quick and every 7th full-mode config of E1 and E2: event digest and
   the outcome the experiment's table is built from.
+
+The last test is what the move made possible: every one of those quick runs is
+named by a ``ScenarioSpec`` that survives JSON and runs to the pinned digest.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
+from repro.runtime import ScenarioSpec, execute_spec
 from repro.sim.scheduler import capture_digests
 
 _STRIDE = 7
@@ -172,3 +177,21 @@ def test_sweep_runs_as_pinned(name, mode):
     assert len(runs) == len(pinned)
     for position, (fn, config) in enumerate(runs):
         assert observed(fn, config) == PINNED_RUNS[name, mode, position], (position, config)
+
+
+@pytest.mark.parametrize("name", ["E1", "E2", "E3"])
+def test_every_quick_run_is_a_spec_that_round_trips_to_the_pinned_digest(name):
+    module = importlib.import_module(ALL_EXPERIMENTS[name].work.__module__)
+    runs = dispatched(name, quick=True)
+    assert len(runs) == {"E1": 13, "E2": 9, "E3": 7}[name]
+    for position, (_, config) in enumerate(runs):
+        spec = module._spec(config)
+        revived = ScenarioSpec.from_json(spec.to_json())
+        assert revived == spec
+        assert revived.canonical_hash(include_seed=True) == spec.canonical_hash(include_seed=True)
+        pinned = PINNED_REDUCTIONS[0, position] if name == "E3" else PINNED_RUNS[name, "quick", position]
+        record = execute_spec(revived)
+        assert record.digest == pinned[0]
+        # … and to the verdicts: every check holds, except in E1's fixed-timeout ablation.
+        held = all(record.metrics[f"{check}_ok"] for check in spec.checks)
+        assert held != bool(config.get("fixed_timeout"))

@@ -14,14 +14,13 @@ from repro.analysis import (
     render_series,
     render_table,
 )
-from repro.consensus import HOmegaMajorityConsensus
+from repro.consensus import validate_consensus
 from repro.detectors.properties import CheckResult
 from repro.errors import ConfigurationError
 from repro.identity import ProcessId
 from repro.membership import unique_identities
-from repro.runtime import Engine
+from repro.runtime import CrashSpec, Engine, distinct_proposals, minority, scenario, simulate_spec
 from repro.workloads import (
-    ConsensusScenario,
     cascading_crashes,
     crash_fraction,
     homonymy_spectrum,
@@ -115,6 +114,31 @@ class TestCrashWorkloads:
         schedule = leader_targeted_crashes(membership, 2)
         assert schedule.faulty == {p(0), p(1)}
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "minority", "params": {"count": -1}},
+            {"kind": "cascading", "params": {"count": -1}},
+            {"kind": "leaders", "params": {"count": -2}},
+        ],
+    )
+    def test_a_negative_count_is_not_a_majority_of_crashes(self, payload):
+        # `[-count:]` made four victims of minority(count=-1) on n=5 while the
+        # builder counted −1 and let Figure 8 run over it.
+        crashes = CrashSpec.from_dict(payload)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            crashes.build(unique_identities(5))
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            (
+                scenario()
+                .processes(5)
+                .unique_ids()
+                .detectors("HOmega", stabilization=5.0)
+                .consensus("homega_majority")
+                .crashes(crashes)
+                .build()
+            )
+
     def test_too_many_crashes_rejected(self):
         membership = unique_identities(3)
         with pytest.raises(ConfigurationError):
@@ -125,18 +149,21 @@ class TestCrashWorkloads:
 
 class TestConsensusScenario:
     def test_scenario_runs_and_validates(self):
-        membership = membership_with_distinct_ids(5, 2)
-        scenario = ConsensusScenario(
-            membership=membership,
-            consensus_factory=lambda proposal: HOmegaMajorityConsensus(
-                proposal, n=membership.size
-            ),
-            crash_schedule=minority_crashes(membership, at=8.0, count=1),
-            detector_stabilization=10.0,
-            horizon=400.0,
-            seed=5,
+        spec = (
+            scenario()
+            .processes(5)
+            .distinct_ids(2)
+            .crashes(minority(at=8.0, count=1))
+            .detectors("HOmega", "HSigma", stabilization=10.0)
+            .consensus("homega_majority")
+            .horizon(400.0)
+            .seed(5)
+            .build()
         )
-        trace, pattern, verdict = scenario.run()
+        simulation = simulate_spec(spec)
+        trace, pattern = simulation.trace, simulation.failure_pattern
+        proposals = distinct_proposals(simulation.system.membership)
+        verdict = validate_consensus(trace, pattern, proposals)
         assert verdict.ok, verdict.violations
         metrics = consensus_metrics(trace, pattern, verdict)
         assert metrics.decided and metrics.safe
