@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.runtime import (
     MembershipSpec,
+    distinct_proposals,
     measure_run,
     minority,
     no_crashes,
@@ -44,10 +45,12 @@ def agree_on_slot(slot, client_commands, crashes, seed):
         .build()
     )
     simulation = simulate_spec(spec)
-    # Replica i proposes "value-i", which stands for the command it holds.
+    # A spec gives every replica its own proposal, which stands for the command
+    # the replica holds.
+    proposals = distinct_proposals(simulation.system.membership)
     commands = {
-        f"value-{index}": client_commands[index % len(client_commands)]
-        for index in range(REPLICAS.size)
+        proposal: client_commands[replica.index % len(client_commands)]
+        for replica, proposal in proposals.items()
     }
     decided = {commands[decision.value] for decision in simulation.trace.decisions.values()}
     return sorted(set(commands.values())), decided, measure_run(spec, simulation)

@@ -12,7 +12,8 @@ systems that underpins the paper's comparison with prior work.
 from __future__ import annotations
 
 from ..detectors import CLASSES, DetectorClass
-from ..reductions import ANY_MODEL, REDUCTIONS, equivalent_classes, is_stronger
+from ..errors import ConfigurationError
+from ..reductions import ANY_MODEL, REDUCTIONS, Reduction, equivalent_classes, is_stronger
 from ..runtime import MembershipSpec, ScenarioSpec, asynchronous, crashes_at, scenario
 from .base import Call, Experiment, simulate_and_check
 
@@ -23,22 +24,32 @@ DESCRIPTION = "Reductions between detector classes (Figures 1-4, Theorems 1-4, O
 _STABILIZATION = 15.0
 _HORIZON = 90.0
 
-#: The model a row's relation holds in → (the table's name for the model the
-#: row runs in, the system it runs on): a relation that holds in any model is
-#: run in the most general one.
+#: The system a row runs on, by the model it runs in.
 _SYSTEMS = {
-    "AS": ("AS", MembershipSpec("unique", n=4)),
-    "AAS": ("AAS", MembershipSpec("anonymous", n=4)),
-    ANY_MODEL: ("HAS", MembershipSpec("groups", groups=(2, 2, 1))),
+    "AS": MembershipSpec("unique", n=4),
+    "AAS": MembershipSpec("anonymous", n=4),
+    "HAS": MembershipSpec("groups", groups=(2, 2, 1)),
 }
 
 
+def _model(row: Reduction) -> str:
+    """The model ``row`` runs in: a relation that holds in any model is run in
+    the most general one."""
+    model = "HAS" if row.model == ANY_MODEL else row.model
+    if model not in _SYSTEMS:
+        raise ConfigurationError(
+            f"reduction {row.name!r} holds in model {row.model!r}; "
+            f"E3 runs {sorted(_SYSTEMS)} and {ANY_MODEL!r}"
+        )
+    return model
+
+
 def _spec(config: dict) -> ScenarioSpec:
-    """Row ``config["case"]`` of the table over its source rows' oracles, judged
-    by its target row's axioms; one process crashes before they stabilise.
-    Case ``i`` runs with seed ``seed + i``."""
-    row = list(REDUCTIONS.values())[config["case"]]
-    _, membership = _SYSTEMS[row.model]
+    """Row ``config["reduction"]`` of the table over its source rows' oracles,
+    judged by its target row's axioms; one process crashes before they
+    stabilise.  Case ``i`` runs with seed ``seed + i``."""
+    row = REDUCTIONS[config["reduction"]]
+    membership = _SYSTEMS[_model(row)]
     return (
         scenario(f"E3-{row.name}")
         .membership(membership)
@@ -54,14 +65,13 @@ def _spec(config: dict) -> ScenarioSpec:
 
 
 def _run_case(config: dict) -> dict:
-    """Run one reduction case by index (module-level so executors can fan out)."""
-    spec = _spec(config)
-    row = REDUCTIONS[spec.program]
-    _, (result,) = simulate_and_check(spec)
+    """Run one reduction case (module-level so executors can fan out)."""
+    row = REDUCTIONS[config["reduction"]]
+    _, (result,) = simulate_and_check(_spec(config))
     return {
         "paper_item": row.paper_item,
         "reduction": row.label,
-        "model": _SYSTEMS[row.model][0],
+        "model": _model(row),
         "emulation_ok": result.ok,
         "stabilization_time": result.stabilization_time,
         "violations": len(result.violations),
@@ -70,7 +80,10 @@ def _run_case(config: dict) -> dict:
 
 def _work(quick: bool, seed: int) -> list[Call]:
     # Every registered row, in the table's order.
-    return [("map", _run_case, [{"case": case, "seed": seed} for case in range(len(REDUCTIONS))])]
+    configs = [
+        {"case": case, "reduction": name, "seed": seed} for case, name in enumerate(REDUCTIONS)
+    ]
+    return [("map", _run_case, configs)]
 
 
 def _report(rows: list[dict]) -> tuple[list[dict], dict]:

@@ -34,10 +34,12 @@ class Reduction:
     ``CLASSES`` names and ``model`` is the system model the relation holds in.
     ``step(program, ctx, *source_views)`` is one loop iteration and returns the
     emulated value — what the target class's view reads: its one output, or the
-    pair of its two; ``None`` is "no output yet" — which starts at
-    ``initial(program, ctx)``.  ``handlers`` maps a message kind to
-    ``handler(program, ctx, message)``.  ``note`` qualifies the arrow where two
-    rows share one, and ``knows_membership`` marks the row that is told ``I(Π)``.
+    pair of its two; ``None`` is "no output this iteration" and leaves the value
+    as it is — which starts, unrecorded, at ``initial(program, ctx)``: what a
+    co-located reader sees before the first step.  ``handlers`` maps a message
+    kind to ``handler(program, ctx, message)``.  ``note`` qualifies the arrow
+    where two rows share one, and ``knows_membership`` marks the row that is
+    told ``I(Π)``.
     """
 
     name: str
@@ -110,9 +112,12 @@ class ReductionProgram(ProcessProgram):
             yield ctx.sleep(self.period)
 
     def publish(self, ctx: ProcessContext, value: Any) -> None:
-        """Adopt ``value`` and record it under the target row's trace keys."""
+        """Adopt ``value`` and record it under the target row's trace keys
+        (``None``: keep the current value, record nothing)."""
+        if value is None:
+            return
         self.value = value
-        if self.record_outputs and value is not None:
+        if self.record_outputs:
             keys = self.target.keys
             for key, output in zip(keys, value if len(keys) > 1 else (value,)):
                 ctx.record(key, output)

@@ -90,7 +90,7 @@ def _best_covered_quorum(program, ctx, hsigma, script_e):
         <= program.heard.get(label, frozenset())
     ]
     if not covered:
-        return program.value
+        return program.value or None  # an empty quorum is not an output of Σ
     return min(
         covered,
         key=lambda ids: (max(map(script_e.rank, ids)), sorted(map(repr, ids))),
@@ -142,7 +142,8 @@ REDUCTIONS: dict[str, Reduction] = {
         ),
         Reduction(
             "hsigma_to_sigma", "Figure 4 (Theorem 2)", "AS", ("HSigma", "ScriptE"), "Sigma",
-            step=_best_covered_quorum, handlers={"LABELS": _learn_labels}, note="uses ℰ",
+            step=_best_covered_quorum, initial=lambda program, ctx: frozenset(),
+            handlers={"LABELS": _learn_labels}, note="uses ℰ",
         ),
         Reduction(
             "asigma_to_hsigma", "Theorem 3", "AAS", ("ASigma",), "HSigma",
@@ -151,6 +152,7 @@ REDUCTIONS: dict[str, Reduction] = {
         Reduction(
             "ap_to_ohp", "Lemma 2 (Theorem 4)", "AAS", ("AP",), "DiamondHP",
             step=lambda program, ctx, ap: _anonymous(ap.anap),
+            initial=lambda program, ctx: IdentityMultiset(),
         ),
         Reduction(
             "ap_to_hsigma", "Lemma 3 (Theorem 4)", "AAS", ("AP",), "HSigma",

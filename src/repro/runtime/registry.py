@@ -232,14 +232,11 @@ def register_detector_class(row: DetectorRow, *, overwrite: bool = False) -> Det
     return row
 
 
-def register_reduction(row: Reduction, *, overwrite: bool = False) -> Reduction:
+def register_reduction(row: Reduction) -> Reduction:
     """Register one row of the reduction table: the one program running it as
     program ``row.name``, and the row itself among the ``REDUCTIONS`` E3 runs."""
     register_program(
-        row.name,
-        lambda params: ReductionProgram(row, **params),
-        paper_item=row.paper_item,
-        overwrite=overwrite,
+        row.name, lambda params: ReductionProgram(row, **params), paper_item=row.paper_item
     )
     REDUCTIONS[row.name] = row
     return row

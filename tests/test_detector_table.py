@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 from repro.consensus import HOmegaMajorityConsensus, validate_consensus
 from repro.detectors import CLASSES, DetectorProbeProgram, DetectorRow
 from repro.detectors.properties import finally_each
-from repro.experiments.e3_reductions import _run_case
+from repro.experiments import ALL_EXPERIMENTS
 from repro.identity import ANONYMOUS_IDENTITY, IdentityMultiset, ProcessId
 from repro.membership import anonymous_identities, grouped_identities, unique_identities
 from repro.runtime import CHECKS, DETECTORS, register_detector_class
@@ -320,7 +320,8 @@ class TestRowsReproduceTheParentCommit:
 
     @pytest.mark.parametrize("case", sorted(_PINNED_E3))
     def test_e3_cell(self, case):
-        assert _run_case({"case": case, "seed": 0}) == _PINNED_E3[case]
+        ((_, run_case, configs),) = ALL_EXPERIMENTS["E3"].work(True, 0)
+        assert run_case(configs[case]) == _PINNED_E3[case]
 
     def test_p_has_a_judge_now(self):
         simulation = _probe_run(CLASSES["Perfect"])

@@ -102,13 +102,17 @@ def test_full_deterministic_plan_shape() -> None:
 @pytest.mark.parametrize(
     "quick, fingerprint, kinds",
     [
-        # Computed at df2f1bd, before PlanningEngine became an Engine subclass:
-        # the rewrite moved no key, index, call number or payload.
-        (True, "2201f44460c3922b", {"sweep": 168, "map": 7, "spec": 12}),
+        # df2f1bd gave 2201f44460c3922b, before PlanningEngine became an Engine
+        # subclass: the rewrite moved no key, index, call number or payload.
+        # Recomputed once when E3's seven configs began to name their row
+        # (`"reduction": <name>` beside `case`); diffed item by item against the
+        # plan before, only those seven payloads and their keys differ.
+        (True, "ba757deb54d92785", {"sweep": 168, "map": 7, "spec": 12}),
         # df2f1bd gave 99a14f97ba96354e (1901 items: 1840 / 7 / 54), and so did
         # the rewritten planner; recomputed once after full E8 dropped its nine
-        # impossible items (distinct_ids=7 at n=5).
-        (False, "430e8b0aa44d9ada", {"sweep": 1831, "map": 7, "spec": 54}),
+        # impossible items (distinct_ids=7 at n=5) — 430e8b0aa44d9ada — and once
+        # for E3's seven configs, as above.
+        (False, "04c70019717d0455", {"sweep": 1831, "map": 7, "spec": 54}),
     ],
 )
 def test_plan_fingerprints_are_pinned(quick, fingerprint, kinds) -> None:
@@ -146,7 +150,7 @@ def test_planning_never_reduces(monkeypatch) -> None:
         monkeypatch, {name: replace(run, report=report) for name, run in ALL_EXPERIMENTS.items()}
     )
     text = json.dumps(plan.to_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "2201f44460c3922b"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "ba757deb54d92785"
 
 
 def test_planning_never_swallows(monkeypatch) -> None:

@@ -6,14 +6,15 @@ A reduction is a row of ``repro.reductions.REDUCTIONS`` run by the one
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from repro.detectors import CLASSES, DetectorClass
-from repro.errors import ReductionError
+from repro.errors import ConfigurationError, ReductionError
 from repro.experiments import ALL_EXPERIMENTS
-from repro.membership import anonymous_identities
+from repro.membership import anonymous_identities, unique_identities
 from repro.reductions import (
     ANY_MODEL,
     REDUCTIONS,
@@ -32,7 +33,14 @@ from repro.runtime import (
     scenario,
     simulate_spec,
 )
-from repro.sim import AsynchronousTiming, CompositeProgram, CrashSchedule, Simulation, build_system
+from repro.sim import (
+    AsynchronousTiming,
+    CompositeProgram,
+    CrashSchedule,
+    ProcessProgram,
+    Simulation,
+    build_system,
+)
 
 CRASH = {1: 10.0}
 
@@ -125,10 +133,12 @@ class TestObservationOne:
         result = judged("ohp_to_homega", run_reduction("ohp_to_homega", system))
         assert result.ok, result.violations
 
-    def test_homega_from_ap_chain_in_anonymous_system(self):
+    @pytest.mark.parametrize("max_step", [0.0, 0.5])
+    def test_homega_from_ap_chain_in_anonymous_system(self, max_step):
         # AP → ◇HP (Lemma 2) composed with ◇HP → HΩ (Observation 1): the
         # emulated ◇HP is exposed under a detector name consumed by the second
-        # reduction on the same process.
+        # reduction on the same process.  With random step delays the consumer's
+        # loop may run first, and reads the emulation's initial (empty) value.
         membership = anonymous_identities(4)
 
         def factory(pid, identity):
@@ -141,7 +151,7 @@ class TestObservationOne:
         simulation = Simulation(
             build_system(
                 membership=membership,
-                timing=AsynchronousTiming(min_latency=0.1, max_latency=1.5),
+                timing=AsynchronousTiming(min_latency=0.1, max_latency=1.5, max_step=max_step),
                 program_factory=factory,
                 crash_schedule=CrashSchedule.at_times({membership.processes[1]: 10.0}),
                 detectors={"AP": lambda s: CLASSES["AP"].oracle(s, stabilization_time=15.0)},
@@ -200,6 +210,39 @@ class TestTable:
         assert sorted(name for names in implemented for name in names) == sorted(REDUCTIONS)
         assert ("sigma_to_hsigma_known", "sigma_to_hsigma") in implemented  # Theorem 1's two figures
 
+    @pytest.mark.parametrize("name", list(REDUCTIONS))
+    def test_a_published_emulation_answers_in_its_class_before_its_first_step(self, name):
+        # A co-located consumer may run before the emulation's first iteration
+        # (step delays are random): every output then reads as a value of the
+        # class's shape — an empty multiset / set, never None.
+        row = REDUCTIONS[name]
+        membership = unique_identities(3) if row.model == "AS" else anonymous_identities(3)
+        types = {}
+
+        class Reader(ProcessProgram):
+            def setup(self, ctx):
+                emulated, oracle = ctx.detector("Emulated"), ctx.detector(row.target)
+                for output in CLASSES[row.target].outputs:
+                    types[output] = (type(getattr(emulated, output)), type(getattr(oracle, output)))
+
+        def factory(pid, identity):
+            program = ReductionProgram(row, detector_name="Emulated", **row.params_in(membership))
+            return CompositeProgram(program, Reader())
+
+        Simulation(
+            build_system(
+                membership=membership,
+                timing=AsynchronousTiming(),
+                program_factory=factory,
+                detectors={
+                    source: (lambda s, source=source: CLASSES[source].oracle(s))
+                    for source in (*row.sources, row.target)
+                },
+                seed=0,
+            )
+        ).run(until=0.0)
+        assert types and all(ours is theirs for ours, theirs in types.values()), types
+
     def test_the_period_must_be_positive(self):
         with pytest.raises(ValueError):
             ReductionProgram(REDUCTIONS["ap_to_ohp"], period=0.0)
@@ -246,7 +289,7 @@ def test_an_eighth_reduction_is_one_row_and_e3_dispatches_it(eighth):
 
     ((method, fn, configs),) = ALL_EXPERIMENTS["E3"].work(True, 0)
     assert (method, len(configs)) == ("map", len(REDUCTIONS)) and len(REDUCTIONS) == 8
-    assert configs[-1] == {"case": 7, "seed": 0}
+    assert configs[-1] == {"case": 7, "reduction": "diamond_p_to_omega", "seed": 0}
     assert fn(configs[-1]) == {
         "paper_item": "trivial (leader = min trusted id)",
         "reduction": "◇P̄ → Ω",
@@ -256,6 +299,17 @@ def test_an_eighth_reduction_is_one_row_and_e3_dispatches_it(eighth):
         "violations": 0,
     }
     assert ("diamond_p_to_omega",) in [r.implemented_by for r in paper_relations()]
+    # A config names its row; `case` only offsets the seed, whatever row sits there.
+    assert fn({**configs[-1], "case": 0})["reduction"] == "◇P̄ → Ω"
+    with pytest.raises(ConfigurationError, match="already registered"):
+        register_reduction(eighth)
+
+
+def test_e3_names_the_row_whose_model_it_cannot_run(monkeypatch):
+    row = dataclasses.replace(_EIGHTH, model="HPS")
+    monkeypatch.setitem(REDUCTIONS, row.name, row)
+    with pytest.raises(ConfigurationError, match="'diamond_p_to_omega' holds in model 'HPS'"):
+        ALL_EXPERIMENTS["E3"].work(True, 0)[0][1]({"case": 7, "reduction": row.name, "seed": 0})
 
 
 class TestRegistry:
