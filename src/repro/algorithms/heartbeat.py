@@ -1,8 +1,7 @@
 """A backend-portable heartbeat failure monitor (HB_PING / HB_ACK).
 
-This is the detection workload of the sim-vs-real validation harness
-(ROADMAP item 3; the protocol follows the kv-2node-fd-spec recipe quoted in
-SNIPPETS.md Snippet 1):
+This is the detection workload of the sim-vs-real validation harness (the
+protocol follows the kv-2node-fd-spec recipe quoted in SNIPPETS.md Snippet 1):
 
 * every ``hb_interval`` time units the process broadcasts
   ``HB_PING(identity)`` and then re-evaluates its suspicions;

@@ -1,6 +1,6 @@
 """A dynamic cluster-membership program (join / leave / crash-recover).
 
-This is the churn workload of the monitoring-topology layer (ROADMAP item 1):
+This is the churn workload of the monitoring-topology layer:
 a SWIM-flavoured membership service built from the same primitives as the
 sparse heartbeat monitor, following the introducer-based join of SNIPPETS.md
 Snippet 2:

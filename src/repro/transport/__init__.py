@@ -1,4 +1,4 @@
-"""The real asyncio/TCP transport backend (ROADMAP item 3).
+"""The real asyncio/TCP transport backend.
 
 Everything under this package executes the *same* :class:`ProcessProgram`
 objects the discrete-event simulator runs — but as real OS processes

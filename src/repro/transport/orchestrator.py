@@ -37,7 +37,7 @@ exception, or SIGINT (``KeyboardInterrupt`` unwinds through the same
 ``finally``) — never only on success.
 
 Everything runs on localhost.  Multi-host orchestration (ssh fan-out, shared
-log collection) is ROADMAP item 4 territory and deliberately out of scope.
+log collection) is deliberately out of scope.
 """
 
 from __future__ import annotations

@@ -49,10 +49,10 @@ from .faults import ChaosPlan, corrupt_cache_entries, mutilate_journal
 __all__ = ["ALL", "FULL", "LEGS", "ChaosPlan", "Invariant", "Report", "Run", "verify"]
 
 #: The quick, seed-0 manifest digests (``ALL`` folds E1–E9, ``FULL`` every
-#: deterministic experiment), unchanged since PR 3.  A change that moves them
-#: changed which events some simulation dispatches, or their order.
+#: deterministic experiment).  A change that moves them changed which events
+#: some simulation dispatches, or their order.
 ALL = "d5146530f4b16e76"
-FULL = "6e076b721448552f"
+FULL = "2bb2300ee404a8a2"
 
 #: The ``stall`` leg's progress deadline is this many times the slowest item
 #: of the serial reference, and never less than ``STALL_FLOOR`` seconds: long

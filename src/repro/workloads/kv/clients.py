@@ -120,12 +120,19 @@ class KVClientProgram:
     ``on_finished`` is called once, when the reply arrives that makes
     :attr:`finished` true — the only place it can flip — so a runner can count
     unfinished clients instead of polling every client after every event.
+    Requests go to the processes at ``replicas`` (the replica group's indices).
     """
 
     def __init__(
-        self, *, client_name: str, load: ClientLoad, on_finished: Callable[[], None]
+        self,
+        *,
+        client_name: str,
+        load: ClientLoad,
+        replicas: range,
+        on_finished: Callable[[], None],
     ) -> None:
         self.client_name = client_name
+        self._replicas = replicas
         self.load = load
         self._on_finished = on_finished
         self.issued = 0
@@ -172,7 +179,7 @@ class KVClientProgram:
         self.issued += 1
         self._outstanding[request_id] = (op, key, args)
         ctx.record("kv.op", (request_id, op, key, args))
-        ctx.broadcast("KV_REQUEST", request_id=request_id, command=command)
+        ctx.multicast("KV_REQUEST", self._replicas, request_id=request_id, command=command)
         return request_id
 
     def _on_reply(self, ctx: ProcessContext, message: dict) -> None:

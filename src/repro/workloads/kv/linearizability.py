@@ -153,11 +153,17 @@ def _check_key(
     ]
     if not operations:
         return "ok", 0
-    count = len(operations)
+    indexed = [(1 << index, operation) for index, operation in enumerate(operations)]
     completed_mask = 0
-    for index, operation in enumerate(operations):
+    for bit, operation in indexed:
         if operation.completed:
-            completed_mask |= 1 << index
+            completed_mask |= bit
+    # Completed operations by response time: the first one not yet done is the
+    # earliest response among the remaining ones.
+    by_response = sorted(
+        ((bit, operation.response) for bit, operation in indexed if operation.completed),
+        key=lambda pair: pair[1],
+    )
     seen: set[tuple[int, Any]] = set()
     stack: list[tuple[int, Any]] = [(0, ABSENT)]
     while stack:
@@ -171,20 +177,14 @@ def _check_key(
         seen.add((done, state))
         # An operation may be linearized next only if its invocation does not
         # follow the response of some other remaining *completed* operation.
-        earliest_response = min(
-            (
-                operations[index].response
-                for index in range(count)
-                if not done & (1 << index) and operations[index].completed
-            ),
-            default=None,
-        )
-        for index in range(count):
-            bit = 1 << index
-            if done & bit:
-                continue
-            operation = operations[index]
-            if earliest_response is not None and operation.invoke > earliest_response:
+        # At least one remains: once every completed operation is done, the
+        # search has already answered "ok".
+        for bit, response in by_response:
+            if not done & bit:
+                earliest_response = response
+                break
+        for bit, operation in indexed:
+            if done & bit or operation.invoke > earliest_response:
                 continue
             if not operation.completed:
                 # Branch 1: the lost mutation never takes effect.

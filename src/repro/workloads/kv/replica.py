@@ -5,21 +5,29 @@ log is decided by a fresh consensus instance shared by all replicas, built
 from a pluggable factory (any of the paper's algorithms).  Each instance runs
 inside a :class:`_SlotContext` — a thin proxy over the real process context
 that suffixes every message kind with ``#s{k}``, so the phase messages of
-concurrent instances cannot cross-talk, and that redirects ``decide`` into
-the replica's commit callback (the real ``ctx.decide`` records only a
-process's *first* decision, which would swallow every slot after the first).
+concurrent instances cannot cross-talk, sends the instance's broadcasts to
+the replica group, and redirects ``decide`` into the replica's commit
+callback (the real ``ctx.decide`` records only a process's *first*
+decision, which would swallow every slot after the first).
+
+The replica group is Π, the set of processes the paper's consensus
+algorithms broadcast to: slot traffic, ``KV_SYNC`` and ``KV_COMMIT`` are
+multicast to the replica group only, and clients never hear them.  A client
+multicasts its ``KV_REQUEST`` to the replica group, and replicas multicast
+each ``KV_REPLY`` to the client group.  Programs address groups by index
+range and never name an individual peer, so the homonymous model holds.
 
 A replica proposes its oldest pending client command for the next slot,
 waits for the slot to commit, applies the committed command to its local
 :class:`~repro.workloads.kv.commands.ReplicatedKV` store in log order, and
-broadcasts the reply.  Because clients broadcast requests to everyone, the
-replicas' pending queues agree up to message loss, and consensus picks one
-proposal per slot.
+sends the reply to the client group.  Because every request reaches every
+replica, the replicas' pending queues agree up to message loss, and
+consensus picks one proposal per slot.
 
 The paper's algorithms do not retransmit, so a lossy link can starve a
 replica of a slot's entire phase traffic.  The ``KV_SYNC`` anti-entropy task
 bounds that: replicas periodically announce how far they have applied, and
-any replica that is ahead re-broadcasts the missing committed slots as
+any replica that is ahead re-sends the missing committed slots as
 ``KV_COMMIT`` messages, which lagging replicas can consume *without* having
 started the slot's instance.  Losses during an undecided slot still stall
 exactly as the paper's termination analysis (E9) predicts.
@@ -35,31 +43,37 @@ from .commands import ReplicatedKV, decode_command
 
 __all__ = ["ReplicatedKVProgram"]
 
-#: How many committed slots one KV_SYNC round re-broadcasts at most.
+#: How many committed slots one KV_SYNC round re-sends at most.
 _SYNC_BATCH = 8
 
 
 class _SlotContext:
     """A per-slot proxy over :class:`ProcessContext` for consensus instances.
 
-    Message kinds gain a ``#s{slot}`` suffix (instance isolation), spawned
-    task names gain a slot prefix (debuggability), per-instance trace records
-    are namespaced, and ``decide`` feeds the replica's commit callback instead
-    of the process-level decision slot.
+    Message kinds gain a ``#s{slot}`` suffix (instance isolation), a
+    broadcast reaches the replica group (the instance's Π), spawned task
+    names gain a slot prefix (debuggability), per-instance trace records are
+    namespaced, and ``decide`` feeds the replica's commit callback instead of
+    the process-level decision slot.
     """
 
-    __slots__ = ("_ctx", "_slot", "_decide_cb")
+    __slots__ = ("_ctx", "_slot", "_replicas", "_decide_cb")
 
     def __init__(
-        self, ctx: ProcessContext, slot: int, decide_cb: Callable[[int, Any], None]
+        self,
+        ctx: ProcessContext,
+        slot: int,
+        replicas: range,
+        decide_cb: Callable[[int, Any], None],
     ) -> None:
         self._ctx = ctx
         self._slot = slot
+        self._replicas = replicas
         self._decide_cb = decide_cb
 
     # -- scoped communication -------------------------------------------
     def broadcast(self, kind: str, **fields: Any) -> None:
-        self._ctx.broadcast(f"{kind}#s{self._slot}", **fields)
+        self._ctx.multicast(f"{kind}#s{self._slot}", self._replicas, **fields)
 
     def on(self, kind: str, handler: Callable[[Message], None]) -> None:
         self._ctx.on(f"{kind}#s{self._slot}", handler)
@@ -111,13 +125,16 @@ class ReplicatedKVProgram(ProcessProgram):
 
     ``consensus_factory`` builds one instance per log slot; build it with
     ``record_outputs=False`` so hundreds of slots do not each write per-round
-    trace records.
+    trace records.  ``replicas`` and ``clients`` are the two groups' process
+    indices: replica traffic goes to the first, replies to the second.
     """
 
     def __init__(
         self,
         *,
         consensus_factory: Callable[[Any], Any],
+        replicas: range,
+        clients: range,
         read_mode: str = "log",
         sync_period: float = 10.0,
         max_slots: int = 4096,
@@ -125,6 +142,8 @@ class ReplicatedKVProgram(ProcessProgram):
         if read_mode not in ("log", "local"):
             raise ValueError(f"read_mode must be 'log' or 'local', got {read_mode!r}")
         self._factory = consensus_factory
+        self._replicas = replicas
+        self._clients = clients
         self.read_mode = read_mode
         self.sync_period = sync_period
         self.max_slots = max_slots
@@ -154,8 +173,13 @@ class ReplicatedKVProgram(ProcessProgram):
         if op == "GET" and self.read_mode == "local":
             value, version = self.store.read(key)
             ctx.record("kv.local_read", (request_id, key, version))
-            ctx.broadcast(
-                "KV_REPLY", request_id=request_id, status="ok", value=value, version=version
+            ctx.multicast(
+                "KV_REPLY",
+                self._clients,
+                request_id=request_id,
+                status="ok",
+                value=value,
+                version=version,
             )
             return
         self._pending.setdefault(request_id, command)
@@ -172,7 +196,7 @@ class ReplicatedKVProgram(ProcessProgram):
             if slot not in self.log:
                 proposal = next(iter(self._pending.values()))
                 instance = self._factory(proposal)
-                instance.setup(_SlotContext(ctx, slot, self._commit))
+                instance.setup(_SlotContext(ctx, slot, self._replicas, self._commit))
                 yield ctx.wait_until(lambda slot=slot: slot in self.log)
             self._apply(ctx, slot)
 
@@ -191,8 +215,9 @@ class ReplicatedKVProgram(ProcessProgram):
             self._reply(ctx, request_id, result)
 
     def _reply(self, ctx: ProcessContext, request_id: str, result) -> None:
-        ctx.broadcast(
+        ctx.multicast(
             "KV_REPLY",
+            self._clients,
             request_id=request_id,
             status=result.status,
             value=result.value,
@@ -205,7 +230,7 @@ class ReplicatedKVProgram(ProcessProgram):
     def _sync_loop(self, ctx: ProcessContext):
         while True:
             yield ctx.sleep(self.sync_period)
-            ctx.broadcast("KV_SYNC", applied=self.applied_slots)
+            ctx.multicast("KV_SYNC", self._replicas, applied=self.applied_slots)
 
     def _on_sync(self, ctx: ProcessContext, message: Message) -> None:
         theirs = message["applied"]
@@ -213,7 +238,7 @@ class ReplicatedKVProgram(ProcessProgram):
             return
         for slot in range(theirs, min(self.applied_slots, theirs + _SYNC_BATCH)):
             if slot in self.log:
-                ctx.broadcast("KV_COMMIT", slot=slot, value=self.log[slot])
+                ctx.multicast("KV_COMMIT", self._replicas, slot=slot, value=self.log[slot])
 
     def describe(self) -> str:
         return f"ReplicatedKVProgram(read_mode={self.read_mode})"

@@ -9,6 +9,12 @@ queue, one link model, and one crash schedule scope, so the full fault
 envelope (loss, partitions, jitter, crashes, detector stabilization) applies
 to the service end to end.
 
+Who hears what: replicas hold indices ``range(r)`` and clients
+``range(r, r + clients)``.  Consensus slot traffic, ``KV_SYNC`` and
+``KV_COMMIT`` are multicast to the replica group, a client's ``KV_REQUEST``
+goes to the replica group, and a ``KV_REPLY`` goes to the client group.  No
+copy reaches a process that has no handler for it.
+
 Detector oracles are *replica-scoped*: the spec's detector factories are
 wrapped so each oracle sees only the replica membership and the replica
 failure pattern — clients are traffic sources, not consensus participants,
@@ -101,16 +107,24 @@ def execute_kv_spec(spec) -> "Any":
         nonlocal clients_at_work
         clients_at_work -= 1
 
+    replicas = range(replica_count)
+    clients = range(replica_count, replica_count + kv.clients)
+
     def factory(pid, identity):
         if pid.index < replica_count:
             return ReplicatedKVProgram(
                 consensus_factory=consensus_factory,
+                replicas=replicas,
+                clients=clients,
                 read_mode=kv.read_mode,
                 sync_period=kv.sync_period,
                 max_slots=kv.max_slots,
             )
         return KVClientProgram(
-            client_name=str(identity), load=load, on_finished=client_finished
+            client_name=str(identity),
+            load=load,
+            replicas=replicas,
+            on_finished=client_finished,
         )
 
     detectors = {

@@ -104,10 +104,11 @@ _PINNED = {
     ("no_coordination", 1): ("d3f9359a0e63ca4f", 4, 69),
 }
 
-#: registry name → (digest, ops completed, slots committed) of one KV run on 9638518.
+#: registry name → (digest, ops completed, slots committed) of one KV run whose
+#: replica traffic is multicast to the replica group.
 _PINNED_KV = {
-    "homega_majority": ("427de5a370d327f6", 9, 9),
-    "homega_hsigma": ("b202057b14a9cfdf", 9, 9),
+    "homega_majority": ("082ba12ac26cf5e6", 9, 9),
+    "homega_hsigma": ("ae1483890afc1131", 9, 9),
 }
 
 

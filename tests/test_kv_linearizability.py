@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.experiments import ALL_EXPERIMENTS
 from repro.identity import ProcessId
+from repro.runtime import execute_spec
 from repro.sim.trace import RunTrace
 from repro.workloads.kv import (
     KVOperation,
@@ -10,6 +15,8 @@ from repro.workloads.kv import (
     check_kv_linearizable,
     history_from_trace,
 )
+from repro.workloads.kv import linearizability, metrics
+from repro.workloads.kv.linearizability import ABSENT, _step
 
 
 def op(
@@ -42,20 +49,23 @@ class TestValidHistories:
     def test_empty_history(self):
         result = check_history([])
         assert result.ok and result.ops_checked == 0
+        assert result.states_explored == 0
 
     def test_sequential_set_then_get(self):
         history = [
             op("a", "SET", "k", 0.0, 1.0, args=("v1",), value="v1"),
             op("b", "GET", "k", 2.0, 3.0, value="v1"),
         ]
-        assert check_history(history).ok
+        result = check_history(history)
+        assert result.ok and result.states_explored == 2
 
     def test_concurrent_get_may_read_old_value(self):
         history = [
             op("a", "SET", "k", 0.0, 10.0, args=("v1",), value="v1"),
             op("b", "GET", "k", 1.0, 2.0, value=None),  # linearized before the SET
         ]
-        assert check_history(history).ok
+        result = check_history(history)
+        assert result.ok and result.states_explored == 2
 
     def test_cas_chain(self):
         history = [
@@ -64,7 +74,8 @@ class TestValidHistories:
             op("c", "CAS", "k", 4.0, 5.0, args=(None, "v2"), status="fail", value="v1"),
             op("d", "CAS", "k", 6.0, 7.0, args=("v1", "v2"), value="v2"),
         ]
-        assert check_history(history).ok
+        result = check_history(history)
+        assert result.ok and result.states_explored == 4
 
     def test_delete_then_miss(self):
         history = [
@@ -73,7 +84,8 @@ class TestValidHistories:
             op("c", "GET", "k", 4.0, 5.0, value=None),
             op("d", "DEL", "k", 6.0, 7.0, status="miss"),
         ]
-        assert check_history(history).ok
+        result = check_history(history)
+        assert result.ok and result.states_explored == 4
 
     def test_keys_are_checked_independently(self):
         history = [
@@ -84,6 +96,7 @@ class TestValidHistories:
         ]
         result = check_history(history)
         assert result.ok and result.ops_checked == 4
+        assert result.states_explored == 4
 
 
 class TestViolations:
@@ -95,6 +108,7 @@ class TestViolations:
         result = check_history(history)
         assert not result.ok
         assert result.violations == ("k",)
+        assert result.states_explored == 2
 
     def test_lost_update(self):
         history = [
@@ -102,14 +116,16 @@ class TestViolations:
             op("b", "SET", "k", 2.0, 3.0, args=("v2",), value="v2"),
             op("c", "GET", "k", 4.0, 5.0, value="v1"),  # v2 overwrote v1
         ]
-        assert not check_history(history).ok
+        result = check_history(history)
+        assert not result.ok and result.states_explored == 3
 
     def test_cas_ok_against_never_written_value(self):
         history = [
             op("a", "SET", "k", 0.0, 1.0, args=("v2",), value="v2"),
             op("b", "CAS", "k", 2.0, 3.0, args=("v0", "v1"), value="v1"),
         ]
-        assert not check_history(history).ok
+        result = check_history(history)
+        assert not result.ok and result.states_explored == 2
 
     def test_violation_in_one_key_does_not_blame_others(self):
         history = [
@@ -120,6 +136,7 @@ class TestViolations:
         ]
         result = check_history(history)
         assert result.violations == ("x",)
+        assert result.states_explored == 4
 
 
 class TestIncompleteOperations:
@@ -128,14 +145,16 @@ class TestIncompleteOperations:
             op("a", "SET", "k", 0.0, None, args=("v1",)),
             op("b", "GET", "k", 5.0, 6.0, value="v1"),
         ]
-        assert check_history(history).ok
+        result = check_history(history)
+        assert result.ok and result.states_explored == 2
 
     def test_pending_set_may_never_take_effect(self):
         history = [
             op("a", "SET", "k", 0.0, None, args=("v1",)),
             op("b", "GET", "k", 5.0, 6.0, value=None),
         ]
-        assert check_history(history).ok
+        result = check_history(history)
+        assert result.ok and result.states_explored == 1
 
     def test_pending_get_constrains_nothing(self):
         history = [
@@ -144,13 +163,15 @@ class TestIncompleteOperations:
         ]
         result = check_history(history)
         assert result.ok
+        assert result.states_explored == 1
 
     def test_pending_cas_with_false_expectation_cannot_take_effect(self):
         history = [
             op("a", "CAS", "k", 0.0, None, args=("v0", "v1")),  # k was never v0
             op("b", "GET", "k", 5.0, 6.0, value="v1"),
         ]
-        assert not check_history(history).ok
+        result = check_history(history)
+        assert not result.ok and result.states_explored == 2
 
 
 class TestBudget:
@@ -166,6 +187,7 @@ class TestBudget:
         assert not result.ok
         assert result.undecided == ("k",)
         assert result.violations == ()
+        assert result.states_explored == 6
 
 
 class TestTraceAdapter:
@@ -190,3 +212,103 @@ class TestTraceAdapter:
         result = check_kv_linearizable(trace, pattern=None)
         assert not result.ok
         assert result.stabilization_time is None  # duck-types the CHECKS result
+        assert result.states_explored == 2
+
+
+# ----------------------------------------------------------------------
+# The search's cost is pinned: a faster checker explores the same states
+# ----------------------------------------------------------------------
+def _check_key_by_scan(operations, max_states):
+    """The search with the earliest remaining response found by a full scan
+    over every operation per explored state (the reference definition)."""
+    operations = [o for o in operations if o.completed or o.op != "GET"]
+    if not operations:
+        return "ok", 0
+    count = len(operations)
+    completed_mask = sum(1 << i for i, o in enumerate(operations) if o.completed)
+    seen = set()
+    stack = [(0, ABSENT)]
+    while stack:
+        if len(seen) > max_states:
+            return "undecided", len(seen)
+        done, state = stack.pop()
+        if (done & completed_mask) == completed_mask:
+            return "ok", len(seen)
+        if (done, state) in seen:
+            continue
+        seen.add((done, state))
+        earliest_response = min(
+            (
+                operations[i].response
+                for i in range(count)
+                if not done & (1 << i) and operations[i].completed
+            ),
+            default=None,
+        )
+        for i in range(count):
+            bit = 1 << i
+            if done & bit:
+                continue
+            operation = operations[i]
+            if earliest_response is not None and operation.invoke > earliest_response:
+                continue
+            if not operation.completed:
+                stack.append((done | bit, state))
+            legal, new_state = _step(state, operation)
+            if legal:
+                stack.append((done | bit, new_state))
+    return "violation", len(seen)
+
+
+@st.composite
+def _histories(draw):
+    """Single-key histories with overlapping intervals, pending ops and stale reads."""
+    values = [ABSENT, "v0", "v1", "v2"]
+    history = []
+    for index in range(draw(st.integers(min_value=0, max_value=8))):
+        kind = draw(st.sampled_from(["GET", "SET", "CAS", "DEL"]))
+        invoke = float(draw(st.integers(min_value=0, max_value=12)))
+        pending = draw(st.integers(min_value=0, max_value=5)) == 0
+        response = None if pending else invoke + draw(st.integers(min_value=0, max_value=6))
+        args = {"SET": (draw(st.sampled_from(values[1:])),), "GET": (), "DEL": ()}.get(
+            kind, (draw(st.sampled_from(values)), draw(st.sampled_from(values[1:])))
+        )
+        history.append(
+            op(
+                f"r{index}",
+                kind,
+                "k",
+                invoke,
+                response,
+                args=args,
+                status=draw(st.sampled_from(["ok", "fail", "miss"])),
+                value=draw(st.sampled_from(values)),
+            )
+        )
+    history.sort(key=lambda operation: (operation.invoke, operation.request_id))
+    return history
+
+
+class TestSearchCost:
+    @settings(max_examples=300, deadline=None)
+    @given(history=_histories(), budget=st.sampled_from([3, 40, 200_000]))
+    def test_verdict_and_states_equal_the_full_scan(self, history, budget):
+        assert linearizability._check_key(history, budget) == _check_key_by_scan(
+            history, budget
+        )
+
+    def test_an_e10_quick_cell_explores_a_pinned_number_of_states(self, monkeypatch):
+        # E10 quick, seed 0, cell 6: 4 clients x 4 ops, uniform keys, no fault.
+        (_, fn, configs), = ALL_EXPERIMENTS["E10"].work(True, 0)
+        config = list(configs)[6]
+        assert (config["clients"], config["skew"], config["fault"]) == (4, "uniform", "none")
+        verdicts = []
+
+        def checked(history, **options):
+            verdicts.append(check_history(history, **options))
+            return verdicts[-1]
+
+        monkeypatch.setattr(metrics, "check_history", checked)
+        execute_spec(fn(dict(config)))
+        (verdict,) = verdicts
+        assert (verdict.ok, verdict.ops_checked, verdict.states_explored) == (True, 16, 28)

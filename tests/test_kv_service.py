@@ -15,11 +15,14 @@ from repro.runtime import (
     KVSpec,
     ScenarioSpec,
     ScenarioValidationError,
+    cascading,
     lossy,
     minority,
     scenario,
     synchronous,
 )
+from repro.sim import Simulation
+from repro.workloads.kv import runner
 
 
 def kv_scenario(name="kv-test", *, seed=0, consensus="homega_majority", **kv_options):
@@ -136,16 +139,86 @@ class TestEndToEnd:
         assert "kv_linearizable" in CHECKS
         # a check's published measurements ride along too (one folding loop
         # for KV and plain specs): no heartbeat ran, so nothing was detected.
-        # Keys, order and values pinned on 9ab9472.
+        # Keys and order pinned on 9ab9472; values with replica traffic
+        # multicast to the replica group.
         assert [(k, v) for k, v in metrics.items() if k.startswith("hb_detection")] == [
             ("hb_detection_ok", True),
             ("hb_detection_time", None),
             ("hb_detection_detected", 0),
             ("hb_detection_missed", 0),
             ("hb_detection_median_latency", None),
-            ("hb_detection_copies_sent", 1526),
-            ("hb_detection_end_time", 33.871463513298),
+            ("hb_detection_copies_sent", 896),
+            ("hb_detection_end_time", 32.478064279981965),
         ]
+
+
+_REPLICAS, _CLIENTS = 5, 3
+
+
+def _traffic(monkeypatch, crashes=None):
+    """The trace of a KV run left to its horizon, so every copy lands.
+
+    KV_SYNC fires every 7 time units; the horizon 103 leaves the last round
+    (at 98) time to arrive, and nothing else is sent once the clients are done.
+    """
+    build = (
+        scenario("kv-groups")
+        .homonyms([2, 2, 1])
+        .detectors("HOmega", stabilization=10.0)
+        .kv(clients=_CLIENTS, ops_per_client=3, think_time=1.0, key_space=4, sync_period=7.0)
+        .horizon(103.0)
+    )
+    if crashes is not None:
+        build = build.crashes(crashes)
+    traces = []
+    measure, run = runner.kv_metrics, Simulation.run
+
+    def to_horizon(simulation, *, until, stop_when=None, **options):
+        return run(simulation, until=until, **options)
+
+    monkeypatch.setattr(runner, "kv_metrics", lambda trace: measure(traces.append(trace) or trace))
+    monkeypatch.setattr(Simulation, "run", to_horizon)
+    runner.execute_kv_spec(build.build())
+    (trace,) = traces
+    return trace
+
+
+def _group_size(kind):
+    """How many processes hear one send of ``kind``: replies go to the clients,
+    everything else (slot traffic, KV_SYNC, KV_COMMIT, KV_REQUEST) to the replicas."""
+    return _CLIENTS if kind == "KV_REPLY" else _REPLICAS
+
+
+class TestTrafficStaysInItsGroup:
+    def test_every_send_reaches_exactly_its_group(self, monkeypatch):
+        trace = _traffic(monkeypatch)
+        sends = trace.broadcasts_by_kind()
+        kinds = {kind.partition("#")[0] for kind in sends}
+        assert {"KV_REQUEST", "KV_REPLY", "KV_SYNC", "KV_COMMIT", "PH0", "DECIDE"} <= kinds
+        assert all("#s" in kind or kind.startswith("KV_") for kind in sends)
+        # Reliable links and no crash: every copy of every send is delivered.
+        assert trace.deliveries_by_kind() == {
+            kind: count * _group_size(kind) for kind, count in sends.items()
+        }
+        assert trace.message_copies_sent == sum(trace.deliveries_by_kind().values())
+
+    @pytest.mark.parametrize(
+        "crashes, truncated",
+        [
+            # Two clean crashes: every send still goes to the whole group.
+            (minority(at=14.0), 0),
+            # The last replica's KV_SYNC at 14.0 goes out as it crashes:
+            # int(0.4 × 5) = 2 of its 5 copies are sent.
+            (cascading(1, first_at=14.0, partial_broadcast_fraction=0.4), 5 - 2),
+        ],
+    )
+    def test_a_partial_broadcast_crash_truncates_the_multicast(
+        self, monkeypatch, crashes, truncated
+    ):
+        trace = _traffic(monkeypatch, crashes)
+        sends = trace.broadcasts_by_kind()
+        full = sum(count * _group_size(kind) for kind, count in sends.items())
+        assert full - trace.message_copies_sent == truncated
 
 
 class TestDeterminism:

@@ -532,7 +532,10 @@ class TestTheKVStopConditionIsACounter:
     def test_a_duplicate_reply_is_ignored(self):
         fired = []
         client = KVClientProgram(
-            client_name="c", load=ClientLoad(ops=1), on_finished=lambda: fired.append(True)
+            client_name="c",
+            load=ClientLoad(ops=1),
+            replicas=range(1),
+            on_finished=lambda: fired.append(True),
         )
         ctx = _ClientContext()
         client._issue(ctx, 0)
@@ -552,5 +555,5 @@ class _ClientContext:
     def record(self, key, value):
         pass
 
-    def broadcast(self, kind, **fields):
+    def multicast(self, kind, targets, **fields):
         pass
