@@ -52,7 +52,7 @@ __all__ = ["ALL", "FULL", "LEGS", "ChaosPlan", "Invariant", "Report", "Run", "ve
 #: deterministic experiment).  A change that moves them changed which events
 #: some simulation dispatches, or their order.
 ALL = "d5146530f4b16e76"
-FULL = "2bb2300ee404a8a2"
+FULL = "36431b0c9cf84175"
 
 #: The ``stall`` leg's progress deadline is this many times the slowest item
 #: of the serial reference, and never less than ``STALL_FLOOR`` seconds: long

@@ -27,7 +27,14 @@ command line and exits non-zero unless the history linearizes (the CI gate).
 """
 
 from .clients import DEFAULT_MIX, ClientLoad, KVClientProgram
-from .commands import ApplyResult, ReplicatedKV, decode_command, encode_command
+from .commands import (
+    ApplyResult,
+    ReplicatedKV,
+    decode_command,
+    encode_command,
+    request_id,
+    requester,
+)
 from .linearizability import (
     KVLinearizabilityResult,
     KVOperation,
@@ -56,4 +63,6 @@ __all__ = [
     "history_from_trace",
     "kv_metrics",
     "percentile",
+    "request_id",
+    "requester",
 ]

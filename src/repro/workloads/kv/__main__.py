@@ -2,8 +2,9 @@
 
 ``python -m repro.workloads.kv`` builds a quick scenario, runs it, prints the
 service metrics and the determinism digest, and exits non-zero unless the
-client history is linearizable — which is how CI keeps a hard correctness
-gate on the service.
+client history is linearizable and, outside ``--fault lossy``, every issued
+operation completed — which is how CI keeps a hard correctness and
+liveness gate on the service.
 """
 
 from __future__ import annotations
@@ -60,8 +61,17 @@ def main(argv: list[str] | None = None) -> int:
     print(f"scenario: {spec.name} (seed={spec.seed})  digest: {record.digest}")
     for key in sorted(record.metrics):
         print(f"  {key}: {record.metrics[key]}")
-    if not record.metrics["linearizable"]:
+    metrics = record.metrics
+    if not metrics["linearizable"]:
         print("LINEARIZABILITY VIOLATED", file=sys.stderr)
+        return 1
+    # Pending operations constrain nothing, so a starved client still
+    # certifies: only lossy links may leave operations unanswered.
+    if args.fault != "lossy" and metrics["ops_completed"] < metrics["ops_issued"]:
+        print(
+            f"STARVED: {metrics['ops_completed']} of {metrics['ops_issued']} operations completed",
+            file=sys.stderr,
+        )
         return 1
     print("linearizability: certified")
     return 0

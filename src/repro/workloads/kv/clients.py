@@ -27,7 +27,7 @@ from random import Random
 from typing import Any, Callable
 
 from ...sim.process import ProcessContext
-from .commands import encode_command
+from .commands import encode_command, request_id as make_request_id
 
 __all__ = ["ClientLoad", "KVClientProgram", "DEFAULT_MIX"]
 
@@ -120,7 +120,8 @@ class KVClientProgram:
     ``on_finished`` is called once, when the reply arrives that makes
     :attr:`finished` true — the only place it can flip — so a runner can count
     unfinished clients instead of polling every client after every event.
-    Requests go to the processes at ``replicas`` (the replica group's indices).
+    Requests go to the processes at ``replicas`` (the replica group's indices);
+    replies come back addressed to ``client_name``, the client's identifier.
     """
 
     def __init__(
@@ -166,7 +167,7 @@ class KVClientProgram:
 
     def _issue(self, ctx: ProcessContext, index: int) -> str:
         rng = ctx.random
-        request_id = f"{self.client_name}:{index}"
+        request_id = make_request_id(self.client_name, index)
         op = sample_operation(rng, self.load.mix)
         key = self._keys.sample(rng)
         if op == "SET":

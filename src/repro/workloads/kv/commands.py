@@ -11,6 +11,9 @@ the committed log into.  Applying the same command sequence always yields the
 same store, and the per-request-id dedupe table makes replay idempotent: a
 command that reaches the log twice (clients re-broadcast, consensus instances
 can adopt an already-committed proposal) mutates the store only once.
+
+A request id names the client's identifier and the request's index, so an
+answer is addressed to whoever carries :func:`requester` of it.
 """
 
 from __future__ import annotations
@@ -24,10 +27,22 @@ __all__ = [
     "ReplicatedKV",
     "decode_command",
     "encode_command",
+    "request_id",
+    "requester",
 ]
 
 #: The operations the service understands.
 OPERATIONS = ("GET", "SET", "CAS", "DEL")
+
+
+def request_id(client: str, index: int) -> str:
+    """The id of ``client``'s ``index``-th request."""
+    return f"{client}:{index}"
+
+
+def requester(request_id: str) -> str:
+    """The identifier of the client that issued ``request_id``."""
+    return request_id.rpartition(":")[0]
 
 
 def encode_command(request_id: str, op: str, key: str, *args: Any) -> str:
@@ -78,7 +93,12 @@ class ReplicatedKV:
 
     def apply(self, command: str) -> ApplyResult | None:
         """Apply one committed command; ``None`` if it was a duplicate."""
-        request_id, op, key, args = decode_command(command)
+        return self.apply_decoded(*decode_command(command))
+
+    def apply_decoded(
+        self, request_id: str, op: str, key: str, args: tuple[Any, ...]
+    ) -> ApplyResult | None:
+        """:meth:`apply` for a command already split by :func:`decode_command`."""
         if request_id in self._applied:
             return None
         result = self._execute(op, key, args)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from ...sim.trace import RunTrace
-from .commands import ReplicatedKV
+from .commands import ReplicatedKV, decode_command
 from .linearizability import check_history, history_from_trace
 
 __all__ = ["kv_metrics", "percentile"]
@@ -53,18 +53,12 @@ def _version_history(
     history: dict[str, list[tuple[float, int]]] = {}
     for slot in sorted(commits):
         time, command = commits[slot]
-        result = replay.apply(command)
-        if result is None:
+        request_id, op, key, args = decode_command(command)
+        if replay.apply_decoded(request_id, op, key, args) is None:
             continue
-        _, version = replay.read(_command_key(command))
-        history.setdefault(_command_key(command), []).append((time, version))
+        _, version = replay.read(key)
+        history.setdefault(key, []).append((time, version))
     return history
-
-
-def _command_key(command: str) -> str:
-    from .commands import decode_command
-
-    return decode_command(command)[2]
 
 
 def _staleness(trace: RunTrace, commits: dict[int, tuple[float, str]]) -> dict[str, Any]:

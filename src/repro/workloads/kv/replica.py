@@ -10,17 +10,21 @@ the replica group, and redirects ``decide`` into the replica's commit
 callback (the real ``ctx.decide`` records only a process's *first*
 decision, which would swallow every slot after the first).
 
-The replica group is Π, the set of processes the paper's consensus
-algorithms broadcast to: slot traffic, ``KV_SYNC`` and ``KV_COMMIT`` are
-multicast to the replica group only, and clients never hear them.  A client
-multicasts its ``KV_REQUEST`` to the replica group, and replicas multicast
-each ``KV_REPLY`` to the client group.  Programs address groups by index
-range and never name an individual peer, so the homonymous model holds.
+Announcements go to the replica group, answers to the identifier that
+asked.  The replica group is Π, the set of processes the paper's consensus
+algorithms broadcast to: slot traffic, ``KV_SYNC`` and a client's
+``KV_REQUEST`` are multicast to the replica group, and clients never hear
+the first two.  A ``KV_REPLY`` goes to the processes carrying the
+request's :func:`~repro.workloads.kv.commands.requester`, and a
+``KV_COMMIT`` to the processes carrying the ``identity`` of the ``KV_SYNC``
+it answers — just as the paper's messages carry their sender's identifier.
+Programs address a group or an identifier's holders and never name an
+individual peer, so the homonymous model holds.
 
 A replica proposes its oldest pending client command for the next slot,
 waits for the slot to commit, applies the committed command to its local
 :class:`~repro.workloads.kv.commands.ReplicatedKV` store in log order, and
-sends the reply to the client group.  Because every request reaches every
+sends the reply to the requester.  Because every request reaches every
 replica, the replicas' pending queues agree up to message loss, and
 consensus picks one proposal per slot.
 
@@ -35,11 +39,12 @@ exactly as the paper's termination analysis (E9) predicts.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
+from ...identity import Identity
 from ...sim.message import Message
 from ...sim.process import ProcessContext, ProcessProgram
-from .commands import ReplicatedKV, decode_command
+from .commands import ApplyResult, ReplicatedKV, decode_command, requester
 
 __all__ = ["ReplicatedKVProgram"]
 
@@ -125,8 +130,9 @@ class ReplicatedKVProgram(ProcessProgram):
 
     ``consensus_factory`` builds one instance per log slot; build it with
     ``record_outputs=False`` so hundreds of slots do not each write per-round
-    trace records.  ``replicas`` and ``clients`` are the two groups' process
-    indices: replica traffic goes to the first, replies to the second.
+    trace records.  ``replicas`` is the replica group's process indices, where
+    announcements go; ``holders`` maps each identifier to the indices of the
+    processes carrying it, where answers to that identifier go.
     """
 
     def __init__(
@@ -134,7 +140,7 @@ class ReplicatedKVProgram(ProcessProgram):
         *,
         consensus_factory: Callable[[Any], Any],
         replicas: range,
-        clients: range,
+        holders: Mapping[Identity, tuple[int, ...]],
         read_mode: str = "log",
         sync_period: float = 10.0,
         max_slots: int = 4096,
@@ -143,7 +149,7 @@ class ReplicatedKVProgram(ProcessProgram):
             raise ValueError(f"read_mode must be 'log' or 'local', got {read_mode!r}")
         self._factory = consensus_factory
         self._replicas = replicas
-        self._clients = clients
+        self._holders = holders
         self.read_mode = read_mode
         self.sync_period = sync_period
         self.max_slots = max_slots
@@ -169,19 +175,13 @@ class ReplicatedKVProgram(ProcessProgram):
         if previous is not None:
             self._reply(ctx, request_id, previous)
             return
-        _, op, key, _args = decode_command(command)
-        if op == "GET" and self.read_mode == "local":
-            value, version = self.store.read(key)
-            ctx.record("kv.local_read", (request_id, key, version))
-            ctx.multicast(
-                "KV_REPLY",
-                self._clients,
-                request_id=request_id,
-                status="ok",
-                value=value,
-                version=version,
-            )
-            return
+        if self.read_mode == "local":
+            _, op, key, _args = decode_command(command)
+            if op == "GET":
+                value, version = self.store.read(key)
+                ctx.record("kv.local_read", (request_id, key, version))
+                self._reply(ctx, request_id, ApplyResult("ok", value, version))
+                return
         self._pending.setdefault(request_id, command)
 
     # ------------------------------------------------------------------
@@ -206,18 +206,18 @@ class ReplicatedKVProgram(ProcessProgram):
 
     def _apply(self, ctx: ProcessContext, slot: int) -> None:
         command = self.log[slot]
-        request_id, _op, _key, _args = decode_command(command)
+        request_id, op, key, args = decode_command(command)
         self._pending.pop(request_id, None)
-        result = self.store.apply(command)
+        result = self.store.apply_decoded(request_id, op, key, args)
         self.applied_slots += 1
         ctx.record("kv.commit", (slot, command))
         if result is not None:
             self._reply(ctx, request_id, result)
 
-    def _reply(self, ctx: ProcessContext, request_id: str, result) -> None:
+    def _reply(self, ctx: ProcessContext, request_id: str, result: ApplyResult) -> None:
         ctx.multicast(
             "KV_REPLY",
-            self._clients,
+            self._holders[requester(request_id)],
             request_id=request_id,
             status=result.status,
             value=result.value,
@@ -230,15 +230,18 @@ class ReplicatedKVProgram(ProcessProgram):
     def _sync_loop(self, ctx: ProcessContext):
         while True:
             yield ctx.sleep(self.sync_period)
-            ctx.multicast("KV_SYNC", self._replicas, applied=self.applied_slots)
+            ctx.multicast(
+                "KV_SYNC", self._replicas, applied=self.applied_slots, identity=ctx.identity
+            )
 
     def _on_sync(self, ctx: ProcessContext, message: Message) -> None:
         theirs = message["applied"]
         if theirs >= self.applied_slots:
             return
+        asker = self._holders[message["identity"]]
         for slot in range(theirs, min(self.applied_slots, theirs + _SYNC_BATCH)):
             if slot in self.log:
-                ctx.multicast("KV_COMMIT", self._replicas, slot=slot, value=self.log[slot])
+                ctx.multicast("KV_COMMIT", asker, slot=slot, value=self.log[slot])
 
     def describe(self) -> str:
         return f"ReplicatedKVProgram(read_mode={self.read_mode})"

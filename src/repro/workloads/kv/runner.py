@@ -9,11 +9,14 @@ queue, one link model, and one crash schedule scope, so the full fault
 envelope (loss, partitions, jitter, crashes, detector stabilization) applies
 to the service end to end.
 
-Who hears what: replicas hold indices ``range(r)`` and clients
-``range(r, r + clients)``.  Consensus slot traffic, ``KV_SYNC`` and
-``KV_COMMIT`` are multicast to the replica group, a client's ``KV_REQUEST``
-goes to the replica group, and a ``KV_REPLY`` goes to the client group.  No
-copy reaches a process that has no handler for it.
+Who hears what: announcements go to the group, answers go to the asker's
+identifier.  Replicas hold indices ``range(r)``; consensus slot traffic,
+``KV_SYNC`` and a client's ``KV_REQUEST`` are multicast to that range.  A
+``KV_REPLY`` goes to the processes carrying the requesting client's
+identifier, and a ``KV_COMMIT`` to those carrying the identifier of the
+replica whose ``KV_SYNC`` it answers; the programs look both up in one
+identifier → indices mapping built from the full membership.  No copy
+reaches a process that has no handler for it.
 
 Detector oracles are *replica-scoped*: the spec's detector factories are
 wrapped so each oracle sees only the replica membership and the replica
@@ -108,14 +111,19 @@ def execute_kv_spec(spec) -> "Any":
         clients_at_work -= 1
 
     replicas = range(replica_count)
-    clients = range(replica_count, replica_count + kv.clients)
+    holders = {
+        identity: tuple(
+            process.index for process in full_membership.processes_with_identity(identity)
+        )
+        for identity in full_membership.distinct_identities
+    }
 
     def factory(pid, identity):
         if pid.index < replica_count:
             return ReplicatedKVProgram(
                 consensus_factory=consensus_factory,
                 replicas=replicas,
-                clients=clients,
+                holders=holders,
                 read_mode=kv.read_mode,
                 sync_period=kv.sync_period,
                 max_slots=kv.max_slots,

@@ -105,10 +105,11 @@ _PINNED = {
 }
 
 #: registry name → (digest, ops completed, slots committed) of one KV run whose
-#: replica traffic is multicast to the replica group.
+#: announcements are multicast to the replica group and whose answers go to
+#: the identifier that asked.
 _PINNED_KV = {
-    "homega_majority": ("082ba12ac26cf5e6", 9, 9),
-    "homega_hsigma": ("ae1483890afc1131", 9, 9),
+    "homega_majority": ("1983e6448e632d55", 9, 9),
+    "homega_hsigma": ("e67f1a8f49b476c6", 9, 9),
 }
 
 

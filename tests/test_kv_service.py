@@ -7,7 +7,8 @@ import pickle
 import pytest
 
 from repro.consensus import ConsensusFactory, HOmegaHSigmaConsensus, HOmegaMajorityConsensus
-from repro.membership import grouped_identities
+from repro.identity import ProcessId
+from repro.membership import Membership, grouped_identities
 from repro.runtime import (
     CHECKS,
     CONSENSUS,
@@ -21,8 +22,18 @@ from repro.runtime import (
     scenario,
     synchronous,
 )
-from repro.sim import Simulation
-from repro.workloads.kv import runner
+from repro.sim import AsynchronousTiming, Simulation, build_system
+from repro.sim.network import Network
+from repro.workloads.kv import (
+    ClientLoad,
+    KVClientProgram,
+    ReplicatedKVProgram,
+    replica,
+    request_id,
+    requester,
+    runner,
+)
+from repro.workloads.kv import __main__ as cli
 
 
 def kv_scenario(name="kv-test", *, seed=0, consensus="homega_majority", **kv_options):
@@ -139,73 +150,99 @@ class TestEndToEnd:
         assert "kv_linearizable" in CHECKS
         # a check's published measurements ride along too (one folding loop
         # for KV and plain specs): no heartbeat ran, so nothing was detected.
-        # Keys and order pinned on 9ab9472; values with replica traffic
-        # multicast to the replica group.
+        # Keys and order pinned on 9ab9472; values with announcements
+        # multicast to the replica group and answers to the asker's identifier.
         assert [(k, v) for k, v in metrics.items() if k.startswith("hb_detection")] == [
             ("hb_detection_ok", True),
             ("hb_detection_time", None),
             ("hb_detection_detected", 0),
             ("hb_detection_missed", 0),
             ("hb_detection_median_latency", None),
-            ("hb_detection_copies_sent", 896),
-            ("hb_detection_end_time", 32.478064279981965),
+            ("hb_detection_copies_sent", 897),
+            ("hb_detection_end_time", 32.047588393964894),
         ]
 
 
-_REPLICAS, _CLIENTS = 5, 3
+_REPLICAS = 5
 
 
 def _traffic(monkeypatch, crashes=None):
-    """The trace of a KV run left to its horizon, so every copy lands.
+    """Every send of a KV run left to its horizon, so every copy lands.
 
     KV_SYNC fires every 7 time units; the horizon 103 leaves the last round
     (at 98) time to arrive, and nothing else is sent once the clients are done.
+    Returns ``(trace, membership, sends)``, one ``(kind, targets, payload,
+    syncing)`` row per ``Network.multicast`` call, where ``syncing`` is the
+    ``identity`` of the KV_SYNC whose handler made the send (``None`` outside
+    one).
     """
     build = (
         scenario("kv-groups")
         .homonyms([2, 2, 1])
         .detectors("HOmega", stabilization=10.0)
-        .kv(clients=_CLIENTS, ops_per_client=3, think_time=1.0, key_space=4, sync_period=7.0)
+        .kv(clients=3, ops_per_client=3, think_time=1.0, key_space=4, sync_period=7.0)
         .horizon(103.0)
     )
     if crashes is not None:
         build = build.crashes(crashes)
-    traces = []
-    measure, run = runner.kv_metrics, Simulation.run
+    runs, sends, syncing = [], [], [None]
+    run, multicast, on_sync = Simulation.run, Network.multicast, ReplicatedKVProgram._on_sync
 
     def to_horizon(simulation, *, until, stop_when=None, **options):
-        return run(simulation, until=until, **options)
+        runs.append((run(simulation, until=until, **options), simulation.system.membership))
+        return runs[-1][0]
 
-    monkeypatch.setattr(runner, "kv_metrics", lambda trace: measure(traces.append(trace) or trace))
+    def recorded(network, sender, message, targets):
+        targets = tuple(targets)
+        sends.append((message.kind, frozenset(targets), message.payload, syncing[-1]))
+        multicast(network, sender, message, targets)
+
+    def answering(program, ctx, message):
+        syncing.append(message["identity"])
+        on_sync(program, ctx, message)
+        syncing.pop()
+
     monkeypatch.setattr(Simulation, "run", to_horizon)
+    monkeypatch.setattr(Network, "multicast", recorded)
+    monkeypatch.setattr(ReplicatedKVProgram, "_on_sync", answering)
     runner.execute_kv_spec(build.build())
-    (trace,) = traces
-    return trace
+    ((trace, membership),) = runs
+    return trace, membership, sends
 
 
-def _group_size(kind):
-    """How many processes hear one send of ``kind``: replies go to the clients,
-    everything else (slot traffic, KV_SYNC, KV_COMMIT, KV_REQUEST) to the replicas."""
-    return _CLIENTS if kind == "KV_REPLY" else _REPLICAS
+def _holders(membership, identity):
+    return frozenset(process.index for process in membership.processes_with_identity(identity))
 
 
-class TestTrafficStaysInItsGroup:
-    def test_every_send_reaches_exactly_its_group(self, monkeypatch):
-        trace = _traffic(monkeypatch)
-        sends = trace.broadcasts_by_kind()
-        kinds = {kind.partition("#")[0] for kind in sends}
+def _addressees(membership, kind, payload, syncing):
+    """Who one send must reach: a KV_REPLY the requester's identifier, a
+    KV_COMMIT the syncing replica's, and every announcement (slot traffic,
+    KV_SYNC, KV_REQUEST) the replica group."""
+    if kind == "KV_REPLY":
+        return _holders(membership, requester(payload["request_id"]))
+    if kind == "KV_COMMIT":
+        return _holders(membership, syncing)
+    return frozenset(range(_REPLICAS))
+
+
+class TestAnswersGoToTheAsker:
+    def test_every_send_reaches_exactly_its_addressees(self, monkeypatch):
+        trace, membership, sends = _traffic(monkeypatch)
+        kinds = {kind.partition("#")[0] for kind, *_ in sends}
         assert {"KV_REQUEST", "KV_REPLY", "KV_SYNC", "KV_COMMIT", "PH0", "DECIDE"} <= kinds
-        assert all("#s" in kind or kind.startswith("KV_") for kind in sends)
-        # Reliable links and no crash: every copy of every send is delivered.
-        assert trace.deliveries_by_kind() == {
-            kind: count * _group_size(kind) for kind, count in sends.items()
-        }
-        assert trace.message_copies_sent == sum(trace.deliveries_by_kind().values())
+        assert all("#s" in kind or kind.startswith("KV_") for kind, *_ in sends)
+        for kind, targets, payload, syncing in sends:
+            assert targets == _addressees(membership, kind, payload, syncing), (kind, payload)
+        # With ids [2, 2, 1] a KV_COMMIT reaches a homonymous pair or a lone replica.
+        assert {len(targets) for kind, targets, *_ in sends if kind == "KV_COMMIT"} == {1, 2}
+        # Reliable links and no crash: every addressed copy is delivered.
+        copies = sum(len(targets) for _, targets, _, _ in sends)
+        assert trace.message_copies_sent == copies == sum(trace.deliveries_by_kind().values())
 
     @pytest.mark.parametrize(
         "crashes, truncated",
         [
-            # Two clean crashes: every send still goes to the whole group.
+            # Two clean crashes: no multicast is truncated.
             (minority(at=14.0), 0),
             # The last replica's KV_SYNC at 14.0 goes out as it crashes:
             # int(0.4 × 5) = 2 of its 5 copies are sent.
@@ -215,10 +252,78 @@ class TestTrafficStaysInItsGroup:
     def test_a_partial_broadcast_crash_truncates_the_multicast(
         self, monkeypatch, crashes, truncated
     ):
-        trace = _traffic(monkeypatch, crashes)
-        sends = trace.broadcasts_by_kind()
-        full = sum(count * _group_size(kind) for kind, count in sends.items())
+        trace, membership, sends = _traffic(monkeypatch, crashes)
+        for kind, targets, payload, syncing in sends:
+            assert targets == _addressees(membership, kind, payload, syncing), (kind, payload)
+        full = sum(len(targets) for _, targets, _, _ in sends)
         assert full - trace.message_copies_sent == truncated
+
+    def test_a_reply_reaches_every_homonym_of_the_requester(self):
+        # One replica; two clients share the identifier "c", a third is "d".
+        membership = Membership.of(["r", "c", "c", "d"])
+        holders = {
+            identity: tuple(sorted(_holders(membership, identity)))
+            for identity in membership.distinct_identities
+        }
+
+        def program(pid, identity):
+            if identity == "r":
+                return ReplicatedKVProgram(
+                    consensus_factory=_DecidesItsProposal,
+                    replicas=range(1),
+                    holders=holders,
+                    sync_period=0,
+                )
+            return _Overhearing(
+                client_name=identity,
+                load=ClientLoad(ops=1),
+                replicas=range(1),
+                on_finished=lambda: None,
+            )
+
+        system = build_system(
+            membership=membership,
+            timing=AsynchronousTiming(min_latency=0.1, max_latency=1.0),
+            program_factory=program,
+        )
+        trace = Simulation(system).run(until=60.0)
+        heard = [
+            {value for _, value in trace.values_of(ProcessId(index), "heard")}
+            for index in (1, 2, 3)
+        ]
+        assert heard == [{request_id("c", 0)}, {request_id("c", 0)}, {request_id("d", 0)}]
+
+
+class TestCommandLineGate:
+    def test_a_starved_client_fails_the_gate(self, monkeypatch, capsys):
+        # Every reply goes to the lone "grp2" replica: no client hears one, so
+        # each closed-loop client waits on its first operation, and a history
+        # of pending operations still linearizes.
+        monkeypatch.setattr(replica, "requester", lambda request_id: "grp2")
+        assert cli.main(["--clients", "2", "--ops", "2"]) == 1
+        assert "STARVED: 0 of 2 operations completed" in capsys.readouterr().err
+
+    def test_lossy_links_may_leave_operations_pending(self, monkeypatch):
+        monkeypatch.setattr(replica, "requester", lambda request_id: "grp2")
+        assert cli.main(["--clients", "2", "--ops", "2", "--fault", "lossy"]) == 0
+
+
+class _DecidesItsProposal:
+    """A consensus instance that decides its own proposal at once."""
+
+    def __init__(self, proposal):
+        self.proposal = proposal
+
+    def setup(self, ctx):
+        ctx.decide(self.proposal)
+
+
+class _Overhearing(KVClientProgram):
+    """A client that records the request id of every reply it hears."""
+
+    def _on_reply(self, ctx, message):
+        ctx.record("heard", message["request_id"])
+        super()._on_reply(ctx, message)
 
 
 class TestDeterminism:
