@@ -75,7 +75,9 @@ class OhpPollingProgram(ProcessProgram):
         self.timeout: float = initial_timeout
         self._mship: set = set()
         self._latest_round_answered: dict = {}
-        self._replies: list[tuple[int, int, Identity, Identity]] = []
+        #: ``(round_low, round_high, sender identifier)`` of the replies to this
+        #: process's identifier whose interval can still cover a round.
+        self._replies: list[tuple[int, int, Identity]] = []
 
     # ------------------------------------------------------------------
     # Views (for stacked configurations)
@@ -107,12 +109,13 @@ class OhpPollingProgram(ProcessProgram):
         while True:
             ctx.broadcast("POLLING", round=self.round, identity=ctx.identity)
             yield ctx.sleep(self.timeout)
-            collected = IdentityMultiset(
-                sender
-                for low, high, target, sender in self._replies
-                if target == ctx.identity and low <= self.round <= high
+            # ``round`` only grows, so a reply whose interval ends before it
+            # can never cover a round again.
+            live = [reply for reply in self._replies if reply[1] >= self.round]
+            self._replies = live
+            self.h_trusted = IdentityMultiset(
+                sender for low, _, sender in live if low <= self.round
             )
-            self.h_trusted = collected
             self._refresh_homega(ctx)
             if self._record_outputs:
                 ctx.record(_H_TRUSTED, self.h_trusted)
@@ -155,18 +158,13 @@ class OhpPollingProgram(ProcessProgram):
         )
 
     def _on_reply(self, ctx: ProcessContext, message: Message) -> None:
-        target = message["target_identity"]
-        if target != ctx.identity:
+        if message["target_identity"] != ctx.identity:
             # Replies addressed to other identifiers are irrelevant here (the
             # broadcast reaches everyone; only the named identifier uses it).
             return
-        entry = (
-            message["round_low"],
-            message["round_high"],
-            target,
-            message["sender_identity"],
+        self._replies.append(
+            (message["round_low"], message["round_high"], message["sender_identity"])
         )
-        self._replies.append(entry)
         if message["round_low"] < self.round and not self._fixed_timeout:
             # Lines 33-34: an outdated reply (one whose interval starts before
             # the current round) means the timeout was too short.

@@ -149,18 +149,22 @@ class ConsensusProgram(ProcessProgram):
         ctx.broadcast("COORD", round=round_number, identity=identity, estimate=self.est1)
         if self.use_coordination_phase:
             coord = self.messages("COORD", round_number)
+            own: list[Any] = []  # estimates of this identifier's COORDs, in arrival order
+            scanned = 0
 
-            def own_estimates() -> list[Any]:
-                return [m["estimate"] for m in coord if m["identity"] == identity]
+            def own_count() -> int:
+                nonlocal scanned
+                if scanned < len(coord):
+                    own.extend(m["estimate"] for m in coord[scanned:] if m["identity"] == identity)
+                    scanned = len(coord)
+                return len(own)
 
             yield ctx.wait_until(
-                lambda: self.decided
-                or not is_leader()
-                or len(own_estimates()) >= multiplicity()
+                lambda: self.decided or not is_leader() or own_count() >= multiplicity()
             )
             if self.decided:
                 return
-            if own := own_estimates():
+            if own_count():
                 # Lines 12-14: adopt the smallest estimate among homonymous leaders.
                 self.est1 = min(own)
 

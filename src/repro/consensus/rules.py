@@ -18,6 +18,11 @@ assembly can catch up with the detector's evolution:
 * whenever its own labels change, or it learns that another process moved to
   a higher sub-round, it enters a new sub-round and re-broadcasts its message
   with the fresh labels.
+
+A blocked phase re-asks both questions after every delivery, so Phases 1–2
+hold their buffer in matched form (:class:`QuorumAssembly`): each message is
+filed once, under every ``(sub_round, label)`` it announces, and a question
+costs what arrived since it was last asked, not the round's history.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "HSigmaQuorum",
     "LeaderRule",
     "MajorityQuorum",
+    "QuorumAssembly",
     "find_quorum",
     "match_count",
     "match_multiset",
@@ -158,24 +164,109 @@ def find_quorum(received: list[Message], pairs: Iterable[tuple], match) -> list[
 
     All messages of ``M`` belong to the same sub-round, every sender's
     announced labels contain the pair's label, and ``match`` accepts them for
-    the pair.  The first feasible pair (in a deterministic order) wins.
+    the pair.  The first feasible pair in ``repr`` order, at its lowest
+    feasible sub-round, wins.
     """
-    if not received:
-        return None
-    sub_rounds = sorted({message["sub_round"] for message in received})
-    for label, wanted in sorted(pairs, key=repr):
-        for sub_round in sub_rounds:
-            chosen = match(
-                [
-                    message
-                    for message in received
-                    if message["sub_round"] == sub_round and label in message["labels"]
-                ],
-                wanted,
-            )
-            if chosen is not None:
-                return chosen
-    return None
+    return QuorumAssembly(received, match).quorum(pairs)
+
+
+class QuorumAssembly:
+    """One round's ``PH1`` or ``PH2`` buffer in matched form, and this process's sub-round.
+
+    ``received`` is the live buffer the round skeleton appends to.  Each
+    question first files what arrived since the previous one: a message joins
+    the *cell* ``(sub_round, label)`` of every label it announces, in arrival
+    order, and may raise :attr:`highest`.
+
+    :meth:`quorum` holds its answer together with the answer's place in the
+    search order, ``(position of the pair in repr order, sub_round)``.  While
+    the pairs stay those it searched, it re-matches only the cells that grew,
+    and only those placed before the answer it holds.  That is the answer of a
+    search from scratch: a cell that did not grow keeps its verdict, and a
+    matcher picks from the front of a cell, so messages filed behind an
+    accepted pick never change it.  New pairs re-match every cell once.
+    """
+
+    __slots__ = (
+        "received", "match", "sub_round", "labels", "highest",
+        "_filed", "_cells", "_grown", "_pairs", "_wanted", "_found",
+    )
+
+    def __init__(
+        self,
+        received: list[Message],
+        match: Callable[[list[Message], Any], list[Message] | None],
+    ) -> None:
+        self.received = received
+        self.match = match
+        #: This process's sub-round and the labels it announced in it.
+        self.sub_round = 0
+        self.labels: frozenset = frozenset()
+        #: The highest sub-round a filed message carries.
+        self.highest = 0
+        self._filed = 0
+        self._cells: dict[tuple[int, Any], list[Message]] = {}
+        #: The cells filed into since :meth:`quorum` last searched (a dict as an ordered set).
+        self._grown: dict[tuple[int, Any], None] = {}
+        self._pairs: Any = None
+        #: label → ``(position, what the pair wants)`` of every searched pair.
+        self._wanted: dict[Any, list[tuple[int, Any]]] = {}
+        #: ``((position, sub_round), chosen messages)`` of the first feasible cell.
+        self._found: tuple[tuple[int, int], list[Message]] | None = None
+
+    def enter(self, labels: frozenset) -> int:
+        """Move to the next sub-round, announcing ``labels``; returns its number."""
+        self.sub_round += 1
+        self.labels = labels
+        return self.sub_round
+
+    def quorum(self, pairs: Iterable[tuple]) -> list[Message] | None:
+        """The messages the first feasible pair selects, or ``None``."""
+        self._file()
+        grown = self._grown
+        if pairs is not self._pairs:
+            if pairs != self._pairs:
+                wanted: dict[Any, list[tuple[int, Any]]] = {}
+                for position, (label, want) in enumerate(sorted(pairs, key=repr)):
+                    wanted.setdefault(label, []).append((position, want))
+                self._wanted, self._found, grown = wanted, None, self._cells
+            self._pairs = pairs
+        if grown:
+            self._search(grown)
+            self._grown = {}
+        return None if self._found is None else self._found[1]
+
+    def outdated(self, labels: frozenset) -> bool:
+        """Lines 32-36/55-59: the labels are now ``labels``, or a message is past this sub-round."""
+        self._file()
+        return labels != self.labels or self.highest > self.sub_round
+
+    def _file(self) -> None:
+        """File the messages that arrived since the last call, noting the cells that grew."""
+        received = self.received
+        if self._filed == len(received):
+            return
+        cells, grown = self._cells, self._grown
+        for message in received[self._filed :]:
+            sub_round = message["sub_round"]
+            if sub_round > self.highest:
+                self.highest = sub_round
+            for label in message["labels"]:
+                cell = (sub_round, label)
+                cells.setdefault(cell, []).append(message)
+                grown[cell] = None
+        self._filed = len(received)
+
+    def _search(self, grown) -> None:
+        """Re-match those of the ``grown`` cells placed before the answer held."""
+        found, match, wanted, cells = self._found, self.match, self._wanted, self._cells
+        for sub_round, label in grown:
+            for position, want in wanted.get(label, ()):
+                if found is None or (position, sub_round) < found[0]:
+                    chosen = match(cells[sub_round, label], want)
+                    if chosen is not None:
+                        found = ((position, sub_round), chosen)
+        self._found = found
 
 
 class _DetectorQuorum:
@@ -199,27 +290,25 @@ class _DetectorQuorum:
         """
         view = ctx.detector(self.detector)
         identity = ctx.identity
-        received = program.messages(kind, round_number)
-        pairs_of, labels_of, match = self.pairs_of, self.labels_of, self.match
-        sub_round = 0
+        pairs_of, labels_of = self.pairs_of, self.labels_of
+        assembly = QuorumAssembly(program.messages(kind, round_number), self.match)
 
         def quorum():
-            return find_quorum(received, pairs_of(view), match)
+            return assembly.quorum(pairs_of(view))
 
         def outdated() -> bool:
-            # Lines 32-36/55-59: new labels or a higher sub-round somewhere.
-            return labels_of(view) != labels or any(
-                message["sub_round"] > sub_round for message in received
-            )
+            return assembly.outdated(labels_of(view))
+
+        def ready() -> bool:
+            return program.decided or skip() or quorum() is not None or outdated()
 
         while True:
-            sub_round += 1
             labels = labels_of(view)
             ctx.broadcast(
                 kind,
                 round=round_number,
                 identity=identity,
-                sub_round=sub_round,
+                sub_round=assembly.enter(labels),
                 labels=tuple(labels),
                 estimate=estimate,
             )
@@ -231,9 +320,7 @@ class _DetectorQuorum:
                     return [message["estimate"] for message in chosen]
                 if outdated():
                     break
-                yield ctx.wait_until(
-                    lambda: program.decided or skip() or quorum() is not None or outdated()
-                )
+                yield ctx.wait_until(ready)
 
     @staticmethod
     def lock(estimates: list[Any]) -> Any:

@@ -57,9 +57,13 @@ class Sleep:
 class WaitUntil:
     """Suspend the task until ``predicate()`` becomes true.
 
-    The predicate is re-evaluated whenever a message is delivered to the
-    process and whenever the process is poked (e.g. because an attached
-    detector's output changed).
+    The predicate is re-evaluated after *every* message delivered to the
+    process, whatever its kind, and whenever the process is poked (e.g.
+    because an attached detector's output changed).  So its cost must be
+    proportional to what arrived since its last call, not to the history:
+    keep what it reads in matched form as messages arrive (the consensus
+    quorum rules' :class:`~repro.consensus.rules.QuorumAssembly` does) rather
+    than rescanning a buffer on each call.
     """
 
     predicate: Callable[[], bool]

@@ -22,6 +22,11 @@ internal ids, or the global clock — matching the paper's adversaries
 Tasks are ordinary Python generator functions.  The runtime acts as a
 trampoline: it resumes a task, receives the next blocking request it yields,
 and schedules the continuation accordingly.
+
+A blocked task's ``wait_until`` predicate runs after *every* delivery to its
+process and on every poke, so almost every event of a run calls one.  Its
+cost must be proportional to what arrived since its last call, not to the
+history: a predicate that rescans a growing buffer makes a run quadratic.
 """
 
 from __future__ import annotations

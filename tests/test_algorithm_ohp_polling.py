@@ -154,6 +154,69 @@ class TestAdaptiveTimeout:
             OhpPollingProgram(timeout_increment=-1)
 
 
+class _Logged(OhpPollingProgram):
+    """Figure 6 plus a log: every reply it heard, and per round what T1 held."""
+
+    def setup(self, ctx):
+        self.identity, self.heard, self.rounds = ctx.identity, [], []
+        super().setup(ctx)
+
+    def _on_reply(self, ctx, message):
+        self.heard.append(message)
+        super()._on_reply(ctx, message)
+
+    def _refresh_homega(self, ctx):
+        # Called right after T1 rebuilt ``h_trusted`` for ``self.round``.
+        self.rounds.append((self.round, len(self.heard), self.h_trusted, len(self._replies)))
+        super()._refresh_homega(ctx)
+
+
+class TestRepliesStayBounded:
+    def test_past_50_rounds_with_a_crash(self):
+        """T1 keeps exactly the replies that can still cover a round, and every
+        ``h_trusted`` is what a rescan of the whole reply history gives."""
+        membership = grouped_identities([2, 2, 1])  # grp0 ×2, grp1 ×2, grp2
+        programs = {}
+
+        def factory(pid, identity):
+            programs[pid] = _Logged()
+            return programs[pid]
+
+        system = build_system(
+            membership=membership,
+            timing=PartiallySynchronousTiming(
+                gst=15.0, delta=1.0, min_latency=0.1, pre_gst_loss=0.4, pre_gst_max_latency=30.0
+            ),
+            program_factory=factory,
+            crash_schedule=CrashSchedule.at_times({p(1): 20.0}),
+            seed=11,
+        )
+        Simulation(system).run(until=600.0)
+        for process, program in programs.items():
+            if process == p(1):
+                continue
+            assert program.rounds[-1][0] > 50, process
+            for round_number, heard, h_trusted, kept in program.rounds:
+                addressed = [
+                    r for r in program.heard[:heard] if r["target_identity"] == program.identity
+                ]
+                rescan = IdentityMultiset(
+                    r["sender_identity"]
+                    for r in addressed
+                    if r["round_low"] <= round_number <= r["round_high"]
+                )
+                assert h_trusted == rescan, (process, round_number)
+                live = sum(1 for r in addressed if r["round_high"] >= round_number)
+                assert kept == live, (process, round_number)
+            assert len(program.heard) > 600, process
+        # p0 (its homonym crashed) and p4 hold their identifier alone: once the
+        # timeouts settle they keep one reply per live replier, not the history.
+        # A slower homonym (p2 behind p3) also keeps the intervals the faster
+        # one opened ahead of it — live, but more than four.
+        for alone in (p(0), p(4)):
+            assert {kept for *_, kept in programs[alone].rounds[25:]} == {4}, alone
+
+
 class TestStackedView:
     def test_homega_view_reflects_current_state(self):
         program = OhpPollingProgram()
