@@ -28,6 +28,12 @@ rather than by identity, so declarations are recorded as indices; the
 nothing with them but the parameter validation — byte-identical broadcasts,
 records, and RNG usage — which is what keeps every pre-topology digest stable.
 
+A sparse run holds one peer list: ``peers`` is a single sorted,
+duplicate-free tuple of indices per run, shared by every process's monitor,
+and no program mutates it.  Each monitor's alive view starts as that tuple;
+a declaration replaces only the declaring monitor's view with a new list,
+so building n monitors costs O(n), not O(n²).
+
 The program speaks only the :class:`~repro.context.AbstractProcessContext`
 protocol, so the *same object* runs on the discrete-event simulator and on
 the asyncio/TCP transport backend.  Detection events are emitted through
@@ -38,6 +44,7 @@ the asyncio/TCP transport backend.  Detection events are emitted through
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from itertools import compress
 from math import inf
 from operator import gt
@@ -131,7 +138,13 @@ class FullMeshHeartbeat(_Heartbeat):
 
 
 class _IndexedHeartbeat(_Heartbeat):
-    """A sparse monitor: watches peer *indices* a topology picks from its alive view."""
+    """A sparse monitor: watches peer *indices* a topology picks from its alive view.
+
+    ``peers`` is the run's one sorted, duplicate-free index tuple, shared by
+    every process; the monitor keeps it as its initial :attr:`alive` view and
+    never mutates it.  A declaration replaces this monitor's view with a new
+    list without the victim, so other monitors' views are untouched.
+    """
 
     def __init__(
         self, *, topology: Any, index: int | None = None, peers: tuple[int, ...] = (), **knobs: Any
@@ -144,17 +157,19 @@ class _IndexedHeartbeat(_Heartbeat):
             )
         self._topology = topology
         self._index = index
-        #: indices this process still believes alive (including itself).
-        self.alive: list[int] = sorted(peers)
+        #: indices this process still believes alive (including itself):
+        #: the shared ``peers`` tuple until this monitor's first declaration.
+        self.alive: Sequence[int] = peers
         #: indices already declared dead.
         self.dead_indices: set[int] = set()
 
     def _declare_index_dead(self, ctx: AbstractProcessContext, target: int) -> None:
         self.dead_indices.add(target)
         ctx.record(DECLARED_DEAD, target)
-        at = bisect_left(self.alive, target)
-        if at < len(self.alive) and self.alive[at] == target:
-            del self.alive[at]
+        alive = self.alive
+        at = bisect_left(alive, target)
+        if at < len(alive) and alive[at] == target:
+            self.alive = [*alive[:at], *alive[at + 1 :]]
 
 
 class RingHeartbeat(_IndexedHeartbeat):
@@ -269,7 +284,7 @@ class GossipHeartbeat(_IndexedHeartbeat):
         last_bump = self.last_bump
         if now - min(last_bump) < self._hb_timeout:
             return  # nobody is stale: the common tick
-        for peer in tuple(self.alive):
+        for peer in self.alive:  # a declaration replaces the view, never edits it
             if peer != self._index and now - last_bump[peer] >= self._hb_timeout:
                 self._declare_index_dead(ctx, peer)
                 last_bump[peer] = inf

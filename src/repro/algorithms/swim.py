@@ -42,7 +42,7 @@ backend-portability lint).  Everything observable is emitted through
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from ..context import AbstractProcessContext, ProcessProgram
 
@@ -59,7 +59,14 @@ _STATUS_RANK = {ALIVE: 0, LEFT: 1, DEAD: 2}
 
 
 class ClusterMembershipProgram(ProcessProgram):
-    """Topology-driven dynamic membership with introducer-based join."""
+    """Topology-driven dynamic membership with introducer-based join.
+
+    ``peers`` is the run's one sorted, duplicate-free index tuple, shared by
+    every process: the program keeps it as given and never mutates it, and a
+    declaration changes only this process's :attr:`view`.  The founding
+    members (peers with no scheduled join) are derived from it where they are
+    used, so a process stores no copy of the peer list.
+    """
 
     def __init__(
         self,
@@ -87,19 +94,16 @@ class ClusterMembershipProgram(ProcessProgram):
         self._hb_timeout = hb_timeout
         self._topology = topology
         self._index = index
-        self._peers = tuple(sorted(peers))
+        self._peers = peers
         self._introducer = introducer
         self._join_timeout = join_timeout if join_timeout is not None else 2 * hb_interval
 
-        churn_events = list((churn or {}).get("events", ()))
+        #: the run's schedule, shared like ``peers``; read, never edited.
+        self._churn_events = (churn or {}).get("events", ())
         self._my_events = sorted(
-            (dict(event) for event in churn_events if int(event["index"]) == index),
+            (dict(event) for event in self._churn_events if int(event["index"]) == index),
             key=lambda event: event["time"],
         )
-        joiners = {
-            int(event["index"]) for event in churn_events if event["kind"] == "join"
-        }
-        self._founders = tuple(peer for peer in self._peers if peer not in joiners)
         self._join_at = next(
             (event["time"] for event in self._my_events if event["kind"] == "join"), None
         )
@@ -138,10 +142,17 @@ class ClusterMembershipProgram(ProcessProgram):
         ctx.on("M_LEAVE", lambda msg: self._on_leave(ctx, msg))
         if self.active:
             now = ctx.now
-            for founder in self._founders:
+            for founder in self._founders():
                 self.view[founder] = [0, ALIVE, 0]
                 self.last_bump[founder] = now
         ctx.spawn(lambda: self._life_task(ctx), name="membership-life")
+
+    def _founders(self) -> Iterator[int]:
+        """The peers with no scheduled join, in index order."""
+        joiners = {
+            int(event["index"]) for event in self._churn_events if event["kind"] == "join"
+        }
+        return (peer for peer in self._peers if peer not in joiners)
 
     # ------------------------------------------------------------------
     # Views
@@ -210,7 +221,7 @@ class ClusterMembershipProgram(ProcessProgram):
 
     def _join_loop(self, ctx: AbstractProcessContext):
         candidates = [self._introducer] + [
-            founder for founder in self._founders if founder != self._introducer
+            founder for founder in self._founders() if founder != self._introducer
         ]
         attempt = 0
         while not self.active:

@@ -228,18 +228,21 @@ def simulate_spec(spec: ScenarioSpec) -> Simulation:
     )
     program_entry = PROGRAMS.resolve(spec.program) if spec.program else None
 
-    # Topology-aware programs get the materialised topology and their own
-    # index injected into the build parameters.  The default full mesh takes
-    # the historical build call — parameter-for-parameter identical, so every
-    # pre-topology digest is preserved.
+    # Topology-aware programs get the materialised topology, their own index
+    # and the peer indices injected into the build parameters.  ``peers`` is
+    # one sorted, duplicate-free tuple per run, shared by every process:
+    # programs never mutate it, and a declaration replaces only the declaring
+    # monitor's own view.  The default full mesh takes the historical build
+    # call — parameter-for-parameter identical, so every pre-topology digest
+    # is preserved.
     topology = None if spec.topology.is_full_mesh else spec.topology.build()
+    peers = None if topology is None else tuple(range(membership.size))
 
     def factory(pid, identity):
         programs = []
         if program_entry is not None:
             params = spec.program_params
             if topology is not None:
-                peers = tuple(range(membership.size))
                 params = {**params, "topology": topology, "index": pid.index, "peers": peers}
             programs.append(program_entry.build(params))
         if consensus_factory is not None:

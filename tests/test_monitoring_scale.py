@@ -11,16 +11,22 @@ membership view.  These tests pin both halves of that contract:
 * one small ring, gossip and mesh detection run each reproduce the digest,
   copy count and every declaration recorded on the commit before the change;
 * the gossip table travels as an immutable snapshot, and rumours about a
-  declared peer neither revive it nor declare it twice.
+  declared peer neither revive it nor declare it twice;
+* every sparse program of a run shares the engine's one peer tuple — a
+  declaration replaces only the declaring monitor's view — so building a
+  ring run costs the same bytes per process at n=1000 as at n=250.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections.abc import Sequence
 from math import ceil, log2
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -35,9 +41,12 @@ from repro.runtime import (
     register_check,
     ring,
     scenario,
+    simulate_spec,
 )
 from repro.sim.message import Message
+from repro.sim.scheduler import Simulation
 from repro.topology import FullMesh, Gossip, ring_successors
+from repro.workloads.churn import churn_spec
 
 
 # ----------------------------------------------------------------------
@@ -300,3 +309,123 @@ class TestGossipTableOnTheWire:
         assert [entry for entry in ctx.records if entry[1] == DECLARED_DEAD] == [
             (3.0, DECLARED_DEAD, 4)
         ]
+
+
+# ----------------------------------------------------------------------
+# One peer tuple per run
+# ----------------------------------------------------------------------
+_CRASH_AT = 10.0
+
+
+def _detection_spec(topology, n, hb_timeout=8.0):
+    return (
+        scenario(f"shared-peers-n{n}")
+        .processes(n)
+        .unique_ids()
+        .timing(asynchronous(min_latency=0.01, max_latency=0.2))
+        .crashes(crashes_at({n - 1: _CRASH_AT}))
+        .program("heartbeat", hb_interval=1.0, hb_timeout=hb_timeout)
+        .topology(topology)
+        .horizon(_CRASH_AT + hb_timeout + 8.0)
+        .seed(3)
+        .build()
+    )
+
+
+def _churn_spec(n):
+    """E12's light churn (per 100 processes: 2 joins, 2 leaves, 2 flaps) plus one crash."""
+    scale = max(1, n // 100)
+    return churn_spec(
+        n,
+        topology="ring",
+        degree=2,
+        joins=2 * scale,
+        leaves=2 * scale,
+        flaps=2 * scale,
+        crashes={n // 2: _CRASH_AT},
+        horizon=30.0,
+        seed=3,
+    )
+
+
+def _unstarted(spec, monkeypatch):
+    """The simulation :func:`simulate_spec` builds for ``spec``, before it runs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulation, "run", lambda self, **_: self.trace)
+        return simulate_spec(spec)
+
+
+def _programs(simulation):
+    return [runtime.program for runtime in simulation.runtimes.values()]
+
+
+class TestOnePeerTuplePerRun:
+    N = 12
+
+    @pytest.mark.parametrize(
+        "topology", [ring(successors=2), gossip(fanout=2)], ids=["ring", "gossip"]
+    )
+    def test_monitors_share_it_until_they_declare(self, topology, monkeypatch):
+        spec = _detection_spec(topology, self.N)
+        simulation = _unstarted(spec, monkeypatch)
+        monitors = _programs(simulation)
+        shared = monitors[0].alive
+        assert type(shared) is tuple and shared == tuple(range(self.N))
+        simulation.run(until=_CRASH_AT - 0.5)
+        assert all(monitor.alive is shared for monitor in monitors)
+
+        simulation.run(until=spec.horizon)
+        victim = self.N - 1
+        declaring = [monitor for monitor in monitors if monitor.dead_indices]
+        assert any(victim in monitor.dead_indices for monitor in declaring)
+        for monitor in declaring:
+            assert type(monitor.alive) is list
+            assert set(monitor.alive) == set(range(self.N)) - monitor.dead_indices
+        assert len({id(monitor.alive) for monitor in declaring}) == len(declaring)
+        assert all(monitor.alive is shared for monitor in monitors if not monitor.dead_indices)
+        assert shared == tuple(range(self.N))
+
+    def test_membership_programs_keep_it_as_given(self, monkeypatch):
+        spec = _churn_spec(self.N)
+        simulation = _unstarted(spec, monkeypatch)
+        programs = _programs(simulation)
+        shared = programs[0]._peers
+        assert type(shared) is tuple and shared == tuple(range(self.N))
+        simulation.run(until=_CRASH_AT - 0.5)
+        assert all(program._peers is shared for program in programs)
+
+        simulation.run(until=spec.horizon)
+        assert any(
+            entry[1] == "dead" for program in programs for entry in program.view.values()
+        )
+        assert all(program._peers is shared for program in programs)
+        assert shared == tuple(range(self.N))
+
+
+class TestBuildMemoryIsLinear:
+    """The memory half of the "ring is scale-free" rule: bytes per process of a built run.
+
+    Gossip is left out on purpose: a gossip monitor ships its whole counter
+    table each period, so its per-process table is O(n) by design.
+    """
+
+    @pytest.mark.parametrize(
+        "spec_of",
+        [lambda n: _detection_spec(ring(successors=3), n), _churn_spec],
+        ids=["ring-heartbeat", "ring-churn"],
+    )
+    def test_bytes_per_process_do_not_grow_with_n(self, spec_of, monkeypatch):
+        _unstarted(spec_of(12), monkeypatch)  # lazy imports stay out of the measurement
+        per_process = {}
+        for n in (250, 1000):
+            spec = spec_of(n)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                simulation = _unstarted(spec, monkeypatch)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del simulation
+            per_process[n] = held / n
+        assert per_process[1000] <= 1.5 * per_process[250], per_process
