@@ -62,24 +62,31 @@ def _version_history(
 
 
 def _staleness(trace: RunTrace, commits: dict[int, tuple[float, str]]) -> dict[str, Any]:
-    """Compare local-mode reads against the authoritative version timeline."""
-    versions = _version_history(commits)
-    local_reads = 0
+    """Compare local-mode reads against the authoritative version timeline.
+
+    The timeline is replayed only if the run made a local read: a log-mode
+    run reports the four keys as zeros without decoding its commit log.
+    """
+    reads = [
+        entry
+        for process in trace.processes_with_records()
+        for entry in trace.records_of(process, "kv.local_read")
+    ]
+    versions = _version_history(commits) if reads else {}
+    local_reads = len(reads)
     stale_reads = 0
     max_lag = 0
-    for process in trace.processes_with_records():
-        for entry in trace.records_of(process, "kv.local_read"):
-            _request_id, key, seen_version = entry.value
-            local_reads += 1
-            authoritative = 0
-            for time, version in versions.get(key, ()):
-                if time <= entry.time:
-                    authoritative = version
-                else:
-                    break
-            if seen_version < authoritative:
-                stale_reads += 1
-                max_lag = max(max_lag, authoritative - seen_version)
+    for entry in reads:
+        _request_id, key, seen_version = entry.value
+        authoritative = 0
+        for time, version in versions.get(key, ()):
+            if time <= entry.time:
+                authoritative = version
+            else:
+                break
+        if seen_version < authoritative:
+            stale_reads += 1
+            max_lag = max(max_lag, authoritative - seen_version)
     return {
         "local_reads": local_reads,
         "stale_reads": stale_reads,

@@ -41,7 +41,7 @@ from .clients import ClientLoad, KVClientProgram
 from .metrics import kv_metrics
 from .replica import ReplicatedKVProgram
 
-__all__ = ["execute_kv_spec"]
+__all__ = ["execute_kv_spec", "measure_kv_run", "simulate_kv_spec"]
 
 
 class _ReplicaScopedDetector:
@@ -66,7 +66,15 @@ class _ReplicaScopedDetector:
 
 def execute_kv_spec(spec) -> "Any":
     """Run one KV scenario and return its :class:`~repro.runtime.engine.RunRecord`."""
-    from ...runtime.engine import RunRecord, fold_checks
+    return measure_kv_run(spec, simulate_kv_spec(spec))
+
+
+def simulate_kv_spec(spec) -> Simulation:
+    """Materialise one KV scenario and run it until every client is done.
+
+    The first half of :func:`execute_kv_spec`, for callers that read the
+    trace themselves (the command line reports how its history certified).
+    """
     from ...runtime.registry import CONSENSUS, DETECTORS
 
     kv = spec.kv
@@ -155,8 +163,15 @@ def execute_kv_spec(spec) -> "Any":
         name=spec.name,
     )
     simulation = Simulation(system)
-    trace = simulation.run(until=spec.horizon, stop_when=lambda sim: not clients_at_work)
+    simulation.run(until=spec.horizon, stop_when=lambda sim: not clients_at_work)
+    return simulation
 
+
+def measure_kv_run(spec, simulation: Simulation) -> "Any":
+    """The record of a finished :func:`simulate_kv_spec` run: metrics and checks."""
+    from ...runtime.engine import RunRecord, fold_checks
+
+    trace = simulation.trace
     metrics = kv_metrics(trace)
     metrics.update(fold_checks(trace, simulation.failure_pattern, spec.checks))
     return RunRecord(

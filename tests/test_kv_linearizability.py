@@ -1,21 +1,26 @@
-"""Unit tests for the Wing & Gong-style KV linearizability checker."""
+"""Unit tests for the KV linearizability checker: the version-order witness
+and the Wing & Gong-style search behind it."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.identity import ProcessId
-from repro.runtime import execute_spec
+from repro.runtime import scenario
 from repro.sim.trace import RunTrace
 from repro.workloads.kv import (
     KVOperation,
+    ReplicatedKV,
     check_history,
     check_kv_linearizable,
     history_from_trace,
 )
-from repro.workloads.kv import linearizability, metrics
+from repro.workloads.kv import linearizability
+from repro.workloads.kv.runner import measure_kv_run, simulate_kv_spec
 from repro.workloads.kv.linearizability import ABSENT, _step
 
 
@@ -260,19 +265,28 @@ def _check_key_by_scan(operations, max_states):
     return "violation", len(seen)
 
 
+_VALUES = [ABSENT, "v0", "v1", "v2"]
+
+
+def _draw_command(draw):
+    kind = draw(st.sampled_from(["GET", "SET", "CAS", "DEL"]))
+    args = {"SET": (draw(st.sampled_from(_VALUES[1:])),), "GET": (), "DEL": ()}.get(
+        kind, (draw(st.sampled_from(_VALUES)), draw(st.sampled_from(_VALUES[1:])))
+    )
+    return kind, args
+
+
 @st.composite
-def _histories(draw):
-    """Single-key histories with overlapping intervals, pending ops and stale reads."""
-    values = [ABSENT, "v0", "v1", "v2"]
+def _random_histories(draw):
+    """Arbitrary answers: overlapping intervals, pending ops, stale reads, and
+    versions that are all missing or all drawn at random."""
+    versioned = draw(st.booleans())
     history = []
     for index in range(draw(st.integers(min_value=0, max_value=8))):
-        kind = draw(st.sampled_from(["GET", "SET", "CAS", "DEL"]))
+        kind, args = _draw_command(draw)
         invoke = float(draw(st.integers(min_value=0, max_value=12)))
         pending = draw(st.integers(min_value=0, max_value=5)) == 0
         response = None if pending else invoke + draw(st.integers(min_value=0, max_value=6))
-        args = {"SET": (draw(st.sampled_from(values[1:])),), "GET": (), "DEL": ()}.get(
-            kind, (draw(st.sampled_from(values)), draw(st.sampled_from(values[1:])))
-        )
         history.append(
             op(
                 f"r{index}",
@@ -282,9 +296,70 @@ def _histories(draw):
                 response,
                 args=args,
                 status=draw(st.sampled_from(["ok", "fail", "miss"])),
-                value=draw(st.sampled_from(values)),
+                value=draw(st.sampled_from(_VALUES)),
+                version=draw(st.integers(min_value=0, max_value=4)) if versioned else None,
             )
         )
+    return history
+
+
+@st.composite
+def _legal_histories(draw, clean=False):
+    """A legal sequential run of the store, answered with its true versions.
+
+    Operation ``i`` takes effect at instant ``3 i``, is invoked up to four
+    units before and answered up to four after, so intervals overlap.  A
+    pending mutation may still take effect.  Unless ``clean``, one answer's
+    version may then be bumped or dropped, or its value replaced.
+    """
+    store = ReplicatedKV()
+    history = []
+    for index in range(draw(st.integers(min_value=0, max_value=8))):
+        kind, args = _draw_command(draw)
+        point = 3.0 * index
+        invoke = point - draw(st.integers(min_value=0, max_value=4))
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            if not clean and draw(st.booleans()):
+                store.apply_decoded(f"r{index}", kind, "k", args)
+            history.append(op(f"r{index}", kind, "k", invoke, None, args=args))
+            continue
+        result = store.apply_decoded(f"r{index}", kind, "k", args)
+        response = point + draw(st.integers(min_value=0, max_value=4))
+        history.append(
+            op(
+                f"r{index}",
+                kind,
+                "k",
+                invoke,
+                response,
+                args=args,
+                status=result.status,
+                value=result.value,
+                version=result.version,
+            )
+        )
+    answered = [index for index, operation in enumerate(history) if operation.completed]
+    if not clean and answered:
+        index = draw(st.sampled_from(answered))
+        mutated = history[index]
+        history[index] = draw(
+            st.sampled_from(
+                [
+                    mutated,
+                    replace(mutated, version=mutated.version + 1),
+                    replace(mutated, version=max(0, mutated.version - 1)),
+                    replace(mutated, version=None),
+                    replace(mutated, value=draw(st.sampled_from(_VALUES))),
+                ]
+            )
+        )
+    return history
+
+
+@st.composite
+def _histories(draw):
+    """Single-key histories: arbitrary answers, or a legal run's (perturbed)."""
+    history = draw(st.one_of(_random_histories(), _legal_histories()))
     history.sort(key=lambda operation: (operation.invoke, operation.request_id))
     return history
 
@@ -297,18 +372,75 @@ class TestSearchCost:
             history, budget
         )
 
-    def test_an_e10_quick_cell_explores_a_pinned_number_of_states(self, monkeypatch):
+    def test_an_e10_quick_cell_explores_a_pinned_number_of_states(self):
         # E10 quick, seed 0, cell 6: 4 clients x 4 ops, uniform keys, no fault.
         (_, fn, configs), = ALL_EXPERIMENTS["E10"].work(True, 0)
         config = list(configs)[6]
         assert (config["clients"], config["skew"], config["fault"]) == (4, "uniform", "none")
-        verdicts = []
+        history = history_from_trace(simulate_kv_spec(fn(dict(config))).trace)
+        verdict = check_history(history)
+        # Every key is certified by its version order; the search, run on
+        # the same history, still explores its pinned number of states.
+        by_key = {}
+        for operation in history:
+            by_key.setdefault(operation.key, []).append(operation)
+        assert (verdict.ok, verdict.ops_checked, verdict.states_explored) == (True, 16, 0)
+        assert verdict.witnessed == len(by_key)
+        searched = [linearizability._check_key(ops, 200_000) for ops in by_key.values()]
+        assert {outcome for outcome, _ in searched} == {"ok"}
+        assert sum(states for _, states in searched) == 28
 
-        def checked(history, **options):
-            verdicts.append(check_history(history, **options))
-            return verdicts[-1]
 
-        monkeypatch.setattr(metrics, "check_history", checked)
-        execute_spec(fn(dict(config)))
-        (verdict,) = verdicts
-        assert (verdict.ok, verdict.ops_checked, verdict.states_explored) == (True, 16, 28)
+# ----------------------------------------------------------------------
+# The version-order witness: it only ever certifies what the search accepts
+# ----------------------------------------------------------------------
+class TestVersionWitness:
+    @settings(max_examples=300, deadline=None)
+    @given(history=_histories(), budget=st.sampled_from([3, 40, 200_000]))
+    def test_check_history_agrees_with_the_search(self, history, budget):
+        verdict, states = linearizability._check_key(history, budget)
+        result = check_history(history, max_states_per_key=budget)
+        if result.witnessed:
+            # Certified with no search: the search, given room, agrees.
+            assert result.ok and result.states_explored == 0
+            assert verdict != "violation"
+        else:
+            assert result.states_explored == states
+            assert (result.ok, bool(result.violations), bool(result.undecided)) == (
+                verdict == "ok",
+                verdict == "violation",
+                verdict == "undecided",
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(history=_legal_histories(clean=True))
+    def test_a_legal_run_answered_with_its_true_versions_is_witnessed(self, history):
+        result = check_history(history)
+        assert result.ok and result.states_explored == 0
+        assert result.witnessed == (1 if history else 0)
+
+    def test_a_pending_mutation_that_took_effect_sends_the_key_to_the_search(self):
+        history = [
+            op("a", "SET", "k", 0.0, None, args=("v1",)),
+            op("b", "GET", "k", 5.0, 6.0, value="v1", version=1),
+        ]
+        result = check_history(history)
+        assert result.ok and result.witnessed == 0 and result.states_explored == 2
+
+    def test_the_cliff_cell_certifies_by_version_order(self):
+        # 24 zipf clients x 25 ops at seed 4: the search alone took seconds
+        # here and ran out of budget on a key (``lin_undecided`` 1).
+        spec = (
+            scenario("kv-cliff")
+            .homonyms([2, 2, 1])
+            .detectors("HOmega", stabilization=10.0)
+            .kv(clients=24, ops_per_client=25, skew="zipf", think_time=1.0, key_space=6)
+            .horizon(6000.0)
+            .seed(4)
+            .build()
+        )
+        simulation = simulate_kv_spec(spec)
+        metrics = measure_kv_run(spec, simulation).metrics
+        assert metrics["linearizable"] and metrics["lin_ops_checked"] == 600
+        assert metrics["lin_undecided"] == 0
+        assert check_kv_linearizable(simulation.trace).witnessed == 6
