@@ -376,7 +376,7 @@ def run_with_digest_capture(task: "tuple[Callable[[Any], Any], Any]") -> tuple[A
     be dispatched through any executor; the digests come back *with the
     result*, in execution order, which is what lets a digest manifest compare
     serial and pooled sweeps bit for bit (a parent-side capture never reaches
-    a ``spawn``-started worker).
+    a worker, which forks from a clean fork server, not from the parent).
     """
     fn, item = task
     with capture_digests() as sink:

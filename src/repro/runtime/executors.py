@@ -110,8 +110,8 @@ class WorkerPool:
     """The *warm* pool: one persistent worker fleet across every call.
 
     The workers are spawned lazily on the first call that actually needs
-    them, each warms up exactly once (interpreter startup plus the library
-    import happen per worker lifetime, not per call), and the same workers
+    them, each warms up exactly once (a fork of the fleet's preloaded fork
+    server, per worker lifetime, not per call), and the same workers
     then serve every subsequent ``map``/``imap`` until :meth:`close`.  An
     :class:`~repro.runtime.engine.Engine` built with ``jobs=N`` owns one of
     these, so successive ``run`` / ``run_many`` / ``run_sweep`` calls — a

@@ -1,9 +1,9 @@
 """One supervised fleet of worker processes: spawn, feed, drain, kill, reap.
 
 This is the only module that owns sweep worker processes.  A :class:`Fleet`
-keeps up to ``size`` ``spawn``-context :mod:`multiprocessing` workers, each on
-its own :func:`~multiprocessing.Pipe`.  A worker warms up once (imports the
-library, says hello) and then executes *chunks* — ``(fn, items)`` — sending
+keeps up to ``size`` ``forkserver``-context :mod:`multiprocessing` workers,
+each on its own :func:`~multiprocessing.Pipe`.  A worker says hello once and
+then executes *chunks* — ``(fn, items)`` — sending
 the item results back in order, coalesced: whatever it has at the end of the
 chunk, and earlier whenever :data:`FLUSH_INTERVAL` has passed since its last
 send.  Long items therefore stream one by one, millisecond items travel in
@@ -22,28 +22,38 @@ event *means* — buffer and re-order, journal, requeue, bisect, raise — is th
 caller's policy (:class:`~repro.runtime.executors.WorkerPool`,
 :class:`~repro.fabric.coordinator.Coordinator`).
 
-Workers use the ``spawn`` start method: they always execute the clean import
-path instead of inheriting an arbitrary fork of the parent heap (monkeypatched
-classes, mutated module globals, warmed RNGs), which keeps the determinism
-digest guarantee — identical digests serial vs. parallel — independent of
-parent-process state.  ``spawn`` also ships ``sys.path`` to the child, and a
-``Pipe`` carries pickles, not a byte stream a stray ``print`` could corrupt.
+Workers use the ``forkserver`` start method.  While any fleet holds workers,
+one fork server runs: a clean interpreter, started by ``spawnv``, that has
+only imported :mod:`repro.experiments`.  A worker is a ``fork`` of that
+server, so it starts in milliseconds instead of importing the library again,
+and it still never inherits the parent's heap (monkeypatched classes, mutated
+module globals, warmed RNGs): the determinism digest guarantee — identical
+digests serial vs. parallel — stays independent of parent-process state.
+Each worker still gets ``sys.path`` and the working directory from its own
+preparation data, and a ``Pipe`` carries pickles, not a byte stream a stray
+``print`` could corrupt.  The server stops when the last fleet closes, so
+nothing this module started outlives the fleets.  This is POSIX only, like
+the SIGKILL / SIGSTOP supervision around it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing import forkserver
 from multiprocessing.connection import Connection, wait
 from multiprocessing.pool import ExceptionWithTraceback
 from multiprocessing.process import BaseProcess
+from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from ..retry import RetryPolicy
 
-__all__ = ["Event", "Fleet", "FLUSH_INTERVAL", "RESPAWN_RETRY"]
+__all__ = ["Event", "Fleet", "FLUSH_INTERVAL", "RESPAWN_RETRY", "python_path"]
 
 #: Longest a worker sits on finished results before sending them (seconds).
 FLUSH_INTERVAL = 0.05
@@ -64,6 +74,43 @@ JOIN_GRACE = 5.0
 RESPAWN_RETRY = RetryPolicy(base=0.05, cap=2.0, max_attempts=1_000_000)
 
 _HELLO, _MORE, _DONE = "hello", "more", "done"
+
+#: What the fork server imports before it forks its first worker.
+_PRELOAD = "repro.experiments"
+
+#: Fleets that spawned workers and have not closed since: the fork server
+#: runs while this is non-empty.
+_HOLDING: set["Fleet"] = set()
+
+
+def python_path() -> str:
+    """A ``PYTHONPATH`` under which a child interpreter imports :mod:`repro`."""
+    src_root = str(Path(__file__).resolve().parents[2])
+    existing = os.environ.get("PYTHONPATH", "")
+    if src_root in existing.split(os.pathsep):
+        return existing
+    return src_root + (os.pathsep + existing if existing else "")
+
+
+def _start_server() -> None:
+    """Make sure the fork server runs, with the library preloaded.
+
+    Python 3.11's server ignores the ``sys.path`` it is handed and swallows a
+    preload's ``ImportError``: in a checkout importable only through
+    ``sys.path`` it would preload nothing, and every worker would import the
+    library itself.  So the server is started with ``PYTHONPATH`` naming
+    :mod:`repro`'s root, and this process's environment is restored after.
+    """
+    forkserver.set_forkserver_preload([_PRELOAD])
+    saved = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = python_path()
+    try:
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = saved
 
 
 # ----------------------------------------------------------------------
@@ -89,13 +136,15 @@ def _run_chunk(conn: Connection, fn: Callable[[Any], Any], items: Sequence[Any])
 def _serve(conn: Connection) -> None:
     """Worker body: warm up once, then execute chunks until told to stop."""
     # Importing the experiments pulls in the simulation stack and registers
-    # every detector/consensus/experiment entry the specs resolve, so each
-    # worker pays interpreter start-up and import once; afterwards a chunk
-    # only unpickles its inputs.
+    # every detector/consensus/experiment entry the specs resolve; afterwards
+    # a chunk only unpickles its inputs.  The fork server has normally done
+    # it already, which the hello reports; a server started without the
+    # preload (by someone else) still yields a correct, if slower, worker.
+    warm = _PRELOAD in sys.modules
     import repro.experiments  # noqa: F401
 
     try:
-        conn.send(([], _HELLO))
+        conn.send((warm, _HELLO))
         while (task := conn.recv()) is not None:
             _run_chunk(conn, *task)
     except (EOFError, OSError):
@@ -148,6 +197,8 @@ class Fleet:
         self.progress_timeout = progress_timeout
         #: Workers killed by the progress deadline over this fleet's lifetime.
         self.stalls = 0
+        #: Workers that greeted without the preloaded library (they imported it).
+        self.cold = 0
         self._workers: dict[int, _Worker] = {}
         self._spawned = 0
         self._delays = RESPAWN_RETRY.delays()
@@ -164,7 +215,9 @@ class Fleet:
 
     # -- lifecycle -----------------------------------------------------
     def _spawn(self) -> None:
-        context = multiprocessing.get_context("spawn")
+        _start_server()
+        _HOLDING.add(self)
+        context = multiprocessing.get_context("forkserver")
         ours, theirs = context.Pipe()
         process = context.Process(target=_serve, args=(theirs,), daemon=True)
         process.start()
@@ -185,12 +238,13 @@ class Fleet:
         return code
 
     def close(self) -> None:
-        """Stop and join every worker (idempotent; :meth:`run` respawns)."""
+        """Stop and join every worker, and with the last fleet the fork server
+        (idempotent; :meth:`run` respawns)."""
         workers = list(self._workers.values())
         self._respawn_at.clear()
         for worker in workers:
             if worker.on_the_hook:
-                worker.process.kill()  # still importing: it holds nothing
+                worker.process.kill()  # not greeted yet: it holds nothing
             else:
                 try:
                     worker.conn.send(None)  # it is waiting in recv(): exit politely
@@ -200,6 +254,15 @@ class Fleet:
             # An idle worker that was SIGSTOP'd never reads the goodbye.
             worker.process.join(JOIN_GRACE)
             self._reap(worker)
+        if self in _HOLDING:
+            _HOLDING.remove(self)
+            if not _HOLDING:
+                # Left running, the server is a child that outlives every
+                # fleet: a supervisor waiting for its children waits it out,
+                # a hygiene check counts it as an orphan.  ``_stop`` is
+                # private, but it is CPython's own stop (its tests use it):
+                # close the keep-alive pipe, reap the server, unlink its socket.
+                forkserver._forkserver._stop()
 
     # -- the loop ------------------------------------------------------
     def run(
@@ -256,6 +319,7 @@ class Fleet:
                 worker.last_progress = time.monotonic()
                 if status == _HELLO:
                     worker.greeted = True
+                    self.cold += not results  # a hello carries the warm flag
                     continue
                 if results:
                     self._delays = RESPAWN_RETRY.delays()  # healthy again

@@ -37,7 +37,7 @@ _DEFAULT_MAX_EVENTS = 5_000_000
 #: When set to a list, every completed :meth:`Simulation.run` appends the
 #: queue's integer digest to it.  This is the capture point digest manifests
 #: use to harvest per-run digests *inside worker processes* (where a parent
-#: monkeypatch never arrives under the ``spawn`` start method); set it with
+#: monkeypatch never arrives: workers fork from a clean fork server); set it with
 #: :func:`capture_digests`.  ``None`` (the default) keeps the hot path free
 #: of any bookkeeping beyond one global read per run.
 DIGEST_SINK: list[int] | None = None

@@ -56,6 +56,7 @@ from ..errors import ConfigurationError
 from ..events import EventLog, read_events
 from ..membership import Membership
 from ..runtime.engine import RunRecord, fold_checks
+from ..runtime.fleet import python_path
 from ..runtime.spec import ScenarioSpec
 from ..sim.failures import FailurePattern
 from ..sim.trace import RunTrace
@@ -95,19 +96,6 @@ def _free_port() -> int:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
-
-
-def _python_path() -> str:
-    """A PYTHONPATH that lets the node subprocess import :mod:`repro`."""
-    import os
-
-    import repro
-
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    existing = os.environ.get("PYTHONPATH", "")
-    if src_root in existing.split(os.pathsep):
-        return existing
-    return src_root + (os.pathsep + existing if existing else "")
 
 
 def load_trace(log_dir: str | Path, membership: Membership) -> RunTrace:
@@ -195,7 +183,7 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
                 all_ready.set()
 
     identities = [membership.identity_of(process) for process in membership.processes]
-    env = {**os.environ, "PYTHONPATH": _python_path()}
+    env = {**os.environ, "PYTHONPATH": python_path()}
     procs: list[subprocess.Popen] = []
     stdio: list = []
     control = None

@@ -32,7 +32,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import zip_longest
-from multiprocessing import resource_tracker
+from multiprocessing import resource_tracker, util
 from pathlib import Path
 from typing import Callable, Collection, Iterator, Sequence
 
@@ -61,9 +61,10 @@ STALL_MARGIN = 4
 STALL_FLOOR = 1.0
 
 
-def _child_pids() -> set[int]:
-    """PIDs whose parent is this process (via /proc; empty set elsewhere)."""
-    me, children = os.getpid(), set()
+def _descendant_pids() -> set[int]:
+    """PIDs of every live descendant of this process: its children, their
+    children (a fork server's workers), and so on (via /proc; empty set elsewhere)."""
+    children: dict[int, list[int]] = {}
     proc = Path("/proc")
     for entry in proc.iterdir() if proc.is_dir() else ():
         if not entry.name.isdigit():
@@ -72,9 +73,14 @@ def _child_pids() -> set[int]:
             fields = (entry / "stat").read_text().rpartition(")")[2].split()
         except OSError:
             continue  # raced with an exit
-        if len(fields) > 1 and int(fields[1]) == me:
-            children.add(int(entry.name))
-    return children
+        if len(fields) > 1:
+            children.setdefault(int(fields[1]), []).append(int(entry.name))
+    found, frontier = set(), [os.getpid()]
+    while frontier:
+        for child in children.get(frontier.pop(), ()):
+            found.add(child)
+            frontier.append(child)
+    return found
 
 
 @dataclass
@@ -307,12 +313,16 @@ LEGS: dict[str, Callable[[Run], "list[ItemResult] | None"]] = {
 @contextmanager
 def _hygiene(report: Report, fence: Path) -> Iterator[None]:
     """Fence ``TMPDIR`` into ``fence``; afterwards nothing may be left in it and
-    no child process started inside the block may be alive."""
+    no process started inside the block, nor any of its descendants, may be alive."""
     fence.mkdir()
-    # multiprocessing's resource tracker lives until this interpreter exits, by
-    # design: start it now so it is part of the baseline, not an orphan.
+    # multiprocessing's resource tracker and its temp dir (which holds the fork
+    # server's socket) live until this interpreter exits, by design: create
+    # both now so they are part of the baseline, not an orphan and a leak.
+    # The fork server itself is started inside the fence, by the first fleet:
+    # workers inherit the server's environment, so theirs is fenced too.
     resource_tracker.ensure_running()
-    before = _child_pids()
+    util.get_temp_dir()
+    before = _descendant_pids()
     saved = tempfile.tempdir, os.environ.get("TMPDIR")
     tempfile.tempdir = os.environ["TMPDIR"] = str(fence)
     try:
@@ -323,7 +333,7 @@ def _hygiene(report: Report, fence: Path) -> Iterator[None]:
             os.environ.pop("TMPDIR", None)
         else:
             os.environ["TMPDIR"] = saved[1]
-    orphans = sorted(_child_pids() - before)
+    orphans = sorted(_descendant_pids() - before)
     report.check(
         "no_orphans",
         not orphans,

@@ -66,27 +66,6 @@ def meddle(monkeypatch):
     return install
 
 
-@pytest.fixture
-def short_stall_deadline(meddle):
-    """Detect a busy worker's stall in 0.3 s instead of a spawn-bounded second.
-
-    A deadline that short cannot be set up front — a worker takes longer than
-    that to import the library and say hello — so it is armed through the
-    fleet's own ``progress_timeout`` at the first event after every live
-    worker has greeted, and disarmed by the death it provokes (a replacement
-    would need its import time again).  If no such event comes, the test's
-    own one-second deadline still fires.
-    """
-
-    def arm_once_greeted(fleet, event) -> None:
-        if event.death is not None:
-            fleet.progress_timeout = 1.0
-        elif all(worker.greeted for worker in fleet._workers.values()):
-            fleet.progress_timeout = 0.3
-
-    meddle(arm_once_greeted)
-
-
 def pid(index: int) -> ProcessId:
     """Shorthand for building process ids in tests."""
     return ProcessId(index)

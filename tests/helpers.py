@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.membership import Membership
+from repro.runtime.fleet import _serve
 from repro.sim import (
     AsynchronousTiming,
     Clock,
@@ -103,6 +104,13 @@ def faulty_run_one(config: dict) -> dict:
         if fault == "unpicklable":
             return {"converged": lambda: None}
     return _run_one(config)
+
+
+def serve_frozen(conn) -> None:
+    """A fleet worker that suspends itself before it greets: a SIGSTOP between
+    spawn and hello that no forked worker's millisecond start-up can race."""
+    os.kill(os.getpid(), signal.SIGSTOP)
+    _serve(conn)  # never reached: the greeting deadline kills it first
 
 
 def wait_until_dead(pid: int, timeout: float = 5.0) -> None:

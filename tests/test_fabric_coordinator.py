@@ -221,9 +221,7 @@ def test_experiments_cli_shard_concatenation(tmp_path, capsys) -> None:
     assert not (tmp_path / "never.txt").exists()
 
 
-def test_stalled_worker_is_detected_and_the_run_converges(
-    tiny_plan, tmp_path, short_stall_deadline
-) -> None:
+def test_stalled_worker_is_detected_and_the_run_converges(tiny_plan, tmp_path) -> None:
     """A SIGSTOPped worker must never hang the run: the per-chunk progress
     deadline detects the silence, kills the worker, requeues its chunk, and
     the merged output still matches a clean run bit for bit."""
@@ -232,7 +230,7 @@ def test_stalled_worker_is_detected_and_the_run_converges(
         tiny_plan,
         state_dir=tmp_path / "stall",
         workers=2,
-        progress_timeout=1.0,
+        progress_timeout=0.3,
         fleet=partial(ChaosFleet, stall_after=2),
     ).run()
     assert stalled.stats["stalled_workers"] >= 1

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import pytest
@@ -20,12 +23,17 @@ from repro.errors import WorkerCrashError
 from repro.fabric import execute_item, fold_digests, plan_sweep
 from repro.fabric.coordinator import Coordinator
 from repro.runtime import SerialExecutor, WorkerPool
-from repro.runtime.fleet import Fleet
-from repro.verify import _child_pids
+from repro.runtime.fleet import Fleet, _serve, python_path
+from repro.verify import _descendant_pids
 
-from .helpers import faulty_run_one, wait_until_dead
+from .helpers import faulty_run_one, serve_frozen, wait_until_dead
 
 FAULTY = 5  # index of the config that misbehaves
+
+#: A forked worker greets and reports within milliseconds, and the fork
+#: server starts inside ``Process.start()``, before the deadline's clock: a
+#: stall is detected in this long.
+STALL_DEADLINE = 0.3
 
 
 def tiny_configs(tmp_path: Path, fault: str | None = None) -> list[dict]:
@@ -89,17 +97,17 @@ def test_busy_worker_death(tmp_path, fault) -> None:
     assert Path(result.merged_path).read_bytes() == reference_bytes(configs)
 
 
-def test_busy_worker_stall_is_killed_by_the_progress_deadline(tmp_path, short_stall_deadline) -> None:
+def test_busy_worker_stall_is_killed_by_the_progress_deadline(tmp_path) -> None:
     configs = tiny_configs(tmp_path, "sigstop")
     with WorkerPool(2) as pool:
-        pool.fleet.progress_timeout = 1.0
+        pool.fleet.progress_timeout = STALL_DEADLINE
         with pytest.raises(WorkerCrashError, match="stalled: no progress"):
             pool.map(faulty_run_one, configs)
         assert pool.fleet.stalls == 1
         assert not pool.alive
 
     rearm(configs)
-    result = coordinate(configs, tmp_path / "state", progress_timeout=1.0)
+    result = coordinate(configs, tmp_path / "state", progress_timeout=STALL_DEADLINE)
     assert result.stats["stalled_workers"] == 1
     assert result.stats["worker_deaths"] == 1
     assert result.stats["requeued_chunks"] == 1
@@ -113,19 +121,21 @@ def test_stall_before_the_greeting_is_detected_and_costs_nothing(tmp_path, monke
     original = Fleet._spawn
 
     def spawn_frozen(self) -> None:
+        first_generation = self._spawned < self.size
+        monkeypatch.setattr(
+            "repro.runtime.fleet._serve", serve_frozen if first_generation else _serve
+        )
         original(self)
-        if self._spawned <= self.size:  # every first-generation worker
-            os.kill(self.pids()[self._spawned - 1], signal.SIGSTOP)
 
     monkeypatch.setattr(Fleet, "_spawn", spawn_frozen)
     with WorkerPool(2) as pool:
-        pool.fleet.progress_timeout = 1.0
+        pool.fleet.progress_timeout = STALL_DEADLINE
         assert pool.map(faulty_run_one, configs) == SerialExecutor().map(
             faulty_run_one, configs
         )
         assert pool.fleet.stalls == 2
 
-    result = coordinate(configs, tmp_path / "state", progress_timeout=1.0)
+    result = coordinate(configs, tmp_path / "state", progress_timeout=STALL_DEADLINE)
     assert result.stats["stalled_workers"] == result.stats["worker_deaths"] == 2
     assert result.stats["requeued_chunks"] == 0
     assert Path(result.merged_path).read_bytes() == reference_bytes(configs)
@@ -205,22 +215,71 @@ def test_death_while_idle_loses_nothing(tmp_path, meddle) -> None:
 # ----------------------------------------------------------------------
 def test_close_twice_and_no_child_is_left(tmp_path) -> None:
     configs = tiny_configs(tmp_path)
+    resource_tracker.ensure_running()  # multiprocessing's own: it lives until exit
+    bystanders = _descendant_pids()
     pool = WorkerPool(2)
-    pool.map(faulty_run_one, configs)  # also starts multiprocessing's tracker
+    pool.map(faulty_run_one, configs)
     mine = set(pool.worker_pids())
-    assert len(mine) == 2 and mine <= _child_pids()
-    bystanders = _child_pids() - mine
+    server = _descendant_pids() - bystanders - mine
+    assert len(server) == 1 and len(mine) == 2 and mine <= _descendant_pids()  # its children
     pool.close()
     pool.close()
-    assert not pool.alive and _child_pids() == bystanders
+    # the last fleet to close stops the server: nothing it started is left
+    assert not pool.alive and _descendant_pids() == bystanders
 
     coordinate(configs, tmp_path / "state")
-    assert _child_pids() == bystanders
+    assert _descendant_pids() == bystanders
 
     fleet = Fleet(2)
     assert not fleet.pids()
     fleet.close()  # never started: nothing to stop
-    assert _child_pids() == bystanders
+    assert _descendant_pids() == bystanders
+
+
+FRESH_INTERPRETER = """
+import sys
+sys.path.insert(0, sys.argv[1])  # a bare checkout: only sys.path names the library
+from collections import deque
+from multiprocessing import resource_tracker
+from pathlib import Path
+from repro.runtime import WorkerPool
+from repro.runtime.fleet import Fleet
+from repro.verify import Report, _descendant_pids, _hygiene
+
+report = Report()
+with _hygiene(report, Path(sys.argv[2])):  # the first fleet of this interpreter
+    with WorkerPool(2) as pool:
+        assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
+assert report.ok, str(report)
+
+resource_tracker.ensure_running()
+bystanders = _descendant_pids()
+first, second = Fleet(2), Fleet(2)
+for fleet in (first, second):  # the second opens while the first holds its workers
+    list(fleet.run(abs, deque([(0, [-1]), (1, [-2])])))
+    assert len(fleet.pids()) == 2 and fleet.cold == 0, f"{fleet.cold} cold workers"
+first.close()
+second.close()
+assert _descendant_pids() == bystanders, f"left behind: {_descendant_pids() - bystanders}"
+"""
+
+
+def test_workers_fork_from_a_preloaded_server_in_a_fresh_interpreter(tmp_path) -> None:
+    """Without ``PYTHONPATH`` (how the benchmark runs a checkout) the fork server
+    still preloads the library: every worker greets warm, nothing outlives the
+    last ``close()``, and the verifier's hygiene fence stays empty."""
+    src = python_path().split(os.pathsep)[0]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    completed = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER, src, str(tmp_path / "fence")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""  # no finalizer traceback at exit either
 
 
 # ----------------------------------------------------------------------

@@ -138,17 +138,17 @@ def test_stillborn_run_reaps_nodes_and_removes_temp_dir(tmp_path, monkeypatch):
     import tempfile
 
     from repro.transport.orchestrator import execute_real_spec
-    from repro.verify import _child_pids
+    from repro.verify import _descendant_pids
 
     tmp_root = tmp_path / "tmp"
     tmp_root.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_root))
     spec = build_heartbeat_spec(nodes=3, backend="real")
     spec = dataclasses.replace(spec, backend_params={"ready_timeout": 0.01})
-    before = _child_pids()
+    before = _descendant_pids()
     with pytest.raises(RuntimeError, match="ready_timeout"):
         execute_real_spec(spec)
-    assert _child_pids() - before == set()  # every spawned node was reaped
+    assert _descendant_pids() - before == set()  # every spawned node was reaped
     assert list(tmp_root.iterdir()) == []  # the temp log dir did not leak
 
 
@@ -159,7 +159,7 @@ def test_mid_run_interrupt_reaps_nodes_and_removes_temp_dir(tmp_path, monkeypatc
     import tempfile
 
     import repro.transport.orchestrator as orchestrator
-    from repro.verify import _child_pids
+    from repro.verify import _descendant_pids
 
     def interrupted(plan):
         raise KeyboardInterrupt
@@ -169,8 +169,8 @@ def test_mid_run_interrupt_reaps_nodes_and_removes_temp_dir(tmp_path, monkeypatc
     tmp_root.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_root))
     spec = build_heartbeat_spec(nodes=3, backend="real")
-    before = _child_pids()
+    before = _descendant_pids()
     with pytest.raises(KeyboardInterrupt):
         orchestrator.execute_real_spec(spec)
-    assert _child_pids() - before == set()
+    assert _descendant_pids() - before == set()
     assert list(tmp_root.iterdir()) == []
