@@ -55,10 +55,13 @@ class Experiment:
 def simulate_and_check(spec: ScenarioSpec) -> tuple[Any, list]:
     """Run ``spec``: the finished simulation and the result of each of its
     checks — for a ``run_one`` that reports what a ``RunRecord`` does not carry
-    (a check's violations, a final trace value)."""
+    (a check's violations, a final trace value).  The simulation comes back
+    closed; its trace and failure pattern stay readable."""
     simulation = simulate_spec(spec)
     trace, pattern = simulation.trace, simulation.failure_pattern
-    return simulation, [CHECKS.resolve(check)(trace, pattern) for check in spec.checks]
+    results = [CHECKS.resolve(check)(trace, pattern) for check in spec.checks]
+    simulation.close()
+    return simulation, results
 
 
 def grouped(group_by: Sequence[str], metrics: Sequence[str]) -> tuple[tuple[str, ...], Callable]:

@@ -173,7 +173,8 @@ def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     mesh_small = by_cell[("full_mesh", 7, "none")]
     ring_small = by_cell[("ring", 7, "none")]
     ring_100 = by_cell[("ring", 100, "none")]
-    ring_1000 = by_cell[("ring", 1000, "none")]
+    # Absent from a grid narrowed to n <= 100: the scale entries are then None.
+    ring_1000 = by_cell.get(("ring", 1000, "none"))
     # The full mesh at n=100 is measured analytically (running it is the
     # point of not running it): per process per round it broadcasts one ping
     # (n-1 copies) and answers ≈ n-1 incoming pings with full broadcasts
@@ -195,11 +196,10 @@ def _report(rows: list[dict]) -> tuple[list[dict], dict]:
         "mesh_n7_msgs_per_proc_round": mesh_small["msgs_per_proc_round"],
         "ring_n7_msgs_per_proc_round": ring_small["msgs_per_proc_round"],
         "ring_n100_msgs_per_proc_round": ring_100["msgs_per_proc_round"],
-        "ring_n1000_msgs_per_proc_round": ring_1000["msgs_per_proc_round"],
+        "ring_n1000_msgs_per_proc_round": ring_1000 and ring_1000["msgs_per_proc_round"],
         "ring_n100_pct_of_mesh": sparse_vs_mesh_pct,
-        "ring_load_flat_in_n": (
-            ring_1000["msgs_per_proc_round"] <= 2.0 * ring_100["msgs_per_proc_round"]
-        ),
+        "ring_load_flat_in_n": ring_1000
+        and ring_1000["msgs_per_proc_round"] <= 2.0 * ring_100["msgs_per_proc_round"],
         "sparse_within_10pct_of_mesh": sparse_vs_mesh_pct <= 10.0,
     }
     return [{column: row[column] for column in _COLUMNS} for row in rows], summary

@@ -202,7 +202,10 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
         from ..workloads.kv.runner import execute_kv_spec
 
         return execute_kv_spec(spec)
-    return measure_run(spec, simulate_spec(spec))
+    simulation = simulate_spec(spec)
+    record = measure_run(spec, simulation)
+    simulation.close()
+    return record
 
 
 def simulate_spec(spec: ScenarioSpec) -> Simulation:

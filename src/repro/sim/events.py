@@ -221,6 +221,17 @@ class EventQueue:
             return entry
         return None
 
+    def clear(self) -> None:
+        """Drop every pending entry; the digest and the sequence counter stay.
+
+        The entries hold the run's callables (bound ``deliver`` / ``_resume``
+        methods, detector wake-ups), which is what keeps a finished run's
+        object graph cyclic: :meth:`Simulation.close` empties the queue so
+        reference counting can free the run.
+        """
+        self._heap = []
+        self._cancelled = 0
+
     def peek_time(self) -> Time | None:
         """Return the time of the next live event without removing it."""
         heap = self._heap

@@ -234,6 +234,20 @@ class ProcessRuntime:
                 self._queue.cancel(task.pending_event)
         self._tasks.clear()
 
+    def close(self) -> None:
+        """Release the references that tie this runtime into cycles.
+
+        Handlers and tasks are closures and generators over the context, the
+        context points back here, detector views and the send callbacks lead
+        to the simulation's detectors and network.  After ``close`` the
+        runtime is inert; its trace output stays in the shared trace.
+        """
+        self._handlers = {}
+        self._tasks = []
+        self._detector_views = {}
+        self.context = None
+        self._broadcast_fn = self._multicast_fn = None
+
     # ------------------------------------------------------------------
     # Communication plumbing
     # ------------------------------------------------------------------

@@ -6,6 +6,19 @@ an executable run: it creates the clock, event queue, network, one
 attached failure detector; schedules the crash events; and then processes
 events in deterministic order until a stop condition, the time horizon, or
 quiescence is reached.
+
+A run's lifecycle is build → :meth:`Simulation.run` → read → :meth:`Simulation.close`.
+The run's objects refer to one another in cycles (runtime ↔ context, handler
+closures and task generators over the context, queue entries holding bound
+methods, detectors holding the simulation's own methods), so a run that is
+dropped open is freed only by the cyclic garbage collector.  ``close`` breaks
+those cycles and reference counting frees the run at once; what the run
+produced (trace, failure pattern, digest, event count) stays readable.  Whoever
+creates a run closes it once it has read what it needs:
+:func:`~repro.runtime.engine.execute_spec`,
+:func:`~repro.workloads.kv.runner.execute_kv_spec` and
+:func:`~repro.experiments.base.simulate_and_check` do; ``simulate_spec`` and
+``simulate_kv_spec`` hand their run back open.
 """
 
 from __future__ import annotations
@@ -82,6 +95,7 @@ class Simulation:
         self.runtimes: dict[ProcessId, ProcessRuntime] = {}
         self.detectors: dict[str, object] = {}
         self._started = False
+        self._closed = False
         self._events_processed = 0
         self._build_runtimes()
         self._instantiate_detectors()
@@ -175,6 +189,8 @@ class Simulation:
         ``max_events`` is a safety valve against accidentally unbounded
         algorithms.
         """
+        if self._closed:
+            raise SimulationError("cannot run a closed simulation")
         if until < self.clock.now:
             raise SimulationError(
                 f"cannot run until {until}: the clock is already at {self.clock.now}"
@@ -218,6 +234,20 @@ class Simulation:
         if DIGEST_SINK is not None:
             DIGEST_SINK.append(self.queue.digest)
         return self.trace
+
+    def close(self) -> None:
+        """Break the run's reference cycles, so dropping it frees it (idempotent).
+
+        ``trace``, ``failure_pattern``, ``digest``, ``events_processed``,
+        ``system`` and ``clock`` still read as before; :meth:`run` raises.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for runtime in self.runtimes.values():
+            runtime.close()
+        self.queue.clear()
+        self.detectors = {}
 
     # ------------------------------------------------------------------
     # Convenience queries (used by stop conditions and tests)

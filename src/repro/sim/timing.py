@@ -208,6 +208,26 @@ class PartiallySynchronousTiming(TimingModel):
             return None
         return sent_at + (self.min_latency + self._pre_gst_span * rng.random())
 
+    def delivery_times(
+        self,
+        sender: ProcessId,
+        receivers: Sequence[ProcessId],
+        sent_at: Time,
+        rng: random.Random,
+    ) -> list[Time | None]:
+        base = self.min_latency
+        rand = rng.random
+        if sent_at >= self.gst:
+            span = self._timely_span
+            return [sent_at + (base + span * rand()) for _ in receivers]
+        # Per copy, as in delivery_time: the loss draw, then (if kept) the
+        # latency draw.
+        loss = self.pre_gst_loss
+        span = self._pre_gst_span
+        return [
+            None if rand() < loss else sent_at + (base + span * rand()) for _ in receivers
+        ]
+
     def step_delay(self, process: ProcessId, at: Time, rng: random.Random) -> Time:
         if self.max_step <= 0:
             return 0.0

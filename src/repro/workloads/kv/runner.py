@@ -66,7 +66,10 @@ class _ReplicaScopedDetector:
 
 def execute_kv_spec(spec) -> "Any":
     """Run one KV scenario and return its :class:`~repro.runtime.engine.RunRecord`."""
-    return measure_kv_run(spec, simulate_kv_spec(spec))
+    simulation = simulate_kv_spec(spec)
+    record = measure_kv_run(spec, simulation)
+    simulation.close()
+    return record
 
 
 def simulate_kv_spec(spec) -> Simulation:

@@ -17,6 +17,27 @@ from repro.experiments import ALL_EXPERIMENTS
 from repro.runtime.registry import EXPERIMENTS
 
 
+def _small_grid(work):
+    """E12's quick grid without the n=1,000 ring cell and with its churn cells
+    at n=25 instead of 100: every topology and churn mode, at a tenth of the time."""
+
+    def narrowed(quick, seed):
+        return [
+            (
+                method,
+                fn,
+                [
+                    config if config["churn"] == "none" else {**config, "n": 25}
+                    for config in configs
+                    if config["n"] <= 100
+                ],
+            )
+            for method, fn, configs in work(quick, seed)
+        ]
+
+    return narrowed
+
+
 class TestHarnessShape:
     def test_all_experiments_registered(self):
         # E11 is wall-clock (real backend) and deliberately absent here.
@@ -24,7 +45,11 @@ class TestHarnessShape:
 
     @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
     def test_each_experiment_produces_rows_and_table(self, name):
-        result = ALL_EXPERIMENTS[name](quick=True, seed=1)
+        run = ALL_EXPERIMENTS[name]
+        if name == "E12":
+            # The whole quick table is digest-pinned by verify.
+            run = replace(run, work=_small_grid(run.work))
+        result = run(quick=True, seed=1)
         assert isinstance(result, ExperimentResult)
         assert result.rows
         table = result.table()

@@ -86,6 +86,22 @@ class TestPartiallySynchronousTiming:
             assert delivered is not None
             assert delivered <= 55.0
 
+    @pytest.mark.parametrize("sent_at", [0.0, 5.0, 19.99, 20.0, 31.5])
+    @pytest.mark.parametrize("loss", [0.0, 0.3, 1.0])
+    def test_delivery_times_draws_like_per_copy_calls(self, sent_at, loss):
+        # The amortised broadcast draw must consume the stream exactly as one
+        # delivery_time per receiver does, before GST (loss, then latency)
+        # and after it (latency only).
+        timing = PartiallySynchronousTiming(gst=20.0, delta=2.0, pre_gst_loss=loss)
+        receivers = [p(index) for index in range(9)]
+        batched, per_copy = random.Random(11), random.Random(11)
+        for _ in range(4):
+            assert timing.delivery_times(p(0), receivers, sent_at, batched) == [
+                timing.delivery_time(p(0), receiver, sent_at, per_copy)
+                for receiver in receivers
+            ]
+        assert batched.getstate() == per_copy.getstate()
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PartiallySynchronousTiming(gst=-1)
