@@ -34,7 +34,7 @@ and no program mutates it.  Each monitor's alive view starts as that tuple;
 a declaration replaces only the declaring monitor's view with a new list,
 so building n monitors costs O(n), not O(n²).
 
-The program speaks only the :class:`~repro.context.AbstractProcessContext`
+The program speaks only the :class:`~repro.context.ProcessContext`
 protocol, so the *same object* runs on the discrete-event simulator and on
 the asyncio/TCP transport backend.  Detection events are emitted through
 ``ctx.record`` under the same names the real backend logs to JSONL
@@ -50,7 +50,7 @@ from math import inf
 from operator import gt
 from typing import Any
 
-from ..context import AbstractProcessContext, ProcessProgram
+from ..context import ProcessContext, ProcessProgram
 from ..identity import Identity
 
 __all__ = ["HeartbeatMonitorProgram", "FullMeshHeartbeat", "RingHeartbeat", "GossipHeartbeat"]
@@ -94,12 +94,12 @@ class FullMeshHeartbeat(_Heartbeat):
         #: identities already declared dead (the single-declare flags).
         self.dead: set[Identity] = set()
 
-    def setup(self, ctx: AbstractProcessContext) -> None:
+    def setup(self, ctx: ProcessContext) -> None:
         ctx.on("HB_PING", lambda msg: self._on_ping(ctx, msg))
         ctx.on("HB_ACK", lambda msg: self._on_ack(ctx, msg))
         ctx.spawn(lambda: self._monitor_task(ctx), name="hb-monitor")
 
-    def _monitor_task(self, ctx: AbstractProcessContext):
+    def _monitor_task(self, ctx: ProcessContext):
         while True:
             ctx.broadcast("HB_PING", identity=ctx.identity)
             if self._record_pings:
@@ -107,7 +107,7 @@ class FullMeshHeartbeat(_Heartbeat):
             yield ctx.sleep(self._hb_interval)
             self._check_timeouts(ctx)
 
-    def _check_timeouts(self, ctx: AbstractProcessContext) -> None:
+    def _check_timeouts(self, ctx: ProcessContext) -> None:
         now = ctx.now
         for identity, seen in self.last_ack.items():
             if identity in self.dead or identity == ctx.identity:
@@ -116,12 +116,12 @@ class FullMeshHeartbeat(_Heartbeat):
                 self.dead.add(identity)
                 ctx.record(DECLARED_DEAD, identity)
 
-    def _on_ping(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_ping(self, ctx: ProcessContext, message: Any) -> None:
         pinger = message["identity"]
         self._discover(ctx, pinger)
         ctx.broadcast("HB_ACK", target=pinger, identity=ctx.identity)
 
-    def _on_ack(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_ack(self, ctx: ProcessContext, message: Any) -> None:
         if message["target"] != ctx.identity:
             return
         responder = message["identity"]
@@ -132,7 +132,7 @@ class FullMeshHeartbeat(_Heartbeat):
         # A late ACK rescues an undeclared peer, but declarations are final
         # (the single dead_declared flag) — matching Snippet 1 §10.
 
-    def _discover(self, ctx: AbstractProcessContext, identity: Identity) -> None:
+    def _discover(self, ctx: ProcessContext, identity: Identity) -> None:
         if identity != ctx.identity and identity not in self.last_ack:
             self.last_ack[identity] = ctx.now
 
@@ -163,7 +163,7 @@ class _IndexedHeartbeat(_Heartbeat):
         #: indices already declared dead.
         self.dead_indices: set[int] = set()
 
-    def _declare_index_dead(self, ctx: AbstractProcessContext, target: int) -> None:
+    def _declare_index_dead(self, ctx: ProcessContext, target: int) -> None:
         self.dead_indices.add(target)
         ctx.record(DECLARED_DEAD, target)
         alive = self.alive
@@ -192,7 +192,7 @@ class RingHeartbeat(_IndexedHeartbeat):
         #: successor gets a full timeout window before it can be declared.
         self.watch_since: dict[int, float] = {}
 
-    def setup(self, ctx: AbstractProcessContext) -> None:
+    def setup(self, ctx: ProcessContext) -> None:
         ctx.on("HB_PING", lambda msg: self._on_ping(ctx, msg))
         ctx.on("HB_ACK", lambda msg: self._on_ack(ctx, msg))
         ctx.spawn(lambda: self._monitor_task(ctx), name="hb-ring-monitor")
@@ -201,7 +201,7 @@ class RingHeartbeat(_IndexedHeartbeat):
         """The successors this process currently watches (its alive view)."""
         return self._topology.monitor_targets(self._index, self.alive)
 
-    def _monitor_task(self, ctx: AbstractProcessContext):
+    def _monitor_task(self, ctx: ProcessContext):
         while True:
             targets = self.monitor_targets()
             now = ctx.now
@@ -215,7 +215,7 @@ class RingHeartbeat(_IndexedHeartbeat):
             yield ctx.sleep(self._hb_interval)
             self._check_timeouts(ctx, targets)
 
-    def _check_timeouts(self, ctx: AbstractProcessContext, targets) -> None:
+    def _check_timeouts(self, ctx: ProcessContext, targets) -> None:
         now = ctx.now
         for target in targets:
             if target in self.dead_indices:
@@ -228,11 +228,11 @@ class RingHeartbeat(_IndexedHeartbeat):
                 # fresh window through watch_since (set at adoption, not here).
                 self.watch_since.pop(target, None)
 
-    def _on_ping(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_ping(self, ctx: ProcessContext, message: Any) -> None:
         pinger = message["frm"]
         ctx.multicast("HB_ACK", (pinger,), frm=self._index)
 
-    def _on_ack(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_ack(self, ctx: ProcessContext, message: Any) -> None:
         responder = message["frm"]
         self.last_ack_at[responder] = ctx.now
         if self._record_pings:
@@ -260,14 +260,14 @@ class GossipHeartbeat(_IndexedHeartbeat):
         #: stale and never overwritten — declarations are final.
         self.last_bump: list[float] = [inf] * size
 
-    def setup(self, ctx: AbstractProcessContext) -> None:
+    def setup(self, ctx: ProcessContext) -> None:
         now = ctx.now
         for peer in self.alive:
             self.last_bump[peer] = now
         ctx.on("GOSSIP", lambda msg: self._on_gossip(ctx, msg))
         ctx.spawn(lambda: self._gossip_task(ctx), name="hb-gossip")
 
-    def _gossip_task(self, ctx: AbstractProcessContext):
+    def _gossip_task(self, ctx: ProcessContext):
         while True:
             self.counters[self._index] += 1
             self.last_bump[self._index] = ctx.now
@@ -279,7 +279,7 @@ class GossipHeartbeat(_IndexedHeartbeat):
             yield ctx.sleep(self._hb_interval)
             self._check_staleness(ctx)
 
-    def _check_staleness(self, ctx: AbstractProcessContext) -> None:
+    def _check_staleness(self, ctx: ProcessContext) -> None:
         now = ctx.now
         last_bump = self.last_bump
         if now - min(last_bump) < self._hb_timeout:
@@ -289,7 +289,7 @@ class GossipHeartbeat(_IndexedHeartbeat):
                 self._declare_index_dead(ctx, peer)
                 last_bump[peer] = inf
 
-    def _on_gossip(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_gossip(self, ctx: ProcessContext, message: Any) -> None:
         now = ctx.now
         theirs = message["counters"]
         mine = self.counters

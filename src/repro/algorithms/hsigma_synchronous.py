@@ -16,11 +16,11 @@ processes the labelling process heard from in that step (Theorem 6).
 
 from __future__ import annotations
 
+from ..context import ProcessContext, ProcessProgram
 from ..detectors.table import CLASSES
-from ..detectors.views import HSigmaView
+from ..detectors.views import View
 from ..identity import IdentityMultiset
 from ..sim.message import Message
-from ..sim.process import ProcessContext, ProcessProgram
 
 __all__ = ["HSigmaSynchronousProgram"]
 
@@ -48,9 +48,9 @@ class HSigmaSynchronousProgram(ProcessProgram):
         self.h_quora: frozenset = frozenset()
         self._current_step_identities: list = []
 
-    def hsigma_view(self) -> HSigmaView:
+    def hsigma_view(self) -> View:
         """An HΣ view reading this program's current ``h_quora`` and ``h_labels``."""
-        return HSigmaView(lambda: (self.h_quora, self.h_labels))
+        return CLASSES["HSigma"].view(lambda: (self.h_quora, self.h_labels))
 
     def setup(self, ctx: ProcessContext) -> None:
         if self._detector_name is not None:

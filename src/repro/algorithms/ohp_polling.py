@@ -24,11 +24,11 @@ and recorded; :meth:`OhpPollingProgram.homega_view` and
 
 from __future__ import annotations
 
+from ..context import ProcessContext, ProcessProgram
 from ..detectors.table import CLASSES
-from ..detectors.views import DiamondHPView, HOmegaView
+from ..detectors.views import View
 from ..identity import Identity, IdentityMultiset
 from ..sim.message import Message
-from ..sim.process import ProcessContext, ProcessProgram
 
 __all__ = ["OhpPollingProgram"]
 
@@ -82,13 +82,13 @@ class OhpPollingProgram(ProcessProgram):
     # ------------------------------------------------------------------
     # Views (for stacked configurations)
     # ------------------------------------------------------------------
-    def homega_view(self) -> HOmegaView:
+    def homega_view(self) -> View:
         """An HΩ view reading this program's current ``(h_leader, h_multiplicity)``."""
-        return HOmegaView(lambda: (self.h_leader, self.h_multiplicity))
+        return CLASSES["HOmega"].view(lambda: (self.h_leader, self.h_multiplicity))
 
-    def diamond_hp_view(self) -> DiamondHPView:
+    def diamond_hp_view(self) -> View:
         """A ◇HP view reading this program's current ``h_trusted``."""
-        return DiamondHPView(lambda: self.h_trusted)
+        return CLASSES["DiamondHP"].view(lambda: self.h_trusted)
 
     # ------------------------------------------------------------------
     # Program wiring

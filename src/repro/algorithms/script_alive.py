@@ -17,10 +17,10 @@ the uniqueness assumption.
 
 from __future__ import annotations
 
+from ..context import ProcessContext, ProcessProgram
 from ..detectors.table import CLASSES
-from ..detectors.views import ScriptEView
+from ..detectors.views import View
 from ..sim.message import Message
-from ..sim.process import ProcessContext, ProcessProgram
 
 __all__ = ["ScriptAliveProgram"]
 
@@ -45,9 +45,9 @@ class ScriptAliveProgram(ProcessProgram):
         self._detector_name = detector_name
         self.alive: list = []
 
-    def script_e_view(self) -> ScriptEView:
+    def script_e_view(self) -> View:
         """An ℰ view reading this program's current ``alive`` sequence."""
-        return ScriptEView(lambda: tuple(self.alive))
+        return CLASSES["ScriptE"].view(lambda: tuple(self.alive))
 
     def setup(self, ctx: ProcessContext) -> None:
         if self._detector_name is not None:

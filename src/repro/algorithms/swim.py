@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
-from ..context import AbstractProcessContext, ProcessProgram
+from ..context import ProcessContext, ProcessProgram
 
 __all__ = ["ClusterMembershipProgram"]
 
@@ -130,7 +130,7 @@ class ClusterMembershipProgram(ProcessProgram):
         self.watch_since: dict[int, float] = {}
 
     # ------------------------------------------------------------------
-    def setup(self, ctx: AbstractProcessContext) -> None:
+    def setup(self, ctx: ProcessContext) -> None:
         ctx.record(
             "churn_config",
             {"hb_interval": self._hb_interval, "hb_timeout": self._hb_timeout},
@@ -171,7 +171,7 @@ class ClusterMembershipProgram(ProcessProgram):
         view[self._index] = [self.incarnation, ALIVE, view.get(self._index, [0, ALIVE, 0])[2]]
         return view
 
-    def _merge_view(self, ctx: AbstractProcessContext, incoming: Mapping[int, Any]) -> None:
+    def _merge_view(self, ctx: ProcessContext, incoming: Mapping[int, Any]) -> None:
         now = ctx.now
         for peer, entry in incoming.items():
             incarnation, status, counter = entry[0], entry[1], entry[2]
@@ -199,7 +199,7 @@ class ClusterMembershipProgram(ProcessProgram):
     # ------------------------------------------------------------------
     # The lifecycle task
     # ------------------------------------------------------------------
-    def _life_task(self, ctx: AbstractProcessContext):
+    def _life_task(self, ctx: ProcessContext):
         if self._join_at is not None:
             yield ctx.sleep(self._join_at)
             ctx.record("join_requested", self._index)
@@ -219,7 +219,7 @@ class ClusterMembershipProgram(ProcessProgram):
             yield ctx.sleep(self._hb_interval)
             self._check_staleness(ctx)
 
-    def _join_loop(self, ctx: AbstractProcessContext):
+    def _join_loop(self, ctx: ProcessContext):
         candidates = [self._introducer] + [
             founder for founder in self._founders() if founder != self._introducer
         ]
@@ -232,7 +232,7 @@ class ClusterMembershipProgram(ProcessProgram):
             yield ctx.sleep(self._join_timeout)
             attempt += 1
 
-    def _announce_leave(self, ctx: AbstractProcessContext) -> None:
+    def _announce_leave(self, ctx: ProcessContext) -> None:
         targets = self._topology.gossip_targets(
             self._index, self.alive_members(), ctx.random
         )
@@ -247,7 +247,7 @@ class ClusterMembershipProgram(ProcessProgram):
                 return (start, end)
         return None
 
-    def _serve_down_window(self, ctx: AbstractProcessContext, window):
+    def _serve_down_window(self, ctx: ProcessContext, window):
         start, end = window
         ctx.record("churn_down", self._index)
         self._down = True
@@ -262,7 +262,7 @@ class ClusterMembershipProgram(ProcessProgram):
         # Peers rightly declared us dead during the window; the bumped
         # incarnation refutes that on the next merges.
 
-    def _period(self, ctx: AbstractProcessContext) -> None:
+    def _period(self, ctx: ProcessContext) -> None:
         now = ctx.now
         own = self.view.setdefault(self._index, [self.incarnation, ALIVE, 0])
         own[0] = self.incarnation
@@ -276,7 +276,7 @@ class ClusterMembershipProgram(ProcessProgram):
         if targets:
             ctx.multicast("M_PING", targets, frm=self._index, view=self._wire_view())
 
-    def _check_staleness(self, ctx: AbstractProcessContext) -> None:
+    def _check_staleness(self, ctx: ProcessContext) -> None:
         now = ctx.now
         for watched in self._topology.monitor_targets(self._index, self.alive_members()):
             entry = self.view.get(watched)
@@ -295,7 +295,7 @@ class ClusterMembershipProgram(ProcessProgram):
     def _receiving(self) -> bool:
         return self.active and not self._down
 
-    def _on_ping(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_ping(self, ctx: ProcessContext, message: Any) -> None:
         if not self._receiving():
             return
         self._merge_view(ctx, message["view"])
@@ -303,12 +303,12 @@ class ClusterMembershipProgram(ProcessProgram):
             "M_ACK", (message["frm"],), frm=self._index, view=self._wire_view()
         )
 
-    def _on_ack(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_ack(self, ctx: ProcessContext, message: Any) -> None:
         if not self._receiving():
             return
         self._merge_view(ctx, message["view"])
 
-    def _on_join(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_join(self, ctx: ProcessContext, message: Any) -> None:
         if not self._receiving():
             return
         joiner = message["frm"]
@@ -319,14 +319,14 @@ class ClusterMembershipProgram(ProcessProgram):
             self.last_bump[joiner] = ctx.now
         ctx.multicast("M_WELCOME", (joiner,), frm=self._index, view=self._wire_view())
 
-    def _on_welcome(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_welcome(self, ctx: ProcessContext, message: Any) -> None:
         if self._down or self.active:
             return
         self._merge_view(ctx, message["view"])
         self.active = True
         ctx.record("churn_join", self._index)
 
-    def _on_leave(self, ctx: AbstractProcessContext, message: Any) -> None:
+    def _on_leave(self, ctx: ProcessContext, message: Any) -> None:
         if not self._receiving():
             return
         leaver = message["frm"]

@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..context import ProcessContext, ProcessProgram
 from ..sim.message import Message
-from ..sim.process import ProcessContext, ProcessProgram
 from .rules import BOTTOM, LeaderRule
 
 __all__ = ["ConsensusKeys", "ConsensusProgram"]

@@ -30,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from ..context import ProcessContext
 from ..detectors.table import CLASSES
 from ..errors import ConfigurationError
 from ..identity import Identity, IdentityMultiset
 from ..sim.message import Message
-from ..sim.process import ProcessContext
 
 __all__ = [
     "BOTTOM",

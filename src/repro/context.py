@@ -1,23 +1,24 @@
 """The backend-agnostic program/context protocol.
 
 Algorithms are written as :class:`ProcessProgram` subclasses and see the world
-only through an :class:`AbstractProcessContext`.  The protocol is deliberately
+only through a :class:`ProcessContext`.  The protocol is deliberately
 *backend-free*: nothing in it mentions the discrete-event scheduler, event
 queues, or wall clocks, so the same program object runs unchanged on
 
-* the discrete-event simulator (:class:`repro.sim.process.ProcessContext`,
+* the discrete-event simulator (:class:`repro.sim.process.ProcessRuntime`,
   where ``now`` is simulated time and ``sleep`` schedules a resume event), and
 * the real asyncio/TCP transport backend
-  (:class:`repro.transport.context.RealProcessContext`, where ``now`` is a
+  (:class:`repro.transport.context.RealNodeRuntime`, where ``now`` is a
   shared monotonic clock scaled to scenario time units and ``sleep`` awaits
   wall-clock time).
 
-The blocking vocabulary (:class:`Sleep`, :class:`WaitUntil`,
-:class:`NextSyncStep`) is shared: tasks are ordinary generator functions that
-yield these requests, and each backend supplies its own trampoline.  A program
-must never import simulator internals (``repro.sim.scheduler``,
-``repro.sim.events``); a tier-1 lint test enforces this for every module under
-``repro/detectors``, ``repro/consensus``, and ``repro/algorithms``.
+One :class:`ProcessContext` class forwards to either runtime, so what a
+program sees is declared once.  The blocking vocabulary (:class:`Sleep`,
+:class:`WaitUntil`, :class:`NextSyncStep`) is shared: tasks are ordinary
+generator functions that yield these requests, and each backend supplies its
+own trampoline.  A program must never import simulator internals
+(``repro.sim.scheduler``, ``repro.sim.events``, ``repro.sim.process``); a
+tier-1 lint test enforces this for every program module.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
     "NextSyncStep",
     "BlockingRequest",
     "ProcessProgram",
-    "AbstractProcessContext",
+    "ProcessContext",
 ]
 
 
@@ -90,7 +91,7 @@ class ProcessProgram:
     explicitly through the constructor by the scenario builder.
     """
 
-    def setup(self, ctx: "AbstractProcessContext") -> None:
+    def setup(self, ctx: ProcessContext) -> None:
         """Register handlers and spawn tasks.  Called once when the run starts."""
         raise NotImplementedError
 
@@ -99,21 +100,30 @@ class ProcessProgram:
         return type(self).__name__
 
 
-class AbstractProcessContext:
-    """The program-facing API of one process, independent of the backend.
+class ProcessContext:
+    """The program-facing API of one process, on either backend.
 
-    Concrete backends implement the abstract members; the blocking-request
-    constructors are shared so ``yield ctx.sleep(d)`` means the same thing
-    everywhere.  A program never sees the membership, the failure pattern,
-    other processes' internal ids, or the global clock — matching the paper's
-    adversaries (homonymy, unknown membership, asynchrony).
+    One class serves both backends: it forwards to a *runtime* — the
+    simulator's :class:`~repro.sim.process.ProcessRuntime` or the transport's
+    :class:`~repro.transport.context.RealNodeRuntime` — which provides
+    ``identity``, ``clock.now``, ``rng``, ``broadcast(message)``,
+    ``multicast(message, targets)``, ``register_handler``, ``spawn_task``,
+    ``detector_view``, ``has_detector``, ``attach_detector_view``, ``record``
+    and ``record_decision``.  A program never sees the membership, the failure
+    pattern, other processes' internal ids, or the global clock — matching the
+    paper's adversaries (homonymy, unknown membership, asynchrony).
     """
+
+    __slots__ = ("_runtime",)
+
+    def __init__(self, runtime: Any) -> None:
+        self._runtime = runtime
 
     # -- static facts ---------------------------------------------------
     @property
     def identity(self) -> Identity:
         """The process's own identifier ``id(p)``."""
-        raise NotImplementedError
+        return self._runtime.identity
 
     @property
     def now(self) -> float:
@@ -123,14 +133,14 @@ class AbstractProcessContext:
         must not branch on absolute time (the paper's processes cannot read
         the global clock).
         """
-        raise NotImplementedError
+        return self._runtime.clock.now
 
     @property
     def random(self) -> random.Random:
         """A per-process deterministic random stream."""
-        raise NotImplementedError
+        return self._runtime.rng
 
-    # -- blocking requests (shared constructors) ------------------------
+    # -- blocking requests ------------------------------------------------
     def sleep(self, duration: float) -> Sleep:
         """Yieldable: suspend for ``duration`` time units (``wait timeout``)."""
         return Sleep(duration)
@@ -146,7 +156,7 @@ class AbstractProcessContext:
     # -- communication ---------------------------------------------------
     def broadcast(self, kind: str, **fields: Any) -> None:
         """Broadcast ``⟨kind, fields…⟩`` to every process, including the sender."""
-        raise NotImplementedError
+        self._runtime.broadcast(Message(kind, fields))
 
     def multicast(self, kind: str, targets: Any, **fields: Any) -> None:
         """Send ``⟨kind, fields…⟩`` to the processes at the given *indices* only.
@@ -158,25 +168,25 @@ class AbstractProcessContext:
         this; paper-figure algorithms keep using :meth:`broadcast`, matching
         their pseudo-code.
         """
-        raise NotImplementedError
+        self._runtime.multicast(Message(kind, fields), targets)
 
-    def on(self, kind: str, handler: Callable[[Any], None]) -> None:
+    def on(self, kind: str, handler: Callable[[Message], None]) -> None:
         """Register an "upon reception of ⟨kind, …⟩" handler."""
-        raise NotImplementedError
+        self._runtime.register_handler(kind, handler)
 
     # -- tasks -------------------------------------------------------------
     def spawn(self, task: Callable[[], Generator], *, name: str = "") -> None:
         """Start a task (a generator function yielding blocking requests)."""
-        raise NotImplementedError
+        self._runtime.spawn_task(task, name=name or getattr(task, "__name__", "task"))
 
     # -- failure detectors -------------------------------------------------
     def detector(self, name: str) -> Any:
         """Return the query view of the attached detector registered as ``name``."""
-        raise NotImplementedError
+        return self._runtime.detector_view(name)
 
     def has_detector(self, name: str) -> bool:
         """Return ``True`` when a detector named ``name`` is attached."""
-        raise NotImplementedError
+        return self._runtime.has_detector(name)
 
     def attach_detector(self, name: str, view: Any) -> None:
         """Attach a detector view from within a program.
@@ -186,13 +196,18 @@ class AbstractProcessContext:
         consensus algorithm on the same process and exposes the implementation's
         output as the detector the consensus algorithm queries.
         """
-        raise NotImplementedError
+        self._runtime.attach_detector_view(name, view)
 
     # -- trace output ------------------------------------------------------
     def record(self, key: str, value: Any) -> None:
         """Record a time-stamped variable snapshot into the run trace."""
-        raise NotImplementedError
+        self._runtime.record(key, value)
 
     def decide(self, value: Any) -> None:
         """Record a consensus decision (first decision wins)."""
-        raise NotImplementedError
+        self._runtime.record_decision(value)
+
+
+# Imported last: ``repro.sim``'s package imports ``sim.process``, which
+# imports the names above.
+from .sim.message import Message  # noqa: E402

@@ -5,8 +5,8 @@ A failure-detector class is a row of :data:`CLASSES`
 auxiliary ``ℰ`` of Definition 1; anonymous ``AP``, ``AΩ``, ``AΣ``; and the
 paper's homonymous ``◇HP``, ``HΩ``, ``HΣ``.  A row names:
 
-* the *query view* — the per-process variables the class exposes
-  (:mod:`repro.detectors.views`);
+* the *outputs* — the per-process variables the class exposes; ``row.view``
+  is the query view derived from them (:mod:`repro.detectors.views`);
 * what the *oracle* answers — ``row.oracle(services, stabilization_time=,
   noise_period=)`` is the ground-truth :class:`OracleDetector`
   (:mod:`repro.detectors.base`) that enriches an asynchronous system exactly as

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-from ..sim.process import ProcessContext, ProcessProgram
+from ..context import ProcessContext, ProcessProgram
 
 __all__ = ["DetectorProbeProgram"]
 

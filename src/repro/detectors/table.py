@@ -6,14 +6,15 @@ Definition 1; anonymous: ``AP``, ``AΩ``, ``AΣ``; homonymous (its contribution)
 ``◇HP``, ``HΩ``, ``HΣ`` — with unique-identifier and anonymous systems as the
 two extremes of the homonymous case.  Each class is an output shape plus one
 completeness-like and one accuracy-like property, and that is all a
-:class:`DetectorRow` says: the variables a process may query and the view that
-exposes them, what the ground-truth oracle answers (``eventual`` from the
-stabilization time on, ``transient`` before), and the axioms any detector of
-the class — oracle, reduction or message-passing implementation — is judged by.
+:class:`DetectorRow` says: the variables a process may query, what the
+ground-truth oracle answers (``eventual`` from the stabilization time on,
+``transient`` before), and the axioms any detector of the class — oracle,
+reduction or message-passing implementation — is judged by.
 
 :data:`CLASSES` is the only place a class is declared.  The registry names of
-its oracle and of its check, its trace keys (``"<name>.<output>"``), its probes
-and whether it takes a ``noise_period`` all follow from the row;
+its oracle and of its check, its trace keys (``"<name>.<output>"``), the view
+that exposes its variables, its probes and whether it takes a
+``noise_period`` all follow from the row;
 ``repro.runtime.registry`` registers exactly these rows.
 """
 
@@ -25,28 +26,16 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Any, Callable, Mapping
 
+from ..context import ProcessContext
 from ..identity import IdentityMultiset, ProcessId
 from ..sim.clock import Time
 from ..sim.failures import FailurePattern
-from ..sim.process import ProcessContext
 from ..sim.system import DetectorServices
 from ..sim.trace import RunTrace
 from . import properties as axiom
 from .base import OracleDetector, stable_draw
 from .properties import CheckResult
-from .views import (
-    AOmegaView,
-    APView,
-    ASigmaView,
-    DiamondHPView,
-    DiamondPView,
-    HOmegaView,
-    HSigmaView,
-    OmegaView,
-    PerfectView,
-    ScriptEView,
-    SigmaView,
-)
+from .views import View, view_class
 
 __all__ = ["CLASSES", "DetectorClass", "DetectorRow"]
 
@@ -80,11 +69,12 @@ class DetectorRow:
     ``cls`` is the paper's symbol (a plain string for a class declared outside
     Figure 5); ``name`` and ``check`` are the registry names of the oracle and
     of the axioms.  ``outputs`` are the variables of the class, each a readable
-    attribute of ``view`` (a view is built over one reader of the row's value;
-    a class with two variables reads a pair).  ``eventual`` / ``transient``
-    are what the oracle answers — see :class:`~repro.detectors.base.OracleDetector`
-    for the three signatures — and ``axioms(trace, pattern, *keys)`` is what
-    the class demands of a recorded trace, stated without reference to them.
+    attribute of the derived ``view`` (a view is built over one reader of the
+    row's value; a class with two variables reads a pair).  ``eventual`` /
+    ``transient`` are what the oracle answers — see
+    :class:`~repro.detectors.base.OracleDetector` for the three signatures —
+    and ``axioms(trace, pattern, *keys)`` is what the class demands of a
+    recorded trace, stated without reference to them.
     ``elects`` marks the classes with a leader output, whose oracles disagree
     per ``noise_period`` window before they stabilise.
     """
@@ -93,7 +83,6 @@ class DetectorRow:
     name: str
     check: str
     outputs: tuple[str, ...]
-    view: type
     eventual: Callable[..., Any]
     transient: Callable[..., Any] | None
     axioms: Callable[..., CheckResult]
@@ -110,6 +99,12 @@ class DetectorRow:
             self.transient is not None
             and len(inspect.signature(self.transient).parameters) == 3
         )
+
+    @cached_property
+    def view(self) -> type[View]:
+        """The class's view: one property per output over one reader
+        (:func:`~repro.detectors.views.view_class`); built once per row."""
+        return view_class(self.name, self.outputs)
 
     @property
     def keys(self) -> tuple[str, ...]:
@@ -290,7 +285,7 @@ CLASSES: Mapping[str, DetectorRow] = {
     row.name: row
     for row in (
         DetectorRow(
-            _C.P, "Perfect", "perfect", ("suspected",), PerfectView,
+            _C.P, "Perfect", "perfect", ("suspected",),
             eventual=_crashed_identities,
             transient=None,
             axioms=axiom.conjunction(
@@ -301,7 +296,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             paper_item="Chandra & Toueg 1996 (strongest baseline; no algorithm of the paper uses it)",
         ),
         DetectorRow(
-            _C.DIAMOND_P, "DiamondP", "diamond_p", ("trusted",), DiamondPView,
+            _C.DIAMOND_P, "DiamondP", "diamond_p", ("trusted",),
             eventual=_correct_identities,
             transient=_alive_identities,
             axioms=partial(axiom.finally_each, complaints=axiom.equals_correct_identifiers),
@@ -309,7 +304,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             paper_item="complement of ◇P (Chandra & Toueg 1996)",
         ),
         DetectorRow(
-            _C.OMEGA, "Omega", "omega", ("leader",), OmegaView,
+            _C.OMEGA, "Omega", "omega", ("leader",),
             eventual=_omega_leader,
             transient=_omega_noise,
             axioms=axiom.election,
@@ -318,7 +313,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             paper_item="Chandra, Hadzilacos & Toueg 1996",
         ),
         DetectorRow(
-            _C.SIGMA, "Sigma", "sigma", ("trusted",), SigmaView,
+            _C.SIGMA, "Sigma", "sigma", ("trusted",),
             eventual=_correct_identities,
             transient=_every_identity,
             axioms=axiom.conjunction(
@@ -329,7 +324,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             paper_item="Delporte-Gallet, Fauconnier & Guerraoui 2010",
         ),
         DetectorRow(
-            _C.SCRIPT_E, "ScriptE", "script_e", ("alive",), ScriptEView,
+            _C.SCRIPT_E, "ScriptE", "script_e", ("alive",),
             eventual=_correct_first,
             transient=_shuffled,
             axioms=partial(axiom.finally_each, complaints=axiom.ranks_correct_first),
@@ -337,7 +332,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             paper_item="Definition 1 (implemented by Figure 3, used by Figure 4)",
         ),
         DetectorRow(
-            _C.AP, "AP", "ap", ("anap",), APView,
+            _C.AP, "AP", "ap", ("anap",),
             eventual=_alive_count,
             transient=None,
             axioms=axiom.conjunction(
@@ -347,7 +342,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             paper_item="Bonnet & Raynal 2011",
         ),
         DetectorRow(
-            _C.A_OMEGA, "AOmega", "aomega", ("a_leader",), AOmegaView,
+            _C.A_OMEGA, "AOmega", "aomega", ("a_leader",),
             eventual=_is_least_correct_process,
             transient=_coin,
             axioms=partial(axiom.election, flag=True),
@@ -355,21 +350,21 @@ CLASSES: Mapping[str, DetectorRow] = {
             paper_item="Bonnet & Raynal 2013 (not realistic)",
         ),
         DetectorRow(
-            _C.A_SIGMA, "ASigma", "asigma", ("a_sigma",), ASigmaView,
+            _C.A_SIGMA, "ASigma", "asigma", ("a_sigma",),
             eventual=_asigma_settled,
             transient=_asigma_everyone,
             axioms=partial(axiom.labelled_quora, sizes=axiom.COUNTS),
             paper_item="Bonnet & Raynal 2013",
         ),
         DetectorRow(
-            _C.DIAMOND_HP, "DiamondHP", "diamond_hp", ("h_trusted",), DiamondHPView,
+            _C.DIAMOND_HP, "DiamondHP", "diamond_hp", ("h_trusted",),
             eventual=_correct_multiset,
             transient=_alive_multiset,
             axioms=partial(axiom.finally_each, complaints=axiom.equals_correct_multiset),
             paper_item="Section 3.2 (implemented by Figure 6)",
         ),
         DetectorRow(
-            _C.H_OMEGA, "HOmega", "homega", ("h_leader", "h_multiplicity"), HOmegaView,
+            _C.H_OMEGA, "HOmega", "homega", ("h_leader", "h_multiplicity"),
             eventual=_least_correct_identity,
             transient=_some_identity,
             axioms=axiom.election,
@@ -377,7 +372,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             paper_item="Section 3.2 (implemented by Figure 6 + Observation 1)",
         ),
         DetectorRow(
-            _C.H_SIGMA, "HSigma", "hsigma", ("h_quora", "h_labels"), HSigmaView,
+            _C.H_SIGMA, "HSigma", "hsigma", ("h_quora", "h_labels"),
             eventual=_hsigma_settled,
             transient=_hsigma_everyone,
             axioms=partial(axiom.labelled_quora, sizes=axiom.MULTISETS),

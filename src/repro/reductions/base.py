@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping
 
+from ..context import ProcessContext, ProcessProgram
 from ..detectors.table import CLASSES
 from ..identity import IdentityMultiset
 from ..membership import Membership
-from ..sim.process import ProcessContext, ProcessProgram
 
 __all__ = ["Reduction", "ReductionProgram"]
 

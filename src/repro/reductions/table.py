@@ -81,6 +81,15 @@ def _learn_identity(program, ctx, message):
         program.publish(ctx, (program.value[0], _labels_of(IdentityMultiset(known), ctx)))
 
 
+def _rank(alive: tuple, identity) -> float:
+    """``rank(i, alive)`` of Definition 1: positions start at 1 (the first
+    occurrence counts); an absent identifier ranks ``inf``."""
+    try:
+        return alive.index(identity) + 1
+    except ValueError:
+        return float("inf")
+
+
 def _best_covered_quorum(program, ctx, hsigma, script_e):
     ctx.broadcast("LABELS", identity=ctx.identity, labels=tuple(hsigma.h_labels))
     covered = [
@@ -91,9 +100,10 @@ def _best_covered_quorum(program, ctx, hsigma, script_e):
     ]
     if not covered:
         return program.value or None  # an empty quorum is not an output of Σ
+    alive = script_e.alive
     return min(
         covered,
-        key=lambda ids: (max(map(script_e.rank, ids)), sorted(map(repr, ids))),
+        key=lambda ids: (max(_rank(alive, i) for i in ids), sorted(map(repr, ids))),
     )
 
 

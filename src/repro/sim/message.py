@@ -5,7 +5,7 @@ sent along the directed link from the sender to every process (including the
 sender).  The receiving process cannot identify the link a message arrived on,
 so the envelope exposes only the message *content* to algorithm code — the
 sender is deliberately not reachable from
-:class:`~repro.sim.process.ProcessContext`.
+:class:`~repro.context.ProcessContext`.
 """
 
 from __future__ import annotations

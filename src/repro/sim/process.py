@@ -1,7 +1,8 @@
 """Process programs and their runtime.
 
 Algorithms are written as :class:`ProcessProgram` subclasses.  A program sees
-the world only through its :class:`ProcessContext`:
+the world only through its :class:`~repro.context.ProcessContext` (re-exported
+here), which forwards to the process's :class:`ProcessRuntime`:
 
 * ``ctx.identity`` — the process's own identifier ``id(p)`` (possibly shared
   with other processes);
@@ -35,9 +36,9 @@ import random
 from typing import Any, Callable, Generator
 
 from ..context import (
-    AbstractProcessContext,
     BlockingRequest,
     NextSyncStep,
+    ProcessContext,
     ProcessProgram,
     Sleep,
     WaitUntil,
@@ -59,80 +60,6 @@ __all__ = [
     "ProcessContext",
     "ProcessRuntime",
 ]
-
-
-class ProcessContext(AbstractProcessContext):
-    """The simulator's program-facing API of one process."""
-
-    def __init__(self, runtime: "ProcessRuntime") -> None:
-        self._runtime = runtime
-
-    # -- static facts ---------------------------------------------------
-    @property
-    def identity(self) -> Identity:
-        """The process's own identifier ``id(p)``."""
-        return self._runtime.identity
-
-    @property
-    def now(self) -> Time:
-        """The current simulated time.
-
-        Exposed for local timing and trace annotations only; algorithm logic
-        must not branch on absolute time (the paper's processes cannot read
-        the global clock).
-        """
-        return self._runtime.clock.now
-
-    @property
-    def random(self) -> random.Random:
-        """A per-process deterministic random stream."""
-        return self._runtime.rng
-
-    # -- communication ---------------------------------------------------
-    def broadcast(self, kind: str, **fields: Any) -> None:
-        """Broadcast ``⟨kind, fields…⟩`` to every process, including the sender."""
-        self._runtime.broadcast(Message(kind, fields))
-
-    def multicast(self, kind: str, targets: Any, **fields: Any) -> None:
-        """Send ``⟨kind, fields…⟩`` to the processes at the given indices only."""
-        self._runtime.multicast(Message(kind, fields), targets)
-
-    def on(self, kind: str, handler: Callable[[Message], None]) -> None:
-        """Register an "upon reception of ⟨kind, …⟩" handler."""
-        self._runtime.register_handler(kind, handler)
-
-    # -- tasks -------------------------------------------------------------
-    def spawn(self, task: Callable[[], Generator], *, name: str = "") -> None:
-        """Start a task (a generator function yielding blocking requests)."""
-        self._runtime.spawn_task(task, name=name or getattr(task, "__name__", "task"))
-
-    # -- failure detectors -------------------------------------------------
-    def detector(self, name: str) -> Any:
-        """Return the query view of the attached detector registered as ``name``."""
-        return self._runtime.detector_view(name)
-
-    def has_detector(self, name: str) -> bool:
-        """Return ``True`` when a detector named ``name`` is attached."""
-        return self._runtime.has_detector(name)
-
-    def attach_detector(self, name: str, view: Any) -> None:
-        """Attach a detector view from within a program.
-
-        This is how a *stacked* configuration works: a composite program runs a
-        detector implementation (e.g. the Figure 6 polling algorithm) next to a
-        consensus algorithm on the same process and exposes the implementation's
-        output as the detector the consensus algorithm queries.
-        """
-        self._runtime.attach_detector_view(name, view)
-
-    # -- trace output ------------------------------------------------------
-    def record(self, key: str, value: Any) -> None:
-        """Record a time-stamped variable snapshot into the run trace."""
-        self._runtime.record(key, value)
-
-    def decide(self, value: Any) -> None:
-        """Record a consensus decision (first decision wins)."""
-        self._runtime.record_decision(value)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +179,7 @@ class ProcessRuntime:
     # Communication plumbing
     # ------------------------------------------------------------------
     def broadcast(self, message: Message) -> None:
-        """Forward a broadcast to the network (no-op after a crash)."""
+        """Forward a broadcast to the network (errors after a crash)."""
         if self._crashed:
             raise ProcessCrashedError(
                 f"crashed process {self.process_id!r} attempted to broadcast {message!r}"

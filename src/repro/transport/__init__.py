@@ -9,8 +9,8 @@ suspends victims at scheduled times.
 Layout:
 
 * :mod:`~repro.transport.framing` — length-prefixed JSON message framing;
-* :mod:`~repro.transport.context` — the asyncio trampoline implementing
-  :class:`~repro.context.AbstractProcessContext` over sockets;
+* :mod:`~repro.transport.context` — the asyncio runtime behind
+  :class:`~repro.context.ProcessContext`: trampoline, sockets, log;
 * :mod:`~repro.transport.node` — one node process
   (``python -m repro.transport.node``);
 * :mod:`~repro.transport.faults` — fault plans resolved from a spec's

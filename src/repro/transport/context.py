@@ -1,7 +1,8 @@
-"""The asyncio implementation of the program/context protocol.
+"""The asyncio runtime behind the program/context protocol.
 
 :class:`RealNodeRuntime` is the transport twin of
-:class:`repro.sim.process.ProcessRuntime`: it drives the same generator tasks
+:class:`repro.sim.process.ProcessRuntime`: programs see it through the same
+:class:`~repro.context.ProcessContext`, and it drives the same generator tasks
 through a trampoline, but blocking requests map onto the event loop instead
 of the event queue —
 
@@ -13,8 +14,9 @@ of the event queue —
 * ``NextSyncStep`` → rejected: real networks have no synchronous rounds, and
   the scenario builder already refuses HSS specs on this backend.
 
-``ctx.now`` reads the shared monotonic clock (epoch- and t0-aligned, divided
-by ``time_scale``), so programs observe scenario time units everywhere.
+``ctx.now`` reads ``clock.now``, the shared monotonic clock (epoch- and
+t0-aligned, divided by ``time_scale``), so programs observe scenario time
+units everywhere.
 Everything observable — sends, deliveries, ``ctx.record``, ``ctx.decide`` —
 goes to the node's JSONL :class:`~repro.events.EventLog`, which
 :func:`~repro.transport.orchestrator.load_trace` folds back into the
@@ -28,64 +30,33 @@ import random
 import time
 from typing import Any, Callable, Generator
 
-from ..context import AbstractProcessContext, NextSyncStep, Sleep, WaitUntil
+from ..context import NextSyncStep, ProcessContext, Sleep, WaitUntil
 from ..errors import SimulationError
 from ..events import EventLog
 from ..identity import Identity
 from ..sim.message import Message
 from .framing import encode_frame
 
-__all__ = ["RealProcessContext", "RealNodeRuntime", "TransportError"]
+__all__ = ["RealNodeRuntime", "TransportError"]
 
 
 class TransportError(SimulationError):
     """A program used a construct the real backend cannot provide."""
 
 
-class RealProcessContext(AbstractProcessContext):
-    """The transport backend's program-facing API of one node."""
+class _ScaledClock:
+    """``now``: scenario time units since t0, off the shared monotonic clock."""
 
-    def __init__(self, runtime: "RealNodeRuntime") -> None:
-        self._runtime = runtime
+    __slots__ = ("_log", "_time_scale")
 
-    @property
-    def identity(self) -> Identity:
-        return self._runtime.identity
+    def __init__(self, log: EventLog, time_scale: float) -> None:
+        self._log = log
+        self._time_scale = time_scale
 
     @property
     def now(self) -> float:
-        return self._runtime.now_units()
-
-    @property
-    def random(self) -> random.Random:
-        return self._runtime.rng
-
-    def broadcast(self, kind: str, **fields: Any) -> None:
-        self._runtime.broadcast(Message(kind, fields))
-
-    def multicast(self, kind: str, targets: Any, **fields: Any) -> None:
-        self._runtime.multicast(Message(kind, fields), targets)
-
-    def on(self, kind: str, handler: Callable[[Message], None]) -> None:
-        self._runtime.register_handler(kind, handler)
-
-    def spawn(self, task: Callable[[], Generator], *, name: str = "") -> None:
-        self._runtime.spawn_task(task, name=name or getattr(task, "__name__", "task"))
-
-    def detector(self, name: str) -> Any:
-        return self._runtime.detector_view(name)
-
-    def has_detector(self, name: str) -> bool:
-        return self._runtime.has_detector(name)
-
-    def attach_detector(self, name: str, view: Any) -> None:
-        self._runtime.attach_detector_view(name, view)
-
-    def record(self, key: str, value: Any) -> None:
-        self._runtime.record(key, value)
-
-    def decide(self, value: Any) -> None:
-        self._runtime.record_decision(value)
+        log = self._log
+        return (time.monotonic() - log.epoch - log.t0) / self._time_scale
 
 
 class RealNodeRuntime:
@@ -104,8 +75,9 @@ class RealNodeRuntime:
         self.identity = identity
         self.log = log
         self.time_scale = time_scale
+        self.clock = _ScaledClock(log, time_scale)
         self.rng = random.Random(f"transport:{seed}:{index}")
-        self.context = RealProcessContext(self)
+        self.context = ProcessContext(self)
         self._handlers: dict[str, list[Callable[[Message], None]]] = {}
         self._detector_views: dict[str, Any] = {}
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
@@ -114,11 +86,6 @@ class RealNodeRuntime:
         self._pre_start: list[Message] = []
         self._started = False
         self._stopped = False
-
-    # -- clock ----------------------------------------------------------
-    def now_units(self) -> float:
-        """Scenario time units since t0, off the shared monotonic clock."""
-        return (time.monotonic() - self.log.epoch - self.log.t0) / self.time_scale
 
     # -- wiring ----------------------------------------------------------
     def add_peer(self, index: int, writer: asyncio.StreamWriter) -> None:

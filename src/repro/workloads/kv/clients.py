@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable
 
-from ...sim.process import ProcessContext
+from ...context import ProcessContext
 from .commands import encode_command, request_id as make_request_id
 
 __all__ = ["ClientLoad", "KVClientProgram", "DEFAULT_MIX"]

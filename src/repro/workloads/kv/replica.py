@@ -3,8 +3,8 @@
 Replication is slot-per-instance state-machine replication: slot ``k`` of the
 log is decided by a fresh consensus instance shared by all replicas, built
 from a pluggable factory (any of the paper's algorithms).  Each instance runs
-inside a :class:`_SlotContext` — a thin proxy over the real process context
-that suffixes every message kind with ``#s{k}``, so the phase messages of
+inside a :class:`_SlotContext` — the process's context scoped to the slot:
+it suffixes every message kind with ``#s{k}``, so the phase messages of
 concurrent instances cannot cross-talk, sends the instance's broadcasts to
 the replica group, and redirects ``decide`` into the replica's commit
 callback (the real ``ctx.decide`` records only a process's *first*
@@ -41,9 +41,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
+from ...context import ProcessContext, ProcessProgram
 from ...identity import Identity
 from ...sim.message import Message
-from ...sim.process import ProcessContext, ProcessProgram
 from .commands import ApplyResult, ReplicatedKV, decode_command, requester
 
 __all__ = ["ReplicatedKVProgram"]
@@ -52,17 +52,19 @@ __all__ = ["ReplicatedKVProgram"]
 _SYNC_BATCH = 8
 
 
-class _SlotContext:
-    """A per-slot proxy over :class:`ProcessContext` for consensus instances.
+class _SlotContext(ProcessContext):
+    """A process's context scoped to one log slot, for its consensus instance.
 
-    Message kinds gain a ``#s{slot}`` suffix (instance isolation), a
-    broadcast reaches the replica group (the instance's Π), spawned task
-    names gain a slot prefix (debuggability), per-instance trace records are
-    namespaced, and ``decide`` feeds the replica's commit callback instead of
-    the process-level decision slot.
+    It shares the process's runtime and overrides only what it scopes: every
+    send gains a ``#s{slot}`` suffix on its kind (instance isolation) and a
+    broadcast reaches the replica group (the instance's Π), handlers listen
+    for the suffixed kind, spawned task names gain a slot prefix
+    (debuggability), per-instance trace records are namespaced, and
+    ``decide`` feeds the replica's commit callback instead of the
+    process-level decision slot.
     """
 
-    __slots__ = ("_ctx", "_slot", "_replicas", "_decide_cb")
+    __slots__ = ("_slot", "_replicas", "_decide_cb")
 
     def __init__(
         self,
@@ -71,58 +73,28 @@ class _SlotContext:
         replicas: range,
         decide_cb: Callable[[int, Any], None],
     ) -> None:
-        self._ctx = ctx
+        super().__init__(ctx._runtime)
         self._slot = slot
         self._replicas = replicas
         self._decide_cb = decide_cb
 
-    # -- scoped communication -------------------------------------------
     def broadcast(self, kind: str, **fields: Any) -> None:
-        self._ctx.multicast(f"{kind}#s{self._slot}", self._replicas, **fields)
+        self.multicast(kind, self._replicas, **fields)
+
+    def multicast(self, kind: str, targets: Any, **fields: Any) -> None:
+        self._runtime.multicast(Message(f"{kind}#s{self._slot}", fields), targets)
 
     def on(self, kind: str, handler: Callable[[Message], None]) -> None:
-        self._ctx.on(f"{kind}#s{self._slot}", handler)
+        self._runtime.register_handler(f"{kind}#s{self._slot}", handler)
 
     def spawn(self, task: Any, *, name: str = "") -> None:
-        self._ctx.spawn(task, name=f"s{self._slot}-{name or 'task'}")
+        self._runtime.spawn_task(task, name=f"s{self._slot}-{name or 'task'}")
 
-    # -- scoped trace output --------------------------------------------
     def record(self, key: str, value: Any) -> None:
-        self._ctx.record(f"kv.s{self._slot}.{key}", value)
+        self._runtime.record(f"kv.s{self._slot}.{key}", value)
 
     def decide(self, value: Any) -> None:
         self._decide_cb(self._slot, value)
-
-    # -- plain delegation -------------------------------------------------
-    @property
-    def identity(self):
-        return self._ctx.identity
-
-    @property
-    def now(self):
-        return self._ctx.now
-
-    @property
-    def random(self):
-        return self._ctx.random
-
-    def sleep(self, duration):
-        return self._ctx.sleep(duration)
-
-    def wait_until(self, predicate):
-        return self._ctx.wait_until(predicate)
-
-    def next_synchronous_step(self):
-        return self._ctx.next_synchronous_step()
-
-    def detector(self, name: str):
-        return self._ctx.detector(name)
-
-    def has_detector(self, name: str) -> bool:
-        return self._ctx.has_detector(name)
-
-    def attach_detector(self, name: str, view: Any) -> None:
-        self._ctx.attach_detector(name, view)
 
 
 class ReplicatedKVProgram(ProcessProgram):

@@ -19,7 +19,6 @@ from repro.consensus import (
 )
 from repro.consensus.base import ConsensusProgram
 from repro.detectors import CLASSES
-from repro.detectors.views import HOmegaView, HSigmaView
 from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import grouped_identities
 from repro.sim import AsynchronousTiming, CrashSchedule, Simulation, build_system
@@ -55,7 +54,7 @@ class NeverStableHOmega:
             multiplicity = 1 + (window + process.index) % self._membership.size
             return identity, multiplicity
 
-        return HOmegaView(read_pair)
+        return CLASSES["HOmega"].view(read_pair)
 
 
 class EmptyHSigma:
@@ -65,7 +64,7 @@ class EmptyHSigma:
         self._services = services
 
     def view_for(self, process):
-        return HSigmaView(lambda: (frozenset(), frozenset()))
+        return CLASSES["HSigma"].view(lambda: (frozenset(), frozenset()))
 
 
 def run_with_detectors(membership, factory, detectors, *, crashes=None, seed=3, until=200.0):
@@ -171,7 +170,8 @@ class TestValidatorsCatchBrokenAlgorithms:
                 identity = self._membership.identity_of(process)
                 label = f"self-{process.index}"
                 quorum = IdentityMultiset([identity])
-                return HSigmaView(lambda: (frozenset({(label, quorum)}), frozenset({label})))
+                pair = frozenset({(label, quorum)}), frozenset({label})
+                return CLASSES["HSigma"].view(lambda: pair)
 
         from repro.detectors.probe import DetectorProbeProgram
 

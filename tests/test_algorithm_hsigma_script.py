@@ -133,6 +133,5 @@ class TestScriptAlive:
         program = ScriptAliveProgram()
         view = program.script_e_view()
         program.alive = ["b", "a"]
-        assert view.alive == ("b", "a")
-        assert view.rank("b") == 1
-        assert view.rank("missing") == float("inf")
+        assert view.alive == view.read() == ("b", "a")
+        assert type(view) is CLASSES["ScriptE"].view

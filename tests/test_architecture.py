@@ -248,7 +248,7 @@ def test_the_registry_registers_the_detector_table_and_restates_nothing() -> Non
         membership = Membership.of("ABC" if row.unique_ids_only else "AAB")
         oracle = DETECTORS.resolve(name)({"stabilization_time": 3.0})(make_services(membership))
         assert oracle.row is row and oracle.stabilization_time == 3.0
-        # Every output is a hand-written property of the view the row names.
+        # Every output is a property of the view the row derives from them.
         for output in row.outputs:
             assert isinstance(getattr(row.view, output), property), (name, output)
         assert len(set(row.keys)) == len(row.outputs) > 0

@@ -30,7 +30,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_stat
 from repro.consensus import HOmegaMajorityConsensus
 from repro.consensus import rules
 from repro.consensus.rules import QuorumAssembly, find_quorum, match_count, match_multiset
-from repro.detectors.views import HOmegaView
+from repro.detectors import CLASSES
 from repro.identity import IdentityMultiset, ProcessId
 from repro.sim import AsynchronousTiming, Clock, EventQueue
 from repro.sim.message import Message
@@ -250,7 +250,7 @@ def test_homonymous_leaders_adopt_the_least_own_estimate_when_all_have_spoken():
         rng=random.Random(0),
         broadcast_fn=lambda sender, message: sent.append((clock.now, message)),
     )
-    runtime.attach_detector_view("HOmega", HOmegaView(lambda: tuple(leader)))
+    runtime.attach_detector_view("HOmega", CLASSES["HOmega"].view(lambda: tuple(leader)))
 
     def multiplicity(value):
         leader[1] = value

@@ -1,7 +1,7 @@
 """A detector class is a row of one table — and behaves exactly as before.
 
 Figure 5's eleven classes (P, ◇P̄, Ω, Σ, ℰ, AP, AΩ, AΣ, ◇HP, HΩ, HΣ) are the
-rows of ``repro.detectors.CLASSES``: output shape, view, what the oracle says
+rows of ``repro.detectors.CLASSES``: output shape, what the oracle says
 (``eventual`` / ``transient``) and the axioms.  These tests pin the four halves
 of that contract:
 
@@ -18,8 +18,9 @@ of that contract:
   with a wrong multiplicity until it stabilises is *accepted* — and Figure 8
   still decides under it;
 * (d) a class is declared once: a twelfth row declared here registers its
-  detector, check, keys and probes with no other edit, and the README's class
-  table is the one ``CLASSES`` renders.
+  detector, check, keys, view and probes with no other edit, every view is
+  derived from its row's outputs, and the README's class table is the one
+  ``CLASSES`` renders.
 """
 
 from __future__ import annotations
@@ -582,17 +583,6 @@ class TestTheAxiomsRejectAndAdmit:
 # ----------------------------------------------------------------------
 # (d) A class is declared once
 # ----------------------------------------------------------------------
-class _CrashCountView:
-    """The twelfth class: how many processes have crashed."""
-
-    def __init__(self, read_crashed):
-        self._read_crashed = read_crashed
-
-    @property
-    def crashed(self) -> int:
-        return self._read_crashed()
-
-
 def _counts_the_faulty(pattern):
     def complaints(value):
         if value != len(pattern.faulty):
@@ -606,7 +596,6 @@ _TWELFTH = DetectorRow(
     name="CrashCount",
     check="crash_count",
     outputs=("crashed",),
-    view=_CrashCountView,
     eventual=lambda run, process: len(run.pattern.faulty),
     transient=lambda run, process: 0,
     axioms=partial(finally_each, complaints=_counts_the_faulty),
@@ -630,6 +619,22 @@ def test_a_twelfth_class_is_one_row(monkeypatch):
     assert metrics == {"crash_count_ok": True, "crash_count_time": 15.0}
     # … and the table of the paper's classes is not what a plugin extends.
     assert "CrashCount" not in CLASSES and len(CLASSES) == 11
+
+
+@pytest.mark.parametrize("row", [*CLASSES.values(), _TWELFTH], ids=lambda row: row.name)
+def test_a_view_is_derived_from_the_row_outputs(row):
+    """A view exposes the row's outputs and ``read`` — nothing else — and each
+    output is a plain property over the one reader."""
+    public = {name for name in dir(row.view) if not name.startswith("_")}
+    assert public == {*row.outputs, "read"}
+    for output in row.outputs:
+        assert isinstance(vars(row.view)[output], property), output
+    assert row.view is row.view  # built once per row
+    values = [f"value of {output}" for output in row.outputs]
+    raw = tuple(values) if len(values) > 1 else values[0]
+    view = row.view(lambda: raw)
+    assert [getattr(view, output) for output in row.outputs] == values
+    assert view.read() == raw
 
 
 def test_the_readme_class_table_is_the_one_the_rows_render():

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
 from repro.consensus import ConsensusFactory, HOmegaHSigmaConsensus, HOmegaMajorityConsensus
+from repro.context import ProcessContext
 from repro.identity import ProcessId
 from repro.membership import Membership, grouped_identities
 from repro.runtime import (
@@ -22,8 +24,9 @@ from repro.runtime import (
     scenario,
     synchronous,
 )
-from repro.sim import AsynchronousTiming, Simulation, build_system
+from repro.sim import AsynchronousTiming, Clock, EventQueue, RunTrace, Simulation, build_system
 from repro.sim.network import Network
+from repro.sim.process import ProcessRuntime
 from repro.workloads.kv import (
     ClientLoad,
     KVClientProgram,
@@ -292,6 +295,46 @@ class TestAnswersGoToTheAsker:
             for index in (1, 2, 3)
         ]
         assert heard == [{request_id("c", 0)}, {request_id("c", 0)}, {request_id("d", 0)}]
+
+
+class TestTheSlotScope:
+    """A consensus instance sees its process's context scoped to one slot."""
+
+    def test_a_slot_overrides_exactly_the_scoped_methods(self):
+        assert replica._SlotContext.__bases__ == (ProcessContext,)
+        overridden = {name for name in vars(replica._SlotContext) if not name.startswith("_")}
+        assert overridden == {"broadcast", "multicast", "on", "spawn", "record", "decide"}
+
+    def test_every_send_from_a_slot_arrives_under_the_suffixed_kind(self):
+        sent, heard, unscoped, committed, trace = [], [], [], [], RunTrace()
+        runtime = ProcessRuntime(
+            ProcessId(0),
+            "r",
+            _DecidesItsProposal("unused"),
+            clock=Clock(),
+            queue=EventQueue(),
+            timing=AsynchronousTiming(),
+            trace=trace,
+            rng=random.Random(0),
+            broadcast_fn=None,  # a slot never broadcasts beyond the replica group
+            multicast_fn=lambda sender, message, targets: sent.append((message, tuple(targets))),
+        )
+        slot = replica._SlotContext(runtime.context, 3, range(4), lambda *c: committed.append(c))
+        slot.on("PH1", heard.append)
+        runtime.context.on("PH1", unscoped.append)
+        slot.multicast("PH1", (0, 2), round=1)
+        slot.broadcast("PH2", round=1)
+        assert [(message.kind, targets) for message, targets in sent] == [
+            ("PH1#s3", (0, 2)),
+            ("PH2#s3", (0, 1, 2, 3)),
+        ]
+        for message, _ in sent:
+            runtime.deliver(message)
+        assert [message.kind for message in heard] == ["PH1#s3"] and unscoped == []
+        slot.record("estimate", 5)
+        slot.decide("v")
+        assert trace.values_of(ProcessId(0), "kv.s3.estimate") == ((0.0, 5),)
+        assert committed == [(3, "v")]
 
 
 class TestCommandLineGate:

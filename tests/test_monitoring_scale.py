@@ -25,13 +25,14 @@ import tracemalloc
 from bisect import bisect_right
 from collections.abc import Sequence
 from math import ceil, log2
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algorithms.heartbeat import DECLARED_DEAD, GossipHeartbeat
-from repro.context import AbstractProcessContext
+from repro.context import ProcessContext
 from repro.detectors.properties import CheckResult
 from repro.runtime import (
     Engine,
@@ -225,35 +226,33 @@ class TestSimulatedBehaviourIsPinned:
 # ----------------------------------------------------------------------
 # The gossip table on the wire
 # ----------------------------------------------------------------------
-class _StubContext(AbstractProcessContext):
-    """Just enough context to drive one monitor by hand."""
+class _StubRuntime:
+    """Just enough runtime to drive one monitor by hand through a real context."""
 
     def __init__(self):
-        self.time = 0.0
+        self.clock = SimpleNamespace(now=0.0)
+        self.rng = random.Random(1)
         self.handlers = {}
         self.tasks = []
         self.sent: list[Message] = []
         self.records = []
-        self._rng = random.Random(1)
+        self.context = ProcessContext(self)
 
-    now = property(lambda self: self.time)
-    random = property(lambda self: self._rng)
-
-    def on(self, kind, handler):
+    def register_handler(self, kind, handler):
         self.handlers[kind] = handler
 
-    def spawn(self, task, *, name=""):
+    def spawn_task(self, task, *, name):
         self.tasks.append(task())
 
-    def multicast(self, kind, targets, **fields):
-        self.sent.append(Message(kind, fields))
+    def multicast(self, message, targets):
+        self.sent.append(message)
 
     def record(self, key, value):
-        self.records.append((self.time, key, value))
+        self.records.append((self.clock.now, key, value))
 
 
 def _started_monitor(index, n=5, hb_timeout=3.0):
-    ctx = _StubContext()
+    node = _StubRuntime()
     monitor = GossipHeartbeat(
         topology=Gossip(fanout=2),
         index=index,
@@ -261,16 +260,16 @@ def _started_monitor(index, n=5, hb_timeout=3.0):
         hb_interval=1.0,
         hb_timeout=hb_timeout,
     )
-    monitor.setup(ctx)
-    (task,) = ctx.tasks
+    monitor.setup(node.context)
+    (task,) = node.tasks
     next(task)  # the first period: bump, gossip, sleep
-    return monitor, ctx, task
+    return monitor, node, task
 
 
 class TestGossipTableOnTheWire:
     def test_the_shipped_table_is_an_immutable_snapshot(self):
-        sender, sender_ctx, _ = _started_monitor(0)
-        (message,) = sender_ctx.sent
+        sender, sender_node, _ = _started_monitor(0)
+        (message,) = sender_node.sent
         shipped = message["counters"]
         assert isinstance(shipped, tuple)  # also what survives JSON framing by position
         before = tuple(shipped)
@@ -278,35 +277,35 @@ class TestGossipTableOnTheWire:
         sender.counters[3] = 99
         assert message["counters"] == before
 
-        receiver, receiver_ctx, _ = _started_monitor(1)
-        receiver_ctx.time = 0.5
-        receiver_ctx.handlers["GOSSIP"](message)
+        receiver, receiver_node, _ = _started_monitor(1)
+        receiver_node.clock.now = 0.5
+        receiver_node.handlers["GOSSIP"](message)
         assert receiver.counters[0] == before[0] == 1
         assert receiver.counters[3] == 0
         assert receiver.last_bump[0] == 0.5
 
     def test_a_rumour_about_a_declared_peer_neither_revives_nor_redeclares(self):
-        monitor, ctx, task = _started_monitor(0, hb_timeout=3.0)
+        monitor, node, task = _started_monitor(0, hb_timeout=3.0)
         fresh = [5, 5, 5, 5, 0]  # everyone but index 4 keeps rising
         for now in (1.0, 2.0, 3.0):
-            ctx.time = now
+            node.clock.now = now
             fresh = [counter + 1 for counter in fresh[:4]] + [0]
-            ctx.handlers["GOSSIP"](Message("GOSSIP", {"frm": 1, "counters": tuple(fresh)}))
+            node.handlers["GOSSIP"](Message("GOSSIP", {"frm": 1, "counters": tuple(fresh)}))
             next(task)
-        declared = [(when, value) for when, key, value in ctx.records if key == DECLARED_DEAD]
+        declared = [(when, value) for when, key, value in node.records if key == DECLARED_DEAD]
         assert declared == [(3.0, 4)]
         assert monitor.alive == [0, 1, 2, 3]
         frozen = monitor.counters[4]
 
         rumour = tuple(fresh[:4]) + (frozen + 50,)
         for now in (4.0, 5.0, 6.0, 7.0, 8.0):
-            ctx.time = now
-            ctx.handlers["GOSSIP"](Message("GOSSIP", {"frm": 1, "counters": rumour}))
+            node.clock.now = now
+            node.handlers["GOSSIP"](Message("GOSSIP", {"frm": 1, "counters": rumour}))
             rumour = tuple(counter + 1 for counter in rumour)
             next(task)
         assert monitor.counters[4] == frozen  # not relayed onwards either
         assert 4 not in monitor.alive
-        assert [entry for entry in ctx.records if entry[1] == DECLARED_DEAD] == [
+        assert [entry for entry in node.records if entry[1] == DECLARED_DEAD] == [
             (3.0, DECLARED_DEAD, 4)
         ]
 

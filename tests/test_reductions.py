@@ -111,6 +111,14 @@ class TestHSigmaToSigma:
         result = judged("hsigma_to_sigma", simulation)
         assert result.ok, result.violations
 
+    def test_rank_is_the_first_position_from_one_and_inf_when_absent(self):
+        from repro.reductions.table import _rank
+
+        alive = ("b", "a", "b", "c")
+        assert [_rank(alive, i) for i in "bac"] == [1, 2, 4]
+        assert _rank(alive, "missing") == float("inf")
+        assert _rank((), "b") == float("inf")
+
 
 class TestAnonymousReductions:
     def test_asigma_to_hsigma(self):

@@ -1,7 +1,9 @@
 """Tier-1 coverage of the transport subsystem's pure parts.
 
 Everything here runs without sockets or subprocesses: the event log, its
-reader and ``load_trace`` on a fabricated log directory, the E11 aggregator's edge
+reader and ``load_trace`` on a fabricated log directory, a real node runtime
+running a program through ``ProcessContext`` with fake peer writers, the E11
+aggregator's edge
 cases (odd and even medians, empty cells), the wire framing, the ScenarioSpec
 backend round-trip (including canonical-hash preservation for pre-backend
 specs), the builder's real-backend requirement table, a *simulated*
@@ -14,9 +16,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
+from repro.context import ProcessContext, ProcessProgram
 from repro.detectors.detection import median_iqr
 from repro.errors import ConfigurationError
 from repro.events import EventLog, read_events
@@ -26,6 +30,7 @@ from repro.runtime import Engine, scenario
 from repro.runtime.builder import ScenarioValidationError
 from repro.runtime.spec import ScenarioSpec, asynchronous, crashes_at, synchronous
 from repro.transport.__main__ import build_heartbeat_spec
+from repro.transport.context import RealNodeRuntime
 from repro.transport.framing import (
     MAX_FRAME_BYTES,
     FramingError,
@@ -107,6 +112,52 @@ def test_load_trace_folds_a_log_directory_into_a_run_trace(tmp_path):
     assert trace.broadcasts_by_kind() == {"PING": 1}
     assert trace.message_copies_sent == 3
     assert trace.deliveries_by_kind() == {"PING": 1}
+
+
+class _Hello(ProcessProgram):
+    def setup(self, ctx):
+        self.now = ctx.now
+        ctx.on("HELLO", lambda message: ctx.record("heard", message["n"]))
+        ctx.broadcast("HELLO", n=1)
+        ctx.decide(7)
+
+
+def test_the_real_runtime_runs_a_program_through_the_one_context(tmp_path):
+    """No sockets: two fake peer writers stand in for the mesh."""
+    peers, program = {1: _FakeWriter(), 2: _FakeWriter()}, _Hello()
+    epoch = time.monotonic() - 10.0
+
+    async def run():
+        earliest = (time.monotonic() - epoch - 2.0) / 0.5
+        runtime.start(program)
+        latest = (time.monotonic() - epoch - 2.0) / 0.5
+        await asyncio.sleep(0)  # the self-delivery is the loop's next callback
+        runtime.stop()
+        return earliest, latest
+
+    with EventLog(tmp_path / "node0.jsonl", epoch=epoch, t0=2.0, time_scale=0.5) as log:
+        runtime = RealNodeRuntime(index=0, identity="a", log=log, time_scale=0.5)
+        for index, writer in peers.items():
+            runtime.add_peer(index, writer)
+        earliest, latest = asyncio.run(run())
+
+    assert type(runtime.context) is ProcessContext
+    assert 16.0 <= earliest <= program.now <= latest  # (10 s - t0) / time_scale on
+    for writer in peers.values():
+        (frame,) = decode_frames(bytearray(b"".join(writer.frames)))
+        assert frame == {"kind": "HELLO", "payload": {"n": 1}, "sender": 0}
+    lines = {entry["event"]: entry for entry in read_events(log.path)}
+    assert lines["msg_send"]["kind"] == lines["msg_recv"]["kind"] == "HELLO"
+    assert lines["msg_send"]["copies"] == len(peers) + 1
+    assert (lines["heard"]["value"], lines["decide"]["value"]) == (1, 7)
+
+    trace = load_trace(tmp_path, Membership.of(["a", "b", "c"]))
+    p0 = ProcessId(0)
+    assert trace.values_of(p0, "heard") == ((lines["heard"]["t"], 1),)
+    decision = trace.decision_of(p0)
+    assert (decision.value, decision.time) == (7, lines["decide"]["t"])
+    assert trace.broadcasts_by_kind() == trace.deliveries_by_kind() == {"HELLO": 1}
+    assert trace.message_copies_sent == 3
 
 
 # ----------------------------------------------------------------------
