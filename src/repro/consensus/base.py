@@ -94,9 +94,9 @@ class ConsensusProgram(ProcessProgram):
     def requirements(cls) -> dict[str, Any]:
         """The row's line of the paper's assumption table, derived from its rules."""
         leader, quorum = cls.leader_rule, cls.quorum_rule
-        quorum_detector = (quorum.detector,) if quorum.detector else ()
+        quorum_detector = (quorum.detector.name,) if quorum.detector else ()
         return {
-            "requires_detectors": (leader.detector, *quorum_detector),
+            "requires_detectors": (leader.detector.name, *quorum_detector),
             "needs_majority": quorum.needs_majority,
             "membership_constraint": leader.membership_constraint,
             "paper_item": cls.paper_item,
@@ -140,7 +140,7 @@ class ConsensusProgram(ProcessProgram):
         # Bound here, not in setup: a stacked detector implementation attaches
         # its view in its own setup, which may run after this program's.
         is_leader, multiplicity = self.leader_rule.bind(
-            ctx.detector(self.leader_rule.detector), identity
+            ctx.detector(self.leader_rule.detector.name), identity
         )
 
         # -- Leaders' Coordination Phase ---------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..context import ProcessContext
-from ..detectors.table import CLASSES
+from ..detectors.table import CLASSES, DetectorRow
 from ..errors import ConfigurationError
 from ..identity import Identity, IdentityMultiset
 from ..sim.message import Message
@@ -60,13 +60,15 @@ BOTTOM = "⊥-consensus"
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LeaderRule:
-    """Which attachment elects leaders, where it is defined, and how to ask it.
+    """Which detector class elects leaders, where it is defined, and how to ask it.
 
-    ``bind(view, identity)`` returns the pair ``(is_leader, multiplicity)`` of
-    zero-argument callables the round skeleton's wait predicates call.
+    ``detector`` is the class's row; a program queries the attachment
+    registered under the row's name.  ``bind(view, identity)`` returns the
+    pair ``(is_leader, multiplicity)`` of zero-argument callables the round
+    skeleton's wait predicates call.
     """
 
-    detector: str
+    detector: DetectorRow
     membership_constraint: str | None
     bind: Callable[[Any, Identity], tuple[Callable[[], bool], Callable[[], int]]]
 
@@ -76,17 +78,17 @@ def _one() -> int:
 
 
 H_OMEGA = LeaderRule(
-    CLASSES["HOmega"].name,
+    CLASSES["HOmega"],
     None,
     lambda view, identity: (lambda: view.h_leader == identity, lambda: view.h_multiplicity),
 )
 OMEGA = LeaderRule(
-    CLASSES["Omega"].name,
+    CLASSES["Omega"],
     "unique",
     lambda view, identity: (lambda: view.leader == identity, _one),
 )
 A_OMEGA = LeaderRule(
-    CLASSES["AOmega"].name,
+    CLASSES["AOmega"],
     "anonymous",
     lambda view, identity: (lambda: bool(view.a_leader), _one),
 )
@@ -273,7 +275,7 @@ class _DetectorQuorum:
     """Quorums described by a Σ-style detector, assembled over sub-rounds."""
 
     needs_majority = False
-    detector: str
+    detector: DetectorRow
     #: ``view -> pairs`` and ``view -> frozenset of labels``, and the matcher.
     pairs_of: Callable[[Any], Iterable[tuple]]
     labels_of: Callable[[Any], frozenset]
@@ -288,7 +290,7 @@ class _DetectorQuorum:
         Returns the quorum's estimates, or ``None`` when the program decided or
         ``skip()`` (the phase's short-circuit test) fired first.
         """
-        view = ctx.detector(self.detector)
+        view = ctx.detector(self.detector.name)
         identity = ctx.identity
         pairs_of, labels_of = self.pairs_of, self.labels_of
         assembly = QuorumAssembly(program.messages(kind, round_number), self.match)
@@ -332,7 +334,7 @@ class _DetectorQuorum:
 class HSigmaQuorum(_DetectorQuorum):
     """HΣ: ``h_quora`` pairs ``(label, identifier multiset)`` (Figure 9)."""
 
-    detector = CLASSES["HSigma"].name
+    detector = CLASSES["HSigma"]
     pairs_of = staticmethod(lambda view: view.h_quora)
     labels_of = staticmethod(lambda view: frozenset(view.h_labels))
     match = staticmethod(match_multiset)
@@ -341,7 +343,7 @@ class HSigmaQuorum(_DetectorQuorum):
 class ASigmaQuorum(_DetectorQuorum):
     """AΣ: ``a_sigma`` pairs ``(label, size)``; a process's labels are its pairs'."""
 
-    detector = CLASSES["ASigma"].name
+    detector = CLASSES["ASigma"]
     pairs_of = staticmethod(lambda view: view.a_sigma)
     labels_of = staticmethod(lambda view: frozenset(label for label, _ in view.a_sigma))
     match = staticmethod(match_count)

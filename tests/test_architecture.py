@@ -221,7 +221,8 @@ def test_the_registry_registers_the_consensus_table_and_restates_nothing() -> No
         entry = CONSENSUS.resolve(name)
         leader, quorum = row.leader_rule, row.quorum_rule
         assert entry.program is row
-        assert entry.requires_detectors == tuple(filter(None, (leader.detector, quorum.detector)))
+        detectors = filter(None, (leader.detector, quorum.detector))
+        assert entry.requires_detectors == tuple(detector.name for detector in detectors)
         assert entry.needs_majority is quorum.needs_majority
         assert entry.membership_constraint == leader.membership_constraint
         assert entry.paper_item == row.paper_item != ""

@@ -35,6 +35,7 @@ from repro.consensus.rules import (
     match_multiset,
 )
 from repro.context import ProcessProgram
+from repro.detectors import CLASSES
 from repro.identity import ANONYMOUS_IDENTITY, IdentityMultiset
 from repro.membership import unique_identities
 from repro.runtime import (
@@ -217,6 +218,27 @@ def test_a_plugin_row_registers_with_its_derived_requirements(monkeypatch):
         build.detectors("Omega", stabilization=10.0).build()
     metrics = Engine().run(build.detectors("HSigma", stabilization=10.0).build()).metrics
     assert metrics["decided"] and metrics["safe"]
+
+
+#: Each row's detectors as the registry names them (leader first, then quorum).
+_REQUIRES = {
+    "homega_majority": ("HOmega",),
+    "homega_hsigma": ("HOmega", "HSigma"),
+    "no_coordination": ("HOmega",),
+    "classical_omega": ("Omega",),
+    "anonymous_aomega": ("AOmega",),
+    "aomega_asigma": ("AOmega", "ASigma"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_a_rule_holds_its_detector_row_not_the_rows_name(name):
+    row = FAMILY[name]
+    leader, *quorum = _REQUIRES[name]
+    assert row.leader_rule.detector is CLASSES[leader]
+    assert row.quorum_rule.detector is (CLASSES[quorum[0]] if quorum else None)
+    assert row.requirements()["requires_detectors"] == _REQUIRES[name]
+    assert CONSENSUS.resolve(name).requires_detectors == _REQUIRES[name]
 
 
 # ----------------------------------------------------------------------

@@ -130,7 +130,9 @@ class TestNonDefaultWiring:
         # Which attachment a row queries is part of its leader rule, so a
         # differently-wired system declares a row rather than passing a keyword.
         class RewiredFigure8(HOmegaMajorityConsensus):
-            leader_rule = dataclasses.replace(H_OMEGA, detector="leader-oracle")
+            leader_rule = dataclasses.replace(
+                H_OMEGA, detector=dataclasses.replace(CLASSES["HOmega"], name="leader-oracle")
+            )
 
         assert RewiredFigure8.requirements()["requires_detectors"] == ("leader-oracle",)
         membership = Membership.of(["A", "B", "B"])

@@ -14,7 +14,9 @@ membership view.  These tests pin both halves of that contract:
   declared peer neither revive it nor declare it twice;
 * every sparse program of a run shares the engine's one peer tuple — a
   declaration replaces only the declaring monitor's view — so building a
-  ring run costs the same bytes per process at n=1000 as at n=250.
+  ring run costs the same bytes per process at n=1000 as at n=250, and a
+  whole ring run reads about as many view entries per message copy at
+  n=1000 as at n=100.
 """
 
 from __future__ import annotations
@@ -428,3 +430,44 @@ class TestBuildMemoryIsLinear:
             del simulation
             per_process[n] = held / n
         assert per_process[1000] <= 1.5 * per_process[250], per_process
+
+
+class TestRingPerCopyWorkIsScaleFree:
+    """The work half of the "ring is scale-free" rule, counted rather than timed.
+
+    Every ring monitor of a run starts on the one shared peer tuple; swapping
+    it for a :class:`_CountingView` counts each alive-view entry the monitors
+    read during a whole detection run.  Per message copy sent, that count may
+    grow with the bisect's log n but not with n: an O(n) scan back on the
+    per-tick path (``ring_successors`` replaced by the scan definition) reads
+    about ten times as much per copy at n=1000 as at n=100.
+    """
+
+    @staticmethod
+    def _reads_per_copy(n, monkeypatch):
+        spec = (
+            scenario(f"ring-reads-n{n}")
+            .processes(n)
+            .unique_ids()
+            .timing(asynchronous(min_latency=0.01, max_latency=0.2))
+            .crashes(crashes_at({n - 1: 3.0}))
+            .program("heartbeat", hb_interval=1.0, hb_timeout=3.0)
+            .topology(ring(successors=3))
+            .horizon(9.0)
+            .seed(0)
+            .build()
+        )
+        simulation = _unstarted(spec, monkeypatch)
+        monitors = _programs(simulation)
+        shared = monitors[0].alive
+        assert all(monitor.alive is shared for monitor in monitors)
+        view = _CountingView(shared)
+        for monitor in monitors:
+            monitor.alive = view
+        trace = simulation.run(until=spec.horizon)
+        assert any(n - 1 in monitor.dead_indices for monitor in monitors)
+        return view.reads / trace.message_copies_sent
+
+    def test_reads_per_copy_do_not_grow_with_n(self, monkeypatch):
+        per_copy = {n: self._reads_per_copy(n, monkeypatch) for n in (100, 1000)}
+        assert per_copy[1000] <= 2.0 * per_copy[100], per_copy
