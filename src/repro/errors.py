@@ -84,14 +84,5 @@ class ConsensusViolationError(ReproError):
     """
 
 
-class TerminationError(ReproError):
-    """A run did not reach the expected quiescent/decided state in time.
-
-    This usually means the simulation horizon was too small for the configured
-    GST, latency bound, and detector stabilization time, or that an algorithm
-    genuinely fails to terminate (e.g. the no-coordination ablation).
-    """
-
-
 class TraceError(ReproError):
     """A trace query referenced a process, time, or record that does not exist."""

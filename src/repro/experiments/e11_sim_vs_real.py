@@ -41,10 +41,11 @@ DESCRIPTION = "Sim-vs-real heartbeat detection latency over an (hb_interval x hb
 _NODES = 3
 _FAIL_AT = 6.0
 _BACKENDS = ("sim", "real")
-#: Per-message drop probability of the lossy cell (sim: ``lossy(p)`` link
-#: model; real: a ShapedLink on every TCP link).  Lossy cells exercise the
-#: same envelope claim under retransmission-free heartbeat loss, but only
-#: loss-free cells *assert* it (summary ``all_in_envelope``).
+#: Per-message drop probability of the lossy cell: one ``.network(lossy(p))``
+#: spec, applied to the simulator's schedule on sim and to every TCP link on
+#: real.  Lossy cells exercise the same envelope claim under
+#: retransmission-free heartbeat loss, but only loss-free cells *assert* it
+#: (summary ``all_in_envelope``).
 _LOSS = 0.15
 
 

@@ -140,11 +140,6 @@ class IdentityMultiset:
         return cls(expanded)
 
     @classmethod
-    def singleton(cls, identity: Identity, count: int = 1) -> "IdentityMultiset":
-        """Return a multiset holding ``count`` copies of ``identity``."""
-        return cls.from_counts({identity: count})
-
-    @classmethod
     def uniform(cls, identity: Identity, count: int) -> "IdentityMultiset":
         """Return ``⊥^count``-style multisets (``count`` copies of one id)."""
         if count == 0:

@@ -117,10 +117,6 @@ class ScenarioBuilder:
         """An explicit identifier list, e.g. ``["A", "A", "B"]``."""
         return self.membership(MembershipSpec("explicit", identities=tuple(identities)))
 
-    def random_ids(self, *, domain_size: int, seed: int = 0) -> "ScenarioBuilder":
-        """Identifiers drawn uniformly from a bounded domain."""
-        return self._set_shape("random", domain_size=domain_size, seed=seed)
-
     def membership(self, spec: MembershipSpec) -> "ScenarioBuilder":
         """Use a pre-built membership spec."""
         self._membership = spec
@@ -513,7 +509,9 @@ def _validate_real_backend(spec: ScenarioSpec) -> None:
     materialise their system inside the simulator, and synchronous rounds
     don't exist on a real network; all of those stay sim-only and are
     rejected here with an explanation rather than failing at run time inside
-    a subprocess.
+    a subprocess.  A ``.network(...)`` link model is not among them: each
+    node applies it to its TCP links, under the same envelope check as a
+    simulated run.
     """
     if spec.program is None:
         raise ScenarioValidationError(
@@ -539,17 +537,6 @@ def _validate_real_backend(spec: ScenarioSpec) -> None:
             "a real network has no synchronous rounds; HSS scenarios are "
             "sim-only"
         )
-    if not spec.network.is_reliable:
-        raise ScenarioValidationError(
-            ".network(...) link models are simulator schedule transforms; "
-            "on the real backend, shape the actual TCP links instead with "
-            'backend_params={"link": {"loss": …, "delay": …, "jitter": …, '
-            '"duplicate": …}} (see repro.transport.node.ShapedLink)'
-        )
-    if spec.backend_params.get("link"):
-        from ..transport.node import validate_link_params
-
-        validate_link_params(dict(spec.backend_params["link"]))
     if not spec.topology.is_full_mesh:
         raise ScenarioValidationError(
             "sparse monitoring topologies (ring/gossip) are sim-only for "

@@ -63,11 +63,6 @@ class SystemModel(enum.Enum):
     AS = "AS"
     AAS = "AAS"
 
-    @property
-    def is_homonymous_general(self) -> bool:
-        """True for the general homonymous families (no constraint on ids)."""
-        return self in (SystemModel.HAS, SystemModel.HPS, SystemModel.HSS)
-
 
 @dataclass
 class DetectorServices:

@@ -49,7 +49,6 @@ __all__ = [
     "Ring",
     "Gossip",
     "build_topology",
-    "topology_from_dict",
     "ring_successors",
 ]
 
@@ -233,8 +232,3 @@ def build_topology(kind: str, params: Mapping[str, Any] | None = None) -> Monito
             f"unknown monitoring topology {kind!r}; expected one of {sorted(_TOPOLOGIES)}"
         ) from None
     return cls(**dict(params or {}))
-
-
-def topology_from_dict(payload: Mapping[str, Any]) -> MonitoringTopology:
-    """Rebuild a topology from its ``to_dict`` form."""
-    return build_topology(payload["kind"], payload.get("params", {}))

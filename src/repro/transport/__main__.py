@@ -51,9 +51,10 @@ def build_heartbeat_spec(
     latency the detector sees is its own timeout discipline — which is what
     the real backend measures for real.
 
-    ``loss`` applies the same per-message drop probability on both backends:
-    the simulator's ``lossy(loss)`` link model on sim, a
-    :class:`~repro.transport.node.ShapedLink` on real — so lossy cells of a
+    ``loss`` sets the spec's ``.network(lossy(loss))`` (acknowledged with
+    ``.adversarial()``: the loss never heals), which both backends apply — the
+    simulator to its schedule, each real node to its TCP links — so the two
+    specs differ only in ``backend`` / ``backend_params`` and lossy cells of a
     sim-vs-real sweep compare like with like.
     """
     horizon = fail_at + hb_timeout + 3.0 * hb_interval + 2.0
@@ -74,16 +75,11 @@ def build_heartbeat_spec(
         .seed(seed)
     )
     if loss:
-        if backend == "real":
-            build = build.adversarial()
-        else:
-            build = build.network(lossy(loss)).adversarial()
+        build = build.network(lossy(loss)).adversarial()
     if backend == "real":
         params = {"time_scale": time_scale}
         if log_dir:
             params["log_dir"] = log_dir
-        if loss:
-            params["link"] = {"loss": loss, "seed": seed}
         if fault_action != "kill":
             params["fault_action"] = fault_action
         if resume_after is not None:

@@ -211,9 +211,6 @@ class RealNodeRuntime:
             if not waiter.done():
                 waiter.set_result(None)
 
-    def tasks_pending(self) -> bool:
-        return any(not task.done() for task in self._tasks)
-
     async def _drive(self, generator: Generator, name: str) -> None:
         try:
             while True:

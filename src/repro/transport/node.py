@@ -9,7 +9,9 @@ The orchestrator spawns N of these as OS subprocesses.  Each node
    shared monotonic time base (epoch-relative seconds);
 3. builds its :class:`ProcessProgram` from the registry — the *same* entry a
    sim run would build — and drives it with the asyncio trampoline
-   (:class:`~repro.transport.context.RealNodeRuntime`);
+   (:class:`~repro.transport.context.RealNodeRuntime`), writing to each peer
+   through the spec's own link model (``--network``, the spec's ``network``
+   section) when it is not the reliable default (:class:`ShapedLink`);
 4. appends every observable event (``msg_send``/``msg_recv``, ``ctx.record``
    keys such as ``hb_ping_sent``/``hb_ack_recv``/``declared_dead``,
    ``decide``) to its JSONL log, each line stamped with both epoch-relative
@@ -27,13 +29,14 @@ import random
 import sys
 import time
 
-from ..errors import ConfigurationError
 from ..events import EventLog
+from ..identity import ProcessId
 from ..retry import RetryPolicy
+from ..sim.links import LinkModel
 from .context import RealNodeRuntime
 from .framing import FramingError, encode_frame, read_frame
 
-__all__ = ["main", "ShapedLink", "validate_link_params", "LINK_PARAM_KEYS"]
+__all__ = ["main", "ShapedLink"]
 
 #: Default mesh-dial deadline; override per run with ``--mesh-deadline`` (the
 #: orchestrator forwards ``backend_params["mesh_deadline"]``) — slow CI
@@ -46,105 +49,49 @@ MESH_DEADLINE_SECONDS = 20.0
 #: accept queue in lockstep; the mesh deadline bounds the whole loop.
 DIAL_RETRY = RetryPolicy(base=0.02, cap=0.25, max_attempts=1_000_000)
 
-#: The keys a ``backend_params["link"]`` mapping may carry (see ShapedLink).
-LINK_PARAM_KEYS = ("loss", "delay", "jitter", "duplicate", "seed")
-
-
-def validate_link_params(params: dict) -> dict:
-    """Normalize and bound-check a link-shaping mapping; raise on nonsense.
-
-    Mirrors the envelopes of :mod:`repro.sim.links`: ``loss`` and
-    ``duplicate`` are per-copy probabilities in ``[0, 1)``; ``delay`` and
-    ``jitter`` are extra latency in scenario time units (scaled to wall
-    seconds by the node's ``time_scale``); ``seed`` folds into each link's
-    deterministic RNG stream.
-    """
-    if not isinstance(params, dict):
-        raise ConfigurationError(f"link params must be a mapping, got {params!r}")
-    unknown = sorted(set(params) - set(LINK_PARAM_KEYS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown link param(s) {', '.join(unknown)}; "
-            f"expected a subset of {LINK_PARAM_KEYS}"
-        )
-    out = {
-        "loss": float(params.get("loss", 0.0)),
-        "delay": float(params.get("delay", 0.0)),
-        "jitter": float(params.get("jitter", 0.0)),
-        "duplicate": float(params.get("duplicate", 0.0)),
-        "seed": int(params.get("seed", 0)),
-    }
-    for probability in ("loss", "duplicate"):
-        if not 0.0 <= out[probability] < 1.0:
-            raise ConfigurationError(
-                f"link {probability} must be a probability in [0, 1), "
-                f"got {out[probability]}"
-            )
-    for latency in ("delay", "jitter"):
-        if out[latency] < 0.0:
-            raise ConfigurationError(
-                f"link {latency} must be non-negative, got {out[latency]}"
-            )
-    return out
-
 
 class ShapedLink:
-    """Loss/delay/duplication shaping on one outbound peer link.
+    """One outbound peer link under the spec's :class:`~repro.sim.links.LinkModel`.
 
-    The real-backend twin of :mod:`repro.sim.links`: where the simulator
-    transforms a copy's candidate delivery times, this wraps one peer's
-    :class:`asyncio.StreamWriter` and decides per frame whether the copy is
-    written at all (``loss``), written twice (``duplicate``), and how much
-    extra latency it carries (``delay`` + uniform ``jitter``, in scenario
-    time units, scaled by ``time_scale``).  Exposes the two writer methods
-    the runtime uses (``write``/``is_closing``), so shaping is invisible to
+    A real run applies the same link model a simulated one does: each frame
+    is one copy sent at the node's scenario time ``now``, the model maps the
+    candidate delivery times ``(now,)`` to the times it keeps — none when it
+    drops the copy, several when it duplicates it, later ones when it delays
+    it — and the frame is written once per kept time, ``(t − now) ×
+    time_scale`` wall seconds later.  Exposes the two writer methods the
+    runtime uses (``write``/``is_closing``), so shaping is invisible to
     :class:`~repro.transport.context.RealNodeRuntime`.
 
     Draws come from a private RNG seeded ``(seed, sender, receiver)`` — the
-    same link seed replays the same drop/duplicate pattern per link, which
-    is what makes a lossy real run replayable.
+    same seed replays the same drop/duplicate pattern per link, which is
+    what makes a lossy real run replayable.
     """
 
     def __init__(
         self,
         writer: asyncio.StreamWriter,
+        model: LinkModel,
         *,
         sender: int,
         receiver: int,
-        time_scale: float = 1.0,
-        loss: float = 0.0,
-        delay: float = 0.0,
-        jitter: float = 0.0,
-        duplicate: float = 0.0,
-        seed: int = 0,
+        clock,
+        time_scale: float,
+        seed: int,
     ) -> None:
         self._writer = writer
+        self._model = model
+        self._sender = ProcessId(sender)
+        self._receiver = ProcessId(receiver)
+        self._clock = clock
         self._time_scale = time_scale
-        self._loss = loss
-        self._delay = delay
-        self._jitter = jitter
-        self._duplicate = duplicate
         self._rng = random.Random(f"shaped-link:{seed}:{sender}:{receiver}")
-        self.dropped = 0
-        self.duplicated = 0
-        self.delayed = 0
 
     def write(self, frame: bytes) -> None:
-        copies = 1
-        if self._duplicate and self._rng.random() < self._duplicate:
-            copies += 1
-            self.duplicated += 1
-        for _ in range(copies):
-            if self._loss and self._rng.random() < self._loss:
-                self.dropped += 1
-                continue
-            extra = self._delay
-            if self._jitter:
-                extra += self._rng.random() * self._jitter
-            if extra > 0.0:
-                self.delayed += 1
+        now = self._clock.now
+        for when in self._model.deliveries(self._sender, self._receiver, now, (now,), self._rng):
+            if when > now:
                 asyncio.get_running_loop().call_later(
-                    extra * self._time_scale, self._write_now, frame
+                    (when - now) * self._time_scale, self._write_now, frame
                 )
             else:
                 self._write_now(frame)
@@ -190,11 +137,12 @@ async def _dial(host: str, port: int, deadline: float, rng: random.Random):
 
 async def _run_node(args: argparse.Namespace) -> int:
     from ..runtime.registry import PROGRAMS
+    from ..runtime.spec import NetworkSpec
 
     identity = json.loads(args.identity)
     peers = json.loads(args.peers)
     params = json.loads(args.program_params)
-    link = validate_link_params(json.loads(args.link)) if args.link else None
+    model = NetworkSpec.from_dict(json.loads(args.network)).build() if args.network else None
 
     log = EventLog(
         args.log,
@@ -217,16 +165,18 @@ async def _run_node(args: argparse.Namespace) -> int:
     deadline = time.monotonic() + args.mesh_deadline
     for index, host, port in peers:
         _reader, writer = await _dial(host, port, deadline, dial_rng)
-        if link is not None:
+        if model is not None:
             writer = ShapedLink(
                 writer,
+                model,
                 sender=args.index,
                 receiver=int(index),
+                clock=runtime.clock,
                 time_scale=args.time_scale,
-                **link,
+                seed=args.seed,
             )
         runtime.add_peer(int(index), writer)
-    log.log("node_ready", peers=len(peers), shaped=link is not None)
+    log.log("node_ready", peers=len(peers), shaped=model is not None)
 
     control_host, _, control_port = args.control.rpartition(":")
     control_reader, control_writer = await _dial(
@@ -307,10 +257,10 @@ def main(argv: list[str] | None = None) -> int:
         help="seconds to keep retrying outbound dials before giving up",
     )
     parser.add_argument(
-        "--link",
+        "--network",
         default="",
-        help="JSON link-shaping params (loss/delay/jitter/duplicate/seed); "
-        "mirrors repro.sim.links on real TCP links",
+        help="the spec's JSON network section (NetworkSpec.to_dict()); its "
+        "repro.sim.links model shapes every outbound TCP link (default: reliable)",
     )
     args = parser.parse_args(argv)
     return asyncio.run(_run_node(args))

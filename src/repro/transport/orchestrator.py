@@ -13,8 +13,13 @@ the run as a simulated one is judged: :func:`load_trace` folds the logs into a
 :func:`~repro.runtime.engine.fold_checks` applies ``spec.checks`` to it, so a
 registered check means the same thing on both backends and a sweep can
 interleave them.  The record adds only what a simulated run has no use for
-(``backend``, measured ``t_fail``, ``time_scale``, ``nodes``, ``link``,
-``log_dir``).
+(``backend``, measured ``t_fail``, ``time_scale``, ``nodes``, ``log_dir``).
+
+Links follow the spec's own ``network`` section, as on the simulator: each
+node gets it as ``--network`` and writes to every peer through its
+:class:`~repro.sim.links.LinkModel` (:class:`~repro.transport.node.ShapedLink`),
+and the builder holds it to the same envelope check and ``.adversarial()``
+acknowledgement on both backends.
 
 Tunables come from ``spec.backend_params`` (all optional):
 
@@ -24,9 +29,6 @@ Tunables come from ``spec.backend_params`` (all optional):
   up and report ready before declaring the run stillborn;
 * ``mesh_deadline`` (default 20) — per-node outbound-dial budget, forwarded
   as ``--mesh-deadline`` (slow CI machines raise both of these);
-* ``link`` — a loss/delay/jitter/duplicate mapping applied to every peer
-  link via :class:`~repro.transport.node.ShapedLink`, mirroring
-  ``repro.sim.links`` envelopes on real TCP;
 * ``fault_action`` (``"kill"``/``"suspend"``) and ``resume_after`` — how the
   crash schedule is injected (see :mod:`repro.transport.faults`);
 * ``log_dir`` / ``keep_logs`` — where the JSONL evidence lands.
@@ -62,7 +64,7 @@ from ..sim.failures import FailurePattern
 from ..sim.trace import RunTrace
 from .faults import FaultPlan, fault_plan
 from .framing import encode_frame, read_frame
-from .node import MESH_DEADLINE_SECONDS, validate_link_params
+from .node import MESH_DEADLINE_SECONDS
 
 __all__ = ["execute_real_spec", "load_trace", "resolve_timeouts"]
 
@@ -158,7 +160,6 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
     time_scale = float(params.get("time_scale", DEFAULT_TIME_SCALE))
     settle = float(params.get("settle", DEFAULT_SETTLE_SECONDS))
     ready_timeout, mesh_deadline = resolve_timeouts(params)
-    link = validate_link_params(dict(params["link"])) if params.get("link") else None
     plan = fault_plan(spec, membership)
 
     explicit_dir = params.get("log_dir")
@@ -223,8 +224,8 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
                 "--log", str(log_dir / f"node{index}.jsonl"),
                 "--mesh-deadline", repr(mesh_deadline),
             ]
-            if link is not None:
-                command += ["--link", json.dumps(link)]
+            if not spec.network.is_reliable:
+                command += ["--network", json.dumps(spec.network.to_dict())]
             procs.append(
                 subprocess.Popen(command, env=env, stdout=out, stderr=subprocess.STDOUT)
             )
@@ -245,7 +246,7 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
         )
         injector.log(
             "run_start", t0=round(t0, 6), nodes=n, time_scale=time_scale,
-            link=link, shaped=link is not None,
+            network=spec.network.to_dict(),
         )
         start_frame = encode_frame({"event": "start", "t0": t0})
         for writer in ready.values():
@@ -315,8 +316,6 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
         time_scale=time_scale,
         nodes=n,
     )
-    if link is not None:
-        metrics["link"] = link
     if keep_logs:
         metrics["log_dir"] = str(log_dir)
     record = RunRecord(

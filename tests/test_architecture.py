@@ -91,13 +91,12 @@ def test_experiments_declare_and_the_planner_never_reduces() -> None:
 def test_only_the_real_backend_dispatch_imports_the_transport() -> None:
     """One judge: simulated runs are judged without ``repro.transport``.
 
-    The engine's ``backend == "real"`` dispatch, the builder's link-param
-    validation and E11 drive the real backend; a check in
-    ``runtime/registry.py`` or ``workloads/`` importing it is the second judge
-    growing back.
+    The engine's ``backend == "real"`` dispatch and E11 drive the real
+    backend; a check in ``runtime/registry.py`` or ``workloads/`` importing it
+    is the second judge growing back.
     """
     package = ROOT / "src" / "repro"
-    allowed = {"runtime/engine.py", "runtime/builder.py", "experiments/e11_sim_vs_real.py"}
+    allowed = {"runtime/engine.py", "experiments/e11_sim_vs_real.py"}
     offenders = []
     for path in sorted(package.rglob("*.py")):
         name = path.relative_to(package).as_posix()

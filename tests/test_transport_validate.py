@@ -8,14 +8,16 @@ cases (odd and even medians, empty cells), the wire framing, the ScenarioSpec
 backend round-trip (including canonical-hash preservation for pre-backend
 specs), the builder's real-backend requirement table, a *simulated*
 heartbeat run exercising the ``hb_detection`` check end to end, ``ShapedLink``
-against a fake writer, and the orchestrator's timeout parameters.  (The
-detection rule itself is judged in ``tests/test_detector_properties.py``.)
+applying each link model against a fake writer and loop, and the
+orchestrator's timeout parameters.  (The detection rule itself is judged in
+``tests/test_detector_properties.py``.)
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import random
 import time
 
 import pytest
@@ -28,7 +30,15 @@ from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import Membership
 from repro.runtime import Engine, scenario
 from repro.runtime.builder import ScenarioValidationError
-from repro.runtime.spec import ScenarioSpec, asynchronous, crashes_at, synchronous
+from repro.runtime.spec import ScenarioSpec, asynchronous, crashes_at, lossy, synchronous
+from repro.sim.links import (
+    AsymmetricLinks,
+    ComposedLinks,
+    DuplicatingLinks,
+    JitterLinks,
+    LossyLinks,
+    PartitionedLinks,
+)
 from repro.transport.__main__ import build_heartbeat_spec
 from repro.transport.context import RealNodeRuntime
 from repro.transport.framing import (
@@ -38,7 +48,7 @@ from repro.transport.framing import (
     encode_frame,
     read_frame,
 )
-from repro.transport.node import LINK_PARAM_KEYS, ShapedLink, validate_link_params
+from repro.transport.node import ShapedLink
 from repro.transport.orchestrator import DEFAULT_READY_TIMEOUT, load_trace, resolve_timeouts
 from repro.transport.validate import aggregate_cells, heatmap_csv, scatter_csv
 
@@ -358,6 +368,39 @@ def test_real_spec_round_trips_backend_params():
     assert restored.canonical_hash() == spec.canonical_hash()
 
 
+def test_e11_lossy_cell_is_one_spec_on_both_backends():
+    """The two halves of E11's lossy cell differ only in where they run."""
+
+    def without_backend(backend: str) -> dict:
+        payload = build_heartbeat_spec(loss=0.15, backend=backend).to_dict()
+        payload.pop("backend", None)
+        payload.pop("backend_params", None)
+        return payload
+
+    assert without_backend("real") == without_backend("sim")
+    assert without_backend("sim")["network"] == lossy(0.15).to_dict()
+
+
+@pytest.mark.parametrize("backend", ["sim", "real"])
+def test_one_link_envelope_for_both_backends(backend):
+    """Never-healing loss voids the HAS guarantees on either backend, so both
+    reject it unless the spec acknowledges it with ``.adversarial()``."""
+    build = (
+        scenario("lossy-heartbeat")
+        .processes(3)
+        .unique_ids()
+        .timing(asynchronous(min_latency=0.005, max_latency=0.05))
+        .program("heartbeat")
+        .network(lossy(0.3))
+        .horizon(15.0)
+        .backend(backend)
+    )
+    with pytest.raises(ScenarioValidationError, match="HAS guarantees assume reliable links"):
+        build.build()
+    spec = build.adversarial().build()
+    assert spec.backend == backend and spec.network == lossy(0.3)
+
+
 def test_unknown_backend_is_rejected():
     from repro.errors import ConfigurationError
 
@@ -434,31 +477,8 @@ def test_sim_heartbeat_run_is_deterministic():
 
 
 # ----------------------------------------------------------------------
-# ShapedLink: the real backend's twin of repro.sim.links
+# ShapedLink: the spec's link model on a real TCP link
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "params, complaint",
-    [
-        ({"loss": 1.0}, "probability"),
-        ({"loss": -0.1}, "probability"),
-        ({"duplicate": 1.5}, "probability"),
-        ({"delay": -1.0}, "non-negative"),
-        ({"jitter": -0.5}, "non-negative"),
-        ({"losss": 0.1}, "unknown link param"),
-        ("loss=0.1", "mapping"),
-    ],
-)
-def test_validate_link_params_rejects_nonsense(params, complaint) -> None:
-    with pytest.raises(ConfigurationError, match=complaint):
-        validate_link_params(params)
-
-
-def test_validate_link_params_normalizes_defaults() -> None:
-    out = validate_link_params({"loss": 0.1})
-    assert out == {"loss": 0.1, "delay": 0.0, "jitter": 0.0, "duplicate": 0.0, "seed": 0}
-    assert set(validate_link_params({})) == set(LINK_PARAM_KEYS)
-
-
 class _FakeWriter:
     def __init__(self) -> None:
         self.frames: list[bytes] = []
@@ -474,11 +494,37 @@ class _FakeWriter:
         self.closed = True
 
 
-def _deliveries(seed: int, *, loss: float = 0.3, duplicate: float = 0.0) -> list[bytes]:
-    writer = _FakeWriter()
-    link = ShapedLink(
-        writer, sender=0, receiver=1, loss=loss, duplicate=duplicate, seed=seed
+class _FakeLoopClock:
+    """The link's clock (``now``, scenario time) and its loop (``call_later``
+    records the deferred write instead of waiting; ``fire`` runs them)."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.pending: list[tuple[float, object, tuple]] = []
+
+    def call_later(self, delay, callback, *args) -> None:
+        self.pending.append((delay, callback, args))
+
+    def fire(self) -> None:
+        pending, self.pending = self.pending, []
+        for _delay, callback, args in pending:
+            callback(*args)
+
+
+_LINK_SEED = 7
+_LINK_TIME_SCALE = 0.01
+
+
+def _shaped_link(writer, model, *, receiver: int = 1, seed: int = _LINK_SEED, clock=None):
+    return ShapedLink(
+        writer, model, sender=0, receiver=receiver, clock=clock or _FakeLoopClock(),
+        time_scale=_LINK_TIME_SCALE, seed=seed,
     )
+
+
+def _deliveries(seed: int, *, receiver: int = 1) -> list[bytes]:
+    writer = _FakeWriter()
+    link = _shaped_link(writer, LossyLinks(loss=0.3), receiver=receiver, seed=seed)
     for index in range(200):
         link.write(b"frame-%03d" % index)
     return writer.frames
@@ -492,51 +538,98 @@ def test_shaped_link_loss_is_seed_deterministic() -> None:
 
 
 def test_shaped_link_rng_is_per_link_not_shared() -> None:
-    writer_a, writer_b = _FakeWriter(), _FakeWriter()
-    link_a = ShapedLink(writer_a, sender=0, receiver=1, loss=0.3, seed=41)
-    link_b = ShapedLink(writer_b, sender=0, receiver=2, loss=0.3, seed=41)
-    for index in range(200):
-        frame = b"frame-%03d" % index
-        link_a.write(frame)
-        link_b.write(frame)
-    assert writer_a.frames != writer_b.frames  # distinct streams per (s, r)
+    # distinct streams per (sender, receiver) under one seed
+    assert _deliveries(41, receiver=1) != _deliveries(41, receiver=2)
 
 
 def test_shaped_link_duplication_writes_extra_copies() -> None:
     writer = _FakeWriter()
-    link = ShapedLink(writer, sender=0, receiver=1, duplicate=0.5, seed=7)
-    for index in range(100):
-        link.write(b"frame-%03d" % index)
-    assert link.duplicated > 0
-    assert len(writer.frames) == 100 + link.duplicated
-    assert link.dropped == 0
+    link = _shaped_link(writer, DuplicatingLinks(probability=0.5, spread=0.0))
+    frames = [b"frame-%03d" % index for index in range(100)]
+    for frame in frames:
+        link.write(frame)
+    assert set(writer.frames) == set(frames)  # nothing is dropped…
+    assert 100 < len(writer.frames) < 200  # …and about half are written twice
 
 
 def test_shaped_link_delay_defers_the_write_via_the_loop() -> None:
-    async def scenario() -> tuple[ShapedLink, _FakeWriter]:
+    async def scenario() -> _FakeWriter:
         writer = _FakeWriter()
-        link = ShapedLink(
-            writer, sender=0, receiver=1, delay=0.5, jitter=0.5,
-            time_scale=0.01, seed=3,
-        )
+        link = _shaped_link(writer, JitterLinks(max_jitter=0.5))
         for index in range(10):
             link.write(b"frame-%03d" % index)
         assert writer.frames == []  # nothing lands synchronously
-        await asyncio.sleep(0.05)  # > (delay + jitter) × time_scale
-        return link, writer
+        await asyncio.sleep(0.05)  # > max_jitter × time_scale
+        return writer
 
-    link, writer = asyncio.run(scenario())
-    assert link.delayed == 10
-    assert len(writer.frames) == 10
+    assert len(asyncio.run(scenario()).frames) == 10
 
 
-def test_shaped_link_does_not_write_to_a_closing_writer() -> None:
+def test_shaped_link_does_not_write_to_a_closing_writer(monkeypatch) -> None:
+    loop = _FakeLoopClock()
+    monkeypatch.setattr(asyncio, "get_running_loop", lambda: loop)
     writer = _FakeWriter()
-    link = ShapedLink(writer, sender=0, receiver=1, seed=0)
-    writer.closed = True
+    link = _shaped_link(writer, DuplicatingLinks(probability=1.0, spread=1.0), clock=loop)
     link.write(b"frame")
-    assert writer.frames == []
+    assert writer.frames == [b"frame"] and len(loop.pending) == 1
+    writer.closed = True
+    loop.fire()  # the delayed copy finds the writer closing
+    link.write(b"later")
+    assert writer.frames == [b"frame"]
     assert link.is_closing()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        pytest.param(LossyLinks(loss=0.3), id="lossy"),
+        pytest.param(DuplicatingLinks(probability=0.5, spread=2.0), id="duplicating"),
+        pytest.param(JitterLinks(max_jitter=1.5), id="jitter"),
+        pytest.param(AsymmetricLinks(extra={"0->1": 2.0}, default=0.5), id="asymmetric"),
+        pytest.param(
+            PartitionedLinks.from_windows([{"start": 10.0, "end": 20.0, "groups": [[0], [1, 2]]}]),
+            id="partitioned",
+        ),
+        pytest.param(
+            ComposedLinks(
+                (
+                    LossyLinks(loss=0.2, end=25.0),
+                    DuplicatingLinks(probability=0.3, spread=1.0),
+                    JitterLinks(max_jitter=0.5, start=15.0),
+                )
+            ),
+            id="composed",
+        ),
+    ],
+)
+def test_shaped_link_writes_what_its_link_model_delivers(model, monkeypatch) -> None:
+    """Each frame is one copy sent at ``now``: the link writes it once per time
+    ``model.deliveries`` returns under the link's own seeded stream, at once when
+    the model adds no delay and ``(t − now) × time_scale`` later otherwise."""
+    loop = _FakeLoopClock()
+    monkeypatch.setattr(asyncio, "get_running_loop", lambda: loop)
+    sent = [(index * 0.5, b"frame-%03d" % index) for index in range(60)]
+
+    for receiver in (1, 2):
+        rng = random.Random(f"shaped-link:{_LINK_SEED}:0:{receiver}")
+        want = [
+            ((when - now) * _LINK_TIME_SCALE, frame)
+            for now, frame in sent
+            for when in model.deliveries(ProcessId(0), ProcessId(receiver), now, (now,), rng)
+        ]
+        writer = _FakeWriter()
+        link = _shaped_link(writer, model, receiver=receiver, clock=loop)
+        for now, frame in sent:
+            loop.now = now
+            link.write(frame)
+        # nothing the model delays lands synchronously…
+        assert writer.frames == [frame for delay, frame in want if delay == 0.0]
+        # …it waits on the loop for exactly the model's delay, scaled to wall time
+        assert [(delay, args[0]) for delay, _, args in loop.pending] == [
+            (delay, frame) for delay, frame in want if delay > 0.0
+        ]
+        loop.fire()
+        assert sorted(writer.frames) == sorted(frame for _, frame in want)
 
 
 # ----------------------------------------------------------------------
