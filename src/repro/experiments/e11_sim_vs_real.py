@@ -30,8 +30,13 @@ from pathlib import Path
 
 from ..runtime import ScenarioSpec
 from ..transport.__main__ import build_heartbeat_spec
-from ..transport.orchestrator import DEFAULT_TIME_SCALE
-from ..transport.validate import aggregate_cells, heatmap_csv, scatter_csv, units_to_ms
+from ..transport.validate import (
+    DEFAULT_TIME_SCALE,
+    aggregate_cells,
+    heatmap_csv,
+    scatter_csv,
+    units_to_ms,
+)
 from .base import Call, Experiment
 
 __all__ = ["run"]

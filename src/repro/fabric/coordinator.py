@@ -65,6 +65,12 @@ for 1 worker or 40, first run or third resume, which is what
 ``python -m repro.verify`` (its ``fabric``, ``kill``, ``stall`` and ``resume``
 legs) checks mechanically.  It carries no fault hooks: those legs pass
 ``fleet=`` a :class:`~repro.verify.faults.ChaosFleet` that breaks the run.
+
+**The fleet seam.**  ``fleet=`` is any callable ``(workers, progress_timeout=…)``
+returning a fleet.  It defaults to :class:`~repro.runtime.fleet.Fleet`,
+imported when the coordinator is built rather than when this module is, so a
+process that only plans, merges or reads a state directory never loads
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -79,17 +85,19 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..analysis.runner import jsonl_line
 from ..errors import ReproError
 from ..events import EventLog, read_events
 from ..runtime.cache import RunCache
 from ..runtime.executors import CHUNKS_PER_WORKER
-from ..runtime.fleet import Event, Fleet
 from .digests import CORE_EXPERIMENTS, fold_digests, fold_named
 from .plan import FabricPlan, WorkItem
 from .work import ItemResult, execute_item
+
+if TYPE_CHECKING:
+    from ..runtime.fleet import Event, Fleet
 
 __all__ = ["FabricError", "FabricResult", "Coordinator"]
 
@@ -202,7 +210,7 @@ class Coordinator:
         max_retries: int = 2,
         progress_timeout: float | None = DEFAULT_PROGRESS_TIMEOUT,
         allow_partial: bool = False,
-        fleet: Callable[..., Fleet] = Fleet,
+        fleet: Callable[..., Fleet] | None = None,
     ) -> None:
         if workers < 1:
             raise FabricError(f"workers must be at least 1, got {workers}")
@@ -217,6 +225,10 @@ class Coordinator:
         self.max_retries = max_retries
         self.progress_timeout = progress_timeout
         self.allow_partial = allow_partial
+        if fleet is None:
+            from ..runtime.fleet import Fleet  # here: planning never loads multiprocessing
+
+            fleet = Fleet
         self.fleet = fleet
         self.plan = self._adopt_plan(plan)
 

@@ -33,7 +33,6 @@ from contextlib import closing
 from typing import Any, Callable, Iterable, Iterator, Protocol
 
 from ..errors import ConfigurationError, WorkerCrashError
-from .fleet import Fleet
 
 __all__ = [
     "Executor",
@@ -132,6 +131,8 @@ class WorkerPool:
         if jobs is not None and jobs < 1:
             raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
         self.jobs = jobs or (os.cpu_count() or 1)
+        from .fleet import Fleet  # here: a serial process never loads multiprocessing
+
         self.fleet = Fleet(self.jobs)
         #: One line per pool crash over this executor's lifetime ("attempt N:
         #: cause"); folded into every WorkerCrashError so repeated respawn-

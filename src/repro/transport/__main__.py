@@ -19,12 +19,12 @@ E11: ``python -m repro.experiments E11``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
 from ..runtime import Engine, scenario
 from ..runtime.spec import asynchronous, crashes_at, lossy
+from .validate import DEFAULT_TIME_SCALE
 
 __all__ = ["main", "build_heartbeat_spec"]
 
@@ -38,7 +38,7 @@ def build_heartbeat_spec(
     victims: int = 1,
     seed: int = 0,
     backend: str = "sim",
-    time_scale: float = 0.05,
+    time_scale: float = DEFAULT_TIME_SCALE,
     log_dir: str | None = None,
     loss: float = 0.0,
     fault_action: str = "kill",
@@ -89,6 +89,8 @@ def build_heartbeat_spec(
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, not at the top: E11 imports this module for its builder
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.transport",
         description="Run one heartbeat detection scenario on the sim or real backend.",
@@ -101,7 +103,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--victims", type=int, default=1, help="how many nodes to kill")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--time-scale", type=float, default=0.05, help="wall seconds per time unit (real)"
+        "--time-scale",
+        type=float,
+        default=DEFAULT_TIME_SCALE,
+        help="wall seconds per time unit (real)",
     )
     parser.add_argument("--log-dir", help="keep the JSONL node logs here (real)")
     parser.add_argument(

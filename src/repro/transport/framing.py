@@ -8,15 +8,19 @@ split) and ``json.loads`` on a read chunk would be a correctness lottery.
 The functions are deliberately tiny and synchronous-friendly: ``encode_frame``
 returns bytes, ``decode_frames`` incrementally consumes a buffer (usable in
 tests without sockets), and ``read_frame`` is the asyncio reader used by
-nodes and the orchestrator.
+nodes and the orchestrator.  The module imports no ``asyncio``: the
+synchronous codec is all a simulator process needs, and ``read_frame`` only
+ever runs inside an event loop that has already loaded it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    import asyncio
 
 __all__ = ["MAX_FRAME_BYTES", "encode_frame", "decode_frames", "read_frame", "FramingError"]
 
@@ -39,6 +43,14 @@ def encode_frame(payload: Any) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
+def _announced_length(header: bytes | bytearray) -> int:
+    """The payload length a frame header announces, refusing oversized ones."""
+    (length,) = _LENGTH.unpack_from(header)
+    if length > MAX_FRAME_BYTES:
+        raise FramingError(f"announced frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return length
+
+
 def decode_frames(buffer: bytearray) -> list[Any]:
     """Consume every complete frame at the front of ``buffer`` (in place).
 
@@ -49,10 +61,7 @@ def decode_frames(buffer: bytearray) -> list[Any]:
     while True:
         if len(buffer) < _LENGTH.size:
             return frames
-        (length,) = _LENGTH.unpack_from(buffer)
-        if length > MAX_FRAME_BYTES:
-            raise FramingError(f"announced frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-        end = _LENGTH.size + length
+        end = _LENGTH.size + _announced_length(buffer)
         if len(buffer) < end:
             return frames
         body = bytes(buffer[_LENGTH.size : end])
@@ -62,17 +71,16 @@ def decode_frames(buffer: bytearray) -> list[Any]:
 
 async def read_frame(reader: asyncio.StreamReader) -> Any | None:
     """Read exactly one frame, or ``None`` on a clean EOF between frames."""
+    from asyncio import IncompleteReadError
+
     try:
         header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as error:
+    except IncompleteReadError as error:
         if not error.partial:
             return None
         raise FramingError("connection closed mid-frame") from error
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(f"announced frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
     try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
+        body = await reader.readexactly(_announced_length(header))
+    except IncompleteReadError as error:
         raise FramingError("connection closed mid-frame") from error
     return json.loads(body.decode("utf-8"))

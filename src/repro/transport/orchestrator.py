@@ -65,11 +65,10 @@ from ..sim.trace import RunTrace
 from .faults import FaultPlan, fault_plan
 from .framing import encode_frame, read_frame
 from .node import MESH_DEADLINE_SECONDS
+from .validate import DEFAULT_TIME_SCALE
 
 __all__ = ["execute_real_spec", "load_trace", "resolve_timeouts"]
 
-#: Default wall seconds per scenario time unit (0.05 ⇒ a 20-unit run ≈ 1 s).
-DEFAULT_TIME_SCALE = 0.05
 #: Margin between "all nodes ready" and t0, so every node sees the start frame
 #: and wakes on the common origin.
 DEFAULT_SETTLE_SECONDS = 0.3

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
 import re
 import subprocess
 import sys
@@ -112,6 +113,42 @@ def test_only_the_real_backend_dispatch_imports_the_transport() -> None:
     assert not offenders, "only the real-backend dispatch may import repro.transport:\n" + "\n".join(
         offenders
     )
+
+
+def test_a_simulator_process_loads_only_the_simulator() -> None:
+    """The real backend and the worker fleet load on first use, never on import.
+
+    A fresh interpreter imports what ``bench/`` imports from the library; none
+    of the TCP backend, ``asyncio`` (with ``ssl``), ``multiprocessing`` or a CLI
+    parser may come along, or every simulator process pays for them.
+    """
+    probe = (
+        "import sys\n"
+        "import repro.experiments, repro.fabric, repro.runtime, repro.transport.framing\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    forbidden = [
+        "asyncio",
+        "ssl",
+        "socket",
+        "multiprocessing",
+        "concurrent.futures",
+        "argparse",
+        "repro.transport.orchestrator",
+        "repro.transport.node",
+        "repro.transport.context",
+        "repro.runtime.fleet",
+    ]
+    offenders = [name for name in forbidden if name in loaded]
+    assert not offenders, f"importing the simulator side loads {', '.join(offenders)}"
 
 
 def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
