@@ -32,7 +32,8 @@ The pieces:
 * :mod:`~repro.runtime.engine` — the :class:`Engine`, :class:`RunRecord`,
   and the module-level :func:`execute_spec` worker entry point, whose two
   halves are :func:`simulate_spec` (spec → finished ``Simulation``, for
-  callers that read the trace) and :func:`measure_run` (→ ``RunRecord``);
+  callers that read the trace) and :func:`measure_run` (→ ``RunRecord``) —
+  the one simulator run path, KV specs included;
 * :mod:`~repro.runtime.executors` — :class:`SerialExecutor` and the
   persistent warm :class:`WorkerPool`;
 * :mod:`~repro.runtime.fleet` — the one supervised fleet of worker processes

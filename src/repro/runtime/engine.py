@@ -190,18 +190,11 @@ def execute_spec(spec: ScenarioSpec) -> RunRecord:
     """
     if spec.backend == "real":
         # The asyncio/TCP backend: the same program objects as real OS
-        # processes over real sockets; imported lazily for the same
-        # acyclicity reason as the KV runner below.
+        # processes over real sockets; imported lazily so a simulator
+        # process never loads asyncio.
         from ..transport.orchestrator import execute_real_spec
 
         return execute_real_spec(spec)
-    if spec.kv is not None:
-        # The KV service workload has its own materialisation (replica group
-        # + client processes); imported lazily to keep the import graph
-        # acyclic (the KV runner imports RunRecord from this module).
-        from ..workloads.kv.runner import execute_kv_spec
-
-        return execute_kv_spec(spec)
     simulation = simulate_spec(spec)
     record = measure_run(spec, simulation)
     simulation.close()
@@ -212,16 +205,50 @@ def simulate_spec(spec: ScenarioSpec) -> Simulation:
     """Materialise one simulator scenario and run it: the finished simulation.
 
     The first half of :func:`execute_spec`, for callers that read the trace
-    themselves (E1–E3 report what a record does not carry): build the system,
-    run to the horizon — or, with a consensus algorithm, until every correct
-    process has decided.  ``simulation.trace`` / ``.failure_pattern`` /
-    ``.digest`` are the outcome.
+    themselves (E1–E3 report what a record does not carry, the KV command
+    line how its history certified): build the system, run to the horizon —
+    or, with a consensus algorithm, until every correct process has decided;
+    with a ``kv`` section, until every client is done.
+    ``simulation.trace`` / ``.failure_pattern`` / ``.digest`` are the outcome.
     """
-    if spec.kv is not None or spec.backend != "sim":
+    if spec.backend != "sim":
         raise ConfigurationError(
-            "KV and real-backend scenarios materialise their own system: use execute_spec"
+            f"simulate_spec runs simulator scenarios only; {spec.name!r} has "
+            f"backend={spec.backend!r}: run it with execute_spec"
         )
     membership = spec.membership.build()
+    schedule = spec.crashes.build(membership)
+    detectors = {
+        detector.name: DETECTORS.resolve(detector.name)(detector.params)
+        for detector in spec.detectors
+    }
+    if spec.kv is not None:
+        # Imported lazily: the KV workload is loaded only by the runs that use it.
+        from ..workloads.kv.runner import kv_system
+
+        membership, factory, detectors, stop_when = kv_system(
+            spec, membership, schedule, detectors
+        )
+    else:
+        factory = _program_factory(spec, membership)
+        stop_when = Simulation.all_correct_decided if spec.consensus else None
+    system = build_system(
+        membership=membership,
+        timing=spec.timing.build(),
+        program_factory=factory,
+        crash_schedule=schedule,
+        detectors=detectors,
+        links=None if spec.network.is_reliable else spec.network.build(),
+        seed=spec.seed,
+        name=spec.name,
+    )
+    simulation = Simulation(system)
+    simulation.run(until=spec.horizon, stop_when=stop_when)
+    return simulation
+
+
+def _program_factory(spec: ScenarioSpec, membership: Membership) -> Callable:
+    """The ``(pid, identity) -> program`` factory of a program / consensus spec."""
     proposals = distinct_proposals(membership) if spec.consensus else None
 
     consensus_factory = (
@@ -252,32 +279,23 @@ def simulate_spec(spec: ScenarioSpec) -> Simulation:
             programs.append(consensus_factory(proposals[pid]))
         return programs[0] if len(programs) == 1 else CompositeProgram(*programs)
 
-    system = build_system(
-        membership=membership,
-        timing=spec.timing.build(),
-        program_factory=factory,
-        crash_schedule=spec.crashes.build(membership),
-        detectors={
-            detector.name: DETECTORS.resolve(detector.name)(detector.params)
-            for detector in spec.detectors
-        },
-        links=None if spec.network.is_reliable else spec.network.build(),
-        seed=spec.seed,
-        name=spec.name,
-    )
-    simulation = Simulation(system)
-    simulation.run(
-        until=spec.horizon,
-        stop_when=Simulation.all_correct_decided if spec.consensus else None,
-    )
-    return simulation
+    return factory
 
 
 def measure_run(spec: ScenarioSpec, simulation: Simulation) -> RunRecord:
-    """The record of a finished :func:`simulate_spec` run: validate, collect metrics."""
+    """The record of a finished :func:`simulate_spec` run: validate, collect metrics.
+
+    A KV run is measured by its client history
+    (:func:`~repro.workloads.kv.metrics.kv_metrics`), a consensus run by its
+    decisions; the spec's checks are folded in either way.
+    """
     trace, pattern = simulation.trace, simulation.failure_pattern
     metrics: dict[str, Any] = {}
-    if spec.consensus:
+    if spec.kv is not None:
+        from ..workloads.kv.metrics import kv_metrics
+
+        metrics = kv_metrics(trace)
+    elif spec.consensus:
         proposals = distinct_proposals(simulation.system.membership)
         verdict = validate_consensus(trace, pattern, proposals, require_termination=False)
         measured = consensus_metrics(trace, pattern, verdict)

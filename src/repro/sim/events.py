@@ -14,7 +14,7 @@ entry is ``action(*args)``.
 
 ``handle`` says who may cancel the entry:
 
-* :meth:`EventQueue.schedule` returns an :class:`Event` — a two-field
+* :meth:`EventQueue.schedule` returns an :class:`Event` — a one-field
   cancel-handle — and stores it in the entry.  Its holders are whoever called
   ``schedule``: a :class:`~repro.sim.process.ProcessRuntime` keeps the handle
   of each pending task resumption (a crash cancels them), and a detector may
@@ -66,19 +66,14 @@ class Event:
     """The cancel-handle of one scheduled entry.
 
     ``pending`` is true from ``schedule`` until the entry is popped or
-    cancelled, whichever comes first; ``label`` is a debug-only description
-    (see :class:`EventQueue`).  Pass the handle to :meth:`EventQueue.cancel`.
+    cancelled, whichever comes first.  Pass the handle to
+    :meth:`EventQueue.cancel`.
     """
 
-    __slots__ = ("pending", "label")
+    __slots__ = ("pending",)
 
-    def __init__(self, label: str = "") -> None:
+    def __init__(self) -> None:
         self.pending = True
-        self.label = label
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "pending" if self.pending else "done"
-        return f"Event({state}, {self.label!r})" if self.label else f"Event({state})"
 
 
 class EventQueue:
@@ -88,21 +83,15 @@ class EventQueue:
     ``priority`` breaks ties at equal times: lower runs first.  Message
     deliveries use priority 1 and internal wake-ups priority 2 so that a
     process woken at time T sees every message delivered at T.
-
-    ``debug_labels`` gates the construction of diagnostic event labels: when
-    it is ``False`` (the default) callers skip building their label strings,
-    which keeps the broadcast hot path free of f-string formatting.  Flip it
-    to ``True`` before a run to get labelled events for debugging.
     """
 
-    def __init__(self, *, debug_labels: bool = False) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple] = []
         self._sequence = 0
         # Cancelled entries are dropped lazily, when they reach the head of
         # the heap; until then they are counted here so ``len`` stays exact.
         self._cancelled = 0
         self._digest = 0
-        self.debug_labels = debug_labels
 
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled
@@ -119,8 +108,8 @@ class EventQueue:
         kind)`` into a 64-bit running hash.  Two runs with the same digest
         dispatched exactly the same events in exactly the same order, so the
         digest is a cheap, always-on witness that a refactor (or a parallel
-        executor) left behaviour unchanged.  The action, its arguments and
-        the label are deliberately excluded.
+        executor) left behaviour unchanged.  The action and its arguments are
+        deliberately excluded.
         """
         return self._digest
 
@@ -131,7 +120,6 @@ class EventQueue:
         *,
         args: tuple = (),
         priority: int = 0,
-        label: str = "",
         kind: int = KIND_INTERNAL,
         not_before: Time = 0.0,
     ) -> Event:
@@ -142,7 +130,7 @@ class EventQueue:
         """
         if not time >= not_before:
             raise _not_a_future_time(time, not_before)
-        handle = Event(label)
+        handle = Event()
         sequence = self._sequence
         self._sequence = sequence + 1
         heappush(self._heap, (float(time), priority, sequence, kind, action, args, handle))

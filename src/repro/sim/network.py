@@ -168,30 +168,15 @@ class Network:
             callbacks = self._deliver_to_everyone
         else:
             callbacks = [deliver[receiver.index] for receiver in recipients]
-        queue = self._queue
         try:
-            if queue.debug_labels:
-                # The labelled spelling of ``schedule_all``, one handle per copy.
-                for receiver, when, callback in zip(recipients, times, callbacks):
-                    if when is not None:
-                        queue.schedule(
-                            when,
-                            callback,
-                            args=(message,),
-                            priority=_DELIVERY_PRIORITY,
-                            label=f"deliver {message.kind} to {receiver!r}",
-                            kind=KIND_DELIVERY,
-                            not_before=sent_at,
-                        )
-            else:
-                queue.schedule_all(
-                    times,
-                    callbacks,
-                    (message,),
-                    priority=_DELIVERY_PRIORITY,
-                    kind=KIND_DELIVERY,
-                    not_before=sent_at,
-                )
+            self._queue.schedule_all(
+                times,
+                callbacks,
+                (message,),
+                priority=_DELIVERY_PRIORITY,
+                kind=KIND_DELIVERY,
+                not_before=sent_at,
+            )
         except SchedulingError as error:
             for when in times:
                 if when is not None and not when >= sent_at:

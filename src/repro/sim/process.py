@@ -274,9 +274,6 @@ class ProcessRuntime:
             self._resume,
             args=(task,),
             priority=2,
-            label=f"resume {self.process_id!r}.{task.name}"
-            if self._queue.debug_labels
-            else "",
             kind=KIND_RESUME,
             not_before=self.clock.now,
         )
@@ -321,9 +318,6 @@ class ProcessRuntime:
             self._resume,
             args=(task,),
             priority=2,
-            label=f"sync-step {self.process_id!r}.{task.name}"
-            if self._queue.debug_labels
-            else "",
             kind=KIND_RESUME,
             not_before=self.clock.now,
         )

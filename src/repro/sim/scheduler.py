@@ -15,10 +15,9 @@ dropped open is freed only by the cyclic garbage collector.  ``close`` breaks
 those cycles and reference counting frees the run at once; what the run
 produced (trace, failure pattern, digest, event count) stays readable.  Whoever
 creates a run closes it once it has read what it needs:
-:func:`~repro.runtime.engine.execute_spec`,
-:func:`~repro.workloads.kv.runner.execute_kv_spec` and
-:func:`~repro.experiments.base.simulate_and_check` do; ``simulate_spec`` and
-``simulate_kv_spec`` hand their run back open.
+:func:`~repro.runtime.engine.execute_spec` and
+:func:`~repro.experiments.base.simulate_and_check` do; ``simulate_spec`` hands
+its run back open.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ class Simulation:
     def __init__(self, system: System) -> None:
         self.system = system
         self.clock = Clock()
-        self.queue = EventQueue(debug_labels=system.debug)
+        self.queue = EventQueue()
         self.trace = RunTrace()
         self.rng_streams = RngStreams(system.seed)
         self.failure_pattern: FailurePattern = system.failure_pattern()
@@ -152,9 +151,7 @@ class Simulation:
         )
 
     def _schedule_callback(self, when: Time, action: Callable[[], None]):
-        return self.queue.schedule(
-            when, action, priority=3, label="detector-wakeup", kind=KIND_DETECTOR
-        )
+        return self.queue.schedule(when, action, priority=3, kind=KIND_DETECTOR)
 
     # ------------------------------------------------------------------
     # Execution

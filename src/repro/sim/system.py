@@ -117,11 +117,7 @@ class CompositeProgram(ProcessProgram):
 
 @dataclass
 class System:
-    """A complete, declarative run configuration.
-
-    ``debug`` opts one run into diagnostic mode: the simulation's event queue
-    builds human-readable event labels (skipped on the hot path otherwise).
-    """
+    """A complete, declarative run configuration."""
 
     membership: Membership
     timing: TimingModel
@@ -132,7 +128,6 @@ class System:
     model: SystemModel = SystemModel.HAS
     seed: int = 0
     name: str = ""
-    debug: bool = False
 
     def __post_init__(self) -> None:
         # Building the pattern is also what validates the schedule.
@@ -172,7 +167,6 @@ def build_system(
     model: SystemModel | None = None,
     seed: int = 0,
     name: str = "",
-    debug: bool = False,
 ) -> System:
     """Build a :class:`System`, inferring the model from the timing when omitted."""
     if model is None:
@@ -187,7 +181,6 @@ def build_system(
         model=model,
         seed=seed,
         name=name,
-        debug=debug,
     )
 
 

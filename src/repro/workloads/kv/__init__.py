@@ -44,7 +44,6 @@ from .linearizability import (
 )
 from .metrics import kv_metrics, percentile
 from .replica import ReplicatedKVProgram
-from .runner import execute_kv_spec
 
 __all__ = [
     "ApplyResult",
@@ -59,7 +58,6 @@ __all__ = [
     "check_kv_linearizable",
     "decode_command",
     "encode_command",
-    "execute_kv_spec",
     "history_from_trace",
     "kv_metrics",
     "percentile",

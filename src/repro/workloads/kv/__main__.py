@@ -1,11 +1,13 @@
 """Run one certified KV scenario from the command line.
 
-``python -m repro.workloads.kv`` builds a quick scenario, runs it, prints the
-service metrics, the determinism digest and how the history was certified
-(keys settled by their version order, keys searched, states explored), and
-exits non-zero unless the client history is linearizable and, outside
-``--fault lossy``, every issued operation completed — which is how CI keeps a
-hard correctness and liveness gate on the service.
+``python -m repro.workloads.kv`` builds a quick scenario, runs and measures it
+with the engine's :func:`~repro.runtime.simulate_spec` and
+:func:`~repro.runtime.measure_run`, prints the service metrics, the
+determinism digest and how the history was certified (keys settled by their
+version order, keys searched, states explored), and exits non-zero unless the
+client history is linearizable and, outside ``--fault lossy``, every issued
+operation completed — which is how CI keeps a hard correctness and liveness
+gate on the service.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ...runtime import lossy, minority, scenario
+from ...runtime import lossy, measure_run, minority, scenario, simulate_spec
 from .linearizability import check_history, history_from_trace
-from .runner import measure_kv_run, simulate_kv_spec
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,8 +58,8 @@ def main(argv: list[str] | None = None) -> int:
         builder = builder.network(lossy(0.05)).adversarial()
     spec = builder.build()
 
-    simulation = simulate_kv_spec(spec)
-    record = measure_kv_run(spec, simulation)
+    simulation = simulate_spec(spec)
+    record = measure_run(spec, simulation)
 
     print(f"scenario: {spec.name} (seed={spec.seed})  digest: {record.digest}")
     for key in sorted(record.metrics):

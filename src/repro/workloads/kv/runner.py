@@ -1,13 +1,14 @@
-"""Materialise and execute a KV scenario spec (the engine's KV branch).
+"""What a KV scenario spec adds to a simulator run.
 
-:func:`execute_kv_spec` mirrors :func:`repro.runtime.engine.execute_spec` for
-specs with a ``kv`` section: the scenario's membership becomes the *replica
-group* (homonymy, crash schedule, and the chosen algorithm's assumptions all
-judged against it), and ``kv.clients`` uniquely-named client processes are
-appended to the simulated system.  Replicas and clients share one event
-queue, one link model, and one crash schedule scope, so the full fault
-envelope (loss, partitions, jitter, crashes, detector stabilization) applies
-to the service end to end.
+:func:`repro.runtime.engine.simulate_spec` builds, runs and measures every
+simulator scenario; for a spec with a ``kv`` section it asks
+:func:`kv_system` for the four things the service changes.  The scenario's
+membership is the *replica group* (homonymy, crash schedule, and the chosen
+algorithm's assumptions all judged against it), and ``kv.clients``
+uniquely-named client processes are appended to the simulated system.
+Replicas and clients share one event queue, one link model, and one crash
+schedule scope, so the full fault envelope (loss, partitions, jitter,
+crashes, detector stabilization) applies to the service end to end.
 
 Who hears what: announcements go to the group, answers go to the asker's
 identifier.  Replicas hold indices ``range(r)``; consensus slot traffic,
@@ -31,17 +32,15 @@ the pool executors exactly like consensus specs.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Mapping
 
 from ...membership import Membership
-from ...sim import Simulation, build_system
-from ...sim.failures import FailurePattern
+from ...sim.failures import CrashSchedule, FailurePattern
 from ...sim.system import DetectorServices
 from .clients import ClientLoad, KVClientProgram
-from .metrics import kv_metrics
 from .replica import ReplicatedKVProgram
 
-__all__ = ["execute_kv_spec", "measure_kv_run", "simulate_kv_spec"]
+__all__ = ["kv_system"]
 
 
 class _ReplicaScopedDetector:
@@ -64,24 +63,24 @@ class _ReplicaScopedDetector:
         return self._factory(scoped)
 
 
-def execute_kv_spec(spec) -> "Any":
-    """Run one KV scenario and return its :class:`~repro.runtime.engine.RunRecord`."""
-    simulation = simulate_kv_spec(spec)
-    record = measure_kv_run(spec, simulation)
-    simulation.close()
-    return record
+def kv_system(
+    spec,
+    replica_membership: Membership,
+    schedule: CrashSchedule,
+    detectors: Mapping[str, Any],
+) -> tuple[Membership, Callable, dict, Callable]:
+    """``(membership, program_factory, detectors, stop_when)`` of one KV run.
 
-
-def simulate_kv_spec(spec) -> Simulation:
-    """Materialise one KV scenario and run it until every client is done.
-
-    The first half of :func:`execute_kv_spec`, for callers that read the
-    trace themselves (the command line reports how its history certified).
+    ``replica_membership`` and ``schedule`` are the spec's membership and
+    crash schedule as the engine built them, and ``detectors`` its detector
+    factories.  The membership returned appends the clients to the replica
+    group, the factory builds a replica or a client by index, the detectors
+    are the given ones scoped to the replica group, and ``stop_when`` holds
+    once every client is done.
     """
-    from ...runtime.registry import CONSENSUS, DETECTORS
+    from ...runtime.registry import CONSENSUS
 
     kv = spec.kv
-    replica_membership = spec.membership.build()
     replica_count = replica_membership.size
     replica_identities = [
         replica_membership.identity_of(process) for process in replica_membership.processes
@@ -92,7 +91,6 @@ def simulate_kv_spec(spec) -> Simulation:
     # The crash schedule is authored over the replica group (clients are not
     # crash targets); replica pids keep their indices in the full membership,
     # so the same schedule is valid for both.
-    schedule = spec.crashes.build(replica_membership)
     replica_pattern = FailurePattern(replica_membership, schedule)
 
     # Per-slot instances must not spam the trace with per-round records
@@ -146,41 +144,8 @@ def simulate_kv_spec(spec) -> Simulation:
             on_finished=client_finished,
         )
 
-    detectors = {
-        detector.name: _ReplicaScopedDetector(
-            DETECTORS.resolve(detector.name)(detector.params),
-            replica_membership,
-            replica_pattern,
-        )
-        for detector in spec.detectors
+    scoped = {
+        name: _ReplicaScopedDetector(detector, replica_membership, replica_pattern)
+        for name, detector in detectors.items()
     }
-
-    system = build_system(
-        membership=full_membership,
-        timing=spec.timing.build(),
-        program_factory=factory,
-        crash_schedule=schedule,
-        detectors=detectors,
-        links=None if spec.network.is_reliable else spec.network.build(),
-        seed=spec.seed,
-        name=spec.name,
-    )
-    simulation = Simulation(system)
-    simulation.run(until=spec.horizon, stop_when=lambda sim: not clients_at_work)
-    return simulation
-
-
-def measure_kv_run(spec, simulation: Simulation) -> "Any":
-    """The record of a finished :func:`simulate_kv_spec` run: metrics and checks."""
-    from ...runtime.engine import RunRecord, fold_checks
-
-    trace = simulation.trace
-    metrics = kv_metrics(trace)
-    metrics.update(fold_checks(trace, simulation.failure_pattern, spec.checks))
-    return RunRecord(
-        scenario=spec.name,
-        seed=spec.seed,
-        config=spec.to_dict(),
-        metrics=metrics,
-        digest=simulation.digest,
-    )
+    return full_membership, factory, scoped, lambda sim: not clients_at_work

@@ -334,11 +334,11 @@ def test_the_registry_registers_the_reduction_table_and_restates_nothing() -> No
     assert builders == ["src/repro/reductions/table.py"]
 
 
-def test_a_run_is_a_spec_two_modules_materialise_a_system() -> None:
-    """One way to dispatch work: outside ``sim/`` only the engine (every spec) and
-    the KV runner (replicas + clients) call ``build_system``; an experiment that
-    imports ``repro.sim`` is hand-wiring a run no ``ScenarioSpec`` names, and the
-    pre-PR-1 ``Scenario`` classes stay gone."""
+def test_a_run_is_a_spec_one_module_materialises_a_system() -> None:
+    """One way to dispatch work: outside ``sim/`` only the engine calls
+    ``build_system`` — for every simulator spec, a KV spec's replicas + clients
+    included; an experiment that imports ``repro.sim`` is hand-wiring a run no
+    ``ScenarioSpec`` names, and the pre-PR-1 ``Scenario`` classes stay gone."""
     package = ROOT / "src" / "repro"
     callers = [
         path.relative_to(package).as_posix()
@@ -346,7 +346,7 @@ def test_a_run_is_a_spec_two_modules_materialise_a_system() -> None:
         if "sim" not in path.relative_to(package).parts
         and re.search(r"\bbuild_system\(", path.read_text(encoding="utf-8"))
     ]
-    assert callers == ["runtime/engine.py", "workloads/kv/runner.py"]
+    assert callers == ["runtime/engine.py"]
 
     experiments = sorted((package / "experiments").glob("e*.py"))
     assert len(experiments) == 12

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.identity import ProcessId
-from repro.runtime import scenario
+from repro.runtime import measure_run, scenario, simulate_spec
 from repro.sim.trace import RunTrace
 from repro.workloads.kv import (
     KVOperation,
@@ -20,7 +20,6 @@ from repro.workloads.kv import (
     history_from_trace,
 )
 from repro.workloads.kv import linearizability
-from repro.workloads.kv.runner import measure_kv_run, simulate_kv_spec
 from repro.workloads.kv.linearizability import ABSENT, _step
 
 
@@ -377,7 +376,7 @@ class TestSearchCost:
         (_, fn, configs), = ALL_EXPERIMENTS["E10"].work(True, 0)
         config = list(configs)[6]
         assert (config["clients"], config["skew"], config["fault"]) == (4, "uniform", "none")
-        history = history_from_trace(simulate_kv_spec(fn(dict(config))).trace)
+        history = history_from_trace(simulate_spec(fn(dict(config))).trace)
         verdict = check_history(history)
         # Every key is certified by its version order; the search, run on
         # the same history, still explores its pinned number of states.
@@ -439,8 +438,8 @@ class TestVersionWitness:
             .seed(4)
             .build()
         )
-        simulation = simulate_kv_spec(spec)
-        metrics = measure_kv_run(spec, simulation).metrics
+        simulation = simulate_spec(spec)
+        metrics = measure_run(spec, simulation).metrics
         assert metrics["linearizable"] and metrics["lin_ops_checked"] == 600
         assert metrics["lin_undecided"] == 0
         assert check_kv_linearizable(simulation.trace).witnessed == 6

@@ -19,14 +19,18 @@ from repro.runtime import (
     ScenarioSpec,
     ScenarioValidationError,
     cascading,
+    execute_spec,
     lossy,
+    measure_run,
     minority,
     scenario,
+    simulate_spec,
     synchronous,
 )
 from repro.sim import AsynchronousTiming, Clock, EventQueue, RunTrace, Simulation, build_system
 from repro.sim.network import Network
 from repro.sim.process import ProcessRuntime
+from repro.sim.system import DetectorServices
 from repro.workloads.kv import (
     ClientLoad,
     KVClientProgram,
@@ -34,9 +38,9 @@ from repro.workloads.kv import (
     replica,
     request_id,
     requester,
-    runner,
 )
 from repro.workloads.kv import __main__ as cli
+from repro.workloads.kv.runner import _ReplicaScopedDetector, kv_system
 
 
 def kv_scenario(name="kv-test", *, seed=0, consensus="homega_majority", **kv_options):
@@ -208,7 +212,7 @@ def _traffic(monkeypatch, crashes=None):
     monkeypatch.setattr(Simulation, "run", to_horizon)
     monkeypatch.setattr(Network, "multicast", recorded)
     monkeypatch.setattr(ReplicatedKVProgram, "_on_sync", answering)
-    runner.execute_kv_spec(build.build())
+    execute_spec(build.build())
     ((trace, membership),) = runs
     return trace, membership, sends
 
@@ -349,6 +353,98 @@ class TestCommandLineGate:
     def test_lossy_links_may_leave_operations_pending(self, monkeypatch):
         monkeypatch.setattr(replica, "requester", lambda request_id: "grp2")
         assert cli.main(["--clients", "2", "--ops", "2", "--fault", "lossy"]) == 0
+
+
+# What ``python -m repro.workloads.kv --fault <cell>`` printed at seed 0 while
+# the KV runner still built, ran and measured its own system: digest,
+# ``ops_issued``, ``ops_completed``, ``slots_committed`` and the keys certified
+# by version order.
+_CLI_CELLS = {
+    "none": ("fb3ffc10043172e2", 24, 24, 24, "6/6"),
+    "crash": ("a092c3a886c56ac9", 24, 24, 24, "6/6"),
+    "lossy": ("c264204c01fd7ff1", 12, 9, 9, "5/5"),
+}
+
+
+class TestOneRunPath:
+    """A KV spec is built, run and measured by the engine's one simulator path."""
+
+    @pytest.mark.parametrize("fault", sorted(_CLI_CELLS))
+    def test_the_command_line_cells_keep_their_values(self, fault, capsys):
+        digest, issued, completed, slots, witnessed = _CLI_CELLS[fault]
+        assert cli.main(["--fault", fault]) == 0
+        out = capsys.readouterr().out
+        assert f"(seed=0)  digest: {digest}\n" in out
+        assert f"  ops_issued: {issued}\n" in out
+        assert f"  ops_completed: {completed}\n" in out
+        assert f"  slots_committed: {slots}\n" in out
+        assert f"certified ({witnessed} keys by version order" in out
+
+    def test_execute_spec_is_simulate_spec_then_measure_run(self):
+        spec = kv_scenario(seed=3, consensus="homega_hsigma")
+        assert execute_spec(spec) == measure_run(spec, simulate_spec(spec))
+
+    def test_a_kv_record_reports_kv_metrics_in_place_of_consensus_metrics(self):
+        kv_keys = {"ops_issued", "ops_completed", "slots_committed", "linearizable"}
+        consensus_keys = {"decided", "safe", "rounds", "broadcasts", "message_copies"}
+        kv = execute_spec(kv_scenario()).metrics
+        consensus = execute_spec(
+            scenario("consensus")
+            .homonyms([2, 2, 1])
+            .detectors("HOmega", stabilization=10.0)
+            .consensus("homega_majority")
+            .horizon(600.0)
+            .build()
+        ).metrics
+        assert kv_keys <= kv.keys() and not consensus_keys & kv.keys()
+        assert consensus_keys <= consensus.keys() and not kv_keys & consensus.keys()
+
+    def test_kv_system_appends_the_clients_and_scopes_the_oracles(self):
+        spec = kv_scenario()
+        replicas = spec.membership.build()
+        schedule = spec.crashes.build(replicas)
+        membership, factory, detectors, stop_when = kv_system(
+            spec, replicas, schedule, {"HOmega": lambda services: services}
+        )
+        assert [membership.identity_of(p) for p in membership.processes] == [
+            *(replicas.identity_of(p) for p in replicas.processes),
+            "client-0",
+            "client-1",
+            "client-2",
+        ]
+        assert isinstance(factory(ProcessId(4), "grp2"), ReplicatedKVProgram)
+        assert isinstance(factory(ProcessId(5), "client-0"), KVClientProgram)
+        assert set(detectors) == {"HOmega"}
+        assert isinstance(detectors["HOmega"], _ReplicaScopedDetector)
+        services = DetectorServices(
+            membership=membership,
+            failure_pattern=None,
+            clock=Clock(),
+            rng_streams=None,
+            schedule=print,
+            poke_all=print,
+        )
+        scoped = detectors["HOmega"](services)
+        assert scoped.membership is replicas
+        assert scoped.failure_pattern.membership is replicas
+        assert (scoped.clock, scoped.schedule, scoped.poke_all) == (
+            services.clock,
+            print,
+            print,
+        )
+        assert not stop_when(None)
+
+    def test_the_run_stops_once_every_client_is_done(self):
+        simulation = simulate_spec(kv_scenario())
+        assert simulation.clock.now < 600.0
+        metrics = measure_run(kv_scenario(), simulation).metrics
+        assert metrics["ops_completed"] == metrics["ops_issued"] == 9
+
+        idle = kv_scenario(ops_per_client=0)
+        replicas = idle.membership.build()
+        *_, stop_when = kv_system(idle, replicas, idle.crashes.build(replicas), {})
+        assert stop_when(None)
+        assert simulate_spec(idle).clock.now < 600.0
 
 
 class _DecidesItsProposal:

@@ -29,13 +29,12 @@ from repro.detectors.base import stable_draw
 from repro.errors import ConfigurationError
 from repro.identity import ProcessId
 from repro.membership import Membership, grouped_identities, unique_identities
-from repro.runtime import scenario
+from repro.runtime import execute_spec, scenario
 from repro.sim import AsynchronousTiming, Clock, CrashSchedule, Simulation, build_system
 from repro.sim.failures import FailurePattern
 from repro.sim.message import Message
 from repro.workloads.kv import ClientLoad
 from repro.workloads.kv.clients import KVClientProgram
-from repro.workloads.kv.runner import execute_kv_spec
 
 from .helpers import make_services
 
@@ -496,7 +495,7 @@ def _run_kv(monkeypatch, spec, *, poll_every_client):
 
     with monkeypatch.context() as patch:
         patch.setattr(Simulation, "run", run)
-        record = execute_kv_spec(spec)
+        record = execute_spec(spec)
     return record, seen["events"], seen["fired"], seen["finished"]
 
 

@@ -7,8 +7,8 @@ methods — so without :meth:`~repro.sim.scheduler.Simulation.close` a dropped
 run waits for the cyclic garbage collector.  These tests pin both halves of
 the contract:
 
-* every library owner of a run (``execute_spec``, ``execute_kv_spec``,
-  ``simulate_and_check``) closes it, and with the collector off the run is
+* both library owners of a run (``execute_spec`` and ``simulate_and_check``,
+  each for a KV spec too) close it, and with the collector off the run is
   freed by reference counting alone: ``gc.collect()`` then finds nothing, for
   one spec per program, consensus row and reduction row, a stacked
   configuration, sparse monitors, a KV cell and a lossy run that ends
@@ -48,7 +48,6 @@ from repro.runtime import (
 )
 from repro.sim.scheduler import Simulation
 from repro.workloads.churn import churn_spec
-from repro.workloads.kv.runner import execute_kv_spec
 
 _REDUCTION_SYSTEMS = {
     "AS": MembershipSpec("unique", n=4),
@@ -226,11 +225,8 @@ def _garbage_after(owner, spec, simulations) -> tuple[list, int]:
 
 OWNERS = [
     pytest.param(owner, spec, id=f"{owner.__name__}-{name}")
-    for name, spec in SPECS.items()
+    for name, spec in {**SPECS, "kv": KV_SPEC}.items()
     for owner in (execute_spec, simulate_and_check)
-] + [
-    pytest.param(owner, KV_SPEC, id=f"{owner.__name__}-kv")
-    for owner in (execute_spec, execute_kv_spec)
 ]
 
 

@@ -9,16 +9,19 @@ import pytest
 from repro.analysis.metrics import consensus_metrics
 from repro.analysis.runner import ParameterSweep
 from repro.consensus import HOmegaMajorityConsensus, validate_consensus
+from repro.errors import ConfigurationError
 from repro.runtime import (
     Engine,
     RunRecord,
     ScenarioSpec,
     SerialExecutor,
     WorkerPool,
+    asynchronous,
     execute_spec,
     executor_for,
     minority,
     scenario,
+    simulate_spec,
 )
 from repro.runtime.engine import default_consensus_detectors, distinct_proposals
 from repro.sim import AsynchronousTiming, Simulation, build_system
@@ -140,6 +143,21 @@ class TestEngine:
             "broadcasts": metrics.broadcasts,
             "message_copies": metrics.message_copies,
         }
+
+
+    def test_simulate_spec_sends_a_real_backend_spec_to_execute_spec(self):
+        spec = (
+            scenario("real-refused")
+            .processes(3)
+            .unique_ids()
+            .timing(asynchronous(min_latency=0.005, max_latency=0.05))
+            .program("heartbeat")
+            .backend("real")
+            .horizon(15.0)
+            .build()
+        )
+        with pytest.raises(ConfigurationError, match=r"backend='real': run it with execute_spec"):
+            simulate_spec(spec)
 
 
 class TestRunRecord:

@@ -9,8 +9,10 @@ heap-tuple rewrite.
 from __future__ import annotations
 
 import bisect
+import inspect
 import math
 import random
+from dataclasses import fields
 from functools import partial
 
 import pytest
@@ -34,7 +36,8 @@ from repro.sim import (
     SynchronousTiming,
     build_system,
 )
-from repro.sim.events import KIND_CRASH, KIND_DELIVERY, KIND_DETECTOR, KIND_RESUME
+from repro.sim.events import KIND_CRASH, KIND_DELIVERY, KIND_DETECTOR, KIND_RESUME, Event
+from repro.sim.system import System
 
 
 def _drain_order(queue: EventQueue) -> list:
@@ -129,6 +132,22 @@ class TestQueueEdgeCases:
         assert queue.pop_next(until=2.0) is None
         assert len(queue) == 1
         assert queue.peek_time() == 5.0
+
+    def test_a_handle_is_only_its_pending_flag(self):
+        assert Event.__slots__ == ("pending",)
+        queue = EventQueue()
+        handle = queue.schedule(1.0, lambda: None)
+        assert handle.pending
+        queue.cancel(handle)
+        assert not handle.pending
+
+    def test_the_queue_has_one_spelling_of_a_run(self):
+        """No option switches the queue, the system or its builder to a
+        second, labelled spelling of the same events."""
+        assert "label" not in inspect.signature(EventQueue.schedule).parameters
+        assert list(inspect.signature(EventQueue).parameters) == []
+        assert "debug" not in inspect.signature(build_system).parameters
+        assert "debug" not in {field.name for field in fields(System)}
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +419,7 @@ _PIN_CASES = {
 }
 
 
-def _pinned_run(case: str, *, crash: bool, debug: bool = False) -> tuple:
+def _pinned_run(case: str, *, crash: bool) -> tuple:
     timing, links = _PIN_CASES[case]
     membership = grouped_identities([2, 2, 1])
     schedule = None
@@ -418,7 +437,6 @@ def _pinned_run(case: str, *, crash: bool, debug: bool = False) -> tuple:
         crash_schedule=schedule,
         links=links,
         seed=5,
-        debug=debug,
     )
     simulation = Simulation(system)
     trace = simulation.run(until=9.5)
@@ -445,12 +463,9 @@ _PINS = {
 
 
 class TestPinnedRuns:
-    @pytest.mark.parametrize("debug", [False, True], ids=["default", "debug-labels"])
     @pytest.mark.parametrize("case, crash", sorted(_PINS))
-    def test_run_matches_the_values_recorded_at_ec33f68(self, case, crash, debug):
-        """``debug=True`` takes the labelled spelling of the send loop; it
-        must dispatch, count and leave queued exactly what the default does."""
-        assert _pinned_run(case, crash=crash, debug=debug) == _PINS[(case, crash)]
+    def test_run_matches_the_values_recorded_at_ec33f68(self, case, crash):
+        assert _pinned_run(case, crash=crash) == _PINS[(case, crash)]
 
     def test_pins_exercise_what_they_claim(self):
         for (case, crash), (_, _, by_kind, sent, delivered, queued) in _PINS.items():

@@ -388,15 +388,13 @@ class TestPerEventChecks:
         def describe(self) -> str:
             return "early"
 
-    @pytest.mark.parametrize("debug", [False, True], ids=["default", "debug-labels"])
-    def test_a_delivery_before_its_send_time_names_the_model_at_fault(self, debug):
+    def test_a_delivery_before_its_send_time_names_the_model_at_fault(self):
         def run(timing, links):
             system = build_system(
                 membership=unique_identities(2),
                 timing=timing,
                 links=links,
                 program_factory=lambda pid, identity: PeriodicSenderProgram(period=1.0),
-                debug=debug,
             )
             Simulation(system).run(until=5.0)
 
