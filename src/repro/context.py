@@ -107,11 +107,11 @@ class ProcessContext:
     simulator's :class:`~repro.sim.process.ProcessRuntime` or the transport's
     :class:`~repro.transport.context.RealNodeRuntime` — which provides
     ``identity``, ``clock.now``, ``rng``, ``broadcast(message)``,
-    ``multicast(message, targets)``, ``register_handler``, ``spawn_task``,
-    ``detector_view``, ``has_detector``, ``attach_detector_view``, ``record``
-    and ``record_decision``.  A program never sees the membership, the failure
-    pattern, other processes' internal ids, or the global clock — matching the
-    paper's adversaries (homonymy, unknown membership, asynchrony).
+    ``multicast(message, targets)``, ``register_handler``, ``remove_handlers``,
+    ``spawn_task``, ``detector_view``, ``has_detector``, ``attach_detector_view``,
+    ``record`` and ``record_decision``.  A program never sees the membership,
+    the failure pattern, other processes' internal ids, or the global clock —
+    matching the paper's adversaries (homonymy, unknown membership, asynchrony).
     """
 
     __slots__ = ("_runtime",)

@@ -33,7 +33,7 @@ history: a predicate that rescans a growing buffer makes a run quadratic.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Iterable
 
 from ..context import (
     BlockingRequest,
@@ -202,6 +202,17 @@ class ProcessRuntime:
     def register_handler(self, kind: str, handler: Callable[[Message], None]) -> None:
         """Register an "upon reception of" handler for a message kind."""
         self._handlers.setdefault(kind, []).append(handler)
+
+    def remove_handlers(self, kinds: Iterable[str]) -> None:
+        """Drop every handler registered for ``kinds``.
+
+        A later copy of such a kind is still an event and still counted in
+        ``delivered_by_kind``; it only runs no handler.  A delivery under way
+        (a handler removing its own kind) finishes with the handlers it began
+        with.
+        """
+        for kind in kinds:
+            self._handlers.pop(kind, None)
 
     def deliver(self, message: Message) -> None:
         """Deliver one message copy: count it, run handlers, re-check waiting tasks.

@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Iterable
 
 from ..context import NextSyncStep, ProcessContext, Sleep, WaitUntil
 from ..errors import SimulationError
@@ -167,6 +167,11 @@ class RealNodeRuntime:
 
     def register_handler(self, kind: str, handler: Callable[[Message], None]) -> None:
         self._handlers.setdefault(kind, []).append(handler)
+
+    def remove_handlers(self, kinds: Iterable[str]) -> None:
+        """Drop every handler registered for ``kinds`` (later copies are still logged)."""
+        for kind in kinds:
+            self._handlers.pop(kind, None)
 
     def deliver(self, message: Message) -> None:
         if self._stopped:

@@ -8,7 +8,11 @@ it suffixes every message kind with ``#s{k}``, so the phase messages of
 concurrent instances cannot cross-talk, sends the instance's broadcasts to
 the replica group, and redirects ``decide`` into the replica's commit
 callback (the real ``ctx.decide`` records only a process's *first*
-decision, which would swallow every slot after the first).
+decision, which would swallow every slot after the first).  A slot's
+instance leaves with its decision: the slot context removes the instance's
+handlers from the runtime, so the instance, its round buffers and the phase
+messages they hold are freed, and a replica's memory is O(in-flight slots +
+log) rather than O(slots ever run).
 
 Announcements go to the replica group, answers to the identifier that
 asked.  The replica group is Π, the set of processes the paper's consensus
@@ -62,9 +66,16 @@ class _SlotContext(ProcessContext):
     (debuggability), per-instance trace records are namespaced, and
     ``decide`` feeds the replica's commit callback instead of the
     process-level decision slot.
+
+    ``decide`` also retires the instance: it removes the handlers of every
+    kind it registered, so nothing the runtime holds leads to the instance,
+    and its buffers and buffered messages are freed with it.  A decision is
+    final (``ConsensusProgram.decide``), so those handlers could only append
+    to buffers no task reads again; a late copy is still delivered and
+    counted, it just runs no handler.
     """
 
-    __slots__ = ("_slot", "_replicas", "_decide_cb")
+    __slots__ = ("_slot", "_replicas", "_decide_cb", "_kinds")
 
     def __init__(
         self,
@@ -77,6 +88,7 @@ class _SlotContext(ProcessContext):
         self._slot = slot
         self._replicas = replicas
         self._decide_cb = decide_cb
+        self._kinds: list[str] = []
 
     def broadcast(self, kind: str, **fields: Any) -> None:
         self.multicast(kind, self._replicas, **fields)
@@ -85,7 +97,9 @@ class _SlotContext(ProcessContext):
         self._runtime.multicast(Message(f"{kind}#s{self._slot}", fields), targets)
 
     def on(self, kind: str, handler: Callable[[Message], None]) -> None:
-        self._runtime.register_handler(f"{kind}#s{self._slot}", handler)
+        kind = f"{kind}#s{self._slot}"
+        self._kinds.append(kind)
+        self._runtime.register_handler(kind, handler)
 
     def spawn(self, task: Any, *, name: str = "") -> None:
         self._runtime.spawn_task(task, name=f"s{self._slot}-{name or 'task'}")
@@ -95,6 +109,7 @@ class _SlotContext(ProcessContext):
 
     def decide(self, value: Any) -> None:
         self._decide_cb(self._slot, value)
+        self._runtime.remove_handlers(self._kinds)
 
 
 class ReplicatedKVProgram(ProcessProgram):

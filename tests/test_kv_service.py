@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -28,6 +32,7 @@ from repro.runtime import (
     synchronous,
 )
 from repro.sim import AsynchronousTiming, Clock, EventQueue, RunTrace, Simulation, build_system
+from repro.sim.message import Message
 from repro.sim.network import Network
 from repro.sim.process import ProcessRuntime
 from repro.sim.system import DetectorServices
@@ -72,8 +77,6 @@ class TestEndToEnd:
         assert 0 < metrics["latency_p50"] <= metrics["latency_p95"] <= metrics["latency_p99"]
 
     def test_metrics_are_json_safe_scalars(self):
-        import json
-
         record = Engine().run(kv_scenario())
         json.dumps(record.to_dict())  # must not raise
 
@@ -311,17 +314,8 @@ class TestTheSlotScope:
 
     def test_every_send_from_a_slot_arrives_under_the_suffixed_kind(self):
         sent, heard, unscoped, committed, trace = [], [], [], [], RunTrace()
-        runtime = ProcessRuntime(
-            ProcessId(0),
-            "r",
-            _DecidesItsProposal("unused"),
-            clock=Clock(),
-            queue=EventQueue(),
-            timing=AsynchronousTiming(),
-            trace=trace,
-            rng=random.Random(0),
-            broadcast_fn=None,  # a slot never broadcasts beyond the replica group
-            multicast_fn=lambda sender, message, targets: sent.append((message, tuple(targets))),
+        runtime = _replica_runtime(
+            trace, lambda sender, message, targets: sent.append((message, tuple(targets)))
         )
         slot = replica._SlotContext(runtime.context, 3, range(4), lambda *c: committed.append(c))
         slot.on("PH1", heard.append)
@@ -339,6 +333,117 @@ class TestTheSlotScope:
         slot.decide("v")
         assert trace.values_of(ProcessId(0), "kv.s3.estimate") == ((0.0, 5),)
         assert committed == [(3, "v")]
+
+    def test_a_late_copy_for_a_decided_slot_runs_no_handler_and_is_still_counted(self):
+        trace, committed = RunTrace(), []
+        runtime = _replica_runtime(trace, None)
+        instance = _BuffersUntilDecided()
+        heard, alive = instance.heard, weakref.ref(instance)
+        instance.setup(
+            replica._SlotContext(runtime.context, 3, range(4), lambda *c: committed.append(c))
+        )
+        del instance
+        runtime.deliver(Message("PH1#s3", {"round": 1}))
+        runtime.deliver(Message("DECIDE#s3", {"value": "v"}))
+        assert committed == [(3, "v")] and [m["round"] for m in heard] == [1]
+        # Nothing the runtime holds leads to the instance: reference counting freed it.
+        assert runtime._handlers == {} and alive() is None
+        runtime.deliver(Message("PH1#s3", {"round": 2}))
+        runtime.deliver(Message("DECIDE#s3", {"value": "w"}))
+        assert committed == [(3, "v")] and [m["round"] for m in heard] == [1]
+        assert trace.delivered_by_kind == {"PH1#s3": 2, "DECIDE#s3": 2}
+
+
+def _replica_runtime(trace, multicast_fn):
+    """A bare replica-side runtime: no program started, sends go to ``multicast_fn``."""
+    return ProcessRuntime(
+        ProcessId(0),
+        "r",
+        _DecidesItsProposal("unused"),
+        clock=Clock(),
+        queue=EventQueue(),
+        timing=AsynchronousTiming(),
+        trace=trace,
+        rng=random.Random(0),
+        broadcast_fn=None,  # a slot never broadcasts beyond the replica group
+        multicast_fn=multicast_fn,
+    )
+
+
+class _BuffersUntilDecided:
+    """A consensus instance that buffers ``PH1`` and adopts the first ``DECIDE``."""
+
+    def __init__(self):
+        self.heard = []
+
+    def setup(self, ctx):
+        ctx.on("PH1", self._on_ph1)
+        ctx.on("DECIDE", lambda message: ctx.decide(message["value"]))
+
+    def _on_ph1(self, message):
+        self.heard.append(message)
+
+
+#: The ``kv_service`` benchmark's cells: ``cell: (clients, skew, replica crash)``.
+_SERVICE_CELLS = {
+    "kv_zipf": (14, "zipf", False),
+    "kv_crash": (8, "zipf", True),
+    "kv_uniform": (16, "uniform", False),
+}
+
+#: ``(cell, seed): sha256 of the sorted-key RunRecord JSON``, first 16 hex
+#: digits, as the run printed while every replica kept every slot's instance.
+_SERVICE_RECORDS = {
+    ("kv_zipf", 0): "452527bae6d6bbe7",
+    ("kv_crash", 0): "4b4eb1f8be9deeb9",
+    ("kv_uniform", 0): "50746c6b5865f7b1",
+    ("kv_zipf", 1): "abf3bd6e23809672",
+    ("kv_crash", 1): "46f0fcbe74735079",
+    ("kv_uniform", 1): "d0a1c6207252af09",
+    ("kv_zipf", 2): "816f85a1b99ee2fa",
+    ("kv_crash", 2): "386ecc894b3fc489",
+    ("kv_uniform", 2): "5aa4e27acaa0f17e",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _service_run(cell, seed):
+    """``(slot-scoped handler kinds each replica still holds, record JSON sha)``."""
+    clients, skew, crash = _SERVICE_CELLS[cell]
+    build = (
+        scenario(cell)
+        .homonyms([2, 2, 1])
+        .detectors("HOmega", stabilization=10.0)
+        .kv(clients=clients, ops_per_client=25, skew=skew, think_time=1.0, key_space=6)
+        .horizon(6000.0)
+        .seed(seed)
+    )
+    if crash:
+        build = build.crashes(minority(at=12.0, count=1))
+    spec = build.build()
+    simulation = simulate_spec(spec)
+    held = tuple(
+        sum("#s" in kind for kind in simulation.runtimes[process]._handlers)
+        for process in spec.membership.build().processes
+    )
+    text = json.dumps(measure_run(spec, simulation).to_dict(), sort_keys=True)
+    simulation.close()
+    return held, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestADecidedSlotFreesItself:
+    """A replica drops a slot's consensus handlers at the slot's decision."""
+
+    @pytest.mark.parametrize("cell", sorted(_SERVICE_CELLS))
+    def test_a_replica_holds_handlers_only_for_its_undecided_instance(self, cell):
+        # One instance registers five kinds (COORD, PH0, PH1, PH2, DECIDE);
+        # kept to the end of the run, a replica would hold five per slot.
+        held, _ = _service_run(cell, 0)
+        assert max(held) <= 5, f"slot-scoped handler kinds per replica: {held}"
+
+    @pytest.mark.parametrize("cell, seed", sorted(_SERVICE_RECORDS))
+    def test_the_run_record_is_unchanged(self, cell, seed):
+        assert _service_run(cell, seed)[1] == _SERVICE_RECORDS[cell, seed]
 
 
 class TestCommandLineGate:

@@ -2,7 +2,8 @@
 
 Everything here runs without sockets or subprocesses: the event log, its
 reader and ``load_trace`` on a fabricated log directory, a real node runtime
-running a program through ``ProcessContext`` with fake peer writers, the E11
+running a program through ``ProcessContext`` with fake peer writers and
+retiring a decided KV slot's handlers as the simulator's runtime does, the E11
 aggregator's edge
 cases (odd and even medians, empty cells), the wire framing, the ScenarioSpec
 backend round-trip (including canonical-hash preservation for pre-backend
@@ -19,6 +20,7 @@ import asyncio
 import json
 import random
 import time
+from inspect import signature
 
 import pytest
 
@@ -39,6 +41,8 @@ from repro.sim.links import (
     LossyLinks,
     PartitionedLinks,
 )
+from repro.sim.message import Message
+from repro.sim.process import ProcessRuntime
 from repro.transport.__main__ import build_heartbeat_spec
 from repro.transport.context import RealNodeRuntime
 from repro.transport.framing import (
@@ -51,6 +55,7 @@ from repro.transport.framing import (
 from repro.transport.node import ShapedLink
 from repro.transport.orchestrator import DEFAULT_READY_TIMEOUT, load_trace, resolve_timeouts
 from repro.transport.validate import aggregate_cells, heatmap_csv, scatter_csv
+from repro.workloads.kv import replica
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +173,35 @@ def test_the_real_runtime_runs_a_program_through_the_one_context(tmp_path):
     assert (decision.value, decision.time) == (7, lines["decide"]["t"])
     assert trace.broadcasts_by_kind() == trace.deliveries_by_kind() == {"HELLO": 1}
     assert trace.message_copies_sent == 3
+
+
+def test_the_real_runtime_retires_a_decided_slot_as_the_simulator_does(tmp_path):
+    """A KV slot scope over the real runtime: its handlers leave with its decision."""
+    assert signature(RealNodeRuntime.remove_handlers) == signature(
+        ProcessRuntime.remove_handlers
+    )
+    heard, committed = [], []
+    with EventLog(tmp_path / "node0.jsonl", epoch=0.0, t0=0.0, time_scale=1.0) as log:
+        runtime = RealNodeRuntime(index=0, identity="a", log=log, time_scale=1.0)
+        runtime.start(_Hears(heard))
+        slot = replica._SlotContext(runtime.context, 3, range(1), lambda *c: committed.append(c))
+        slot.on("PH1", heard.append)
+        runtime.deliver(Message("PH1#s3", {"round": 1}))
+        slot.decide("v")
+        runtime.deliver(Message("PH1#s3", {"round": 2}))  # a late copy
+        runtime.deliver(Message("HELLO", {"round": 3}))
+    assert committed == [(3, "v")]
+    assert [message["round"] for message in heard] == [1, 3]
+    received = [entry["kind"] for entry in read_events(log.path) if entry["event"] == "msg_recv"]
+    assert received == ["PH1#s3", "PH1#s3", "HELLO"]
+
+
+class _Hears(ProcessProgram):
+    def __init__(self, heard):
+        self.heard = heard
+
+    def setup(self, ctx):
+        ctx.on("HELLO", self.heard.append)
 
 
 # ----------------------------------------------------------------------
