@@ -31,8 +31,10 @@ records, and RNG usage — which is what keeps every pre-topology digest stable.
 A sparse run holds one peer list: ``peers`` is a single sorted,
 duplicate-free tuple of indices per run, shared by every process's monitor,
 and no program mutates it.  Each monitor's alive view starts as that tuple;
-a declaration replaces only the declaring monitor's view with a new list,
-so building n monitors costs O(n), not O(n²).
+a declaration replaces the declaring monitor's view with a tuple interned in
+the run's ``views`` table, so monitors whose views are equal hold one object.
+Building n monitors costs O(n), not O(n²), and n survivors declaring the
+same victim add one view, not n.
 
 The program speaks only the :class:`~repro.context.ProcessContext`
 protocol, so the *same object* runs on the discrete-event simulator and on
@@ -142,12 +144,20 @@ class _IndexedHeartbeat(_Heartbeat):
 
     ``peers`` is the run's one sorted, duplicate-free index tuple, shared by
     every process; the monitor keeps it as its initial :attr:`alive` view and
-    never mutates it.  A declaration replaces this monitor's view with a new
-    list without the victim, so other monitors' views are untouched.
+    never mutates it.  A declaration replaces this monitor's view with the
+    tuple without the victim, interned by content in ``views`` (the run's
+    table, shared like ``peers``; a monitor built without one keeps its own),
+    so monitors whose views are equal hold one tuple and no view is edited.
     """
 
     def __init__(
-        self, *, topology: Any, index: int | None = None, peers: tuple[int, ...] = (), **knobs: Any
+        self,
+        *,
+        topology: Any,
+        index: int | None = None,
+        peers: tuple[int, ...] = (),
+        views: dict[tuple[int, ...], tuple[int, ...]] | None = None,
+        **knobs: Any,
     ) -> None:
         super().__init__(**knobs)
         if index is None or not peers:
@@ -158,8 +168,10 @@ class _IndexedHeartbeat(_Heartbeat):
         self._topology = topology
         self._index = index
         #: indices this process still believes alive (including itself):
-        #: the shared ``peers`` tuple until this monitor's first declaration.
+        #: the shared ``peers`` tuple until this monitor's first declaration,
+        #: then the run's interned tuple for what is left.
         self.alive: Sequence[int] = peers
+        self._views = {} if views is None else views
         #: indices already declared dead.
         self.dead_indices: set[int] = set()
 
@@ -169,7 +181,8 @@ class _IndexedHeartbeat(_Heartbeat):
         alive = self.alive
         at = bisect_left(alive, target)
         if at < len(alive) and alive[at] == target:
-            self.alive = [*alive[:at], *alive[at + 1 :]]
+            view = (*alive[:at], *alive[at + 1 :])
+            self.alive = self._views.setdefault(view, view)
 
 
 class RingHeartbeat(_IndexedHeartbeat):
@@ -306,11 +319,12 @@ _SPARSE = {"ring": RingHeartbeat, "gossip": GossipHeartbeat}
 def HeartbeatMonitorProgram(*, topology: Any = None, **params: Any) -> ProcessProgram:
     """Build the heartbeat monitor for ``topology`` (none, or full mesh: the default).
 
-    The one place the topology is looked at; ``index`` and ``peers`` only
-    mean something to a sparse monitor and are dropped for the full mesh.
+    The one place the topology is looked at; ``index``, ``peers`` and
+    ``views`` only mean something to a sparse monitor and are dropped for the full mesh.
     """
     if topology is None or topology.is_full_mesh:
         params.pop("index", None)
         params.pop("peers", None)
+        params.pop("views", None)
         return FullMeshHeartbeat(**params)
     return _SPARSE[topology.kind](topology=topology, **params)

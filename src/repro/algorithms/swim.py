@@ -65,7 +65,9 @@ class ClusterMembershipProgram(ProcessProgram):
     every process: the program keeps it as given and never mutates it, and a
     declaration changes only this process's :attr:`view`.  The founding
     members (peers with no scheduled join) are derived from it where they are
-    used, so a process stores no copy of the peer list.
+    used, so a process stores no copy of the peer list.  ``views``, the run's
+    alive-view table the engine hands every sparse program, is not used: this
+    program's view is a status map, not a tuple of the alive.
     """
 
     def __init__(
@@ -76,6 +78,7 @@ class ClusterMembershipProgram(ProcessProgram):
         topology: Any = None,
         index: int | None = None,
         peers: tuple[int, ...] = (),
+        views: Any = None,
         churn: Mapping[str, Any] | None = None,
         introducer: int = 0,
         join_timeout: float | None = None,

@@ -137,7 +137,12 @@ class ProcessContext:
 
     @property
     def random(self) -> random.Random:
-        """A per-process deterministic random stream."""
+        """A per-process deterministic random stream, the same object on every read.
+
+        The simulator makes it on first read (the run's ``process:{index}``
+        stream, so when it is made never changes what it draws); a real node
+        makes its own at start-up.
+        """
         return self._runtime.rng
 
     # -- blocking requests ------------------------------------------------

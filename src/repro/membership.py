@@ -23,7 +23,6 @@ from .identity import ANONYMOUS_IDENTITY, Identity, IdentityMultiset, ProcessId
 
 __all__ = [
     "Membership",
-    "DynamicMembership",
     "unique_identities",
     "anonymous_identities",
     "grouped_identities",
@@ -232,76 +231,6 @@ def random_identities(
     if rng is None:
         rng = random.Random(seed)
     return Membership.of([f"{prefix}{rng.randrange(domain_size)}" for _ in range(n)])
-
-
-# ----------------------------------------------------------------------
-# Dynamic membership (churn ground truth)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DynamicMembership:
-    """A static membership plus the churn timeline over it.
-
-    The simulator's process set is fixed for a run, so churn is modelled over
-    a membership that already contains every process that will *ever* be a
-    member: founders are active from t=0, joiners activate at their ``join``
-    event, leavers deactivate at ``leave``, and down/up windows suspend a
-    member without removing it.  This object is the *ground truth* the
-    ``membership_churn`` check compares the programs' converged views
-    against; programs themselves never see it.
-
-    ``events`` is a :class:`repro.sim.failures.ChurnSchedule`.
-    """
-
-    membership: Membership
-    events: "object"  # ChurnSchedule; typed loosely to avoid a sim import cycle
-
-    def __post_init__(self) -> None:
-        size = self.membership.size
-        for event in self.events.events:
-            if event.index >= size:
-                raise ConfigurationError(
-                    f"churn event names index {event.index}, but the membership "
-                    f"has only indices 0..{size - 1}"
-                )
-
-    def founders(self) -> tuple[int, ...]:
-        """Indices active at t=0 (everyone that does not join later)."""
-        joiners = self.events.joiners()
-        return tuple(
-            process.index
-            for process in self.membership.processes
-            if process.index not in joiners
-        )
-
-    def status_at(self, index: int, at: float) -> str:
-        """The ground-truth status of ``index`` at time ``at``.
-
-        One of ``"absent"`` (not yet joined), ``"active"``, ``"down"``
-        (within a down/up window), or ``"left"``.
-        """
-        history = self.events.events_for(index)
-        joined = index not in self.events.joiners()
-        status = "active" if joined else "absent"
-        for event in history:
-            if event.time > at:
-                break
-            if event.kind == "join":
-                status = "active"
-            elif event.kind == "leave":
-                status = "left"
-            elif event.kind == "down":
-                status = "down"
-            elif event.kind == "up":
-                status = "active"
-        return status
-
-    def members_at(self, at: float) -> tuple[int, ...]:
-        """Indices whose ground-truth status at ``at`` is active or down."""
-        return tuple(
-            process.index
-            for process in self.membership.processes
-            if self.status_at(process.index, at) in ("active", "down")
-        )
 
 
 def _require_positive(n: int) -> None:

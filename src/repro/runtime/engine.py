@@ -260,20 +260,28 @@ def _program_factory(spec: ScenarioSpec, membership: Membership) -> Callable:
 
     # Topology-aware programs get the materialised topology, their own index
     # and the peer indices injected into the build parameters.  ``peers`` is
-    # one sorted, duplicate-free tuple per run, shared by every process:
-    # programs never mutate it, and a declaration replaces only the declaring
-    # monitor's own view.  The default full mesh takes the historical build
-    # call — parameter-for-parameter identical, so every pre-topology digest
-    # is preserved.
+    # one sorted, duplicate-free tuple per run, shared by every process, and
+    # programs never mutate it.  ``views`` is the run's table of alive views
+    # interned by content: a monitor's declaration looks its new view up
+    # there, so monitors whose views are equal hold one tuple.  The default
+    # full mesh takes the historical build call — parameter-for-parameter
+    # identical, so every pre-topology digest is preserved.
     topology = None if spec.topology.is_full_mesh else spec.topology.build()
     peers = None if topology is None else tuple(range(membership.size))
+    views = None if topology is None else {}
 
     def factory(pid, identity):
         programs = []
         if program_entry is not None:
             params = spec.program_params
             if topology is not None:
-                params = {**params, "topology": topology, "index": pid.index, "peers": peers}
+                params = {
+                    **params,
+                    "topology": topology,
+                    "index": pid.index,
+                    "peers": peers,
+                    "views": views,
+                }
             programs.append(program_entry.build(params))
         if consensus_factory is not None:
             programs.append(consensus_factory(proposals[pid]))

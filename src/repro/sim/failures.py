@@ -232,10 +232,6 @@ class ChurnSchedule:
     def is_empty(self) -> bool:
         return not self.events
 
-    def events_for(self, index: int) -> tuple[ChurnEvent, ...]:
-        """The (time-ordered) churn history of one process index."""
-        return tuple(event for event in self.events if event.index == index)
-
     def joiners(self) -> frozenset[int]:
         """Indices that join after t=0 (not founding members)."""
         return frozenset(event.index for event in self.events if event.kind == "join")

@@ -33,6 +33,7 @@ history: a predicate that rescans a growing buffer makes a run quadratic.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Any, Callable, Generator, Iterable
 
 from ..context import (
@@ -48,6 +49,7 @@ from ..identity import Identity, ProcessId
 from .clock import Clock, Time
 from .events import KIND_RESUME, Event, EventQueue
 from .message import Message
+from .rng import RngStreams
 from .timing import SynchronousTiming, TimingModel
 from .trace import RunTrace
 
@@ -90,7 +92,7 @@ class ProcessRuntime:
         queue: EventQueue,
         timing: TimingModel,
         trace: RunTrace,
-        rng: random.Random,
+        rng_streams: RngStreams,
         broadcast_fn: Callable[[ProcessId, Message], None],
         multicast_fn: Callable[[ProcessId, Message, Any], None] | None = None,
     ) -> None:
@@ -98,9 +100,10 @@ class ProcessRuntime:
         self.identity = identity
         self.program = program
         self.clock = clock
-        self.rng = rng
+        self._rng_streams = rng_streams
         self._queue = queue
         self._timing = timing
+        self._charges_steps = timing.charges_steps
         self._trace = trace
         self._delivered = trace.delivered_by_kind
         self._broadcast_fn = broadcast_fn
@@ -114,6 +117,15 @@ class ProcessRuntime:
         self._crashed = False
         self._started = False
         self.context = ProcessContext(self)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """This process's stream, ``process:{index}`` of the run, made on first draw.
+
+        Ring and mesh monitors and the consensus programs never draw, so
+        most runs never make it (a Mersenne-Twister state is ≈ 2.9 KB).
+        """
+        return self._rng_streams.stream(f"process:{self.process_id.index}")
 
     # ------------------------------------------------------------------
     # Wiring (done by the simulation before the run starts)
@@ -279,9 +291,10 @@ class ProcessRuntime:
 
     # -- internals --------------------------------------------------------
     def _schedule_resumption(self, task: _Task, *, at: Time) -> None:
-        resume_at = at + self._timing.step_delay(self.process_id, at, self.rng)
+        if self._charges_steps:
+            at += self._timing.step_delay(self.process_id, at, self.rng)
         task.pending_event = self._queue.schedule(
-            resume_at,
+            at,
             self._resume,
             args=(task,),
             priority=2,

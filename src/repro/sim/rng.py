@@ -4,6 +4,12 @@ Every source of nondeterminism in a run (link latencies, per-process choices,
 crash subsets, workload generation) draws from its own named stream derived
 from a single master seed.  This keeps runs reproducible and keeps unrelated
 components from perturbing each other's draws when the code evolves.
+
+A stream is made on its first :meth:`RngStreams.stream` call, and its seed
+depends only on the master seed and its name, so *when* it is made never
+changes what it draws.  The simulator relies on that: a process's
+``process:{index}`` stream is made on the process's first draw (a step delay
+or ``ctx.random``), so a run whose programs never draw makes none.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ class Simulation:
                 queue=self.queue,
                 timing=self.system.timing,
                 trace=self.trace,
-                rng=self.rng_streams.stream(f"process:{process.index}"),
+                rng_streams=self.rng_streams,
                 broadcast_fn=self.network.broadcast,
                 multicast_fn=self.network.multicast,
             )

@@ -72,6 +72,15 @@ class TimingModel:
         delivery_time = self.delivery_time
         return [delivery_time(sender, receiver, sent_at, rng) for receiver in receivers]
 
+    @property
+    def charges_steps(self) -> bool:
+        """Whether :meth:`step_delay` ever charges (and draws) anything.
+
+        A runtime asks once: while it is ``False`` it neither calls
+        :meth:`step_delay` nor makes the process's random stream.
+        """
+        return False
+
     def step_delay(self, process: ProcessId, at: Time, rng: random.Random) -> Time:
         """Return the local-step duration charged when a task resumes."""
         return 0.0
@@ -143,8 +152,12 @@ class AsynchronousTiming(TimingModel):
         rand = rng.random
         return [sent_at + (base + span * rand()) for _ in receivers]
 
+    @property
+    def charges_steps(self) -> bool:
+        return self.max_step > 0
+
     def step_delay(self, process: ProcessId, at: Time, rng: random.Random) -> Time:
-        if self.max_step <= 0:
+        if not self.charges_steps:
             return 0.0
         return self.min_step + self._step_span * rng.random()
 
@@ -228,8 +241,12 @@ class PartiallySynchronousTiming(TimingModel):
             None if rand() < loss else sent_at + (base + span * rand()) for _ in receivers
         ]
 
+    @property
+    def charges_steps(self) -> bool:
+        return self.max_step > 0
+
     def step_delay(self, process: ProcessId, at: Time, rng: random.Random) -> Time:
-        if self.max_step <= 0:
+        if not self.charges_steps:
             return 0.0
         # uniform(0, b) is 0.0 + (b - 0.0) * random(); identical draw, no call.
         return self.max_step * rng.random()

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import __future__
 import inspect
-import random
 
 import pytest
 from hypothesis import Phase, settings
@@ -32,7 +31,7 @@ from repro.consensus import rules
 from repro.consensus.rules import QuorumAssembly, find_quorum, match_count, match_multiset
 from repro.detectors import CLASSES
 from repro.identity import IdentityMultiset, ProcessId
-from repro.sim import AsynchronousTiming, Clock, EventQueue
+from repro.sim import AsynchronousTiming, Clock, EventQueue, RngStreams
 from repro.sim.message import Message
 from repro.sim.process import ProcessRuntime
 from repro.sim.trace import RunTrace
@@ -247,7 +246,7 @@ def test_homonymous_leaders_adopt_the_least_own_estimate_when_all_have_spoken():
         queue=queue,
         timing=AsynchronousTiming(),
         trace=RunTrace(),
-        rng=random.Random(0),
+        rng_streams=RngStreams(0),
         broadcast_fn=lambda sender, message: sent.append((clock.now, message)),
     )
     runtime.attach_detector_view("HOmega", CLASSES["HOmega"].view(lambda: tuple(leader)))

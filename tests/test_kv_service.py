@@ -6,7 +6,6 @@ import functools
 import hashlib
 import json
 import pickle
-import random
 import weakref
 
 import pytest
@@ -31,7 +30,15 @@ from repro.runtime import (
     simulate_spec,
     synchronous,
 )
-from repro.sim import AsynchronousTiming, Clock, EventQueue, RunTrace, Simulation, build_system
+from repro.sim import (
+    AsynchronousTiming,
+    Clock,
+    EventQueue,
+    RngStreams,
+    RunTrace,
+    Simulation,
+    build_system,
+)
 from repro.sim.message import Message
 from repro.sim.network import Network
 from repro.sim.process import ProcessRuntime
@@ -364,7 +371,7 @@ def _replica_runtime(trace, multicast_fn):
         queue=EventQueue(),
         timing=AsynchronousTiming(),
         trace=trace,
-        rng=random.Random(0),
+        rng_streams=RngStreams(0),
         broadcast_fn=None,  # a slot never broadcasts beyond the replica group
         multicast_fn=multicast_fn,
     )

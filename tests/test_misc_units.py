@@ -256,7 +256,7 @@ class TestSchedulerEdgeCases:
             simulation.detector("nope")
 
     def test_crashed_process_cannot_broadcast(self):
-        from repro.sim import Clock, EventQueue, ProcessRuntime
+        from repro.sim import Clock, EventQueue, ProcessRuntime, RngStreams
 
         membership = unique_identities(1)
 
@@ -272,7 +272,7 @@ class TestSchedulerEdgeCases:
             queue=EventQueue(),
             timing=AsynchronousTiming(),
             trace=RunTrace(),
-            rng=__import__("random").Random(0),
+            rng_streams=RngStreams(0),
             broadcast_fn=lambda sender, message: None,
         )
         runtime.start()

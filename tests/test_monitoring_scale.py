@@ -12,11 +12,13 @@ membership view.  These tests pin both halves of that contract:
   copy count and every declaration recorded on the commit before the change;
 * the gossip table travels as an immutable snapshot, and rumours about a
   declared peer neither revive it nor declare it twice;
-* every sparse program of a run shares the engine's one peer tuple — a
-  declaration replaces only the declaring monitor's view — so building a
-  ring run costs the same bytes per process at n=1000 as at n=250, and a
-  whole ring run reads about as many view entries per message copy at
-  n=1000 as at n=100.
+* every sparse program of a run shares the engine's one peer tuple, and a
+  declaration moves the declaring monitor to a view interned by content, so
+  monitors whose views are equal hold one tuple; building a ring run costs
+  the same bytes per process at n=1000 as at n=250, and a whole ring run
+  reads about as many view entries per message copy at n=1000 as at n=100;
+* a process's random stream is made on its first draw: ring, mesh and
+  consensus runs make none, a gossip run one per process that gossiped.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.runtime import (
     Engine,
     asynchronous,
     crashes_at,
+    full_mesh,
     gossip,
     register_check,
     ring,
@@ -296,7 +299,7 @@ class TestGossipTableOnTheWire:
             next(task)
         declared = [(when, value) for when, key, value in node.records if key == DECLARED_DEAD]
         assert declared == [(3.0, 4)]
-        assert monitor.alive == [0, 1, 2, 3]
+        assert list(monitor.alive) == [0, 1, 2, 3]
         frozen = monitor.counters[4]
 
         rumour = tuple(fresh[:4]) + (frozen + 50,)
@@ -380,9 +383,13 @@ class TestOnePeerTuplePerRun:
         declaring = [monitor for monitor in monitors if monitor.dead_indices]
         assert any(victim in monitor.dead_indices for monitor in declaring)
         for monitor in declaring:
-            assert type(monitor.alive) is list
+            assert type(monitor.alive) is tuple
             assert set(monitor.alive) == set(range(self.N)) - monitor.dead_indices
-        assert len({id(monitor.alive) for monitor in declaring}) == len(declaring)
+        # Equal views are one object, so the run holds one view per content.
+        interned = {}
+        for monitor in monitors:
+            assert interned.setdefault(monitor.alive, monitor.alive) is monitor.alive
+        assert len({id(monitor.alive) for monitor in declaring}) < len(declaring)
         assert all(monitor.alive is shared for monitor in monitors if not monitor.dead_indices)
         assert shared == tuple(range(self.N))
 
@@ -401,6 +408,54 @@ class TestOnePeerTuplePerRun:
         )
         assert all(program._peers is shared for program in programs)
         assert shared == tuple(range(self.N))
+
+
+def _process_streams(simulation):
+    return sorted(name for name in simulation.rng_streams._streams if name.startswith("process:"))
+
+
+class TestAStreamIsMadeOnFirstDraw:
+    """A process's ``random.Random`` (≈ 2.9 KB) exists only once it is drawn from."""
+
+    N = 12
+
+    @pytest.mark.parametrize("topology", [ring(successors=2), full_mesh()], ids=["ring", "mesh"])
+    def test_a_ring_or_mesh_run_makes_none(self, topology):
+        simulation = simulate_spec(_detection_spec(topology, self.N))
+        assert any(record.key == DECLARED_DEAD for record in simulation.trace.all_records())
+        assert _process_streams(simulation) == []
+
+    def test_a_consensus_run_makes_none(self):
+        spec = (
+            scenario("lazy-streams-consensus")
+            .processes(4)
+            .distinct_ids(2)
+            .detectors("HOmega", stabilization=10.0)
+            .consensus("homega_majority")
+            .horizon(300.0)
+            .seed(0)
+            .build()
+        )
+        simulation = simulate_spec(spec)
+        assert len(simulation.trace.decisions) == 4
+        assert _process_streams(simulation) == []
+
+    def test_a_gossip_run_makes_one_per_process_that_gossiped(self):
+        simulation = simulate_spec(_detection_spec(gossip(fanout=2), self.N))
+        gossiped = [
+            runtime.process_id.index
+            for runtime in simulation.runtimes.values()
+            if runtime.program.counters[runtime.process_id.index] > 0
+        ]
+        assert len(gossiped) == self.N
+        assert _process_streams(simulation) == sorted(f"process:{i}" for i in gossiped)
+
+    def test_the_stream_is_one_object(self, monkeypatch):
+        simulation = _unstarted(_detection_spec(ring(successors=2), self.N), monkeypatch)
+        runtime = next(iter(simulation.runtimes.values()))
+        ctx = runtime.context
+        assert ctx.random is ctx.random
+        assert ctx.random is simulation.rng_streams.stream(f"process:{runtime.process_id.index}")
 
 
 class TestBuildMemoryIsLinear:

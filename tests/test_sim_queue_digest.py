@@ -2,8 +2,8 @@
 
 Live-count invariants under adversarial interleavings, a model-based search
 over queue histories, the always-on determinism digest (serial vs parallel
-equality, and that it *can* differ), and eight small runs pinned before the
-heap-tuple rewrite.
+equality, and that it *can* differ), eight small runs pinned before the
+heap-tuple rewrite, and four more whose resumptions charge a drawn step delay.
 """
 
 from __future__ import annotations
@@ -416,6 +416,17 @@ _PIN_CASES = {
         AsynchronousTiming(min_latency=0.1, max_latency=2.0),
         ComposedLinks((LossyLinks(loss=0.2), JitterLinks(max_jitter=0.5))),
     ),
+    # Every resumption draws its step delay from the process's own stream.
+    "async-steps": (
+        AsynchronousTiming(min_latency=0.1, max_latency=6.0, min_step=0.05, max_step=0.4),
+        None,
+    ),
+    "partial-sync-steps": (
+        PartiallySynchronousTiming(
+            gst=6.0, delta=1.0, pre_gst_max_latency=8.0, pre_gst_loss=0.3, max_step=0.3
+        ),
+        None,
+    ),
 }
 
 
@@ -461,11 +472,24 @@ _PINS = {
     ("lossy-jitter", True): ("f784a16cc6ebc009", 364, {"PING": 127, "ECHO": 129, "DONE": 12}, 402, 268, 10),
 }
 
+#: The step-charging cases, recorded at 508f4b7, where every process's stream
+#: was made when the run was built; it is now made on the first step draw.
+_STEP_PINS = {
+    ("async-steps", False): ("57a5663237cefc86", 326, {"PING": 144, "ECHO": 117, "DONE": 15}, 455, 276, 184),
+    ("async-steps", True): ("2ab089deb1725325", 273, {"PING": 105, "ECHO": 75, "DONE": 7}, 360, 187, 136),
+    ("partial-sync-steps", False): ("a6c810d6b35d26b0", 414, {"PING": 148, "ECHO": 187, "DONE": 25}, 465, 360, 55),
+    ("partial-sync-steps", True): ("afbacf330f4891e1", 316, {"PING": 99, "ECHO": 100, "DONE": 16}, 350, 215, 36),
+}
+
 
 class TestPinnedRuns:
     @pytest.mark.parametrize("case, crash", sorted(_PINS))
     def test_run_matches_the_values_recorded_at_ec33f68(self, case, crash):
         assert _pinned_run(case, crash=crash) == _PINS[(case, crash)]
+
+    @pytest.mark.parametrize("case, crash", sorted(_STEP_PINS))
+    def test_a_step_charging_run_matches_the_values_recorded_at_508f4b7(self, case, crash):
+        assert _pinned_run(case, crash=crash) == _STEP_PINS[(case, crash)]
 
     def test_pins_exercise_what_they_claim(self):
         for (case, crash), (_, _, by_kind, sent, delivered, queued) in _PINS.items():

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.membership import DynamicMembership, Membership, random_identities
+from repro.membership import random_identities
 from repro.runtime import (
     Engine,
     ScenarioSpec,
@@ -334,41 +334,6 @@ class TestChurnSchedule:
     def test_generator_rejects_roles_that_do_not_fit(self):
         with pytest.raises(ValueError, match="do not fit"):
             churn_schedule(4, joins=2, leaves=2, flaps=1)
-
-
-class TestDynamicMembership:
-    def _ground_truth(self):
-        events = ChurnSchedule(
-            (
-                ChurnEvent(3, "join", 10.0),
-                ChurnEvent(1, "leave", 20.0),
-                ChurnEvent(2, "down", 15.0),
-                ChurnEvent(2, "up", 25.0),
-            )
-        )
-        return DynamicMembership(Membership.of(["a", "b", "c", "d"]), events)
-
-    def test_status_replay(self):
-        truth = self._ground_truth()
-        assert truth.status_at(3, 5.0) == "absent"
-        assert truth.status_at(3, 10.0) == "active"
-        assert truth.status_at(1, 19.9) == "active"
-        assert truth.status_at(1, 20.0) == "left"
-        assert truth.status_at(2, 16.0) == "down"
-        assert truth.status_at(2, 30.0) == "active"
-
-    def test_founders_and_members_at(self):
-        truth = self._ground_truth()
-        assert truth.founders() == (0, 1, 2)
-        assert truth.members_at(5.0) == (0, 1, 2)
-        assert truth.members_at(21.0) == (0, 2, 3)
-
-    def test_events_beyond_the_membership_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="indices"):
-            DynamicMembership(
-                Membership.of(["a", "b"]),
-                ChurnSchedule((ChurnEvent(7, "down", 1.0),)),
-            )
 
 
 class TestRandomIdentities:
