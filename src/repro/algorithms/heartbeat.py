@@ -172,11 +172,8 @@ class _IndexedHeartbeat(_Heartbeat):
         #: then the run's interned tuple for what is left.
         self.alive: Sequence[int] = peers
         self._views = {} if views is None else views
-        #: indices already declared dead.
-        self.dead_indices: set[int] = set()
 
     def _declare_index_dead(self, ctx: ProcessContext, target: int) -> None:
-        self.dead_indices.add(target)
         ctx.record(DECLARED_DEAD, target)
         alive = self.alive
         at = bisect_left(alive, target)
@@ -231,8 +228,6 @@ class RingHeartbeat(_IndexedHeartbeat):
     def _check_timeouts(self, ctx: ProcessContext, targets) -> None:
         now = ctx.now
         for target in targets:
-            if target in self.dead_indices:
-                continue
             seen = self.last_ack_at.get(target, self.watch_since.get(target, now))
             if now - seen >= self._hb_timeout:
                 self._declare_index_dead(ctx, target)

@@ -1,12 +1,11 @@
 """Run analysis: metrics extraction, convergence, sweeps, and table rendering."""
 
 from .convergence import convergence_statistics, detector_convergence_time
-from .metrics import ConsensusRunMetrics, consensus_metrics
+from .metrics import consensus_metrics
 from .runner import ExperimentResult, ParameterSweep, aggregate_rows
 from .tables import format_value, render_series, render_table
 
 __all__ = [
-    "ConsensusRunMetrics",
     "ExperimentResult",
     "ParameterSweep",
     "aggregate_rows",

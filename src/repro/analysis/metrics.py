@@ -1,47 +1,25 @@
-"""Per-run metrics extracted from traces and consensus verdicts."""
+"""Per-run metrics extracted from consensus traces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any
 
-from ..consensus.validator import ConsensusVerdict
+from ..consensus.validator import distinct_proposals, validate_consensus
 from ..sim.failures import FailurePattern
 from ..sim.trace import RunTrace
 
-__all__ = ["ConsensusRunMetrics", "consensus_metrics"]
+__all__ = ["consensus_metrics"]
 
 
-@dataclass(frozen=True)
-class ConsensusRunMetrics:
-    """The cost and outcome figures of one consensus run."""
-
-    decided: bool
-    safe: bool
-    last_decision_time: float | None
-    max_decision_round: int | None
-    broadcasts: int
-    message_copies: int
-    correct_processes: int
-    faulty_processes: int
-
-    @property
-    def broadcasts_per_process(self) -> float:
-        """Broadcast invocations divided by the system size."""
-        total = self.correct_processes + self.faulty_processes
-        return self.broadcasts / total if total else 0.0
-
-
-def consensus_metrics(
-    trace: RunTrace, pattern: FailurePattern, verdict: ConsensusVerdict
-) -> ConsensusRunMetrics:
-    """Summarise one consensus run."""
-    return ConsensusRunMetrics(
-        decided=verdict.termination_ok,
-        safe=verdict.validity_ok and verdict.agreement_ok,
-        last_decision_time=verdict.last_decision_time,
-        max_decision_round=verdict.max_decision_round,
-        broadcasts=trace.broadcast_invocations,
-        message_copies=trace.message_copies_sent,
-        correct_processes=len(pattern.correct),
-        faulty_processes=len(pattern.faulty),
-    )
+def consensus_metrics(trace: RunTrace, pattern: FailurePattern) -> dict[str, Any]:
+    """The outcome and cost of one consensus spec run, from one verdict over
+    what the run proposed: the six metrics of its record."""
+    verdict = validate_consensus(trace, pattern, distinct_proposals(pattern.membership))
+    return {
+        "decided": verdict.termination_ok,
+        "safe": verdict.validity_ok and verdict.agreement_ok,
+        "decision_time": verdict.last_decision_time,
+        "rounds": verdict.max_decision_round,
+        "broadcasts": trace.broadcast_invocations,
+        "message_copies": trace.message_copies_sent,
+    }

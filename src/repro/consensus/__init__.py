@@ -26,7 +26,7 @@ Baselines and ablations:
   ``AAS[AΩ, AΣ]`` instance of Figure 9 that Section 5.3 closes with.
 
 :mod:`repro.consensus.validator` checks Validity, Agreement, and Termination
-of a run trace.
+of a run trace, and registers each as a check of a spec run.
 """
 
 from .base import ConsensusKeys, ConsensusProgram
@@ -40,9 +40,10 @@ from .family import (
     HOmegaMajorityConsensus,
     NoCoordinationConsensus,
 )
-from .validator import ConsensusVerdict, validate_consensus
+from .validator import CONSENSUS_CHECKS, ConsensusVerdict, distinct_proposals, validate_consensus
 
 __all__ = [
+    "CONSENSUS_CHECKS",
     "FAMILY",
     "AnonymousAOmegaASigmaConsensus",
     "AnonymousAOmegaConsensus",
@@ -54,5 +55,6 @@ __all__ = [
     "HOmegaHSigmaConsensus",
     "HOmegaMajorityConsensus",
     "NoCoordinationConsensus",
+    "distinct_proposals",
     "validate_consensus",
 ]

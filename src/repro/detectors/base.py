@@ -17,10 +17,11 @@ detector.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from ..errors import DetectorError
+from ..errors import ConfigurationError, DetectorError
 from ..identity import ProcessId
 from ..sim.clock import Time
 from ..sim.system import DetectorServices
@@ -55,7 +56,10 @@ class OracleDetector:
     and is recomputed only when the window index changes.  A row without a
     transient (P, AP) is accurate at all times: its ``eventual(run, process,
     now)`` depends on who is alive *now* and is evaluated on every read.
-    ``run`` is this object.  Per-run facts are resolved once; a view is still
+    ``run`` is this object.  A ``history`` (spec data, decoded by the row)
+    replaces one process's transient from each entry's time on
+    (:meth:`scripted`); the other processes' readers are built as without
+    one.  Per-run facts are resolved once; a view is still
     queried after every event (like ``stop_when``), so keep what a reader does
     per call O(1).
     """
@@ -67,6 +71,7 @@ class OracleDetector:
         *,
         stabilization_time: Time | None = None,
         noise_period: Time | None = None,
+        history: Mapping[str, Any] | None = None,
     ) -> None:
         if row.unique_ids_only and not services.membership.is_uniquely_identified:
             raise DetectorError(
@@ -86,7 +91,25 @@ class OracleDetector:
             raise DetectorError("the stabilization time cannot be negative")
         self.stabilization_time = float(stabilization_time)
         self.noise_period = noise_period
+        self.history = self._decoded(history) if history else {}
         self._schedule_wakeups()
+
+    def _decoded(self, history: Mapping[str, Any]) -> dict[int, tuple[list, list]]:
+        """``process index -> (times, outputs)``; a ConfigurationError names the row."""
+        row, size, decoded = self.row, self.membership.size, {}
+        try:
+            if row.decode is None:
+                raise ValueError("the class takes no history")
+            for index, entries in history.items():
+                if not str(index).isdigit() or int(index) >= size:
+                    raise ValueError(f"it names process {index!r} of {size}")
+                times = [float(time) for time, _ in entries]
+                if times != sorted(times) or min(times, default=0.0) < 0:
+                    raise ValueError(f"process {index}'s times {times} do not ascend from 0")
+                decoded[int(index)] = times, [row.decode(value) for _, value in entries]
+        except (TypeError, ValueError) as error:
+            raise ConfigurationError(f"detector {row.name!r}: bad history: {error}") from None
+        return decoded
 
     # ------------------------------------------------------------------
     # Wake-ups: blocked processes must be re-evaluated when outputs change.
@@ -98,6 +121,10 @@ class OracleDetector:
             while boundary < self.stabilization_time:
                 self.services.schedule(boundary, self.services.poke_all)
                 boundary += self.noise_period
+        for times, _ in self.history.values():
+            for time in times:
+                if time < self.stabilization_time:
+                    self.services.schedule(time, self.services.poke_all)
 
     # ------------------------------------------------------------------
     # Readers
@@ -148,6 +175,16 @@ class OracleDetector:
 
         return read
 
+    def scripted(self, times: list, outputs: list, otherwise: Callable[[], Any]) -> Callable:
+        """``outputs[i]`` from ``times[i]`` on; ``otherwise()`` before the first entry."""
+        clock = self.clock
+
+        def read():
+            at = bisect_right(times, clock.now)
+            return outputs[at - 1] if at else otherwise()
+
+        return read
+
     def view_for(self, process: ProcessId):
         """The per-process query view: the row's view over one reader."""
         row = self.row
@@ -157,4 +194,6 @@ class OracleDetector:
         transient = partial(row.transient, self, process)
         if row.windowed:
             transient = self.per_window(transient)
+        if process.index in self.history:
+            transient = self.scripted(*self.history[process.index], transient)
         return row.view(self.reader(partial(row.eventual, self, process), transient))

@@ -76,7 +76,9 @@ class DetectorRow:
     and ``axioms(trace, pattern, *keys)`` is what the class demands of a
     recorded trace, stated without reference to them.
     ``elects`` marks the classes with a leader output, whose oracles disagree
-    per ``noise_period`` window before they stabilise.
+    per ``noise_period`` window before they stabilise.  ``decode`` turns a
+    JSON value into the row's output, for the classes an oracle can be told
+    a pre-stabilization history of (the five a consensus algorithm queries).
     """
 
     cls: DetectorClass | str
@@ -89,6 +91,7 @@ class DetectorRow:
     elects: bool = False
     unique_ids_only: bool = False
     paper_item: str = ""
+    decode: Callable[[Any], Any] | None = None
 
     @cached_property
     def windowed(self) -> bool:
@@ -121,10 +124,19 @@ class DetectorRow:
         *,
         stabilization_time: Time | None = None,
         noise_period: Time | None = None,
+        history: Mapping[str, Any] | None = None,
     ) -> OracleDetector:
-        """The ground-truth detector of this class for one run."""
+        """The ground-truth detector of this class for one run.
+
+        ``history`` (``{"<process index>": [[t, value], ...]}``, times
+        ascending) replaces a process's transient by ``decode(value)`` from
+        each ``t`` until ``stabilization_time``."""
         return OracleDetector(
-            self, services, stabilization_time=stabilization_time, noise_period=noise_period
+            self,
+            services,
+            stabilization_time=stabilization_time,
+            noise_period=noise_period,
+            history=history,
         )
 
     def probes(self) -> dict[str, Callable[[ProcessContext], Any]]:
@@ -277,6 +289,43 @@ def _hsigma_settled(run: OracleDetector, process: ProcessId) -> tuple:
 
 
 # ----------------------------------------------------------------------
+# What a history value decodes to: the row's output shape, from JSON.
+# ----------------------------------------------------------------------
+def _exactly(*types: type) -> Callable[[Any], Any]:
+    """Decodes a JSON scalar of exactly one of ``types`` (a ``bool`` is no integer)."""
+
+    def decode(value: Any) -> Any:
+        if type(value) not in types:
+            raise TypeError(f"{value!r} is not of type {' or '.join(t.__name__ for t in types)}")
+        return value
+
+    return decode
+
+
+_atom = _exactly(str, int)  # an identifier or a quorum label
+_count = _exactly(int)
+_flag = _exactly(bool)
+
+
+def _leader_pair(value: Any) -> tuple:
+    """``[identifier, multiplicity]``."""
+    identity, multiplicity = value
+    return _atom(identity), _count(multiplicity)
+
+
+def _counted_quora(value: Any) -> frozenset:
+    """``[[label, size], ...]``."""
+    return frozenset((_atom(label), _count(size)) for label, size in value)
+
+
+def _multiset_quora(value: Any) -> tuple:
+    """``[[[label, [identifier, ...]], ...], [label, ...]]``: quora, then labels."""
+    quora, labels = value
+    multisets = ((_atom(label), IdentityMultiset(map(_atom, members))) for label, members in quora)
+    return frozenset(multisets), frozenset(map(_atom, labels))
+
+
+# ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
 _C = DetectorClass
@@ -311,6 +360,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             elects=True,
             unique_ids_only=True,
             paper_item="Chandra, Hadzilacos & Toueg 1996",
+            decode=_atom,
         ),
         DetectorRow(
             _C.SIGMA, "Sigma", "sigma", ("trusted",),
@@ -348,6 +398,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             axioms=partial(axiom.election, flag=True),
             elects=True,
             paper_item="Bonnet & Raynal 2013 (not realistic)",
+            decode=_flag,
         ),
         DetectorRow(
             _C.A_SIGMA, "ASigma", "asigma", ("a_sigma",),
@@ -355,6 +406,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             transient=_asigma_everyone,
             axioms=partial(axiom.labelled_quora, sizes=axiom.COUNTS),
             paper_item="Bonnet & Raynal 2013",
+            decode=_counted_quora,
         ),
         DetectorRow(
             _C.DIAMOND_HP, "DiamondHP", "diamond_hp", ("h_trusted",),
@@ -370,6 +422,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             axioms=axiom.election,
             elects=True,
             paper_item="Section 3.2 (implemented by Figure 6 + Observation 1)",
+            decode=_leader_pair,
         ),
         DetectorRow(
             _C.H_SIGMA, "HSigma", "hsigma", ("h_quora", "h_labels"),
@@ -377,6 +430,7 @@ CLASSES: Mapping[str, DetectorRow] = {
             transient=_hsigma_everyone,
             axioms=partial(axiom.labelled_quora, sizes=axiom.MULTISETS),
             paper_item="Section 3.2 (implemented by Figure 7)",
+            decode=_multiset_quora,
         ),
     )
 }

@@ -76,13 +76,5 @@ class ReductionError(ReproError):
     """
 
 
-class ConsensusViolationError(ReproError):
-    """A consensus safety property (validity or agreement) was violated.
-
-    The consensus validators raise this when asked to *assert* correctness of
-    a run; when asked merely to *report*, they return a verdict object instead.
-    """
-
-
 class TraceError(ReproError):
     """A trace query referenced a process, time, or record that does not exist."""

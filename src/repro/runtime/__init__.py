@@ -43,13 +43,12 @@ The pieces:
 """
 
 from ..analysis.runner import ParameterSweep
+from ..consensus import distinct_proposals
 from .builder import ScenarioBuilder, ScenarioValidationError, scenario, validate_spec
 from .cache import RunCache
 from .engine import (
     Engine,
     RunRecord,
-    default_consensus_detectors,
-    distinct_proposals,
     execute_spec,
     measure_run,
     run_with_digest_capture,
@@ -142,7 +141,6 @@ __all__ = [
     "cascading",
     "composed",
     "crashes_at",
-    "default_consensus_detectors",
     "distinct_proposals",
     "duplicating",
     "execute_spec",

@@ -38,11 +38,13 @@ before returning the (immutable, serializable) spec:
 
 from __future__ import annotations
 
+import json
 import math
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
-from ..errors import ConfigurationError
+from ..consensus import CONSENSUS_CHECKS
 from ..detectors import CLASSES
+from ..errors import ConfigurationError
 from .registry import CHECKS, CONSENSUS, PROGRAMS
 from .spec import (
     CrashSpec,
@@ -166,11 +168,15 @@ class ScenarioBuilder:
         *detectors: str | DetectorSpec,
         stabilization: float | None = None,
         noise_period: float | None = 5.0,
+        history: Mapping[Any, Any] | None = None,
     ) -> "ScenarioBuilder":
         """Attach detector oracles by name (or pre-built specs).
 
-        ``stabilization`` applies to every named detector; ``noise_period``
-        only to the leader-electing ones (Ω, AΩ, HΩ).
+        ``stabilization`` and ``history`` (what each process is told before
+        stabilization, ``{"<process index>": [[t, value], ...]}``; see
+        :meth:`~repro.detectors.table.DetectorRow.oracle`) apply to every
+        named detector; ``noise_period`` only to the leader-electing ones
+        (Ω, AΩ, HΩ).
         """
         for detector in detectors:
             if isinstance(detector, DetectorSpec):
@@ -181,6 +187,9 @@ class ScenarioBuilder:
                 params["stabilization_time"] = stabilization
             if noise_period is not None and detector in CLASSES and CLASSES[detector].elects:
                 params["noise_period"] = noise_period
+            if history is not None:
+                # As JSON has it (string keys, lists), so a spec equals its round trip.
+                params["history"] = json.loads(json.dumps(history))
             self._detectors.append(DetectorSpec(detector, params))
         return self
 
@@ -406,6 +415,11 @@ def validate_spec(spec: ScenarioSpec) -> None:
 
     for check in spec.checks:
         CHECKS.resolve(check)
+        if check in CONSENSUS_CHECKS and spec.consensus is None:
+            raise ScenarioValidationError(
+                f"check {check!r} judges a consensus run's decisions, and this "
+                "scenario runs no consensus algorithm: name one with .consensus(...)"
+            )
 
     if spec.kv is not None:
         if spec.consensus is not None or spec.program is not None:

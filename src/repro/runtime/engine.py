@@ -64,7 +64,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..analysis.metrics import consensus_metrics
 from ..analysis.runner import ParameterSweep, jsonl_line, merge_row
-from ..consensus import validate_consensus
+from ..consensus import distinct_proposals
 from ..errors import ConfigurationError
 from ..membership import Membership
 from ..sim import CompositeProgram, Simulation, build_system
@@ -89,26 +89,7 @@ __all__ = [
     "cached_item",
     "cache_item",
     "run_with_digest_capture",
-    "distinct_proposals",
-    "default_consensus_detectors",
 ]
-
-
-def distinct_proposals(membership: Membership) -> dict:
-    """One distinct proposal per process (so agreement is non-trivial)."""
-    return {process: f"value-{process.index}" for process in membership.processes}
-
-
-def default_consensus_detectors(stabilization: float, *, noise_period: float | None = 5.0):
-    """The HΩ + HΣ oracle pair the consensus experiments attach by default."""
-    homega = DETECTORS.resolve("HOmega")
-    hsigma = DETECTORS.resolve("HSigma")
-    return {
-        "HOmega": homega(
-            {"stabilization_time": stabilization, "noise_period": noise_period}
-        ),
-        "HSigma": hsigma({"stabilization_time": stabilization}),
-    }
 
 
 @dataclass(frozen=True)
@@ -291,11 +272,12 @@ def _program_factory(spec: ScenarioSpec, membership: Membership) -> Callable:
 
 
 def measure_run(spec: ScenarioSpec, simulation: Simulation) -> RunRecord:
-    """The record of a finished :func:`simulate_spec` run: validate, collect metrics.
+    """The record of a finished :func:`simulate_spec` run: collect metrics.
 
     A KV run is measured by its client history
     (:func:`~repro.workloads.kv.metrics.kv_metrics`), a consensus run by its
-    decisions; the spec's checks are folded in either way.
+    decisions (:func:`~repro.analysis.metrics.consensus_metrics`); the spec's
+    checks are folded in either way.
     """
     trace, pattern = simulation.trace, simulation.failure_pattern
     metrics: dict[str, Any] = {}
@@ -304,17 +286,7 @@ def measure_run(spec: ScenarioSpec, simulation: Simulation) -> RunRecord:
 
         metrics = kv_metrics(trace)
     elif spec.consensus:
-        proposals = distinct_proposals(simulation.system.membership)
-        verdict = validate_consensus(trace, pattern, proposals, require_termination=False)
-        measured = consensus_metrics(trace, pattern, verdict)
-        metrics = {
-            "decided": measured.decided,
-            "safe": measured.safe,
-            "decision_time": measured.last_decision_time,
-            "rounds": measured.max_decision_round,
-            "broadcasts": measured.broadcasts,
-            "message_copies": measured.message_copies,
-        }
+        metrics = consensus_metrics(trace, pattern)
     metrics.update(fold_checks(trace, pattern, spec.checks))
     return RunRecord(
         scenario=spec.name,

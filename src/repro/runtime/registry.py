@@ -24,7 +24,7 @@ from ..algorithms import (
     OhpPollingProgram,
     ScriptAliveProgram,
 )
-from ..consensus import FAMILY, ConsensusFactory
+from ..consensus import CONSENSUS_CHECKS, FAMILY, ConsensusFactory
 from ..detectors import CLASSES, DetectorRow, check_hb_detection, check_topo_detection
 from ..errors import ConfigurationError
 from ..membership import Membership
@@ -360,6 +360,11 @@ register_check("membership_churn", _check_membership_churn)
 
 register_check("hb_detection", check_hb_detection)
 register_check("topo_detection", check_topo_detection)
+
+# Consensus validity, agreement and termination, each judged over the
+# proposals a spec run makes (``repro.consensus.validator``).
+for _name, _check in CONSENSUS_CHECKS.items():
+    register_check(_name, _check)
 
 
 # ----------------------------------------------------------------------

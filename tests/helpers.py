@@ -1,4 +1,5 @@
-"""Shared helpers for tests: running probe systems and building detector services."""
+"""Shared helpers for tests: running probe systems, building detector services,
+reading check verdicts off a run record."""
 
 from __future__ import annotations
 
@@ -68,6 +69,11 @@ def run_probe_system(
     simulation = Simulation(system)
     trace = simulation.run(until=until)
     return simulation, trace
+
+
+def failed_checks(metrics: Mapping) -> list[str]:
+    """The checks whose ``<check>_ok`` metric in a run record is false, in record order."""
+    return [key[: -len("_ok")] for key, ok in metrics.items() if key.endswith("_ok") and not ok]
 
 
 def poison_run_one(config: dict) -> dict:

@@ -437,3 +437,52 @@ def test_coord_and_ph0_are_each_broadcast_from_one_function() -> None:
                 ):
                     sites[call.args[0].value].append(f"{path.name}:{function.lineno}")
     assert {kind: len(found) for kind, found in sites.items()} == {"COORD": 1, "PH0": 1}, sites
+
+
+def test_consensus_is_judged_by_its_checks() -> None:
+    """One consensus judge: a spec names validity, agreement and termination as
+    checks.  In ``src/`` only ``consensus/`` and ``analysis/metrics.py`` call
+    ``validate_consensus``; in ``tests/`` only the validator's own unit tests
+    and the runs no spec can express, each listed here with its reason."""
+    package = ROOT / "src" / "repro"
+    judges = {
+        path.relative_to(package).as_posix()
+        for path in sorted(package.rglob("*.py"))
+        if _calls(ast.parse(path.read_text(encoding="utf-8")), "validate_consensus")
+    }
+    assert "analysis/metrics.py" in judges
+    assert {name for name in judges if not name.startswith("consensus/")} == {"analysis/metrics.py"}
+
+    allowed = {
+        "test_consensus_validator_stacked.py::TestValidator": "the validator's own unit tests",
+        "test_consensus_majority.py::TestFigureEightCorrectness.test_crash_during_broadcast":
+            "a crash mid-broadcast of a chosen process, which no crash spec draws",
+        "test_edge_cases.py::TestProposalTypes.test_non_string_and_identical_proposals":
+            "custom and non-distinct proposal sets; a spec run proposes value-<index>",
+        "test_edge_cases.py::TestNonDefaultWiring.test_figure8_with_renamed_detector":
+            "a renamed Figure 8 row, which is not registered",
+        "test_misc_units.py::TestConsensusOverThePlainSimApi"
+        ".test_custom_detectors_and_identical_proposals":
+            "a non-distinct proposal set, over the plain simulator API",
+        "test_runtime_engine.py::TestEngine"
+        ".test_a_spec_measures_the_run_a_hand_wired_system_does":
+            "the hand-wired reference twin a spec's record is held to",
+    }
+    callers = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owners = node.body if isinstance(node, ast.ClassDef) else [node]
+            for owner in owners:
+                if isinstance(owner, ast.FunctionDef) and _calls(owner, "validate_consensus"):
+                    prefix = f"{node.name}." if owner is not node else ""
+                    callers.add(f"{path.name}::{prefix}{owner.name}")
+    unlisted = [
+        caller
+        for caller in sorted(callers)
+        if not any(caller == name or caller.startswith(f"{name}.") for name in allowed)
+    ]
+    assert not unlisted, "judge a consensus spec with its consensus_* checks:\n" + "\n".join(
+        unlisted
+    )
+    stale = [name for name in allowed if not any(c.startswith(name) for c in callers)]
+    assert not stale, stale

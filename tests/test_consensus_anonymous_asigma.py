@@ -2,76 +2,48 @@
 
 from __future__ import annotations
 
-import pytest
+from repro.consensus import CONSENSUS_CHECKS, AnonymousAOmegaASigmaConsensus
+from repro.runtime import crashes_at, execute_spec, scenario
 
-from repro.consensus import AnonymousAOmegaASigmaConsensus, validate_consensus
-from repro.detectors import CLASSES
-from repro.identity import ProcessId
-from repro.membership import anonymous_identities
-from repro.sim import AsynchronousTiming, CrashSchedule, Simulation, build_system
-from repro.sim.failures import FailurePattern
+from .helpers import failed_checks
 
 
-def p(index: int) -> ProcessId:
-    return ProcessId(index)
-
-
-def run_anonymous_consensus(n=5, *, crashes=None, seed=41, stabilization=20.0, until=500.0):
-    membership = anonymous_identities(n)
-    proposals = {process: f"value-{process.index}" for process in membership.processes}
-    schedule = CrashSchedule.at_times(crashes or {})
-    detectors = {
-        "AOmega": lambda services: CLASSES["AOmega"].oracle(
-            services, stabilization_time=stabilization, noise_period=5.0
-        ),
-        "ASigma": lambda services: CLASSES["ASigma"].oracle(
-            services, stabilization_time=stabilization
-        ),
-    }
-    system = build_system(
-        membership=membership,
-        timing=AsynchronousTiming(min_latency=0.1, max_latency=2.0),
-        program_factory=lambda pid, identity: AnonymousAOmegaASigmaConsensus(proposals[pid]),
-        crash_schedule=schedule,
-        detectors=detectors,
-        seed=seed,
+def anonymous_figure9(crashes: dict | None = None, *, horizon: float = 500.0):
+    """The ``AAS[AΩ, AΣ]`` instance of Figure 9 on five anonymous processes."""
+    return (
+        scenario("aomega-asigma")
+        .processes(5)
+        .anonymous()
+        .detectors("AOmega", "ASigma", stabilization=20.0)
+        .consensus("aomega_asigma")
+        .check(*CONSENSUS_CHECKS)
+        .crashes(crashes_at(crashes or {}))
+        .horizon(horizon)
+        .seed(41)
+        .build()
     )
-    simulation = Simulation(system)
-    trace = simulation.run(until=until, stop_when=lambda sim: sim.all_correct_decided())
-    return trace, FailurePattern(membership, schedule), proposals
 
 
 class TestAnonymousAOmegaASigma:
     def test_no_crash(self):
-        trace, pattern, proposals = run_anonymous_consensus()
-        verdict = validate_consensus(trace, pattern, proposals)
-        assert verdict.ok, verdict.violations
+        assert not failed_checks(execute_spec(anonymous_figure9()).metrics)
 
     def test_single_crash(self):
-        trace, pattern, proposals = run_anonymous_consensus(crashes={p(2): 10.0})
-        verdict = validate_consensus(trace, pattern, proposals)
-        assert verdict.ok, verdict.violations
+        assert not failed_checks(execute_spec(anonymous_figure9({2: 10.0})).metrics)
 
     def test_minority_correct(self):
         # AΩ + AΣ tolerates any number of crashes, like Figure 9.
-        trace, pattern, proposals = run_anonymous_consensus(
-            crashes={p(1): 8.0, p(2): 12.0, p(3): 16.0}, until=700.0
-        )
-        verdict = validate_consensus(trace, pattern, proposals)
-        assert verdict.ok, verdict.violations
+        spec = anonymous_figure9({1: 8.0, 2: 12.0, 3: 16.0}, horizon=700.0)
+        assert not failed_checks(execute_spec(spec).metrics)
 
     def test_multiple_seeds(self):
+        spec = anonymous_figure9({4: 9.0})
         for seed in (1, 2, 3):
-            trace, pattern, proposals = run_anonymous_consensus(
-                crashes={p(4): 9.0}, seed=seed
-            )
-            verdict = validate_consensus(trace, pattern, proposals)
-            assert verdict.ok, (seed, verdict.violations)
+            assert not failed_checks(execute_spec(spec.with_seed(seed)).metrics), seed
 
     def test_decided_value_is_a_proposal(self):
-        trace, pattern, proposals = run_anonymous_consensus(crashes={p(0): 10.0})
-        verdict = validate_consensus(trace, pattern, proposals)
-        assert set(verdict.decided_values.values()) <= set(proposals.values())
+        spec = anonymous_figure9({0: 10.0})
+        assert execute_spec(spec).metrics["consensus_validity_ok"]
 
     def test_describe(self):
         program = AnonymousAOmegaASigmaConsensus("v")

@@ -13,9 +13,10 @@ import dataclasses
 import pytest
 
 from repro.detectors import CLASSES
-from repro.errors import DetectorError
+from repro.errors import ConfigurationError, DetectorError
 from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import anonymous_identities, grouped_identities, unique_identities
+from repro.runtime import DETECTORS
 from repro.sim import Clock, CrashSchedule
 
 from .helpers import make_services, run_probe_system
@@ -252,6 +253,79 @@ class TestAnonymousOracles:
         services.clock.advance_to(12.0)
         # p1 is still alive at t=12 although faulty: output must stay >= 4.
         assert view.anap >= 4
+
+
+class TestHistory:
+    """A pre-stabilization history is spec data: ``{"<index>": [[t, value], ...]}``."""
+
+    HOMEGA = {"1": [[2.0, ["grp1", 3]], [4.0, ["grp0", 1]]]}
+
+    def test_each_entry_replaces_one_process_transient_until_stabilization(self):
+        services = make_services(grouped_identities([2, 2]))
+        plain = CLASSES["HOmega"].oracle(services, stabilization_time=6.0, noise_period=5.0)
+        woken = []
+        services.schedule = lambda when, action: woken.append(when)
+        oracle = CLASSES["HOmega"].oracle(
+            services, stabilization_time=6.0, noise_period=5.0, history=self.HOMEGA
+        )
+        assert sorted(woken) == [2.0, 4.0, 5.0, 6.0]  # one wake-up per entry
+        views = [oracle.view_for(p(1)), oracle.view_for(p(0)), plain.view_for(p(0))]
+        said = []
+        for now in (0.0, 1.9, 2.0, 3.9, 4.0, 5.9, 6.0):
+            services.clock.advance_to(now)
+            told, untold, unscripted = (view.read() for view in views)
+            assert untold == unscripted  # only the process with a history is told it
+            said.append(told)
+        noise = said[0]
+        assert said == [noise, noise, ("grp1", 3), ("grp1", 3), ("grp0", 1), ("grp0", 1),
+                        ("grp0", 2)]  # fmt: skip
+
+    def test_the_five_rows_a_consensus_row_queries_decode_their_shape(self):
+        values = {
+            "Omega": ("id0", "id0"),
+            "AOmega": (True, True),
+            "HOmega": (["grp0", 2], ("grp0", 2)),
+            "ASigma": ([["x", 2]], frozenset({("x", 2)})),
+            "HSigma": (
+                [[["x", ["grp0", "grp0"]]], ["x"]],
+                (frozenset({("x", IdentityMultiset(["grp0", "grp0"]))}), frozenset({"x"})),
+            ),
+        }
+        assert {name for name, row in CLASSES.items() if row.decode} == set(values)
+        for name, (value, output) in values.items():
+            row = CLASSES[name]
+            membership = unique_identities(2) if row.unique_ids_only else grouped_identities([2])
+            oracle = row.oracle(
+                make_services(membership), stabilization_time=9.0, history={"0": [[0.0, value]]}
+            )
+            assert oracle.view_for(p(0)).read() == output, name
+
+    @pytest.mark.parametrize(
+        "name, history, complaint",
+        [
+            ("DiamondHP", {"0": [[0.0, []]]}, "takes no history"),
+            ("Perfect", {"0": [[0.0, []]]}, "takes no history"),
+            ("HOmega", {"7": [[0.0, ["grp0", 1]]]}, "names process '7' of 4"),
+            ("HOmega", {"x": [[0.0, ["grp0", 1]]]}, "names process 'x' of 4"),
+            ("HOmega", {"0": [[3.0, ["grp0", 1]], [1.0, ["grp0", 2]]]}, "do not ascend"),
+            ("HOmega", {"0": [[-1.0, ["grp0", 1]]]}, "do not ascend from 0"),
+            ("HOmega", {"0": [[0.0, "grp0"]]}, "too many values"),
+            ("HOmega", {"0": [[0.0, ["grp0", True]]]}, "True is not of type int"),
+            ("HSigma", {"0": [[0.0, [[["x", "grp0"]]]]]}, "not enough values"),
+            ("AOmega", {"0": [[0.0, 1]]}, "1 is not of type bool"),
+            ("Omega", {"0": [[0.0, ["id0"]]]}, r"\['id0'\] is not of type str or int"),
+            ("HOmega", {"0": [[0.0]]}, "not enough values"),
+        ],
+    )
+    def test_a_malformed_history_is_a_configuration_error_naming_the_detector(
+        self, name, history, complaint
+    ):
+        row = CLASSES[name]
+        membership = unique_identities(4) if row.unique_ids_only else grouped_identities([2, 2])
+        with pytest.raises(ConfigurationError, match=rf"'{name}': bad history: .*{complaint}"):
+            DETECTORS.resolve(name)({"stabilization_time": 5.0, "history": history})(
+                make_services(membership)
+            )
 
 
 def _pattern(membership, schedule):

@@ -34,13 +34,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.consensus import HOmegaMajorityConsensus, validate_consensus
 from repro.detectors import CLASSES, DetectorProbeProgram, DetectorRow
 from repro.detectors.properties import finally_each
 from repro.experiments import ALL_EXPERIMENTS
 from repro.identity import ANONYMOUS_IDENTITY, IdentityMultiset, ProcessId
 from repro.membership import anonymous_identities, grouped_identities, unique_identities
-from repro.runtime import CHECKS, DETECTORS, register_detector_class
+from repro.runtime import (
+    CHECKS,
+    DETECTORS,
+    crashes_at,
+    measure_run,
+    register_detector_class,
+    scenario,
+    simulate_spec,
+)
 from repro.runtime.engine import fold_checks
 from repro.sim import AsynchronousTiming, CrashSchedule, RunTrace, Simulation, build_system
 from repro.sim.failures import FailurePattern
@@ -504,18 +511,18 @@ class TestTheAxiomsRejectAndAdmit:
         every bearer has crashed, with multiplicity n, is as admissible as noise."""
         membership = grouped_identities([2, 2, 1])
         doomed = membership.processes[-1]  # the only bearer of its identifier
-        adversarial = dataclasses.replace(
-            CLASSES["HOmega"],
-            transient=lambda run, process: (run.membership.identity_of(doomed), membership.size),
-        )
+        said_first = [membership.identity_of(doomed), membership.size]
+        history = {str(process.index): [[0.0, said_first]] for process in membership.processes}
         schedule = CrashSchedule.at_times({doomed: 1.0})
-        oracle = partial(adversarial.oracle, stabilization_time=30.0)
+        oracle = DETECTORS.resolve("HOmega")({"stabilization_time": 30.0, "history": history})
 
         simulation = Simulation(
             build_system(
                 membership=membership,
                 timing=AsynchronousTiming(min_latency=0.1, max_latency=1.0),
-                program_factory=lambda pid, identity: DetectorProbeProgram(adversarial.probes()),
+                program_factory=lambda pid, identity: DetectorProbeProgram(
+                    CLASSES["HOmega"].probes()
+                ),
                 crash_schedule=schedule,
                 detectors={"HOmega": oracle},
             )
@@ -523,29 +530,25 @@ class TestTheAxiomsRejectAndAdmit:
         trace = simulation.run(until=60.0)
         said = {value for _, value in trace.values_of(membership.processes[0], "HOmega.h_leader")}
         assert said == {"grp2", "grp0"}  # the crashed identifier first, then the elected one
-        result = adversarial.judge(trace, simulation.failure_pattern)
+        result = CLASSES["HOmega"].judge(trace, simulation.failure_pattern)
         assert (result.ok, result.stabilization_time) == (True, 30.0), result.violations
 
         # Figure 8 under that history: nobody correct is a leader before t=30,
         # so nothing is decided by then — and everything after.
-        proposals = {process: f"value-{process.index}" for process in membership.processes}
-        simulation = Simulation(
-            build_system(
-                membership=membership,
-                timing=AsynchronousTiming(min_latency=0.1, max_latency=2.0),
-                program_factory=lambda pid, identity: HOmegaMajorityConsensus(
-                    proposals[pid], n=membership.size
-                ),
-                crash_schedule=schedule,
-                detectors={"HOmega": oracle},
-            )
+        spec = (
+            scenario("figure8-crashed-leader")
+            .homonyms([2, 2, 1])
+            .crashes(crashes_at({doomed.index: 1.0}))
+            .detectors("HOmega", stabilization=30.0, noise_period=None, history=history)
+            .consensus("homega_majority")
+            .check("consensus_validity", "consensus_agreement", "consensus_termination")
+            .horizon(600.0)
+            .build()
         )
-        trace = simulation.run(until=600.0, stop_when=Simulation.all_correct_decided)
-        pattern = simulation.failure_pattern
-        verdict = validate_consensus(trace, pattern, proposals, require_termination=False)
-        assert verdict.ok, verdict
-        assert trace.all_decided(pattern.correct)
-        assert min(decision.time for decision in trace.decisions.values()) > 30.0
+        simulation = simulate_spec(spec)
+        metrics = measure_run(spec, simulation).metrics
+        assert [metrics[f"{check}_ok"] for check in spec.checks] == [True, True, True]
+        assert min(decision.time for decision in simulation.trace.decisions.values()) > 30.0
 
     def test_a_transient_may_be_a_partial_or_a_callable_object(self):
         """Whether a transient is per-read or per-window is read from its

@@ -7,15 +7,12 @@ import dataclasses
 import pytest
 
 from repro.algorithms import HSigmaSynchronousProgram, OhpPollingProgram
-from repro.consensus import (
-    HOmegaHSigmaConsensus,
-    HOmegaMajorityConsensus,
-    validate_consensus,
-)
+from repro.consensus import CONSENSUS_CHECKS, HOmegaMajorityConsensus, validate_consensus
 from repro.consensus.rules import H_OMEGA
 from repro.detectors import CLASSES
 from repro.identity import ProcessId
-from repro.membership import Membership, anonymous_identities, unique_identities
+from repro.membership import Membership, unique_identities
+from repro.runtime import CONSENSUS, DETECTORS, asynchronous, crashes_at, execute_spec, scenario
 from repro.sim import (
     AsynchronousTiming,
     CrashSchedule,
@@ -27,6 +24,8 @@ from repro.sim import (
 from repro.sim.failures import FailurePattern
 from repro.workloads import minority_crashes
 
+from .helpers import failed_checks
+
 H_QUORA, _ = CLASSES["HSigma"].keys
 
 
@@ -34,61 +33,53 @@ def p(index: int) -> ProcessId:
     return ProcessId(index)
 
 
-def run_consensus(membership, factory, detectors, *, crashes=None, seed=51, until=400.0):
-    schedule = CrashSchedule.at_times(crashes or {})
-    system = build_system(
-        membership=membership,
-        timing=AsynchronousTiming(min_latency=0.1, max_latency=1.5),
-        program_factory=factory,
-        crash_schedule=schedule,
-        detectors=detectors,
-        seed=seed,
+def checked(name: str):
+    """A scenario under the three consensus checks, on this file's timing and seed."""
+    return (
+        scenario(name)
+        .timing(asynchronous(max_latency=1.5))
+        .check(*CONSENSUS_CHECKS)
+        .horizon(400.0)
+        .seed(51)
     )
-    simulation = Simulation(system)
-    trace = simulation.run(until=until, stop_when=lambda sim: sim.all_correct_decided())
-    return trace, FailurePattern(membership, schedule)
 
 
 class TestMinimalSystems:
     def test_figure8_three_processes_one_crash(self):
-        membership = Membership.of(["A", "A", "B"])
-        proposals = {p(0): 10, p(1): 20, p(2): 30}
-        trace, pattern = run_consensus(
-            membership,
-            lambda pid, identity: HOmegaMajorityConsensus(proposals[pid], n=3, t=1),
-            {"HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=10.0)},
-            crashes={p(2): 8.0},
+        spec = (
+            checked("figure8-n3")
+            .identities(["A", "A", "B"])
+            .detectors("HOmega", stabilization=10.0, noise_period=None)
+            .consensus("homega_majority", t=1)
+            .crashes(crashes_at({2: 8.0}))
+            .build()
         )
-        verdict = validate_consensus(trace, pattern, proposals)
-        assert verdict.ok, verdict.violations
+        assert not failed_checks(execute_spec(spec).metrics)
 
     def test_figure8_single_process_system(self):
-        membership = unique_identities(1)
-        proposals = {p(0): "only"}
-        trace, pattern = run_consensus(
-            membership,
-            lambda pid, identity: HOmegaMajorityConsensus("only", n=1, t=0),
-            {"HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=1.0)},
+        spec = (
+            checked("figure8-n1")
+            .processes(1)
+            .unique_ids()
+            .detectors("HOmega", stabilization=1.0, noise_period=None)
+            .consensus("homega_majority", t=0)
+            .build()
         )
-        verdict = validate_consensus(trace, pattern, proposals)
-        assert verdict.ok, verdict.violations
-        assert verdict.decided_values[p(0)] == "only"
+        metrics = execute_spec(spec).metrics
+        assert not failed_checks(metrics) and metrics["decided"]
 
     def test_figure9_two_processes_one_crash(self):
-        membership = anonymous_identities(2)
-        proposals = {p(0): ("tuple", 1), p(1): ("tuple", 2)}
-        trace, pattern = run_consensus(
-            membership,
-            lambda pid, identity: HOmegaHSigmaConsensus(proposals[pid]),
-            {
-                "HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=10.0),
-                "HSigma": lambda s: CLASSES["HSigma"].oracle(s, stabilization_time=10.0),
-            },
-            crashes={p(1): 6.0},
-            until=300.0,
+        spec = (
+            checked("figure9-n2")
+            .processes(2)
+            .anonymous()
+            .detectors("HOmega", "HSigma", stabilization=10.0, noise_period=None)
+            .consensus("homega_hsigma")
+            .crashes(crashes_at({1: 6.0}))
+            .horizon(300.0)
+            .build()
         )
-        verdict = validate_consensus(trace, pattern, proposals)
-        assert verdict.ok, verdict.violations
+        assert not failed_checks(execute_spec(spec).metrics)
 
     def test_ohp_polling_single_process(self):
         membership = unique_identities(1)
@@ -104,6 +95,9 @@ class TestMinimalSystems:
 
 
 class TestProposalTypes:
+    """A spec run proposes ``value-<index>``; these proposal sets are wired by hand."""
+
+    @pytest.mark.parametrize("row", ["homega_majority", "homega_hsigma"])
     @pytest.mark.parametrize(
         "values",
         [
@@ -112,17 +106,28 @@ class TestProposalTypes:
             ["same"] * 4,
         ],
     )
-    def test_figure8_with_non_string_proposals(self, values):
+    def test_non_string_and_identical_proposals(self, row, values):
         membership = Membership.of(["A", "A", "B", "C"])
         proposals = {p(i): values[i] for i in range(4)}
-        trace, pattern = run_consensus(
-            membership,
-            lambda pid, identity: HOmegaMajorityConsensus(proposals[pid], n=4),
-            {"HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=10.0)},
-            crashes={p(3): 7.0},
+        entry = CONSENSUS.resolve(row)
+        propose = entry.factory(membership)
+        simulation = Simulation(
+            build_system(
+                membership=membership,
+                timing=AsynchronousTiming(min_latency=0.1, max_latency=1.5),
+                program_factory=lambda pid, identity: propose(proposals[pid]),
+                crash_schedule=CrashSchedule.at_times({p(3): 7.0}),
+                detectors={
+                    name: DETECTORS.resolve(name)({"stabilization_time": 10.0})
+                    for name in entry.requires_detectors
+                },
+                seed=51,
+            )
         )
-        verdict = validate_consensus(trace, pattern, proposals)
+        trace = simulation.run(until=400.0, stop_when=Simulation.all_correct_decided)
+        verdict = validate_consensus(trace, simulation.failure_pattern, proposals)
         assert verdict.ok, verdict.violations
+        assert set(verdict.decided_values.values()) <= set(values)
 
 
 class TestNonDefaultWiring:
@@ -137,28 +142,33 @@ class TestNonDefaultWiring:
         assert RewiredFigure8.requirements()["requires_detectors"] == ("leader-oracle",)
         membership = Membership.of(["A", "B", "B"])
         proposals = {process: process.index for process in membership.processes}
-        trace, pattern = run_consensus(
-            membership,
-            lambda pid, identity: RewiredFigure8(proposals[pid], n=3),
-            {"leader-oracle": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=5.0)},
+        simulation = Simulation(
+            build_system(
+                membership=membership,
+                timing=AsynchronousTiming(min_latency=0.1, max_latency=1.5),
+                program_factory=lambda pid, identity: RewiredFigure8(proposals[pid], n=3),
+                detectors={
+                    "leader-oracle": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=5.0)
+                },
+                seed=51,
+            )
         )
-        verdict = validate_consensus(trace, pattern, proposals)
+        trace = simulation.run(until=400.0, stop_when=Simulation.all_correct_decided)
+        verdict = validate_consensus(trace, simulation.failure_pattern, proposals)
         assert verdict.ok, verdict.violations
 
     def test_consensus_without_trace_recording_still_decides(self):
-        membership = Membership.of(["A", "A", "B"])
-        proposals = {process: "v" for process in membership.processes}
-        trace, pattern = run_consensus(
-            membership,
-            lambda pid, identity: HOmegaMajorityConsensus(
-                "v", n=3, record_outputs=False
-            ),
-            {"HOmega": lambda s: CLASSES["HOmega"].oracle(s, stabilization_time=5.0)},
+        spec = (
+            checked("figure8-unrecorded")
+            .identities(["A", "A", "B"])
+            .detectors("HOmega", stabilization=5.0, noise_period=None)
+            .consensus("homega_majority", record_outputs=False)
+            .build()
         )
-        verdict = validate_consensus(trace, pattern, proposals)
+        metrics = execute_spec(spec).metrics
         # Decisions are still traced (ctx.decide), only auxiliary keys are not.
-        assert verdict.validity_ok and verdict.agreement_ok and verdict.termination_ok
-        assert verdict.max_decision_round is None
+        assert not failed_checks(metrics)
+        assert metrics["rounds"] is None
 
     def test_hsigma_program_runs_forever_until_horizon(self):
         membership = Membership.of(["A", "A"])

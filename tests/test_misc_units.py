@@ -8,7 +8,6 @@ from repro import __version__
 from repro.detectors import CLASSES, DetectorProbeProgram
 from repro.errors import (
     ConfigurationError,
-    ConsensusViolationError,
     DetectorError,
     ProcessCrashedError,
     ReductionError,
@@ -39,8 +38,7 @@ class TestErrorsHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         for error_class in (
             ConfigurationError,
-            ConsensusViolationError,
-            DetectorError,
+                    DetectorError,
             ProcessCrashedError,
             ReductionError,
             SchedulingError,

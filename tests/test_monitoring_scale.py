@@ -380,17 +380,17 @@ class TestOnePeerTuplePerRun:
 
         simulation.run(until=spec.horizon)
         victim = self.N - 1
-        declaring = [monitor for monitor in monitors if monitor.dead_indices]
-        assert any(victim in monitor.dead_indices for monitor in declaring)
+        declared = [set(shared) - set(monitor.alive) for monitor in monitors]
+        declaring = [monitor for monitor, dead in zip(monitors, declared) if dead]
+        assert any(victim in dead for dead in declared)
         for monitor in declaring:
             assert type(monitor.alive) is tuple
-            assert set(monitor.alive) == set(range(self.N)) - monitor.dead_indices
         # Equal views are one object, so the run holds one view per content.
         interned = {}
         for monitor in monitors:
             assert interned.setdefault(monitor.alive, monitor.alive) is monitor.alive
         assert len({id(monitor.alive) for monitor in declaring}) < len(declaring)
-        assert all(monitor.alive is shared for monitor in monitors if not monitor.dead_indices)
+        assert all(monitor.alive is shared for monitor, dead in zip(monitors, declared) if not dead)
         assert shared == tuple(range(self.N))
 
     def test_membership_programs_keep_it_as_given(self, monkeypatch):
@@ -520,8 +520,9 @@ class TestRingPerCopyWorkIsScaleFree:
         for monitor in monitors:
             monitor.alive = view
         trace = simulation.run(until=spec.horizon)
-        assert any(n - 1 in monitor.dead_indices for monitor in monitors)
-        return view.reads / trace.message_copies_sent
+        reads = view.reads
+        assert any(n - 1 not in monitor.alive for monitor in monitors if monitor.alive is not view)
+        return reads / trace.message_copies_sent
 
     def test_reads_per_copy_do_not_grow_with_n(self, monkeypatch):
         per_copy = {n: self._reads_per_copy(n, monkeypatch) for n in (100, 1000)}

@@ -15,25 +15,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import HSigmaSynchronousProgram
-from repro.consensus import (
-    HOmegaHSigmaConsensus,
-    HOmegaMajorityConsensus,
-    validate_consensus,
-)
+from repro.consensus import CONSENSUS_CHECKS
 from repro.detectors import CLASSES
 from repro.detectors.properties import _disjoint_quora_exist
 from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import Membership
-from repro.sim import (
-    AsynchronousTiming,
-    CrashSchedule,
-    Simulation,
-    SynchronousTiming,
-    build_system,
-)
+from repro.runtime import crashes_at, execute_spec, scenario
+from repro.sim import CrashSchedule, Simulation, SynchronousTiming, build_system
 from repro.sim.failures import FailurePattern
 from repro.workloads.homonymy import membership_with_distinct_ids
-from .helpers import make_services  # noqa: F401  (fixture-style import keeps helpers loaded)
+
+from .helpers import failed_checks
 
 SLOW_SETTINGS = settings(
     max_examples=12,
@@ -100,22 +92,19 @@ class TestHSigmaPropertyBased:
 # ----------------------------------------------------------------------
 # Consensus — correctness on random scenarios
 # ----------------------------------------------------------------------
-def _run_consensus(membership, schedule, factory, detectors_stabilization, seed, horizon):
-    from repro.runtime.engine import default_consensus_detectors
-
-    proposals = {process: f"v{process.index}" for process in membership.processes}
-    system = build_system(
-        membership=membership,
-        timing=AsynchronousTiming(min_latency=0.1, max_latency=2.0),
-        program_factory=lambda pid, identity: factory(proposals[pid]),
-        crash_schedule=schedule,
-        detectors=default_consensus_detectors(detectors_stabilization),
-        seed=seed,
+def _consensus_spec(row: str, n: int, distinct: int, crashes: dict, seed: int, horizon: float):
+    return (
+        scenario(f"{row}-random")
+        .processes(n)
+        .distinct_ids(distinct)
+        .crashes(crashes_at({process.index: time for process, time in crashes.items()}))
+        .detectors("HOmega", "HSigma", stabilization=15.0)
+        .consensus(row)
+        .check(*CONSENSUS_CHECKS)
+        .horizon(horizon)
+        .seed(seed)
+        .build()
     )
-    simulation = Simulation(system)
-    trace = simulation.run(until=horizon, stop_when=lambda sim: sim.all_correct_decided())
-    pattern = FailurePattern(membership, schedule)
-    return validate_consensus(trace, pattern, proposals)
 
 
 class TestConsensusPropertyBased:
@@ -123,38 +112,17 @@ class TestConsensusPropertyBased:
     @given(shape=system_shape(), data=st.data(), seed=st.integers(0, 1_000))
     def test_figure8_correct_on_random_minority_crash_scenarios(self, shape, data, seed):
         n, distinct = shape
-        membership = membership_with_distinct_ids(n, distinct)
-        max_faulty = (n - 1) // 2
-        crashes = data.draw(crash_choice(n, max_faulty))
-        schedule = CrashSchedule.at_times(crashes)
-        verdict = _run_consensus(
-            membership,
-            schedule,
-            lambda proposal: HOmegaMajorityConsensus(proposal, n=n),
-            detectors_stabilization=15.0,
-            seed=seed,
-            horizon=600.0,
-        )
-        assert verdict.validity_ok and verdict.agreement_ok, verdict.violations
-        assert verdict.termination_ok, verdict.violations
+        crashes = data.draw(crash_choice(n, (n - 1) // 2))
+        spec = _consensus_spec("homega_majority", n, distinct, crashes, seed, horizon=600.0)
+        assert not failed_checks(execute_spec(spec).metrics)
 
     @SLOW_SETTINGS
     @given(shape=system_shape(), data=st.data(), seed=st.integers(0, 1_000))
     def test_figure9_correct_on_random_any_crash_scenarios(self, shape, data, seed):
         n, distinct = shape
-        membership = membership_with_distinct_ids(n, distinct)
         crashes = data.draw(crash_choice(n, n - 1))
-        schedule = CrashSchedule.at_times(crashes)
-        verdict = _run_consensus(
-            membership,
-            schedule,
-            lambda proposal: HOmegaHSigmaConsensus(proposal),
-            detectors_stabilization=15.0,
-            seed=seed,
-            horizon=700.0,
-        )
-        assert verdict.validity_ok and verdict.agreement_ok, verdict.violations
-        assert verdict.termination_ok, verdict.violations
+        spec = _consensus_spec("homega_hsigma", n, distinct, crashes, seed, horizon=700.0)
+        assert not failed_checks(execute_spec(spec).metrics)
 
 
 # ----------------------------------------------------------------------

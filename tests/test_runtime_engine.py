@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-from repro.analysis.metrics import consensus_metrics
 from repro.analysis.runner import ParameterSweep
 from repro.consensus import HOmegaMajorityConsensus, validate_consensus
+from repro.detectors import CLASSES
 from repro.errors import ConfigurationError
 from repro.runtime import (
     Engine,
@@ -23,7 +23,6 @@ from repro.runtime import (
     scenario,
     simulate_spec,
 )
-from repro.runtime.engine import default_consensus_detectors, distinct_proposals
 from repro.sim import AsynchronousTiming, Simulation, build_system
 from repro.sim.failures import FailurePattern
 from repro.workloads.crashes import minority_crashes
@@ -117,7 +116,7 @@ class TestEngine:
             .build()
         )
         membership = membership_with_distinct_ids(n, 3)
-        proposals = distinct_proposals(membership)
+        proposals = {process: f"value-{process.index}" for process in membership.processes}
         crash_schedule = minority_crashes(membership, at=6.0, count=1)
         system = build_system(
             membership=membership,
@@ -126,22 +125,27 @@ class TestEngine:
                 proposals[pid], n=membership.size
             ),
             crash_schedule=crash_schedule,
-            detectors=default_consensus_detectors(stabilization),
+            detectors={
+                "HOmega": lambda services: CLASSES["HOmega"].oracle(
+                    services, stabilization_time=stabilization, noise_period=5.0
+                ),
+                "HSigma": lambda services: CLASSES["HSigma"].oracle(
+                    services, stabilization_time=stabilization
+                ),
+            },
             seed=seed,
         )
         trace = Simulation(system).run(
             until=horizon, stop_when=lambda sim: sim.all_correct_decided()
         )
-        pattern = FailurePattern(membership, crash_schedule)
-        verdict = validate_consensus(trace, pattern, proposals, require_termination=False)
-        metrics = consensus_metrics(trace, pattern, verdict)
+        verdict = validate_consensus(trace, FailurePattern(membership, crash_schedule), proposals)
         assert dict(execute_spec(spec).metrics) == {
-            "decided": metrics.decided,
-            "safe": metrics.safe,
-            "decision_time": metrics.last_decision_time,
-            "rounds": metrics.max_decision_round,
-            "broadcasts": metrics.broadcasts,
-            "message_copies": metrics.message_copies,
+            "decided": verdict.termination_ok,
+            "safe": verdict.validity_ok and verdict.agreement_ok,
+            "decision_time": verdict.last_decision_time,
+            "rounds": verdict.max_decision_round,
+            "broadcasts": trace.broadcast_invocations,
+            "message_copies": trace.message_copies_sent,
         }
 
 

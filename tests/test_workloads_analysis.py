@@ -14,12 +14,12 @@ from repro.analysis import (
     render_series,
     render_table,
 )
-from repro.consensus import validate_consensus
+from repro.consensus import CONSENSUS_CHECKS
 from repro.detectors.properties import CheckResult
 from repro.errors import ConfigurationError
 from repro.identity import ProcessId
 from repro.membership import unique_identities
-from repro.runtime import CrashSpec, Engine, distinct_proposals, minority, scenario, simulate_spec
+from repro.runtime import CrashSpec, Engine, measure_run, minority, scenario, simulate_spec
 from repro.workloads import (
     cascading_crashes,
     crash_fraction,
@@ -29,6 +29,8 @@ from repro.workloads import (
     minority_crashes,
     no_crashes,
 )
+
+from .helpers import failed_checks
 
 
 def p(index: int) -> ProcessId:
@@ -156,19 +158,18 @@ class TestConsensusScenario:
             .crashes(minority(at=8.0, count=1))
             .detectors("HOmega", "HSigma", stabilization=10.0)
             .consensus("homega_majority")
+            .check(*CONSENSUS_CHECKS)
             .horizon(400.0)
             .seed(5)
             .build()
         )
         simulation = simulate_spec(spec)
-        trace, pattern = simulation.trace, simulation.failure_pattern
-        proposals = distinct_proposals(simulation.system.membership)
-        verdict = validate_consensus(trace, pattern, proposals)
-        assert verdict.ok, verdict.violations
-        metrics = consensus_metrics(trace, pattern, verdict)
-        assert metrics.decided and metrics.safe
-        assert metrics.broadcasts > 0
-        assert metrics.broadcasts_per_process > 0
+        metrics = consensus_metrics(simulation.trace, simulation.failure_pattern)
+        assert metrics["decided"] and metrics["safe"]
+        assert metrics["broadcasts"] > 0
+        record = measure_run(spec, simulation).metrics
+        assert not failed_checks(record)
+        assert dict(list(record.items())[:6]) == metrics
 
 
 class TestAnalysisHelpers:
