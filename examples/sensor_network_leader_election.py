@@ -21,44 +21,52 @@ Run with:  python examples/sensor_network_leader_election.py
 
 from __future__ import annotations
 
-from repro.algorithms import OhpPollingProgram
 from repro.detectors import CLASSES
-from repro.membership import random_identities
-from repro.sim import CrashSchedule, PartiallySynchronousTiming, Simulation, build_system
-from repro.sim.failures import FailurePattern
+from repro.runtime import (
+    MembershipSpec,
+    crashes_at,
+    measure_run,
+    partial_sync,
+    scenario,
+    simulate_spec,
+)
 
 H_LEADER, H_MULTIPLICITY = CLASSES["HOmega"].keys
 
 
 def main() -> None:
-    # A fleet of 9 motes whose identifiers are drawn from 3 hardware batches.
-    fleet = random_identities(9, domain_size=3, seed=7, prefix="batch-")
+    # A fleet of 9 motes whose identifiers are drawn from 3 hardware batches,
+    # two of which die mid-run.
+    victims = {2: 18.0, 5: 26.0}
+    spec = (
+        scenario("sensor-fleet")
+        .membership(MembershipSpec("random", n=9, domain_size=3, seed=7, prefix="batch-"))
+        # Partially synchronous network: GST and δ exist but are unknown to motes.
+        .timing(
+            partial_sync(
+                15.0, 1.0, min_latency=0.1, pre_gst_loss=0.2, pre_gst_max_latency=20.0
+            )
+        )
+        .crashes(crashes_at(victims))
+        # A gentler timeout increment keeps the adaptive timeout from
+        # overshooting when many pre-GST replies arrive late at once (the
+        # paper's +1-per-message rule is the default; the increment size is an
+        # implementation knob).
+        .program("ohp_polling", timeout_increment=0.25)
+        .check("diamond_hp", "homega")
+        .horizon(240.0)
+        .seed(11)
+        .build()
+    )
+    fleet = spec.membership.build()
     print("fleet:", fleet.describe())
     for process in fleet.processes:
         print(f"  mote {process.index}: identifier {fleet.identity_of(process)!r}")
+    print("\nbattery failures:", victims)
 
-    # Two motes die mid-run.
-    victims = {fleet.processes[2]: 18.0, fleet.processes[5]: 26.0}
-    crash_schedule = CrashSchedule.at_times(victims)
-    print("\nbattery failures:", {p.index: t for p, t in victims.items()})
-
-    # Partially synchronous network: GST and δ exist but are unknown to motes.
-    timing = PartiallySynchronousTiming(
-        gst=15.0, delta=1.0, min_latency=0.1, pre_gst_loss=0.2, pre_gst_max_latency=20.0
-    )
-    # A gentler timeout increment keeps the adaptive timeout from overshooting
-    # when many pre-GST replies arrive late at once (the paper's +1-per-message
-    # rule is the default; the increment size is an implementation knob).
-    system = build_system(
-        membership=fleet,
-        timing=timing,
-        program_factory=lambda pid, identity: OhpPollingProgram(timeout_increment=0.25),
-        crash_schedule=crash_schedule,
-        seed=11,
-    )
-    simulation = Simulation(system)
-    trace = simulation.run(until=240.0)
-    pattern = FailurePattern(fleet, crash_schedule)
+    simulation = simulate_spec(spec)
+    metrics = measure_run(spec, simulation).metrics
+    trace, pattern = simulation.trace, simulation.failure_pattern
 
     print("\nfinal leader view of every surviving mote:")
     for process in sorted(pattern.correct):
@@ -66,12 +74,10 @@ def main() -> None:
         multiplicity = trace.final_value(process, H_MULTIPLICITY)
         print(f"  mote {process.index}: leader batch {leader!r} with {multiplicity} surviving mote(s)")
 
-    hp_result = CLASSES["DiamondHP"].judge(trace, pattern)
-    homega_result = CLASSES["HOmega"].judge(trace, pattern)
-    print("\n◇HP convergence:", "ok" if hp_result.ok else f"FAILED {hp_result.violations}")
-    print("HΩ election    :", "ok" if homega_result.ok else f"FAILED {homega_result.violations}")
-    if hp_result.stabilization_time is not None:
-        print(f"converged at t={hp_result.stabilization_time:.1f} "
+    print("\n◇HP convergence:", "ok" if metrics["diamond_hp_ok"] else "FAILED")
+    print("HΩ election    :", "ok" if metrics["homega_ok"] else "FAILED")
+    if metrics["diamond_hp_time"] is not None:
+        print(f"converged at t={metrics['diamond_hp_time']:.1f} "
               f"(GST was 15.0, last crash at 26.0)")
 
 

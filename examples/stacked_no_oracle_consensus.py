@@ -13,59 +13,47 @@ Run with:  python examples/stacked_no_oracle_consensus.py
 
 from __future__ import annotations
 
-from repro.algorithms import OhpPollingProgram
-from repro.consensus import HOmegaMajorityConsensus, validate_consensus
-from repro.membership import grouped_identities
-from repro.sim import (
-    CompositeProgram,
-    CrashSchedule,
-    PartiallySynchronousTiming,
-    Simulation,
-    build_system,
-)
-from repro.sim.failures import FailurePattern
+from repro.runtime import crashes_at, measure_run, partial_sync, scenario, simulate_spec
+
+CHECKS = ("consensus_validity", "consensus_agreement", "consensus_termination")
 
 
 def main() -> None:
-    membership = grouped_identities([2, 2, 1], prefix="replica-")
-    proposals = {process: f"command-{process.index}" for process in membership.processes}
-    crash_schedule = CrashSchedule.at_times({membership.processes[3]: 14.0})
-    print("membership:", membership.describe())
-    print("crash: process 3 at t=14")
-
-    def factory(pid, identity):
+    spec = (
+        scenario("stacked-no-oracle")
+        .homonyms([2, 2, 1])
+        # Eventually timely links: before GST=20 messages may be arbitrarily
+        # slow (but are not lost — Figure 8 sends each message exactly once).
+        .timing(
+            partial_sync(
+                20.0, 1.0, min_latency=0.1, pre_gst_loss=0.0, pre_gst_max_latency=60.0
+            )
+        )
+        .crashes(crashes_at({3: 14.0}))
         # Each process runs the Figure 6 polling detector and the Figure 8
         # consensus algorithm side by side; the consensus layer queries the
-        # detector through the locally attached "HOmega" view.
-        detector = OhpPollingProgram(detector_name="HOmega", record_outputs=False)
-        consensus = HOmegaMajorityConsensus(proposals[pid], n=membership.size)
-        return CompositeProgram(detector, consensus)
-
-    # Eventually timely links: before GST=20 messages may be arbitrarily slow
-    # (but are not lost — Figure 8 sends each message exactly once).
-    timing = PartiallySynchronousTiming(
-        gst=20.0, delta=1.0, min_latency=0.1, pre_gst_loss=0.0, pre_gst_max_latency=60.0
+        # detector through the "HOmega" view the polling program publishes.
+        .program("ohp_polling", detector_name="HOmega", record_outputs=False)
+        .consensus("homega_majority")
+        .check(*CHECKS)
+        .horizon(600.0)
+        .seed(19)
+        .build()
     )
-    system = build_system(
-        membership=membership,
-        timing=timing,
-        program_factory=factory,
-        crash_schedule=crash_schedule,
-        seed=19,
-    )
-    simulation = Simulation(system)
-    trace = simulation.run(until=600.0, stop_when=lambda sim: sim.all_correct_decided())
+    print("membership:", spec.membership.build().describe())
+    print("crash: process 3 at t=14")
 
-    pattern = FailurePattern(membership, crash_schedule)
-    verdict = validate_consensus(trace, pattern, proposals)
+    simulation = simulate_spec(spec)
+    metrics = measure_run(spec, simulation).metrics
+    trace = simulation.trace
     print("\ndecisions:")
     for process, decision in sorted(trace.decisions.items()):
         print(f"  process {process.index} decided {decision.value!r} at t={decision.time:.1f}")
     print()
-    print(f"validity    : {'ok' if verdict.validity_ok else 'VIOLATED'}")
-    print(f"agreement   : {'ok' if verdict.agreement_ok else 'VIOLATED'}")
-    print(f"termination : {'ok' if verdict.termination_ok else 'VIOLATED'}")
-    print(f"GST was 20.0; last decision at t={verdict.last_decision_time:.1f}")
+    for check in CHECKS:
+        label = check.removeprefix("consensus_")
+        print(f"{label:<12}: {'ok' if metrics[f'{check}_ok'] else 'VIOLATED'}")
+    print(f"GST was 20.0; last decision at t={metrics['decision_time']:.1f}")
     print(f"total message cost: {trace.broadcast_invocations} broadcasts "
           f"({trace.message_copies_sent} link copies), "
           f"including the detector's polling traffic")

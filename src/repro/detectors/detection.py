@@ -28,7 +28,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from ..identity import ProcessId
 from ..sim.clock import Time
 from ..sim.failures import FailurePattern
-from ..sim.trace import RunTrace, TraceRecord
+from ..sim.trace import RunTrace
 from .properties import CheckResult
 
 __all__ = [
@@ -77,8 +77,9 @@ class Detections:
     latencies: dict[Any, Time]
     #: Failed targets nobody declared at or after their ``t_fail``.
     missed: tuple[Any, ...]
-    #: Declarations made before ``t_fail`` or against a target that never fails.
-    false_suspicions: tuple[TraceRecord, ...]
+    #: ``(observer, time, target)`` of every declaration made before the
+    #: target's ``t_fail`` or against a target that never fails.
+    false_suspicions: tuple[tuple[ProcessId, Time, Any], ...]
 
 
 def judge_detections(
@@ -90,14 +91,14 @@ def judge_detections(
     ones); ``failed`` maps every target that fails to its ``t_fail``.
     """
     t_detect: dict[Any, Time] = {}
-    false_suspicions: list[TraceRecord] = []
+    false_suspicions: list[tuple[ProcessId, Time, Any]] = []
     for observer in sorted(observers):
-        for record in trace.records_of(observer, DECLARED_DEAD):
-            t_fail = failed.get(record.value)
-            if t_fail is None or record.time < t_fail:
-                false_suspicions.append(record)
-            elif record.time < t_detect.get(record.value, float("inf")):
-                t_detect[record.value] = record.time
+        for time, target in trace.records_of(observer, DECLARED_DEAD):
+            t_fail = failed.get(target)
+            if t_fail is None or time < t_fail:
+                false_suspicions.append((observer, time, target))
+            elif time < t_detect.get(target, float("inf")):
+                t_detect[target] = time
     return Detections(
         latencies={
             target: t_detect[target] - t_fail
@@ -124,13 +125,9 @@ def _detection_check(
     """
     verdict = judge_detections(trace, pattern.correct, failed)
     violations = [
-        f"{record.process!r} declared {noun} {record.value!r} dead at t={record.time}, "
-        + (
-            f"before it failed at t={failed[record.value]}"
-            if record.value in failed
-            else "which never fails"
-        )
-        for record in verdict.false_suspicions
+        f"{observer!r} declared {noun} {target!r} dead at t={time}, "
+        + (f"before it failed at t={failed[target]}" if target in failed else "which never fails")
+        for observer, time, target in verdict.false_suspicions
     ]
     if verdict.missed:
         violations.append(f"missed detections (by {noun}): {list(verdict.missed)!r}")

@@ -109,7 +109,7 @@ def _final_values(
         if not records:
             violations.append(f"correct process {process!r} never recorded {key!r}")
             continue
-        finals[process] = records[-1].value
+        finals[process] = records[-1][1]
     return finals
 
 
@@ -121,7 +121,7 @@ def _stabilization_time(trace: RunTrace, pattern: FailurePattern, *keys: str) ->
             records = trace.records_of(process, key)
             if not records:
                 return None
-            final = records[-1].value
+            final = records[-1][1]
             stable = trace.first_time_value_holds(process, key, lambda value: value == final)
             if stable is None:
                 return None
@@ -137,7 +137,7 @@ def _snapshots(
     for process in pattern.membership.processes:
         records = trace.records_of(process, key)
         if records:
-            series[process] = [(record.time, frozenset(record.value)) for record in records]
+            series[process] = [(time, frozenset(value)) for time, value in records]
     return series
 
 
@@ -225,10 +225,8 @@ def always(
     violations: list[str] = []
     wrong_with = complaints(pattern)
     for process in pattern.membership.processes:
-        for record in trace.records_of(process, key):
-            violations.extend(
-                f"{process!r}{complaint}" for complaint in wrong_with(record.value, record.time)
-            )
+        for time, value in trace.records_of(process, key):
+            violations.extend(f"{process!r}{complaint}" for complaint in wrong_with(value, time))
     return CheckResult.from_violations(violations)
 
 

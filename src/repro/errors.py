@@ -74,7 +74,3 @@ class ReductionError(ReproError):
     For instance, the Figure 4 reduction (HΣ → Σ) is only defined for systems
     with unique identifiers; applying it to a run with homonyms raises this.
     """
-
-
-class TraceError(ReproError):
-    """A trace query referenced a process, time, or record that does not exist."""

@@ -8,7 +8,9 @@ Links are reliable by default but pluggable: a
 per-direction latency penalties, and timed partitions per link.  Algorithms
 are written as :class:`~repro.sim.process.ProcessProgram` subclasses and
 executed by the :class:`~repro.sim.scheduler.Simulation` engine over a
-:class:`~repro.sim.system.System` configuration.
+:class:`~repro.sim.system.System` configuration.  What a run leaves is one
+:class:`~repro.sim.trace.RunTrace`: a ``(time, value)`` series per process
+and variable, the decisions, the crashes and the message counts.
 """
 
 from .clock import Clock, Time
@@ -21,7 +23,7 @@ from .events import (
     Event,
     EventQueue,
 )
-from .failures import CrashEvent, CrashSchedule, FailurePattern, crash_free
+from .failures import CrashEvent, CrashSchedule, FailurePattern
 from .links import (
     AsymmetricLinks,
     ComposedLinks,
@@ -49,7 +51,6 @@ from .system import (
     CompositeProgram,
     DetectorServices,
     System,
-    SystemModel,
     build_system,
 )
 from .timing import (
@@ -58,7 +59,7 @@ from .timing import (
     SynchronousTiming,
     TimingModel,
 )
-from .trace import Decision, RunTrace, TraceRecord
+from .trace import Decision, RunTrace
 
 __all__ = [
     "AsymmetricLinks",
@@ -98,11 +99,8 @@ __all__ = [
     "Sleep",
     "SynchronousTiming",
     "System",
-    "SystemModel",
     "Time",
     "TimingModel",
-    "TraceRecord",
     "WaitUntil",
     "build_system",
-    "crash_free",
 ]

@@ -23,7 +23,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnSchedule",
     "FailurePattern",
-    "crash_free",
 ]
 
 
@@ -122,11 +121,6 @@ class CrashSchedule:
             raise ConfigurationError(
                 "the crash schedule kills every process; at least one must stay correct"
             )
-
-
-def crash_free() -> CrashSchedule:
-    """Convenience alias for :meth:`CrashSchedule.none`."""
-    return CrashSchedule.none()
 
 
 # ----------------------------------------------------------------------

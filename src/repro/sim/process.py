@@ -94,7 +94,7 @@ class ProcessRuntime:
         trace: RunTrace,
         rng_streams: RngStreams,
         broadcast_fn: Callable[[ProcessId, Message], None],
-        multicast_fn: Callable[[ProcessId, Message, Any], None] | None = None,
+        multicast_fn: Callable[[ProcessId, Message, Any], None],
     ) -> None:
         self.process_id = process_id
         self.identity = identity
@@ -203,11 +203,6 @@ class ProcessRuntime:
         if self._crashed:
             raise ProcessCrashedError(
                 f"crashed process {self.process_id!r} attempted to multicast {message!r}"
-            )
-        if self._multicast_fn is None:
-            raise SimulationError(
-                "this runtime was built without multicast support; "
-                "use broadcast or wire a multicast_fn"
             )
         self._multicast_fn(self.process_id, message, targets)
 

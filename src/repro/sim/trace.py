@@ -4,29 +4,21 @@ Everything the property checkers, validators, and metrics need to judge a run
 is recorded here: time-stamped per-process variable snapshots (detector
 outputs, estimates), decisions, message counts, and crash times.  Algorithm
 code writes to the trace only through ``ctx.record`` / ``ctx.decide``.
+
+A snapshot is stored once, as a ``(time, value)`` pair in the series of its
+``(process, key)``; :meth:`RunTrace.records_of` hands that series out as is.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Collection, Iterator
+from typing import Any, Collection, Sequence
 
-from ..errors import TraceError
 from ..identity import ProcessId
 from .clock import Time
 
-__all__ = ["TraceRecord", "Decision", "RunTrace"]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One time-stamped variable snapshot of one process."""
-
-    time: Time
-    process: ProcessId
-    key: str
-    value: Any
+__all__ = ["Decision", "RunTrace"]
 
 
 @dataclass(frozen=True)
@@ -42,15 +34,15 @@ class RunTrace:
     """Accumulates the observable history of a single simulation run."""
 
     def __init__(self) -> None:
-        self._records: dict[ProcessId, list[TraceRecord]] = defaultdict(list)
-        self._records_by_key: dict[tuple[ProcessId, str], list[TraceRecord]] = defaultdict(list)
+        #: ``(process, key) -> [(time, value), ...]`` in recording order.
+        self._records: dict[tuple[ProcessId, str], list[tuple[Time, Any]]] = defaultdict(list)
         self._decisions: dict[ProcessId, Decision] = {}
         self._crashes: dict[ProcessId, Time] = {}
         # Plain dicts with ``.get`` defaults: these counters tick once per
         # broadcast and once per delivered copy, where Counter's Python-level
         # ``__missing__`` shows up in profiles.
         self._sends_by_kind: dict[str, int] = {}
-        #: Delivered copies per message kind.  Public because the process
+        #: Delivered copies per message kind, read as is.  The process
         #: runtime bumps it in place, once per delivered copy, instead of
         #: calling :meth:`record_delivery`.
         self.delivered_by_kind: dict[str, int] = {}
@@ -63,9 +55,7 @@ class RunTrace:
     # ------------------------------------------------------------------
     def record(self, process: ProcessId, key: str, value: Any, time: Time) -> None:
         """Append a variable snapshot for ``process``."""
-        entry = TraceRecord(time=time, process=process, key=key, value=value)
-        self._records[process].append(entry)
-        self._records_by_key[(process, key)].append(entry)
+        self._records[(process, key)].append((time, value))
 
     def record_decision(self, process: ProcessId, value: Any, time: Time) -> None:
         """Record the (first) decision of ``process``; later calls are ignored.
@@ -99,33 +89,19 @@ class RunTrace:
     # ------------------------------------------------------------------
     # Reading — variable snapshots
     # ------------------------------------------------------------------
-    def records_of(self, process: ProcessId, key: str | None = None) -> tuple[TraceRecord, ...]:
-        """All snapshots of ``process`` (optionally restricted to one key)."""
-        if key is None:
-            return tuple(self._records.get(process, ()))
-        return tuple(self._records_by_key.get((process, key), ()))
+    def records_of(self, process: ProcessId, key: str) -> Sequence[tuple[Time, Any]]:
+        """The ``(time, value)`` series of one variable of one process.
 
-    def values_of(self, process: ProcessId, key: str) -> tuple[tuple[Time, Any], ...]:
-        """The ``(time, value)`` series of one variable of one process."""
-        return tuple((entry.time, entry.value) for entry in self.records_of(process, key))
+        The stored series itself, not a copy: read it, do not change it.
+        """
+        return self._records.get((process, key), ())
 
     def final_value(self, process: ProcessId, key: str, default: Any = None) -> Any:
         """The last recorded value of a variable, or ``default`` when never set."""
-        entries = self._records_by_key.get((process, key))
-        if not entries:
+        series = self._records.get((process, key))
+        if not series:
             return default
-        return entries[-1].value
-
-    def value_at(self, process: ProcessId, key: str, at: Time, default: Any = None) -> Any:
-        """The value a variable held at time ``at`` (last record with time <= at)."""
-        entries = self._records_by_key.get((process, key), [])
-        chosen = default
-        for entry in entries:
-            if entry.time <= at:
-                chosen = entry.value
-            else:
-                break
-        return chosen
+        return series[-1][1]
 
     def first_time_value_holds(
         self, process: ProcessId, key: str, predicate
@@ -136,30 +112,21 @@ class RunTrace:
         (i.e. the last recorded value does not satisfy it, or the key was never
         recorded).
         """
-        entries = self._records_by_key.get((process, key), [])
-        if not entries or not predicate(entries[-1].value):
+        series = self._records.get((process, key))
+        if not series or not predicate(series[-1][1]):
             return None
         stable_since: Time | None = None
-        for entry in entries:
-            if predicate(entry.value):
+        for time, value in series:
+            if predicate(value):
                 if stable_since is None:
-                    stable_since = entry.time
+                    stable_since = time
             else:
                 stable_since = None
         return stable_since
 
-    def keys_recorded(self, process: ProcessId) -> frozenset[str]:
-        """The variable names ever recorded by ``process``."""
-        return frozenset(entry.key for entry in self._records.get(process, ()))
-
     def processes_with_records(self) -> frozenset[ProcessId]:
         """Processes that recorded at least one snapshot."""
-        return frozenset(self._records)
-
-    def all_records(self) -> Iterator[TraceRecord]:
-        """Iterate over every snapshot in the trace (unspecified order across processes)."""
-        for entries in self._records.values():
-            yield from entries
+        return frozenset(process for process, _ in self._records)
 
     # ------------------------------------------------------------------
     # Reading — decisions, crashes, messages
@@ -168,13 +135,6 @@ class RunTrace:
     def decisions(self) -> dict[ProcessId, Decision]:
         """The first decision of every process that decided."""
         return dict(self._decisions)
-
-    def decision_of(self, process: ProcessId) -> Decision:
-        """The decision of ``process``; raises :class:`TraceError` if it never decided."""
-        try:
-            return self._decisions[process]
-        except KeyError:
-            raise TraceError(f"{process!r} never decided in this run") from None
 
     def decided(self, process: ProcessId) -> bool:
         """Return ``True`` when ``process`` decided."""
@@ -218,16 +178,6 @@ class RunTrace:
         """Total link-level message copies produced by all broadcasts."""
         return self._send_copies
 
-    @property
-    def message_copies_delivered(self) -> int:
-        """Total link-level message copies delivered to live processes (a copy
-        reaching a crashed process is dispatched but not counted)."""
-        return sum(self.delivered_by_kind.values())
-
     def broadcasts_by_kind(self) -> dict[str, int]:
         """Broadcast invocations grouped by message kind."""
         return dict(self._sends_by_kind)
-
-    def deliveries_by_kind(self) -> dict[str, int]:
-        """Delivered message copies grouped by message kind."""
-        return dict(self.delivered_by_kind)

@@ -163,32 +163,23 @@ def check_membership_churn(trace, pattern):
     crashes = {process.index: when for process, when in trace.crashes.items()}
 
     # -- reconstruct the per-index lifecycle from the self-narrated records --
+    def last_time(process, key: str) -> float | None:
+        series = trace.records_of(process, key)
+        return series[-1][0] if series else None
+
     life: dict[int, dict[str, Any]] = {}
     hb_interval, hb_timeout = 1.0, 6.0
     for process in processes:
-        index = process.index
-        entry: dict[str, Any] = {
-            "requested": None,
-            "joined": None,
-            "left": None,
-            "downs": [],
-            "ups": [],
+        config = trace.final_value(process, CONFIG)
+        if config is not None:
+            hb_interval, hb_timeout = config["hb_interval"], config["hb_timeout"]
+        life[process.index] = {
+            "requested": last_time(process, JOIN_REQUESTED),
+            "joined": last_time(process, JOINED),
+            "left": last_time(process, LEFT),
+            "downs": [time for time, _ in trace.records_of(process, WENT_DOWN)],
+            "ups": [time for time, _ in trace.records_of(process, CAME_UP)],
         }
-        for record in trace.records_of(process):
-            if record.key == CONFIG:
-                hb_interval = record.value["hb_interval"]
-                hb_timeout = record.value["hb_timeout"]
-            elif record.key == JOIN_REQUESTED:
-                entry["requested"] = record.time
-            elif record.key == JOINED:
-                entry["joined"] = record.time
-            elif record.key == LEFT:
-                entry["left"] = record.time
-            elif record.key == WENT_DOWN:
-                entry["downs"].append(record.time)
-            elif record.key == CAME_UP:
-                entry["ups"].append(record.time)
-        life[index] = entry
     settle = hb_timeout + 3.0 * hb_interval
     end = trace.end_time
 
@@ -201,10 +192,9 @@ def check_membership_churn(trace, pattern):
     # -- suspicion accounting: the judge's false suspicions, minus churn's own
     # exemptions (it already cleared declarations at or after a real crash) --
     false_suspicions = 0
-    for record in verdict.false_suspicions:
-        if life[record.process.index]["left"] is not None:
+    for observer, at, target in verdict.false_suspicions:
+        if life[observer.index]["left"] is not None:
             continue  # a leaver's trailing state is not a monitoring opinion
-        target, at = record.value, record.time
         if ever_down_by(target, at):
             continue  # correct suspicion of a silent (down) member
         left_at = life.get(target, {}).get("left")
@@ -212,7 +202,7 @@ def check_membership_churn(trace, pattern):
             continue  # the LEAVE announcement lost the race; benign
         false_suspicions += 1
         violations.append(
-            f"{record.process!r} falsely suspected active index {target} at t={at}"
+            f"{observer!r} falsely suspected active index {target} at t={at}"
         )
 
     # -- removal accounting (simulator-enforced crashes) ---------------------

@@ -97,13 +97,11 @@ def history_from_trace(trace: RunTrace) -> list[KVOperation]:
     invokes: dict[str, tuple[float, str, str, tuple[Any, ...]]] = {}
     responses: dict[str, tuple[float, str, Any, int | None]] = {}
     for process in trace.processes_with_records():
-        for entry in trace.records_of(process, "kv.op"):
-            request_id, op, key, args = entry.value
-            invokes[request_id] = (entry.time, op, key, tuple(args))
-        for entry in trace.records_of(process, "kv.done"):
-            request_id, status, value, version = entry.value
+        for time, (request_id, op, key, args) in trace.records_of(process, "kv.op"):
+            invokes[request_id] = (time, op, key, tuple(args))
+        for time, (request_id, status, value, version) in trace.records_of(process, "kv.done"):
             if request_id not in responses:
-                responses[request_id] = (entry.time, status, value, version)
+                responses[request_id] = (time, status, value, version)
     history = []
     for request_id, (invoke, op, key, args) in invokes.items():
         response = responses.get(request_id)

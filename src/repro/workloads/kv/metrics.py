@@ -37,11 +37,10 @@ def _commit_timeline(trace: RunTrace) -> dict[int, tuple[float, str]]:
     """``slot -> (earliest apply time across replicas, committed command)``."""
     commits: dict[int, tuple[float, str]] = {}
     for process in trace.processes_with_records():
-        for entry in trace.records_of(process, "kv.commit"):
-            slot, command = entry.value
+        for time, (slot, command) in trace.records_of(process, "kv.commit"):
             known = commits.get(slot)
-            if known is None or entry.time < known[0]:
-                commits[slot] = (entry.time, command)
+            if known is None or time < known[0]:
+                commits[slot] = (time, command)
     return commits
 
 
@@ -76,11 +75,10 @@ def _staleness(trace: RunTrace, commits: dict[int, tuple[float, str]]) -> dict[s
     local_reads = len(reads)
     stale_reads = 0
     max_lag = 0
-    for entry in reads:
-        _request_id, key, seen_version = entry.value
+    for read_at, (_request_id, key, seen_version) in reads:
         authoritative = 0
         for time, version in versions.get(key, ()):
-            if time <= entry.time:
+            if time <= read_at:
                 authoritative = version
             else:
                 break

@@ -77,7 +77,7 @@ class TestHSigmaSynchronous:
     def test_labels_are_monotonic_per_process(self, paper_example_membership):
         trace, pattern = run_hsigma(paper_example_membership, crashes={p(1): 4.5})
         for process in paper_example_membership.processes:
-            series = [value for _, value in trace.values_of(process, H_LABELS)]
+            series = [value for _, value in trace.records_of(process, H_LABELS)]
             for earlier, later in zip(series, series[1:]):
                 assert earlier <= later
 

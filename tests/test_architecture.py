@@ -337,8 +337,9 @@ def test_the_registry_registers_the_reduction_table_and_restates_nothing() -> No
 def test_a_run_is_a_spec_one_module_materialises_a_system() -> None:
     """One way to dispatch work: outside ``sim/`` only the engine calls
     ``build_system`` — for every simulator spec, a KV spec's replicas + clients
-    included; an experiment that imports ``repro.sim`` is hand-wiring a run no
-    ``ScenarioSpec`` names, and the pre-PR-1 ``Scenario`` classes stay gone."""
+    included; no example hand-wires a run either; an experiment that imports
+    ``repro.sim`` is hand-wiring a run no ``ScenarioSpec`` names, and the
+    pre-PR-1 ``Scenario`` classes stay gone."""
     package = ROOT / "src" / "repro"
     callers = [
         path.relative_to(package).as_posix()
@@ -347,6 +348,14 @@ def test_a_run_is_a_spec_one_module_materialises_a_system() -> None:
         and re.search(r"\bbuild_system\(", path.read_text(encoding="utf-8"))
     ]
     assert callers == ["runtime/engine.py"]
+    examples = sorted((ROOT / "examples").glob("*.py"))
+    assert examples
+    hand_wired = [
+        path.name
+        for path in examples
+        if re.search(r"\bbuild_system\(", path.read_text(encoding="utf-8"))
+    ]
+    assert not hand_wired, f"an example's run is a spec: {hand_wired}"
 
     experiments = sorted((package / "experiments").glob("e*.py"))
     assert len(experiments) == 12

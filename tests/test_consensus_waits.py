@@ -248,6 +248,7 @@ def test_homonymous_leaders_adopt_the_least_own_estimate_when_all_have_spoken():
         trace=RunTrace(),
         rng_streams=RngStreams(0),
         broadcast_fn=lambda sender, message: sent.append((clock.now, message)),
+        multicast_fn=lambda sender, message, targets: sent.append((clock.now, message)),
     )
     runtime.attach_detector_view("HOmega", CLASSES["HOmega"].view(lambda: tuple(leader)))
 

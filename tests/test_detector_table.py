@@ -303,10 +303,14 @@ def _pinned_form(name, seed):
     oracle = DETECTORS.resolve(name)({"stabilization_time": 15.0, "noise_period": 4.0})
     simulation = _probe_run(CLASSES[name], seed, oracle=oracle)
     stream = hashlib.sha256()
+    keys = CLASSES[name].keys
     for process in simulation.system.membership.processes:
-        for record in simulation.trace.records_of(process):
-            line = (record.time, record.process.index, record.key, _canonical(record.value))
-            stream.update(repr(line).encode())
+        # The probe records every key once per sample, in ``keys`` order.
+        series = [simulation.trace.records_of(process, key) for key in keys]
+        for sample in zip(*series, strict=True):
+            for key, (time, value) in zip(keys, sample):
+                line = (time, process.index, key, _canonical(value))
+                stream.update(repr(line).encode())
     verdict = None
     if name in _PINNED_CHECKS:
         result = CHECKS.resolve(_PINNED_CHECKS[name])(simulation.trace, simulation.failure_pattern)
@@ -528,7 +532,7 @@ class TestTheAxiomsRejectAndAdmit:
             )
         )
         trace = simulation.run(until=60.0)
-        said = {value for _, value in trace.values_of(membership.processes[0], "HOmega.h_leader")}
+        said = {value for _, value in trace.records_of(membership.processes[0], "HOmega.h_leader")}
         assert said == {"grp2", "grp0"}  # the crashed identifier first, then the elected one
         result = CLASSES["HOmega"].judge(trace, simulation.failure_pattern)
         assert (result.ok, result.stabilization_time) == (True, 30.0), result.violations
@@ -572,15 +576,15 @@ class TestTheAxiomsRejectAndAdmit:
         before = [
             (leader, multiplicity)
             for (time, leader), (_, multiplicity) in zip(
-                trace.values_of(watcher, "HOmega.h_leader"),
-                trace.values_of(watcher, "HOmega.h_multiplicity"),
+                trace.records_of(watcher, "HOmega.h_leader"),
+                trace.records_of(watcher, "HOmega.h_multiplicity"),
             )
             if time < 15.0
         ]
         # Noise windows of 4 time units: the bound ``window`` argument shows.
         assert set(before) == {("grp1", 1), ("grp1", 2), ("grp1", 3), ("grp1", 4)}
         trace = _probe_run(per_read).trace
-        assert trace.values_of(watcher, "HOmega.h_leader")[0][1] == "nobody"
+        assert trace.records_of(watcher, "HOmega.h_leader")[0][1] == "nobody"
 
 
 # ----------------------------------------------------------------------
@@ -616,7 +620,7 @@ def test_a_twelfth_class_is_one_row(monkeypatch):
     assert _TWELFTH.keys == ("CrashCount.crashed",)
     oracle = DETECTORS.resolve("CrashCount")({"stabilization_time": 15.0})
     simulation = _probe_run(_TWELFTH, oracle=oracle)
-    series = [value for _, value in simulation.trace.values_of(ProcessId(0), "CrashCount.crashed")]
+    series = [value for _, value in simulation.trace.records_of(ProcessId(0), "CrashCount.crashed")]
     assert series[0] == 0 and series[-1] == 1 and len(series) == 41
     metrics = fold_checks(simulation.trace, simulation.failure_pattern, ["crash_count"])
     assert metrics == {"crash_count_ok": True, "crash_count_time": 15.0}

@@ -254,7 +254,7 @@ class TestAnswersGoToTheAsker:
         assert {len(targets) for kind, targets, *_ in sends if kind == "KV_COMMIT"} == {1, 2}
         # Reliable links and no crash: every addressed copy is delivered.
         copies = sum(len(targets) for _, targets, _, _ in sends)
-        assert trace.message_copies_sent == copies == sum(trace.deliveries_by_kind().values())
+        assert trace.message_copies_sent == copies == sum(trace.delivered_by_kind.values())
 
     @pytest.mark.parametrize(
         "crashes, truncated",
@@ -305,7 +305,7 @@ class TestAnswersGoToTheAsker:
         )
         trace = Simulation(system).run(until=60.0)
         heard = [
-            {value for _, value in trace.values_of(ProcessId(index), "heard")}
+            {value for _, value in trace.records_of(ProcessId(index), "heard")}
             for index in (1, 2, 3)
         ]
         assert heard == [{request_id("c", 0)}, {request_id("c", 0)}, {request_id("d", 0)}]
@@ -338,7 +338,7 @@ class TestTheSlotScope:
         assert [message.kind for message in heard] == ["PH1#s3"] and unscoped == []
         slot.record("estimate", 5)
         slot.decide("v")
-        assert trace.values_of(ProcessId(0), "kv.s3.estimate") == ((0.0, 5),)
+        assert trace.records_of(ProcessId(0), "kv.s3.estimate") == [(0.0, 5)]
         assert committed == [(3, "v")]
 
     def test_a_late_copy_for_a_decided_slot_runs_no_handler_and_is_still_counted(self):

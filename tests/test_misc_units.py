@@ -14,7 +14,6 @@ from repro.errors import (
     ReproError,
     SchedulingError,
     SimulationError,
-    TraceError,
 )
 from repro.identity import ProcessId
 from repro.membership import grouped_identities, unique_identities
@@ -43,7 +42,6 @@ class TestErrorsHierarchy:
             ReductionError,
             SchedulingError,
             SimulationError,
-            TraceError,
         ):
             assert issubclass(error_class, ReproError)
 
@@ -75,21 +73,24 @@ class TestMessage:
 
 
 class TestRunTraceQueries:
-    def test_value_at_returns_last_record_before_time(self):
+    def test_records_of_is_the_stored_time_value_series(self):
         trace = RunTrace()
         trace.record(p(0), "x", 1, 1.0)
+        trace.record(p(0), "y", "other", 2.0)
         trace.record(p(0), "x", 2, 5.0)
-        assert trace.value_at(p(0), "x", 0.5, default="none") == "none"
-        assert trace.value_at(p(0), "x", 1.0) == 1
-        assert trace.value_at(p(0), "x", 10.0) == 2
+        series = trace.records_of(p(0), "x")
+        assert series == [(1.0, 1), (5.0, 2)]
+        assert trace.records_of(p(0), "x") is series  # handed out, not copied
+        assert trace.final_value(p(0), "x") == 2
 
     def test_keys_and_processes_recorded(self):
         trace = RunTrace()
         trace.record(p(1), "a", 1, 0.0)
         trace.record(p(1), "b", 2, 0.0)
-        assert trace.keys_recorded(p(1)) == {"a", "b"}
+        assert trace.records_of(p(1), "a") == [(0.0, 1)]
+        assert trace.records_of(p(1), "b") == [(0.0, 2)]
         assert trace.processes_with_records() == {p(1)}
-        assert trace.keys_recorded(p(9)) == frozenset()
+        assert not trace.records_of(p(9), "a")
 
     def test_first_time_value_holds(self):
         trace = RunTrace()
@@ -104,25 +105,18 @@ class TestRunTraceQueries:
         trace = RunTrace()
         trace.record_decision(p(0), "v", 3.0)
         trace.record_decision(p(0), "other", 4.0)  # ignored: first decision wins
-        assert trace.decision_of(p(0)).value == "v"
+        assert trace.decisions[p(0)].value == "v"
         assert trace.decided(p(0))
         assert not trace.decided(p(1))
         assert trace.last_decision_time() == 3.0
-        with pytest.raises(TraceError):
-            trace.decision_of(p(1))
-
-    def test_all_records_iterates_everything(self):
-        trace = RunTrace()
-        trace.record(p(0), "a", 1, 0.0)
-        trace.record(p(1), "b", 2, 1.0)
-        assert len(list(trace.all_records())) == 2
+        assert p(1) not in trace.decisions
 
     def test_empty_trace_defaults(self):
         trace = RunTrace()
         assert trace.last_decision_time() is None
         assert trace.final_value(p(0), "x", default=42) == 42
         assert trace.broadcast_invocations == 0
-        assert trace.message_copies_delivered == 0
+        assert trace.delivered_by_kind == {}
 
 
 class TestCompositeProgram:
@@ -148,7 +142,7 @@ class TestCompositeProgram:
             seed=1,
         )
         trace = Simulation(system).run(until=1.0)
-        values = [value for _, value in trace.values_of(p(0), "setup")]
+        values = [value for _, value in trace.records_of(p(0), "setup")]
         assert values == ["first", "second"]
         assert "first + second" == CompositeProgram(
             self._Recorder("first"), self._Recorder("second")
@@ -272,8 +266,11 @@ class TestSchedulerEdgeCases:
             trace=RunTrace(),
             rng_streams=RngStreams(0),
             broadcast_fn=lambda sender, message: None,
+            multicast_fn=lambda sender, message, targets: None,
         )
         runtime.start()
         runtime.crash()
         with pytest.raises(ProcessCrashedError):
             runtime.broadcast(Message("X"))
+        with pytest.raises(ProcessCrashedError):
+            runtime.multicast(Message("X"), (p(0),))

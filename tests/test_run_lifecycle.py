@@ -251,12 +251,12 @@ class TestClose:
             trace,
             repr(
                 (
-                    list(trace.all_records()),
+                    list(trace._records.items()),  # every (process, key) series
                     sorted(trace.decisions.items()),
                     trace.crashes,
                     trace.end_time,
                     trace.message_copies_sent,
-                    trace.deliveries_by_kind(),
+                    trace.delivered_by_kind,
                 )
             ),
             simulation.failure_pattern,

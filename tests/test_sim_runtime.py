@@ -16,7 +16,6 @@ from repro.sim import (
     ProcessProgram,
     Simulation,
     SynchronousTiming,
-    SystemModel,
     build_system,
 )
 
@@ -97,7 +96,7 @@ class SyncRoundProgram(ProcessProgram):
 
 
 def run_system(membership, timing, factory, *, crash_schedule=None, until=100.0, seed=1,
-               detectors=None, stop_when=None, model=None):
+               detectors=None, stop_when=None):
     system = build_system(
         membership=membership,
         timing=timing,
@@ -105,7 +104,6 @@ def run_system(membership, timing, factory, *, crash_schedule=None, until=100.0,
         crash_schedule=crash_schedule,
         detectors=detectors,
         seed=seed,
-        model=model,
     )
     simulation = Simulation(system)
     trace = simulation.run(until=until, stop_when=stop_when)
@@ -127,7 +125,7 @@ class TestBroadcastDelivery:
             # received_count is recorded right after start; count deliveries instead.
             assert program_received is not None
         assert trace.broadcasts_by_kind()["PING"] == 4
-        assert trace.deliveries_by_kind()["PING"] == 16
+        assert trace.delivered_by_kind["PING"] == 16
 
     def test_receiver_cannot_identify_sender_beyond_payload(self):
         membership = anonymous_identities(3)
@@ -138,7 +136,7 @@ class TestBroadcastDelivery:
             until=10.0,
         )
         # All payload identities are the shared anonymous identity.
-        assert trace.deliveries_by_kind()["PING"] == 9
+        assert trace.delivered_by_kind["PING"] == 9
 
     def test_wait_until_unblocks_on_message_arrival(self):
         membership = unique_identities(3)
@@ -150,7 +148,7 @@ class TestBroadcastDelivery:
         )
         for process in membership.processes:
             assert trace.final_value(process, "saw_all") is True
-            assert trace.decision_of(process).value == 3
+            assert trace.decisions[process].value == 3
 
     def test_stop_when_ends_run_early(self):
         membership = unique_identities(3)
@@ -295,53 +293,6 @@ class TestSynchronousSteps:
             )
 
 
-class TestSystemModelValidation:
-    def test_as_model_requires_unique_ids(self):
-        with pytest.raises(ConfigurationError):
-            build_system(
-                membership=anonymous_identities(3),
-                timing=AsynchronousTiming(),
-                program_factory=lambda pid, identity: PingProgram(),
-                model=SystemModel.AS,
-            )
-
-    def test_aas_model_requires_anonymous_ids(self):
-        with pytest.raises(ConfigurationError):
-            build_system(
-                membership=unique_identities(3),
-                timing=AsynchronousTiming(),
-                program_factory=lambda pid, identity: PingProgram(),
-                model=SystemModel.AAS,
-            )
-
-    def test_model_inferred_from_timing(self):
-        system = build_system(
-            membership=unique_identities(3),
-            timing=PartiallySynchronousTiming(gst=5.0),
-            program_factory=lambda pid, identity: PingProgram(),
-        )
-        assert system.model is SystemModel.HPS
-        assert "HPS" in system.describe()
-
-    def test_hss_requires_synchronous_timing(self):
-        with pytest.raises(ConfigurationError):
-            build_system(
-                membership=unique_identities(3),
-                timing=AsynchronousTiming(),
-                program_factory=lambda pid, identity: PingProgram(),
-                model=SystemModel.HSS,
-            )
-
-    def test_has_rejects_synchronous_timing(self):
-        with pytest.raises(ConfigurationError):
-            build_system(
-                membership=unique_identities(3),
-                timing=SynchronousTiming(),
-                program_factory=lambda pid, identity: PingProgram(),
-                model=SystemModel.HAS,
-            )
-
-
 class TestPartialSynchrony:
     def test_messages_after_gst_arrive_within_delta(self):
         membership = unique_identities(3)
@@ -353,7 +304,7 @@ class TestPartialSynchrony:
             until=20.0,
         )
         for process in membership.processes:
-            decision = trace.decision_of(process)
+            decision = trace.decisions[process]
             assert decision.time <= 2.0  # broadcast at 0, delivery <= delta
 
     def test_messages_before_gst_can_be_lost(self):
@@ -367,7 +318,7 @@ class TestPartialSynchrony:
             lambda pid, identity: PingProgram(),
             until=10.0,
         )
-        assert trace.message_copies_delivered == 0
+        assert sum(trace.delivered_by_kind.values()) == 0
 
 
 class TestPerEventChecks:

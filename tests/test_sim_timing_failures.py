@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import Membership, unique_identities
-from repro.sim.failures import CrashEvent, CrashSchedule, FailurePattern, crash_free
+from repro.sim.failures import CrashEvent, CrashSchedule, FailurePattern
 from repro.sim.timing import (
     AsynchronousTiming,
     PartiallySynchronousTiming,
@@ -194,7 +194,7 @@ class TestNonFiniteParameters:
 
 class TestCrashSchedule:
     def test_none_has_no_faulty(self):
-        assert crash_free().faulty == frozenset()
+        assert CrashSchedule.none().faulty == frozenset()
 
     def test_at_times(self):
         schedule = CrashSchedule.at_times({p(1): 5.0, p(2): 3.0})
@@ -251,7 +251,7 @@ class TestFailurePattern:
 
     def test_correct_processes_always_alive(self):
         membership = unique_identities(3)
-        pattern = FailurePattern(membership, crash_free())
+        pattern = FailurePattern(membership, CrashSchedule.none())
         assert pattern.alive_at(1e9) == set(membership.processes)
 
     def test_last_crash_time(self):
@@ -260,7 +260,7 @@ class TestFailurePattern:
             membership, CrashSchedule.at_times({p(0): 3.0, p(1): 7.0})
         )
         assert pattern.last_crash_time() == 7.0
-        assert FailurePattern(membership, crash_free()).last_crash_time() == 0.0
+        assert FailurePattern(membership, CrashSchedule.none()).last_crash_time() == 0.0
 
     def test_correct_identity_multiset(self, paper_example_membership):
         pattern = FailurePattern(

@@ -117,16 +117,16 @@ def test_load_trace_folds_a_log_directory_into_a_run_trace(tmp_path):
     p0, p1, p2 = membership.processes
     assert trace.crashes == {p2: 3.02}  # the injector's measured t_fail, not the schedule
     assert trace.end_time == 14.0
-    assert trace.values_of(p0, "declared_dead") == ((6.0, "b"),)
-    (record,) = trace.records_of(p0, "h_trusted")  # the pre-t0 line was skipped
-    assert record.value == trusted and isinstance(record.value, IdentityMultiset)
-    decision = trace.decision_of(p0)
+    assert trace.records_of(p0, "declared_dead") == [(6.0, "b")]
+    ((_, value),) = trace.records_of(p0, "h_trusted")  # the pre-t0 line was skipped
+    assert value == trusted and isinstance(value, IdentityMultiset)
+    decision = trace.decisions[p0]
     assert (decision.value, decision.time) == (7, 8.0)  # the first decide line
-    assert trace.values_of(p2, "hb_ping_sent") == ((1.0, 1),)  # torn tail dropped
-    assert trace.records_of(p1) == () and p1 == ProcessId(1)
+    assert trace.records_of(p2, "hb_ping_sent") == [(1.0, 1)]  # torn tail dropped
+    assert trace.processes_with_records() == {p0, p2} and p1 == ProcessId(1)
     assert trace.broadcasts_by_kind() == {"PING": 1}
     assert trace.message_copies_sent == 3
-    assert trace.deliveries_by_kind() == {"PING": 1}
+    assert trace.delivered_by_kind == {"PING": 1}
 
 
 class _Hello(ProcessProgram):
@@ -168,10 +168,10 @@ def test_the_real_runtime_runs_a_program_through_the_one_context(tmp_path):
 
     trace = load_trace(tmp_path, Membership.of(["a", "b", "c"]))
     p0 = ProcessId(0)
-    assert trace.values_of(p0, "heard") == ((lines["heard"]["t"], 1),)
-    decision = trace.decision_of(p0)
+    assert trace.records_of(p0, "heard") == [(lines["heard"]["t"], 1)]
+    decision = trace.decisions[p0]
     assert (decision.value, decision.time) == (7, lines["decide"]["t"])
-    assert trace.broadcasts_by_kind() == trace.deliveries_by_kind() == {"HELLO": 1}
+    assert trace.broadcasts_by_kind() == trace.delivered_by_kind == {"HELLO": 1}
     assert trace.message_copies_sent == 3
 
 
