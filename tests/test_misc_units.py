@@ -6,6 +6,7 @@ import pytest
 
 from repro import __version__
 from repro.detectors import CLASSES, DetectorProbeProgram
+from repro.detectors.detection import DECLARED_DEAD, judge_detections
 from repro.errors import (
     ConfigurationError,
     DetectorError,
@@ -111,12 +112,55 @@ class TestRunTraceQueries:
         assert trace.last_decision_time() == 3.0
         assert p(1) not in trace.decisions
 
+    def test_reading_an_unrecorded_series_adds_none(self):
+        trace = RunTrace()
+        assert not trace.records_of(p(3), "x")
+        assert trace.final_value(p(3), "x") is None
+        assert trace.first_time_value_holds(p(3), "x", bool) is None
+        assert trace.processes_with_records() == frozenset()
+
     def test_empty_trace_defaults(self):
         trace = RunTrace()
         assert trace.last_decision_time() is None
         assert trace.final_value(p(0), "x", default=42) == 42
         assert trace.broadcast_invocations == 0
         assert trace.delivered_by_kind == {}
+
+
+class TestJudgeDetections:
+    """The pinned detection rule of ``repro.detectors.detection``."""
+
+    @staticmethod
+    def _declare(trace, observer, time, target):
+        trace.record(observer, DECLARED_DEAD, target, time)
+
+    def test_earliest_declaration_at_or_after_t_fail_is_the_detection(self):
+        trace = RunTrace()
+        self._declare(trace, p(1), 7.0, "B")
+        self._declare(trace, p(0), 5.5, "B")
+        self._declare(trace, p(0), 9.0, "B")  # a repeated line never moves it
+        verdict = judge_detections(trace, [p(0), p(1)], {"B": 5.0})
+        assert verdict.latencies == {"B": 0.5}
+        assert verdict.missed == ()
+        assert verdict.false_suspicions == ()
+
+    def test_early_or_baseless_declarations_are_false_suspicions(self):
+        trace = RunTrace()
+        self._declare(trace, p(1), 2.0, "B")  # before B fails
+        self._declare(trace, p(0), 3.0, "C")  # C never fails
+        self._declare(trace, p(1), 6.0, "B")
+        verdict = judge_detections(trace, [p(1), p(0)], {"B": 5.0})
+        assert verdict.false_suspicions == ((p(0), 3.0, "C"), (p(1), 2.0, "B"))
+        assert verdict.latencies == {"B": 1.0}
+
+    def test_only_the_given_observers_count_and_the_rest_is_missed(self):
+        trace = RunTrace()
+        self._declare(trace, p(2), 6.0, "B")  # p2 is not an observer
+        self._declare(trace, p(2), 1.0, "C")
+        verdict = judge_detections(trace, [p(0), p(1)], {"B": 5.0, "D": 8.0})
+        assert verdict.latencies == {}
+        assert verdict.missed == ("B", "D")
+        assert verdict.false_suspicions == ()
 
 
 class TestCompositeProgram:
@@ -274,3 +318,23 @@ class TestSchedulerEdgeCases:
             runtime.broadcast(Message("X"))
         with pytest.raises(ProcessCrashedError):
             runtime.multicast(Message("X"), (p(0),))
+
+    def test_runtime_needs_a_multicast_fn(self):
+        from repro.sim import Clock, EventQueue, ProcessRuntime, RngStreams
+
+        class Idle(ProcessProgram):
+            def setup(self, ctx):
+                pass
+
+        with pytest.raises(TypeError, match="multicast_fn"):
+            ProcessRuntime(
+                p(0),
+                "id0",
+                Idle(),
+                clock=Clock(),
+                queue=EventQueue(),
+                timing=AsynchronousTiming(),
+                trace=RunTrace(),
+                rng_streams=RngStreams(0),
+                broadcast_fn=lambda sender, message: None,
+            )

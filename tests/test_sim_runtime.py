@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.identity import ProcessId
 from repro.membership import anonymous_identities, unique_identities
+from repro.runtime import ScenarioValidationError, scenario, simulate_spec
 from repro.sim import (
     AsynchronousTiming,
     CrashEvent,
@@ -291,6 +292,34 @@ class TestSynchronousSteps:
                 lambda pid, identity: SyncRoundProgram(rounds=1),
                 until=5.0,
             )
+
+
+class TestSpecValidation:
+    """The scenario builder's requirement table is the one validator of a run's model."""
+
+    def test_hss_program_rejects_asynchronous_timing(self):
+        with pytest.raises(ScenarioValidationError, match="'synchronous' timing"):
+            (
+                scenario()
+                .processes(3)
+                .distinct_ids(3)
+                .program("hsigma_sync", detector_name="HSigma")
+                .build()
+            )
+
+    def test_spec_system_carries_its_name_and_seed(self):
+        spec = (
+            scenario("labelled")
+            .processes(3)
+            .distinct_ids(2)
+            .program("script_alive")
+            .horizon(2.0)
+            .seed(7)
+            .build()
+        )
+        system = simulate_spec(spec).system
+        assert (system.name, system.seed) == ("labelled", 7)
+        assert system.membership.size == 3
 
 
 class TestPartialSynchrony:
