@@ -37,8 +37,9 @@ Typical entry points:
   reductions (each row a program the builder names) and the Figure 5
   relation graph; :mod:`repro.consensus` the Figure 8 and Figure 9
   algorithms, baselines, and the consensus validator; :mod:`repro.workloads`
-  and :mod:`repro.analysis` homonymy / crash / churn generators, metrics, and
-  sweep aggregation.
+  the homonymy and churn generators, the crash-kind table and the KV
+  service; :mod:`repro.analysis` run metrics, convergence statistics, sweeps
+  and table rendering.
 """
 
 from .identity import ANONYMOUS_IDENTITY, Identity, IdentityMultiset, ProcessId

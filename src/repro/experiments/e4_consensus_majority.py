@@ -10,31 +10,14 @@ is how the cost of homonymy shows up.
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import (
-    CrashSpec,
-    execute_spec,
-    leaders,
-    minority,
-    no_crashes,
-    scenario,
-)
+from ..runtime import execute_spec, leaders, minority, no_crashes, scenario
 from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
 DESCRIPTION = "Consensus with HΩ and a majority of correct processes (Figure 8, Theorem 7)"
 
-_CRASH_MODES = ("none", "minority", "leaders")
-
-
-def _crash_spec(mode: str, n: int, at: float) -> CrashSpec:
-    if mode == "none":
-        return no_crashes()
-    if mode == "minority":
-        return minority(at=at)
-    if mode == "leaders":
-        return leaders(max(1, (n - 1) // 2), at=at)
-    raise ValueError(f"unknown crash mode {mode!r}")
+_CRASHES = {"none": no_crashes(), "minority": minority(at=8.0), "leaders": leaders(at=8.0)}
 
 
 def _run_one(config: dict) -> dict:
@@ -42,7 +25,7 @@ def _run_one(config: dict) -> dict:
         scenario("E4")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
-        .crashes(_crash_spec(config["crash_mode"], config["n"], 8.0))
+        .crashes(_CRASHES[config["crash_mode"]])
         .detectors("HOmega", "HSigma", stabilization=config["stabilization"])
         .consensus("homega_majority")
         .horizon(600.0)
@@ -57,7 +40,7 @@ def _work(quick: bool, seed: int) -> list[Call]:
         parameters = {
             "n": [5],
             "distinct_ids": [1, 3, 5],
-            "crash_mode": ["none", "minority", "leaders"],
+            "crash_mode": list(_CRASHES),
             "stabilization": [20.0],
         }
         repetitions = 2
@@ -65,7 +48,7 @@ def _work(quick: bool, seed: int) -> list[Call]:
         parameters = {
             "n": [5, 7, 9],
             "distinct_ids": [1, 2, 5],
-            "crash_mode": list(_CRASH_MODES),
+            "crash_mode": list(_CRASHES),
             "stabilization": [5.0, 20.0, 50.0],
         }
         repetitions = 5

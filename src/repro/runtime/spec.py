@@ -1,7 +1,8 @@
 """Declarative, serializable scenario descriptions.
 
 A :class:`ScenarioSpec` is a complete run configuration expressed as plain
-data: the membership shape, the timing model, the crash schedule, the detector
+data: the membership shape, the timing model, the crash schedule (a kind of
+:data:`~repro.workloads.crashes.CRASH_KINDS` and its parameters), the detector
 stack, the workload (a consensus algorithm, a detector implementation, or both
 stacked), property checks, the horizon, and the seed.  Because every part is
 data — not callables — a spec can be serialized (``to_dict``/``from_dict``
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, ClassVar, Mapping
 
 from ..errors import ConfigurationError
-from ..identity import ProcessId
 from ..membership import (
     Membership,
     anonymous_identities,
@@ -38,12 +38,7 @@ from ..sim.timing import (
     SynchronousTiming,
     TimingModel,
 )
-from ..workloads.crashes import (
-    cascading_crashes,
-    crash_fraction,
-    leader_targeted_crashes,
-    minority_crashes,
-)
+from ..workloads.crashes import CRASH_KINDS
 from ..workloads.homonymy import membership_with_distinct_ids
 
 __all__ = [
@@ -278,12 +273,20 @@ def synchronous(step: float = 1.0, *, delivery_fraction: float | None = None) ->
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CrashSpec(_TaggedSection):
-    """A crash schedule as data, resolved against the membership at run time."""
+    """A crash schedule as data, resolved against the membership at run time.
+
+    ``kind`` names a row of :data:`~repro.workloads.crashes.CRASH_KINDS` and
+    ``params`` are that resolver's keyword arguments.
+    """
 
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.kind not in CRASH_KINDS:
+            raise ConfigurationError(
+                f"unknown crash kind {self.kind!r}; expected one of {sorted(CRASH_KINDS)}"
+            )
         super().__post_init__()
         if self.kind == "at_times" and "times" in self.params:
             # JSON turns the integer process indices into strings; undo that.
@@ -292,28 +295,7 @@ class CrashSpec(_TaggedSection):
             }
 
     def build(self, membership: Membership) -> CrashSchedule:
-        params = dict(self.params)
-        if self.kind == "none":
-            return CrashSchedule.none()
-        if self.kind == "minority":
-            return minority_crashes(membership, **params)
-        if self.kind == "cascading":
-            count = min(params.pop("count"), membership.size - 1)
-            return cascading_crashes(membership, count, **params)
-        if self.kind == "leaders":
-            count = params.pop("count", None)
-            if count is None:
-                count = max(1, (membership.size - 1) // 2)
-            return leader_targeted_crashes(membership, count, **params)
-        if self.kind == "fraction":
-            return crash_fraction(membership, params.pop("fraction"), **params)
-        if self.kind == "at_times":
-            times = {
-                ProcessId(int(index)): when
-                for index, when in params.get("times", {}).items()
-            }
-            return CrashSchedule.at_times(times)
-        raise ConfigurationError(f"unknown crash kind {self.kind!r}")
+        return CRASH_KINDS[self.kind](membership, **self.params)
 
 
 def no_crashes() -> CrashSpec:

@@ -123,7 +123,7 @@ class Network:
     # ------------------------------------------------------------------
     def broadcast(self, sender: ProcessId, message: Message) -> None:
         """Send one copy of ``message`` along the link to every process."""
-        recipients = self._recipients_for(sender, self._clock.now)
+        recipients = self._recipients_for(sender, self._clock.now, self._everyone)
         self._trace.record_broadcast(message.kind, copies=len(recipients))
         self._send(sender, message, recipients)
 
@@ -134,7 +134,7 @@ class Network:
         topology's target set); the sender only hears its own message when
         its own index is targeted.
         """
-        recipients = self._multicast_recipients(sender, self._clock.now, targets)
+        recipients = self._recipients_for(sender, self._clock.now, self._targets(targets))
         self._trace.record_broadcast(message.kind, copies=len(recipients))
         self._send(sender, message, recipients)
 
@@ -207,10 +207,8 @@ class Network:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _multicast_recipients(
-        self, sender: ProcessId, sent_at: float, targets
-    ) -> tuple[ProcessId, ...]:
-        """Resolve target indices to processes, honouring crash truncation."""
+    def _targets(self, targets) -> tuple[ProcessId, ...]:
+        """Resolve multicast target indices to processes, in process order."""
         by_index = self._process_by_index
         bound = len(by_index)
         recipients: list[ProcessId] = []
@@ -222,35 +220,27 @@ class Network:
                     f"(membership has indices 0..{bound - 1})"
                 )
             recipients.append(process)
-        recipients.sort()
-        crash_event = self._partial_crash_by_index[sender.index]
-        if (
-            crash_event is not None
-            and abs(crash_event.time - sent_at) <= _CRASH_BROADCAST_TOLERANCE
-        ):
-            subset_size = int(
-                crash_event.partial_broadcast_fraction * len(recipients)
-            )
-            chosen = self._rng.sample(recipients, k=subset_size) if subset_size else []
-            return tuple(sorted(chosen))
-        return tuple(recipients)
+        return tuple(sorted(recipients))
 
-    def _recipients_for(self, sender: ProcessId, sent_at: float) -> tuple[ProcessId, ...]:
-        """All processes, unless the sender crashes during this very broadcast.
+    def _recipients_for(
+        self, sender: ProcessId, sent_at: float, recipients: tuple[ProcessId, ...]
+    ) -> tuple[ProcessId, ...]:
+        """``recipients``, unless the sender crashes during this very send.
 
         The paper allows the message of a process that crashes while
         broadcasting to reach an arbitrary subset of processes.  We model this
-        for broadcasts issued at the instant of the sender's crash (the crash
+        for sends made at the instant of the sender's crash (the crash
         event is applied after same-time process activity): a random subset of
-        the configured size receives the copy.
+        the configured size receives the copy.  Otherwise ``recipients`` comes
+        back as the very same object, so a broadcast keeps ``_send``'s
+        everyone fast path.
         """
-        everyone = self._everyone
         crash_event = self._partial_crash_by_index[sender.index]
         if (
             crash_event is not None
             and abs(crash_event.time - sent_at) <= _CRASH_BROADCAST_TOLERANCE
         ):
-            subset_size = int(crash_event.partial_broadcast_fraction * len(everyone))
-            chosen = self._rng.sample(list(everyone), k=subset_size) if subset_size else []
+            subset_size = int(crash_event.partial_broadcast_fraction * len(recipients))
+            chosen = self._rng.sample(recipients, k=subset_size) if subset_size else []
             return tuple(sorted(chosen))
-        return everyone
+        return recipients

@@ -1,8 +1,8 @@
 """Homonymy-pattern generators used by the experiments.
 
 The paper stresses that homonymy is a spectrum whose extremes are the
-classical unique-identifier systems and the anonymous systems.  The helpers
-here materialise points on that spectrum: memberships of ``n`` processes with
+classical unique-identifier systems and the anonymous systems.  The helper
+here materialises points on that spectrum: memberships of ``n`` processes with
 a chosen number of *distinct* identifiers, distributed as evenly as possible.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..errors import ConfigurationError
 from ..membership import Membership
 
-__all__ = ["membership_with_distinct_ids", "homonymy_spectrum"]
+__all__ = ["membership_with_distinct_ids"]
 
 
 def membership_with_distinct_ids(n: int, distinct: int, *, prefix: str = "id") -> Membership:
@@ -31,20 +31,3 @@ def membership_with_distinct_ids(n: int, distinct: int, *, prefix: str = "id") -
     identities = [f"{prefix}{index % distinct}" for index in range(n)]
     return Membership.of(sorted(identities))
 
-
-def homonymy_spectrum(n: int, *, points: int | None = None) -> list[Membership]:
-    """Memberships of size ``n`` sweeping from anonymous to unique identifiers.
-
-    ``points`` bounds how many spectrum points are returned (always including
-    the two extremes); by default every possible number of distinct
-    identifiers from 1 to ``n`` is used.
-    """
-    if n <= 0:
-        raise ConfigurationError("n must be positive")
-    distinct_counts = list(range(1, n + 1))
-    if points is not None:
-        if points < 2:
-            raise ConfigurationError("a spectrum needs at least its two extremes")
-        step = max(1, (n - 1) // (points - 1))
-        distinct_counts = sorted({1, n, *range(1, n + 1, step)})
-    return [membership_with_distinct_ids(n, distinct) for distinct in distinct_counts]

@@ -495,3 +495,32 @@ def test_consensus_is_judged_by_its_checks() -> None:
     )
     stale = [name for name in allowed if not any(c.startswith(name) for c in callers)]
     assert not stale, stale
+
+
+def test_a_crash_kind_is_named_by_a_spec_and_resolved_by_one_table() -> None:
+    """One crash vocabulary: ``runtime/spec.py``'s ``CrashSpec`` is the only
+    module (in ``src/``, ``bench/`` and ``examples/``) that imports
+    ``repro.workloads.crashes``; a second importer — a re-export included — is
+    the membership-level crash functions growing back beside the spec's
+    constructors."""
+    target = "repro.workloads.crashes"
+    importers = []
+    for folder, top in (("src/repro", ROOT / "src"), ("bench", ROOT), ("examples", ROOT)):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            parts = list(path.relative_to(top).with_suffix("").parts)
+            if parts[-1] == "__init__":
+                parts.pop()
+            else:
+                parts = parts[:-1]  # the module's package, which level 1 names
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = parts[: len(parts) - node.level + 1] if node.level else []
+                    module = ".".join([*base, *filter(None, [node.module])])
+                    modules = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+                else:
+                    continue
+                if target in modules:
+                    importers.append(path.relative_to(ROOT).as_posix())
+    assert importers == ["src/repro/runtime/spec.py"], importers

@@ -12,7 +12,15 @@ from repro.consensus.rules import H_OMEGA
 from repro.detectors import CLASSES
 from repro.identity import ProcessId
 from repro.membership import Membership, unique_identities
-from repro.runtime import CONSENSUS, DETECTORS, asynchronous, crashes_at, execute_spec, scenario
+from repro.runtime import (
+    CONSENSUS,
+    DETECTORS,
+    asynchronous,
+    crashes_at,
+    execute_spec,
+    minority,
+    scenario,
+)
 from repro.sim import (
     AsynchronousTiming,
     CrashSchedule,
@@ -22,7 +30,6 @@ from repro.sim import (
     build_system,
 )
 from repro.sim.failures import FailurePattern
-from repro.workloads import minority_crashes
 
 from .helpers import failed_checks
 
@@ -188,7 +195,7 @@ class TestNonDefaultWiring:
 class TestWorkloadEdges:
     def test_minority_crashes_with_zero_count(self):
         membership = unique_identities(4)
-        schedule = minority_crashes(membership, count=0)
+        schedule = minority(count=0).build(membership)
         assert schedule.faulty == frozenset()
 
     def test_minority_crashes_rejects_all_processes(self):
@@ -196,4 +203,4 @@ class TestWorkloadEdges:
 
         membership = unique_identities(3)
         with pytest.raises(ConfigurationError):
-            minority_crashes(membership, count=3)
+            minority(count=3).build(membership)

@@ -25,7 +25,6 @@ from repro.runtime import (
 )
 from repro.sim import AsynchronousTiming, Simulation, build_system
 from repro.sim.failures import FailurePattern
-from repro.workloads.crashes import minority_crashes
 from repro.workloads.homonymy import membership_with_distinct_ids
 
 
@@ -117,7 +116,7 @@ class TestEngine:
         )
         membership = membership_with_distinct_ids(n, 3)
         proposals = {process: f"value-{process.index}" for process in membership.processes}
-        crash_schedule = minority_crashes(membership, at=6.0, count=1)
+        crash_schedule = spec.crashes.build(membership)
         system = build_system(
             membership=membership,
             timing=AsynchronousTiming(min_latency=0.1, max_latency=2.0),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from repro.runtime import (
     composed,
     crashes_at,
     duplicating,
+    fraction,
     full_mesh,
     jittered,
     leaders,
@@ -48,6 +50,7 @@ from repro.sim.timing import (
     PartiallySynchronousTiming,
     SynchronousTiming,
 )
+from repro.workloads.crashes import CRASH_KINDS
 
 
 def figure9_spec(seed: int = 7) -> ScenarioSpec:
@@ -206,6 +209,17 @@ class TestPinnedCanonicalHashes:
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
 
+#: One spec per crash kind, each with the parameters its resolver takes.
+EVERY_CRASH_KIND = [
+    no_crashes(),
+    minority(count=1),
+    cascading(2, partial_broadcast_fraction=0.5),
+    leaders(),
+    fraction(0.5, seed=3),
+    crashes_at({0: 3.0, 2: 5.0}),
+]
+
+
 class TestSpecMaterialisation:
     def test_membership_kinds_build_the_right_shapes(self):
         assert MembershipSpec("groups", groups=(3, 2, 1)).build().homonymy_degree == 3
@@ -241,6 +255,27 @@ class TestSpecMaterialisation:
         assert len(cascading(7).build(membership).faulty) == 4  # capped at n-1
         assert len(leaders(1).build(membership).faulty) == 1
         assert len(crashes_at({0: 3.0, 2: 5.0}).build(membership).faulty) == 2
+
+    def test_unknown_crash_kind_is_rejected_when_the_spec_is_made(self):
+        with pytest.raises(ConfigurationError, match="unknown crash kind 'meteor'"):
+            CrashSpec("meteor")
+        payload = figure9_spec().to_dict()
+        payload["crashes"] = {"kind": "meteor", "params": {}}
+        with pytest.raises(ConfigurationError, match="unknown crash kind 'meteor'"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_the_round_trip_below_covers_every_crash_kind(self):
+        assert [crashes.kind for crashes in EVERY_CRASH_KIND] == list(CRASH_KINDS)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("crashes", EVERY_CRASH_KIND, ids=lambda crashes: crashes.kind)
+    def test_a_crash_kind_builds_the_same_schedule_after_a_json_round_trip(self, crashes, n):
+        membership = MembershipSpec("unique", n=n).build()
+        again = CrashSpec.from_dict(json.loads(json.dumps(crashes.to_dict())))
+        assert again == crashes
+        schedule = again.build(membership)
+        assert schedule == crashes.build(membership)
+        assert bool(schedule.faulty) is (crashes.kind != "none")
 
     def test_network_specs_build_the_right_link_models(self):
         assert isinstance(reliable().build(), ReliableLinks)

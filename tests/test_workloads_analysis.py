@@ -19,16 +19,19 @@ from repro.detectors.properties import CheckResult
 from repro.errors import ConfigurationError
 from repro.identity import ProcessId
 from repro.membership import unique_identities
-from repro.runtime import CrashSpec, Engine, measure_run, minority, scenario, simulate_spec
-from repro.workloads import (
-    cascading_crashes,
-    crash_fraction,
-    homonymy_spectrum,
-    leader_targeted_crashes,
-    membership_with_distinct_ids,
-    minority_crashes,
+from repro.runtime import (
+    CrashSpec,
+    Engine,
+    cascading,
+    fraction,
+    leaders,
+    measure_run,
+    minority,
     no_crashes,
+    scenario,
+    simulate_spec,
 )
+from repro.workloads import membership_with_distinct_ids
 
 from .helpers import failed_checks
 
@@ -56,65 +59,56 @@ class TestHomonymyWorkloads:
         with pytest.raises(ConfigurationError):
             membership_with_distinct_ids(0, 1)
 
-    def test_spectrum_includes_both_extremes(self):
-        spectrum = homonymy_spectrum(5)
-        assert len(spectrum) == 5
-        assert spectrum[0].is_anonymous
-        assert spectrum[-1].is_uniquely_identified
-
-    def test_spectrum_with_limited_points(self):
-        spectrum = homonymy_spectrum(8, points=3)
-        assert spectrum[0].is_anonymous
-        assert spectrum[-1].is_uniquely_identified
-        with pytest.raises(ConfigurationError):
-            homonymy_spectrum(5, points=1)
-
 
 class TestCrashWorkloads:
     def test_no_crashes(self):
-        assert no_crashes().faulty == frozenset()
+        assert no_crashes().build(unique_identities(3)).faulty == frozenset()
 
     def test_minority_crashes_default_is_largest_minority(self):
         membership = unique_identities(7)
-        schedule = minority_crashes(membership)
+        schedule = minority().build(membership)
         assert len(schedule.faulty) == 3
 
     def test_minority_crashes_spares_low_identities(self):
         membership = unique_identities(5)
-        schedule = minority_crashes(membership, count=2)
+        schedule = minority(count=2).build(membership)
         assert p(0) not in schedule.faulty
         assert p(4) in schedule.faulty
 
     def test_crash_fraction(self):
         membership = unique_identities(6)
-        schedule = crash_fraction(membership, 0.5, seed=3)
+        schedule = fraction(0.5, seed=3).build(membership)
         assert len(schedule.faulty) == 3
-        assert crash_fraction(membership, 0.0).faulty == frozenset()
+        assert fraction(0.0).build(membership).faulty == frozenset()
 
     def test_crash_fraction_capped(self):
         membership = unique_identities(3)
-        schedule = crash_fraction(membership, 1.0, seed=1)
+        schedule = fraction(1.0, seed=1).build(membership)
         assert len(schedule.faulty) == 2
 
     def test_crash_fraction_validation(self):
         with pytest.raises(ConfigurationError):
-            crash_fraction(unique_identities(3), 1.5)
+            fraction(1.5).build(unique_identities(3))
 
     def test_cascading_crashes(self):
         membership = unique_identities(5)
-        schedule = cascading_crashes(membership, 3, first_at=5.0, interval=10.0)
+        schedule = cascading(3, first_at=5.0, interval=10.0).build(membership)
         times = sorted(event.time for event in schedule.events)
         assert times == [5.0, 15.0, 25.0]
 
     def test_cascading_crashes_partial_broadcast(self):
         membership = unique_identities(4)
-        schedule = cascading_crashes(membership, 1, partial_broadcast_fraction=0.5)
+        schedule = cascading(1, partial_broadcast_fraction=0.5).build(membership)
         assert schedule.events[0].partial_broadcast_fraction == 0.5
 
     def test_leader_targeted_crashes_kill_smallest_identities(self):
         membership = unique_identities(5)
-        schedule = leader_targeted_crashes(membership, 2)
+        schedule = leaders(2).build(membership)
         assert schedule.faulty == {p(0), p(1)}
+
+    def test_leaders_default_is_the_largest_minority_and_at_least_one(self):
+        assert leaders().build(unique_identities(7)).faulty == {p(0), p(1), p(2)}
+        assert leaders().build(unique_identities(2)).faulty == {p(0)}
 
     @pytest.mark.parametrize(
         "payload",
@@ -141,12 +135,15 @@ class TestCrashWorkloads:
                 .build()
             )
 
-    def test_too_many_crashes_rejected(self):
+    def test_too_many_crashes_rejected_or_capped(self):
         membership = unique_identities(3)
+        # A cascade is capped at n − 1, so one process always stays correct …
+        schedule = cascading(3).build(membership)
+        assert schedule.faulty == {p(1), p(2)}
+        assert [event.time for event in schedule.events] == [5.0, 15.0]
+        # … while an explicit leader count that leaves no correct process is an error.
         with pytest.raises(ConfigurationError):
-            cascading_crashes(membership, 3)
-        with pytest.raises(ConfigurationError):
-            leader_targeted_crashes(membership, 3)
+            leaders(3).build(membership)
 
 
 class TestConsensusScenario:
