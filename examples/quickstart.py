@@ -4,8 +4,8 @@
 1. *Describe* the run with the fluent scenario builder: a homonymous
    membership (five processes, ids A, A, B, C, C), a crash at t=12, an HΩ
    failure-detector oracle, and the paper's Figure 8 consensus algorithm.
-   The builder validates the combination against the paper's requirement
-   table (try asking Figure 8 to survive 3 of 5 crashes — it refuses).
+   The spec is checked against the paper's requirement table when it is
+   made (try asking Figure 8 to survive 3 of 5 crashes — it refuses).
 2. The result is *data*: a ScenarioSpec that round-trips through JSON, so
    runs can be logged, diffed, and shipped to worker processes.
 3. *Execute* it through the Engine and read the structured RunRecord.

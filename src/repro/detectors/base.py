@@ -17,6 +17,7 @@ detector.
 from __future__ import annotations
 
 import hashlib
+import math
 from bisect import bisect_right
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -87,8 +88,10 @@ class OracleDetector:
             # By default the oracle stabilises shortly after the last crash,
             # which is the earliest time a real detector could possibly settle.
             stabilization_time = self.pattern.last_crash_time() + 1.0
-        if stabilization_time < 0:
+        if not stabilization_time >= 0:  # NaN included
             raise DetectorError("the stabilization time cannot be negative")
+        if noise_period is not None and math.isnan(noise_period):
+            raise DetectorError("the noise period must be a number")
         self.stabilization_time = float(stabilization_time)
         self.noise_period = noise_period
         self.history = self._decoded(history) if history else {}

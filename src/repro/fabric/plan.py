@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..analysis.runner import ParameterSweep, shard_bounds
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from ..runtime.cache import RunCache
 from ..runtime.engine import Engine, item_key, item_row
 from ..runtime.registry import EXPERIMENTS
@@ -227,8 +227,15 @@ class FabricPlan:
     def from_dict(cls, payload: Mapping[str, Any]) -> "FabricPlan":
         if payload.get("schema") != PLAN_SCHEMA:
             raise PlanningError(f"not a fabric plan (schema {payload.get('schema')!r})")
+        items = [WorkItem.from_dict(item) for item in payload.get("items", [])]
+        for item in items:  # a bad spec fails here, not in a worker that retries it
+            if item.kind == "spec":
+                try:
+                    ScenarioSpec.from_dict(item.payload["spec"])
+                except ConfigurationError as error:
+                    raise PlanningError(f"plan item {item.index}: {error}") from error
         return cls(
-            items=[WorkItem.from_dict(item) for item in payload.get("items", [])],
+            items=items,
             experiments=tuple(payload.get("experiments", ())),
             quick=bool(payload.get("quick", True)),
             seed=int(payload.get("seed", 0)),

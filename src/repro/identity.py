@@ -263,15 +263,6 @@ class IdentityMultiset:
                 merged[identity] = shared
         return IdentityMultiset.from_counts(merged) if merged else IdentityMultiset()
 
-    def difference(self, other: "IdentityMultiset") -> "IdentityMultiset":
-        """Element-wise truncated subtraction of multiplicities."""
-        merged: dict[Identity, int] = {}
-        for identity, count in self._counts.items():
-            remaining = count - other.multiplicity(identity)
-            if remaining > 0:
-                merged[identity] = remaining
-        return IdentityMultiset.from_counts(merged) if merged else IdentityMultiset()
-
     def add(self, identity: Identity, count: int = 1) -> "IdentityMultiset":
         """Return a new multiset with ``count`` extra copies of ``identity``."""
         if count <= 0:

@@ -118,13 +118,6 @@ class Membership:
         """Return ``mult_{I(Π)}(identity)``."""
         return len(self._by_identity.get(identity, ()))
 
-    def processes_with_identity_in(self, identities: IdentityMultiset) -> tuple[ProcessId, ...]:
-        """Return ``P(I)`` — processes whose identifier appears in the multiset."""
-        support = identities.support()
-        return tuple(
-            process for process in self.processes if self.identity_of(process) in support
-        )
-
     # ------------------------------------------------------------------
     # Character of the system
     # ------------------------------------------------------------------

@@ -24,8 +24,9 @@ The pieces:
 * :mod:`~repro.runtime.spec` — :class:`ScenarioSpec` and its serializable
   parts (membership shape, timing, crashes, detectors), with
   ``to_dict``/``from_dict`` round-tripping;
-* :mod:`~repro.runtime.builder` — the fluent :func:`scenario` builder, which
-  validates combinations against the paper's requirement table;
+* :mod:`~repro.runtime.builder` — the fluent :func:`scenario` builder, and
+  the paper's requirement table that every ``ScenarioSpec`` construction
+  runs (``build()``, ``from_dict``, ``with_seed`` and ``replace`` alike);
 * :mod:`~repro.runtime.registry` — name → component registries for
   detectors, consensus algorithms, programs, property checks, and
   experiments;
@@ -44,7 +45,7 @@ The pieces:
 
 from ..analysis.runner import ParameterSweep
 from ..consensus import distinct_proposals
-from .builder import ScenarioBuilder, ScenarioValidationError, scenario, validate_spec
+from .builder import ScenarioBuilder, ScenarioValidationError, scenario
 from .cache import RunCache
 from .engine import (
     Engine,
@@ -68,7 +69,6 @@ from .registry import (
     LINKS,
     PROGRAMS,
     Registry,
-    build_link_model,
     register_check,
     register_consensus,
     register_detector,
@@ -136,7 +136,6 @@ __all__ = [
     "WorkerPool",
     "asymmetric",
     "asynchronous",
-    "build_link_model",
     "canonical_spec_hash",
     "cascading",
     "composed",
@@ -170,5 +169,4 @@ __all__ = [
     "scenario",
     "simulate_spec",
     "synchronous",
-    "validate_spec",
 ]

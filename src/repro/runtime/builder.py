@@ -1,4 +1,5 @@
-"""Fluent construction of validated :class:`ScenarioSpec` objects.
+"""Fluent construction of :class:`ScenarioSpec` objects, and the requirement
+table every spec is checked against.
 
 The builder is the ergonomic way to author scenarios::
 
@@ -15,9 +16,11 @@ The builder is the ergonomic way to author scenarios::
         .build()
     )
 
-``build()`` validates the combination against the paper's requirement table
-before returning the (immutable, serializable) spec:
+``build()`` only resolves the membership.  The requirement table below
+(:func:`validate_spec`) is run by :class:`ScenarioSpec`'s constructor, so a
+spec read from JSON, re-seeded or ``replace``-d meets it like a built one:
 
+* the horizon is a positive finite time;
 * every detector class the chosen consensus algorithm queries must be
   attached — either as an oracle or published by a stacked implementation
   program (the E8 configuration);
@@ -55,7 +58,6 @@ from .spec import (
     ScenarioSpec,
     TimingSpec,
     TopologySpec,
-    no_crashes,
 )
 
 __all__ = ["scenario", "ScenarioBuilder", "ScenarioValidationError"]
@@ -66,7 +68,7 @@ class ScenarioValidationError(ConfigurationError):
 
 
 class ScenarioBuilder:
-    """Accumulates scenario parts; ``build()`` validates and freezes them."""
+    """Accumulates scenario parts; ``build()`` freezes them into a spec."""
 
     def __init__(self, name: str = "") -> None:
         self._name = name
@@ -76,22 +78,12 @@ class ScenarioBuilder:
         self._shape: str | None = None
         self._shape_params: dict[str, Any] = {}
         self._membership: MembershipSpec | None = None
-        self._timing: TimingSpec | None = None
-        self._crashes: CrashSpec = no_crashes()
-        self._network: NetworkSpec = NetworkSpec()
-        self._adversarial: bool = False
-        self._detectors: list[DetectorSpec] = []
-        self._consensus: str | None = None
-        self._consensus_params: dict[str, Any] = {}
-        self._program: str | None = None
-        self._program_params: dict[str, Any] = {}
-        self._kv: KVSpec | None = None
-        self._topology: TopologySpec = TopologySpec()
-        self._checks: list[str] = []
-        self._backend: str = "sim"
-        self._backend_params: dict[str, Any] = {}
-        self._horizon: float = 500.0
-        self._seed: int = 0
+        #: The ``ScenarioSpec`` fields set so far; the rest take its defaults.
+        self._fields: dict[str, Any] = {}
+
+    def _set(self, **fields: Any) -> "ScenarioBuilder":
+        self._fields.update(fields)
+        return self
 
     # -- membership ----------------------------------------------------
     def processes(self, n: int) -> "ScenarioBuilder":
@@ -136,19 +128,16 @@ class ScenarioBuilder:
     def timing(self, spec: TimingSpec) -> "ScenarioBuilder":
         """Set the timing model (see :func:`asynchronous`/:func:`partial_sync`/
         :func:`synchronous` in :mod:`repro.runtime.spec`)."""
-        self._timing = spec
-        return self
+        return self._set(timing=spec)
 
     def crashes(self, spec: CrashSpec) -> "ScenarioBuilder":
         """Set the crash schedule (see the crash helpers in the spec module)."""
-        self._crashes = spec
-        return self
+        return self._set(crashes=spec)
 
     def network(self, spec: NetworkSpec) -> "ScenarioBuilder":
         """Set the link model (see :func:`lossy`/:func:`partitioned`/
         :func:`composed` and friends in :mod:`repro.runtime.spec`)."""
-        self._network = spec
-        return self
+        return self._set(network=spec)
 
     def adversarial(self, value: bool = True) -> "ScenarioBuilder":
         """Acknowledge that the scenario runs outside the paper's guarantees.
@@ -159,8 +148,7 @@ class ScenarioBuilder:
         fault-envelope sweep measures — but none of the paper's termination
         claims apply to it.
         """
-        self._adversarial = value
-        return self
+        return self._set(adversarial=value)
 
     # -- detectors and workload ----------------------------------------
     def detectors(
@@ -178,9 +166,10 @@ class ScenarioBuilder:
         named detector; ``noise_period`` only to the leader-electing ones
         (Ω, AΩ, HΩ).
         """
+        attached = list(self._fields.get("detectors", ()))
         for detector in detectors:
             if isinstance(detector, DetectorSpec):
-                self._detectors.append(detector)
+                attached.append(detector)
                 continue
             params: dict[str, Any] = {}
             if stabilization is not None:
@@ -190,14 +179,12 @@ class ScenarioBuilder:
             if history is not None:
                 # As JSON has it (string keys, lists), so a spec equals its round trip.
                 params["history"] = json.loads(json.dumps(history))
-            self._detectors.append(DetectorSpec(detector, params))
-        return self
+            attached.append(DetectorSpec(detector, params))
+        return self._set(detectors=attached)
 
     def consensus(self, name: str, **params: Any) -> "ScenarioBuilder":
         """Select the consensus algorithm by registry name."""
-        self._consensus = name
-        self._consensus_params = params
-        return self
+        return self._set(consensus=name, consensus_params=params)
 
     def program(self, name: str, **params: Any) -> "ScenarioBuilder":
         """Select a detector-implementation program by registry name.
@@ -205,9 +192,7 @@ class ScenarioBuilder:
         Combined with :meth:`consensus`, the program is stacked underneath
         the consensus algorithm on every process (the E8 configuration).
         """
-        self._program = name
-        self._program_params = params
-        return self
+        return self._set(program=name, program_params=params)
 
     def kv(self, spec: KVSpec | None = None, **options: Any) -> "ScenarioBuilder":
         """Run the replicated KV service workload on this system.
@@ -221,8 +206,7 @@ class ScenarioBuilder:
             raise ScenarioValidationError(
                 "pass either a pre-built KVSpec or keyword options, not both"
             )
-        self._kv = spec if spec is not None else KVSpec(**options)
-        return self
+        return self._set(kv=spec if spec is not None else KVSpec(**options))
 
     def topology(self, spec: TopologySpec | str, **params: Any) -> "ScenarioBuilder":
         """Set the monitoring topology: who monitors whom.
@@ -239,15 +223,12 @@ class ScenarioBuilder:
                     "pass either a pre-built TopologySpec or a kind name with "
                     "keyword parameters, not both"
                 )
-            self._topology = spec
-        else:
-            self._topology = TopologySpec(spec, params)
-        return self
+            return self._set(topology=spec)
+        return self._set(topology=TopologySpec(spec, params))
 
     def check(self, *names: str) -> "ScenarioBuilder":
         """Evaluate detector property checkers over the finished trace."""
-        self._checks.extend(names)
-        return self
+        return self._set(checks=(*self._fields.get("checks", ()), *names))
 
     def backend(self, name: str, **params: Any) -> "ScenarioBuilder":
         """Select the execution backend: ``"sim"`` (default) or ``"real"``.
@@ -258,24 +239,20 @@ class ScenarioBuilder:
         keep the JSONL node logs there, ``settle``, ``fault_action``,
         ``keep_logs``).
         """
-        self._backend = name
-        self._backend_params = params
-        return self
+        return self._set(backend=name, backend_params=params)
 
     # -- run control ---------------------------------------------------
     def horizon(self, horizon: float) -> "ScenarioBuilder":
         """Simulated-time bound for the run."""
-        self._horizon = horizon
-        return self
+        return self._set(horizon=horizon)
 
     def seed(self, seed: int) -> "ScenarioBuilder":
         """Root seed for every RNG stream of the run."""
-        self._seed = seed
-        return self
+        return self._set(seed=seed)
 
     # -- build ---------------------------------------------------------
     def build(self) -> ScenarioSpec:
-        """Validate the combination and return the frozen spec."""
+        """Resolve the membership and return the frozen (validated) spec."""
         if self._shape is not None:
             if self._n is None:
                 raise ScenarioValidationError(
@@ -298,29 +275,7 @@ class ScenarioBuilder:
                 )
             membership_spec = MembershipSpec("unique", n=self._n)
 
-        timing_spec = self._timing or TimingSpec("asynchronous", {"min_latency": 0.1, "max_latency": 2.0})
-        spec = ScenarioSpec(
-            membership=membership_spec,
-            timing=timing_spec,
-            crashes=self._crashes,
-            network=self._network,
-            adversarial=self._adversarial,
-            detectors=tuple(self._detectors),
-            consensus=self._consensus,
-            consensus_params=dict(self._consensus_params),
-            program=self._program,
-            program_params=dict(self._program_params),
-            checks=tuple(self._checks),
-            kv=self._kv,
-            topology=self._topology,
-            backend=self._backend,
-            backend_params=dict(self._backend_params),
-            horizon=self._horizon,
-            seed=self._seed,
-            name=self._name,
-        )
-        validate_spec(spec)
-        return spec
+        return ScenarioSpec(membership=membership_spec, name=self._name, **self._fields)
 
 
 def scenario(name: str = "") -> ScenarioBuilder:
@@ -373,6 +328,10 @@ def _network_envelope_violation(spec: ScenarioSpec) -> str | None:
 
 def validate_spec(spec: ScenarioSpec) -> None:
     """Check a spec against the paper's requirement table (raises on error)."""
+    if not (math.isfinite(spec.horizon) and spec.horizon > 0):
+        raise ScenarioValidationError(
+            f"the horizon must be a positive finite time, got {spec.horizon!r}"
+        )
     if spec.consensus is None and spec.program is None and spec.kv is None:
         raise ScenarioValidationError(
             "a scenario needs a workload: pick a consensus algorithm, a "

@@ -73,7 +73,7 @@ from ..sim.failures import FailurePattern
 from ..sim.scheduler import capture_digests
 from .cache import RunCache
 from .executors import Executor, executor_for
-from .registry import CHECKS, CONSENSUS, DETECTORS, PROGRAMS
+from .registry import CHECKS, CONSENSUS, PROGRAMS
 from .spec import ScenarioSpec
 
 __all__ = [
@@ -199,10 +199,7 @@ def simulate_spec(spec: ScenarioSpec) -> Simulation:
         )
     membership = spec.membership.build()
     schedule = spec.crashes.build(membership)
-    detectors = {
-        detector.name: DETECTORS.resolve(detector.name)(detector.params)
-        for detector in spec.detectors
-    }
+    detectors = {detector.name: detector.build for detector in spec.detectors}
     if spec.kv is not None:
         # Imported lazily: the KV workload is loaded only by the runs that use it.
         from ..workloads.kv.runner import kv_system

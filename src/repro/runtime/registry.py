@@ -9,8 +9,8 @@ a :class:`Registry` instance; registering a duplicate name raises unless
 The consensus registry additionally stores each algorithm's *requirements* —
 the paper's assumption table (which detector classes it queries, whether it
 needs a majority of correct processes, and which homonymy extreme it is
-specialised to).  The :class:`~repro.runtime.builder.ScenarioBuilder` enforces
-these at build time.
+specialised to).  :func:`~repro.runtime.builder.validate_spec` enforces these whenever a
+spec is made.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ __all__ = [
     "register_check",
     "register_experiment",
     "register_link",
-    "build_link_model",
 ]
 
 
@@ -89,6 +88,9 @@ class Registry:
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._entries))
 
+    def __getitem__(self, name: str) -> Any:
+        return self._entries[name]
+
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
@@ -99,7 +101,7 @@ class Registry:
         return len(self._entries)
 
 
-#: Detector oracles: name → ``(params) -> DetectorFactory``.
+#: Detector oracles: name → ``(services, **params) -> detector``.
 DETECTORS = Registry("detector")
 
 #: Consensus algorithms: name → :class:`ConsensusEntry`.
@@ -121,14 +123,10 @@ LINKS = Registry("link model")
 def register_detector(name: str, maker: Callable[..., Any], *, overwrite: bool = False):
     """Register a detector oracle class under ``name``.
 
-    ``maker`` is called as ``maker(services, **params)`` when the run starts.
+    ``maker`` is called as ``maker(services, **params)`` when the run starts;
+    a :class:`~repro.runtime.spec.DetectorSpec` binds its ``params`` to it.
     """
-
-    def factory_of(params: Mapping[str, Any]):
-        fixed = dict(params)
-        return lambda services: maker(services, **fixed)
-
-    return DETECTORS.register(name, factory_of, overwrite=overwrite)
+    return DETECTORS.register(name, maker, overwrite=overwrite)
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ def register_consensus(
     """Register ``program`` (called as ``program(proposal, **params)``) under ``name``.
 
     ``requirements`` are :class:`ConsensusEntry`'s assumption fields; the
-    builder enforces them for plugins exactly as for the built-in rows.
+    requirement table enforces them for plugins exactly as for the built-in rows.
     """
     return CONSENSUS.register(name, ConsensusEntry(program, **requirements), overwrite=overwrite)
 
@@ -242,11 +240,6 @@ def register_reduction(row: Reduction) -> Reduction:
     return row
 
 
-def build_link_model(kind: str, params: Mapping[str, Any]) -> LinkModel:
-    """Materialise a link model from its spec data (``kind`` + parameters)."""
-    return LINKS.resolve(kind)(**dict(params))
-
-
 # ----------------------------------------------------------------------
 # Built-in link models (the network fault vocabulary)
 # ----------------------------------------------------------------------
@@ -257,11 +250,9 @@ def _make_partitioned_links(*, partitions: Any = ()) -> PartitionedLinks:
 
 def _make_composed_links(*, stages: Any = ()) -> ComposedLinks:
     """Accept nested specs: ``[{"kind": ..., "params": {...}}, ...]``."""
-    return ComposedLinks(
-        tuple(
-            build_link_model(stage["kind"], stage.get("params", {})) for stage in stages
-        )
-    )
+    from .spec import NetworkSpec  # deferred: spec reads this registry
+
+    return ComposedLinks(tuple(NetworkSpec.from_dict(stage).build() for stage in stages))
 
 
 for _name, _maker in (

@@ -10,17 +10,23 @@ round-trip exactly), shipped to a worker process by the
 :class:`~repro.runtime.executors.WorkerPool`, stored in JSONL run logs, and
 diffed between experiments.
 
-Specs are usually built with the fluent
-:func:`~repro.runtime.builder.scenario` builder, which also validates the
-combination against the paper's requirement table.
+Every way of making a spec — the fluent :func:`~repro.runtime.builder.scenario`
+builder, ``from_dict``, ``with_seed``, ``dataclasses.replace`` — runs its
+constructor, and the constructor checks the combination against the paper's
+requirement table (:func:`~repro.runtime.builder.validate_spec`), so a spec that exists
+is one the paper's results cover (or one marked ``adversarial``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, ClassVar, Mapping
+from collections.abc import Callable, Mapping
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import lru_cache
+from types import UnionType
+from typing import Any, ClassVar, Literal, Union, get_args, get_origin, get_type_hints
 
 from ..errors import ConfigurationError
 from ..membership import (
@@ -30,8 +36,7 @@ from ..membership import (
     random_identities,
     unique_identities,
 )
-from ..sim.failures import CrashSchedule
-from ..topology import MonitoringTopology, build_topology
+from ..topology import TOPOLOGIES
 from ..sim.timing import (
     AsynchronousTiming,
     PartiallySynchronousTiming,
@@ -40,6 +45,7 @@ from ..sim.timing import (
 )
 from ..workloads.crashes import CRASH_KINDS
 from ..workloads.homonymy import membership_with_distinct_ids
+from .registry import DETECTORS, LINKS
 
 __all__ = [
     "canonical_spec_hash",
@@ -98,34 +104,166 @@ def canonical_spec_hash(
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class _TaggedSection:
-    """The rule shared by every ``kind``/``name`` + ``params`` section.
+class _SpecPart:
+    """What every part of a spec shares, the spec itself included.
 
-    A section is a frozen dataclass of a tag field (named by ``_TAG``) and a
-    ``params`` mapping; it copies ``params`` on construction and round-trips
-    as ``{tag: …, "params": {…}}``.  A payload without the tag falls back to
-    the section's own default, if it declares one.
+    A part's fields hold their annotated types, checked when it is made (a
+    list given for a tuple field becomes a tuple, a mapping a fresh dict).
+    ``to_dict`` writes the fields as JSON has them, and ``from_dict`` reads
+    exactly the part's fields, a nested part by its own ``from_dict``: an
+    unknown or missing key raises :class:`ConfigurationError` where it is
+    read, and an absent one takes the dataclass default.
     """
 
-    _TAG: ClassVar[str] = "kind"
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
+        wrong = []
+        for name, (accepts, freeze, _) in _layout(type(self)).items():
+            value = getattr(self, name)
+            if not accepts(value):
+                wrong.append(f"{name}={value!r}")
+            elif freeze is not None and value is not None:
+                object.__setattr__(self, name, freeze(value))
+        if wrong:
+            raise ConfigurationError(
+                f"{type(self).__name__} fields of a wrong type: {', '.join(wrong)}"
+            )
 
     def to_dict(self) -> dict:
-        return {self._TAG: getattr(self, self._TAG), "params": dict(self.params)}
+        return {name: _dump(getattr(self, name)) for name in _layout(type(self))}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]):
-        tag = {cls._TAG: payload[cls._TAG]} if cls._TAG in payload else {}
-        return cls(**tag, params=payload.get("params", {}))
+        if not isinstance(payload, Mapping):
+            raise ConfigurationError(f"a {cls.__name__} is a mapping, got {payload!r}")
+        _binding(f"a {cls.__name__}", cls, 0, frozenset(payload))
+        layout = _layout(cls)
+        return cls(**{name: layout[name][2](value) for name, value in payload.items()})
+
+
+def _dump(value: Any) -> Any:
+    """A field value as JSON has it."""
+    if isinstance(value, _SpecPart):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_dump(item) for item in value]
+    return dict(value) if isinstance(value, Mapping) else value
+
+
+@lru_cache(maxsize=None)
+def _accepts(hint: Any) -> Callable[[Any], bool]:
+    """Whether a value is of the annotated type ``hint``, as far as a plain
+    ``isinstance`` can tell (a ``bool`` is no number; ``Any`` holds anything)."""
+    origin, options = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        return lambda value: value in options
+    if origin in (Union, UnionType):
+        # Most values are of a plain option's exact type: one set lookup.
+        exact = {option for option in options if isinstance(option, type)}
+        checks = [_accepts(option) for option in options]
+        return lambda value: type(value) in exact or any(check(value) for check in checks)
+    if origin is tuple:
+        item = _accepts(options[0])
+        return lambda value: isinstance(value, (tuple, list)) and all(map(item, value))
+    if hint in (int, float):
+        numbers = (int, float) if hint is float else int
+        return lambda value: isinstance(value, numbers) and not isinstance(value, bool)
+    kind = origin or hint
+    if kind is Any or not isinstance(kind, type):
+        return lambda value: True
+    return lambda value: isinstance(value, kind)
+
+
+@lru_cache(maxsize=None)
+def _layout(cls: type) -> dict[str, tuple[Callable, Callable | None, Callable]]:
+    """Per dataclass field of ``cls``: its type check, how its value is frozen
+    (a list into a tuple, a mapping into a fresh dict), and how ``from_dict``
+    reads it (a nested part by its own ``from_dict``; a null stays null)."""
+    hints, layout = get_type_hints(cls), {}
+    for spec_field in fields(cls):
+        hint = hints[spec_field.name]
+        options = (hint, *get_args(hint))
+        containers = {get_origin(option) for option in options}
+        freeze = tuple if tuple in containers else dict if Mapping in containers else None
+        part = next((o for o in options if isinstance(o, type) and issubclass(o, _SpecPart)), None)
+        if part is None:
+            load = lambda value: value
+        elif tuple in containers:
+            load = lambda items, part=part: (
+                [part.from_dict(item) for item in items] if isinstance(items, list) else items
+            )
+        else:
+            load = lambda value, part=part: value if value is None else part.from_dict(value)
+        layout[spec_field.name] = (_accepts(hint), freeze, load)
+    return layout
+
+
+@lru_cache(maxsize=None)
+def _binding(
+    what: str, maker: Callable[..., Any], leading: int, names: frozenset
+) -> dict[str, Callable[[Any], bool]]:
+    """The type check of each of ``names`` as ``maker``'s keyword arguments
+    after ``leading`` positional ones; if they do not bind, a
+    :class:`ConfigurationError` naming ``what`` and the accepted names."""
+    signature = inspect.signature(maker, eval_str=True)
+    try:
+        signature.bind(*(None,) * leading, **dict.fromkeys(names))
+    except TypeError as error:
+        accepted = list(signature.parameters)[leading:]
+        raise ConfigurationError(
+            f"{what} takes {accepted}, got {sorted(map(str, names))}: {error}"
+        ) from None
+    parameters = signature.parameters
+    return {
+        name: _accepts(parameters[name].annotation if name in parameters else Any)
+        for name in names
+    }
+
+
+class _TaggedSection(_SpecPart):
+    """The rule shared by every ``kind``/``name`` + ``params`` section.
+
+    A section is a frozen dataclass of a tag field (named by ``_TAG``) and a
+    ``params`` mapping.  The tag names a row of the section's table
+    (``_KINDS``: what each kind builds), and ``params`` must bind to
+    that row's signature after its ``_LEADING`` positional arguments (the
+    membership a crash resolver takes, the services a detector oracle takes)
+    and hold the types it annotates, so a misspelt kind or parameter fails
+    where the section is made.
+    """
+
+    _TAG: ClassVar[str] = "kind"
+    #: What each kind builds.
+    _KINDS: ClassVar[Mapping[str, Callable[..., Any]]]
+    #: What the section is called in its error messages.
+    _SECTION: ClassVar[str]
+    _LEADING: ClassVar[int] = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        tag = getattr(self, self._TAG)
+        if tag not in self._KINDS:
+            raise ConfigurationError(
+                f"unknown {self._SECTION} {self._TAG} {tag!r}; "
+                f"expected one of {sorted(self._KINDS)}"
+            )
+        what = f"{self._SECTION} {tag!r}"
+        types = _binding(what, self._KINDS[tag], self._LEADING, frozenset(self.params))
+        wrong = [f"{key}={value!r}" for key, value in self.params.items() if not types[key](value)]
+        if wrong:
+            raise ConfigurationError(f"{what} parameters of a wrong type: {', '.join(wrong)}")
+
+    def build(self, *leading: Any) -> Any:
+        """What the section's kind makes of its ``params`` (after the
+        ``_LEADING`` arguments: a crash schedule takes the membership, a
+        detector oracle the run's services)."""
+        return self._KINDS[getattr(self, self._TAG)](*leading, **self.params)
 
 
 # ----------------------------------------------------------------------
 # Membership
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class MembershipSpec:
+class MembershipSpec(_SpecPart):
     """The homonymy pattern, as data.
 
     ``kind`` selects the generator:
@@ -149,6 +287,16 @@ class MembershipSpec:
     seed: int | None = None
     prefix: str | None = None
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.kind not in _MEMBERSHIP_NEEDS:
+            raise ConfigurationError(
+                f"unknown membership kind {self.kind!r}; expected one of {list(_MEMBERSHIP_NEEDS)}"
+            )
+        missing = [name for name in _MEMBERSHIP_NEEDS[self.kind] if getattr(self, name) is None]
+        if missing:
+            raise ConfigurationError(f"membership kind {self.kind!r} needs {missing}")
+
     def build(self) -> Membership:
         """Materialise the membership object."""
         prefix = {} if self.prefix is None else {"prefix": self.prefix}
@@ -164,9 +312,7 @@ class MembershipSpec:
             return random_identities(
                 self.n, domain_size=self.domain_size, seed=self.seed or 0, **prefix
             )
-        if self.kind == "explicit":
-            return Membership.of(list(self.identities))
-        raise ConfigurationError(f"unknown membership kind {self.kind!r}")
+        return Membership.of(list(self.identities))  # "explicit"
 
     @property
     def size(self) -> int:
@@ -175,25 +321,21 @@ class MembershipSpec:
             return sum(self.groups)
         if self.kind == "explicit":
             return len(self.identities)
-        if self.n is None:
-            raise ConfigurationError(f"membership kind {self.kind!r} needs n")
         return self.n
 
     def to_dict(self) -> dict:
-        payload: dict[str, Any] = {"kind": self.kind}
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            if spec_field.name != "kind" and value is not None:
-                payload[spec_field.name] = list(value) if isinstance(value, tuple) else value
-        return payload
+        return {name: value for name, value in super().to_dict().items() if value is not None}
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MembershipSpec":
-        data = dict(payload)
-        for key in ("groups", "identities"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
+
+#: The fields each membership kind needs.
+_MEMBERSHIP_NEEDS: dict[str, tuple[str, ...]] = {
+    "distinct_ids": ("n", "distinct"),
+    "groups": ("groups",),
+    "unique": ("n",),
+    "anonymous": ("n",),
+    "random": ("n", "domain_size"),
+    "explicit": ("identities",),
+}
 
 
 # ----------------------------------------------------------------------
@@ -210,19 +352,12 @@ _TIMING_CLASSES: dict[str, type[TimingModel]] = {
 class TimingSpec(_TaggedSection):
     """A timing model as data: a kind plus its constructor parameters."""
 
+    _KINDS = _TIMING_CLASSES
+    _SECTION = "timing"
+
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.kind not in _TIMING_CLASSES:
-            raise ConfigurationError(
-                f"unknown timing kind {self.kind!r}; "
-                f"expected one of {sorted(_TIMING_CLASSES)}"
-            )
-        super().__post_init__()
-
-    def build(self) -> TimingModel:
-        return _TIMING_CLASSES[self.kind](**self.params)
 
 
 def asynchronous(*, min_latency: float = 0.1, max_latency: float = 2.0, **extra) -> TimingSpec:
@@ -279,23 +414,21 @@ class CrashSpec(_TaggedSection):
     ``params`` are that resolver's keyword arguments.
     """
 
+    _KINDS = CRASH_KINDS
+    _SECTION = "crash"
+    _LEADING = 1  # the membership
+
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
+
     def __post_init__(self) -> None:
-        if self.kind not in CRASH_KINDS:
-            raise ConfigurationError(
-                f"unknown crash kind {self.kind!r}; expected one of {sorted(CRASH_KINDS)}"
-            )
         super().__post_init__()
         if self.kind == "at_times" and "times" in self.params:
             # JSON turns the integer process indices into strings; undo that.
             self.params["times"] = {
                 int(index): when for index, when in self.params["times"].items()
             }
-
-    def build(self, membership: Membership) -> CrashSchedule:
-        return CRASH_KINDS[self.kind](membership, **self.params)
 
 
 def no_crashes() -> CrashSpec:
@@ -358,19 +491,17 @@ class NetworkSpec(_TaggedSection):
     :data:`~repro.runtime.registry.LINKS` registry.
     """
 
+    _KINDS = LINKS
+    _SECTION = "link model"
+
     kind: str = "reliable"
     params: Mapping[str, Any] = field(default_factory=dict)
+
 
     @property
     def is_reliable(self) -> bool:
         """Whether this is the default (identity) link model."""
         return self.kind == "reliable"
-
-    def build(self):
-        """Materialise the :class:`~repro.sim.links.LinkModel`."""
-        from .registry import build_link_model  # deferred: registry is heavyweight
-
-        return build_link_model(self.kind, self.params)
 
 
 def reliable() -> NetworkSpec:
@@ -440,27 +571,25 @@ class TopologySpec(_TaggedSection):
     all-to-all monitoring; :meth:`ScenarioSpec.to_dict` omits the section
     entirely in that case so pre-topology canonical hashes (and hence run-cache
     keys) are preserved.  ``ring`` and ``gossip`` select the sparse O(n·k)
-    designs in :mod:`repro.topology`; the builder only accepts them for
+    designs in :mod:`repro.topology`; a spec accepts them only for
     programs that declare themselves topology-aware.
     """
+
+    _KINDS = TOPOLOGIES
+    _SECTION = "monitoring topology"
 
     kind: str = "full_mesh"
     params: Mapping[str, Any] = field(default_factory=dict)
 
+
     def __post_init__(self) -> None:
         super().__post_init__()
-        # Fail at construction, not at run time, on an unknown kind or bad
-        # parameters (build_topology validates both).
-        self.build()
+        self.build()  # a topology needs no n, so its values are checked here too
 
     @property
     def is_full_mesh(self) -> bool:
         """Whether this is the default (historical all-to-all) topology."""
         return self.kind == "full_mesh"
-
-    def build(self) -> MonitoringTopology:
-        """Materialise the :class:`~repro.topology.MonitoringTopology`."""
-        return build_topology(self.kind, self.params)
 
 
 def full_mesh() -> TopologySpec:
@@ -486,16 +615,20 @@ class DetectorSpec(_TaggedSection):
     """One detector attachment: a registry name plus oracle parameters."""
 
     _TAG = "name"
+    _KINDS = DETECTORS
+    _SECTION = "detector"
+    _LEADING = 1  # the run's detector services
 
     name: str
     params: Mapping[str, Any] = field(default_factory=dict)
+
 
 
 # ----------------------------------------------------------------------
 # The replicated KV service workload
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class KVSpec:
+class KVSpec(_SpecPart):
     """The replicated KV service workload, as data.
 
     The scenario's *membership* describes the replica group (homonymy and all);
@@ -511,54 +644,30 @@ class KVSpec:
     ops_per_client: int = 6
     consensus: str = "homega_majority"
     consensus_params: Mapping[str, Any] = field(default_factory=dict)
-    loop: str = "closed"
+    loop: Literal["closed", "open"] = "closed"
     think_time: float = 2.0
     rate: float = 0.5
     key_space: int = 8
-    skew: str = "uniform"
+    skew: Literal["uniform", "zipf"] = "uniform"
     zipf_s: float = 1.2
-    read_mode: str = "log"
+    read_mode: Literal["log", "local"] = "log"
     mix: Mapping[str, float] | None = None
     sync_period: float = 10.0
     max_slots: int = 4096
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "consensus_params", dict(self.consensus_params))
-        if self.mix is not None:
-            object.__setattr__(self, "mix", dict(self.mix))
+        super().__post_init__()
         if self.clients < 1:
             raise ConfigurationError("a KV workload needs at least one client")
         if self.ops_per_client < 0:
             raise ConfigurationError("ops_per_client must be non-negative")
-        if self.loop not in ("closed", "open"):
-            raise ConfigurationError(f"kv loop must be 'closed' or 'open', got {self.loop!r}")
-        if self.skew not in ("uniform", "zipf"):
-            raise ConfigurationError(f"kv skew must be 'uniform' or 'zipf', got {self.skew!r}")
-        if self.read_mode not in ("log", "local"):
-            raise ConfigurationError(
-                f"kv read_mode must be 'log' or 'local', got {self.read_mode!r}"
-            )
-
-    def to_dict(self) -> dict:
-        payload = {name: getattr(self, name) for name in _KV_FIELDS}
-        payload["consensus_params"] = dict(self.consensus_params)
-        if self.mix is not None:
-            payload["mix"] = dict(self.mix)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "KVSpec":
-        return cls(**{name: payload[name] for name in _KV_FIELDS if name in payload})
-
-
-_KV_FIELDS = tuple(spec_field.name for spec_field in fields(KVSpec))
 
 
 # ----------------------------------------------------------------------
 # The full scenario
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_SpecPart):
     """A complete, serializable run configuration (see the module docstring).
 
     ``consensus`` and ``program`` name registry entries
@@ -570,7 +679,7 @@ class ScenarioSpec:
     ``network`` selects the link model (loss, duplication, jitter, partitions;
     default: reliable links).  ``adversarial=True`` acknowledges that the
     scenario runs *outside* the paper's guarantees (e.g. post-GST loss in an
-    HPS system); the builder rejects such combinations without it.
+    HPS system); the constructor rejects such combinations without it.
     """
 
     membership: MembershipSpec
@@ -586,80 +695,33 @@ class ScenarioSpec:
     checks: tuple[str, ...] = ()
     kv: KVSpec | None = None
     topology: TopologySpec = field(default_factory=TopologySpec)
-    backend: str = "sim"
+    backend: Literal["sim", "real"] = "sim"
     backend_params: Mapping[str, Any] = field(default_factory=dict)
     horizon: float = 500.0
     seed: int = 0
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "detectors", tuple(self.detectors))
-        object.__setattr__(self, "checks", tuple(self.checks))
-        object.__setattr__(self, "consensus_params", dict(self.consensus_params))
-        object.__setattr__(self, "program_params", dict(self.program_params))
-        object.__setattr__(self, "backend_params", dict(self.backend_params))
-        if self.backend not in ("sim", "real"):
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; expected 'sim' or 'real'"
-            )
+        super().__post_init__()
+        from .builder import validate_spec  # deferred: builder imports this module
+
+        validate_spec(self)
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         """A copy of this spec with a different seed (for sweeps)."""
-        return ScenarioSpec.from_dict({**self.to_dict(), "seed": seed})
+        return replace(self, seed=seed)
 
     def canonical_hash(self, *, include_seed: bool = False) -> str:
         """This spec's content hash (see :func:`canonical_spec_hash`)."""
         return canonical_spec_hash(self, include_seed=include_seed)
 
     def to_dict(self) -> dict:
-        payload = {
-            "membership": self.membership.to_dict(),
-            "timing": self.timing.to_dict(),
-            "crashes": self.crashes.to_dict(),
-            "network": self.network.to_dict(),
-            "adversarial": self.adversarial,
-            "detectors": [detector.to_dict() for detector in self.detectors],
-            "consensus": self.consensus,
-            "consensus_params": dict(self.consensus_params),
-            "program": self.program,
-            "program_params": dict(self.program_params),
-            "checks": list(self.checks),
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "name": self.name,
-        }
+        payload = super().to_dict()
         for section in _OPTIONAL_SECTIONS:
-            if any(getattr(self, name) != getattr(_BLANK, name) for name in section):
-                for name, (dump, _) in section.items():
-                    payload[name] = dump(getattr(self, name))
+            if all(getattr(self, name) == _DEFAULTS[name] for name in section):
+                for name in section:
+                    del payload[name]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        return cls(
-            membership=MembershipSpec.from_dict(payload["membership"]),
-            timing=TimingSpec.from_dict(payload.get("timing", {"kind": "asynchronous"})),
-            crashes=CrashSpec.from_dict(payload.get("crashes", {"kind": "none"})),
-            network=NetworkSpec.from_dict(payload.get("network", {"kind": "reliable"})),
-            adversarial=bool(payload.get("adversarial", False)),
-            detectors=tuple(
-                DetectorSpec.from_dict(entry) for entry in payload.get("detectors", ())
-            ),
-            consensus=payload.get("consensus"),
-            consensus_params=dict(payload.get("consensus_params", {})),
-            program=payload.get("program"),
-            program_params=dict(payload.get("program_params", {})),
-            checks=tuple(payload.get("checks", ())),
-            horizon=payload.get("horizon", 500.0),
-            seed=payload.get("seed", 0),
-            name=payload.get("name", ""),
-            **{
-                name: load(payload[name])
-                for section in _OPTIONAL_SECTIONS
-                for name, (_, load) in section.items()
-                if payload.get(name) is not None
-            },
-        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -670,17 +732,18 @@ class ScenarioSpec:
 
 
 #: The hash-neutral optional sections: ``ScenarioSpec`` fields added after
-#: canonical hashes became run-cache keys.  Each row is a group of fields
-#: (``name -> (dump, load)``) that serialize together; ``to_dict`` omits a
-#: group whose fields all hold their dataclass defaults, so a spec that does
-#: not use the section hashes exactly as it did before the section existed,
-#: and ``from_dict`` leaves absent fields at those defaults.  A new optional
-#: section is one more row.
-_OPTIONAL_SECTIONS: tuple[dict[str, tuple[Callable, Callable]], ...] = (
-    {"kv": (KVSpec.to_dict, KVSpec.from_dict)},
-    {"backend": (str, str), "backend_params": (dict, dict)},
-    {"topology": (TopologySpec.to_dict, TopologySpec.from_dict)},
-)
+#: canonical hashes became run-cache keys.  Each row is a group of fields that
+#: serialize together; ``to_dict`` omits a group whose fields all hold their
+#: dataclass defaults, so a spec that does not use the section hashes exactly
+#: as it did before the section existed.  A new optional section is one more
+#: row.
+_OPTIONAL_SECTIONS = (("kv",), ("backend", "backend_params"), ("topology",))
 
-#: Every optional section at its default, for ``to_dict`` to compare against.
-_BLANK = ScenarioSpec(membership=MembershipSpec("unique", n=1))
+#: The optional sections' dataclass defaults, for ``to_dict`` to compare against.
+_DEFAULTS = {
+    spec_field.name: (
+        spec_field.default_factory() if spec_field.default is MISSING else spec_field.default
+    )
+    for spec_field in fields(ScenarioSpec)
+    if any(spec_field.name in section for section in _OPTIONAL_SECTIONS)
+}

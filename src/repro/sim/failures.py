@@ -9,6 +9,7 @@ property checkers: ``Correct``, ``Faulty``, and ``alive_at(T)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -41,8 +42,8 @@ class CrashEvent:
     partial_broadcast_fraction: float | None = None
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigurationError("a crash cannot happen before time 0")
+        if not 0 <= self.time < math.inf:  # NaN included
+            raise ConfigurationError(f"a crash happens at a finite time from 0 on, not {self.time}")
         if self.partial_broadcast_fraction is not None and not (
             0.0 <= self.partial_broadcast_fraction <= 1.0
         ):

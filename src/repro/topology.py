@@ -37,7 +37,7 @@ execution.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import random
 
@@ -48,7 +48,7 @@ __all__ = [
     "FullMesh",
     "Ring",
     "Gossip",
-    "build_topology",
+    "TOPOLOGIES",
     "ring_successors",
 ]
 
@@ -216,19 +216,9 @@ class Gossip(MonitoringTopology):
         return f"gossip (fanout={self.fanout})"
 
 
-_TOPOLOGIES: dict[str, type[MonitoringTopology]] = {
+#: Every topology kind a :class:`~repro.runtime.spec.TopologySpec` may name.
+TOPOLOGIES: dict[str, type[MonitoringTopology]] = {
     "full_mesh": FullMesh,
     "ring": Ring,
     "gossip": Gossip,
 }
-
-
-def build_topology(kind: str, params: Mapping[str, Any] | None = None) -> MonitoringTopology:
-    """Materialise a topology from its spec data (``kind`` + parameters)."""
-    try:
-        cls = _TOPOLOGIES[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown monitoring topology {kind!r}; expected one of {sorted(_TOPOLOGIES)}"
-        ) from None
-    return cls(**dict(params or {}))

@@ -12,6 +12,7 @@ harness).
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from repro.consensus import CONSENSUS_CHECKS, distinct_proposals
 from repro.consensus.base import ConsensusProgram
@@ -139,7 +140,7 @@ class TestChecksCatchBrokenAlgorithms:
                 membership=membership,
                 timing=AsynchronousTiming(min_latency=0.1, max_latency=2.0),
                 program_factory=lambda pid, identity: SelfishConsensus(proposals[pid]),
-                detectors={"HOmega": DETECTORS.resolve("HOmega")({"stabilization_time": 5.0})},
+                detectors={"HOmega": partial(DETECTORS.resolve("HOmega"), stabilization_time=5.0)},
                 seed=2,
             )
         )
@@ -165,8 +166,8 @@ class TestChecksCatchBrokenAlgorithms:
         simulation, trace = run_probe_system(
             membership,
             detectors={
-                "HSigma": DETECTORS.resolve("HSigma")(
-                    {"stabilization_time": 21.0, "history": singletons}
+                "HSigma": partial(
+                    DETECTORS.resolve("HSigma"), stabilization_time=21.0, history=singletons
                 )
             },
             probes=CLASSES["HSigma"].probes(),

@@ -283,7 +283,7 @@ def test_the_registry_registers_the_detector_table_and_restates_nothing() -> Non
         assert name == row.name
         assert CHECKS.resolve(row.check) == row.judge
         membership = Membership.of("ABC" if row.unique_ids_only else "AAB")
-        oracle = DETECTORS.resolve(name)({"stabilization_time": 3.0})(make_services(membership))
+        oracle = DETECTORS.resolve(name)(make_services(membership), stabilization_time=3.0)
         assert oracle.row is row and oracle.stabilization_time == 3.0
         # Every output is a property of the view the row derives from them.
         for output in row.outputs:
@@ -524,3 +524,32 @@ def test_a_crash_kind_is_named_by_a_spec_and_resolved_by_one_table() -> None:
                 if target in modules:
                     importers.append(path.relative_to(ROOT).as_posix())
     assert importers == ["src/repro/runtime/spec.py"], importers
+
+
+def _callers(tree: ast.AST, name: str, scope: tuple[str, ...] = ()):
+    """The dotted class/function scope of every call of ``name(...)`` in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*scope, node.name)
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            yield ".".join(inner)
+        yield from _callers(node, name, inner)
+
+
+def test_the_requirement_table_has_one_caller_spec_construction() -> None:
+    """One gate: ``validate_spec`` is called from ``ScenarioSpec.__post_init__``
+    and from nowhere else in ``src/``, ``tests/``, ``bench/`` or ``examples/``,
+    so every way of making a spec — the builder, ``from_dict``, ``with_seed``,
+    ``dataclasses.replace`` — runs the paper's requirement table once, and a
+    spec read from JSON is held to it like a built one."""
+    callers = [
+        (path.relative_to(ROOT).as_posix(), scope)
+        for folder in ("src/repro", "tests", "bench", "examples")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for scope in _callers(ast.parse(path.read_text(encoding="utf-8")), "validate_spec")
+    ]
+    assert callers == [("src/repro/runtime/spec.py", "ScenarioSpec.__post_init__")], callers

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.consensus import (
@@ -77,8 +79,8 @@ class TestFigureEightCorrectness:
                 ),
                 crash_schedule=schedule,
                 detectors={
-                    "HOmega": DETECTORS.resolve("HOmega")(
-                        {"stabilization_time": 20.0, "noise_period": 5.0}
+                    "HOmega": partial(
+                        DETECTORS.resolve("HOmega"), stabilization_time=20.0, noise_period=5.0
                     )
                 },
                 seed=17,

@@ -323,8 +323,8 @@ class TestHistory:
         row = CLASSES[name]
         membership = unique_identities(4) if row.unique_ids_only else grouped_identities([2, 2])
         with pytest.raises(ConfigurationError, match=rf"'{name}': bad history: .*{complaint}"):
-            DETECTORS.resolve(name)({"stabilization_time": 5.0, "history": history})(
-                make_services(membership)
+            DETECTORS.resolve(name)(
+                make_services(membership), stabilization_time=5.0, history=history
             )
 
 

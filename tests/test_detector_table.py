@@ -300,7 +300,7 @@ def _probe_run(row, seed=0, *, oracle=None):
 def _pinned_form(name, seed):
     """``(event digest, sha256 of the record stream, class verdict)`` of detector
     ``name``, with oracle and check resolved by registry name as a spec would."""
-    oracle = DETECTORS.resolve(name)({"stabilization_time": 15.0, "noise_period": 4.0})
+    oracle = partial(DETECTORS.resolve(name), stabilization_time=15.0, noise_period=4.0)
     simulation = _probe_run(CLASSES[name], seed, oracle=oracle)
     stream = hashlib.sha256()
     keys = CLASSES[name].keys
@@ -518,7 +518,7 @@ class TestTheAxiomsRejectAndAdmit:
         said_first = [membership.identity_of(doomed), membership.size]
         history = {str(process.index): [[0.0, said_first]] for process in membership.processes}
         schedule = CrashSchedule.at_times({doomed: 1.0})
-        oracle = DETECTORS.resolve("HOmega")({"stabilization_time": 30.0, "history": history})
+        oracle = partial(DETECTORS.resolve("HOmega"), stabilization_time=30.0, history=history)
 
         simulation = Simulation(
             build_system(
@@ -618,7 +618,7 @@ def test_a_twelfth_class_is_one_row(monkeypatch):
     register_detector_class(_TWELFTH)
 
     assert _TWELFTH.keys == ("CrashCount.crashed",)
-    oracle = DETECTORS.resolve("CrashCount")({"stabilization_time": 15.0})
+    oracle = partial(DETECTORS.resolve("CrashCount"), stabilization_time=15.0)
     simulation = _probe_run(_TWELFTH, oracle=oracle)
     series = [value for _, value in simulation.trace.records_of(ProcessId(0), "CrashCount.crashed")]
     assert series[0] == 0 and series[-1] == 1 and len(series) == 41

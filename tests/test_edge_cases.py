@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import pytest
 
@@ -125,7 +126,7 @@ class TestProposalTypes:
                 program_factory=lambda pid, identity: propose(proposals[pid]),
                 crash_schedule=CrashSchedule.at_times({p(3): 7.0}),
                 detectors={
-                    name: DETECTORS.resolve(name)({"stabilization_time": 10.0})
+                    name: partial(DETECTORS.resolve(name), stabilization_time=10.0)
                     for name in entry.requires_detectors
                 },
                 seed=51,

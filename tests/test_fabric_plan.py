@@ -20,7 +20,7 @@ from repro.fabric.work import execute_item
 from repro.runtime import Engine, scenario
 from repro.runtime.engine import item_key
 from repro.runtime.registry import Registry
-from repro.runtime.spec import ScenarioSpec, crashes_at, partial_sync
+from repro.runtime.spec import ScenarioSpec, cascading, crashes_at, partial_sync
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,7 @@ def test_planning_engine_rejects_real_backend_specs() -> None:
             "name": "real",
             "backend": "real",
             "membership": {"kind": "unique", "n": 3},
+            "program": "heartbeat",
             "seed": 0,
         }
     )
@@ -224,6 +225,31 @@ def test_a_crashes_at_spec_plans_and_runs_what_the_engine_runs(tmp_path) -> None
     assert item == plan.items[0] and ScenarioSpec.from_dict(item.payload["spec"]) == spec
     digests = execute_item(item).digests
     assert [f"{digest:016x}" for digest in digests] == [Engine().run(spec).digest]
+
+
+def test_a_plan_refuses_a_bad_spec_item_when_it_is_read(tmp_path) -> None:
+    """A spec item is made once when the plan is read, so a spec the
+    requirement table refuses fails there, naming its index, instead of in a
+    worker that would retry, bisect and quarantine it."""
+    engine = PlanningEngine("FIG8")
+    engine.run(
+        scenario("fig8")
+        .processes(5)
+        .crashes(cascading(1))
+        .detectors("HOmega", stabilization=10.0)
+        .consensus("homega_majority")
+        .build()
+    )
+    plan = FabricPlan(items=engine.items, experiments=("FIG8",))
+    good = plan.to_dict()
+    assert FabricPlan.read(plan.write(tmp_path / "plan.json")).to_dict() == good
+    bad = json.loads(json.dumps(good))
+    bad["items"].append({**json.loads(json.dumps(bad["items"][0])), "index": 1})
+    # Figure 8 assumes t < n/2: three crashes of five are outside it.
+    bad["items"][1]["payload"]["spec"]["crashes"] = cascading(3).to_dict()
+    (tmp_path / "bad.json").write_text(json.dumps(bad), encoding="utf-8")
+    with pytest.raises(PlanningError, match=r"plan item 1: .*t < n/2"):
+        FabricPlan.read(tmp_path / "bad.json")
 
 
 def test_e11_is_refused_for_its_real_backend_runs() -> None:

@@ -59,12 +59,6 @@ class TestMembershipBasics:
             ["A", "B"]
         )
 
-    def test_processes_with_identity_in(self, paper_example_membership):
-        selected = paper_example_membership.processes_with_identity_in(
-            IdentityMultiset(["B"])
-        )
-        assert selected == (ProcessId(2),)
-
 
 class TestMembershipCharacter:
     def test_unique(self):

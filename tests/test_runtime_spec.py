@@ -6,8 +6,10 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DetectorError
 from repro.membership import Membership
 from repro.runtime import (
     CrashSpec,
@@ -20,10 +22,12 @@ from repro.runtime import (
     TimingSpec,
     asymmetric,
     asynchronous,
+    canonical_spec_hash,
     cascading,
     composed,
     crashes_at,
     duplicating,
+    execute_spec,
     fraction,
     full_mesh,
     jittered,
@@ -165,45 +169,57 @@ _PINNED_BASE = ScenarioSpec(
     name="pinned",
 )
 
+_BASE = _PINNED_BASE.to_dict()
+
 #: Literal ``canonical_hash()`` values, computed at commit 65b085c (before the
 #: spec sections were table-driven).  They are run-cache and fabric-plan keys:
-#: a change here orphans every stored run, so it must be deliberate.
+#: a change here orphans every stored run, so it must be deliberate.  Each row
+#: is a payload; the rows in ``_REFUSED`` pair the base's consensus workload
+#: with a section the requirement table refuses beside it (a KV service, the
+#: real backend, a sparse topology), so they exist only as hashed dicts.
 _PINNED_HASHES = {
     "bare": (
-        _PINNED_BASE,
+        _BASE,
         "c5cf701b71f0ed51dd16ddba40a792401e67bd15da66e8bdf0b297f0d39ddd64",
     ),
     "lossy": (
-        replace(_PINNED_BASE, network=lossy(0.2, end=40.0)),
+        replace(_PINNED_BASE, network=lossy(0.2, end=40.0)).to_dict(),
         "0a3c8e9b1a3854662c7f8559e155877f16ae9ff632baf172ac76244050bf7e02",
     ),
     "kv": (
-        replace(_PINNED_BASE, kv=KVSpec()),
+        {**_BASE, "kv": KVSpec().to_dict()},
         "f363459e75a196998c381c56da05aebae810bbada0f40439a4e42f7ad5e5d31a",
     ),
     "real_backend": (
-        replace(_PINNED_BASE, backend="real", backend_params={"time_scale": 0.02}),
+        {**_BASE, "backend": "real", "backend_params": {"time_scale": 0.02}},
         "9f69aeac8dcbf3f16eb6a5b396cfc1294c9ab8162b88fc593d3f10ebe075ca06",
     ),
     "real_backend_no_params": (
-        replace(_PINNED_BASE, backend="real"),
+        {**_BASE, "backend": "real", "backend_params": {}},
         "5832bbc3bfc9ae03eec543d17b45c8b7e9c2a2da350571ab498d3a71fdb48edc",
     ),
     "ring": (
-        replace(_PINNED_BASE, topology=ring(3)),
+        {**_BASE, "topology": ring(3).to_dict()},
         "77a90a21b892280686d86d54ca1908798aa2a8348bfa60cb7ebcb0f8596db211",
     ),
     "explicit_full_mesh": (  # must equal "bare"
-        replace(_PINNED_BASE, topology=full_mesh()),
+        replace(_PINNED_BASE, topology=full_mesh()).to_dict(),
         "c5cf701b71f0ed51dd16ddba40a792401e67bd15da66e8bdf0b297f0d39ddd64",
     ),
 }
+_REFUSED = {"kv", "real_backend", "real_backend_no_params", "ring"}
 
 
 class TestPinnedCanonicalHashes:
     @pytest.mark.parametrize("name", _PINNED_HASHES)
     def test_hash_is_frozen_and_the_spec_round_trips(self, name):
-        spec, expected = _PINNED_HASHES[name]
+        payload, expected = _PINNED_HASHES[name]
+        assert canonical_spec_hash(payload) == expected
+        if name in _REFUSED:
+            with pytest.raises(ScenarioValidationError):
+                ScenarioSpec.from_dict(payload)
+            return
+        spec = ScenarioSpec.from_dict(payload)
         assert spec.canonical_hash() == expected
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
         assert ScenarioSpec.from_json(spec.to_json()) == spec
@@ -522,3 +538,163 @@ class TestBuilderValidation:
         by_name = {detector.name: detector.params for detector in spec.detectors}
         assert by_name["HOmega"]["noise_period"] == 3.0
         assert "noise_period" not in by_name["HSigma"]
+
+
+def figure8_spec() -> ScenarioSpec:
+    """Figure 8 on five homonymous processes with one crash: inside t < n/2."""
+    return (
+        scenario("figure8")
+        .processes(5)
+        .distinct_ids(3)
+        .timing(partial_sync(gst=10.0, delta=1.0))
+        .crashes(cascading(1, first_at=4.0))
+        .network(lossy(0.2, end=8.0))
+        .detectors("HOmega", stabilization=15.0)
+        .consensus("homega_majority")
+        .horizon(80.0)
+        .seed(3)
+        .build()
+    )
+
+
+class TestASpecIsCheckedWhereItIsMade:
+    """Every way of making a spec runs the requirement table, and every
+    section refuses a key or parameter it would otherwise have ignored."""
+
+    def test_from_dict_refuses_figure8_with_three_of_five_crashed(self):
+        payload = figure8_spec().to_dict()
+        payload["crashes"] = cascading(3).to_dict()
+        with pytest.raises(ScenarioValidationError, match=r"t < n/2.*3 of 5"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_with_seed_and_replace_run_the_table(self):
+        spec = figure8_spec()
+        assert spec.with_seed(11) == replace(spec, seed=11) != spec
+        with pytest.raises(ScenarioValidationError, match="t < n/2"):
+            replace(spec, crashes=cascading(3))
+        with pytest.raises(ConfigurationError, match="seed"):
+            spec.with_seed("11")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"horizn": 80.0},
+            {"seed": "3"},
+            {"seed": 3.0},
+            {"horizon": "80"},
+            {"horizon": -1.0},
+            {"horizon": float("inf")},
+            {"adversarial": "no"},
+            {"network": {"kind": "lossy", "parms": {"loss": 0.5}}},
+            {"network": {"kind": "lossy", "params": {"los": 0.5}}},
+            {"crashes": {"kind": "cascading", "params": {"cout": 2}}},
+            {"timing": {"kind": "partial_sync", "params": {"GST": 10.0}}},
+            {"detectors": [{"name": "HOmega", "params": {"stabilisation_time": 5.0}}]},
+            {"detectors": [{"name": "Nope", "params": {}}]},
+            {"membership": {"kind": "unique", "size": 5}},
+        ],
+        ids=lambda edit: json.dumps(edit),
+    )
+    def test_from_dict_refuses_what_it_used_to_ignore_or_defer(self, edit):
+        with pytest.raises(ConfigurationError):
+            ScenarioSpec.from_dict({**figure8_spec().to_dict(), **edit})
+
+    def test_kv_refuses_an_unknown_key(self):
+        with pytest.raises(ConfigurationError, match=r"KVSpec takes \[.*\], got \['client'\]"):
+            KVSpec.from_dict({"client": 8})
+
+    def test_a_bad_parameter_names_its_section_and_the_accepted_ones(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"crash 'cascading' takes \['count', 'first_at', 'interval', "
+            r"'partial_broadcast_fraction'\], got \['cout'\]",
+        ):
+            CrashSpec("cascading", {"cout": 2})
+        with pytest.raises(ConfigurationError, match="crash 'fraction' takes"):
+            CrashSpec("fraction", {})  # the required fraction is missing
+        with pytest.raises(ConfigurationError, match=r"detector 'HOmega' takes \['stabiliz"):
+            DetectorSpec("HOmega", {"stabilisation_time": 5.0})
+        with pytest.raises(ConfigurationError, match="unknown detector name 'Nope'"):
+            DetectorSpec("Nope")
+        with pytest.raises(ConfigurationError, match="timing 'asynchronous' takes"):
+            TimingSpec("asynchronous", {"max_latncy": 3.0})
+        with pytest.raises(ConfigurationError, match="link model 'lossy' takes"):
+            NetworkSpec("lossy", {"los": 0.5})
+
+    def test_a_payload_without_timing_loads_the_constructor_default(self):
+        spec = figure9_spec()
+        payload = spec.to_dict()
+        del payload["timing"]
+        loaded = ScenarioSpec.from_dict(payload)
+        assert loaded.timing == asynchronous() == replace(spec, timing=asynchronous()).timing
+        assert loaded.timing.build().max_latency == 2.0
+
+    def test_a_payload_of_defaults_round_trips(self):
+        minimal = {"membership": {"kind": "unique", "n": 3}, "program": "heartbeat"}
+        spec = ScenarioSpec.from_dict(minimal)
+        assert spec == ScenarioSpec(membership=MembershipSpec("unique", n=3), program="heartbeat")
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    # The largest finite time is 1e3: an oracle pre-schedules one wake-up per
+    # noise period up to its stabilization time, so 1e9 would mean 2e8 events.
+    st.sampled_from([0.0, 0.5, 2.5, -1.0, 1e3, float("nan"), float("inf")]),
+    st.sampled_from(["", "x", "unique", "lossy", "cascading", "ring", "HOmega", "homega_hsigma"]),
+)
+#: A JSON value, some of them dicts with the keys spec sections use.
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["kind", "name", "params", "n", "loss", "x"]), inner, max_size=3
+    ),
+    max_leaves=5,
+)
+
+
+def _paths(value, prefix=()):
+    """Every path to a value inside a JSON tree (dict keys and list indices)."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+    else:
+        items = ()
+    for key, inner in items:
+        yield (*prefix, key)
+        yield from _paths(inner, (*prefix, key))
+
+
+#: The fields whose contents no table checks: consensus and program
+#: parameters go to ``**params`` builders (and the sim backend ignores
+#: ``backend_params``), so a mutant only replaces them with a non-mapping.
+_UNCHECKED_CONTENTS = ("consensus_params", "program_params", "backend_params")
+_MUTABLE_PATHS = [
+    path
+    for path in _paths(figure8_spec().to_dict())
+    if not (path[0] in _UNCHECKED_CONTENTS and len(path) > 1)
+] + [("kv",), ("topology",), ("backend",), ("backend_params",)]  # sections it leaves out
+
+
+class TestEveryMutantIsRefusedOrRuns:
+    @given(path=st.sampled_from(_MUTABLE_PATHS), value=_JSON_VALUES)
+    def test_a_one_field_mutant_is_refused_at_from_dict_or_runs(self, path, value):
+        """Change one field of a valid spec dict: ``from_dict`` raises
+        ``ConfigurationError`` or the spec it makes runs to its end."""
+        assume(not (path[0] in _UNCHECKED_CONTENTS and isinstance(value, dict) and value))
+        payload = figure8_spec().to_dict()
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            spec = ScenarioSpec.from_dict(payload)
+        except ConfigurationError:
+            return
+        try:
+            record = execute_spec(spec)
+        except DetectorError:
+            return  # an oracle checks its times when the run makes it, by name
+        assert record.config == spec.to_dict()

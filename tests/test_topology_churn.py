@@ -31,7 +31,7 @@ from repro.runtime import (
     scenario,
 )
 from repro.sim.failures import ChurnEvent, ChurnSchedule
-from repro.topology import FullMesh, Gossip, Ring, build_topology, ring_successors
+from repro.topology import FullMesh, Gossip, Ring, ring_successors
 from repro.workloads.churn import churn_schedule, churn_spec
 
 
@@ -83,7 +83,7 @@ class TestGossipTargets:
 class TestTopologyConstruction:
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown"):
-            build_topology("torus", {})
+            TopologySpec.from_dict({"kind": "torus"})
 
     def test_bad_parameters_are_rejected(self):
         with pytest.raises(ConfigurationError):
