@@ -131,8 +131,12 @@ class MajorityQuorum:
         return None if program.decided else [message["estimate"] for message in received]
 
     def lock(self, estimates: list[Any]) -> Any:
-        """The value carried by more than ``n/2`` of the estimates, else ``⊥``."""
-        for value in set(estimates):
+        """The value carried by more than ``n/2`` of the estimates, else ``⊥``.
+
+        Values are tried in arrival order, not in a set's hash order, so the
+        answer is the same on every interpreter.
+        """
+        for value in dict.fromkeys(estimates):
             if estimates.count(value) > self.n / 2:
                 return value
         return BOTTOM

@@ -8,17 +8,18 @@ queues, or wall clocks, so the same program object runs unchanged on
 * the discrete-event simulator (:class:`repro.sim.process.ProcessRuntime`,
   where ``now`` is simulated time and ``sleep`` schedules a resume event), and
 * the real asyncio/TCP transport backend
-  (:class:`repro.transport.context.RealNodeRuntime`, where ``now`` is a
-  shared monotonic clock scaled to scenario time units and ``sleep`` awaits
-  wall-clock time).
+  (:class:`repro.transport.context.RealNodeRuntime`, a ``ProcessRuntime``
+  whose ``now`` is a shared monotonic clock scaled to scenario time units and
+  whose resumptions are event-loop timers).
 
 One :class:`ProcessContext` class forwards to either runtime, so what a
 program sees is declared once.  The blocking vocabulary (:class:`Sleep`,
 :class:`WaitUntil`, :class:`NextSyncStep`) is shared: tasks are ordinary
-generator functions that yield these requests, and each backend supplies its
-own trampoline.  A program must never import simulator internals
-(``repro.sim.scheduler``, ``repro.sim.events``, ``repro.sim.process``); a
-tier-1 lint test enforces this for every program module.
+generator functions that yield these requests, and one trampoline,
+``ProcessRuntime``'s, resumes them on both backends.  A program must never
+import simulator internals (``repro.sim.scheduler``, ``repro.sim.events``,
+``repro.sim.process``); a tier-1 lint test enforces this for every program
+module.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ class ProcessContext:
     """The program-facing API of one process, on either backend.
 
     One class serves both backends: it forwards to a *runtime* — the
-    simulator's :class:`~repro.sim.process.ProcessRuntime` or the transport's
-    :class:`~repro.transport.context.RealNodeRuntime` — which provides
+    simulator's :class:`~repro.sim.process.ProcessRuntime` or its transport
+    subclass :class:`~repro.transport.context.RealNodeRuntime`, so tasks
+    resume through one trampoline — which provides
     ``identity``, ``clock.now``, ``rng``, ``broadcast(message)``,
     ``multicast(message, targets)``, ``register_handler``, ``remove_handlers``,
     ``spawn_task``, ``detector_view``, ``has_detector``, ``attach_detector_view``,

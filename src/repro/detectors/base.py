@@ -30,7 +30,7 @@ from ..sim.system import DetectorServices
 if TYPE_CHECKING:
     from .table import DetectorRow
 
-__all__ = ["OracleDetector", "stable_draw"]
+__all__ = ["OracleDetector", "check_oracle_times", "stable_draw"]
 
 
 def stable_draw(*parts: object) -> int:
@@ -42,6 +42,20 @@ def stable_draw(*parts: object) -> int:
     """
     digest = hashlib.sha256(repr(parts).encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def check_oracle_times(stabilization_time: Time | None, noise_period: Time | None) -> None:
+    """Refuse a stabilization time that is not finite and ≥ 0, and a NaN noise period.
+
+    Shared by :class:`OracleDetector` and the spec's detector section, so a
+    bad time fails where the spec is made, before any run starts.  An
+    infinite stabilization time would also never end the loop that schedules
+    one wake-up per noise period.
+    """
+    if stabilization_time is not None and not 0 <= stabilization_time < math.inf:  # NaN too
+        raise ConfigurationError("the stabilization time must be finite and non-negative")
+    if noise_period is not None and math.isnan(noise_period):
+        raise ConfigurationError("the noise period must be a number")
 
 
 class OracleDetector:
@@ -88,10 +102,7 @@ class OracleDetector:
             # By default the oracle stabilises shortly after the last crash,
             # which is the earliest time a real detector could possibly settle.
             stabilization_time = self.pattern.last_crash_time() + 1.0
-        if not stabilization_time >= 0:  # NaN included
-            raise DetectorError("the stabilization time cannot be negative")
-        if noise_period is not None and math.isnan(noise_period):
-            raise DetectorError("the noise period must be a number")
+        check_oracle_times(stabilization_time, noise_period)
         self.stabilization_time = float(stabilization_time)
         self.noise_period = noise_period
         self.history = self._decoded(history) if history else {}

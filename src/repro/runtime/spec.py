@@ -28,6 +28,7 @@ from functools import lru_cache
 from types import UnionType
 from typing import Any, ClassVar, Literal, Union, get_args, get_origin, get_type_hints
 
+from ..detectors.base import check_oracle_times
 from ..errors import ConfigurationError
 from ..membership import (
     Membership,
@@ -622,6 +623,9 @@ class DetectorSpec(_TaggedSection):
     name: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_oracle_times(self.params.get("stabilization_time"), self.params.get("noise_period"))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ Layout:
 
 * :mod:`~repro.transport.framing` — length-prefixed JSON message framing;
 * :mod:`~repro.transport.context` — the asyncio runtime behind
-  :class:`~repro.context.ProcessContext`: trampoline, sockets, log;
+  :class:`~repro.context.ProcessContext`: the simulator's one trampoline
+  with event-loop timers, sockets and a log;
 * :mod:`~repro.transport.node` — one node process
   (``python -m repro.transport.node``);
 * :mod:`~repro.transport.faults` — fault plans resolved from a spec's

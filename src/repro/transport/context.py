@@ -1,22 +1,22 @@
 """The asyncio runtime behind the program/context protocol.
 
-:class:`RealNodeRuntime` is the transport twin of
-:class:`repro.sim.process.ProcessRuntime`: programs see it through the same
-:class:`~repro.context.ProcessContext`, and it drives the same generator tasks
-through a trampoline, but blocking requests map onto the event loop instead
-of the event queue —
+:class:`RealNodeRuntime` *is* a :class:`repro.sim.process.ProcessRuntime`:
+programs see it through the same :class:`~repro.context.ProcessContext`, and
+its tasks run on the simulator's one trampoline — the same handler table,
+detector views, spawn check and ``WaitUntil`` scan after every delivery.  It
+overrides only what a node does differently:
 
-* ``Sleep(d)`` → ``await asyncio.sleep(d × time_scale)`` (scenario time units
-  scale to wall seconds, so the same program parameters mean the same thing
-  on both backends);
-* ``WaitUntil(pred)`` → an awaited future resolved by :meth:`poke`, which
-  runs after every message delivery (same re-check points as the simulator);
-* ``NextSyncStep`` → rejected: real networks have no synchronous rounds, and
-  the scenario builder already refuses HSS specs on this backend.
+* the clock is :class:`_ScaledClock`, the shared monotonic clock (epoch- and
+  t0-aligned, divided by ``time_scale``), so ``ctx.now`` reads scenario time
+  units on both backends;
+* a task resumption due at scenario time ``at`` is a ``loop.call_later`` of
+  ``(at − now) × time_scale`` wall seconds, so ``Sleep(d)`` waits ``d ×
+  time_scale`` seconds; ``NextSyncStep`` is rejected, since real networks have
+  no synchronous rounds (the spec's requirement table already refuses HSS
+  specs on this backend);
+* sends write frames to the peers and self-deliver on the loop's next
+  iteration; a delivery before ``start`` waits in a backlog.
 
-``ctx.now`` reads ``clock.now``, the shared monotonic clock (epoch- and
-t0-aligned, divided by ``time_scale``), so programs observe scenario time
-units everywhere.
 Everything observable — sends, deliveries, ``ctx.record``, ``ctx.decide`` —
 goes to the node's JSONL :class:`~repro.events.EventLog`, which
 :func:`~repro.transport.orchestrator.load_trace` folds back into the
@@ -28,13 +28,15 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Collection
 
-from ..context import NextSyncStep, ProcessContext, Sleep, WaitUntil
 from ..errors import SimulationError
 from ..events import EventLog
-from ..identity import Identity
+from ..identity import Identity, ProcessId
 from ..sim.message import Message
+from ..sim.process import ProcessRuntime
+from ..sim.timing import TimingModel
+from ..sim.trace import RunTrace
 from .framing import encode_frame
 
 __all__ = ["RealNodeRuntime", "TransportError"]
@@ -59,8 +61,8 @@ class _ScaledClock:
         return (time.monotonic() - log.epoch - log.t0) / self._time_scale
 
 
-class RealNodeRuntime:
-    """Executes one node's program over asyncio: trampoline, sockets, log."""
+class RealNodeRuntime(ProcessRuntime):
+    """Executes one node's program over asyncio: sockets and log around the trampoline."""
 
     def __init__(
         self,
@@ -71,37 +73,27 @@ class RealNodeRuntime:
         time_scale: float,
         seed: int = 0,
     ) -> None:
+        super().__init__(
+            ProcessId(index),
+            identity,
+            None,
+            clock=_ScaledClock(log, time_scale),
+            queue=None,
+            timing=TimingModel(),
+            trace=RunTrace(),
+            rng_streams=None,
+            broadcast_fn=None,
+            multicast_fn=None,
+        )
         self.index = index
-        self.identity = identity
         self.log = log
         self.time_scale = time_scale
-        self.clock = _ScaledClock(log, time_scale)
         self.rng = random.Random(f"transport:{seed}:{index}")
-        self.context = ProcessContext(self)
-        self._handlers: dict[str, list[Callable[[Message], None]]] = {}
-        self._detector_views: dict[str, Any] = {}
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
-        self._tasks: list[asyncio.Task] = []
-        self._waiters: list[asyncio.Future] = []
         self._pre_start: list[Message] = []
-        self._started = False
-        self._stopped = False
 
-    # -- wiring ----------------------------------------------------------
     def add_peer(self, index: int, writer: asyncio.StreamWriter) -> None:
         self._peer_writers[index] = writer
-
-    def attach_detector_view(self, name: str, view: Any) -> None:
-        self._detector_views[name] = view
-
-    def detector_view(self, name: str) -> Any:
-        try:
-            return self._detector_views[name]
-        except KeyError:
-            raise TransportError(f"node {self.index} has no detector named {name!r}") from None
-
-    def has_detector(self, name: str) -> bool:
-        return name in self._detector_views
 
     # -- lifecycle --------------------------------------------------------
     def start(self, program) -> None:
@@ -111,39 +103,23 @@ class RealNodeRuntime:
         land before this node's handlers exist.  Those deliveries are queued,
         not dropped — the simulator never loses an in-order delivery either.
         """
-        if self._started:
-            raise TransportError(f"node {self.index} started twice")
-        self._started = True
-        program.setup(self.context)
+        self.program = program
+        super().start()
         backlog, self._pre_start = self._pre_start, []
         for message in backlog:
             self.deliver(message)
 
     def stop(self) -> None:
-        """Cancel every task and stop delivering (the node is shutting down)."""
-        self._stopped = True
+        """Cancel every pending resumption and stop delivering (the node is shutting down)."""
+        self._crashed = True
         for task in self._tasks:
-            task.cancel()
-        for waiter in self._waiters:
-            if not waiter.done():
-                waiter.cancel()
-        self._waiters.clear()
+            if task.pending_event is not None:
+                task.pending_event.cancel()
+        self._tasks.clear()
 
     # -- communication ----------------------------------------------------
     def broadcast(self, message: Message) -> None:
-        if self._stopped:
-            return
-        # copies: one per link, crashed receivers included — the sim's count
-        self.log.log("msg_send", kind=message.kind, copies=len(self._peer_writers) + 1)
-        frame = encode_frame(
-            {"kind": message.kind, "payload": dict(message.payload), "sender": self.index}
-        )
-        for writer in self._peer_writers.values():
-            if not writer.is_closing():
-                writer.write(frame)
-        # Self-delivery (the simulator's broadcast includes the sender), on a
-        # fresh loop iteration so handlers never run re-entrantly.
-        asyncio.get_running_loop().call_soon(self.deliver, message)
+        self._send(message, self._peer_writers.keys(), to_self=True)
 
     def multicast(self, message: Message, targets: Any) -> None:
         """Write the frame only to the peers whose index is targeted.
@@ -151,38 +127,33 @@ class RealNodeRuntime:
         Self-delivery happens only when this node's own index is in the
         target set (matching :meth:`Network.multicast` on the simulator).
         """
-        if self._stopped:
-            return
         wanted = set(targets)
-        copies = len(wanted & (self._peer_writers.keys() | {self.index}))
-        self.log.log("msg_send", kind=message.kind, copies=copies)
+        self._send(message, wanted & self._peer_writers.keys(), to_self=self.index in wanted)
+
+    def _send(self, message: Message, receivers: Collection[int], *, to_self: bool) -> None:
+        if self._crashed:
+            return
+        # copies: one per link, crashed receivers included — the sim's count
+        self.log.log("msg_send", kind=message.kind, copies=len(receivers) + to_self)
         frame = encode_frame(
             {"kind": message.kind, "payload": dict(message.payload), "sender": self.index}
         )
-        for index, writer in self._peer_writers.items():
-            if index in wanted and not writer.is_closing():
+        for index in receivers:
+            writer = self._peer_writers[index]
+            if not writer.is_closing():
                 writer.write(frame)
-        if self.index in wanted:
+        if to_self:
+            # On a fresh loop iteration, so handlers never run re-entrantly.
             asyncio.get_running_loop().call_soon(self.deliver, message)
 
-    def register_handler(self, kind: str, handler: Callable[[Message], None]) -> None:
-        self._handlers.setdefault(kind, []).append(handler)
-
-    def remove_handlers(self, kinds: Iterable[str]) -> None:
-        """Drop every handler registered for ``kinds`` (later copies are still logged)."""
-        for kind in kinds:
-            self._handlers.pop(kind, None)
-
     def deliver(self, message: Message) -> None:
-        if self._stopped:
+        if self._crashed:
             return
         if not self._started:
             self._pre_start.append(message)
             return
         self.log.log("msg_recv", kind=message.kind)
-        for handler in self._handlers.get(message.kind, ()):  # registration order
-            handler(message)
-        self.poke()
+        super().deliver(message)
 
     def deliver_wire(self, frame: Any) -> None:
         """Deliver one decoded wire frame (from a peer connection)."""
@@ -190,54 +161,20 @@ class RealNodeRuntime:
 
     # -- trace output ------------------------------------------------------
     def record(self, key: str, value: Any) -> None:
-        if not self._stopped:
+        if not self._crashed:
             self.log.log(key, value=value)
 
     def record_decision(self, value: Any) -> None:
-        if not self._stopped:
+        if not self._crashed:
             self.log.log("decide", value=value)
 
-    # -- task trampoline ---------------------------------------------------
-    def spawn_task(self, task_fn: Callable[[], Generator], *, name: str) -> None:
-        if self._stopped:
-            return
-        generator = task_fn()
-        if not hasattr(generator, "send"):
-            raise TransportError(
-                f"task {name!r} of node {self.index} is not a generator; tasks "
-                "must be generator functions that yield blocking requests"
-            )
-        self._tasks.append(asyncio.get_running_loop().create_task(self._drive(generator, name)))
+    # -- resumptions on the event loop -----------------------------------
+    def _schedule_resumption(self, task, *, at: float) -> None:
+        delay = max(0.0, (at - self.clock.now) * self.time_scale)
+        task.pending_event = asyncio.get_running_loop().call_later(delay, self._resume, task)
 
-    def poke(self) -> None:
-        """Wake every task blocked in ``wait_until`` to re-check its predicate."""
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(None)
-
-    async def _drive(self, generator: Generator, name: str) -> None:
-        try:
-            while True:
-                request = generator.send(None)
-                if isinstance(request, Sleep):
-                    await asyncio.sleep(request.duration * self.time_scale)
-                elif isinstance(request, WaitUntil):
-                    while not request.predicate():
-                        waiter = asyncio.get_running_loop().create_future()
-                        self._waiters.append(waiter)
-                        await waiter
-                elif isinstance(request, NextSyncStep):
-                    raise TransportError(
-                        "next_synchronous_step() has no meaning on the real "
-                        "backend; synchronous (HSS) programs are sim-only"
-                    )
-                else:
-                    raise TransportError(
-                        f"task {name!r} of node {self.index} yielded an "
-                        f"unsupported request: {request!r}"
-                    )
-        except StopIteration:
-            return
-        except asyncio.CancelledError:
-            raise
+    def _schedule_sync_step_resumption(self, task) -> None:
+        raise TransportError(
+            "next_synchronous_step() has no meaning on the real backend; "
+            "synchronous (HSS) programs are sim-only"
+        )

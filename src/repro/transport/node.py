@@ -8,8 +8,9 @@ The orchestrator spawns N of these as OS subprocesses.  Each node
    the ``start`` frame carrying ``t0``, the common scenario origin on the
    shared monotonic time base (epoch-relative seconds);
 3. builds its :class:`ProcessProgram` from the registry — the *same* entry a
-   sim run would build — and drives it with the asyncio trampoline
-   (:class:`~repro.transport.context.RealNodeRuntime`), writing to each peer
+   sim run would build — and runs it on the simulator's one trampoline
+   (:class:`~repro.transport.context.RealNodeRuntime`, whose resumptions are
+   event-loop timers), writing to each peer
    through the spec's own link model (``--network``, the spec's ``network``
    section) when it is not the reliable default (:class:`ShapedLink`);
 4. appends every observable event (``msg_send``/``msg_recv``, ``ctx.record``

@@ -553,3 +553,29 @@ def test_the_requirement_table_has_one_caller_spec_construction() -> None:
         for scope in _callers(ast.parse(path.read_text(encoding="utf-8")), "validate_spec")
     ]
     assert callers == [("src/repro/runtime/spec.py", "ScenarioSpec.__post_init__")], callers
+
+
+def test_the_real_node_resumes_tasks_on_the_simulators_trampoline() -> None:
+    """One trampoline: the real node's runtime is a ``ProcessRuntime``, and no
+    module under ``transport/`` drives a task generator itself — none resumes
+    one (``.send``) or dispatches on a blocking request — so a task resumes
+    through the same code, and ``WaitUntil`` is re-checked by the same scan,
+    on both backends."""
+    from repro.sim.process import ProcessRuntime
+    from repro.transport.context import RealNodeRuntime
+
+    assert issubclass(RealNodeRuntime, ProcessRuntime)
+    requests = {"Sleep", "WaitUntil", "NextSyncStep"}
+    drivers = []
+    for path in sorted((ROOT / "src" / "repro" / "transport").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        if _calls(tree, "send") or named & requests:
+            drivers.append(path.relative_to(ROOT).as_posix())
+    assert not drivers, f"a second trampoline under transport/: {drivers}"

@@ -13,6 +13,7 @@ from repro.consensus import (
     distinct_proposals,
     validate_consensus,
 )
+from repro.consensus.rules import BOTTOM, MajorityQuorum
 from repro.errors import ConfigurationError
 from repro.identity import ProcessId
 from repro.membership import grouped_identities
@@ -120,6 +121,13 @@ class TestFigureEightValidation:
     def test_default_t_is_largest_minority(self):
         assert HOmegaMajorityConsensus("v", n=5).quorum.t == 2
         assert HOmegaMajorityConsensus("v", n=4).quorum.t == 1
+
+    def test_the_lock_tries_values_in_arrival_order(self):
+        """Six estimates among n = 5 (more than n can be) hold two majorities:
+        the first to arrive wins, not the one a set happens to list first."""
+        assert MajorityQuorum(n=5).lock([2, 1, 2, 1, 2, 1]) == 2
+        assert MajorityQuorum(n=5).lock([1, 2, 1, 2, 1, 2]) == 1
+        assert MajorityQuorum(n=5).lock([1, 2, 2, 1]) is BOTTOM
 
 
 class TestBaselines:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, DetectorError
+from repro.errors import ConfigurationError
 from repro.membership import Membership
 from repro.runtime import (
     CrashSpec,
@@ -599,6 +599,23 @@ class TestASpecIsCheckedWhereItIsMade:
         with pytest.raises(ConfigurationError):
             ScenarioSpec.from_dict({**figure8_spec().to_dict(), **edit})
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"stabilization_time": -2.0},
+            {"stabilization_time": float("nan")},
+            {"stabilization_time": float("inf")},
+            {"noise_period": float("nan")},
+        ],
+        ids=lambda params: json.dumps(params),
+    )
+    def test_from_dict_refuses_a_bad_oracle_time(self, params):
+        """The oracle's own time check runs where the spec is made, not in the run."""
+        payload = figure8_spec().to_dict()
+        payload["detectors"] = [{"name": "HOmega", "params": params}]
+        with pytest.raises(ConfigurationError, match="stabilization time|noise period"):
+            ScenarioSpec.from_dict(payload)
+
     def test_kv_refuses_an_unknown_key(self):
         with pytest.raises(ConfigurationError, match=r"KVSpec takes \[.*\], got \['client'\]"):
             KVSpec.from_dict({"client": 8})
@@ -693,8 +710,4 @@ class TestEveryMutantIsRefusedOrRuns:
             spec = ScenarioSpec.from_dict(payload)
         except ConfigurationError:
             return
-        try:
-            record = execute_spec(spec)
-        except DetectorError:
-            return  # an oracle checks its times when the run makes it, by name
-        assert record.config == spec.to_dict()
+        assert execute_spec(spec).config == spec.to_dict()

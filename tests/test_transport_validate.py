@@ -2,7 +2,8 @@
 
 Everything here runs without sockets or subprocesses: the event log, its
 reader and ``load_trace`` on a fabricated log directory, a real node runtime
-running a program through ``ProcessContext`` with fake peer writers and
+running a program through ``ProcessContext`` with fake peer writers, running a
+task that sleeps, waits and decides on the simulator's trampoline, and
 retiring a decided KV slot's handlers as the simulator's runtime does, the E11
 aggregator's edge
 cases (odd and even medians, empty cells), the wire framing, the ScenarioSpec
@@ -20,7 +21,6 @@ import asyncio
 import json
 import random
 import time
-from inspect import signature
 
 import pytest
 
@@ -44,7 +44,7 @@ from repro.sim.links import (
 from repro.sim.message import Message
 from repro.sim.process import ProcessRuntime
 from repro.transport.__main__ import build_heartbeat_spec
-from repro.transport.context import RealNodeRuntime
+from repro.transport.context import RealNodeRuntime, TransportError
 from repro.transport.framing import (
     MAX_FRAME_BYTES,
     FramingError,
@@ -177,9 +177,7 @@ def test_the_real_runtime_runs_a_program_through_the_one_context(tmp_path):
 
 def test_the_real_runtime_retires_a_decided_slot_as_the_simulator_does(tmp_path):
     """A KV slot scope over the real runtime: its handlers leave with its decision."""
-    assert signature(RealNodeRuntime.remove_handlers) == signature(
-        ProcessRuntime.remove_handlers
-    )
+    assert RealNodeRuntime.remove_handlers is ProcessRuntime.remove_handlers
     heard, committed = [], []
     with EventLog(tmp_path / "node0.jsonl", epoch=0.0, t0=0.0, time_scale=1.0) as log:
         runtime = RealNodeRuntime(index=0, identity="a", log=log, time_scale=1.0)
@@ -194,6 +192,82 @@ def test_the_real_runtime_retires_a_decided_slot_as_the_simulator_does(tmp_path)
     assert [message["round"] for message in heard] == [1, 3]
     received = [entry["kind"] for entry in read_events(log.path) if entry["event"] == "msg_recv"]
     assert received == ["PH1#s3", "PH1#s3", "HELLO"]
+
+
+class _SleepsWaitsDecides(ProcessProgram):
+    """Sleeps one unit, waits until a PING has arrived, decides, sleeps again."""
+
+    def setup(self, ctx):
+        heard = []
+        ctx.on("PING", heard.append)
+
+        def task():
+            yield ctx.sleep(1.0)
+            ctx.record("slept", ctx.now)
+            yield ctx.wait_until(lambda: heard)
+            ctx.decide(heard[0]["n"])
+            yield ctx.sleep(100.0)
+            ctx.record("overslept", ctx.now)
+
+        ctx.spawn(task)
+
+
+def test_a_real_task_sleeps_waits_and_decides_on_the_one_trampoline(tmp_path):
+    """No sockets: a task on the real runtime sleeps scaled wall time, wakes
+    when a peer's frame satisfies its ``wait_until``, decides, and ``stop``
+    cancels its next sleep, so no record line follows."""
+    scale = 0.01  # wall seconds per scenario time unit
+
+    def events():
+        return [entry["event"] for entry in read_events(log.path)]
+
+    async def until(logged):
+        while logged not in events():
+            await asyncio.sleep(scale / 10)
+
+    async def run():
+        runtime.start(_SleepsWaitsDecides())
+        await until("slept")
+        assert events() == ["slept"]  # the wait holds until a PING arrives
+        runtime.deliver_wire({"kind": "PING", "payload": {"n": 5}, "sender": 1})
+        await until("decide")
+        (task,) = runtime._tasks  # asleep again, for 100 units
+        pending = task.pending_event
+        runtime.stop()
+        assert pending.cancelled() and runtime._tasks == []
+
+    with EventLog(tmp_path / "node0.jsonl", epoch=time.monotonic(), t0=0.0, time_scale=scale) as log:
+        runtime = RealNodeRuntime(index=0, identity="a", log=log, time_scale=scale)
+        runtime.add_peer(1, _FakeWriter())
+        asyncio.run(asyncio.wait_for(run(), timeout=10.0))
+
+    lines = list(read_events(log.path))
+    assert [entry["event"] for entry in lines] == ["slept", "msg_recv", "decide"]
+    assert lines[0]["value"] >= 1.0 and lines[2]["value"] == 5
+
+
+def test_a_real_task_cannot_wait_for_a_synchronous_step(tmp_path):
+    """The real backend has no synchronous rounds: the resumption raises."""
+    errors = []
+
+    class _Synchronous(ProcessProgram):
+        def setup(self, ctx):
+            def task():
+                yield ctx.next_synchronous_step()
+
+            ctx.spawn(task)
+
+    async def run():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context["exception"])
+        )
+        runtime.start(_Synchronous())
+        await asyncio.sleep(0.01)
+
+    with EventLog(tmp_path / "node0.jsonl", epoch=time.monotonic(), t0=0.0) as log:
+        runtime = RealNodeRuntime(index=0, identity="a", log=log, time_scale=1.0)
+        asyncio.run(run())
+    assert [type(error) for error in errors] == [TransportError]
 
 
 class _Hears(ProcessProgram):
