@@ -311,15 +311,22 @@ class GossipHeartbeat(_IndexedHeartbeat):
 _SPARSE = {"ring": RingHeartbeat, "gossip": GossipHeartbeat}
 
 
-def HeartbeatMonitorProgram(*, topology: Any = None, **params: Any) -> ProcessProgram:
+def HeartbeatMonitorProgram(
+    *,
+    hb_interval: float = 1.0,
+    hb_timeout: float = 3.0,
+    record_pings: bool = False,
+    topology: Any = None,
+    index: int | None = None,
+    peers: tuple[int, ...] = (),
+    views: dict[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> ProcessProgram:
     """Build the heartbeat monitor for ``topology`` (none, or full mesh: the default).
 
     The one place the topology is looked at; ``index``, ``peers`` and
     ``views`` only mean something to a sparse monitor and are dropped for the full mesh.
     """
+    knobs = {"hb_interval": hb_interval, "hb_timeout": hb_timeout, "record_pings": record_pings}
     if topology is None or topology.is_full_mesh:
-        params.pop("index", None)
-        params.pop("peers", None)
-        params.pop("views", None)
-        return FullMeshHeartbeat(**params)
-    return _SPARSE[topology.kind](topology=topology, **params)
+        return FullMeshHeartbeat(**knobs)
+    return _SPARSE[topology.kind](topology=topology, index=index, peers=peers, views=views, **knobs)

@@ -29,14 +29,9 @@ import os
 from pathlib import Path
 
 from ..runtime import ScenarioSpec
+from ..runtime.spec import RealBackend
 from ..transport.__main__ import build_heartbeat_spec
-from ..transport.validate import (
-    DEFAULT_TIME_SCALE,
-    aggregate_cells,
-    heatmap_csv,
-    scatter_csv,
-    units_to_ms,
-)
+from ..transport.validate import aggregate_cells, heatmap_csv, scatter_csv, units_to_ms
 from .base import Call, Experiment
 
 __all__ = ["run"]
@@ -62,7 +57,7 @@ def _make_spec(config: dict) -> ScenarioSpec:
         fail_at=_FAIL_AT,
         seed=config["seed"],
         backend=config["backend"],
-        time_scale=DEFAULT_TIME_SCALE,
+        time_scale=RealBackend.time_scale,
         loss=config["loss"],
         name=(
             f"E11-{config['backend']}-i{config['hb_interval']}-t{config['hb_timeout']}"
@@ -128,9 +123,9 @@ def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     for backend in _BACKENDS:
         backend_cells = [cell for cell in reliable if cell["backend"] == backend]
         path = out_dir / f"heatmap_{backend}.csv"
-        path.write_text(heatmap_csv(backend_cells, time_scale=DEFAULT_TIME_SCALE))
+        path.write_text(heatmap_csv(backend_cells, time_scale=RealBackend.time_scale))
     (out_dir / "scatter.csv").write_text(
-        scatter_csv(reliable, time_scale=DEFAULT_TIME_SCALE)
+        scatter_csv(reliable, time_scale=RealBackend.time_scale)
     )
 
     table = [
@@ -172,7 +167,7 @@ def _report(rows: list[dict]) -> tuple[list[dict], dict]:
 def _round_ms(units: float | None) -> float | None:
     if units is None:
         return None
-    return round(units_to_ms(units, DEFAULT_TIME_SCALE), 3)
+    return round(units_to_ms(units, RealBackend.time_scale), 3)
 
 
 def _in_envelope(cell: dict) -> bool | None:
@@ -193,7 +188,7 @@ def _divergence_ms(cells: list[dict]) -> dict[tuple, float]:
         key = (cell["hb_interval"], cell["hb_timeout"])
         medians.setdefault(key, {})[cell["backend"]] = cell["median"]
     return {
-        key: units_to_ms(pair["real"] - pair["sim"], DEFAULT_TIME_SCALE)
+        key: units_to_ms(pair["real"] - pair["sim"], RealBackend.time_scale)
         for key, pair in medians.items()
         if "real" in pair and "sim" in pair
     }

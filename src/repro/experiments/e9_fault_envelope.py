@@ -10,8 +10,11 @@ scenario builder would otherwise reject.
 
 Three claims are visible in the table:
 
-* **safety is unconditional** — no amount of loss or partitioning makes the
-  survivors disagree (quorum intersection does not depend on delivery);
+* **safety holds across this loss × partition grid** — no amount of loss or
+  partitioning makes the survivors disagree (quorum intersection does not
+  depend on delivery); duplication is another matter, outside the grid:
+  a duplicated copy counts as a homonym's, and ``tests/regressions/``
+  holds Figure 8 and KV specs that disagree under it;
 * **termination is what the envelope erodes** — success degrades with loss
   and collapses under a never-healing partition, because no HΣ quorum fits
   inside one block;

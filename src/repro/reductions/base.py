@@ -83,7 +83,7 @@ class ReductionProgram(ProcessProgram):
         sources: tuple[str, ...] | None = None,
         record_outputs: bool = True,
         detector_name: str | None = None,
-        membership: tuple = (),
+        membership: tuple[Any, ...] = (),
     ) -> None:
         if period <= 0:
             raise ValueError("the reduction period must be positive")

@@ -33,10 +33,12 @@ spec read from JSON, re-seeded or ``replace``-d meets it like a built one:
   partial synchrony, Figure 7 needs synchrony), and consensus algorithms are
   asynchronous-family programs, never synchronous ones;
 * the network model must respect the declared family's link assumptions —
-  HSS tolerates no link faults at all, HPS tolerates loss/duplication only
-  before GST (eventually timely links), and HAS requires adversity that
-  eventually heals; scenarios that deliberately step outside the guarantees
-  (fault-envelope sweeps) must say so with ``.adversarial()``.
+  HSS tolerates no link faults at all, HPS tolerates loss only before GST
+  (eventually timely links), and HAS requires adversity that eventually
+  heals; a consensus or KV spec tolerates no duplication in any family,
+  because counting messages is how Figures 8 and 9 keep agreement; scenarios
+  that deliberately step outside the guarantees (fault-envelope sweeps) must
+  say so with ``.adversarial()``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .spec import (
     KVSpec,
     MembershipSpec,
     NetworkSpec,
+    RealBackend,
     ScenarioSpec,
     TimingSpec,
     TopologySpec,
@@ -234,10 +237,8 @@ class ScenarioBuilder:
         """Select the execution backend: ``"sim"`` (default) or ``"real"``.
 
         ``"real"`` executes the scenario as N OS processes exchanging frames
-        over TCP (:mod:`repro.transport`); ``params`` go to the orchestrator
-        (``time_scale`` — wall seconds per scenario time unit, ``log_dir`` —
-        keep the JSONL node logs there, ``settle``, ``fault_action``,
-        ``keep_logs``).
+        over TCP (:mod:`repro.transport`); ``params`` are the keywords of
+        :class:`~repro.runtime.spec.RealBackend`.  ``"sim"`` takes none.
         """
         return self._set(backend=name, backend_params=params)
 
@@ -288,17 +289,27 @@ def _network_envelope_violation(spec: ScenarioSpec) -> str | None:
 
     Returns ``None`` when the combination is inside the paper's envelope:
 
+    * consensus and KV specs assume links that never duplicate, in every
+      family: Figures 8 and 9 count messages, and two copies from one sender
+      look like two homonymous senders, so duplication voids agreement, not
+      only termination;
     * ``HSS`` (synchronous) assumes every copy arrives inside its synchronous
       step — no loss, duplication, or extra delay of any kind;
     * ``HPS`` (partially synchronous) assumes *eventually timely* links —
-      loss/duplication must stop by GST (extra finite delay is fine, because
-      the paper's δ is unknown to the algorithms anyway);
+      loss must stop by GST (extra finite delay is fine, because the paper's
+      δ is unknown to the algorithms anyway);
     * ``HAS`` (asynchronous) assumes reliable links — adversity that never
       heals voids the termination guarantees.
     """
     if spec.network.is_reliable:
         return None
     model = spec.network.build()
+    if model.duplicates() and (spec.consensus is not None or spec.kv is not None):
+        return (
+            "consensus counts messages over reliable links, but the network model "
+            f"({model.describe()}) duplicates copies, and a copy from one sender "
+            "counts as a homonym's: agreement itself is at stake"
+        )
     faults_until = model.unreliable_until()
     extra_delay = model.extra_delay_bound()
     if spec.timing.kind == "synchronous":
@@ -486,6 +497,7 @@ def _validate_real_backend(spec: ScenarioSpec) -> None:
     node applies it to its TCP links, under the same envelope check as a
     simulated run.
     """
+    RealBackend(**spec.backend_params)  # checks its values
     if spec.program is None:
         raise ScenarioValidationError(
             "the real backend runs message-passing programs: pick one with "

@@ -260,7 +260,7 @@ def _program_factory(spec: ScenarioSpec, membership: Membership) -> Callable:
                     "peers": peers,
                     "views": views,
                 }
-            programs.append(program_entry.build(params))
+            programs.append(program_entry.build(**params))
         if consensus_factory is not None:
             programs.append(consensus_factory(proposals[pid]))
         return programs[0] if len(programs) == 1 else CompositeProgram(*programs)

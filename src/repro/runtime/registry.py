@@ -15,8 +15,9 @@ spec is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, ClassVar, Iterator, Mapping
 
 from ..algorithms import (
     HeartbeatMonitorProgram,
@@ -24,6 +25,7 @@ from ..algorithms import (
     OhpPollingProgram,
     ScriptAliveProgram,
 )
+from ..algorithms.swim import ClusterMembershipProgram
 from ..consensus import CONSENSUS_CHECKS, FAMILY, ConsensusFactory
 from ..detectors import CLASSES, DetectorRow, check_hb_detection, check_topo_detection
 from ..errors import ConfigurationError
@@ -107,7 +109,7 @@ DETECTORS = Registry("detector")
 #: Consensus algorithms: name → :class:`ConsensusEntry`.
 CONSENSUS = Registry("consensus algorithm")
 
-#: Detector-implementation programs: name → ``(params) -> ProcessProgram``.
+#: Detector-implementation programs: name → :class:`ProgramEntry`.
 PROGRAMS = Registry("program")
 
 #: Trace property checkers: name → ``(trace, pattern) -> CheckResult``.
@@ -147,6 +149,16 @@ class ConsensusEntry:
     membership_constraint: str | None = None
     paper_item: str = ""
 
+    @property
+    def quorum_rule(self) -> Callable[..., Any] | None:
+        """What a spec's ``consensus_params`` bind to (none: they must be empty)."""
+        return getattr(self.program, "quorum_rule", None)
+
+    @property
+    def injected(self) -> frozenset:
+        """The quorum rule's parameters :meth:`factory` passes itself."""
+        return frozenset({"n"} if self.needs_majority else ())
+
     def factory(self, membership: Membership, **params: Any) -> ConsensusFactory:
         """The picklable ``proposal -> program`` callable for one membership."""
         if self.needs_majority:
@@ -169,13 +181,16 @@ def register_consensus(
 class ProgramEntry:
     """A detector-implementation program plus its timing requirement.
 
-    ``topology_aware`` marks programs that draw their probe/heartbeat targets
-    from the scenario's monitoring topology (``topology`` and ``index`` are
-    injected into their build parameters for sparse topologies); the builder
-    rejects sparse topologies for every other program.
+    ``build(**params)`` makes the program of one process.  ``topology_aware``
+    marks programs that draw their probe/heartbeat targets from the
+    scenario's monitoring topology (the ``injected`` names are passed to
+    ``build`` for sparse topologies, never by a spec); the builder rejects
+    sparse topologies for every other program.
     """
 
-    build: Callable[[Mapping[str, Any]], Any]
+    injected: ClassVar[frozenset] = frozenset({"topology", "index", "peers", "views"})
+
+    build: Callable[..., Any]
     requires_timing: str | None = None
     paper_item: str = ""
     topology_aware: bool = False
@@ -186,21 +201,11 @@ class ProgramEntry:
 
 
 def register_program(
-    name: str,
-    build: Callable[[Mapping[str, Any]], Any],
-    *,
-    requires_timing: str | None = None,
-    paper_item: str = "",
-    topology_aware: bool = False,
-    overwrite: bool = False,
+    name: str, build: Callable[..., Any], *, overwrite: bool = False, **requirements: Any
 ) -> ProgramEntry:
-    entry = ProgramEntry(
-        build=build,
-        requires_timing=requires_timing,
-        paper_item=paper_item,
-        topology_aware=topology_aware,
-    )
-    return PROGRAMS.register(name, entry, overwrite=overwrite)
+    """Register ``build`` (called as ``build(**params)``) under ``name``;
+    ``requirements`` are :class:`ProgramEntry`'s other fields."""
+    return PROGRAMS.register(name, ProgramEntry(build, **requirements), overwrite=overwrite)
 
 
 def register_check(name: str, checker: Callable[..., Any], *, overwrite: bool = False):
@@ -233,9 +238,7 @@ def register_detector_class(row: DetectorRow, *, overwrite: bool = False) -> Det
 def register_reduction(row: Reduction) -> Reduction:
     """Register one row of the reduction table: the one program running it as
     program ``row.name``, and the row itself among the ``REDUCTIONS`` E3 runs."""
-    register_program(
-        row.name, lambda params: ReductionProgram(row, **params), paper_item=row.paper_item
-    )
+    register_program(row.name, partial(ReductionProgram, row), paper_item=row.paper_item)
     REDUCTIONS[row.name] = row
     return row
 
@@ -281,39 +284,30 @@ for _name, _row in FAMILY.items():
 # ----------------------------------------------------------------------
 register_program(
     "ohp_polling",
-    lambda params: OhpPollingProgram(**params),
+    OhpPollingProgram,
     requires_timing="partial_sync",
     paper_item="Figure 6 (◇HP/HΩ in HPS[∅])",
 )
 register_program(
     "hsigma_sync",
-    lambda params: HSigmaSynchronousProgram(**params),
+    HSigmaSynchronousProgram,
     requires_timing="synchronous",
     paper_item="Figure 7 (HΣ in HSS[∅])",
 )
 register_program(
     "script_alive",
-    lambda params: ScriptAliveProgram(**params),
+    ScriptAliveProgram,
     paper_item="Figure 3 (ℰ)",
 )
 register_program(
     "heartbeat",
-    lambda params: HeartbeatMonitorProgram(**params),
+    HeartbeatMonitorProgram,
     paper_item="sim-vs-real validation workload (SNIPPETS.md Snippet 1)",
     topology_aware=True,
 )
-
-
-def _build_membership_program(params: Mapping[str, Any]):
-    """Lazy import: the churn program is only needed for churn scenarios."""
-    from ..algorithms.swim import ClusterMembershipProgram
-
-    return ClusterMembershipProgram(**params)
-
-
 register_program(
     "membership",
-    _build_membership_program,
+    ClusterMembershipProgram,
     paper_item="dynamic membership / churn workload (SNIPPETS.md Snippet 2 join)",
     topology_aware=True,
 )

@@ -14,7 +14,9 @@ Every way of making a spec — the fluent :func:`~repro.runtime.builder.scenario
 builder, ``from_dict``, ``with_seed``, ``dataclasses.replace`` — runs its
 constructor, and the constructor checks the combination against the paper's
 requirement table (:func:`~repro.runtime.builder.validate_spec`), so a spec that exists
-is one the paper's results cover (or one marked ``adversarial``).
+is one the paper's results cover (or one marked ``adversarial``).  Before that, every
+``name``/``kind`` + ``params`` pair binds its params to what the name picks
+(:func:`_bind_params`), so no parameter is misspelt, mistyped or silently ignored.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from ..sim.timing import (
 )
 from ..workloads.crashes import CRASH_KINDS
 from ..workloads.homonymy import membership_with_distinct_ids
-from .registry import DETECTORS, LINKS
+from .registry import CONSENSUS, DETECTORS, LINKS, PROGRAMS
 
 __all__ = [
     "canonical_spec_hash",
@@ -57,6 +59,7 @@ __all__ = [
     "KVSpec",
     "NetworkSpec",
     "TopologySpec",
+    "RealBackend",
     "ScenarioSpec",
     "full_mesh",
     "ring",
@@ -136,7 +139,7 @@ class _SpecPart:
     def from_dict(cls, payload: Mapping[str, Any]):
         if not isinstance(payload, Mapping):
             raise ConfigurationError(f"a {cls.__name__} is a mapping, got {payload!r}")
-        _binding(f"a {cls.__name__}", cls, 0, frozenset(payload))
+        _binding(f"a {cls.__name__}", cls, 0, frozenset(payload), frozenset())
         layout = _layout(cls)
         return cls(**{name: layout[name][2](value) for name, value in payload.items()})
 
@@ -200,24 +203,40 @@ def _layout(cls: type) -> dict[str, tuple[Callable, Callable | None, Callable]]:
 
 @lru_cache(maxsize=None)
 def _binding(
-    what: str, maker: Callable[..., Any], leading: int, names: frozenset
-) -> dict[str, Callable[[Any], bool]]:
-    """The type check of each of ``names`` as ``maker``'s keyword arguments
-    after ``leading`` positional ones; if they do not bind, a
-    :class:`ConfigurationError` naming ``what`` and the accepted names."""
+    what: str, maker: Callable[..., Any], leading: int, names: frozenset, injected: frozenset
+) -> tuple[list[str], dict[str, Callable[[Any], bool]]]:
+    """The names ``maker`` takes after ``leading`` positional arguments and
+    besides the ``injected`` ones its caller passes, and the type check of each
+    of ``names``; a :class:`ConfigurationError` if ``names`` do not bind."""
     signature = inspect.signature(maker, eval_str=True)
+    parameters = signature.parameters
+    accepted = [name for name in list(parameters)[leading:] if name not in injected]
     try:
-        signature.bind(*(None,) * leading, **dict.fromkeys(names))
+        if names & injected:
+            raise TypeError(f"{sorted(names & injected)} are passed by the engine")
+        signature.bind(*(None,) * leading, **dict.fromkeys(names | (injected & parameters.keys())))
     except TypeError as error:
-        accepted = list(signature.parameters)[leading:]
         raise ConfigurationError(
             f"{what} takes {accepted}, got {sorted(map(str, names))}: {error}"
         ) from None
-    parameters = signature.parameters
-    return {
+    return accepted, {
         name: _accepts(parameters[name].annotation if name in parameters else Any)
         for name in names
     }
+
+
+def _bind_params(what: str, maker: Callable, params: Mapping, leading=0, injected=frozenset()):
+    """The one rule of every ``name``/``kind`` + ``params`` pair: ``params``
+    bind to ``maker``'s keywords after ``leading`` positional arguments, name
+    none of the ``injected`` ones the engine passes, and hold the types
+    ``maker`` annotates; else a :class:`ConfigurationError` naming ``what``
+    and the accepted names."""
+    accepted, types = _binding(what, maker, leading, frozenset(params), injected)
+    wrong = [f"{key}={value!r}" for key, value in params.items() if not types[key](value)]
+    if wrong:
+        raise ConfigurationError(
+            f"{what} parameters of a wrong type: {', '.join(wrong)}; it takes {accepted}"
+        )
 
 
 class _TaggedSection(_SpecPart):
@@ -247,11 +266,7 @@ class _TaggedSection(_SpecPart):
                 f"unknown {self._SECTION} {self._TAG} {tag!r}; "
                 f"expected one of {sorted(self._KINDS)}"
             )
-        what = f"{self._SECTION} {tag!r}"
-        types = _binding(what, self._KINDS[tag], self._LEADING, frozenset(self.params))
-        wrong = [f"{key}={value!r}" for key, value in self.params.items() if not types[key](value)]
-        if wrong:
-            raise ConfigurationError(f"{what} parameters of a wrong type: {', '.join(wrong)}")
+        _bind_params(f"{self._SECTION} {tag!r}", self._KINDS[tag], self.params, self._LEADING)
 
     def build(self, *leading: Any) -> Any:
         """What the section's kind makes of its ``params`` (after the
@@ -629,6 +644,54 @@ class DetectorSpec(_TaggedSection):
 
 
 # ----------------------------------------------------------------------
+# The flat name + params pairs: program, consensus, backend
+# ----------------------------------------------------------------------
+def _takes_nothing() -> None:
+    """What a pair without a name, or the simulator backend, takes: nothing."""
+
+
+def _bind_named(section: str, table, name: str | None, params: Mapping[str, Any]) -> None:
+    """``params`` bind to what row ``name`` of ``table`` builds: a program, or a
+    consensus row's quorum rule."""
+    if name is None:
+        return _bind_params(f"a spec without a {section}", _takes_nothing, params)
+    entry = table.resolve(name)
+    maker = entry.build if table is PROGRAMS else entry.quorum_rule or _takes_nothing
+    _bind_params(f"{section} {name!r}", maker, params, injected=entry.injected)
+
+
+@dataclass(frozen=True, kw_only=True)
+class RealBackend:
+    """The ``backend_params`` of a ``backend="real"`` spec, every default here:
+    wall seconds per scenario time unit; the margin between "all nodes ready"
+    and t0; the orchestrator's wait for every node to be ready and each
+    node's dial budget (slow machines raise both); how the crash schedule is
+    injected (:mod:`repro.transport.faults`); where the JSONL node logs land
+    and whether they outlive the run (by default, when ``log_dir`` is named)."""
+
+    time_scale: float = 0.05
+    settle: float = 0.3
+    ready_timeout: float = 20.0
+    mesh_deadline: float = 20.0
+    fault_action: Literal["kill", "suspend"] = "kill"
+    resume_after: float | None = None
+    log_dir: str | None = None
+    keep_logs: bool | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("time_scale", "settle", "ready_timeout", "mesh_deadline", "resume_after"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigurationError(f"backend 'real' {name} must be positive, got {value!r}")
+        if self.resume_after is not None and self.fault_action != "suspend":
+            raise ConfigurationError("backend 'real' resume_after needs fault_action='suspend'")
+
+
+#: What each backend's ``backend_params`` bind to.
+_BACKENDS = {"sim": _takes_nothing, "real": RealBackend}
+
+
+# ----------------------------------------------------------------------
 # The replicated KV service workload
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -661,6 +724,7 @@ class KVSpec(_SpecPart):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        _bind_named("KV consensus", CONSENSUS, self.consensus, self.consensus_params)
         if self.clients < 1:
             raise ConfigurationError("a KV workload needs at least one client")
         if self.ops_per_client < 0:
@@ -707,6 +771,9 @@ class ScenarioSpec(_SpecPart):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        _bind_named("program", PROGRAMS, self.program, self.program_params)
+        _bind_named("consensus", CONSENSUS, self.consensus, self.consensus_params)
+        _bind_params(f"backend {self.backend!r}", _BACKENDS[self.backend], self.backend_params)
         from .builder import validate_spec  # deferred: builder imports this module
 
         validate_spec(self)

@@ -80,6 +80,10 @@ class LinkModel:
         """The largest latency this model adds beyond the timing model's draw."""
         return 0.0
 
+    def duplicates(self) -> bool:
+        """Whether the model can deliver one copy more than once."""
+        return False
+
     def describe(self) -> str:
         """Short human-readable description for logs and experiment tables."""
         raise NotImplementedError
@@ -188,6 +192,9 @@ class DuplicatingLinks(LinkModel):
 
     def extra_delay_bound(self) -> Time:
         return self.spread if self.probability > 0.0 else 0.0
+
+    def duplicates(self) -> bool:
+        return self.probability > 0.0
 
     def describe(self) -> str:
         return f"duplicating p={self.probability}×{self.copies}"
@@ -403,6 +410,9 @@ class ComposedLinks(LinkModel):
 
     def extra_delay_bound(self) -> Time:
         return sum(stage.extra_delay_bound() for stage in self.stages)
+
+    def duplicates(self) -> bool:
+        return any(stage.duplicates() for stage in self.stages)
 
     def describe(self) -> str:
         if not self.stages:

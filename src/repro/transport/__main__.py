@@ -23,8 +23,7 @@ import json
 import sys
 
 from ..runtime import Engine, scenario
-from ..runtime.spec import asynchronous, crashes_at, lossy
-from .validate import DEFAULT_TIME_SCALE
+from ..runtime.spec import RealBackend, asynchronous, crashes_at, lossy
 
 __all__ = ["main", "build_heartbeat_spec"]
 
@@ -38,7 +37,7 @@ def build_heartbeat_spec(
     victims: int = 1,
     seed: int = 0,
     backend: str = "sim",
-    time_scale: float = DEFAULT_TIME_SCALE,
+    time_scale: float = RealBackend.time_scale,
     log_dir: str | None = None,
     loss: float = 0.0,
     fault_action: str = "kill",
@@ -105,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--time-scale",
         type=float,
-        default=DEFAULT_TIME_SCALE,
+        default=RealBackend.time_scale,
         help="wall seconds per time unit (real)",
     )
     parser.add_argument("--log-dir", help="keep the JSONL node logs here (real)")

@@ -109,6 +109,14 @@ class RealNodeRuntime(ProcessRuntime):
         for message in backlog:
             self.deliver(message)
 
+    def fail(self, loop: asyncio.AbstractEventLoop, context: dict) -> None:
+        """The node loop's exception handler: an error a task or a handler
+        raised is a ``task_error`` line in the log, where :func:`load_trace`
+        reads it, and the program stops."""
+        error = context.get("exception")
+        self.log.log("task_error", value=context["message"] if error is None else repr(error))
+        self.stop()
+
     def stop(self) -> None:
         """Cancel every pending resumption and stop delivering (the node is shutting down)."""
         self._crashed = True

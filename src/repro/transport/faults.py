@@ -19,14 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError
 from ..membership import Membership
-from ..runtime.spec import ScenarioSpec
+from ..runtime.spec import RealBackend, ScenarioSpec
 
 __all__ = ["FaultAction", "FaultPlan", "fault_plan"]
-
-_ACTIONS = ("kill", "suspend")
-
 
 @dataclass(frozen=True)
 class FaultAction:
@@ -36,7 +32,9 @@ class FaultAction:
     units after the SIGSTOP — the "process stops taking steps for a while,
     then continues" failure mode that a timeout-based detector must tolerate
     (either by declaring the stalled identity dead and standing by it, or by
-    never suspecting a stall shorter than its timeout).
+    never suspecting a stall shorter than its timeout).  Every value comes
+    checked: the action and ``resume_after`` from
+    :class:`~repro.runtime.spec.RealBackend`, ``at`` from the crash schedule.
     """
 
     index: int
@@ -44,22 +42,6 @@ class FaultAction:
     at: float  # scenario time units after t0
     action: str = "kill"
     resume_after: float | None = None  # time units after `at`; suspend only
-
-    def __post_init__(self) -> None:
-        if self.action not in _ACTIONS:
-            raise ConfigurationError(
-                f"unknown fault action {self.action!r}; expected one of {_ACTIONS}"
-            )
-        if self.at < 0:
-            raise ConfigurationError("a fault cannot be scheduled before t0")
-        if self.resume_after is not None:
-            if self.action != "suspend":
-                raise ConfigurationError(
-                    "resume_after only applies to 'suspend' faults "
-                    "(a SIGKILLed process cannot resume)"
-                )
-            if self.resume_after <= 0:
-                raise ConfigurationError("resume_after must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,10 +63,8 @@ class FaultPlan:
 def fault_plan(spec: ScenarioSpec, membership: Membership) -> FaultPlan:
     """Resolve a spec's crash schedule into concrete injections."""
     schedule = spec.crashes.build(membership)
-    action = str(spec.backend_params.get("fault_action", "kill"))
-    resume_after = spec.backend_params.get("resume_after")
-    if resume_after is not None:
-        resume_after = float(resume_after)
+    settings = RealBackend(**spec.backend_params)
+    action, resume_after = settings.fault_action, settings.resume_after
     actions = []
     for process in membership.processes:
         at = schedule.crash_time(process)
@@ -95,7 +75,7 @@ def fault_plan(spec: ScenarioSpec, membership: Membership) -> FaultPlan:
                     identity=membership.identity_of(process),
                     at=float(at),
                     action=action,
-                    resume_after=resume_after if action == "suspend" else None,
+                    resume_after=resume_after,
                 )
             )
     return FaultPlan(tuple(actions))

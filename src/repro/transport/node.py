@@ -33,16 +33,13 @@ import time
 from ..events import EventLog
 from ..identity import ProcessId
 from ..retry import RetryPolicy
+from ..runtime.registry import PROGRAMS
+from ..runtime.spec import NetworkSpec, RealBackend
 from ..sim.links import LinkModel
 from .context import RealNodeRuntime
 from .framing import FramingError, encode_frame, read_frame
 
 __all__ = ["main", "ShapedLink"]
-
-#: Default mesh-dial deadline; override per run with ``--mesh-deadline`` (the
-#: orchestrator forwards ``backend_params["mesh_deadline"]``) — slow CI
-#: machines need more than 20 s to spawn and import N interpreters.
-MESH_DEADLINE_SECONDS = 20.0
 
 #: Backoff schedule for outbound dials: peers come up in arbitrary order, so
 #: early dials *expect* connection-refused.  Decorrelated jitter (instead of
@@ -137,9 +134,6 @@ async def _dial(host: str, port: int, deadline: float, rng: random.Random):
 
 
 async def _run_node(args: argparse.Namespace) -> int:
-    from ..runtime.registry import PROGRAMS
-    from ..runtime.spec import NetworkSpec
-
     identity = json.loads(args.identity)
     peers = json.loads(args.peers)
     params = json.loads(args.program_params)
@@ -197,8 +191,6 @@ async def _run_node(args: argparse.Namespace) -> int:
     # the orchestrator's settle margin).
     await asyncio.sleep(max(0.0, (args.epoch + t0) - time.monotonic()))
     log.log("node_start", program=args.program)
-    entry = PROGRAMS.resolve(args.program)
-    runtime.start(entry.build(params))
 
     async def _until_stop_frame() -> None:
         frame = await read_frame(control_reader)
@@ -206,14 +198,17 @@ async def _run_node(args: argparse.Namespace) -> int:
             return
         await asyncio.sleep(args.mesh_deadline + args.horizon * args.time_scale)
 
-    horizon_wall = (args.epoch + t0 + args.horizon * args.time_scale) - time.monotonic()
     stopper = asyncio.ensure_future(_until_stop_frame())
-    try:
-        await asyncio.wait_for(asyncio.shield(stopper), timeout=max(0.0, horizon_wall))
-    except asyncio.TimeoutError:
-        pass
-    finally:
-        stopper.cancel()
+
+    def _task_error(loop: asyncio.AbstractEventLoop, context: dict) -> None:
+        runtime.fail(loop, context)
+        stopper.cancel()  # a program error ends the node now, not at the horizon
+
+    asyncio.get_running_loop().set_exception_handler(_task_error)
+    runtime.start(PROGRAMS.resolve(args.program).build(**params))
+    horizon_wall = (args.epoch + t0 + args.horizon * args.time_scale) - time.monotonic()
+    await asyncio.wait({stopper}, timeout=max(0.0, horizon_wall))
+    stopper.cancel()
 
     runtime.stop()
     log.log("node_stop")
@@ -242,7 +237,10 @@ def main(argv: list[str] | None = None) -> int:
         "--epoch", type=float, required=True, help="the run's monotonic-clock epoch"
     )
     parser.add_argument(
-        "--time-scale", type=float, default=0.05, help="wall seconds per scenario time unit"
+        "--time-scale",
+        type=float,
+        default=RealBackend.time_scale,
+        help="wall seconds per scenario time unit",
     )
     parser.add_argument("--program", required=True, help="PROGRAMS registry name")
     parser.add_argument("--program-params", default="{}", help="JSON program parameters")
@@ -254,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--mesh-deadline",
         type=float,
-        default=MESH_DEADLINE_SECONDS,
+        default=RealBackend.mesh_deadline,
         help="seconds to keep retrying outbound dials before giving up",
     )
     parser.add_argument(

@@ -21,17 +21,9 @@ node gets it as ``--network`` and writes to every peer through its
 and the builder holds it to the same envelope check and ``.adversarial()``
 acknowledgement on both backends.
 
-Tunables come from ``spec.backend_params`` (all optional):
-
-* ``time_scale`` (default 0.05) — wall seconds per scenario time unit;
-* ``settle`` (default 0.3) — margin between "all ready" and t0;
-* ``ready_timeout`` (default 20) — how long to wait for every node to mesh
-  up and report ready before declaring the run stillborn;
-* ``mesh_deadline`` (default 20) — per-node outbound-dial budget, forwarded
-  as ``--mesh-deadline`` (slow CI machines raise both of these);
-* ``fault_action`` (``"kill"``/``"suspend"``) and ``resume_after`` — how the
-  crash schedule is injected (see :mod:`repro.transport.faults`);
-* ``log_dir`` / ``keep_logs`` — where the JSONL evidence lands.
+Tunables are ``spec.backend_params``: the keywords of
+:class:`~repro.runtime.spec.RealBackend`, which holds every default and
+check.
 
 Cleanup is unconditional: node subprocesses are reaped and the temporary log
 directory removed on *every* exit path — normal completion, a mid-run
@@ -54,42 +46,19 @@ import tempfile
 import time
 from pathlib import Path
 
-from ..errors import ConfigurationError
 from ..events import EventLog, read_events
 from ..membership import Membership
 from ..runtime.engine import RunRecord, fold_checks
 from ..runtime.fleet import python_path
-from ..runtime.spec import ScenarioSpec
+from ..runtime.spec import RealBackend, ScenarioSpec
 from ..sim.failures import FailurePattern
 from ..sim.trace import RunTrace
 from .faults import FaultPlan, fault_plan
 from .framing import encode_frame, read_frame
-from .node import MESH_DEADLINE_SECONDS
-from .validate import DEFAULT_TIME_SCALE
 
-__all__ = ["execute_real_spec", "load_trace", "resolve_timeouts"]
+__all__ = ["execute_real_spec", "load_trace"]
 
-#: Margin between "all nodes ready" and t0, so every node sees the start frame
-#: and wakes on the common origin.
-DEFAULT_SETTLE_SECONDS = 0.3
-#: Default wait for the full fleet to report ready (``ready_timeout`` param).
-DEFAULT_READY_TIMEOUT = 20.0
 _EXIT_GRACE = 5.0
-
-
-def resolve_timeouts(params: dict) -> tuple[float, float]:
-    """``(ready_timeout, mesh_deadline)`` from backend params, validated.
-
-    Both used to be hard-coded module constants; slow CI machines (or huge
-    fleets) raise them per spec via ``backend_params`` now.
-    """
-    ready_timeout = float(params.get("ready_timeout", DEFAULT_READY_TIMEOUT))
-    mesh_deadline = float(params.get("mesh_deadline", MESH_DEADLINE_SECONDS))
-    if ready_timeout <= 0:
-        raise ConfigurationError(f"ready_timeout must be positive, got {ready_timeout}")
-    if mesh_deadline <= 0:
-        raise ConfigurationError(f"mesh_deadline must be positive, got {mesh_deadline}")
-    return ready_timeout, mesh_deadline
 
 
 def _free_port() -> int:
@@ -133,8 +102,6 @@ def load_trace(log_dir: str | Path, membership: Membership) -> RunTrace:
 
 def execute_real_spec(spec: ScenarioSpec) -> RunRecord:
     """Execute one ``backend="real"`` scenario and return its record."""
-    if spec.program is None:
-        raise ConfigurationError("the real backend needs a program workload")
     return asyncio.run(_orchestrate(spec))
 
 
@@ -155,15 +122,12 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
 
     membership = spec.membership.build()
     n = membership.size
-    params = dict(spec.backend_params)
-    time_scale = float(params.get("time_scale", DEFAULT_TIME_SCALE))
-    settle = float(params.get("settle", DEFAULT_SETTLE_SECONDS))
-    ready_timeout, mesh_deadline = resolve_timeouts(params)
+    settings = RealBackend(**spec.backend_params)
+    time_scale, ready_timeout = settings.time_scale, settings.ready_timeout
     plan = fault_plan(spec, membership)
 
-    explicit_dir = params.get("log_dir")
-    keep_logs = bool(params.get("keep_logs", explicit_dir is not None))
-    log_dir = Path(explicit_dir) if explicit_dir else Path(
+    keep_logs = settings.log_dir is not None if settings.keep_logs is None else settings.keep_logs
+    log_dir = Path(settings.log_dir) if settings.log_dir else Path(
         tempfile.mkdtemp(prefix="repro-transport-")
     )
     log_dir.mkdir(parents=True, exist_ok=True)
@@ -221,7 +185,7 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
                 "--seed", str(spec.seed),
                 "--horizon", repr(spec.horizon),
                 "--log", str(log_dir / f"node{index}.jsonl"),
-                "--mesh-deadline", repr(mesh_deadline),
+                "--mesh-deadline", repr(settings.mesh_deadline),
             ]
             if not spec.network.is_reliable:
                 command += ["--network", json.dumps(spec.network.to_dict())]
@@ -239,7 +203,7 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
                 f"on slow machines; see {log_dir}/node*.out"
             ) from None
 
-        t0 = (time.monotonic() - epoch) + settle
+        t0 = (time.monotonic() - epoch) + settings.settle
         injector = EventLog(
             log_dir / "injector.jsonl", epoch=epoch, t0=t0, time_scale=time_scale
         )

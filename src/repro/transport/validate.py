@@ -23,12 +23,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from ..detectors.detection import median_iqr
 
-__all__ = ["DEFAULT_TIME_SCALE", "aggregate_cells", "heatmap_csv", "scatter_csv", "units_to_ms"]
-
-#: Default wall seconds per scenario time unit (0.05 ⇒ a 20-unit run ≈ 1 s).
-#: Defined here, not in the orchestrator, so E11's simulator half converts its
-#: latencies without loading the real backend.
-DEFAULT_TIME_SCALE = 0.05
+__all__ = ["aggregate_cells", "heatmap_csv", "scatter_csv", "units_to_ms"]
 
 
 def units_to_ms(units: float, time_scale: float) -> float:

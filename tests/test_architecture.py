@@ -308,7 +308,7 @@ def test_the_registry_registers_the_reduction_table_and_restates_nothing() -> No
 
     for name, row in REDUCTIONS.items():
         entry = PROGRAMS.resolve(name)
-        program = entry.build({})
+        program = entry.build()
         assert type(program) is ReductionProgram and program.row is row
         assert (name, entry.paper_item) == (row.name, row.paper_item)
     others = set(PROGRAMS.names()) - set(REDUCTIONS)
@@ -579,3 +579,38 @@ def test_the_real_node_resumes_tasks_on_the_simulators_trampoline() -> None:
         if _calls(tree, "send") or named & requests:
             drivers.append(path.relative_to(ROOT).as_posix())
     assert not drivers, f"a second trampoline under transport/: {drivers}"
+
+
+def test_every_maker_a_spec_binds_to_names_its_parameters() -> None:
+    """A spec's ``params`` bind to the signature of what its name picks, so
+    that signature lists them: no ``**kwargs`` or ``*args`` (which would take
+    any misspelling) and no positional-only slot.  A program's maker also
+    binds no parameters at all, as a spec may give none."""
+    from repro.runtime import CONSENSUS, PROGRAMS
+    from repro.runtime.spec import (
+        _BACKENDS,
+        CrashSpec,
+        DetectorSpec,
+        NetworkSpec,
+        TimingSpec,
+        TopologySpec,
+    )
+
+    sections = (TimingSpec, CrashSpec, NetworkSpec, TopologySpec, DetectorSpec)
+    makers = [
+        (f"{section._SECTION} {kind!r}", section._KINDS[kind], section._LEADING)
+        for section in sections
+        for kind in section._KINDS
+    ]
+    makers += [(f"program {name!r}", PROGRAMS[name].build, 0) for name in PROGRAMS]
+    makers += [(f"consensus {name!r}", CONSENSUS[name].quorum_rule, 0) for name in CONSENSUS]
+    makers += [(f"backend {name!r}", maker, 0) for name, maker in _BACKENDS.items()]
+    loose = []
+    for what, maker, leading in makers:
+        for parameter in list(inspect.signature(maker).parameters.values())[leading:]:
+            if parameter.kind not in (parameter.KEYWORD_ONLY, parameter.POSITIONAL_OR_KEYWORD):
+                loose.append(f"{what}: {parameter}")
+    assert not loose, loose
+    assert len(makers) > 40
+    for name in PROGRAMS:
+        inspect.signature(PROGRAMS[name].build).bind()

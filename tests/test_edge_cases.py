@@ -8,7 +8,13 @@ from functools import partial
 import pytest
 
 from repro.algorithms import HSigmaSynchronousProgram, OhpPollingProgram
-from repro.consensus import CONSENSUS_CHECKS, HOmegaMajorityConsensus, validate_consensus
+from repro.analysis import consensus_metrics
+from repro.consensus import (
+    CONSENSUS_CHECKS,
+    HOmegaMajorityConsensus,
+    distinct_proposals,
+    validate_consensus,
+)
 from repro.consensus.rules import H_OMEGA
 from repro.detectors import CLASSES
 from repro.identity import ProcessId
@@ -166,17 +172,24 @@ class TestNonDefaultWiring:
         assert verdict.ok, verdict.violations
 
     def test_consensus_without_trace_recording_still_decides(self):
-        spec = (
-            checked("figure8-unrecorded")
-            .identities(["A", "A", "B"])
-            .detectors("HOmega", stabilization=5.0, noise_period=None)
-            .consensus("homega_majority", record_outputs=False)
-            .build()
+        # ``record_outputs`` is the factory's, as the KV runner passes it: a
+        # spec's consensus parameters are the quorum rule's only.
+        membership = Membership.of(["A", "A", "B"])
+        proposals = distinct_proposals(membership)
+        propose = CONSENSUS.resolve("homega_majority").factory(membership, record_outputs=False)
+        simulation = Simulation(
+            build_system(
+                membership=membership,
+                timing=AsynchronousTiming(max_latency=1.5),
+                program_factory=lambda pid, identity: propose(proposals[pid]),
+                detectors={"HOmega": partial(DETECTORS.resolve("HOmega"), stabilization_time=5.0)},
+                seed=51,
+            )
         )
-        metrics = execute_spec(spec).metrics
+        trace = simulation.run(until=400.0, stop_when=Simulation.all_correct_decided)
         # Decisions are still traced (ctx.decide), only auxiliary keys are not.
-        assert not failed_checks(metrics)
-        assert metrics["rounds"] is None
+        metrics = consensus_metrics(trace, simulation.failure_pattern)
+        assert metrics["decided"] and metrics["safe"] and metrics["rounds"] is None
 
     def test_hsigma_program_runs_forever_until_horizon(self):
         membership = Membership.of(["A", "A"])

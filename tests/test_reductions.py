@@ -199,7 +199,7 @@ class TestTable:
         for name, row in REDUCTIONS.items():
             entry = PROGRAMS.resolve(name)
             assert entry.paper_item == row.paper_item
-            program = entry.build({"period": 2.0})
+            program = entry.build(period=2.0)
             assert isinstance(program, ReductionProgram) and program.row is row
             assert program.period == 2.0 and program.sources == row.sources
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -526,6 +526,37 @@ class TestBuilderValidation:
         with pytest.raises(ScenarioValidationError, match="adversarial"):
             self._consensus_builder(duplicating(0.5)).build()
 
+    @pytest.mark.parametrize("family", ["HAS consensus", "HPS consensus", "HAS KV"])
+    def test_healing_duplication_is_outside_every_consensus_envelope(self, family):
+        """Counting messages needs links that never duplicate: a duplicated copy
+        counts as a homonym's, so agreement, not only termination, is at stake."""
+        builders = {
+            "HAS consensus": self._consensus_builder,
+            "HPS consensus": lambda network: (
+                scenario().homonyms([2, 2, 1]).timing(partial_sync(gst=50.0, delta=1.0))
+                .network(network).detectors("HOmega", stabilization=10.0)
+                .consensus("homega_majority")
+            ),
+            "HAS KV": lambda network: (
+                scenario().homonyms([2, 2, 1]).network(network)
+                .detectors("HOmega", stabilization=10.0).kv(clients=2, ops_per_client=2)
+            ),
+        }
+        builder = builders[family]
+        healing = duplicating(1.0, copies=3, end=40.0)  # ends before the HPS GST
+        for network in (healing, composed(lossy(0.1, end=40.0), healing)):
+            with pytest.raises(ScenarioValidationError, match="duplicates copies"):
+                builder(network).build()
+            assert builder(network).adversarial().build().adversarial
+        assert not builder(lossy(0.1, end=40.0)).build().adversarial  # loss is unchanged
+
+    def test_healing_duplication_stays_inside_a_monitoring_envelope(self):
+        spec = (
+            scenario().processes(3).unique_ids().network(duplicating(0.5, end=40.0))
+            .program("heartbeat").build()
+        )
+        assert not spec.adversarial
+
     def test_noise_period_only_reaches_leader_detectors(self):
         spec = (
             scenario()
@@ -555,6 +586,34 @@ def figure8_spec() -> ScenarioSpec:
         .seed(3)
         .build()
     )
+
+
+#: What each flat pair's refusal names: the section and the names it accepts.
+_TAKES = {
+    "program": r"program 'heartbeat' .*\['hb_interval', 'hb_timeout', 'record_pings'\]",
+    "consensus": r"^consensus 'homega_majority' .*\['t'\]",
+    "kv": r"KV consensus 'homega_majority' .*\['t'\]",
+    "backend": (
+        r"backend 'real' .*\['time_scale', 'settle', 'ready_timeout', 'mesh_deadline', "
+        r"'fault_action', 'resume_after', 'log_dir', 'keep_logs'\]"
+    ),
+}
+
+
+def _flat_pair(pair):
+    """A valid spec dict, and the ``params`` mapping of its flat pair ``pair`` in it."""
+    heartbeat = scenario("hb").processes(3).unique_ids().program("heartbeat")
+    if pair == "kv":
+        build = scenario("kv").homonyms([2, 2, 1]).detectors("HOmega", stabilization=10.0).kv()
+        payload = build.build().to_dict()
+        return payload, payload["kv"]["consensus_params"]
+    spec = {
+        "program": heartbeat.build(),
+        "consensus": figure8_spec(),
+        "backend": heartbeat.backend("real").build(),
+    }[pair]
+    payload = spec.to_dict()
+    return payload, payload[f"{pair}_params"]
 
 
 class TestASpecIsCheckedWhereItIsMade:
@@ -598,6 +657,42 @@ class TestASpecIsCheckedWhereItIsMade:
     def test_from_dict_refuses_what_it_used_to_ignore_or_defer(self, edit):
         with pytest.raises(ConfigurationError):
             ScenarioSpec.from_dict({**figure8_spec().to_dict(), **edit})
+
+    @pytest.mark.parametrize(
+        "pair, params",
+        [
+            ("program", {"hb_intervl": 1.0}),
+            ("program", {"hb_interval": "1.0"}),
+            ("program", {"index": 1}),
+            ("consensus", {"tt": 1}),
+            ("consensus", {"t": "1"}),
+            ("consensus", {"n": 5}),
+            ("kv", {"tt": 1}),
+            ("kv", {"t": 1.5}),
+            ("backend", {"time_scal": 0.02}),
+            ("backend", {"fault_action": "stop"}),
+            ("backend", {"keep_logs": "yes"}),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
+    )
+    def test_from_dict_binds_every_flat_pair_to_its_maker(self, pair, params):
+        """A misspelt, mistyped or engine-injected parameter of ``program_params``,
+        ``consensus_params`` (the scenario's and the KV section's) or
+        ``backend_params`` is refused where the spec is made, naming the
+        section and the names it accepts."""
+        payload, mapping = _flat_pair(pair)
+        mapping.update(params)
+        with pytest.raises(ConfigurationError, match=_TAKES[pair]):
+            ScenarioSpec.from_dict(payload)
+
+    def test_a_sim_spec_and_a_nameless_pair_take_no_parameters(self):
+        for pair, key in (("backend", "backend_params"), ("consensus", "program_params")):
+            payload, _ = _flat_pair(pair)
+            payload[key] = {"x": 1}
+            if pair == "backend":
+                payload["backend"] = "sim"
+            with pytest.raises(ConfigurationError, match=r"takes \[\], got \['x'\]"):
+                ScenarioSpec.from_dict(payload)
 
     @pytest.mark.parametrize(
         "params",
@@ -684,15 +779,9 @@ def _paths(value, prefix=()):
         yield from _paths(inner, (*prefix, key))
 
 
-#: The fields whose contents no table checks: consensus and program
-#: parameters go to ``**params`` builders (and the sim backend ignores
-#: ``backend_params``), so a mutant only replaces them with a non-mapping.
-_UNCHECKED_CONTENTS = ("consensus_params", "program_params", "backend_params")
-_MUTABLE_PATHS = [
-    path
-    for path in _paths(figure8_spec().to_dict())
-    if not (path[0] in _UNCHECKED_CONTENTS and len(path) > 1)
-] + [("kv",), ("topology",), ("backend",), ("backend_params",)]  # sections it leaves out
+_MUTABLE_PATHS = [*_paths(figure8_spec().to_dict())] + [
+    ("kv",), ("topology",), ("backend",), ("backend_params",)  # sections it leaves out
+]
 
 
 class TestEveryMutantIsRefusedOrRuns:
@@ -700,7 +789,6 @@ class TestEveryMutantIsRefusedOrRuns:
     def test_a_one_field_mutant_is_refused_at_from_dict_or_runs(self, path, value):
         """Change one field of a valid spec dict: ``from_dict`` raises
         ``ConfigurationError`` or the spec it makes runs to its end."""
-        assume(not (path[0] in _UNCHECKED_CONTENTS and isinstance(value, dict) and value))
         payload = figure8_spec().to_dict()
         target = payload
         for key in path[:-1]:

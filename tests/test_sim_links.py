@@ -305,6 +305,7 @@ class TestPartialBroadcastDeterminism:
             .processes(4)
             .distinct_ids(2)
             .network(duplicating(0.5, copies=2, spread=0.3, end=40.0))
+            .adversarial()  # duplication is outside the consensus envelope
             .detectors("HOmega", "HSigma", stabilization=8.0)
             .consensus("homega_hsigma")
             .horizon(200.0)

@@ -32,7 +32,14 @@ from repro.identity import IdentityMultiset, ProcessId
 from repro.membership import Membership
 from repro.runtime import Engine, scenario
 from repro.runtime.builder import ScenarioValidationError
-from repro.runtime.spec import ScenarioSpec, asynchronous, crashes_at, lossy, synchronous
+from repro.runtime.spec import (
+    RealBackend,
+    ScenarioSpec,
+    asynchronous,
+    crashes_at,
+    lossy,
+    synchronous,
+)
 from repro.sim.links import (
     AsymmetricLinks,
     ComposedLinks,
@@ -53,7 +60,7 @@ from repro.transport.framing import (
     read_frame,
 )
 from repro.transport.node import ShapedLink
-from repro.transport.orchestrator import DEFAULT_READY_TIMEOUT, load_trace, resolve_timeouts
+from repro.transport.orchestrator import load_trace
 from repro.transport.validate import aggregate_cells, heatmap_csv, scatter_csv
 from repro.workloads.kv import replica
 
@@ -268,6 +275,43 @@ def test_a_real_task_cannot_wait_for_a_synchronous_step(tmp_path):
         runtime = RealNodeRuntime(index=0, identity="a", log=log, time_scale=1.0)
         asyncio.run(run())
     assert [type(error) for error in errors] == [TransportError]
+
+
+class _Fails(ProcessProgram):
+    """One task raises after a unit of sleep; another would record much later."""
+
+    def setup(self, ctx):
+        def failing():
+            yield ctx.sleep(1.0)
+            raise RuntimeError("boom")
+
+        def later():
+            yield ctx.sleep(50.0)
+            ctx.record("late", ctx.now)
+
+        ctx.spawn(failing)
+        ctx.spawn(later)
+
+
+def test_a_real_task_error_reaches_the_log_and_stops_the_node(tmp_path):
+    """No sockets: with the handler a node installs on its loop, a task's error
+    is a ``task_error`` line that ``load_trace`` reads, and the program stops."""
+    scale = 0.01
+
+    async def run():
+        asyncio.get_running_loop().set_exception_handler(runtime.fail)
+        runtime.start(_Fails())
+        while not runtime._crashed:
+            await asyncio.sleep(scale / 10)
+
+    with EventLog(tmp_path / "node0.jsonl", epoch=time.monotonic(), t0=0.0, time_scale=scale) as log:
+        runtime = RealNodeRuntime(index=0, identity="a", log=log, time_scale=scale)
+        asyncio.run(asyncio.wait_for(run(), timeout=10.0))
+    assert runtime._tasks == []
+    (line,) = read_events(log.path)
+    assert line["event"] == "task_error" and "RuntimeError('boom')" in line["value"]
+    trace = load_trace(tmp_path, Membership.of(["a"]))
+    assert trace.records_of(ProcessId(0), "task_error") == [(line["t"], line["value"])]
 
 
 class _Hears(ProcessProgram):
@@ -743,15 +787,30 @@ def test_shaped_link_writes_what_its_link_model_delivers(model, monkeypatch) -> 
 # ----------------------------------------------------------------------
 # orchestrator timeouts are backend_params, not constants
 # ----------------------------------------------------------------------
-def test_resolve_timeouts_defaults_and_overrides() -> None:
-    assert resolve_timeouts({}) == (DEFAULT_READY_TIMEOUT, 20.0)
-    assert resolve_timeouts({"ready_timeout": 45, "mesh_deadline": 90}) == (45.0, 90.0)
+def test_the_real_backend_timeouts_default_and_override() -> None:
+    assert (RealBackend().ready_timeout, RealBackend().mesh_deadline) == (20.0, 20.0)
+    settings = RealBackend(ready_timeout=45, mesh_deadline=90)
+    assert (settings.ready_timeout, settings.mesh_deadline) == (45, 90)
 
 
 @pytest.mark.parametrize(
-    "params", [{"ready_timeout": 0}, {"ready_timeout": -1}, {"mesh_deadline": 0}]
+    "params",
+    [{"ready_timeout": 0}, {"ready_timeout": -1}, {"mesh_deadline": 0}, {"time_scale": 0.0},
+     {"settle": -0.1}, {"resume_after": 0}],
 )
-def test_resolve_timeouts_rejects_nonpositive(params) -> None:
+def test_a_real_spec_with_a_nonpositive_tunable_is_refused_where_it_is_made(params) -> None:
+    payload = build_heartbeat_spec(backend="real").to_dict()
+    payload["backend_params"].update(params)
     with pytest.raises(ConfigurationError, match="must be positive"):
-        resolve_timeouts(params)
+        ScenarioSpec.from_dict(payload)
+
+
+def test_a_real_spec_refuses_resume_after_without_a_suspend() -> None:
+    """A SIGKILLed node cannot resume, so ``resume_after`` is not silently dropped."""
+    spec = build_heartbeat_spec(backend="real", fault_action="suspend", resume_after=2.0)
+    payload = spec.to_dict()
+    assert ScenarioSpec.from_dict(payload) == spec
+    del payload["backend_params"]["fault_action"]  # the default: kill
+    with pytest.raises(ConfigurationError, match="resume_after needs fault_action='suspend'"):
+        ScenarioSpec.from_dict(payload)
 
