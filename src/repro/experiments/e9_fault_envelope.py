@@ -28,7 +28,7 @@ Three claims are visible in the table:
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import Engine, composed, lossy, partitioned, scenario
+from ..runtime import composed, execute_spec, lossy, partitioned, scenario
 from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
@@ -68,7 +68,7 @@ def _run_one(config: dict) -> dict:
     if stages:
         build = build.network(stages[0] if len(stages) == 1 else composed(*stages))
         build = build.adversarial()
-    row = dict(Engine().run(build.build()).metrics)
+    row = dict(execute_spec(build.build()).metrics)
     row["degraded"] = bool(stages)
     return row
 

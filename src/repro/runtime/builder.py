@@ -371,6 +371,15 @@ def validate_spec(spec: ScenarioSpec) -> None:
     provided = {detector.name for detector in spec.detectors}
     if spec.program is not None:
         program_entry = PROGRAMS.resolve(spec.program)
+        # Build it once, as the engine would, so its own value checks refuse here.
+        injected = {} if spec.topology.is_full_mesh else {
+            "topology": spec.topology.build(), "index": 0,
+            "peers": tuple(range(membership.size)), "views": {},
+        }
+        try:
+            program_entry.build(**spec.program_params, **injected)
+        except ValueError as error:
+            raise ScenarioValidationError(f"program {spec.program!r}: {error}") from None
         published = program_entry.provides_detector(spec.program_params)
         if published:
             provided.add(published)

@@ -14,7 +14,7 @@ Layout:
   with event-loop timers, sockets and a log;
 * :mod:`~repro.transport.node` — one node process
   (``python -m repro.transport.node``);
-* :mod:`~repro.transport.faults` — fault plans resolved from a spec's
+* :mod:`~repro.transport.faults` — the fault timeline read off a spec's
   crash schedule;
 * :mod:`~repro.transport.orchestrator` — spawns N nodes, injects faults,
   folds their :mod:`repro.events` logs into the simulator's ``RunTrace``

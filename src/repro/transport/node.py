@@ -10,9 +10,12 @@ The orchestrator spawns N of these as OS subprocesses.  Each node
 3. builds its :class:`ProcessProgram` from the registry — the *same* entry a
    sim run would build — and runs it on the simulator's one trampoline
    (:class:`~repro.transport.context.RealNodeRuntime`, whose resumptions are
-   event-loop timers), writing to each peer
-   through the spec's own link model (``--network``, the spec's ``network``
-   section) when it is not the reliable default (:class:`ShapedLink`);
+   event-loop timers), writing to each peer through the spec's own link
+   model when it is not the reliable default (:class:`ShapedLink`).  All of
+   it comes from the spec (``--spec``, validated where it is read): the
+   identity from its membership, the program and its parameters, the seed,
+   the horizon, ``time_scale`` and the dial budget from its
+   ``backend_params``, and the links from its ``network`` section;
 4. appends every observable event (``msg_send``/``msg_recv``, ``ctx.record``
    keys such as ``hb_ping_sent``/``hb_ack_recv``/``declared_dead``,
    ``decide``) to its JSONL log, each line stamped with both epoch-relative
@@ -34,7 +37,7 @@ from ..events import EventLog
 from ..identity import ProcessId
 from ..retry import RetryPolicy
 from ..runtime.registry import PROGRAMS
-from ..runtime.spec import NetworkSpec, RealBackend
+from ..runtime.spec import RealBackend, ScenarioSpec
 from ..sim.links import LinkModel
 from .context import RealNodeRuntime
 from .framing import FramingError, encode_frame, read_frame
@@ -134,30 +137,29 @@ async def _dial(host: str, port: int, deadline: float, rng: random.Random):
 
 
 async def _run_node(args: argparse.Namespace) -> int:
-    identity = json.loads(args.identity)
+    spec = ScenarioSpec.from_json(args.spec)
+    membership = spec.membership.build()
+    identity = membership.identity_of(membership.processes[args.index])
+    settings = RealBackend(**spec.backend_params)
+    time_scale = settings.time_scale
     peers = json.loads(args.peers)
-    params = json.loads(args.program_params)
-    model = NetworkSpec.from_dict(json.loads(args.network)).build() if args.network else None
+    model = None if spec.network.is_reliable else spec.network.build()
 
     log = EventLog(
         args.log,
         epoch=args.epoch,
-        time_scale=args.time_scale,
+        time_scale=time_scale,
         node={"index": args.index, "identity": identity},
     )
     runtime = RealNodeRuntime(
-        index=args.index,
-        identity=identity,
-        log=log,
-        time_scale=args.time_scale,
-        seed=args.seed,
+        index=args.index, identity=identity, log=log, time_scale=time_scale, seed=spec.seed
     )
 
     server = await asyncio.start_server(
         lambda r, w: _serve_peer(runtime, r, w), args.host, args.port
     )
-    dial_rng = random.Random(f"dial:{args.seed}:{args.index}")
-    deadline = time.monotonic() + args.mesh_deadline
+    dial_rng = random.Random(f"dial:{spec.seed}:{args.index}")
+    deadline = time.monotonic() + settings.mesh_deadline
     for index, host, port in peers:
         _reader, writer = await _dial(host, port, deadline, dial_rng)
         if model is not None:
@@ -167,8 +169,8 @@ async def _run_node(args: argparse.Namespace) -> int:
                 sender=args.index,
                 receiver=int(index),
                 clock=runtime.clock,
-                time_scale=args.time_scale,
-                seed=args.seed,
+                time_scale=time_scale,
+                seed=spec.seed,
             )
         runtime.add_peer(int(index), writer)
     log.log("node_ready", peers=len(peers), shaped=model is not None)
@@ -190,13 +192,13 @@ async def _run_node(args: argparse.Namespace) -> int:
     # Align the program start on the common origin (t0 is in the future by
     # the orchestrator's settle margin).
     await asyncio.sleep(max(0.0, (args.epoch + t0) - time.monotonic()))
-    log.log("node_start", program=args.program)
+    log.log("node_start", program=spec.program)
 
     async def _until_stop_frame() -> None:
         frame = await read_frame(control_reader)
         if frame is not None and frame.get("event") == "stop":
             return
-        await asyncio.sleep(args.mesh_deadline + args.horizon * args.time_scale)
+        await asyncio.sleep(settings.mesh_deadline + spec.horizon * time_scale)
 
     stopper = asyncio.ensure_future(_until_stop_frame())
 
@@ -205,8 +207,8 @@ async def _run_node(args: argparse.Namespace) -> int:
         stopper.cancel()  # a program error ends the node now, not at the horizon
 
     asyncio.get_running_loop().set_exception_handler(_task_error)
-    runtime.start(PROGRAMS.resolve(args.program).build(**params))
-    horizon_wall = (args.epoch + t0 + args.horizon * args.time_scale) - time.monotonic()
+    runtime.start(PROGRAMS.resolve(spec.program).build(**spec.program_params))
+    horizon_wall = (args.epoch + t0 + spec.horizon * time_scale) - time.monotonic()
     await asyncio.wait({stopper}, timeout=max(0.0, horizon_wall))
     stopper.cancel()
 
@@ -218,13 +220,15 @@ async def _run_node(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.transport.node",
         description="One node process of a real-backend run (spawned by the orchestrator).",
     )
+    parser.add_argument(
+        "--spec", required=True, help="the run's ScenarioSpec as JSON (ScenarioSpec.to_json())"
+    )
     parser.add_argument("--index", type=int, required=True, help="this node's process index")
-    parser.add_argument("--identity", required=True, help="JSON identity (possibly shared)")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, required=True, help="TCP port to listen on")
     parser.add_argument(
@@ -236,33 +240,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--epoch", type=float, required=True, help="the run's monotonic-clock epoch"
     )
-    parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=RealBackend.time_scale,
-        help="wall seconds per scenario time unit",
-    )
-    parser.add_argument("--program", required=True, help="PROGRAMS registry name")
-    parser.add_argument("--program-params", default="{}", help="JSON program parameters")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--horizon", type=float, required=True, help="run length in scenario time units"
-    )
     parser.add_argument("--log", required=True, help="JSONL event log path")
-    parser.add_argument(
-        "--mesh-deadline",
-        type=float,
-        default=RealBackend.mesh_deadline,
-        help="seconds to keep retrying outbound dials before giving up",
-    )
-    parser.add_argument(
-        "--network",
-        default="",
-        help="the spec's JSON network section (NetworkSpec.to_dict()); its "
-        "repro.sim.links model shapes every outbound TCP link (default: reliable)",
-    )
-    args = parser.parse_args(argv)
-    return asyncio.run(_run_node(args))
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    return asyncio.run(_run_node(_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

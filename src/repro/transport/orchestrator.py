@@ -15,11 +15,15 @@ registered check means the same thing on both backends and a sweep can
 interleave them.  The record adds only what a simulated run has no use for
 (``backend``, measured ``t_fail``, ``time_scale``, ``nodes``, ``log_dir``).
 
-Links follow the spec's own ``network`` section, as on the simulator: each
-node gets it as ``--network`` and writes to every peer through its
+A run is described once: every node is started with the spec itself
+(``--spec``, its JSON) beside its deployment settings (index, ports, control
+socket, epoch, log path), and reads its identity, program, seed, horizon,
+time scale and links from it.  Links follow the spec's own ``network``
+section, as on the simulator: each node writes to every peer through its
 :class:`~repro.sim.links.LinkModel` (:class:`~repro.transport.node.ShapedLink`),
 and the builder holds it to the same envelope check and ``.adversarial()``
-acknowledgement on both backends.
+acknowledgement on both backends.  The ``run_start`` line of
+``injector.jsonl`` names the spec too, so a log directory says what ran.
 
 Tunables are ``spec.backend_params``: the keywords of
 :class:`~repro.runtime.spec.RealBackend`, which holds every default and
@@ -37,6 +41,8 @@ log collection) is deliberately out of scope.
 from __future__ import annotations
 
 import asyncio
+import json
+import os
 import shutil
 import signal
 import socket
@@ -53,7 +59,7 @@ from ..runtime.fleet import python_path
 from ..runtime.spec import RealBackend, ScenarioSpec
 from ..sim.failures import FailurePattern
 from ..sim.trace import RunTrace
-from .faults import FaultPlan, fault_plan
+from .faults import injection_timeline
 from .framing import encode_frame, read_frame
 
 __all__ = ["execute_real_spec", "load_trace"]
@@ -105,26 +111,27 @@ def execute_real_spec(spec: ScenarioSpec) -> RunRecord:
     return asyncio.run(_orchestrate(spec))
 
 
-def _injection_timeline(plan: FaultPlan) -> list[tuple[float, str, object]]:
-    """Faults plus their scheduled SIGCONT resumes, in one sorted timeline."""
-    timeline: list[tuple[float, str, object]] = []
-    for action in plan.actions:
-        timeline.append((action.at, "fault", action))
-        if action.resume_after is not None:
-            timeline.append((action.at + action.resume_after, "resume", action))
-    timeline.sort(key=lambda entry: entry[0])
-    return timeline
+def _node_args(
+    spec: ScenarioSpec, index: int, ports: list[int], control: str, epoch: float, log_dir: Path
+) -> list[str]:
+    """Node ``index``'s command-line arguments: the spec, and its place in the deployment."""
+    peers = [[other, "127.0.0.1", port] for other, port in enumerate(ports) if other != index]
+    return [
+        "--spec", spec.to_json(),
+        "--index", str(index),
+        "--port", str(ports[index]),
+        "--peers", json.dumps(peers),
+        "--control", control,
+        "--epoch", repr(epoch),
+        "--log", str(log_dir / f"node{index}.jsonl"),
+    ]
 
 
 async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
-    import json
-    import os
-
     membership = spec.membership.build()
     n = membership.size
     settings = RealBackend(**spec.backend_params)
     time_scale, ready_timeout = settings.time_scale, settings.ready_timeout
-    plan = fault_plan(spec, membership)
 
     keep_logs = settings.log_dir is not None if settings.keep_logs is None else settings.keep_logs
     log_dir = Path(settings.log_dir) if settings.log_dir else Path(
@@ -146,7 +153,6 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
             if len(ready) == n:
                 all_ready.set()
 
-    identities = [membership.identity_of(process) for process in membership.processes]
     env = {**os.environ, "PYTHONPATH": python_path()}
     procs: list[subprocess.Popen] = []
     stdio: list = []
@@ -164,33 +170,14 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
 
         # -- spawn nodes ---------------------------------------------------
         for index in range(n):
-            peers = [
-                [other, "127.0.0.1", ports[other]] for other in range(n) if other != index
-            ]
             out = open(log_dir / f"node{index}.out", "w", encoding="utf-8")
             stdio.append(out)
-            command = [
-                sys.executable,
-                "-m",
-                "repro.transport.node",
-                "--index", str(index),
-                "--identity", json.dumps(identities[index]),
-                "--port", str(ports[index]),
-                "--peers", json.dumps(peers),
-                "--control", f"127.0.0.1:{control_port}",
-                "--epoch", repr(epoch),
-                "--time-scale", repr(time_scale),
-                "--program", spec.program,
-                "--program-params", json.dumps(dict(spec.program_params)),
-                "--seed", str(spec.seed),
-                "--horizon", repr(spec.horizon),
-                "--log", str(log_dir / f"node{index}.jsonl"),
-                "--mesh-deadline", repr(settings.mesh_deadline),
-            ]
-            if not spec.network.is_reliable:
-                command += ["--network", json.dumps(spec.network.to_dict())]
+            args = _node_args(spec, index, ports, f"127.0.0.1:{control_port}", epoch, log_dir)
             procs.append(
-                subprocess.Popen(command, env=env, stdout=out, stderr=subprocess.STDOUT)
+                subprocess.Popen(
+                    [sys.executable, "-m", "repro.transport.node", *args],
+                    env=env, stdout=out, stderr=subprocess.STDOUT,
+                )
             )
 
         try:
@@ -208,8 +195,7 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
             log_dir / "injector.jsonl", epoch=epoch, t0=t0, time_scale=time_scale
         )
         injector.log(
-            "run_start", t0=round(t0, 6), nodes=n, time_scale=time_scale,
-            network=spec.network.to_dict(),
+            "run_start", t0=round(t0, 6), nodes=n, time_scale=time_scale, spec=spec.to_dict()
         )
         start_frame = encode_frame({"event": "start", "t0": t0})
         for writer in ready.values():
@@ -217,30 +203,27 @@ async def _orchestrate(spec: ScenarioSpec) -> RunRecord:
             await writer.drain()
 
         # -- fault injection (t_fail on the shared base, Snippet 1 §8) ----
-        for at, kind, action in _injection_timeline(plan):
+        timeline = injection_timeline(spec, membership)
+        for at, kind, index in timeline:
             target_wall = epoch + t0 + at * time_scale
             await asyncio.sleep(max(0.0, target_wall - time.monotonic()))
-            proc = procs[action.index]
+            proc = procs[index]
+            identity = membership.identity_of(membership.processes[index])
             if kind == "resume":
                 if proc.poll() is None:
                     proc.send_signal(signal.SIGCONT)
-                injector.log(
-                    "fault_resumed", victim=action.index, identity=action.identity
-                )
+                injector.log("fault_resumed", victim=index, identity=identity)
                 continue
-            sig = signal.SIGKILL if action.action == "kill" else signal.SIGSTOP
+            sig = signal.SIGKILL if settings.fault_action == "kill" else signal.SIGSTOP
             if proc.poll() is None:
                 proc.send_signal(sig)
             injector.log(
-                "fault_injected",
-                victim=action.index,
-                identity=action.identity,
-                action=action.action,
+                "fault_injected", victim=index, identity=identity, action=settings.fault_action
             )
 
         # -- wait for the horizon and self-exits --------------------------
         deadline = epoch + t0 + spec.horizon * time_scale + _EXIT_GRACE
-        victims = set(plan.victims)
+        victims = {index for _, kind, index in timeline if kind == "fault"}
         while time.monotonic() < deadline:
             if all(
                 proc.poll() is not None

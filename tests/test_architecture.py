@@ -199,8 +199,9 @@ def test_one_reader_parses_logged_lines() -> None:
 
 def test_a_chaos_campaign_is_a_verify_run_with_a_seed() -> None:
     """One harness for the fault promise: ``repro.verify``'s legs, aimed by
-    ``ChaosPlan.from_seed``.  A second package re-staging them, or a second
-    ``FaultPlan`` beside the transport's, is the soak growing back."""
+    ``ChaosPlan.from_seed``.  A second package re-staging them, or a
+    ``FaultPlan`` class (the transport's faults are one timeline function,
+    ``injection_timeline``), is the soak growing back."""
     package = ROOT / "src" / "repro"
     assert not (package / "chaos").exists()
     importing = re.compile(r"^\s*(from|import)\s+(repro\.|\.+)chaos\b", re.M)
@@ -216,7 +217,7 @@ def test_a_chaos_campaign_is_a_verify_run_with_a_seed() -> None:
         for path in sorted(package.rglob("*.py"))
         if re.search(r"^class FaultPlan\b", path.read_text(encoding="utf-8"), re.M)
     ]
-    assert fault_plans == ["transport/faults.py"]
+    assert fault_plans == []
 
 
 def test_the_coordinator_carries_no_fault_code() -> None:

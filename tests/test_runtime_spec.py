@@ -711,6 +711,32 @@ class TestASpecIsCheckedWhereItIsMade:
         with pytest.raises(ConfigurationError, match="stabilization time|noise period"):
             ScenarioSpec.from_dict(payload)
 
+    def test_a_program_value_is_checked_where_the_spec_is_made(self):
+        """The program is built once while the spec is made, so its own value
+        checks refuse the spec instead of failing inside a run."""
+        base = scenario("hb").processes(3).unique_ids().horizon(20.0)
+        with pytest.raises(
+            ScenarioValidationError, match="program 'heartbeat': hb_interval must be positive"
+        ):
+            base.program("heartbeat", hb_interval=-1.0).build()
+        payload = base.program("heartbeat").build().to_dict()
+        payload["program_params"] = {"hb_interval": -1.0}
+        with pytest.raises(ScenarioValidationError, match="hb_interval must be positive"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_the_membership_program_needs_a_sparse_topology_where_the_spec_is_made(self):
+        def base():
+            return scenario("churn").processes(6).unique_ids().horizon(20.0).program("membership")
+
+        payload = base().topology(ring(2)).build().to_dict()  # the engine's injections fit
+        with pytest.raises(
+            ScenarioValidationError, match="program 'membership': .*needs a sparse"
+        ):
+            base().build()
+        del payload["topology"]
+        with pytest.raises(ScenarioValidationError, match="needs a sparse monitoring topology"):
+            ScenarioSpec.from_dict(payload)
+
     def test_kv_refuses_an_unknown_key(self):
         with pytest.raises(ConfigurationError, match=r"KVSpec takes \[.*\], got \['client'\]"):
             KVSpec.from_dict({"client": 8})

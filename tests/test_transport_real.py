@@ -161,10 +161,10 @@ def test_mid_run_interrupt_reaps_nodes_and_removes_temp_dir(tmp_path, monkeypatc
     import repro.transport.orchestrator as orchestrator
     from repro.verify import _descendant_pids
 
-    def interrupted(plan):
+    def interrupted(spec, membership):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(orchestrator, "_injection_timeline", interrupted)
+    monkeypatch.setattr(orchestrator, "injection_timeline", interrupted)
     tmp_root = tmp_path / "tmp"
     tmp_root.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_root))

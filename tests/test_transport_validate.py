@@ -10,8 +10,9 @@ cases (odd and even medians, empty cells), the wire framing, the ScenarioSpec
 backend round-trip (including canonical-hash preservation for pre-backend
 specs), the builder's real-backend requirement table, a *simulated*
 heartbeat run exercising the ``hb_detection`` check end to end, ``ShapedLink``
-applying each link model against a fake writer and loop, and the
-orchestrator's timeout parameters.  (The detection rule itself is judged in
+applying each link model against a fake writer and loop, the
+orchestrator's timeout parameters, the order of the fault timeline, and the
+node reading back the spec the orchestrator hands it.  (The detection rule itself is judged in
 ``tests/test_detector_properties.py``.)
 """
 
@@ -21,6 +22,7 @@ import asyncio
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -59,8 +61,9 @@ from repro.transport.framing import (
     encode_frame,
     read_frame,
 )
-from repro.transport.node import ShapedLink
-from repro.transport.orchestrator import load_trace
+from repro.transport.faults import injection_timeline
+from repro.transport.node import ShapedLink, _parser as _node_parser
+from repro.transport.orchestrator import _node_args, load_trace
 from repro.transport.validate import aggregate_cells, heatmap_csv, scatter_csv
 from repro.workloads.kv import replica
 
@@ -814,3 +817,69 @@ def test_a_real_spec_refuses_resume_after_without_a_suspend() -> None:
     with pytest.raises(ConfigurationError, match="resume_after needs fault_action='suspend'"):
         ScenarioSpec.from_dict(payload)
 
+
+# ----------------------------------------------------------------------
+# the fault timeline and the node's command line, both read off the spec
+# ----------------------------------------------------------------------
+def _real_spec(crashes: dict, **backend_params) -> ScenarioSpec:
+    return (
+        scenario("timeline")
+        .processes(4)
+        .unique_ids()
+        .timing(asynchronous(min_latency=0.005, max_latency=0.05))
+        .crashes(crashes_at(crashes))
+        .program("heartbeat")
+        .horizon(20.0)
+        .backend("real", **backend_params)
+        .build()
+    )
+
+
+def _timeline(spec: ScenarioSpec) -> list[tuple[float, str, int]]:
+    return injection_timeline(spec, spec.membership.build())
+
+
+def test_victims_at_one_time_are_injected_in_index_order() -> None:
+    assert _timeline(_real_spec({3: 6.0, 1: 6.0, 2: 4.0})) == [
+        (4.0, "fault", 2), (6.0, "fault", 1), (6.0, "fault", 3),
+    ]
+
+
+def test_a_kill_is_never_resumed() -> None:
+    spec = _real_spec({1: 2.0, 2: 5.0}, fault_action="kill")
+    assert [kind for _, kind, _ in _timeline(spec)] == ["fault", "fault"]
+
+
+def test_each_suspend_is_followed_by_its_resume() -> None:
+    spec = _real_spec({1: 2.0, 2: 2.0}, fault_action="suspend", resume_after=3.0)
+    assert _timeline(spec) == [
+        (2.0, "fault", 1), (2.0, "fault", 2), (5.0, "resume", 1), (5.0, "resume", 2),
+    ]
+
+
+def test_a_resume_that_ties_with_a_fault_comes_first() -> None:
+    """Process 1's resume and process 2's fault are both due at t=5: the
+    resume, scheduled from the earlier fault, keeps its place ahead."""
+    spec = _real_spec({2: 5.0, 1: 2.0, 3: 9.0}, fault_action="suspend", resume_after=3.0)
+    assert _timeline(spec) == [
+        (2.0, "fault", 1), (5.0, "resume", 1), (5.0, "fault", 2),
+        (8.0, "resume", 2), (9.0, "fault", 3), (12.0, "resume", 3),
+    ]
+
+
+def test_the_node_reads_the_spec_the_orchestrator_hands_it(tmp_path) -> None:
+    spec = build_heartbeat_spec(backend="real", loss=0.1, fault_action="suspend")
+    argv = _node_args(spec, 1, [7001, 7002, 7003], "127.0.0.1:7000", 12.5, tmp_path)
+    args = _node_parser().parse_args(argv)
+    assert ScenarioSpec.from_json(args.spec) == spec
+    assert (args.index, args.port, args.control, args.epoch) == (1, 7002, "127.0.0.1:7000", 12.5)
+    assert json.loads(args.peers) == [[0, "127.0.0.1", 7001], [2, "127.0.0.1", 7003]]
+    assert args.log == str(tmp_path / "node1.jsonl")
+
+
+def test_the_node_refuses_a_flag_the_spec_carries(capsys) -> None:
+    spec = build_heartbeat_spec(backend="real")
+    argv = _node_args(spec, 0, [7001], "127.0.0.1:7000", 0.0, Path("logs"))
+    with pytest.raises(SystemExit):
+        _node_parser().parse_args([*argv, "--program", "heartbeat"])
+    assert "unrecognized arguments: --program" in capsys.readouterr().err
