@@ -123,12 +123,15 @@ class MajorityQuorum:
         self, program, ctx: ProcessContext, kind: str, round_number: int, estimate: Any,
         skip: Callable[[], bool],
     ):
-        """Broadcast ``estimate`` and wait for ``n − t`` messages (``skip`` is Figure 9's)."""
+        """Broadcast ``estimate`` and wait for ``n − t`` messages (``skip`` is Figure 9's):
+        the estimates of the first ``n − t`` to arrive, however many are buffered."""
         ctx.broadcast(kind, round=round_number, estimate=estimate)
         received = program.messages(kind, round_number)
         required = self.n - self.t
         yield ctx.wait_until(lambda: program.decided or len(received) >= required)
-        return None if program.decided else [message["estimate"] for message in received]
+        if program.decided:
+            return None
+        return [message["estimate"] for message in received[:required]]
 
     def lock(self, estimates: list[Any]) -> Any:
         """The value carried by more than ``n/2`` of the estimates, else ``⊥``.

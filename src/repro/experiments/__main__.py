@@ -38,9 +38,7 @@ def _run_shard(parser, args, selected: list[str]) -> int:
 
     The plan (and therefore the shard boundaries and row order) is exactly
     what a serial run executes, so ``cat shard1 … shardN`` reproduces the
-    serial ``--jsonl`` byte-for-byte — with one caveat: experiments that use
-    ``Engine.map`` (E3) emit nothing to the serial JSONL, whereas their rows
-    *do* appear here, so for those the concatenation is a superset.
+    serial ``--jsonl`` byte-for-byte.
     """
     from ..fabric.plan import PlanningError, plan_experiments
     from ..fabric.work import execute_shard

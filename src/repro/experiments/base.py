@@ -20,8 +20,9 @@ from ..runtime import CHECKS, Engine, ScenarioSpec, simulate_spec
 __all__ = ["Call", "Experiment", "grouped", "simulate_and_check"]
 
 #: One engine call ``(method, fn, configs)``: ``method`` names the
-#: :class:`~repro.runtime.engine.Engine` entry point — ``"sweep"``,
-#: ``"run_sweep"`` or ``"map"`` — that applies ``fn`` to every config.
+#: :class:`~repro.runtime.engine.Engine` entry point that applies ``fn`` to
+#: every config — ``"run_sweep"`` (``fn`` makes a spec) or ``"sweep"`` (``fn``
+#: runs one and returns its outcome).
 Call = tuple[str, Callable[[dict], Any], Iterable[Mapping[str, Any]]]
 
 
@@ -55,7 +56,7 @@ class Experiment:
 def simulate_and_check(spec: ScenarioSpec) -> tuple[Any, list]:
     """Run ``spec``: the finished simulation and the result of each of its
     checks — for a ``run_one`` that reports what a ``RunRecord`` does not carry
-    (a check's violations, a final trace value).  The simulation comes back
+    (a final trace value).  The simulation comes back
     closed; its trace and failure pattern stay readable."""
     simulation = simulate_spec(spec)
     trace, pattern = simulation.trace, simulation.failure_pattern

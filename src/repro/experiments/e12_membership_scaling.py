@@ -27,7 +27,7 @@ be ≈ 10⁹ copies per round, which is precisely the point of the experiment.
 
 from __future__ import annotations
 
-from ..runtime import Engine, asynchronous, crashes_at, scenario
+from ..runtime import ScenarioSpec, asynchronous, crashes_at, scenario
 from .base import Call, Experiment
 
 __all__ = ["run"]
@@ -55,11 +55,17 @@ def _hb_timeout(mode: str, n: int) -> float:
     return 8.0 if n <= 100 else 12.0
 
 
-def _run_one(config: dict) -> dict:
-    mode, n, churn = config["mode"], config["n"], config["churn"]
-    degree = config["degree"]
+def _check(cell: dict) -> str:
+    """The one check a cell's spec names, and so the prefix of its metrics."""
+    if cell["churn"] != "none":
+        return "membership_churn"
+    return "hb_detection" if cell["mode"] == "full_mesh" else "topo_detection"
+
+
+def _spec(config: dict) -> ScenarioSpec:
+    mode, n, degree = config["mode"], config["n"], config["degree"]
     hb_timeout = _hb_timeout(mode, n)
-    if churn == "none":
+    if config["churn"] == "none":
         horizon = _CRASH_AT + hb_timeout + 5.0 * _HB_INTERVAL + 3.0
         build = (
             scenario(f"E12-{mode}-n{n}")
@@ -71,52 +77,27 @@ def _run_one(config: dict) -> dict:
             .horizon(horizon)
             .seed(config["seed"])
         )
-        if mode == "full_mesh":
-            build = build.check("hb_detection")
-        else:
+        if mode != "full_mesh":
             key = "successors" if mode == "ring" else "fanout"
-            build = build.topology(mode, **{key: degree}).check("topo_detection")
-        spec = build.build()
-        check = "hb_detection" if mode == "full_mesh" else "topo_detection"
-    else:
-        from ..workloads.churn import churn_spec
+            build = build.topology(mode, **{key: degree})
+        return build.check(_check(config)).build()
+    from ..workloads.churn import churn_spec
 
-        scale = max(1, n // 100)
-        horizon = 60.0
-        spec = churn_spec(
-            n,
-            topology=mode,
-            degree=degree,
-            joins=_LIGHT_CHURN["joins"] * scale,
-            leaves=_LIGHT_CHURN["leaves"] * scale,
-            flaps=_LIGHT_CHURN["flaps"] * scale,
-            crashes={n // 2: _CRASH_AT},
-            hb_interval=_HB_INTERVAL,
-            hb_timeout=hb_timeout,
-            horizon=horizon,
-            seed=config["seed"],
-            name=f"E12-{mode}-n{n}-churn",
-        )
-        check = "membership_churn"
-    metrics = Engine().run(spec).metrics
-
-    copies = metrics[f"{check}_copies_sent"]
-    end_time = metrics[f"{check}_end_time"]
-    rounds = max(end_time / _HB_INTERVAL, 1.0)
-    latency_key = (
-        "median_removal_latency" if check == "membership_churn" else "median_latency"
+    scale = max(1, n // 100)
+    return churn_spec(
+        n,
+        topology=mode,
+        degree=degree,
+        joins=_LIGHT_CHURN["joins"] * scale,
+        leaves=_LIGHT_CHURN["leaves"] * scale,
+        flaps=_LIGHT_CHURN["flaps"] * scale,
+        crashes={n // 2: _CRASH_AT},
+        hb_interval=_HB_INTERVAL,
+        hb_timeout=hb_timeout,
+        horizon=60.0,
+        seed=config["seed"],
+        name=f"E12-{mode}-n{n}-churn",
     )
-    missed_key = "removals_missed" if check == "membership_churn" else "missed"
-    return {
-        "ok": metrics[f"{check}_ok"],
-        "detection_latency": metrics[f"{check}_{latency_key}"],
-        "missed": metrics[f"{check}_{missed_key}"],
-        "false_suspicions": metrics.get(f"{check}_false_suspicions", 0),
-        "copies_sent": copies,
-        "msgs_per_proc_round": round(copies / n / rounds, 3),
-        "joins_completed": metrics.get(f"{check}_joins_completed"),
-        "recoveries": metrics.get(f"{check}_recoveries"),
-    }
 
 
 def _cells(quick: bool) -> list[dict]:
@@ -144,11 +125,8 @@ def _cells(quick: bool) -> list[dict]:
 
 
 def _work(quick: bool, seed: int) -> list[Call]:
-    configs = [
-        {**cell, "seed": seed + combo_index, "repetition": 0}
-        for combo_index, cell in enumerate(_cells(quick))
-    ]
-    return [("sweep", _run_one, configs)]
+    configs = [{**cell, "seed": seed + index} for index, cell in enumerate(_cells(quick))]
+    return [("run_sweep", _spec, configs)]
 
 
 _COLUMNS = (
@@ -167,8 +145,28 @@ _COLUMNS = (
 )
 
 
+def _cell(row: dict) -> dict:
+    """One table row: the cell, and its check's measurements per process and round."""
+    check = _check(row)
+    churn = check == "membership_churn"
+    metrics = {key.removeprefix(f"{check}_"): value for key, value in row.items()}
+    rounds = max(metrics["end_time"] / _HB_INTERVAL, 1.0)
+    return {
+        **{key: row[key] for key in ("mode", "n", "churn", "degree")},
+        "ok": metrics["ok"],
+        "detection_latency": metrics["median_removal_latency" if churn else "median_latency"],
+        "missed": metrics["removals_missed" if churn else "missed"],
+        "false_suspicions": metrics.get("false_suspicions", 0),
+        "copies_sent": metrics["copies_sent"],
+        "msgs_per_proc_round": round(metrics["copies_sent"] / row["n"] / rounds, 3),
+        "joins_completed": metrics.get("joins_completed"),
+        "recoveries": metrics.get("recoveries"),
+    }
+
+
 def _report(rows: list[dict]) -> tuple[list[dict], dict]:
     """One table row per cell, in grid order, plus the load-model summary."""
+    rows = [_cell(row) for row in rows]
     by_cell = {(row["mode"], row["n"], row["churn"]): row for row in rows}
     mesh_small = by_cell[("full_mesh", 7, "none")]
     ring_small = by_cell[("ring", 7, "none")]
@@ -202,7 +200,7 @@ def _report(rows: list[dict]) -> tuple[list[dict], dict]:
         and ring_1000["msgs_per_proc_round"] <= 2.0 * ring_100["msgs_per_proc_round"],
         "sparse_within_10pct_of_mesh": sparse_vs_mesh_pct <= 10.0,
     }
-    return [{column: row[column] for column in _COLUMNS} for row in rows], summary
+    return rows, summary
 
 
 run = Experiment("E12", DESCRIPTION, _COLUMNS, _work, _report)

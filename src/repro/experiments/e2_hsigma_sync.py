@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
 from ..runtime import ScenarioSpec, cascading, scenario, synchronous
-from .base import Call, Experiment, grouped, simulate_and_check
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -40,15 +40,6 @@ def _spec(config: dict) -> ScenarioSpec:
     )
 
 
-def _run_one(config: dict) -> dict:
-    simulation, (result,) = simulate_and_check(_spec(config))
-    return {
-        "properties_ok": result.ok,
-        "violations": len(result.violations),
-        "faulty": len(simulation.failure_pattern.faulty),
-    }
-
-
 def _work(quick: bool, seed: int) -> list[Call]:
     if quick:
         parameters = {
@@ -69,7 +60,7 @@ def _work(quick: bool, seed: int) -> list[Call]:
         }
         repetitions = 2
     sweep = ParameterSweep(parameters, repetitions=repetitions, base_seed=seed)
-    return [("sweep", _run_one, sweep)]
+    return [("run_sweep", _spec, sweep)]
 
 
 _COLUMNS, _table = grouped(
@@ -78,6 +69,10 @@ _COLUMNS, _table = grouped(
 
 
 def _report(rows: list[dict]) -> tuple[list[dict], dict]:
+    rows = [
+        {**row, "properties_ok": row["hsigma_ok"], "violations": row["hsigma_violations"]}
+        for row in rows
+    ]
     summary = {
         "runs": len(rows),
         "all_properties_hold": all(row["properties_ok"] for row in rows),

@@ -4,7 +4,9 @@ Reproduces Theorem 7 empirically: across homonymy patterns, crash schedules
 (up to the largest minority), and detector stabilization times, every run
 satisfies validity, agreement, and termination; the sweep also reports the
 decision latency, the number of rounds, and the number of broadcasts, which
-is how the cost of homonymy shows up.
+is how the cost of homonymy shows up.  ``rounds`` is the highest round a
+process had reached when it learned the decision: a process that learns it
+from a relayed ``DECIDE`` records its own round, not the decider's.
 """
 
 from __future__ import annotations

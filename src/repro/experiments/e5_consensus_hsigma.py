@@ -4,7 +4,9 @@ Reproduces Theorem 8 empirically: the HΩ + HΣ algorithm decides correctly even
 when a majority of processes crash (which Figure 8 cannot tolerate), without
 knowing ``n`` or ``t``.  The sweep varies the homonymy pattern and the number
 of crashes up to ``n − 1`` and reports the same correctness and cost figures
-as E4, so the two algorithms can be compared where both apply.
+as E4, so the two algorithms can be compared where both apply (``rounds``, as
+there, is the highest round a process had reached when it learned the decision;
+a relayed ``DECIDE`` records the receiver's round).
 """
 
 from __future__ import annotations

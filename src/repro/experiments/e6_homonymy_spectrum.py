@@ -12,7 +12,9 @@ the two extremes, against the corresponding specialised baselines:
 The expected shape: the homonymous algorithm pays a modest, roughly constant
 overhead (the extra COORD exchange) over the specialised baselines at the
 extremes and degrades gracefully in between — decisions in a small constant
-number of rounds everywhere.
+number of rounds everywhere (``rounds``: the highest round a process had
+reached when it learned the decision; a relayed ``DECIDE`` records the
+receiver's round).
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ exact situation the phase exists for.
 
 Expected shape: the full algorithm terminates in every run and in few rounds;
 the ablated variant stays safe (validity and agreement still hold) but needs
-more rounds and misses the decision deadline in a fraction of the runs.
+more rounds and misses the decision deadline in a fraction of the runs
+(``rounds``: the highest round a process had reached when it learned the
+decision; a relayed ``DECIDE`` records the receiver's round).
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ links, and a majority of correct processes — with no oracle anywhere.
 
 The sweep varies the homonymy pattern and GST and checks that every run
 decides correctly; the decision time tracks GST plus the detector's
-convergence time, which is the expected shape.
+convergence time, which is the expected shape.  ``rounds`` is the highest round
+a process had reached when it learned the decision (a relayed ``DECIDE``
+records the receiver's round).
 
 Declaratively, the stacked configuration is ``.program("ohp_polling",
 detector_name="HOmega") .consensus("homega_majority")`` — the builder accepts
@@ -19,7 +21,7 @@ consensus algorithm queries, so no oracle is needed.
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import execute_spec, minority, partial_sync, scenario
+from ..runtime import ScenarioSpec, minority, partial_sync, scenario
 from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
@@ -27,14 +29,14 @@ __all__ = ["run"]
 DESCRIPTION = "Consensus with no oracle: Figure 6 HΩ implementation stacked under Figure 8"
 
 
-def _run_one(config: dict) -> dict:
+def _spec(config: dict) -> ScenarioSpec:
     gst = config["gst"]
     # Figure 8 sends each consensus message exactly once and therefore needs
     # reliable links (the HAS model).  The stacked configuration keeps links
     # eventually timely but loss-free: messages sent before GST may be delayed
     # arbitrarily, never dropped.  (The Figure 6 detector underneath tolerates
     # loss because it re-polls forever, but the consensus layer does not.)
-    spec = (
+    return (
         scenario("E8")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
@@ -54,19 +56,6 @@ def _run_one(config: dict) -> dict:
         .seed(config["seed"])
         .build()
     )
-    metrics = execute_spec(spec).metrics
-    return {
-        "decided": metrics["decided"],
-        "safe": metrics["safe"],
-        "decision_time": metrics["decision_time"],
-        "decision_after_gst": (
-            metrics["decision_time"] - gst
-            if metrics["decision_time"] is not None
-            else None
-        ),
-        "rounds": metrics["rounds"],
-        "broadcasts": metrics["broadcasts"],
-    }
 
 
 def _work(quick: bool, seed: int) -> list[Call]:
@@ -88,7 +77,7 @@ def _work(quick: bool, seed: int) -> list[Call]:
     # The full grid is a raw product; a membership cannot have more distinct
     # identifiers than processes, so those cells do not exist.
     return [
-        ("sweep", _run_one, [config for config in sweep if config["distinct_ids"] <= config["n"]])
+        ("run_sweep", _spec, [config for config in sweep if config["distinct_ids"] <= config["n"]])
     ]
 
 
@@ -99,6 +88,15 @@ _COLUMNS, _table = grouped(
 
 
 def _report(rows: list[dict]) -> tuple[list[dict], dict]:
+    rows = [
+        {
+            **row,
+            "decision_after_gst": None
+            if row["decision_time"] is None
+            else row["decision_time"] - row["gst"],
+        }
+        for row in rows
+    ]
     summary = {
         "runs": len(rows),
         "all_terminated": all(row["decided"] for row in rows),

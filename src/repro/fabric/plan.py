@@ -10,10 +10,10 @@ own loop to a :class:`PlanningEngine` — an
 items instead of executing them.  ``report`` is never run on a plan, and an
 error raised by ``work`` propagates.
 
-The item kinds, keys and rows are the engine's own (:func:`item_key`,
-:func:`item_row` in :mod:`repro.runtime.engine`), made JSON: a ``"sweep"`` or
-``"map"`` payload names the module-level function (``module.qualname``) and
-carries its config, a ``"spec"`` payload is the spec's ``to_dict()``.
+The two item kinds, keys and rows are the engine's own (:func:`item_key`,
+:func:`item_row` in :mod:`repro.runtime.engine`), made JSON: a ``"sweep"``
+payload names the module-level function (``module.qualname``) and carries its
+config, a ``"spec"`` payload is the spec's ``to_dict()``.
 
 Because an item is plain JSON, a chunk — a contiguous slice of the
 item list, cut by the same :func:`~repro.analysis.runner.shard_bounds` math
@@ -58,14 +58,14 @@ class WorkItem:
     """One executable unit of a plan (see the module docstring for kinds)."""
 
     index: int
-    kind: str  # "sweep" | "map" | "spec"
+    kind: str  # "sweep" | "spec"
     payload: Mapping[str, Any]
     key: str
     experiment: str = ""
     call: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sweep", "map", "spec"):
+        if self.kind not in ("sweep", "spec"):
             raise PlanningError(f"unknown work item kind {self.kind!r}")
         object.__setattr__(self, "payload", dict(self.payload))
 
@@ -144,9 +144,8 @@ class PlanningEngine(Engine):
                     f"cannot plan non-sim spec {arg.name!r}: real-backend runs "
                     "are wall-clock measurements with no deterministic digest"
                     if kind == "spec"
-                    else f"cannot plan {fn!r} over {arg!r}: only a module-level "
-                    "function (one a worker can re-import by name) applied to "
-                    "a mapping can be written into a plan"
+                    else f"cannot plan {fn!r}: only a module-level function "
+                    "(one a worker can re-import by name) can be written into a plan"
                 )
             if kind == "spec":
                 # A spec survives when it reads back equal: ``from_dict`` restores
@@ -159,7 +158,7 @@ class PlanningEngine(Engine):
                     )
                 }
             else:
-                payload = {"fn": name, "config": _jsonable(dict(arg), f"{kind} config for {name}")}
+                payload = {"fn": name, "config": _jsonable(dict(arg), f"sweep config for {name}")}
             self.items.append(
                 WorkItem(
                     index=len(self.items),

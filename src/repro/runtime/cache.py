@@ -11,7 +11,7 @@ all of that recompute collapses into file reads:
   :func:`~repro.runtime.spec.canonical_spec_hash`.  Editing *any* part of a
   scenario changes its hash, so stale entries can never be served; a new seed
   is simply a new key;
-* custom functions (``Engine.sweep`` / ``Engine.map``) key on the function's
+* custom functions (``Engine.sweep``) key on the function's
   qualified name plus the canonical JSON of its config (which carries the
   seed).  The function is assumed to be a pure function of its config — the
   same contract parallel dispatch already requires.
@@ -41,7 +41,9 @@ from ..retry import RetryExhaustedError, RetryPolicy, retry_call
 
 __all__ = ["RunCache"]
 
-_SCHEMA = "run-cache/2"
+#: Bumped whenever a stored value changes shape, so an old entry misses
+#: instead of serving it: ``/3`` when records gained ``<check>_violations``.
+_SCHEMA = "run-cache/3"
 
 #: Transient filesystem hiccups (NFS blips, EMFILE pressure from a worker
 #: fleet, a directory briefly unwritable) should not silently cost a cache

@@ -19,10 +19,11 @@ Three entry points cover every workload in the repository:
   when their metric extraction goes beyond the generic record).
 
 Every entry point is *lowered* once, by :meth:`Engine._lower`, to work items
-``(kind, fn, arg)``: ``"spec"`` (``arg`` is a scenario spec), ``"sweep"``
-(``fn(config)``; the row is the config merged with the outcome) or ``"map"``
-(``fn(item)``; the outcome *is* the row and nothing is emitted).  What an item
-means is decided here, once, for the engine's workers, the fabric's workers
+``(kind, fn, arg)`` of one of two kinds: ``"spec"`` (``arg`` is a scenario
+spec) or ``"sweep"`` (``fn(config)``; the row is the config merged with the
+outcome).  :meth:`Engine.map` is not an item path: it hands a function to the
+executor as it is, with no cache, plan or emission.  What an item means is
+decided here, once, for the engine's workers, the fabric's workers
 (:mod:`repro.fabric.work`) and the fabric's planner (:mod:`repro.fabric.plan`,
 an Engine subclass that overrides only ``_lower``): :func:`item_key` (its
 cache key), :func:`run_item` (execute it: value *and* determinism digests)
@@ -39,7 +40,7 @@ Sweep-scale machinery, all opt-in:
 * **run caching** — pass ``cache=`` a directory (or
   :class:`~repro.runtime.cache.RunCache`) and completed items are memoized,
   one ``{"value", "digests"}`` entry each, on ``(canonical-spec-hash, seed)``
-  for specs and on function name + config for ``sweep`` / ``map`` functions;
+  for specs and on function name + config for ``sweep`` functions;
   repeated or resumed sweeps skip the recompute.  The fabric reads and writes
   the same entries, so either side serves the other's hits — digests
   included;
@@ -145,12 +146,14 @@ class RunRecord:
 
 
 def fold_checks(trace: Any, pattern: FailurePattern, checks: Iterable[str]) -> dict:
-    """Apply every named check to a finished run, as ``<check>_*`` metrics."""
+    """Apply every named check to a finished run, as ``<check>_*`` metrics:
+    ``_ok``, ``_time``, ``_violations`` (how many) and whatever it publishes."""
     metrics: dict[str, Any] = {}
     for check in checks:
         result = CHECKS.resolve(check)(trace, pattern)
         metrics[f"{check}_ok"] = result.ok
         metrics[f"{check}_time"] = result.stabilization_time
+        metrics[f"{check}_violations"] = len(result.violations)
         # Checks may publish extra measurements (detection latency, message
         # counts, false suspicions, …) under details["metrics"]; fold them in
         # namespaced by the check, mirroring the _ok/_time keys.  (The KV
@@ -186,8 +189,8 @@ def simulate_spec(spec: ScenarioSpec) -> Simulation:
     """Materialise one simulator scenario and run it: the finished simulation.
 
     The first half of :func:`execute_spec`, for callers that read the trace
-    themselves (E1–E3 report what a record does not carry, the KV command
-    line how its history certified): build the system, run to the horizon —
+    themselves (E1 reports what a record does not carry, the KV command line
+    how its history certified): build the system, run to the horizon —
     or, with a consensus algorithm, until every correct process has decided;
     with a ``kv`` section, until every client is done.
     ``simulation.trace`` / ``.failure_pattern`` / ``.digest`` are the outcome.
@@ -300,24 +303,21 @@ def item_key(kind: str, fn: "Callable[..., Any] | str | None", arg: Any) -> str 
     Spec items key on ``(canonical-spec-hash, seed)`` — sim backend only:
     real-backend runs are wall-clock measurements, two runs of the same spec
     are *supposed* to differ, and memoizing one would silently turn a latency
-    distribution into one frozen sample.  Function items key on
+    distribution into one frozen sample.  Sweep items key on
     :meth:`RunCache.function_name` plus the canonical config; lambdas and
-    nested functions have ambiguous names and non-mapping ``map`` items no
-    canonical form, so they run but are never cached.
+    nested functions have ambiguous names, so they run but are never cached.
     """
     if kind == "spec":
         return RunCache.record_key(arg) if arg.backend == "sim" else None
     name = RunCache.function_name(fn)
-    if name is None or not isinstance(arg, Mapping):
-        return None
-    return RunCache.outcome_key_named(name, arg)
+    return None if name is None else RunCache.outcome_key_named(name, arg)
 
 
 def run_item(kind: str, fn: "Callable[[Any], Any] | None", arg: Any) -> tuple[Any, list[int]]:
     """Execute one work item: ``(value, digests)``.
 
     ``value`` is what the cache stores and a pool worker sends back: the
-    outcome of a ``sweep`` / ``map`` function, or just ``{"metrics",
+    outcome of a ``sweep`` function, or just ``{"metrics",
     "digest"}`` for a spec (the parent already holds the spec; echoing its
     config back over the pipe would be pure pickle overhead).  ``digests``
     are those of the simulations the item completed, in order: the slice it
@@ -332,24 +332,20 @@ def run_item(kind: str, fn: "Callable[[Any], Any] | None", arg: Any) -> tuple[An
         if kind == "spec":
             record = execute_spec(arg)
             value: Any = {"metrics": dict(record.metrics), "digest": record.digest}
-        elif kind == "sweep":
+        else:
             # A copy goes to fn so a mutating run_one cannot corrupt the row
             # (which would also make serial and parallel runs diverge).
             value = dict(fn(dict(arg)))
-        else:
-            value = fn(arg)
         return value, sink[start:]
 
 
-def item_row(kind: str, arg: Any, value: Any) -> Any:
+def item_row(kind: str, arg: Any, value: Any) -> dict:
     """The row one executed item emits to JSONL, from its arg and its value."""
     if kind == "spec":
         return RunRecord(
             scenario=arg.name, seed=arg.seed, config=arg.to_dict(), **value
         ).to_dict()
-    if kind == "sweep":
-        return merge_row(arg, value)
-    return value  # "map": the function's return value is the row
+    return merge_row(arg, value)
 
 
 def cached_item(cache: RunCache | None, key: str | None) -> tuple[Any, list[int]] | None:
@@ -491,8 +487,9 @@ class Engine:
         return rows if stream else list(rows)
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
-        """Apply ``fn`` to every item, in order; nothing is merged or emitted."""
-        return list(self._lower("map", fn, list(items)))
+        """Apply ``fn`` to every item on the executor, in order: no cache,
+        plan or emission (what warms a pool)."""
+        return self.executor.map(fn, list(items))
 
     # -- the one item path ---------------------------------------------
     def _lower(self, kind: str, fn: Callable[[Any], Any] | None, args: list) -> Iterator[Any]:
@@ -522,8 +519,7 @@ class Engine:
                     next(fresh, None)
                 cache_item(self.cache, key, *hit)
             row = item_row(kind, arg, hit[0])
-            if kind != "map":
-                self._emit(row)
+            self._emit(row)
             yield row
 
     # -- bookkeeping ---------------------------------------------------

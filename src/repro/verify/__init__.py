@@ -279,11 +279,7 @@ def _warm_cache(run: Run) -> list[ItemResult]:
 
 
 def _engine(run: Run) -> None:
-    rows = "".join(
-        jsonl_line(result.row)
-        for item, result in zip(run.plan.items, run.reference)
-        if item.kind != "map"  # Engine.map emits nothing to JSONL
-    )
+    rows = "".join(jsonl_line(result.row) for result in run.reference)
     (tables, serial), (pooled_tables, pooled) = run.warmed, run.experiments("pool-engine", jobs=2)
     facts = {
         "serial JSONL == reference rows": serial == rows,

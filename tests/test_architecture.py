@@ -89,6 +89,29 @@ def test_experiments_declare_and_the_planner_never_reduces() -> None:
     assert not offenders, "experiments/base.py owns this:\n" + "\n".join(offenders)
 
 
+def test_an_experiment_declares_specs_or_sweeps_and_nothing_plans_a_map() -> None:
+    """Two item kinds: every declared call is ``run_sweep`` (a spec per config)
+    or ``sweep`` (a function per config).  E2, E3, E8 and E12 declare specs
+    only, and a ``"map"`` item — the kind no experiment dispatches — is refused."""
+    from repro import experiments  # noqa: F401  (importing registers them)
+    from repro.fabric.plan import PlanningError, WorkItem
+    from repro.runtime.registry import EXPERIMENTS
+
+    methods = {
+        name: {
+            method
+            for quick in (True, False)
+            for method, _, _ in EXPERIMENTS.resolve(name).work(quick, 0)
+        }
+        for name in EXPERIMENTS.names()
+    }
+    assert len(methods) == 12
+    assert set().union(*methods.values()) <= {"sweep", "run_sweep"}, methods
+    assert all(methods[name] == {"run_sweep"} for name in ("E2", "E3", "E8", "E12")), methods
+    with pytest.raises(PlanningError, match="kind 'map'"):
+        WorkItem(index=0, kind="map", payload={"fn": "m.f", "config": {}}, key="k")
+
+
 def test_only_the_real_backend_dispatch_imports_the_transport() -> None:
     """One judge: simulated runs are judged without ``repro.transport``.
 

@@ -129,6 +129,30 @@ class TestFigureEightValidation:
         assert MajorityQuorum(n=5).lock([1, 2, 1, 2, 1, 2]) == 1
         assert MajorityQuorum(n=5).lock([1, 2, 2, 1]) is BOTTOM
 
+    def test_gather_returns_the_first_n_minus_t_estimates(self):
+        """Four estimates are buffered when n = 5, t = 2 waits for three: the
+        three that arrived first come back, not every buffered one."""
+
+        class Program:
+            decided = False
+
+            def messages(self, kind, round_number):
+                return [{"estimate": value} for value in "abcd"]
+
+        class Context:
+            def broadcast(self, kind, **payload):
+                pass
+
+            def wait_until(self, predicate):
+                assert predicate()
+                return "wait"
+
+        steps = MajorityQuorum(n=5).gather(Program(), Context(), "EST", 1, "a", lambda: False)
+        assert next(steps) == "wait"
+        with pytest.raises(StopIteration) as done:
+            next(steps)
+        assert done.value.value == ["a", "b", "c"]
+
 
 class TestBaselines:
     def test_classical_omega_consensus_on_unique_ids(self):

@@ -112,10 +112,13 @@ class TestConsensusChecks:
         assert self._judge({p(0): ("value-1", 10.0), p(1): ("value-1", 12.0)}) == {
             "consensus_validity_ok": True,
             "consensus_validity_time": None,
+            "consensus_validity_violations": 0,
             "consensus_agreement_ok": True,
             "consensus_agreement_time": None,
+            "consensus_agreement_violations": 0,
             "consensus_termination_ok": True,
             "consensus_termination_time": 12.0,
+            "consensus_termination_violations": 0,
         }
 
     def test_validity_kill_a_forged_unproposed_decision(self):

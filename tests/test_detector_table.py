@@ -42,6 +42,7 @@ from repro.membership import anonymous_identities, grouped_identities, unique_id
 from repro.runtime import (
     CHECKS,
     DETECTORS,
+    Engine,
     crashes_at,
     measure_run,
     register_detector_class,
@@ -332,8 +333,10 @@ class TestRowsReproduceTheParentCommit:
 
     @pytest.mark.parametrize("case", sorted(_PINNED_E3))
     def test_e3_cell(self, case):
-        ((_, run_case, configs),) = ALL_EXPERIMENTS["E3"].work(True, 0)
-        assert run_case(configs[case]) == _PINNED_E3[case]
+        e3 = ALL_EXPERIMENTS["E3"]
+        ((_, make_spec, configs),) = e3.work(True, 0)
+        (cell,), _ = e3.report(Engine().run_sweep(make_spec, [configs[case]]))
+        assert cell == _PINNED_E3[case]
 
     def test_p_has_a_judge_now(self):
         simulation = _probe_run(CLASSES["Perfect"])
@@ -623,7 +626,9 @@ def test_a_twelfth_class_is_one_row(monkeypatch):
     series = [value for _, value in simulation.trace.records_of(ProcessId(0), "CrashCount.crashed")]
     assert series[0] == 0 and series[-1] == 1 and len(series) == 41
     metrics = fold_checks(simulation.trace, simulation.failure_pattern, ["crash_count"])
-    assert metrics == {"crash_count_ok": True, "crash_count_time": 15.0}
+    assert metrics == {
+        "crash_count_ok": True, "crash_count_time": 15.0, "crash_count_violations": 0
+    }
     # … and the table of the paper's classes is not what a plugin extends.
     assert "CrashCount" not in CLASSES and len(CLASSES) == 11
 

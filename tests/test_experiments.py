@@ -58,7 +58,7 @@ class TestHarnessShape:
 
 
     @pytest.mark.parametrize(
-        "name, methods", [("E1", ["sweep"] * 2), ("E3", ["map"]), ("E10", ["run_sweep"])]
+        "name, methods", [("E1", ["sweep"] * 2), ("E3", ["run_sweep"]), ("E10", ["run_sweep"])]
     )
     def test_calling_an_experiment_dispatches_exactly_its_declared_work(self, name, methods):
         """Nothing is simulated: the engine records each call and answers one marker row."""

@@ -96,8 +96,7 @@ def test_full_deterministic_plan_shape() -> None:
     covered = sorted(index for start, end in spans.values() for index in range(start, end))
     assert covered == list(range(len(plan)))
     kinds = {name: {plan.items[i].kind for i in range(*spans[name])} for name in names}
-    assert kinds["E3"] == {"map"}
-    assert kinds["E10"] == {"spec"}
+    assert all(kinds[name] == {"spec"} for name in ("E2", "E3", "E8", "E10", "E12"))
     assert kinds["E1"] == {"sweep"}
 
 
@@ -109,12 +108,17 @@ def test_full_deterministic_plan_shape() -> None:
         # Recomputed once when E3's seven configs began to name their row
         # (`"reduction": <name>` beside `case`); diffed item by item against the
         # plan before, only those seven payloads and their keys differ.
-        (True, "ba757deb54d92785", {"sweep": 168, "map": 7, "spec": 12}),
+        # Recomputed once more when E2, E3, E8 and E12 began to dispatch specs
+        # (ba757deb54d92785: 168 / 7 map / 12): diffed item by item, every index,
+        # experiment and call number holds, and only those four experiments'
+        # items differ, each now the spec of its old config's seed.
+        (True, "99c6360c3bfd6ab5", {"sweep": 145, "spec": 42}),
         # df2f1bd gave 99a14f97ba96354e (1901 items: 1840 / 7 / 54), and so did
         # the rewritten planner; recomputed once after full E8 dropped its nine
         # impossible items (distinct_ids=7 at n=5) — 430e8b0aa44d9ada — and once
-        # for E3's seven configs, as above.
-        (False, "04c70019717d0455", {"sweep": 1831, "map": 7, "spec": 54}),
+        # for E3's seven configs, as above — 04c70019717d0455 (1831 / 7 / 54) —
+        # and once for the four experiments that dispatch specs, as above.
+        (False, "d13e78decda8b795", {"sweep": 1613, "spec": 279}),
     ],
 )
 def test_plan_fingerprints_are_pinned(quick, fingerprint, kinds) -> None:
@@ -152,7 +156,7 @@ def test_planning_never_reduces(monkeypatch) -> None:
         monkeypatch, {name: replace(run, report=report) for name, run in ALL_EXPERIMENTS.items()}
     )
     text = json.dumps(plan.to_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "ba757deb54d92785"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "99c6360c3bfd6ab5"
 
 
 def test_planning_never_swallows(monkeypatch) -> None:

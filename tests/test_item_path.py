@@ -17,7 +17,6 @@ from repro.runtime import Engine, executor_for, minority, scenario
 from repro.runtime import engine as engine_module
 from repro.runtime.cache import RunCache
 from repro.sim.scheduler import capture_digests
-from tests.helpers import poison_run_one
 
 E1_CONFIGS = [
     {"n": 3, "distinct_ids": ids, "gst": 2.0, "delta": 0.5, "fixed_timeout": False, "seed": seed}
@@ -44,23 +43,18 @@ def _spec(seed: int):
 
 
 SPECS = [_spec(seed) for seed in range(3)]
-MAP_ITEMS = [{"x": 1}, {"x": 2}]
 
 
-def _dispatch(engine: Engine) -> tuple[list, list, list]:
-    """One call of every kind: what is planned, warmed and replayed below."""
-    return (
-        engine.sweep(run_one_e1, E1_CONFIGS),
-        engine.run_many(SPECS),
-        engine.map(poison_run_one, MAP_ITEMS),
-    )
+def _dispatch(engine: Engine) -> tuple[list, list]:
+    """One call of each kind: what is planned, warmed and replayed below."""
+    return engine.sweep(run_one_e1, E1_CONFIGS), engine.run_many(SPECS)
 
 
 @pytest.fixture
 def mixed_plan() -> FabricPlan:
     recorder = PlanningEngine(experiment="mixed")
     _dispatch(recorder)
-    assert [item.kind for item in recorder.items] == ["sweep"] * 4 + ["spec"] * 3 + ["map"] * 2
+    assert [item.kind for item in recorder.items] == ["sweep"] * 4 + ["spec"] * 3
     return FabricPlan(items=recorder.items, experiments=("mixed",))
 
 
@@ -83,7 +77,7 @@ def test_engine_warmed_cache_serves_the_fabric_with_digests(mixed_plan, tmp_path
 def test_fabric_warmed_cache_serves_the_engine_without_executing(
     mixed_plan, tmp_path, monkeypatch
 ) -> None:
-    fresh_rows, fresh_records, fresh_mapped = _dispatch(Engine())
+    fresh_rows, fresh_records = _dispatch(Engine())
     cache = RunCache(tmp_path / "cache")
     Coordinator(mixed_plan, state_dir=tmp_path / "state", workers=2, cache=cache).run()
     assert len(cache) == len(mixed_plan)
@@ -96,8 +90,6 @@ def test_fabric_warmed_cache_serves_the_engine_without_executing(
     engine = Engine(cache=cache)
     assert engine.sweep(never, E1_CONFIGS) == fresh_rows
     assert engine.run_many(SPECS) == fresh_records
-    never.__module__, never.__qualname__ = poison_run_one.__module__, poison_run_one.__qualname__
-    assert engine.map(never, MAP_ITEMS) == fresh_mapped
     assert engine.cache.hits == len(mixed_plan)
 
 

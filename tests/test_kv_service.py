@@ -167,11 +167,13 @@ class TestEndToEnd:
         assert "kv_linearizable" in CHECKS
         # a check's published measurements ride along too (one folding loop
         # for KV and plain specs): no heartbeat ran, so nothing was detected.
-        # Keys and order pinned on 9ab9472; values with announcements
-        # multicast to the replica group and answers to the asker's identifier.
+        # Keys and order pinned on 9ab9472, plus the violation count every check
+        # folds; values with announcements multicast to the replica group and
+        # answers to the asker's identifier.
         assert [(k, v) for k, v in metrics.items() if k.startswith("hb_detection")] == [
             ("hb_detection_ok", True),
             ("hb_detection_time", None),
+            ("hb_detection_violations", 0),
             ("hb_detection_detected", 0),
             ("hb_detection_missed", 0),
             ("hb_detection_median_latency", None),

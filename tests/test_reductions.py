@@ -295,10 +295,12 @@ def eighth(monkeypatch):
 
 def test_an_eighth_reduction_is_one_row_and_e3_dispatches_it(eighth):
 
-    ((method, fn, configs),) = ALL_EXPERIMENTS["E3"].work(True, 0)
-    assert (method, len(configs)) == ("map", len(REDUCTIONS)) and len(REDUCTIONS) == 8
+    e3 = ALL_EXPERIMENTS["E3"]
+    ((method, make_spec, configs),) = e3.work(True, 0)
+    assert (method, len(configs)) == ("run_sweep", len(REDUCTIONS)) and len(REDUCTIONS) == 8
     assert configs[-1] == {"case": 7, "reduction": "diamond_p_to_omega", "seed": 0}
-    assert fn(configs[-1]) == {
+    (row,), _ = e3.report(Engine().run_sweep(make_spec, configs[-1:]))
+    assert row == {
         "paper_item": "trivial (leader = min trusted id)",
         "reduction": "◇P̄ → Ω",
         "model": "AS",
@@ -308,7 +310,7 @@ def test_an_eighth_reduction_is_one_row_and_e3_dispatches_it(eighth):
     }
     assert ("diamond_p_to_omega",) in [r.implemented_by for r in paper_relations()]
     # A config names its row; `case` only offsets the seed, whatever row sits there.
-    assert fn({**configs[-1], "case": 0})["reduction"] == "◇P̄ → Ω"
+    assert make_spec({**configs[-1], "case": 0}).program == "diamond_p_to_omega"
     with pytest.raises(ConfigurationError, match="already registered"):
         register_reduction(eighth)
 

@@ -33,6 +33,7 @@ from repro.experiments.base import simulate_and_check
 from repro.reductions import REDUCTIONS
 from repro.runtime import (
     CONSENSUS,
+    Engine,
     MembershipSpec,
     PROGRAMS,
     asynchronous,
@@ -301,17 +302,11 @@ class TestClose:
 
 @pytest.mark.parametrize("name", ["E1", "E2"])
 def test_rows_read_from_a_closed_run_are_unchanged(name, monkeypatch):
-    # E1 and E2 read the trace and failure pattern of the run
-    # simulate_and_check has closed: the rows equal those of an open run.
+    # E1 reads the trace and failure pattern of the run simulate_and_check has
+    # closed, E2 its record, measured before execute_spec closes the run: the
+    # rows equal those of an open run.
     def rows():
-        return json.dumps(
-            [
-                fn(dict(config))
-                for _, fn, configs in ALL_EXPERIMENTS[name].work(True, 0)
-                for config in configs
-            ],
-            sort_keys=True,
-        )
+        return json.dumps(ALL_EXPERIMENTS[name].dispatch(Engine(), True, 0), sort_keys=True)
 
     closed = rows()
     monkeypatch.setattr(Simulation, "close", lambda self: None)

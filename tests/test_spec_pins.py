@@ -4,7 +4,10 @@ Written and committed *before* the first edit to ``src/`` of the PR that made
 a reduction a row and E1–E3's runs specs.  It reaches the code only through
 what that PR keeps — ``ALL_EXPERIMENTS[name].work(quick, seed)`` and the
 function each declared call names — so the literals below were recorded on the
-parent and never re-recorded:
+parent and never re-recorded.  E2 and E3 now declare ``run_sweep`` calls: the
+function makes the spec, which runs as ``simulate_spec``, and the pinned
+outcome is read from its record (E3's through E3's ``report``) and, for E2's
+``faulty``, from the run's failure pattern.  What is pinned:
 
 * all seven reductions × seeds 0 and 1: event digest, check verdict,
   stabilisation time and violation count of the run E3 dispatches;
@@ -22,28 +25,51 @@ import json
 
 import pytest
 
+from repro.analysis.runner import merge_row
 from repro.experiments import ALL_EXPERIMENTS
-from repro.runtime import ScenarioSpec, execute_spec
+from repro.runtime import ScenarioSpec, execute_spec, measure_run, simulate_spec
 from repro.sim.scheduler import capture_digests
 
 _STRIDE = 7
 
 
 def dispatched(name: str, quick: bool, seed: int = 0) -> list:
-    """``(fn, config)`` of every run ``name`` declares, in dispatch order."""
+    """``(method, fn, config)`` of every run ``name`` declares, in dispatch order."""
     return [
-        (fn, dict(config))
-        for _, fn, configs in ALL_EXPERIMENTS[name].work(quick, seed)
+        (method, fn, dict(config))
+        for method, fn, configs in ALL_EXPERIMENTS[name].work(quick, seed)
         for config in configs
     ]
 
 
-def observed(fn, config) -> tuple:
-    """``(digest, outcome as JSON)`` of one declared run."""
+def executed(method: str, fn, config: dict) -> tuple:
+    """``(digest, row, faulty)`` of one declared run: a ``run_sweep`` row is the
+    config merged with the record's metrics, a ``sweep`` row what ``fn`` returns;
+    ``faulty`` is read from the run's failure pattern (``None`` for a ``sweep``)."""
+    faulty = None
     with capture_digests() as digests:
-        outcome = fn(dict(config))
+        if method == "run_sweep":
+            spec = fn(dict(config))
+            simulation = simulate_spec(spec)
+            row = merge_row(config, measure_run(spec, simulation).metrics)
+            faulty = len(simulation.failure_pattern.faulty)
+            simulation.close()
+        else:
+            row = fn(dict(config))
     (digest,) = digests
-    return f"{digest:016x}", json.dumps(outcome, sort_keys=True, ensure_ascii=False)
+    return f"{digest:016x}", row, faulty
+
+
+def observed(method: str, fn, config: dict) -> tuple:
+    """``(digest, outcome as JSON)`` of one declared E1 or E2 run."""
+    digest, row, faulty = executed(method, fn, config)
+    if method == "run_sweep":  # E2: what its table is built from
+        row = {
+            "faulty": faulty,
+            "properties_ok": row["hsigma_ok"],
+            "violations": row["hsigma_violations"],
+        }
+    return digest, json.dumps(row, sort_keys=True, ensure_ascii=False)
 
 
 def _selection(name: str, mode: str) -> list:
@@ -157,12 +183,10 @@ PINNED_RUNS = {
 
 @pytest.mark.parametrize("seed, index", sorted(PINNED_REDUCTIONS))
 def test_reduction_runs_as_pinned(seed, index):
-    fn, config = dispatched("E3", quick=True, seed=seed)[index]
-    with capture_digests() as digests:
-        row = fn(config)
-    (digest,) = digests
+    digest, row, _ = executed(*dispatched("E3", quick=True, seed=seed)[index])
+    (row,), _ = ALL_EXPERIMENTS["E3"].report([row])
     assert (
-        f"{digest:016x}",
+        digest,
         row["paper_item"],
         row["emulation_ok"],
         row["stabilization_time"],
@@ -175,8 +199,8 @@ def test_sweep_runs_as_pinned(name, mode):
     runs = _selection(name, mode)
     pinned = [PINNED_RUNS[key] for key in sorted(PINNED_RUNS) if key[:2] == (name, mode)]
     assert len(runs) == len(pinned)
-    for position, (fn, config) in enumerate(runs):
-        assert observed(fn, config) == PINNED_RUNS[name, mode, position], (position, config)
+    for position, (method, fn, config) in enumerate(runs):
+        assert observed(method, fn, config) == PINNED_RUNS[name, mode, position], (position, config)
 
 
 @pytest.mark.parametrize("name", ["E1", "E2", "E3"])
@@ -184,7 +208,7 @@ def test_every_quick_run_is_a_spec_that_round_trips_to_the_pinned_digest(name):
     module = importlib.import_module(ALL_EXPERIMENTS[name].work.__module__)
     runs = dispatched(name, quick=True)
     assert len(runs) == {"E1": 13, "E2": 9, "E3": 7}[name]
-    for position, (_, config) in enumerate(runs):
+    for position, (_, _, config) in enumerate(runs):
         spec = module._spec(config)
         revived = ScenarioSpec.from_json(spec.to_json())
         assert revived == spec

@@ -24,8 +24,8 @@ from repro.verify import LEGS, ChaosPlan, Report, Run, verify
 from repro.verify.__main__ import main
 from repro.verify.faults import corrupt_cache_entries, mutilate_journal
 
-#: The smallest selection with sweep (E1), map (E3) and spec (E10) items; E3
-#: pins the "engine JSONL = plan rows minus ``map`` items" relation.
+#: A small selection with sweep (E1) and spec (E3, E10) items: the engine's
+#: JSONL is every plan row.
 SELECTION = ["E1", "E3", "E10"]
 
 
