@@ -30,8 +30,8 @@ def shard_bounds(total: int, shard: int, shards: int) -> tuple[int, int]:
     concatenation of shards ``0 .. shards-1`` is exactly the original
     sequence, so merging sharded output back into input order is plain
     concatenation — no per-item bookkeeping.  This is the single audited
-    code path under :meth:`ParameterSweep.slice`, the fabric chunk planner,
-    and the experiment CLI's ``--shard i/N``.
+    code path under :func:`shard_items`, the fabric chunk planner, and the
+    experiment CLI's ``--shard i/N``.
     """
     if shards <= 0:
         raise ValueError(f"shards must be positive, got {shards}")
@@ -113,26 +113,12 @@ class ParameterSweep:
                 config["repetition"] = repetition
                 yield config
 
-    def slice(self, shard: int, shards: int) -> list[dict]:
-        """The configurations of shard ``shard`` out of ``shards``.
-
-        The shards are disjoint, their union (in shard order) is exactly
-        ``list(self)``, and each preserves the sweep's iteration order — the
-        guarantees the fabric planner and ``--shard i/N`` both rely on; see
-        :func:`shard_bounds` for the partition rule.
-        """
-        return shard_items(list(self), shard, shards)
-
-    @property
-    def total_runs(self) -> int:
+    def __len__(self) -> int:
         """The number of configurations the sweep yields (combos × reps)."""
         combos = 1
         for values in self._parameters.values():
             combos *= len(values)
         return combos * self._repetitions
-
-    def __len__(self) -> int:
-        return self.total_runs
 
 
 def _cell_order(value: Any) -> tuple:

@@ -6,6 +6,11 @@ dispatched cannot depend on what an earlier call returned; ``report(rows)`` is
 a pure function of every dispatched row, in dispatch order.
 :meth:`Experiment.dispatch` is the only loop that calls an engine — the fabric
 planner hands it a recording engine and never runs ``report``.
+
+A row is the config merged with its run's record metrics; a column that is a
+function of the config alone (E5's majority-crashed cells, E9's degraded ones)
+is derived in ``report``, never stored in the row.  So every experiment but
+E1 builds its runs with one module-level spec function of the config.
 """
 
 from __future__ import annotations
@@ -15,14 +20,17 @@ from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..analysis.runner import ExperimentResult, aggregate_rows
-from ..runtime import CHECKS, Engine, ScenarioSpec, simulate_spec
+from ..runtime import Engine
 
-__all__ = ["Call", "Experiment", "grouped", "simulate_and_check"]
+__all__ = ["Call", "Experiment", "grouped"]
 
 #: One engine call ``(method, fn, configs)``: ``method`` names the
 #: :class:`~repro.runtime.engine.Engine` entry point that applies ``fn`` to
 #: every config — ``"run_sweep"`` (``fn`` makes a spec) or ``"sweep"`` (``fn``
-#: runs one and returns its outcome).
+#: runs one and returns its outcome).  E1, E4, E5, E7 and E9 declare
+#: ``"sweep"``: the benchmark replays their ``_run_one`` by name.  Those of
+#: E4, E5, E7 and E9 are ``execute_spec(_spec(config)).metrics``, the rows a
+#: ``"run_sweep"`` of ``_spec`` gives; E1's also reads a trace value.
 Call = tuple[str, Callable[[dict], Any], Iterable[Mapping[str, Any]]]
 
 
@@ -51,18 +59,6 @@ class Experiment:
     ) -> ExperimentResult:
         table, summary = self.report(self.dispatch(engine or Engine(), quick, seed))
         return ExperimentResult(self.name, self.description, tuple(table), summary, self.columns)
-
-
-def simulate_and_check(spec: ScenarioSpec) -> tuple[Any, list]:
-    """Run ``spec``: the finished simulation and the result of each of its
-    checks — for a ``run_one`` that reports what a ``RunRecord`` does not carry
-    (a final trace value).  The simulation comes back
-    closed; its trace and failure pattern stay readable."""
-    simulation = simulate_spec(spec)
-    trace, pattern = simulation.trace, simulation.failure_pattern
-    results = [CHECKS.resolve(check)(trace, pattern) for check in spec.checks]
-    simulation.close()
-    return simulation, results
 
 
 def grouped(group_by: Sequence[str], metrics: Sequence[str]) -> tuple[tuple[str, ...], Callable]:

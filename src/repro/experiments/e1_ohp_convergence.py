@@ -12,8 +12,9 @@ how far the adaptive timeout grows, and contrasts the fixed-timeout ablation
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import ScenarioSpec, minority, partial_sync, scenario
-from .base import Call, Experiment, grouped, simulate_and_check
+from ..runtime import ScenarioSpec, minority, partial_sync, scenario, simulate_spec
+from ..runtime.engine import fold_checks
+from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
 
@@ -44,13 +45,18 @@ def _spec(config: dict) -> ScenarioSpec:
 
 
 def _run_one(config: dict) -> dict:
-    simulation, (hp_result, homega_result) = simulate_and_check(_spec(config))
+    # The record's check metrics, plus the one trace value no check publishes.
+    spec = _spec(config)
+    simulation = simulate_spec(spec)
     trace, pattern = simulation.trace, simulation.failure_pattern
+    checks = fold_checks(trace, pattern, spec.checks)
     timeouts = [trace.final_value(process, "ohp.timeout") for process in pattern.correct]
+    simulation.close()
+    converged = checks["diamond_hp_ok"]
     return {
-        "converged": hp_result.ok,
-        "homega_ok": homega_result.ok,
-        "convergence_time": hp_result.stabilization_time if hp_result.ok else None,
+        "converged": converged,
+        "homega_ok": checks["homega_ok"],
+        "convergence_time": checks["diamond_hp_time"] if converged else None,
         "final_timeout": max((t for t in timeouts if t is not None), default=None),
     }
 

@@ -12,7 +12,7 @@ from a relayed ``DECIDE`` records its own round, not the decider's.
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import execute_spec, leaders, minority, no_crashes, scenario
+from ..runtime import ScenarioSpec, execute_spec, leaders, minority, no_crashes, scenario
 from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
@@ -22,8 +22,8 @@ DESCRIPTION = "Consensus with HΩ and a majority of correct processes (Figure 8,
 _CRASHES = {"none": no_crashes(), "minority": minority(at=8.0), "leaders": leaders(at=8.0)}
 
 
-def _run_one(config: dict) -> dict:
-    spec = (
+def _spec(config: dict) -> ScenarioSpec:
+    return (
         scenario("E4")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
@@ -34,7 +34,10 @@ def _run_one(config: dict) -> dict:
         .seed(config["seed"])
         .build()
     )
-    return dict(execute_spec(spec).metrics)
+
+
+def _run_one(config: dict) -> dict:
+    return dict(execute_spec(_spec(config)).metrics)
 
 
 def _work(quick: bool, seed: int) -> list[Call]:

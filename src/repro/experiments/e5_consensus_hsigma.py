@@ -12,7 +12,7 @@ a relayed ``DECIDE`` records the receiver's round).
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import cascading, execute_spec, scenario
+from ..runtime import ScenarioSpec, cascading, execute_spec, scenario
 from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
@@ -20,23 +20,26 @@ __all__ = ["run"]
 DESCRIPTION = "Consensus with HΩ and HΣ under any number of crashes (Figure 9, Theorem 8)"
 
 
-def _run_one(config: dict) -> dict:
-    crash_count = min(config["crashes"], config["n"] - 1)
-    spec = (
+def _crash_count(config: dict) -> int:
+    return min(config["crashes"], config["n"] - 1)
+
+
+def _spec(config: dict) -> ScenarioSpec:
+    return (
         scenario("E5")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
-        .crashes(cascading(crash_count, first_at=6.0, interval=4.0))
+        .crashes(cascading(_crash_count(config), first_at=6.0, interval=4.0))
         .detectors("HOmega", "HSigma", stabilization=config["stabilization"])
         .consensus("homega_hsigma")
         .horizon(700.0)
         .seed(config["seed"])
         .build()
     )
-    row = dict(execute_spec(spec).metrics)
-    row["faulty"] = crash_count
-    row["majority_crashed"] = crash_count > config["n"] / 2
-    return row
+
+
+def _run_one(config: dict) -> dict:
+    return dict(execute_spec(_spec(config)).metrics)
 
 
 def _work(quick: bool, seed: int) -> list[Call]:
@@ -67,7 +70,7 @@ _COLUMNS, _table = grouped(
 
 
 def _report(rows: list[dict]) -> tuple[list[dict], dict]:
-    majority_crash_rows = [row for row in rows if row["majority_crashed"]]
+    majority_crash_rows = [row for row in rows if _crash_count(row) > row["n"] / 2]
     summary = {
         "runs": len(rows),
         "all_terminated": all(row["decided"] for row in rows),

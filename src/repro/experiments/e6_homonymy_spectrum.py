@@ -20,7 +20,7 @@ receiver's round).
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import CONSENSUS, execute_spec, minority, scenario
+from ..runtime import CONSENSUS, ScenarioSpec, minority, scenario
 from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
@@ -37,9 +37,9 @@ _ALGORITHMS = {
 }
 
 
-def _run_one(config: dict) -> dict:
+def _spec(config: dict) -> ScenarioSpec:
     consensus_name = _ALGORITHMS[config["algorithm"]]
-    spec = (
+    return (
         scenario("E6")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
@@ -52,7 +52,6 @@ def _run_one(config: dict) -> dict:
         .seed(config["seed"])
         .build()
     )
-    return dict(execute_spec(spec).metrics)
 
 
 def _work(quick: bool, seed: int) -> list[Call]:
@@ -67,8 +66,8 @@ def _work(quick: bool, seed: int) -> list[Call]:
     ]
     return [
         (
-            "sweep",
-            _run_one,
+            "run_sweep",
+            _spec,
             ParameterSweep(
                 {"algorithm": [algorithm], "n": [n], "distinct_ids": distinct_ids},
                 repetitions=repetitions,

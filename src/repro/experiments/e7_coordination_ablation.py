@@ -18,7 +18,7 @@ decision; a relayed ``DECIDE`` records the receiver's round).
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import execute_spec, scenario
+from ..runtime import ScenarioSpec, execute_spec, scenario
 from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
@@ -36,8 +36,8 @@ _VARIANTS = {
 }
 
 
-def _run_one(config: dict) -> dict:
-    spec = (
+def _spec(config: dict) -> ScenarioSpec:
+    return (
         scenario("E7")
         .processes(config["n"])
         .distinct_ids(config["distinct_ids"])
@@ -47,7 +47,10 @@ def _run_one(config: dict) -> dict:
         .seed(config["seed"])
         .build()
     )
-    return dict(execute_spec(spec).metrics)
+
+
+def _run_one(config: dict) -> dict:
+    return dict(execute_spec(_spec(config)).metrics)
 
 
 def _work(quick: bool, seed: int) -> list[Call]:

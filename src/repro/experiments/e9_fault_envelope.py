@@ -28,7 +28,7 @@ Three claims are visible in the table:
 from __future__ import annotations
 
 from ..analysis.runner import ParameterSweep
-from ..runtime import composed, execute_spec, lossy, partitioned, scenario
+from ..runtime import ScenarioSpec, composed, execute_spec, lossy, partitioned, scenario
 from .base import Call, Experiment, grouped
 
 __all__ = ["run"]
@@ -49,13 +49,19 @@ def _partition_window(kind: str) -> dict | None:
     return {"start": _PARTITION_START, "end": end, "groups": _BLOCKS}
 
 
-def _run_one(config: dict) -> dict:
+def _stages(config: dict) -> list:
+    """The config's link faults, in composition order; none is a reliable run."""
     stages = []
     if config["loss"] > 0.0:
         stages.append(lossy(config["loss"]))
     window = _partition_window(config["partition"])
     if window is not None:
         stages.append(partitioned(window))
+    return stages
+
+
+def _spec(config: dict) -> ScenarioSpec:
+    stages = _stages(config)
     build = (
         scenario("E9")
         .processes(_N)
@@ -68,9 +74,11 @@ def _run_one(config: dict) -> dict:
     if stages:
         build = build.network(stages[0] if len(stages) == 1 else composed(*stages))
         build = build.adversarial()
-    row = dict(execute_spec(build.build()).metrics)
-    row["degraded"] = bool(stages)
-    return row
+    return build.build()
+
+
+def _run_one(config: dict) -> dict:
+    return dict(execute_spec(_spec(config)).metrics)
 
 
 def _work(quick: bool, seed: int) -> list[Call]:
@@ -98,8 +106,8 @@ _COLUMNS, _table = grouped(
 
 
 def _report(rows: list[dict]) -> tuple[list[dict], dict]:
-    baseline = [row for row in rows if not row["degraded"]]
-    degraded = [row for row in rows if row["degraded"]]
+    baseline = [row for row in rows if not _stages(row)]
+    degraded = [row for row in rows if _stages(row)]
     healed_late_stab = [
         row
         for row in rows

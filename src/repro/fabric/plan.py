@@ -17,10 +17,10 @@ config, a ``"spec"`` payload is the spec's ``to_dict()``.
 
 Because an item is plain JSON, a chunk — a contiguous slice of the
 item list, cut by the same :func:`~repro.analysis.runner.shard_bounds` math
-as ``ParameterSweep.slice`` and ``--shard i/N`` — is a self-contained work
-order: any process that can import the library can execute it, and
-concatenating the chunks' results in chunk order reproduces serial output
-exactly.
+as :func:`~repro.analysis.runner.shard_items` and ``--shard i/N`` — is a
+self-contained work order: any process that can import the library can
+execute it, and concatenating the chunks' results in chunk order reproduces
+serial output exactly.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ class FabricPlan:
         """Partition the items into ``chunks`` contiguous, balanced slices.
 
         Uses the same :func:`~repro.analysis.runner.shard_bounds` math as
-        ``ParameterSweep.slice`` and ``--shard i/N``; empty slices (more
-        chunks than items) are dropped.
+        :func:`~repro.analysis.runner.shard_items` and ``--shard i/N``; empty
+        slices (more chunks than items) are dropped.
         """
         out = []
         for chunk in range(chunks):

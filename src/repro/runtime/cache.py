@@ -42,8 +42,9 @@ from ..retry import RetryExhaustedError, RetryPolicy, retry_call
 __all__ = ["RunCache"]
 
 #: Bumped whenever a stored value changes shape, so an old entry misses
-#: instead of serving it: ``/3`` when records gained ``<check>_violations``.
-_SCHEMA = "run-cache/3"
+#: instead of serving it: ``/3`` when records gained ``<check>_violations``,
+#: ``/4`` when E5's and E9's sweep rows lost their config-derived columns.
+_SCHEMA = "run-cache/4"
 
 #: Transient filesystem hiccups (NFS blips, EMFILE pressure from a worker
 #: fleet, a directory briefly unwritable) should not silently cost a cache

@@ -31,12 +31,11 @@ and :func:`item_row` (the row it emits).
 
 Sweep-scale machinery, all opt-in:
 
-* **streaming** — ``run_many`` / ``run_sweep`` / ``sweep`` accept
-  ``stream=True`` and then return a lazy iterator that yields each result as
-  its dispatch chunk completes, *in input order* (so a consumer can fold,
-  plot, or persist incrementally while later chunks still run, and the final
-  table is deterministic regardless).  JSONL emission always flushes
-  incrementally as results become available, streaming or not;
+* **streaming** — every entry point emits each row as its dispatch chunk
+  completes, *in input order*: JSONL lines are flushed one by one and the
+  ``progress=`` hook sees each payload, so a consumer can fold, plot, or
+  persist incrementally while later chunks still run, and the final table is
+  deterministic regardless.  The call itself returns the full list;
 * **run caching** — pass ``cache=`` a directory (or
   :class:`~repro.runtime.cache.RunCache`) and completed items are memoized,
   one ``{"value", "digests"}`` entry each, on ``(canonical-spec-hash, seed)``
@@ -428,63 +427,50 @@ class Engine:
         (row,) = self._lower("spec", None, [spec])
         return RunRecord.from_dict(row)
 
-    def run_many(
-        self, specs: Iterable[ScenarioSpec], *, stream: bool = False
-    ) -> "list[RunRecord] | Iterator[RunRecord]":
+    def run_many(self, specs: Iterable[ScenarioSpec]) -> list[RunRecord]:
         """Execute many scenarios (in parallel when the executor allows).
 
-        With ``stream=True`` the result is a lazy iterator that yields each
-        record — in input order — as its dispatch chunk completes; otherwise
-        the full list is returned once every run has finished.  JSONL
-        emission happens incrementally in both modes.
+        The records come back in input order once every run has finished;
+        each is emitted (JSONL, ``progress``) as its dispatch chunk completes.
         """
-        records = (RunRecord.from_dict(row) for row in self._lower("spec", None, list(specs)))
-        return records if stream else list(records)
+        return [RunRecord.from_dict(row) for row in self._lower("spec", None, list(specs))]
 
     def run_sweep(
         self,
         make_spec: Callable[[dict], ScenarioSpec],
         sweep: ParameterSweep | Iterable[Mapping[str, Any]],
-        *,
-        stream: bool = False,
-    ) -> "list[dict] | Iterator[dict]":
+    ) -> list[dict]:
         """Turn every sweep config into a spec, execute all, return rows.
 
         Each returned row is the sweep config (minus the bookkeeping
         ``repetition`` field) merged with the record's metrics — the shape
-        :func:`repro.analysis.runner.aggregate_rows` consumes.  With
-        ``stream=True`` rows are yielded in sweep order as chunks complete.
+        :func:`repro.analysis.runner.aggregate_rows` consumes.
         """
         configs = [dict(config) for config in sweep]
         specs = [make_spec(dict(config)) for config in configs]
-        rows = (
+        return [
             merge_row(config, record["metrics"])
             for config, record in zip(configs, self._lower("spec", None, specs))
-        )
-        return rows if stream else list(rows)
+        ]
 
     # -- custom per-config functions -----------------------------------
     def sweep(
         self,
         run_one: Callable[[dict], Mapping[str, Any]],
         sweep: ParameterSweep | Iterable[Mapping[str, Any]],
-        *,
-        stream: bool = False,
-    ) -> "list[dict] | Iterator[dict]":
+    ) -> list[dict]:
         """Dispatch ``run_one`` over every config of a sweep.
 
         ``run_one`` must be a module-level function (picklable) returning a
         metrics mapping, and a pure function of its config; rows come back in
         sweep order regardless of the executor, so parallel runs reproduce
-        serial ones exactly.  With ``stream=True`` rows are yielded lazily as
-        chunks complete.  When a cache is attached, outcomes are memoized on
+        serial ones exactly.  When a cache is attached, outcomes are memoized on
         the function's qualified name plus the canonical config (which
         carries the seed); lambdas and nested functions are run but never
         cached — their qualnames are ambiguous, so two different ones could
         serve each other's entries.
         """
-        rows = self._lower("sweep", run_one, [dict(config) for config in sweep])
-        return rows if stream else list(rows)
+        return list(self._lower("sweep", run_one, [dict(config) for config in sweep]))
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list:
         """Apply ``fn`` to every item on the executor, in order: no cache,

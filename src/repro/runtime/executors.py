@@ -10,8 +10,8 @@ An executor provides ``map(fn, items) -> list`` returning results *in input
 order*, which is what keeps serial and parallel runs row-for-row identical
 (every item carries its own seed; nothing depends on completion order);
 ``imap``, the lazy input-order iterator that yields results as they become
-contiguous (the primitive behind ``Engine.run_sweep(..., stream=True)``);
-and an idempotent ``close()``.
+contiguous (the primitive behind the Engine's row-by-row emission: its JSONL
+lines and ``progress`` hook); and an idempotent ``close()``.
 
 Work is dispatched to the pool in *chunks*: one message carries a list of
 items, so a thousand-run sweep costs tens of round-trips instead of a

@@ -15,9 +15,8 @@ dropped open is freed only by the cyclic garbage collector.  ``close`` breaks
 those cycles and reference counting frees the run at once; what the run
 produced (trace, failure pattern, digest, event count) stays readable.  Whoever
 creates a run closes it once it has read what it needs:
-:func:`~repro.runtime.engine.execute_spec` and
-:func:`~repro.experiments.base.simulate_and_check` do; ``simulate_spec`` hands
-its run back open.
+:func:`~repro.runtime.engine.execute_spec` does, and so does E1's ``_run_one``,
+which reads a trace value first; ``simulate_spec`` hands its run back open.
 """
 
 from __future__ import annotations

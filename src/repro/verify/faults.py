@@ -154,5 +154,5 @@ def corrupt_cache_entries(cache_root: Path, count: int, rng: random.Random) -> l
     entries = sorted(cache_root.glob("*.json"))
     victims = rng.sample(entries, min(count, len(entries)))
     for victim in victims:
-        victim.write_bytes(b'{"schema": "run-cache/3", "payload": garbage')
+        victim.write_bytes(b'{"schema": "run-cache/4", "payload": garbage')
     return [victim.name for victim in victims]

@@ -112,6 +112,15 @@ def faulty_run_one(config: dict) -> dict:
     return _run_one(config)
 
 
+def nested_engine_run_one(config: dict) -> dict:
+    """A ``sweep`` function that nests an engine call: E9's run of ``config``
+    through ``Engine().run``, one item inside another."""
+    from repro.experiments.e9_fault_envelope import _spec
+    from repro.runtime import Engine
+
+    return dict(Engine().run(_spec(config)).metrics)
+
+
 def serve_frozen(conn) -> None:
     """A fleet worker that suspends itself before it greets: a SIGSTOP between
     spawn and hello that no forked worker's millisecond start-up can race."""

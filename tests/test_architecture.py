@@ -91,7 +91,7 @@ def test_experiments_declare_and_the_planner_never_reduces() -> None:
 
 def test_an_experiment_declares_specs_or_sweeps_and_nothing_plans_a_map() -> None:
     """Two item kinds: every declared call is ``run_sweep`` (a spec per config)
-    or ``sweep`` (a function per config).  E2, E3, E8 and E12 declare specs
+    or ``sweep`` (a function per config).  E2, E3, E6, E8 and E12 declare specs
     only, and a ``"map"`` item — the kind no experiment dispatches — is refused."""
     from repro import experiments  # noqa: F401  (importing registers them)
     from repro.fabric.plan import PlanningError, WorkItem
@@ -107,7 +107,7 @@ def test_an_experiment_declares_specs_or_sweeps_and_nothing_plans_a_map() -> Non
     }
     assert len(methods) == 12
     assert set().union(*methods.values()) <= {"sweep", "run_sweep"}, methods
-    assert all(methods[name] == {"run_sweep"} for name in ("E2", "E3", "E8", "E12")), methods
+    assert all(methods[name] == {"run_sweep"} for name in ("E2", "E3", "E6", "E8", "E12")), methods
     with pytest.raises(PlanningError, match="kind 'map'"):
         WorkItem(index=0, kind="map", payload={"fn": "m.f", "config": {}}, key="k")
 

@@ -95,5 +95,9 @@ def test_foreign_and_schema_less_entries_are_misses(tmp_path) -> None:
     cache = RunCache(tmp_path)
     (tmp_path / "row-y.json").write_text(json.dumps({"payload": {"v": 1}}))  # no schema
     (tmp_path / "row-z.json").write_text(json.dumps([1, 2, 3]))  # not an object
+    # Written before E5's and E9's sweep rows lost their config-derived columns.
+    old = {"schema": "run-cache/3", "payload": {"value": {"faulty": 2}, "digests": []}}
+    (tmp_path / "row-w.json").write_text(json.dumps(old))
     assert cache.get("row-y") is None
     assert cache.get("row-z") is None
+    assert cache.get("row-w") is None

@@ -6,6 +6,7 @@ headline result the paper's corresponding claim predicts.
 
 from __future__ import annotations
 
+import importlib
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 
 from repro.analysis import ExperimentResult
 from repro.experiments import ALL_EXPERIMENTS
+from repro.runtime import Engine
 from repro.runtime.registry import EXPERIMENTS
 
 
@@ -82,6 +84,15 @@ class TestHarnessShape:
         assert [method for method, _, _ in engine.calls] == methods
         assert result.rows == tuple({"call": index + 1} for index in range(len(methods)))
         assert (result.experiment, result.columns) == (name, run.columns)
+
+    @pytest.mark.parametrize("name", ["E4", "E5", "E7", "E9"])
+    def test_a_sweep_of_run_one_is_a_run_sweep_of_its_spec(self, name):
+        """``_run_one`` is its spec's record: declaring ``("run_sweep", _spec,
+        configs)`` instead would leave every row as it is."""
+        module = importlib.import_module(EXPERIMENTS.resolve(name).work.__module__)
+        ((method, run_one, configs),) = module._work(True, 0)
+        assert (method, run_one) == ("sweep", module._run_one)
+        assert Engine().sweep(run_one, configs) == Engine().run_sweep(module._spec, configs)
 
     def test_readme_table_lists_every_registered_experiment(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

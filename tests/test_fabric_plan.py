@@ -24,7 +24,7 @@ from repro.runtime.spec import ScenarioSpec, cascading, crashes_at, partial_sync
 
 
 # ---------------------------------------------------------------------------
-# shard_bounds / shard_items / ParameterSweep.slice
+# shard_bounds / shard_items
 # ---------------------------------------------------------------------------
 @given(total=st.integers(0, 500), shards=st.integers(1, 20))
 def test_shard_bounds_partition(total: int, shards: int) -> None:
@@ -61,16 +61,6 @@ def test_shard_items_union_is_order_stable(values: list[int], shards: int) -> No
     assert [item for piece in slices for item in piece] == values
 
 
-@given(repetitions=st.integers(1, 4), shards=st.integers(1, 7))
-def test_parameter_sweep_slice(repetitions: int, shards: int) -> None:
-    sweep = ParameterSweep(
-        {"n": [3, 4], "delta": [0.5, 1.0]}, repetitions=repetitions, base_seed=7
-    )
-    full = list(sweep)
-    slices = [sweep.slice(shard, shards) for shard in range(shards)]
-    assert [config for piece in slices for config in piece] == full
-
-
 # ---------------------------------------------------------------------------
 # PlanningEngine / plan_experiments
 # ---------------------------------------------------------------------------
@@ -96,7 +86,7 @@ def test_full_deterministic_plan_shape() -> None:
     covered = sorted(index for start, end in spans.values() for index in range(start, end))
     assert covered == list(range(len(plan)))
     kinds = {name: {plan.items[i].kind for i in range(*spans[name])} for name in names}
-    assert all(kinds[name] == {"spec"} for name in ("E2", "E3", "E8", "E10", "E12"))
+    assert all(kinds[name] == {"spec"} for name in ("E2", "E3", "E6", "E8", "E10", "E12"))
     assert kinds["E1"] == {"sweep"}
 
 
@@ -111,14 +101,17 @@ def test_full_deterministic_plan_shape() -> None:
         # Recomputed once more when E2, E3, E8 and E12 began to dispatch specs
         # (ba757deb54d92785: 168 / 7 map / 12): diffed item by item, every index,
         # experiment and call number holds, and only those four experiments'
-        # items differ, each now the spec of its old config's seed.
-        (True, "99c6360c3bfd6ab5", {"sweep": 145, "spec": 42}),
+        # items differ, each now the spec of its old config's seed.  And once
+        # when E6 did the same (99c6360c3bfd6ab5: 145 / 42): diffed item by
+        # item, only E6's twelve items differ, in the same way.
+        (True, "54f3c87bac7fe14b", {"sweep": 133, "spec": 54}),
         # df2f1bd gave 99a14f97ba96354e (1901 items: 1840 / 7 / 54), and so did
         # the rewritten planner; recomputed once after full E8 dropped its nine
         # impossible items (distinct_ids=7 at n=5) — 430e8b0aa44d9ada — and once
         # for E3's seven configs, as above — 04c70019717d0455 (1831 / 7 / 54) —
-        # and once for the four experiments that dispatch specs, as above.
-        (False, "d13e78decda8b795", {"sweep": 1613, "spec": 279}),
+        # and once for the four experiments that dispatch specs, as above —
+        # d13e78decda8b795 (1613 / 279) — and once for E6's 48 items.
+        (False, "949e24ddd8d02bcf", {"sweep": 1565, "spec": 327}),
     ],
 )
 def test_plan_fingerprints_are_pinned(quick, fingerprint, kinds) -> None:
@@ -156,7 +149,7 @@ def test_planning_never_reduces(monkeypatch) -> None:
         monkeypatch, {name: replace(run, report=report) for name, run in ALL_EXPERIMENTS.items()}
     )
     text = json.dumps(plan.to_dict(), sort_keys=True)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "99c6360c3bfd6ab5"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "54f3c87bac7fe14b"
 
 
 def test_planning_never_swallows(monkeypatch) -> None:

@@ -9,7 +9,6 @@ import pytest
 
 from bench.workloads import DigestCapture
 from repro.experiments.e1_ohp_convergence import _run_one as run_one_e1
-from repro.experiments.e9_fault_envelope import _run_one as run_one_e9
 from repro.fabric import FabricPlan, execute_item, plan_sweep
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.plan import PlanningEngine
@@ -17,6 +16,8 @@ from repro.runtime import Engine, executor_for, minority, scenario
 from repro.runtime import engine as engine_module
 from repro.runtime.cache import RunCache
 from repro.sim.scheduler import capture_digests
+
+from .helpers import nested_engine_run_one
 
 E1_CONFIGS = [
     {"n": 3, "distinct_ids": ids, "gst": 2.0, "delta": 0.5, "fixed_timeout": False, "seed": seed}
@@ -114,13 +115,13 @@ def test_capture_around_a_serial_sweep_sees_each_digest_once() -> None:
 
 
 def test_capture_around_an_item_that_nests_an_engine_run() -> None:
-    """E9's ``_run_one`` calls ``Engine().run(spec)``: the inner item must not
-    steal the digest from the outer item, nor either from the capture."""
-    expected = _digests_one_by_one(run_one_e9, E9_CONFIGS)
+    """A sweep function that calls ``Engine().run(spec)``: the inner item must
+    not steal the digest from the outer item, nor either from the capture."""
+    expected = _digests_one_by_one(nested_engine_run_one, E9_CONFIGS)
     with capture_digests() as seen:
-        Engine().sweep(run_one_e9, E9_CONFIGS)
+        Engine().sweep(nested_engine_run_one, E9_CONFIGS)
     assert seen == expected
-    plan = plan_sweep(run_one_e9, E9_CONFIGS)
+    plan = plan_sweep(nested_engine_run_one, E9_CONFIGS)
     with capture_digests() as seen:
         results = [execute_item(item) for item in plan.items]
     assert seen == expected

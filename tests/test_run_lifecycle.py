@@ -7,12 +7,12 @@ methods — so without :meth:`~repro.sim.scheduler.Simulation.close` a dropped
 run waits for the cyclic garbage collector.  These tests pin both halves of
 the contract:
 
-* both library owners of a run (``execute_spec`` and ``simulate_and_check``,
-  each for a KV spec too) close it, and with the collector off the run is
-  freed by reference counting alone: ``gc.collect()`` then finds nothing, for
-  one spec per program, consensus row and reduction row, a stacked
-  configuration, sparse monitors, a KV cell and a lossy run that ends
-  undecided;
+* the library owner of a run, ``execute_spec``, closes it, and with the
+  collector off the run is freed by reference counting alone:
+  ``gc.collect()`` then finds nothing, for one spec per program, consensus
+  row and reduction row, a stacked configuration, sparse monitors, a KV cell
+  and a lossy run that ends undecided; so does E1's ``_run_one``, the one
+  experiment function that opens a run itself;
 * a closed run still reads as the finished run it was, cannot run again, and
   closing twice is harmless.
 """
@@ -29,7 +29,7 @@ from repro.consensus import FAMILY
 from repro.detectors import CLASSES
 from repro.errors import SimulationError
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.base import simulate_and_check
+from repro.experiments.e1_ohp_convergence import _run_one as run_one_e1
 from repro.reductions import REDUCTIONS
 from repro.runtime import (
     CONSENSUS,
@@ -209,13 +209,13 @@ def simulations(monkeypatch):
     return refs
 
 
-def _garbage_after(owner, spec, simulations) -> tuple[list, int]:
-    """Run ``owner(spec)`` with the collector off, drop the result and return
+def _garbage_after(owner, arg, simulations) -> tuple[list, int]:
+    """Run ``owner(arg)`` with the collector off, drop the result and return
     ``(simulations still alive, objects the collector then finds)``."""
     gc.collect()
     gc.disable()
     try:
-        owner(spec)  # the result is dropped at once
+        owner(arg)  # the result is dropped at once
         alive = [ref for ref in simulations if ref() is not None]
         found = gc.collect()
     finally:
@@ -225,15 +225,20 @@ def _garbage_after(owner, spec, simulations) -> tuple[list, int]:
 
 
 OWNERS = [
-    pytest.param(owner, spec, id=f"{owner.__name__}-{name}")
+    pytest.param(execute_spec, spec, id=f"execute_spec-{name}")
     for name, spec in {**SPECS, "kv": KV_SPEC}.items()
-    for owner in (execute_spec, simulate_and_check)
+] + [
+    pytest.param(
+        run_one_e1,
+        {"n": 4, "distinct_ids": 2, "gst": 5.0, "delta": 1.0, "fixed_timeout": False, "seed": 4},
+        id="e1_run_one",
+    )
 ]
 
 
-@pytest.mark.parametrize("owner, spec", OWNERS)
-def test_a_finished_run_leaves_no_cyclic_garbage(owner, spec, simulations):
-    alive, found = _garbage_after(owner, spec, simulations)
+@pytest.mark.parametrize("owner, arg", OWNERS)
+def test_a_finished_run_leaves_no_cyclic_garbage(owner, arg, simulations):
+    alive, found = _garbage_after(owner, arg, simulations)
     assert not alive, "reference counting did not free the simulation"
     assert found == 0
 
@@ -302,9 +307,8 @@ class TestClose:
 
 @pytest.mark.parametrize("name", ["E1", "E2"])
 def test_rows_read_from_a_closed_run_are_unchanged(name, monkeypatch):
-    # E1 reads the trace and failure pattern of the run simulate_and_check has
-    # closed, E2 its record, measured before execute_spec closes the run: the
-    # rows equal those of an open run.
+    # E1 reads its run's checks and trace, E2 its record, each before the run
+    # is closed: the rows equal those of an open run.
     def rows():
         return json.dumps(ALL_EXPERIMENTS[name].dispatch(Engine(), True, 0), sort_keys=True)
 

@@ -178,9 +178,8 @@ class TestRunRecord:
 
 
 class TestParameterSweepPolish:
-    def test_len_and_total_runs(self):
+    def test_len_counts_combinations_times_repetitions(self):
         sweep = ParameterSweep({"a": [1, 2, 3], "b": [True, False]}, repetitions=4)
-        assert sweep.total_runs == 24
         assert len(sweep) == 24
         assert len(list(sweep)) == 24
 
@@ -196,12 +195,12 @@ class TestParameterSweepPolish:
             base_seed=123,
         )
         seeds = [config["seed"] for config in sweep]
-        assert len(seeds) == sweep.total_runs
+        assert len(seeds) == len(sweep)
         assert len(set(seeds)) == len(seeds)
         # Seeds form a contiguous block, so sweeps with disjoint base seeds
-        # spaced by total_runs never overlap either.
+        # spaced by len(sweep) never overlap either.
         assert min(seeds) == 123
-        assert max(seeds) == 123 + sweep.total_runs - 1
+        assert max(seeds) == 123 + len(sweep) - 1
 
     def test_run_with_executor_matches_plain_run(self):
         sweep = ParameterSweep({"x": [1, 2, 3]}, repetitions=2)

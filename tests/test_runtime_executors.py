@@ -13,6 +13,7 @@ from repro.errors import ConfigurationError, WorkerCrashError
 from repro.runtime import (
     Engine,
     RunCache,
+    RunRecord,
     ScenarioSpec,
     SerialExecutor,
     WorkerPool,
@@ -90,17 +91,17 @@ class TestWorkerPoolLifecycle:
             assert engine.executor.worker_pids() == backing
         assert not engine.executor.alive
 
-    def test_a_consumer_that_stops_at_the_last_row_does_not_cost_a_worker(self):
+    def test_a_call_that_has_its_last_row_before_its_last_chunk_ends_keeps_its_workers(self):
         # Slow items travel one by one, so a chunk's "done" mark trails its
-        # last result; zip() never asks the stream for more than it needs.
-        # The engine must finish the pool call itself, not abandon it there
-        # (which the fleet reads as a cancelled call: it kills the worker).
+        # last result.  The engine must finish the pool call itself once the
+        # last row is in, not drop it there (which the fleet reads as a
+        # cancelled call: it kills the worker).
         configs = [{"x": i, "seed": i} for i in range(4)]
         with Engine(jobs=2) as engine:
             engine.sweep(_double, configs)  # spawn + warm
             backing = sorted(engine.executor.worker_pids())
             for _ in range(3):
-                rows = [row for _, row in zip(configs, engine.sweep(_slow_double, configs, stream=True))]
+                rows = engine.sweep(_slow_double, configs)
                 assert rows == [{**config, "doubled": 2 * config["x"]} for config in configs]
                 assert sorted(engine.executor.worker_pids()) == backing
 
@@ -139,24 +140,33 @@ class TestDigestEquivalence:
 
 
 class TestStreaming:
-    def test_stream_yields_in_input_order(self):
+    def test_a_pool_streams_records_in_input_order(self):
         specs = [small_spec(seed) for seed in range(5)]
-        with Engine(jobs=2) as engine:
-            streamed = list(engine.run_many(specs, stream=True))
-        assert [r.seed for r in streamed] == [0, 1, 2, 3, 4]
-        assert streamed == Engine().run_many(specs)
+        streamed: list[dict] = []
+        with Engine(jobs=2, progress=streamed.append) as engine:
+            records = engine.run_many(specs)
+        assert [payload["seed"] for payload in streamed] == [0, 1, 2, 3, 4]
+        assert [RunRecord.from_dict(payload) for payload in streamed] == records
+        assert records == Engine().run_many(specs)
 
-    def test_stream_is_lazy_and_jsonl_flushes_incrementally(self, tmp_path):
+    def test_each_row_is_flushed_before_the_next_item_runs(self, tmp_path):
         log = tmp_path / "runs.jsonl"
-        engine = Engine(jsonl_path=str(log))
-        rows = engine.sweep(_double, [{"x": i, "seed": i} for i in range(4)], stream=True)
-        first = next(rows)
-        assert first == {"x": 0, "seed": 0, "doubled": 0}
-        # Only the consumed row has been computed and logged so far.
-        assert len(log.read_text().splitlines()) == 1
-        rest = list(rows)
-        assert len(rest) == 3
-        assert len(log.read_text().splitlines()) == 4
+        events: list[tuple] = []
+
+        def run_one(config):
+            events.append(("run", config["x"]))
+            return _double(config)
+
+        def progress(row):
+            events.append(("row", row["x"], len(log.read_text().splitlines())))
+
+        engine = Engine(jsonl_path=str(log), progress=progress)
+        rows = engine.sweep(run_one, [{"x": i, "seed": i} for i in range(3)])
+        assert rows[0] == {"x": 0, "seed": 0, "doubled": 0}
+        # Row i is on disk, one line per row, before item i + 1 is computed.
+        assert events == [
+            ("run", 0), ("row", 0, 1), ("run", 1), ("row", 1, 2), ("run", 2), ("row", 2, 3)
+        ]
 
     def test_progress_hook_sees_every_payload_in_order(self):
         seen: list[dict] = []
