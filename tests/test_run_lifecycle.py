@@ -11,8 +11,9 @@ the contract:
   collector off the run is freed by reference counting alone:
   ``gc.collect()`` then finds nothing, for one spec per program, consensus
   row and reduction row, a stacked configuration, sparse monitors, a KV cell
-  and a lossy run that ends undecided; so does E1's ``_run_one``, the one
-  experiment function that opens a run itself;
+  and a lossy run that ends undecided; so does a caller that reads the trace
+  itself (``simulate_spec``, ``fold_checks``, ``close``) for each of those
+  specs, and E1's ``_run_one``, the one experiment function that does so;
 * a closed run still reads as the finished run it was, cannot run again, and
   closing twice is harmless.
 """
@@ -47,6 +48,7 @@ from repro.runtime import (
     simulate_spec,
     synchronous,
 )
+from repro.runtime.engine import fold_checks
 from repro.sim.scheduler import Simulation
 from repro.workloads.churn import churn_spec
 
@@ -224,9 +226,19 @@ def _garbage_after(owner, arg, simulations) -> tuple[list, int]:
     return alive, found
 
 
+def simulate_and_fold(spec):
+    """A caller that reads a run itself, as E1 and the KV command line do:
+    the closed simulation and the spec's folded checks."""
+    simulation = simulate_spec(spec)
+    checks = fold_checks(simulation.trace, simulation.failure_pattern, spec.checks)
+    simulation.close()
+    return simulation, checks
+
+
 OWNERS = [
-    pytest.param(execute_spec, spec, id=f"execute_spec-{name}")
+    pytest.param(owner, spec, id=f"{owner.__name__}-{name}")
     for name, spec in {**SPECS, "kv": KV_SPEC}.items()
+    for owner in (execute_spec, simulate_and_fold)
 ] + [
     pytest.param(
         run_one_e1,
